@@ -27,6 +27,7 @@ import subprocess
 import sys
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,10 +46,11 @@ import numpy as np  # noqa: E402
 
 from workloads import WORKLOADS, PassResult  # noqa: E402
 from layers import Tracer  # noqa: E402
+from hostspeed import HostClock, PROBE_REFERENCE_S, probe_seconds  # noqa: E402
 
 RUN_SECONDS = 30
 MIN_PASSES = 3          # timed passes (or traced pairs) per run, at least
-SETUP_REPS = 7
+SETUP_REPS = 11
 
 WORKLOAD_WHY = {
     "torus-scan": "21% of samples reach the cone and unfold to a small radius, "
@@ -59,9 +61,9 @@ WORKLOAD_WHY = {
                     "areas, no scan code, so scan and oracle changes stay apart",
 }
 
-# name, unit, better, bound (share of the parent's median).  Times get the
-# largest bound: slow phases of the shared host last minutes and move a
-# whole run by 15-20 %.
+# name, unit, better, bound (share of the parent's median).  Times are
+# scaled by the host factor (see hostspeed); they still get the largest
+# bound, since the probe cancels most, not all, of the host's drift.
 END_TO_END = [
     ("setup_s", "s", "lower", 0.25),
     ("wall_s", "s", "lower", 0.25),
@@ -138,24 +140,33 @@ t0 = time.perf_counter()
 
 
 def measure_setup(workload, reps: int) -> list[float]:
-    """Import plus chart construction, each in a fresh interpreter."""
+    """Import plus chart construction, each in a fresh interpreter.
+
+    The times are scaled by one host factor for the whole set-up: the
+    median of probes run between the interpreters.  A single probe next
+    to a child of a fraction of a second is too short a look.
+    """
     code = SETUP_TIMER.format(code=workload.setup_code)
-    times = []
+    times, probes = [], [probe_seconds()]
     for _ in range(reps + 1):  # the first may compile bytecode: dropped
         proc = subprocess.run([sys.executable, "-c", code, str(SRC)],
                               capture_output=True, text=True, check=True,
                               cwd=ROOT, timeout=120)
         times.append(float(proc.stdout.split()[-1]))
-    return times[1:]
+        probes.append(probe_seconds())
+    factor = statistics.median(probes) / PROBE_REFERENCE_S
+    return [t / factor for t in times[1:]]
 
 
 # -- per-layer numbers of one traced pass ------------------------------------------
 
 
 def layer_metrics(workload, p: PassResult) -> dict[str, float]:
+    """Per-layer numbers of one traced pass; times scaled like the pass."""
     tr = p.tracer
-    sec, cnt = tr.seconds, tr.counts
-    wall = p.wall_s - tr.bookkeeping_s
+    cnt = tr.counts
+    sec = Counter({name: s / p.host_factor for name, s in tr.seconds.items()})
+    wall = (p.wall_s - tr.bookkeeping_s) / p.host_factor
     mask_s = sec["surface.mask"]
     build_s = sec["charts.build"]
     enum_s = sec["unfolding.enumerate"]
@@ -222,36 +233,50 @@ def _repeat_errors(warm: PassResult | None, first: PassResult) -> list[str]:
 
 
 def _timed_passes(seed, seconds, quick, run_one) -> list:
-    """Call ``run_one(i, seed_i)`` until ``seconds`` have passed."""
+    """Call ``run_one(i, seed_i, clock)`` until ``seconds`` have passed."""
     out = []
     least = 1 if quick else MIN_PASSES
+    clock = HostClock()
     t0 = time.perf_counter()
     while len(out) < least or time.perf_counter() - t0 < seconds:
-        out.append(run_one(len(out), pass_seed(seed, len(out))))
+        out.append(run_one(len(out), pass_seed(seed, len(out)), clock))
     return out
+
+
+def _scaled(clock: HostClock, p: PassResult) -> PassResult:
+    p.host_factor = clock.factor(p.wall_s)
+    return p
 
 
 def run_untraced(workload, seed, seconds, quick) -> Run:
     setup = measure_setup(workload, 1 if quick else SETUP_REPS)
     warm = _warm_up(workload, seed, quick)
-    passes = _timed_passes(seed, seconds, quick,
-                           lambda i, s: workload.run_pass(i, s, quick))
+    passes = _timed_passes(
+        seed, seconds, quick,
+        lambda i, s, clock: _scaled(clock, workload.run_pass(i, s, quick)))
     errors = _repeat_errors(warm, passes[0]) + workload.check(passes)
     attempted, failed = workload.attempted(passes), workload.failed(passes)
     metrics = {"setup_s": statistics.median(setup), **workload.e2e(passes),
                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                "success_frac": 1.0 - failed / attempted}
-    per_pass = {"setup_s": setup, "pass_wall_s": [p.wall_s for p in passes]}
+    per_pass = {"setup_s": setup, "pass_wall_s": [p.wall_s for p in passes],
+                "pass_scaled_s": [p.scaled_s for p in passes],
+                "host_factor": [p.host_factor for p in passes]}
     return Run(metrics, per_pass, passes, errors, attempted, failed)
 
 
 def run_traced(workload, seed, seconds, quick) -> Run:
-    def pair(i, s):
+    def pair(i, s, clock):
+        def plain():
+            return _scaled(clock, workload.run_pass(i, s, quick))
+
+        def traced():
+            return _scaled(clock, workload.run_pass(i, s, quick, Tracer(i)))
+
         if i % 2 == 0:  # alternate which side runs first
-            plain = workload.run_pass(i, s, quick)
-            return plain, workload.run_pass(i, s, quick, Tracer(i))
-        traced = workload.run_pass(i, s, quick, Tracer(i))
-        return workload.run_pass(i, s, quick), traced
+            return plain(), traced()
+        t = traced()
+        return plain(), t
 
     warm = _warm_up(workload, seed, quick)
     pairs = _timed_passes(seed, seconds, quick, pair)
@@ -263,7 +288,8 @@ def run_traced(workload, seed, seconds, quick) -> Run:
     for plain, traced in pairs:
         values = layer_metrics(workload, traced)
         values["trace.overhead_ratio"] = (
-            (traced.wall_s - traced.tracer.bookkeeping_s) / plain.wall_s)
+            (traced.wall_s - traced.tracer.bookkeeping_s) / traced.host_factor
+            / plain.scaled_s)
         for name, value in values.items():
             per_pass.setdefault(name, []).append(value)
     OUT.mkdir(exist_ok=True)
@@ -300,10 +326,12 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         print(line)
     OUT.mkdir(exist_ok=True)
     report = {"workload": name, "seed": seed, "trace": int(trace),
+              "probe_reference_s": PROBE_REFERENCE_S,
               "errors": run.errors, "metrics": run.metrics, "per_pass": stats,
               "passes": [{"seed": p.seed, "wall_s": p.wall_s, "cone": p.cone,
                           "accepted": p.accepted, "values": p.values,
-                          "radius": p.radius, "slopes": p.slopes}
+                          "host_factor": p.host_factor, "radius": p.radius,
+                          "slopes": p.slopes}
                          for p in run.passes]}
     (OUT / f"{name}-seed{seed}-trace{int(trace)}.json").write_text(
         json.dumps(report, indent=1))

@@ -5,8 +5,8 @@ from the pass seed; the program sees a chart name, radius cells, a sample
 count and that seed.
 
 End-to-end values are run totals (work done over time spent), not medians
-of passes: slow phases of a shared host last 10-30 s, and over a run of
-tens of seconds the total moves less between runs than the pass median.
+of passes, and each pass time is scaled by the host factor around it (see
+hostspeed): slow phases of a shared host last seconds to minutes.
 """
 
 from __future__ import annotations
@@ -45,10 +45,15 @@ class PassResult:
     slopes: tuple[float, ...] = ()
     build_failures: int = 0
     tracer: Tracer | None = None
+    host_factor: float = 1.0  # see hostspeed: the host's slowness around the pass
 
     @property
     def outputs(self):
         return self.accepted, self.values
+
+    @property
+    def scaled_s(self) -> float:
+        return self.wall_s / self.host_factor
 
 
 def _call(tracer, name, fn, *args, **kwargs):
@@ -133,7 +138,7 @@ class ScanWorkload:
                    for p in self.reference_p())
 
     def e2e(self, passes: list[PassResult]) -> dict[str, float]:
-        t = sum(p.wall_s for p in passes)
+        t = sum(p.scaled_s for p in passes)
         n = sum(p.samples for p in passes)
         return {
             "wall_s": t / len(passes),
@@ -239,7 +244,7 @@ class OracleWorkload:
         by_radius = {}
         for p in passes:
             by_radius.setdefault(p.radius, []).append(p)
-        wall = sum(sum(p.wall_s for p in ps) / len(ps) for ps in by_radius.values())
+        wall = sum(sum(p.scaled_s for p in ps) / len(ps) for ps in by_radius.values())
         return {
             "wall_s": wall,
             "samples_per_s": sum(ps[0].samples for ps in by_radius.values()) / wall,
@@ -273,12 +278,12 @@ WORKLOADS = {
         TorusScan(
             name="torus-scan", chart="torus",
             cells=[(0.15,), (0.2,), (0.3,), (0.45,)],
-            fit_groups=[[0, 1, 2, 3]], samples=20_000),
+            fit_groups=[[0, 1, 2, 3]], samples=10_000),
         OctagonScan(
             name="octagon-scan", chart="h2-octagon",
             cells=_OCTAGON_K1 + _OCTAGON_K2,
             fit_groups=[list(range(4)), list(range(4, 4 + len(_OCTAGON_K2)))],
-            samples=60_000),
+            samples=30_000),
         OracleWorkload(name="torus-oracle", radii=(0.15, 0.3), quick_radii=(0.3,)),
     )
 }
