@@ -8,13 +8,9 @@ of relative homology.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .surface import (
-    SurfaceError,
     TranslationSurface,
     polygon_is_simple,
     shoelace_area,
@@ -73,10 +69,6 @@ class ChartModel:
         for (rl, rh, il, ih) in self.param_box:
             vol *= (rh - rl) * (ih - il)
         return vol
-
-    def sample_box_array(self) -> np.ndarray:
-        """Box bounds as an array of shape (dim, 4)."""
-        return np.asarray(self.param_box, dtype=float)
 
 
 def _default_box(dim: int, half_width: float):

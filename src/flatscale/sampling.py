@@ -8,7 +8,10 @@ radii (eps_1 <= ... <= eps_k) when it is admissible, has area <= 1, and
 the unit-area rescale carries saddle connections s_1, ..., s_k with
 |s_i| <= eps_i whose classes restrict to rank k on W; by Rado's criterion
 for the nested length-filtration this holds iff the classes of connections
-shorter than eps_i have rank >= i for every i.
+shorter than eps_i have rank >= i for every i.  The test never needs a rank
+above k, so the prefix ranks are taken only up to k_max, the size of the
+largest cell: a greedy pass keeps the rows found independent so far, ranks
+them with one candidate row at a time, and stops at rank k_max.
 """
 
 from __future__ import annotations
@@ -59,15 +62,39 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+def _square_half_width(chart: ChartModel) -> float:
+    """h such that every coordinate box of the chart is (-h, h, -h, h).
+
+    Samples are drawn from that square box; any other box would be
+    sampled wrongly while its volume scaled the estimate.
+    """
+    h = chart.param_box[0][1]
+    if not h > 0 or any(tuple(b) != (-h, h, -h, h) for b in chart.param_box):
+        raise ValueError(
+            f"chart {chart.name!r}: scan_chart samples only boxes "
+            f"(-h, h, -h, h) with the same h > 0 on every coordinate, "
+            f"got {chart.param_box}")
+    return h
+
+
 def _sample_params(rng, size: int, dim: int, half_width: float) -> np.ndarray:
     flat = rng.uniform(-half_width, half_width, size=(size, 2 * dim))
     return flat[:, 0::2] + 1j * flat[:, 1::2]
 
 
-def _prefix_ranks(classes: np.ndarray, subspace: LinearSubspace) -> list[int]:
+def _prefix_ranks(classes: np.ndarray, subspace: LinearSubspace,
+                  k_max: int) -> list[int]:
+    """min(rank of classes[:j] on W, k_max) for j = 1, ..., len(classes)."""
+    cap = min(k_max, subspace.dim)
+    independent: list[int] = []
     ranks = []
-    for j in range(1, classes.shape[0] + 1):
-        ranks.append(independence_rank(classes[:j], subspace))
+    for j in range(classes.shape[0]):
+        if len(independent) >= cap:
+            break
+        if independence_rank(classes[independent + [j]], subspace) > len(independent):
+            independent.append(j)
+        ranks.append(len(independent))
+    ranks.extend([len(independent)] * (classes.shape[0] - len(ranks)))
     return ranks
 
 
@@ -80,10 +107,9 @@ def _cell_accepts(lengths, ranks, eps_sorted) -> bool:
     return True
 
 
-def _process_chunk(args) -> tuple[np.ndarray, int, int, int]:
-    (chart_name, half_width, basis, seed, chunk_index, size,
-     cells, l_max, budget) = args
-    chart = get_chart(chart_name, half_width)
+def _process_chunk(args) -> tuple[np.ndarray, int]:
+    (chart, half_width, basis, seed, chunk_index, size,
+     cells, l_max, k_max, budget) = args
     rng = _chunk_generator(seed, chunk_index)
     dim = chart.dim if basis is None else basis.shape[1]
     w = _sample_params(rng, size, dim, half_width)
@@ -119,11 +145,11 @@ def _process_chunk(args) -> tuple[np.ndarray, int, int, int]:
                 continue
             lengths = np.asarray([abs(s.holonomy) for s in scs])
             classes = np.asarray([s.class_vector for s in scs], dtype=complex)
-            ranks = _prefix_ranks(classes, subspace)
+            ranks = _prefix_ranks(classes, subspace, k_max)
             for i, eps_sorted in eps_cells:
                 if _cell_accepts(lengths, ranks, eps_sorted):
                     counts[i] += 1
-    return counts, int(admissible.sum()), int(cone.sum()), size
+    return counts, int(admissible.sum())
 
 
 def scan_chart(
@@ -140,12 +166,14 @@ def scan_chart(
 
     Cells share one sample stream and one enumeration per sample (at the
     largest radius), so a grid scan costs one pass.  A cell of None
-    estimates the plain cone volume (admissible, area <= 1).
+    estimates the plain cone volume (admissible, area <= 1).  The chart's
+    box must be (-h, h, -h, h) with one h on every coordinate; any
+    ``ChartModel`` with such a box works, also with ``threads`` > 1.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
     name = chart.name
-    half_width = chart.param_box[0][1]
+    half_width = _square_half_width(chart)
     basis = None
     if subspace is not None and subspace.basis is not None:
         if subspace.ambient_dim != chart.dim:
@@ -163,34 +191,31 @@ def scan_chart(
                 raise ValueError("radii must be positive")
             norm_cells.append(e)
     l_max = max((e[-1] for e in norm_cells if e is not None), default=0.0)
+    k_max = max((len(e) for e in norm_cells if e is not None), default=0)
 
     n_chunks = (samples + chunk_size - 1) // chunk_size
     tasks = []
     for c in range(n_chunks):
         size = min(chunk_size, samples - c * chunk_size)
-        tasks.append((name, half_width, basis, seed, c, size,
-                      norm_cells, l_max, budget))
+        tasks.append((chart, half_width, basis, seed, c, size,
+                      norm_cells, l_max, k_max, budget))
 
+    if threads <= 1:
+        results = list(map(_process_chunk, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_process_chunk, tasks))
     counts = np.zeros(len(norm_cells), dtype=np.int64)
     n_adm = 0
-    n_cone = 0
-    if threads <= 1:
-        results = map(_process_chunk, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=threads)
-        results = pool.map(_process_chunk, tasks)
-    for cts, adm, cone, _ in results:
+    for cts, adm in results:
         counts += cts
         n_adm += adm
-        n_cone += cone
-    if threads > 1:
-        pool.shutdown()
 
     # intrinsic box volume: one box per sampled coordinate
     dim = chart.dim if basis is None else basis.shape[1]
+    rl, rh, il, ih = chart.param_box[0]
     vol = 1.0
-    for i in range(dim):
-        rl, rh, il, ih = chart.param_box[min(i, chart.dim - 1)]
+    for _ in range(dim):
         vol *= (rh - rl) * (ih - il)
 
     adm_fraction = n_adm / samples

@@ -9,9 +9,12 @@ is a zero of order m (m = 0 is a regular marked point).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,56 +98,29 @@ class TranslationSurface:
         tri = [tuple(complex(z) for z in t) for t in triangles]
         if any(len(t) != 3 for t in tri):
             raise SurfaceError("each triangle needs exactly 3 edges")
-        self._edges = tri
-        self.n_triangles = len(tri)
-        self._gluings = dict(gluings)
-        self._coeffs = None
         if edge_coords is not None:
-            arr = np.asarray(edge_coords)
-            if arr.shape[:2] != (self.n_triangles, 3):
+            edge_coords = np.asarray(edge_coords)
+            if edge_coords.shape[:2] != (len(tri), 3):
                 raise SurfaceError("edge_coords shape mismatch")
-            self._coeffs = [
-                [tuple(int(x) for x in arr[t, e]) for e in range(3)]
-                for t in range(self.n_triangles)
-            ]
-        self._neighbor = self._build_neighbor_table()
-        self._corner_vertex, self._n_vertices = self._identify_vertices()
+        self._assign(tri, _surface_tables(len(tri), gluings, edge_coords))
 
-    # -- construction helpers -------------------------------------------------
+    @classmethod
+    def _from_tables(cls, edges, tables: "_SurfaceTables") -> "TranslationSurface":
+        """Surface from edge vectors (tuples of complex) and precomputed,
+        shared combinatorial tables; nothing is checked or copied."""
+        self = cls.__new__(cls)
+        self._assign(edges, tables)
+        return self
 
-    def _build_neighbor_table(self):
-        nbr = [[None] * 3 for _ in range(self.n_triangles)]
-        for (t, e), (t2, e2) in self._gluings.items():
-            if 0 <= t < self.n_triangles and e in (0, 1, 2):
-                nbr[t][e] = (t2, e2)
-        return nbr
-
-    def _identify_vertices(self):
-        # Union-find over corners; corner k of a triangle is the start of
-        # edge k.  Gluing (t,e) <-> (t2,e2) identifies corner e of t with
-        # the end corner of edge e2 (= corner e2+1) and vice versa.
-        n = 3 * self.n_triangles
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-        for (t, e), (t2, e2) in self._gluings.items():
-            union(3 * t + e, 3 * t2 + (e2 + 1) % 3)
-            union(3 * t + (e + 1) % 3, 3 * t2 + e2)
-        roots = sorted({find(x) for x in range(n)})
-        index = {r: i for i, r in enumerate(roots)}
-        corner_vertex = [[index[find(3 * t + c)] for c in range(3)]
-                         for t in range(self.n_triangles)]
-        return corner_vertex, len(roots)
+    def _assign(self, edges, tables: "_SurfaceTables") -> None:
+        self._edges = edges
+        self.n_triangles = len(edges)
+        self._tables = tables
+        self._gluings = tables.gluings
+        self._coeffs = tables.coeffs
+        self._neighbor = tables.neighbor
+        self._corner_vertex = tables.corner_vertex
+        self._n_vertices = tables.n_vertices
 
     # -- basic geometry --------------------------------------------------------
 
@@ -202,8 +178,8 @@ class TranslationSurface:
 
         Chart coordinates are kept: homology classes are scale invariant.
         """
-        tri = [[s * z for z in t] for t in self._edges]
-        return TranslationSurface(tri, self._gluings, self._coeffs)
+        tri = [tuple(s * z for z in t) for t in self._edges]
+        return TranslationSurface._from_tables(tri, self._tables)
 
     def mapped(self, m) -> "TranslationSurface":
         """Apply a real-linear map (2x2 matrix acting on R^2) to all edges."""
@@ -302,6 +278,59 @@ class TranslationSurface:
         return cls(tri, gluings)
 
 
+class _SurfaceTables(NamedTuple):
+    """Combinatorics of a triangulated surface, independent of edge vectors.
+
+    Every field is immutable, so one instance can be shared by surfaces.
+    """
+
+    gluings: MappingProxyType      # (tri, edge) -> (tri, edge)
+    neighbor: tuple                # neighbor[t][e]: glued (tri, edge) or None
+    corner_vertex: tuple           # corner_vertex[t][c]: vertex id
+    n_vertices: int
+    coeffs: tuple | None           # coeffs[t][e]: integer row, or None
+
+
+def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTables:
+    gluings = MappingProxyType(dict(gluings))
+    nbr = [[None] * 3 for _ in range(n_triangles)]
+    for (t, e), (t2, e2) in gluings.items():
+        if 0 <= t < n_triangles and e in (0, 1, 2):
+            nbr[t][e] = (t2, e2)
+
+    # Union-find over corners; corner k of a triangle is the start of
+    # edge k.  Gluing (t,e) <-> (t2,e2) identifies corner e of t with
+    # the end corner of edge e2 (= corner e2+1) and vice versa.
+    parent = list(range(3 * n_triangles))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for (t, e), (t2, e2) in gluings.items():
+        union(3 * t + e, 3 * t2 + (e2 + 1) % 3)
+        union(3 * t + (e + 1) % 3, 3 * t2 + e2)
+    roots = sorted({find(x) for x in range(3 * n_triangles)})
+    index = {r: i for i, r in enumerate(roots)}
+    corner_vertex = tuple(tuple(index[find(3 * t + c)] for c in range(3))
+                          for t in range(n_triangles))
+
+    coeffs = None
+    if edge_coords is not None:
+        coeffs = tuple(tuple(tuple(int(x) for x in edge_coords[t][e])
+                             for e in range(3))
+                       for t in range(n_triangles))
+    return _SurfaceTables(gluings, tuple(tuple(row) for row in nbr),
+                          corner_vertex, len(roots), coeffs)
+
+
 def validate_surface(surface: TranslationSurface,
                      sig: StratumSignature | None = None) -> ValidationReport:
     return surface.validate(sig)
@@ -371,40 +400,55 @@ def ear_clip(vertices) -> list[tuple[int, int, int]]:
     return out
 
 
+MASK_BLOCK = 512  # rows per block of the pairwise edge test
+
+
+@functools.lru_cache(maxsize=64)
+def _mask_indices(m: int):
+    """Next and previous corner of each corner of an m-gon, and the index
+    arrays (i, j), i < j, of its non-adjacent edge pairs."""
+    k = np.arange(m)
+    i, j = np.triu_indices(m, 2)
+    keep = ~((i == 0) & (j == m - 1))  # adjacent around the wrap
+    out = ((k + 1) % m, (k - 1) % m, i[keep], j[keep])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def polygon_simple_mask(verts: np.ndarray, rel_eps=1e-12) -> np.ndarray:
     """Vectorized strict simplicity test for a batch of polygons.
 
     ``verts`` has shape (batch, m), complex.  Rejects degenerate edges,
     improper contacts between non-adjacent edges, and reversal at a joint.
+    All non-adjacent edge pairs are tested at once, MASK_BLOCK rows at a
+    time, so the temporaries stay O(MASK_BLOCK * m^2) for any batch.
     """
     verts = np.atleast_2d(np.asarray(verts, dtype=complex))
-    _, m = verts.shape
-    e = np.roll(verts, -1, axis=1) - verts
+    batch, m = verts.shape
+    nxt, prv, pi, pj = _mask_indices(m)
+    e = verts[:, nxt] - verts
     scale = np.abs(verts).max(axis=1) + np.abs(e).max(axis=1)
     ok = scale > 0
-    safe = np.where(scale > 0, scale, 1.0)
+    safe = np.where(ok, scale, 1.0)
     eps = rel_eps * safe * safe
     ok &= (np.abs(e) > (rel_eps * safe)[:, None]).all(axis=1)
 
-    def cross(a, b):
-        return a.real * b.imag - a.imag * b.real
-
-    for i in range(m):
-        for j in range(i + 2, m):
-            if i == 0 and j == m - 1:
-                continue  # adjacent around the wrap
-            p1, ei = verts[:, i], e[:, i]
-            q1, ej = verts[:, j], e[:, j]
-            d1 = cross(ei, q1 - p1)
-            d2 = cross(ei, q1 + ej - p1)
-            d3 = cross(ej, p1 - q1)
-            d4 = cross(ej, p1 + ei - q1)
-            sep_i = (np.maximum(d1, d2) < -eps) | (np.minimum(d1, d2) > eps)
-            sep_j = (np.maximum(d3, d4) < -eps) | (np.minimum(d3, d4) > eps)
-            ok &= sep_i | sep_j
-    prev = np.roll(e, 1, axis=1)
+    for lo in range(0, batch, MASK_BLOCK):
+        rows = slice(lo, lo + MASK_BLOCK)
+        v, eb, tol = verts[rows], e[rows], eps[rows, None]
+        p1, ei = v[:, pi], eb[:, pi]
+        q1, ej = v[:, pj], eb[:, pj]
+        d1 = _cross(ei, q1 - p1)
+        d2 = _cross(ei, q1 + ej - p1)
+        d3 = _cross(ej, p1 - q1)
+        d4 = _cross(ej, p1 + ei - q1)
+        sep_i = (np.maximum(d1, d2) < -tol) | (np.minimum(d1, d2) > tol)
+        sep_j = (np.maximum(d3, d4) < -tol) | (np.minimum(d3, d4) > tol)
+        ok[rows] &= (sep_i | sep_j).all(axis=1)
+    prev = e[:, prv]
     dot = prev.real * e.real + prev.imag * e.imag
-    folded = (np.abs(cross(prev, e)) <= eps[:, None]) & (dot < 0)
+    folded = (np.abs(_cross(prev, e)) <= eps[:, None]) & (dot < 0)
     ok &= ~folded.any(axis=1)
     return ok
 
@@ -423,6 +467,13 @@ def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
     sequence z_1, ..., z_n, -z_1, ..., -z_n.  Side k is glued to side k+n.
     ``coeffs`` optionally gives an integer row per side expressing it in
     chart parameters.
+
+    The polygon is checked to be simple and positively oriented, then ear
+    clipped.  The gluings, neighbour table, corner vertices, vertex count
+    and integer edge coordinates depend only on the key (n, ear-clip index
+    triples, coefficient rows); they are memoised per key in a bounded LRU
+    cache and shared, read-only, by every surface with that key.  Only the
+    edge vectors are computed per call.
     """
     n = len(sides)
     full = list(sides) + [-z for z in sides]
@@ -433,24 +484,30 @@ def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
         raise SurfaceError("polygon is not simple")
     if shoelace_area(verts) <= 0:
         raise SurfaceError("polygon is not positively oriented")
-    tris = ear_clip(verts)
-
-    vrows = None
+    tris = tuple(ear_clip(verts))
+    rows = None
     if coeffs is not None:
-        dim = len(coeffs[0])
-        rows = [tuple(int(x) for x in r) for r in coeffs]
-        rows = rows + [tuple(-x for x in r) for r in rows]
+        rows = tuple(tuple(int(x) for x in r) for r in coeffs)
+    tables = _symmetric_polygon_tables(n, tris, rows)
+    edges = [(verts[b] - verts[a], verts[c] - verts[b], verts[a] - verts[c])
+             for a, b, c in tris]
+    return TranslationSurface._from_tables(edges, tables)
+
+
+@functools.lru_cache(maxsize=4096)
+def _symmetric_polygon_tables(n: int, tris, rows) -> _SurfaceTables:
+    vrows = None
+    if rows is not None:
+        dim = len(rows[0])
+        rows = rows + tuple(tuple(-x for x in r) for r in rows)
         vrows = [tuple([0] * dim)]
         for r in rows[:-1]:
             vrows.append(tuple(a + b for a, b in zip(vrows[-1], r)))
 
     m = 2 * n
     edge_lookup = {}
-    tri_edges = []
-    tri_coords = [] if coeffs is not None else None
-    for t, (a, b, c) in enumerate(tris):
-        vs = (a, b, c)
-        tri_edges.append([verts[vs[(k + 1) % 3]] - verts[vs[k]] for k in range(3)])
+    tri_coords = [] if rows is not None else None
+    for t, vs in enumerate(tris):
         if tri_coords is not None:
             tri_coords.append([
                 tuple(x - y for x, y in zip(vrows[vs[(k + 1) % 3]], vrows[vs[k]]))
@@ -466,4 +523,4 @@ def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
         else:  # boundary side (a, a+1): partner is the opposite side
             pa, pb = (a + n) % m, (b + n) % m
             gluings[(t, k)] = edge_lookup[(pa, pb)]
-    return TranslationSurface(tri_edges, gluings, tri_coords)
+    return _surface_tables(len(tris), gluings, tri_coords)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from flatscale.homology import LinearSubspace
+from flatscale import sampling
+from flatscale.charts import ChartModel, get_chart
+from flatscale.homology import LinearSubspace, full_space, independence_rank, real_subspace
 from flatscale.sampling import ConingEstimate, estimate_coned_measure, scan_chart
 from flatscale.torus_oracle import cone_volume_quadrature, torus_exact_oracle
+from flatscale.unfolding import UnfoldingBudgetError
 
 N_FAST = 60_000
 SEED = 1234
@@ -83,3 +86,97 @@ class TestOctagonSmoke:
         res = scan_chart("h2-octagon", None, [(0.4,), (0.4, 0.4)], 40_000, SEED)
         one, two = res.estimates
         assert one.accepted >= two.accepted
+
+
+class TestPrefixRanks:
+    @pytest.mark.parametrize("subspace", [
+        full_space(4),
+        real_subspace(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])),
+        real_subspace(np.random.default_rng(3).normal(size=(4, 3))),
+    ])
+    def test_capped_ranks_equal_svd_prefix_ranks(self, subspace, monkeypatch):
+        rng = np.random.default_rng(5)
+        rows_seen = []
+
+        def counting_rank(classes, sub):
+            rows_seen.append(len(classes))
+            return independence_rank(classes, sub)
+
+        monkeypatch.setattr(sampling, "independence_rank", counting_rank)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            classes = rng.integers(-2, 3, size=(n, 4))
+            dup = rng.integers(0, n, size=n // 3)  # repeated classes
+            classes[rng.integers(0, n, size=dup.size)] = classes[dup]
+            classes = classes.astype(complex)
+            full = [independence_rank(classes[:j], subspace) for j in range(1, n + 1)]
+            for k_max in (1, 2, 3, 4):
+                rows_seen.clear()
+                got = sampling._prefix_ranks(classes, subspace, k_max)
+                assert got == [min(r, k_max) for r in full]
+                assert all(r <= min(k_max, subspace.dim) for r in rows_seen)
+
+
+# Per-cell accepted counts recorded before the combinatorics cache, the
+# blocked mask and the capped prefix ranks went in: optimisations of the scan
+# must leave every count bit-identical.
+OCTAGON_EPS = (0.2, 0.35, 0.6, 1.0)
+GOLDEN_CASES = {
+    "torus": ("torus", None, 20_000,
+              [None, (0.15,), (0.2,), (0.3,), (0.45,), (0.3, 0.45)]),
+    "octagon": ("h2-octagon", None, 40_000,
+                [None] + [(e,) for e in OCTAGON_EPS]
+                + [(a, b) for i, a in enumerate(OCTAGON_EPS) for b in OCTAGON_EPS[i:]]),
+    "octagon-subspace": (
+        "h2-octagon",
+        np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]),
+        20_000, [(0.5,), (0.8,), (0.8, 1.0)]),
+}
+GOLDEN_COUNTS = {
+    ("torus", 1): [4330, 5, 12, 97, 472, 0],
+    ("torus", 2): [4247, 10, 25, 106, 477, 0],
+    ("octagon", 1): [463, 155, 371, 463, 463, 13, 48, 128, 155, 109, 332, 371,
+                     422, 463, 463],
+    ("octagon", 2): [446, 159, 352, 446, 446, 14, 69, 135, 159, 112, 313, 352,
+                     405, 446, 446],
+    ("octagon-subspace", 1): [1142, 1573, 1088],
+    ("octagon-subspace", 2): [1095, 1565, 1089],
+}
+
+
+class TestGoldenCounts:
+    @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
+    def test_accepted_counts(self, case, seed):
+        chart, rows, samples, cells = GOLDEN_CASES[case]
+        W = None if rows is None else real_subspace(rows)
+        res = scan_chart(chart, W, cells, samples, seed)
+        assert [e.accepted for e in res.estimates] == GOLDEN_COUNTS[case, seed]
+
+
+class TestChartInput:
+    def test_custom_chart_matches_builtin(self):
+        builtin = get_chart("torus", 1.0)
+        custom = ChartModel("my-torus", 2, builtin.param_box)
+        cells = [None, (0.2,), (0.45,)]
+        want = scan_chart(builtin, None, cells, 20_000, SEED, chunk_size=8192)
+        for threads in (1, 2):
+            got = scan_chart(custom, None, cells, 20_000, SEED, threads=threads,
+                             chunk_size=8192)
+            assert got.chart == "my-torus"
+            assert got.estimates == want.estimates
+
+    @pytest.mark.parametrize("box", [
+        ((-1, 1, -0.5, 0.5),) * 2,
+        ((-1, 1, -1, 1), (-2, 2, -2, 2)),
+        ((0, 2, 0, 2),) * 2,
+        ((0, 0, 0, 0),) * 2,
+    ])
+    def test_non_square_box_rejected(self, box):
+        chart = ChartModel("torus", 2, box)
+        with pytest.raises(ValueError, match="samples only boxes"):
+            scan_chart(chart, None, [(0.3,)], N_FAST, SEED)
+
+    def test_worker_error_propagates(self):
+        with pytest.raises(UnfoldingBudgetError):
+            scan_chart("torus", None, [(0.45,)], 2000, SEED, threads=2,
+                       chunk_size=500, budget=1)

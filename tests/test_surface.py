@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from flatscale.charts import get_chart
 from flatscale.surface import (
+    MASK_BLOCK,
     StratumSignature,
     SurfaceError,
     TranslationSurface,
     ear_clip,
     polygon_is_simple,
+    polygon_simple_mask,
     shoelace_area,
     surface_from_symmetric_polygon,
 )
@@ -158,3 +161,188 @@ class TestJsonRoundTrip:
             for e in range(3):
                 assert Y.edge(t, e) == X.edge(t, e)
         assert Y.gluings == X.gluings
+
+
+def _reference_gluings(n, tris):
+    """Opposite-side gluings of a triangulated symmetric 2n-gon, derived
+    independently of the builder."""
+    m = 2 * n
+    where = {(vs[k], vs[(k + 1) % 3]): (t, k)
+             for t, vs in enumerate(tris) for k in range(3)}
+
+    def partner(a, b):
+        return (b, a) if (b, a) in where else ((a + n) % m, (b + n) % m)
+
+    return {where[ab]: where[partner(*ab)] for ab in where}
+
+
+class TestMemoisedBuild:
+    """Builds share memoised combinatorics per (n, ear-clip triples, rows)."""
+
+    @pytest.mark.parametrize("name, sig, count, min_types", [
+        ("torus", StratumSignature((0,)), 300, 1),  # ear clipping cuts corner 0
+        ("h2-octagon", StratumSignature((2,)), 300, 10),
+    ])
+    def test_cached_tables_match_a_fresh_surface(self, name, sig, count, min_types):
+        chart = get_chart(name)
+        rng = np.random.default_rng(11)
+        types = set()
+        built = 0
+        while built < count:
+            z = list(rng.uniform(-2, 2, chart.dim) + 1j * rng.uniform(-2, 2, chart.dim))
+            if not chart.admissible(z):
+                continue
+            built += 1
+            X = chart.build(z)
+            tris = tuple(ear_clip(chart.polygon_vertices(z)))
+            types.add(tris)
+            assert X.validate(sig).ok
+            assert X.gluings == _reference_gluings(chart.dim, tris)
+            for t in range(X.n_triangles):
+                for e in range(3):
+                    period = sum(c * w for c, w in zip(X.edge_coeff(t, e), z))
+                    assert abs(X.edge(t, e) - period) < 1e-12
+            edges = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
+            coords = [[X.edge_coeff(t, e) for e in range(3)]
+                      for t in range(X.n_triangles)]
+            Y = TranslationSurface(edges, X.gluings, coords)
+            assert X._neighbor == Y._neighbor
+            assert X._corner_vertex == Y._corner_vertex
+            assert X.n_vertices == Y.n_vertices
+            assert X._coeffs == Y._coeffs
+        assert len(types) >= min_types
+
+    def test_same_triangulation_shares_tables(self):
+        X = square_torus()
+        Y = torus(1.0 + 0.1j, 0.2 + 1j)
+        assert X._tables is Y._tables
+        assert X.edge(0, 0) != Y.edge(0, 0)
+
+    def test_rescaled_keeps_tables(self):
+        X = octagon_surface()
+        Y = X.rescaled(0.5)
+        assert Y._tables is X._tables
+        assert Y.edge(1, 2) == 0.5 * X.edge(1, 2)
+        assert Y.validate(StratumSignature((2,))).ok
+
+
+def _cross_exact(a, b):
+    return a.real * b.imag - a.imag * b.real
+
+
+def _on_segment(p, a, b):
+    return (_cross_exact(b - a, p - a) == 0
+            and min(a.real, b.real) <= p.real <= max(a.real, b.real)
+            and min(a.imag, b.imag) <= p.imag <= max(a.imag, b.imag))
+
+
+def _segments_meet(a, b, c, d):
+    """Closed segments [a, b] and [c, d] share a point (sign predicates)."""
+    d1 = _cross_exact(b - a, c - a)
+    d2 = _cross_exact(b - a, d - a)
+    d3 = _cross_exact(d - c, a - c)
+    d4 = _cross_exact(d - c, b - c)
+    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
+        return True
+    return (_on_segment(c, a, b) or _on_segment(d, a, b)
+            or _on_segment(a, c, d) or _on_segment(b, c, d))
+
+
+def _brute_force_simple(vs):
+    """Pairwise segment test: no zero edge, no contact between non-adjacent
+    edges, no adjacent edges folding back over each other."""
+    m = len(vs)
+    edges = [(vs[i], vs[(i + 1) % m]) for i in range(m)]
+    if any(a == b for a, b in edges):
+        return False
+    for i in range(m):
+        a, b = edges[i - 1]
+        c, d = edges[i]  # b == c
+        u, w = b - a, d - c
+        if _cross_exact(u, w) == 0 and u.real * w.real + u.imag * w.imag < 0:
+            return False
+    for i in range(m):
+        for j in range(i + 2, m):
+            if not (i == 0 and j == m - 1) and _segments_meet(*edges[i], *edges[j]):
+                return False
+    return True
+
+
+def _mask_batch(m, rows, rng):
+    """Random polygons (star-shaped, centrally symmetric, arbitrary) with
+    touching, folded and degenerate ones at the block boundaries."""
+    out = []
+    for r in range(rows):
+        kind = r % 3
+        if kind == 0:  # star-shaped about the origin: simple
+            ang = np.sort(rng.uniform(0, 2 * np.pi, m))
+            out.append(rng.uniform(0.5, 2, m) * np.exp(1j * ang))
+        elif kind == 1:  # centrally symmetric, like a chart sample
+            z = rng.uniform(-2, 2, m // 2) + 1j * rng.uniform(-2, 2, m // 2)
+            out.append(np.cumsum(np.concatenate([[0], z, -z[:-1]])))
+        else:
+            out.append(rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m))
+    convex = [complex(round(8 * np.cos(np.pi * (2 * k + 1) / m)),
+                      round(8 * np.sin(np.pi * (2 * k + 1) / m))) for k in range(m)]
+    touching = list(convex)
+    touching[0] = 0.5 * (convex[2] + convex[3])  # vertex on a far edge
+    pinched = list(convex)
+    pinched[0] = convex[m // 2]                  # passes a vertex twice
+    folded = list(convex)
+    folded[2] = 0.5 * (convex[0] + convex[1])    # edge 1 runs back along edge 0
+    degenerate = list(convex)
+    degenerate[1] = convex[0]                    # zero-length edge
+    block = MASK_BLOCK
+    placed = {0: touching, 1: folded, 2: convex, block - 1: pinched,
+              block: folded, block + 1: degenerate, 2 * block - 1: touching,
+              3 * block: pinched, rows - 1: degenerate}
+    for pos, poly in placed.items():
+        if pos < rows:
+            out[pos] = np.asarray(poly)
+    for pos in _near_rows(rows):
+        out[pos] = _near_touching(convex)
+    return np.asarray(out, dtype=complex)
+
+
+def _near_rows(rows):
+    return [pos for pos in (2 * MASK_BLOCK + 5, rows - 2) if 2 < pos < rows - 1]
+
+
+def _near_touching(convex):
+    """A large polygon whose vertex 0 stops 1e-12 of its size short of a far
+    edge: strictly simple, but inside the mask's relative tolerance, which
+    only its own row's scale puts there."""
+    big = [1000 * v for v in convex]
+    mid = 0.5 * (big[2] + big[3])
+    big[0] = mid - 1e-8 * mid / abs(mid)
+    return np.asarray(big)
+
+
+class TestSimpleMask:
+    @pytest.mark.parametrize("m", [4, 6, 8, 10])
+    def test_blocks_match_rows_and_brute_force(self, m):
+        rng = np.random.default_rng(m)
+        rows = 3 * MASK_BLOCK + 7
+        verts = _mask_batch(m, rows, rng)
+        by_row = np.array([polygon_simple_mask(v[None, :])[0] for v in verts])
+        brute = np.array([_brute_force_simple([complex(x) for x in v])
+                          for v in verts])
+        near = _near_rows(rows)
+        assert brute[near].all() and not by_row[near].any()
+        brute[near] = False
+        assert (by_row == brute).all()
+        assert 0 < brute.sum() < rows
+        for size in (1, MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1, rows):
+            batch = polygon_simple_mask(verts[:size])
+            assert batch.dtype == bool and batch.shape == (size,)
+            assert (batch == by_row[:size]).all()
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_special_polygons(self, m):
+        verts = _mask_batch(m, MASK_BLOCK + 2, np.random.default_rng(0))
+        special = verts[[0, 1, 2, MASK_BLOCK - 1, MASK_BLOCK + 1]]
+        want = [False, False, True, False, False]
+        assert polygon_simple_mask(special).tolist() == want
+        assert [_brute_force_simple(list(v)) for v in special] == want
+        assert polygon_is_simple([0, 1, 1 + 1j, 1j])
+        assert not polygon_is_simple([0, 2, 1, 1 + 1j])  # folds back at 2
