@@ -84,15 +84,24 @@ def _sample_params(rng, size: int, dim: int, half_width: float) -> np.ndarray:
 
 def _prefix_ranks(classes: np.ndarray, subspace: LinearSubspace,
                   k_max: int) -> list[int]:
-    """min(rank of classes[:j] on W, k_max) for j = 1, ..., len(classes)."""
+    """min(rank of classes[:j] on W, k_max) for j = 1, ..., len(classes).
+
+    A class equal to an earlier one (homologous connections) cannot raise
+    the rank, so it is not ranked again.
+    """
     cap = min(k_max, subspace.dim)
     independent: list[int] = []
+    seen = set()
     ranks = []
     for j in range(classes.shape[0]):
         if len(independent) >= cap:
             break
-        if independence_rank(classes[independent + [j]], subspace) > len(independent):
-            independent.append(j)
+        key = classes[j].tobytes()
+        if key not in seen:
+            seen.add(key)
+            rank = independence_rank(classes[independent + [j]], subspace)
+            if rank > len(independent):
+                independent.append(j)
         ranks.append(len(independent))
     ranks.extend([len(independent)] * (classes.shape[0] - len(ranks)))
     return ranks

@@ -421,6 +421,7 @@ def polygon_simple_mask(verts: np.ndarray, rel_eps=1e-12) -> np.ndarray:
 
     ``verts`` has shape (batch, m), complex.  Rejects degenerate edges,
     improper contacts between non-adjacent edges, and reversal at a joint.
+    Collinear non-adjacent edges pass when they are disjoint.
     All non-adjacent edge pairs are tested at once, MASK_BLOCK rows at a
     time, so the temporaries stay O(MASK_BLOCK * m^2) for any batch.
     """
@@ -445,12 +446,33 @@ def polygon_simple_mask(verts: np.ndarray, rel_eps=1e-12) -> np.ndarray:
         d4 = _cross(ej, p1 + ei - q1)
         sep_i = (np.maximum(d1, d2) < -tol) | (np.minimum(d1, d2) > tol)
         sep_j = (np.maximum(d3, d4) < -tol) | (np.minimum(d3, d4) > tol)
-        ok[rows] &= (sep_i | sep_j).all(axis=1)
+        sep = sep_i | sep_j
+        if not sep.all():
+            _separate_collinear(sep, tol, p1, ei, q1, ej, d1, d2, d3, d4)
+        ok[rows] &= sep.all(axis=1)
     prev = e[:, prv]
     dot = prev.real * e.real + prev.imag * e.imag
     folded = (np.abs(_cross(prev, e)) <= eps[:, None]) & (dot < 0)
     ok &= ~folded.any(axis=1)
     return ok
+
+
+def _separate_collinear(sep, tol, p1, ei, q1, ej, d1, d2, d3, d4) -> None:
+    """Mark in ``sep`` the collinear pairs (all four crosses within tol),
+    which fail both cross tests, whose projections onto e_i are disjoint."""
+    near = ~sep & (np.abs(d1) <= tol)
+    if not near.any():
+        return
+    r, c = np.nonzero(near)
+    t = tol[r, 0]
+    coll = ((np.abs(d2[r, c]) <= t) & (np.abs(d3[r, c]) <= t)
+            & (np.abs(d4[r, c]) <= t))
+    r, c, t = r[coll], c[coll], t[coll]
+    u, off = ei[r, c], q1[r, c] - p1[r, c]
+    a = _dot(u, off)
+    b = _dot(u, off + ej[r, c])
+    apart = (np.maximum(a, b) < -t) | (np.minimum(a, b) > _dot(u, u) + t)
+    sep[r[apart], c[apart]] = True
 
 
 def polygon_is_simple(vertices, rel_eps=1e-12) -> bool:

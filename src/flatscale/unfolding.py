@@ -6,11 +6,21 @@ through the chain of crossed edges.  A cone point landing strictly inside
 the wedge within radius L is a saddle connection; it also blocks the ray
 beyond it, so the wedge is split there with open boundaries.  Each oriented
 connection is found exactly once: its direction lies in exactly one corner
-wedge when wedges are taken half open.
+wedge when wedges are taken half open.  Connections are told apart by their
+starting corner, so distinct homologous connections with equal holonomy
+(the two boundaries of a cylinder) are each reported.
+
+Only one orientation of each +- pair is returned unless all orientations
+are asked for, so the search then covers only the kept half plane: every
+corner wedge is clipped to the directions from DOWN below the positive
+real axis to DOWN below the negative one before it is developed.  DOWN is
+far above the wedge and pairing tolerances, so everything the clip cuts
+away lies in the discarded half plane.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -19,6 +29,10 @@ from .surface import TranslationSurface
 
 WEDGE_EPS = 1e-9  # relative angular tolerance for boundary coincidence
 PAIR_EPS = 1e-12  # relative tolerance for the horizontal-direction tiebreak
+DOWN = 1e-6  # angle below the real axis down to which the canonical search runs
+_SIN_DOWN = math.sin(DOWN)
+_BELOW_POS = complex(math.cos(DOWN), -_SIN_DOWN)   # angle -DOWN
+_BELOW_NEG = complex(-math.cos(DOWN), -_SIN_DOWN)  # angle pi + DOWN
 
 
 class UnfoldingBudgetError(RuntimeError):
@@ -76,8 +90,12 @@ def enumerate_saddle_connections(
 
     Returns one representative per unordered +- pair (holonomy in the upper
     half plane, or positive real), unless ``keep_orientations`` is set.
-    Raises :class:`UnfoldingBudgetError` when the search frontier exceeds
-    ``budget`` expanded chain nodes.
+    Without it, only directions in the kept half plane (down to ``DOWN``
+    below the real axis) are searched.  Distinct homologous connections
+    with equal holonomy are reported separately.  Raises
+    :class:`UnfoldingBudgetError` when the search expands more than
+    ``budget`` chain nodes; with the half-plane clip, that counts the nodes
+    of the clipped search.
     """
     if length_bound <= 0:
         raise ValueError("length bound must be positive")
@@ -87,6 +105,12 @@ def enumerate_saddle_connections(
     coeffs = surface._coeffs
     L2 = length_bound * length_bound
     eps = WEDGE_EPS
+    clip = not keep_orientations
+
+    if coeffs:
+        dim, shift, packed = _packed_classes(coeffs, budget)
+    else:
+        dim, shift, packed = None, 0, ((0, 0, 0),) * surface.n_triangles
 
     found = {}
     nodes = 0
@@ -94,15 +118,17 @@ def enumerate_saddle_connections(
     for t0 in range(surface.n_triangles):
         for c0 in range(3):
             v0 = vert[t0][c0]
+            corner = (t0, c0)
             ea = E[t0][c0]
             eb = -E[t0][(c0 + 2) % 3]
-            ca = coeffs[t0][c0] if coeffs else None
+            ca = packed[t0][c0]
 
             # The outgoing edge at this corner is itself a geodesic to the
             # next cone point; it is the closed low boundary of the wedge.
             la2 = ea.real * ea.real + ea.imag * ea.imag
             if la2 <= L2:
-                _emit(found, ea, v0, vert[t0][(c0 + 1) % 3], ((t0, c0),) if record_chains else None, ca)
+                _emit(found, corner, ea, v0, vert[t0][(c0 + 1) % 3],
+                      ((t0, c0),) if record_chains else None, ca, dim, shift)
 
             # Continue through the far edge with both boundaries open.
             far = (c0 + 1) % 3
@@ -115,17 +141,28 @@ def enumerate_saddle_connections(
             hi = complex(eb.real / mlb, eb.imag / mlb)
             if lo.real * hi.imag - lo.imag * hi.real <= eps:
                 continue
+            if clip:
+                # A corner wedge spans less than pi, so it meets the kept
+                # arc [-DOWN, pi + DOWN] in one sub-wedge, or not at all
+                # when both boundaries lie below it.
+                lo_below = lo.imag < -_SIN_DOWN
+                hi_below = hi.imag < -_SIN_DOWN
+                if lo_below and hi_below:
+                    continue
+                if lo_below:
+                    lo = _BELOW_POS
+                elif hi_below:
+                    hi = _BELOW_NEG
             if _seg_dist2(ea, eb) > L2:
                 continue
             chain0 = ((t0, c0),) if record_chains else None
-            # state: (tri, entry_edge, pos_cornerE, pos_cornerE1, coeffE, coeffE1, lo, hi, chain)
+            # state: (tri, entry_edge, pos_cornerE, class_cornerE,
+            #         pos_cornerE1, class_cornerE1, lo, hi, chain)
             t1, e1 = nx
-            cb = coeffs[t0][(c0 + 2) % 3] if coeffs else None
+            cb = packed[t0][(c0 + 2) % 3]
             # positions in the neighbor's frame: corner e1 at eb, corner e1+1 at ea
             queue = deque()
-            queue.append((t1, e1, eb,
-                          tuple(-x for x in cb) if coeffs else None,
-                          ea, ca, lo, hi, chain0))
+            queue.append((t1, e1, eb, -cb, ea, ca, lo, hi, chain0))
             while queue:
                 st = queue.popleft()
                 nodes += 1
@@ -136,10 +173,7 @@ def enumerate_saddle_connections(
                 e1i = (e + 1) % 3
                 e2i = (e + 2) % 3
                 apex = pb + E[t][e1i]
-                if coeffs:
-                    capex = tuple(x + y for x, y in zip(cpb, coeffs[t][e1i]))
-                else:
-                    capex = None
+                capex = cpb + packed[t][e1i]
                 r2 = apex.real * apex.real + apex.imag * apex.imag
                 rm = math.sqrt(r2)
                 cl = lo.real * apex.imag - lo.imag * apex.real
@@ -149,7 +183,8 @@ def enumerate_saddle_connections(
 
                 interior = cl > thr and ch > thr
                 if interior and r2 <= L2:
-                    _emit(found, apex, v0, vert[t][e2i], newchain, capex)
+                    _emit(found, corner, apex, v0, vert[t][e2i], newchain, capex,
+                          dim, shift)
 
                 # Far edge e+1 runs from corner e+1 (pb) to the apex; edge e+2
                 # from the apex to corner e (pa).  Split the wedge at the apex
@@ -165,34 +200,103 @@ def enumerate_saddle_connections(
                     sub1 = (lo, hi)  # apex at or beyond hi
                     sub2 = None
 
-                if sub1 is not None and _seg_dist2(pb, apex) <= L2:
-                    nx1 = nbr[t][e1i]
-                    if nx1 is not None:
-                        l1, h1 = sub1
-                        if l1.real * h1.imag - l1.imag * h1.real > eps:
-                            tn, en = nx1
-                            queue.append((tn, en, apex, capex, pb, cpb,
-                                          l1, h1, newchain))
-                if sub2 is not None and _seg_dist2(apex, pa) <= L2:
-                    nx2 = nbr[t][e2i]
-                    if nx2 is not None:
-                        l2, h2 = sub2
-                        if l2.real * h2.imag - l2.imag * h2.real > eps:
-                            tn, en = nx2
-                            queue.append((tn, en, pa, cpa, apex, capex,
-                                          l2, h2, newchain))
+                # The two child tests are _seg_dist2 inlined: squared
+                # distance from the origin to the far edge, against L2.
+                if sub1 is not None:
+                    ax, ay = pb.real, pb.imag
+                    bx = apex.real - ax
+                    by = apex.imag - ay
+                    denom = bx * bx + by * by
+                    if denom == 0.0:
+                        d2 = ax * ax + ay * ay
+                    else:
+                        s = -(ax * bx + ay * by) / denom
+                        if s < 0.0:
+                            s = 0.0
+                        elif s > 1.0:
+                            s = 1.0
+                        px = ax + s * bx
+                        py = ay + s * by
+                        d2 = px * px + py * py
+                    if d2 <= L2:
+                        nx1 = nbr[t][e1i]
+                        if nx1 is not None:
+                            l1, h1 = sub1
+                            if l1.real * h1.imag - l1.imag * h1.real > eps:
+                                tn, en = nx1
+                                queue.append((tn, en, apex, capex, pb, cpb,
+                                              l1, h1, newchain))
+                if sub2 is not None:
+                    ax, ay = apex.real, apex.imag
+                    bx = pa.real - ax
+                    by = pa.imag - ay
+                    denom = bx * bx + by * by
+                    if denom == 0.0:
+                        d2 = ax * ax + ay * ay
+                    else:
+                        s = -(ax * bx + ay * by) / denom
+                        if s < 0.0:
+                            s = 0.0
+                        elif s > 1.0:
+                            s = 1.0
+                        px = ax + s * bx
+                        py = ay + s * by
+                        d2 = px * px + py * py
+                    if d2 <= L2:
+                        nx2 = nbr[t][e2i]
+                        if nx2 is not None:
+                            l2, h2 = sub2
+                            if l2.real * h2.imag - l2.imag * h2.real > eps:
+                                tn, en = nx2
+                                queue.append((tn, en, pa, cpa, apex, capex,
+                                              l2, h2, newchain))
 
     return _canonicalize(found.values(), keep_orientations)
 
 
-def _emit(found, hol, v0, v1, chain, coeff):
+@functools.lru_cache(maxsize=4096)
+def _packed_classes(coeffs, budget: int):
+    """Edge classes packed into one integer each: row c becomes sum c_i B^i
+    with B = 2**shift.
+
+    Packing is linear, so classes add as integers along a chain.  A
+    developed position sums at most budget + 1 rows, so each coefficient
+    stays below B / 2 in absolute value and unpacks exactly.  Surfaces from
+    one builder key share ``coeffs``, so this runs once per key and budget.
+    """
+    dim = len(coeffs[0][0])
+    cmax = max((abs(x) for tri in coeffs for row in tri for x in row), default=0)
+    shift = (4 * (max(budget, 0) + 2) * max(cmax, 1)).bit_length()
+    packed = tuple(tuple(sum(c << (shift * i) for i, c in enumerate(row))
+                         for row in tri) for tri in coeffs)
+    return dim, shift, packed
+
+
+def _unpack(packed: int, dim: int, shift: int) -> tuple[int, ...]:
+    """Balanced base-2**shift digits of ``packed``, lowest first."""
+    base = 1 << shift
+    half = base >> 1
+    out = []
+    for _ in range(dim):
+        d = packed & (base - 1)
+        if d >= half:
+            d -= base
+        out.append(d)
+        packed = (packed - d) >> shift
+    return tuple(out)
+
+
+def _emit(found, corner, hol, v0, v1, chain, packed, dim, shift):
+    # Keyed on the starting corner, not on the end points: homologous
+    # connections share their holonomy but leave a zero at different corners.
     m = abs(hol)
     if m == 0.0:
         return
     q = 10.0 ** (9 - math.floor(math.log10(m)))
-    key = (v0, v1, round(hol.real * q), round(hol.imag * q))
+    key = (corner, round(hol.real * q), round(hol.imag * q))
     if key not in found:
-        found[key] = SaddleConnection(hol, v0, v1, chain, coeff)
+        found[key] = SaddleConnection(
+            hol, v0, v1, chain, None if dim is None else _unpack(packed, dim, shift))
 
 
 def _canonicalize(connections, keep_orientations: bool):

@@ -116,6 +116,20 @@ class TestPrefixRanks:
                 assert got == [min(r, k_max) for r in full]
                 assert all(r <= min(k_max, subspace.dim) for r in rows_seen)
 
+    def test_repeated_classes_ranked_once(self, monkeypatch):
+        calls = []
+
+        def counting_rank(classes, sub):
+            calls.append(classes[-1].tolist())
+            return independence_rank(classes, sub)
+
+        monkeypatch.setattr(sampling, "independence_rank", counting_rank)
+        a, b, c = [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]
+        classes = np.asarray([a, a, c, c, b, b], dtype=complex)
+        ranks = sampling._prefix_ranks(classes, full_space(4), 3)
+        assert ranks == [1, 1, 2, 2, 2, 2]
+        assert calls == [a, c, b]
+
 
 # Per-cell accepted counts recorded before the combinatorics cache, the
 # blocked mask and the capped prefix ranks went in: optimisations of the scan

@@ -346,3 +346,26 @@ class TestSimpleMask:
         assert [_brute_force_simple(list(v)) for v in special] == want
         assert polygon_is_simple([0, 1, 1 + 1j, 1j])
         assert not polygon_is_simple([0, 2, 1, 1 + 1j])  # folds back at 2
+
+    def test_collinear_disjoint_edges(self):
+        # U shape: edges 0 (0 -> 1) and 4 (2 -> 3) lie on one line apart
+        u_shape = [0, 1, 1 + 1j, 2 + 1j, 2, 3, 3 + 2j, 2j]
+        assert polygon_is_simple(u_shape)
+        assert _brute_force_simple([complex(v) for v in u_shape])
+        # the same edges overlapping on [1, 2], or touching at 1
+        overlap = [0, 2, 2 + 1j, 1 + 1j, 1, 3, 3 + 2j, 2j]
+        touch = [0, 1, 1 + 1j, 2 + 1j, 1, 3, 3 + 2j, 2j]
+        for poly in (overlap, touch):
+            assert not polygon_is_simple(poly)
+            assert not _brute_force_simple([complex(v) for v in poly])
+
+    def test_collinear_rows_in_a_batch(self):
+        u_shape = np.asarray([0, 1, 1 + 1j, 2 + 1j, 2, 3, 3 + 2j, 2j])
+        overlap = np.asarray([0, 2, 2 + 1j, 1 + 1j, 1, 3, 3 + 2j, 2j])
+        verts = _mask_batch(8, 2 * MASK_BLOCK + 3, np.random.default_rng(1))
+        want = polygon_simple_mask(verts)
+        for pos, poly, simple in ((5, u_shape, True), (MASK_BLOCK, overlap, False),
+                                  (MASK_BLOCK + 1, 7.5 * u_shape - 3j, True)):
+            verts[pos] = poly
+            want[pos] = simple
+        assert polygon_simple_mask(verts).tolist() == want.tolist()

@@ -1,17 +1,24 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flatscale.surface import surface_from_symmetric_polygon
+from flatscale.surface import SurfaceError, TranslationSurface
 from flatscale.unfolding import (
+    PAIR_EPS,
     UnfoldingBudgetError,
     enumerate_saddle_connections,
     primitive_lattice_vectors,
 )
 
 from test_surface import octagon_surface, square_torus, torus
+
+SUBSPACE_BASIS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
 
 
 def primitive_vectors_of_lattice(m, L):
@@ -39,14 +46,19 @@ def as_pair_set(connections):
     return out
 
 
-def develop_chain(surface, sc):
-    """Redevelop the segment chain and return the apex displacement."""
+def develop_chain(surface, sc, edge=None, origin=0j):
+    """Redevelop the segment chain and return the apex displacement.
+
+    ``edge(t, e)`` gives the value carried by an edge (its vector by
+    default); any values with + and unary - develop the same way.
+    """
+    edge = surface.edge if edge is None else edge
     chain = sc.segment_chain
     t0, c0 = chain[0]
     pos = {
-        (t0, c0): 0j,
-        (t0, (c0 + 1) % 3): surface.edge(t0, c0),
-        (t0, (c0 + 2) % 3): -surface.edge(t0, (c0 + 2) % 3),
+        (t0, c0): origin,
+        (t0, (c0 + 1) % 3): edge(t0, c0),
+        (t0, (c0 + 2) % 3): -edge(t0, (c0 + 2) % 3),
     }
     if len(chain) == 1:
         return pos[(t0, (c0 + 1) % 3)]
@@ -58,7 +70,7 @@ def develop_chain(surface, sc):
             (t, e): prev[(tp, (ep + 1) % 3)],
             (t, (e + 1) % 3): prev[(tp, ep)],
         }
-        cur[(t, (e + 2) % 3)] = cur[(t, (e + 1) % 3)] + surface.edge(t, (e + 1) % 3)
+        cur[(t, (e + 2) % 3)] = cur[(t, (e + 1) % 3)] + edge(t, (e + 1) % 3)
         prev = cur
     t, e = chain[-1]
     return prev[(t, (e + 2) % 3)]
@@ -182,3 +194,212 @@ class TestBudget:
         X = square_torus()
         with pytest.raises(UnfoldingBudgetError):
             enumerate_saddle_connections(X, 500.0, budget=2000)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("surface", [square_torus, octagon_surface])
+    def test_budget_error_both_paths(self, surface, keep):
+        with pytest.raises(UnfoldingBudgetError):
+            enumerate_saddle_connections(surface(), 60.0, budget=500,
+                                         keep_orientations=keep)
+
+
+def fields(connections):
+    return [(sc.holonomy, sc.start_zero, sc.end_zero, sc.segment_chain,
+             sc.class_vector) for sc in connections]
+
+
+def kept(sc):
+    """The canonical orientation of a +- pair (see _canonicalize)."""
+    h = sc.holonomy
+    if h.imag < -PAIR_EPS * abs(h):
+        return False
+    return not (abs(h.imag) <= PAIR_EPS * abs(h) and h.real < 0)
+
+
+def unclipped_canonical(X, L, record_chains):
+    """Reference for the clipped canonical search: the search over every
+    direction, filtered to the canonical orientation afterwards."""
+    both = enumerate_saddle_connections(X, L, record_chains=record_chains,
+                                        keep_orientations=True)
+    return [sc for sc in both if kept(sc)]
+
+
+def assert_clip_exact(X):
+    for L in (1.0, 3.0 * math.sqrt(X.area())):
+        for record_chains in (False, True):
+            got = enumerate_saddle_connections(X, L, record_chains=record_chains)
+            assert fields(got) == fields(unclipped_canonical(X, L, record_chains))
+
+
+def star_octagon(angle0, weights, radii):
+    """Centrally symmetric octagon, star-shaped about its centre with
+    vertices in increasing angle, so always simple and positive."""
+    gaps = math.pi * np.asarray(weights) / sum(weights)
+    ang = angle0 + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    p = [r * cmath.exp(1j * a) for r, a in zip(radii, ang)] + [0j]
+    p[4] = -p[0]
+    return octagon_surface([p[k + 1] - p[k] for k in range(4)])
+
+
+def subspace_octagon(seed):
+    """Chart octagon whose sides lie on the real span of SUBSPACE_BASIS."""
+    rng = np.random.default_rng(seed)
+    while True:
+        w = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
+        try:
+            return octagon_surface(list(SUBSPACE_BASIS @ w))
+        except SurfaceError:
+            continue
+
+
+def horizontal(connections, tol=1e-8):
+    return [sc for sc in connections
+            if abs(sc.holonomy.imag) <= tol * abs(sc.holonomy)]
+
+
+def regular_octagon():
+    return octagon_surface([cmath.exp(1j * k * math.pi / 4) for k in range(4)])
+
+
+unit = st.floats(0.2, 1.0)
+radius = st.floats(0.3, 1.5)
+angle = st.floats(0.0, 2 * math.pi)
+
+
+class TestHalfPlaneClip:
+    """The canonical search develops only directions down to DOWN below the
+    real axis; its output must equal the full search's, field for field."""
+
+    @PROPERTY
+    @given(r1=radius, r2=radius, a=angle, gap=st.floats(0.2, math.pi - 0.2))
+    def test_random_tori(self, r1, r2, a, gap):
+        assert_clip_exact(torus(r1 * cmath.exp(1j * a),
+                                r2 * cmath.exp(1j * (a + gap))))
+
+    @PROPERTY
+    @given(a=angle, weights=st.lists(unit, min_size=4, max_size=4),
+           radii=st.lists(st.floats(0.3, 1.0), min_size=4, max_size=4))
+    def test_random_octagons(self, a, weights, radii):
+        assert_clip_exact(star_octagon(a, weights, radii))
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_subspace_octagons(self, seed):
+        assert_clip_exact(subspace_octagon(seed))
+
+    @pytest.mark.parametrize("surface", [square_torus, regular_octagon,
+                                         octagon_surface])
+    def test_fixed_surfaces(self, surface):
+        assert_clip_exact(surface())
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-10, -1e-10])
+    def test_horizontal_connections_survive(self, tilt):
+        """Exactly horizontal connections, and connections tilted just above
+        or below the axis, in both orientations."""
+        rng = np.random.default_rng(7)
+        surfaces = [square_torus(), regular_octagon()]
+        while len(surfaces) < 8:
+            X = star_octagon(rng.uniform(0, 2 * math.pi), rng.uniform(0.2, 1, 4),
+                             rng.uniform(0.3, 1, 4))
+            # side z_1 is the first edge of the first ear; this map sends it
+            # to the positive real axis exactly
+            z = X.edge(0, 0)
+            surfaces.append(X.mapped([[z.real, z.imag], [-z.imag, z.real]]))
+        c, s = math.cos(tilt), math.sin(tilt)
+        for X in surfaces:
+            if tilt:
+                X = X.mapped([[c, -s], [s, c]])
+            L = 3.0 * math.sqrt(X.area())
+            flat = horizontal(
+                enumerate_saddle_connections(X, L, keep_orientations=True))
+            want = [sc for sc in flat if kept(sc)]
+            assert 2 * len(want) == len(flat) and want
+            if not tilt:
+                assert any(sc.holonomy.imag == 0.0 for sc in want)
+            got = horizontal(enumerate_saddle_connections(X, L))
+            assert fields(got) == fields(want)
+
+
+class TestPackedClasses:
+    def test_huge_coordinates(self):
+        """Classes with coordinates near 1e12 equal the exact tuple sums
+        along the chain and the small classes mapped by the same matrix."""
+        X = octagon_surface()
+        rng = np.random.default_rng(3)
+        M = [[int(x) for x in row]
+             for row in rng.integers(-10**6, 10**6, (4, 5)) + 10**12]
+        M[2] = [-x for x in M[2]]
+        tris = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
+        coords = [[[sum(c * M[i][j] for i, c in enumerate(X.edge_coeff(t, e)))
+                    for j in range(5)] for e in range(3)]
+                  for t in range(X.n_triangles)]
+        Y = TranslationSurface(tris, X.gluings, np.asarray(coords))
+        assert max(abs(x) for row in Y._coeffs for r in row for x in r) > 10**12
+        small = enumerate_saddle_connections(X, 4.0, record_chains=True)
+        big = enumerate_saddle_connections(Y, 4.0, record_chains=True)
+        assert [sc.holonomy for sc in big] == [sc.holonomy for sc in small]
+
+        def coeff(t, e):
+            return np.asarray(Y.edge_coeff(t, e), dtype=object)
+
+        zero = np.zeros(5, dtype=object)
+        for sb, ss in zip(big, small):
+            want = tuple(sum(c * M[i][j] for i, c in enumerate(ss.class_vector))
+                         for j in range(5))
+            assert sb.class_vector == want
+            assert tuple(develop_chain(Y, sb, coeff, zero)) == want
+            assert all(type(x) is int for x in sb.class_vector)
+
+    def test_no_coordinates(self):
+        X = octagon_surface().mapped(np.eye(2))
+        scs = enumerate_saddle_connections(X, 3.0)
+        assert scs and all(sc.class_vector is None for sc in scs)
+
+
+class TestMultiplicity:
+    """Homologous connections (the two boundaries of a cylinder) share their
+    holonomy and class but are distinct; each is reported."""
+
+    def test_regular_octagon_veech_directions(self):
+        # every saddle-connection direction of the regular octagon is
+        # completely periodic and carries sum(m_i + 1) = 3 connections
+        X = regular_octagon()
+        canon = enumerate_saddle_connections(X, 3.0)
+        both = enumerate_saddle_connections(X, 3.0, keep_orientations=True)
+        assert len(canon) == 32 and len(both) == 64
+        per_dir = Counter(round(cmath.phase(sc.holonomy) / (math.pi / 8), 6)
+                          for sc in canon)
+        assert all(per_dir[float(k)] == 3 for k in range(8))
+        # the other directions reach only one connection below L = 3
+        assert len(per_dir) == 16 and sum(per_dir.values()) == 32
+
+    def test_twins_share_class(self):
+        X = star_octagon(0.3, [0.5, 0.9, 0.4, 0.7], [0.8, 0.5, 1.0, 0.6])
+        scs = enumerate_saddle_connections(X, 3.0 * math.sqrt(X.area()))
+        groups = {}
+        for sc in scs:
+            key = (round(sc.holonomy.real, 7), round(sc.holonomy.imag, 7))
+            groups.setdefault(key, []).append(sc)
+        twins = [g for g in groups.values() if len(g) > 1]
+        assert twins
+        for g in twins:
+            assert len({sc.class_vector for sc in g}) == 1
+
+    def test_sl2z_counts(self):
+        X = star_octagon(1.1, [0.6, 0.3, 0.8, 0.5], [0.7, 0.9, 0.4, 1.0])
+        L = 2.5 * math.sqrt(X.area())
+        # 3 L exceeds |g^-1| L for each g below
+        base = enumerate_saddle_connections(X, 3.0 * L, keep_orientations=True)
+        for g in ([[1, 1], [0, 1]], [[1, 0], [-1, 1]], [[2, 1], [1, 1]]):
+            want = Counter()
+            for sc in base:
+                h = sc.holonomy
+                w = complex(g[0][0] * h.real + g[0][1] * h.imag,
+                            g[1][0] * h.real + g[1][1] * h.imag)
+                if abs(w) <= L:
+                    want[(round(w.real, 7), round(w.imag, 7))] += 1
+            got = Counter(
+                (round(sc.holonomy.real, 7), round(sc.holonomy.imag, 7))
+                for sc in enumerate_saddle_connections(X.mapped(g), L,
+                                                       keep_orientations=True))
+            assert got == want
