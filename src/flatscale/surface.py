@@ -182,17 +182,25 @@ class TranslationSurface:
         return TranslationSurface._from_tables(tri, self._tables)
 
     def mapped(self, m) -> "TranslationSurface":
-        """Apply a real-linear map (2x2 matrix acting on R^2) to all edges."""
+        """Apply a real-linear map (2x2 matrix acting on R^2) to all edges.
+
+        The map must be finite with det(m) > 0, so that triangles stay
+        positively oriented.  Chart coordinates are kept: a linear map
+        leaves the combinatorics and the homology classes unchanged.
+        """
         m = np.asarray(m, dtype=float)
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if not (np.isfinite(m).all() and det > 0.0):
+            raise SurfaceError(f"mapped needs a finite map with det > 0, got det {det}")
         tri = [
-            [
+            tuple(
                 complex(m[0, 0] * z.real + m[0, 1] * z.imag,
                         m[1, 0] * z.real + m[1, 1] * z.imag)
                 for z in t
-            ]
+            )
             for t in self._edges
         ]
-        return TranslationSurface(tri, self._gluings, None)
+        return TranslationSurface._from_tables(tri, self._tables)
 
     # -- validation -------------------------------------------------------------
 

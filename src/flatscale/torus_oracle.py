@@ -18,6 +18,16 @@ The w-area is evaluated exactly by circle-polygon intersection and
 integrated over a per-pair midpoint grid in z; away from a thin band the
 integrand equals the full disc area, so the grid converges fast.
 
+Each pair is evaluated with array operations.  Grid points whose disc lies
+inside every w-square with area <= 1 take pi r^2 directly.  For the rest
+the w-squares intersect to one (N, 4) array of rectangles; rows where
+eps^2 |z|^2 > 1 are clipped by the half plane row by row, and every row is
+padded to five vertices by repeating a vertex (a zero-length edge adds
+exactly 0).  One call to circle_polygon_area then gives all their areas:
+each edge adds an arc, a chord and an arc, split at its entry and exit
+parameters on the circle clamped to the edge.  Memory stays at one pair's
+grid, at most grid_resolution^2 rows.
+
 No geodesic unfolding is involved anywhere in this module.
 """
 
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 from scipy import integrate
@@ -73,62 +84,47 @@ def _ext_gcd(a, b):
 # -- exact circle/polygon intersection ------------------------------------------
 
 
-def circle_polygon_area(cx: float, cy: float, radius: float, poly) -> float:
-    """Exact area of the intersection of a disc with a simple ccw polygon.
+def circle_polygon_area(cx, cy, radius, poly):
+    """Exact area of the intersection of a disc with a simple polygon.
 
-    Per-edge wedge decomposition about the disc center: inside pieces
-    contribute chord (triangle) terms, outside pieces contribute arcs.
+    Broadcasts over rows: cx, cy and radius are scalars or (N,) arrays and
+    poly is (m, 2) or (N, m, 2); the result is a float or an (N,) array.
+    A row may repeat vertices, because a zero-length edge adds exactly 0.
+
+    Per-edge wedge decomposition about the disc center.  The line through
+    the edge a -> b meets the circle at a + t (b - a) for t1 <= t2;
+    clamped to [0, 1] they give the points P1, P2 that bound the edge's
+    part inside the disc, and the edge adds
+
+        r^2/2 angle(a, P1) + cross(P1, P2)/2 + r^2/2 angle(P2, b):
+
+    arcs where the edge runs outside the disc, a chord (triangle) term
+    where it runs inside.  An edge whose line misses the disc has t1 = t2,
+    so P1 = P2 and it adds its arc alone.
     """
-    n = len(poly)
-    if n < 3 or radius <= 0.0:
-        return 0.0
-    r2 = radius * radius
-    total = 0.0
-    for i in range(n):
-        ax, ay = poly[i][0] - cx, poly[i][1] - cy
-        bx, by = poly[(i + 1) % n][0] - cx, poly[(i + 1) % n][1] - cy
-        a_in = ax * ax + ay * ay <= r2
-        b_in = bx * bx + by * by <= r2
-        if a_in and b_in:
-            total += 0.5 * (ax * by - ay * bx)
-            continue
-        # segment/circle intersection parameters
-        dx, dy = bx - ax, by - ay
-        dd = dx * dx + dy * dy
-        if dd == 0.0:
-            continue
-        tm = -(ax * dx + ay * dy) / dd
-        px, py = ax + tm * dx, ay + tm * dy
-        h2 = r2 - (px * px + py * py)
-        if h2 <= 0.0:  # line misses the disc: pure arc
-            total += 0.5 * r2 * _signed_angle(ax, ay, bx, by)
-            continue
-        dt = math.sqrt(h2 / dd)
-        t1, t2 = tm - dt, tm + dt
-        if a_in:
-            # inside -> chord to exit point, then arc
-            ex, ey = ax + t2 * dx, ay + t2 * dy
-            total += 0.5 * (ax * ey - ay * ex)
-            total += 0.5 * r2 * _signed_angle(ex, ey, bx, by)
-        elif b_in:
-            ex, ey = ax + t1 * dx, ay + t1 * dy
-            total += 0.5 * r2 * _signed_angle(ax, ay, ex, ey)
-            total += 0.5 * (ex * by - ey * bx)
-        else:
-            if t1 > 0.0 and t2 < 1.0:
-                # crosses the disc: arc, chord, arc
-                e1x, e1y = ax + t1 * dx, ay + t1 * dy
-                e2x, e2y = ax + t2 * dx, ay + t2 * dy
-                total += 0.5 * r2 * _signed_angle(ax, ay, e1x, e1y)
-                total += 0.5 * (e1x * e2y - e1y * e2x)
-                total += 0.5 * r2 * _signed_angle(e2x, e2y, bx, by)
-            else:
-                total += 0.5 * r2 * _signed_angle(ax, ay, bx, by)
-    return abs(total)
-
-
-def _signed_angle(ax, ay, bx, by) -> float:
-    return math.atan2(ax * by - ay * bx, ax * bx + ay * by)
+    poly = np.asarray(poly, dtype=float)
+    radius = np.asarray(radius, dtype=float)
+    ax = poly[..., 0] - np.asarray(cx, dtype=float)[..., None]
+    ay = poly[..., 1] - np.asarray(cy, dtype=float)[..., None]
+    bx, by = np.roll(ax, -1, axis=-1), np.roll(ay, -1, axis=-1)
+    r2 = (radius * radius)[..., None]
+    dx, dy = bx - ax, by - ay
+    dd = dx * dx + dy * dy
+    dd = np.where(dd > 0.0, dd, 1.0)  # a zero-length edge has P1 = P2 = a = b
+    tm = -(ax * dx + ay * dy) / dd
+    px, py = ax + tm * dx, ay + tm * dy
+    dt = np.sqrt(np.maximum(r2 - (px * px + py * py), 0.0) / dd)
+    t1 = np.clip(tm - dt, 0.0, 1.0)
+    t2 = np.clip(tm + dt, 0.0, 1.0)
+    # t1 = t2 gives P1 = P2 and a chord of exactly 0; t = 1 gives b exactly
+    end1, end2 = t1 == 1.0, t2 == 1.0
+    p1x, p1y = np.where(end1, bx, ax + t1 * dx), np.where(end1, by, ay + t1 * dy)
+    p2x, p2y = np.where(end2, bx, ax + t2 * dx), np.where(end2, by, ay + t2 * dy)
+    arcs = (np.arctan2(ax * p1y - ay * p1x, ax * p1x + ay * p1y)
+            + np.arctan2(p2x * by - p2y * bx, p2x * bx + p2y * by))
+    total = (0.5 * (p1x * p2y - p1y * p2x) + 0.5 * r2 * arcs).sum(axis=-1)
+    area = np.where((radius > 0.0) & (poly.shape[-2] >= 3), np.abs(total), 0.0)
+    return float(area) if area.ndim == 0 else area
 
 
 def _clip_halfplane(poly, nx, ny, c):
@@ -146,6 +142,32 @@ def _clip_halfplane(poly, nx, ny, c):
             d = (c - nx * x1 - ny * y1) / (nx * (x2 - x1) + ny * (y2 - y1))
             out.append((x1 + d * (x2 - x1), y1 + d * (y2 - y1)))
     return out
+
+
+def _clip_rows(poly, nx, ny):
+    """Clip each convex polygon poly[i] ((N, m, 2)) by nx[i] x + ny[i] y <= 1.
+
+    Row-wise Sutherland-Hodgman with the arithmetic of _clip_halfplane.
+    Returns the clipped polygons, padded to m + 1 vertices by repeating
+    each row's last kept vertex, and the number of vertices each row kept.
+    """
+    n_rows, m = poly.shape[:2]
+    x1, y1 = poly[..., 0], poly[..., 1]
+    x2, y2 = np.roll(x1, -1, axis=1), np.roll(y1, -1, axis=1)
+    nx, ny, c = nx[:, None], ny[:, None], 1.0
+    in1 = nx * x1 + ny * y1 <= c
+    in2 = np.roll(in1, -1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = (c - nx * x1 - ny * y1) / (nx * (x2 - x1) + ny * (y2 - y1))
+        crossing = np.stack([x1 + d * (x2 - x1), y1 + d * (y2 - y1)], axis=-1)
+    # candidates in output order: vertex i if kept, then edge i's crossing
+    cand = np.stack([poly, crossing], axis=2).reshape(n_rows, 2 * m, 2)
+    keep = np.stack([in1, in1 != in2], axis=2).reshape(n_rows, 2 * m)
+    count = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    slot = np.minimum(np.arange(m + 1), count[:, None] - 1)
+    slot = np.take_along_axis(order, slot, axis=1)
+    return np.take_along_axis(cand, slot[..., None], axis=1), count
 
 
 def _poly_area(poly):
@@ -214,25 +236,27 @@ def _pair_volume(p: int, q: int, eps: float, half_width: float,
     area = np.where(inside, math.pi * rad * rad, 0.0)
 
     slow = np.nonzero(~inside)[0]
-    for i in slow:
-        x, y = zx[i], zy[i]
+    if slow.size:
+        x, y = zx[slow], zy[slow]
         # clip polygon: intersection of the w-squares (axis-aligned)
-        lo_x, hi_x = -math.inf, math.inf
-        lo_y, hi_y = -math.inf, math.inf
+        lo_x = lo_y = np.full(slow.size, -math.inf)
+        hi_x = hi_y = np.full(slow.size, math.inf)
         for alpha, beta in squares:
-            lo_x = max(lo_x, alpha * x - beta)
-            hi_x = min(hi_x, alpha * x + beta)
-            lo_y = max(lo_y, alpha * y - beta)
-            hi_y = min(hi_y, alpha * y + beta)
-        if not (lo_x < hi_x and lo_y < hi_y):
-            continue
-        poly = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
-        if e2 * (x * x + y * y) > 1.0:
-            # Im(conj(w) z) <= 1: normal (z_y, -z_x)
-            poly = _clip_halfplane(poly, y, -x, 1.0)
-            if len(poly) < 3:
-                continue
-        area[i] = circle_polygon_area(ccx[i], ccy[i], rad[i], poly)
+            lo_x = np.maximum(lo_x, alpha * x - beta)
+            hi_x = np.minimum(hi_x, alpha * x + beta)
+            lo_y = np.maximum(lo_y, alpha * y - beta)
+            hi_y = np.minimum(hi_y, alpha * y + beta)
+        rect = np.stack([lo_x, lo_y, hi_x, lo_y, hi_x, hi_y, lo_x, hi_y],
+                        axis=1).reshape(-1, 4, 2)
+        # where e^2 |z|^2 > 1, Im(conj(w) z) <= 1: normal (z_y, -z_x)
+        cut = e2 * zz[slow] > 1.0
+        poly, count = rect[:, [0, 1, 2, 3, 3]], np.full(slow.size, 4)
+        if cut.any():
+            poly[cut], count[cut] = _clip_rows(rect[cut], y[cut], -x[cut])
+        ok = (lo_x < hi_x) & (lo_y < hi_y) & (count >= 3)
+        if ok.any():
+            i = slow[ok]
+            area[i] = circle_polygon_area(ccx[i], ccy[i], rad[i], poly[ok])
     return float(area.sum() * h * h)
 
 
@@ -252,12 +276,20 @@ def torus_exact_oracle(
     Supports k = 1 for eps < 1 (disjoint primitive-pair sum, see module
     docstring) and eps >= Hermite bound 1.0747 (saturated: full cone
     volume).  For k = 2 the locus is empty whenever eps1 * eps2 < 1.
+    Raises ValueError, naming the argument, on a radius that is not finite
+    and positive, a grid_resolution or pq_max that is not an integer >= 1,
+    or a half_width that is not finite and positive.
     """
     eps = [float(e) for e in (eps if hasattr(eps, "__len__") else [eps])]
+    if not all(math.isfinite(e) and e > 0.0 for e in eps):
+        raise ValueError(f"eps: every radius must be finite and positive, got {eps}")
+    for name, value in (("grid_resolution", grid_resolution), ("pq_max", pq_max)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise ValueError(f"half_width must be finite and positive, got {half_width}")
     if len(eps) == 1:
         e = eps[0]
-        if e <= 0:
-            raise ValueError("radius must be positive")
         if e >= HERMITE_SHORTEST:
             return _cached_cone_volume(half_width)
         if e >= 1.0:

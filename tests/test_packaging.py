@@ -1,4 +1,7 @@
+import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +21,26 @@ def test_script_entries_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_test_imports_declared():
+    """Every third-party module the tests import is a dependency or in the
+    `test` extra, so `pip install .[test]` can collect the suite."""
+    with PYPROJECT.open("rb") as f:
+        project = tomllib.load(f)["project"]
+    reqs = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.split(r"[<>=!~\[; ]", r, maxsplit=1)[0].lower() for r in reqs}
+    tests = PYPROJECT.parent / "tests"
+    local = {p.stem for p in tests.glob("*.py")} | {"flatscale"}
+    for path in tests.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    assert top in declared, f"{path.name} imports {top}"

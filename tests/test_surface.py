@@ -123,6 +123,29 @@ class TestArea:
         assert abs(X.rescaled(s).area() - s * s * X.area()) < 1e-12
 
 
+class TestMapped:
+    def test_keeps_chart_coordinates(self):
+        X = octagon_surface()
+        Y = X.mapped([[2.0, 1.0], [1.0, 1.0]])
+        assert Y.has_coords and Y.gluings == X.gluings
+        assert all(Y.edge_coeff(t, e) == X.edge_coeff(t, e)
+                   for t in range(X.n_triangles) for e in range(3))
+        assert Y.edge(0, 0) == complex(2 * X.edge(0, 0).real + X.edge(0, 0).imag,
+                                       X.edge(0, 0).real + X.edge(0, 0).imag)
+        assert abs(Y.area() - X.area()) < 1e-12
+
+    @pytest.mark.parametrize("m", [
+        [[1.0, 0.0], [0.0, -1.0]],         # reflection
+        [[1.0, 2.0], [0.5, 1.0]],          # singular
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[float("nan"), 0.0], [0.0, 1.0]],
+        [[float("inf"), 0.0], [0.0, 1.0]],
+    ])
+    def test_rejects_orientation_reversing_or_degenerate(self, m):
+        with pytest.raises(SurfaceError):
+            octagon_surface().mapped(m)
+
+
 class TestPolygons:
     def test_simplicity_rejects_selfintersecting(self):
         z = [1 + 0j, -1 + 0j, 1 + 0j, -1 + 0j]

@@ -2,14 +2,108 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flatscale import torus_oracle
 from flatscale.torus_oracle import (
     HERMITE_SHORTEST,
+    _clip_rows,
+    _pair_volume,
     bezout_complement,
     circle_polygon_area,
     cone_volume_quadrature,
+    primitive_pairs,
     torus_exact_oracle,
 )
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=40)
+N_GON = 4096
+
+
+def clip_convex(points, poly):
+    """Vertices of the polygon `points` clipped by the ccw convex `poly`."""
+    if shoelace(np.array(poly)) == 0.0:
+        return points[:0]  # a segment or a point: no half plane to clip by
+    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+        if len(points) == 0:
+            break
+        if (x1, y1) == (x2, y2):
+            continue
+        # inside: to the left of the edge, (y2 - y1) x - (x2 - x1) y <= c
+        n = np.array([y2 - y1, x1 - x2])
+        f = points @ n - (n[0] * x1 + n[1] * y1)
+        g = np.roll(f, -1)
+        nxt = np.roll(points, -1, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = points + (f / (f - g))[:, None] * (nxt - points)
+        keep = np.stack([f <= 0, (f <= 0) != (g <= 0)], axis=1).ravel()
+        points = np.stack([points, cross], axis=1).reshape(-1, 2)[keep]
+    return points
+
+
+def shoelace(points):
+    if len(points) < 3:
+        return 0.0
+    x, y = points[:, 0], points[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def n_gon_bounds(cx, cy, r, poly):
+    """Areas of the inscribed and the circumscribed regular N_GON-gon of
+    the disc, each clipped by poly: they bound the disc-polygon area."""
+    theta = 2 * math.pi * np.arange(N_GON) / N_GON
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    out = []
+    for rr in (r, r / math.cos(math.pi / N_GON)):
+        out.append(shoelace(clip_convex(np.array([cx, cy]) + rr * unit, poly)))
+    return out
+
+
+def pad(polys):
+    """Pad every polygon to the longest by repeating its last vertex."""
+    m = max(len(p) for p in polys)
+    return np.array([list(p) + [p[-1]] * (m - len(p)) for p in polys])
+
+
+coord = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def convex_polygons(draw):
+    """A ccw rectangle, or a ccw polygon inscribed in an ellipse (vertices
+    at sorted angles, possibly repeated)."""
+    if draw(st.booleans()):
+        x0, x1 = sorted(draw(st.lists(coord, min_size=2, max_size=2)))
+        y0, y1 = sorted(draw(st.lists(coord, min_size=2, max_size=2)))
+        return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    px, py = draw(coord), draw(coord)
+    a, b = draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))
+    angles = sorted(draw(st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True),
+                                  min_size=3, max_size=7)))
+    return [(px + a * math.cos(t), py + b * math.sin(t)) for t in angles]
+
+
+discs = st.tuples(coord, coord, st.floats(0.05, 2.5))
+
+# (cx, cy, r, polygon, exact area)
+UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+DEGENERATE = {
+    "repeated vertices": (
+        0.5, 0.5, 0.3,
+        [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1.0), (0.0, 1.0)],
+        0.09 * math.pi),
+    "tangent edges inside": (
+        0.0, 0.0, 1.0, [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)], math.pi),
+    "tangent edge outside": (
+        0.0, 2.0, 1.0, [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)], 0.0),
+    "vertices on the circle": (0.0, 0.0, 1.0, UNIT_SQUARE, math.pi / 4),
+    "chord between vertices on the circle": (
+        0.0, 0.0, 1.0, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.5),
+    "disjoint disc": (5.0, 5.0, 1.0, UNIT_SQUARE, 0.0),
+    "polygon inside the disc": (
+        0.2, 0.2, 3.0, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.5),
+}
 
 
 class TestCirclePolygonArea:
@@ -41,6 +135,182 @@ class TestCirclePolygonArea:
             ref = (((X - cx) ** 2 + (Y - cy) ** 2) <= R * R).mean() \
                 * (x1 - x0) * (y1 - y0)
             assert abs(got - ref) < 0.012 * max(ref, 0.05)
+
+
+class TestBroadcastCirclePolygonArea:
+    """The one broadcasting implementation against an independent route:
+    the inscribed and circumscribed regular 4096-gons of the disc, clipped
+    by the polygon, bound the exact area from below and above."""
+
+    @PROPERTY
+    @given(st.lists(st.tuples(discs, convex_polygons()), min_size=1, max_size=6))
+    def test_between_n_gon_bounds(self, rows):
+        cx, cy, r = (np.array(v) for v in zip(*(d for d, _ in rows)))
+        polys = pad([p for _, p in rows])
+        got = circle_polygon_area(cx, cy, r, polys)
+        assert got.shape == (len(rows),)
+        for i, (_, poly) in enumerate(rows):
+            lo, hi = n_gon_bounds(cx[i], cy[i], r[i], poly)
+            assert lo - 1e-12 <= got[i] <= hi + 1e-12
+            one = circle_polygon_area(cx[i], cy[i], r[i], poly)
+            assert isinstance(one, float)
+            assert one == pytest.approx(got[i], rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_row(self, name):
+        cx, cy, r, poly, want = DEGENERATE[name]
+        assert circle_polygon_area(cx, cy, r, poly) == pytest.approx(want, abs=1e-15)
+        lo, hi = n_gon_bounds(cx, cy, r, poly)
+        assert lo - 1e-12 <= want <= hi + 1e-12
+
+    def test_degenerate_rows_in_one_batch(self):
+        cx, cy, r, polys, want = zip(*DEGENERATE.values())
+        got = circle_polygon_area(np.array(cx), np.array(cy), np.array(r), pad(polys))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_one_polygon_many_discs(self):
+        cx = np.array([0.5, 0.0, 5.0])
+        cy = np.array([0.5, 0.0, 5.0])
+        r = np.array([0.3, 1.0, 1.0])
+        got = circle_polygon_area(cx, cy, r, UNIT_SQUARE)
+        np.testing.assert_allclose(got, [0.09 * math.pi, math.pi / 4, 0.0],
+                                   rtol=0, atol=1e-15)
+
+    def test_empty_and_zero_rows(self):
+        assert circle_polygon_area(0.0, 0.0, 0.0, UNIT_SQUARE) == 0.0
+        assert circle_polygon_area(0.0, 0.0, 1.0, UNIT_SQUARE[:2]) == 0.0
+        got = circle_polygon_area(np.zeros(0), np.zeros(0), np.zeros(0),
+                                  np.zeros((0, 5, 2)))
+        assert got.shape == (0,)
+
+
+class TestClipRows:
+    """Row-wise clipping by n . w <= 1, as the slow path clips each w-square."""
+
+    def test_cases_in_one_batch(self):
+        square = UNIT_SQUARE
+        far = [(2.0, 2.0), (3.0, 2.0), (3.0, 3.0), (2.0, 3.0)]
+        rect = np.array([square, far, square, square])
+        # x + y <= 5 keeps all, x <= 1 cuts all of `far`,
+        # x + y <= 1.5 cuts one corner, x + y <= 0.5 leaves a triangle
+        nx = np.array([0.2, 1.0, 1 / 1.5, 2.0])
+        ny = np.array([0.2, 0.0, 1 / 1.5, 2.0])
+        poly, count = _clip_rows(rect, nx, ny)
+        assert poly.shape == (4, 5, 2)
+        assert list(count) == [4, 0, 5, 3]
+        np.testing.assert_array_equal(poly[0], square + [square[-1]])
+        np.testing.assert_allclose(
+            poly[2], [(0, 0), (1, 0), (1, 0.5), (0.5, 1), (0, 1)], atol=1e-15)
+        np.testing.assert_allclose(
+            poly[3], [(0, 0), (0.5, 0), (0, 0.5), (0, 0.5), (0, 0.5)], atol=1e-15)
+        # the padding adds nothing to the area
+        area = circle_polygon_area(np.zeros(3), np.zeros(3), np.full(3, 10.0),
+                                   poly[[0, 2, 3]])
+        np.testing.assert_allclose(area, [1.0, 1.0 - 0.125, 0.125], atol=1e-15)
+
+
+# _pair_volume(p, q, eps, 2.0, n) of the per-point scalar implementation;
+# (1, 0), (2, 1), (-3, 1) have a z-gate (r = 0 or s = 0), the others none
+PAIR_VOLUME_GOLDEN = {
+    ((1, 0), 0.05, 24): 0.00020907589997848746,
+    ((1, 0), 0.05, 48): 0.00020934860767411154,
+    ((1, 0), 0.3, 24): 0.27096236637211957,
+    ((1, 0), 0.3, 48): 0.27131579554564844,
+    ((1, 0), 0.95, 24): 9.205253238164367,
+    ((1, 0), 0.95, 48): 9.202155043505979,
+    ((2, 1), 0.05, 24): 1.0375462008271077e-05,
+    ((2, 1), 0.05, 48): 1.3263163836744957e-05,
+    ((2, 1), 0.3, 24): 0.01736867416514506,
+    ((2, 1), 0.3, 48): 0.017057168512636074,
+    ((2, 1), 0.95, 24): 1.6268963536024643,
+    ((2, 1), 0.95, 48): 1.627576716074521,
+    ((-3, 1), 0.05, 24): 2.0446418988882636e-06,
+    ((-3, 1), 0.05, 48): 2.6137072711374386e-06,
+    ((-3, 1), 0.3, 24): 0.00313678766996117,
+    ((-3, 1), 0.3, 48): 0.0032494077813310603,
+    ((-3, 1), 0.95, 24): 0.3392643059449801,
+    ((-3, 1), 0.95, 48): 0.33669642013181467,
+    ((-2, 3), 0.05, 24): 2.0446418988882636e-06,
+    ((-2, 3), 0.05, 48): 2.6137072711374386e-06,
+    ((-2, 3), 0.3, 24): 0.00313678766996117,
+    ((-2, 3), 0.3, 48): 0.0032494077813310603,
+    ((-2, 3), 0.95, 24): 0.3392643059449801,
+    ((-2, 3), 0.95, 48): 0.33669642013181467,
+    ((3, 5), 0.05, 24): 2.652358633134709e-07,
+    ((3, 5), 0.05, 48): 3.3905639167708336e-07,
+    ((3, 5), 0.3, 24): 0.00042126198331055584,
+    ((3, 5), 0.3, 48): 0.0004294605866469918,
+    ((3, 5), 0.95, 24): 0.04332650018836471,
+    ((3, 5), 0.95, 48): 0.043696870999778134,
+    ((-7, 4), 0.05, 24): 6.893143591844205e-08,
+    ((-7, 4), 0.05, 48): 8.811645470433655e-08,
+    ((-7, 4), 0.3, 24): 0.00010318516178041606,
+    ((-7, 4), 0.3, 48): 0.00010915076090207939,
+    ((-7, 4), 0.95, 24): 0.011293519420047549,
+    ((-7, 4), 0.95, 48): 0.011358278991286422,
+}
+
+# torus_exact_oracle([eps]) at default settings, from the same implementation
+ORACLE_GOLDEN = {
+    0.15: 0.07544656969813456,
+    0.2: 0.2357589733319963,
+    0.3: 1.172412558608076,
+    0.45: 5.669691594573996,
+}
+
+
+class TestVectorisedPairVolume:
+    def test_golden_values(self):
+        for ((p, q), eps, n), want in PAIR_VOLUME_GOLDEN.items():
+            r, s = bezout_complement(p, q)
+            assert (r == 0 or s == 0) == ((p, q) in [(1, 0), (2, 1), (-3, 1)])
+            assert _pair_volume(p, q, eps, 2.0, n) == pytest.approx(want, rel=1e-12)
+
+    def test_oracle_golden_values(self):
+        for eps, want in ORACLE_GOLDEN.items():
+            assert torus_exact_oracle([eps]) == pytest.approx(want, rel=1e-12)
+
+    def test_one_call_per_pair(self, monkeypatch):
+        """The slow points of a pair go to circle_polygon_area in one call,
+        looked up as a module attribute at call time."""
+        calls = []
+        cpa = torus_oracle.circle_polygon_area
+
+        def counting(cx, cy, radius, poly):
+            calls.append(len(cx))
+            return cpa(cx, cy, radius, poly)
+
+        monkeypatch.setattr(torus_oracle, "circle_polygon_area", counting)
+        per_pair = []
+        for p, q in primitive_pairs(6):
+            before = len(calls)
+            _pair_volume(p, q, 0.3, 2.0, 48)
+            per_pair.append(len(calls) - before)
+        assert set(per_pair) == {0, 1}
+        assert max(calls) > 100
+        calls.clear()
+        torus_exact_oracle([0.3])
+        assert 0 < len(calls) <= len(primitive_pairs(24))
+
+
+class TestOracleArguments:
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(eps=[float("nan")]), "eps"),
+        (dict(eps=[float("inf")]), "eps"),
+        (dict(eps=[0.2, float("nan")]), "eps"),
+        (dict(eps=[0.0]), "eps"),
+        (dict(eps=[0.2], grid_resolution=0), "grid_resolution"),
+        (dict(eps=[0.2], grid_resolution=2.5), "grid_resolution"),
+        (dict(eps=[0.2], pq_max=0), "pq_max"),
+        (dict(eps=[0.2], pq_max=3.0), "pq_max"),
+        (dict(eps=[0.2], half_width=-1.0), "half_width"),
+        (dict(eps=[0.2], half_width=0.0), "half_width"),
+        (dict(eps=[0.2], half_width=float("nan")), "half_width"),
+        (dict(eps=[0.2], half_width=float("inf")), "half_width"),
+    ])
+    def test_bad_argument_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            torus_exact_oracle(**kwargs)
 
 
 class TestBezout:

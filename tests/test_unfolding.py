@@ -351,7 +351,10 @@ class TestPackedClasses:
             assert all(type(x) is int for x in sb.class_vector)
 
     def test_no_coordinates(self):
-        X = octagon_surface().mapped(np.eye(2))
+        O = octagon_surface()
+        X = TranslationSurface(
+            [[O.edge(t, e) for e in range(3)] for t in range(O.n_triangles)],
+            O.gluings)
         scs = enumerate_saddle_connections(X, 3.0)
         assert scs and all(sc.class_vector is None for sc in scs)
 
@@ -403,3 +406,28 @@ class TestMultiplicity:
                 for sc in enumerate_saddle_connections(X.mapped(g), L,
                                                        keep_orientations=True))
             assert got == want
+
+    def test_sl2z_classes(self):
+        """A linear map keeps the chart coordinates, so each connection of
+        X.mapped(g) has the class of its preimage on X."""
+        X = star_octagon(0.7, [0.5, 0.8, 0.6, 0.9], [0.9, 0.4, 0.7, 0.5])
+        L = 2.5 * math.sqrt(X.area())
+        base = enumerate_saddle_connections(X, 3.0 * L, keep_orientations=True)
+        assert all(sc.class_vector is not None for sc in base)
+        for g in ([[1, 1], [0, 1]], [[1, 0], [-1, 1]], [[2, 1], [1, 1]],
+                  [[0, -1], [1, 0]]):
+            want = Counter()
+            for sc in base:
+                h = sc.holonomy
+                w = complex(g[0][0] * h.real + g[0][1] * h.imag,
+                            g[1][0] * h.real + g[1][1] * h.imag)
+                if abs(w) <= L:
+                    want[(round(w.real, 7), round(w.imag, 7), sc.class_vector)] += 1
+            Y = X.mapped(g)
+            assert Y.has_coords
+            got = Counter(
+                (round(sc.holonomy.real, 7), round(sc.holonomy.imag, 7),
+                 sc.class_vector)
+                for sc in enumerate_saddle_connections(Y, L,
+                                                       keep_orientations=True))
+            assert got == want and want
