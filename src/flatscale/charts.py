@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .surface import (
+    CheckedSides,
     TranslationSurface,
     polygon_is_simple,
     shoelace_area,
     surface_from_symmetric_polygon,
+    symmetric_vertices,
 )
 
 DEFAULT_BOX_HALF_WIDTH = 2.0
@@ -26,6 +28,13 @@ class ChartModel:
 
     ``param_box`` is a per-coordinate tuple (re_lo, re_hi, im_lo, im_hi).
     The builder is only guaranteed to succeed where ``admissible`` holds.
+
+    ``build`` checks that the polygon is simple and positively oriented,
+    except when given a :class:`~flatscale.surface.CheckedSides`.  Those
+    are side vectors whose very vertices ``scan_chart`` already passed
+    through its one batch simplicity mask and area test; checking each
+    again would repeat that work and cost most of a build.  Any other
+    input (a list, tuple or array) is checked.
     """
 
     name: str
@@ -40,12 +49,7 @@ class ChartModel:
         return [complex(w) for w in z]
 
     def polygon_vertices(self, z) -> list[complex]:
-        sides = self.side_vectors(z)
-        full = sides + [-w for w in sides]
-        verts = [0j]
-        for w in full[:-1]:
-            verts.append(verts[-1] + w)
-        return verts
+        return symmetric_vertices(self.side_vectors(z))
 
     def admissible(self, z) -> bool:
         verts = self.polygon_vertices(z)
@@ -58,7 +62,7 @@ class ChartModel:
         return shoelace_area(self.polygon_vertices(z))
 
     def build(self, z) -> TranslationSurface:
-        sides = self.side_vectors(z)
+        sides = z if isinstance(z, CheckedSides) else self.side_vectors(z)
         coeffs = [tuple(1 if j == i else 0 for j in range(self.dim))
                   for i in range(self.dim)]
         return surface_from_symmetric_polygon(sides, coeffs)

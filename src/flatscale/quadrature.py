@@ -3,6 +3,8 @@ route for the closed-form period formulas)."""
 
 from __future__ import annotations
 
+import cmath
+
 from scipy import integrate
 
 
@@ -30,12 +32,6 @@ def log_segment_integral(f, log_a: complex, log_b: complex,
     dlog = log_b - log_a
 
     def z(s):
-        return complex_exp((1.0 - s) * log_a + s * log_b)
+        return cmath.exp((1.0 - s) * log_a + s * log_b)
 
     return path_integral(f, z, lambda s: z(s) * dlog, tol)
-
-
-def complex_exp(w: complex) -> complex:
-    import cmath
-
-    return cmath.exp(w)

@@ -12,6 +12,15 @@ shorter than eps_i have rank >= i for every i.  The test never needs a rank
 above k, so the prefix ranks are taken only up to k_max, the size of the
 largest cell: a greedy pass keeps the rows found independent so far, ranks
 them with one candidate row at a time, and stops at rank k_max.
+
+Each chunk rescales every sample of positive area to unit area first, then
+runs one ``polygon_simple_mask`` call and one positive-area test on those
+unit-area polygons.  That single batch check decides admissibility, and it
+checks exactly the vertices the builder will triangulate, so the cone
+samples go to ``ChartModel.build`` as ``CheckedSides`` and are not checked
+again one by one.  A build that still fails (ear clipping can) is counted
+in ``ScanResult.build_failures``; the sample stays in the plain cone count
+and is accepted by no radius cell.
 """
 
 from __future__ import annotations
@@ -25,7 +34,12 @@ import numpy as np
 
 from .charts import ChartModel, get_chart
 from .homology import LinearSubspace, independence_rank
-from .surface import SurfaceError, polygon_simple_mask
+from .surface import (
+    SurfaceError,
+    checked_sides,
+    polygon_simple_mask,
+    symmetric_vertices_batch,
+)
 from .unfolding import enumerate_saddle_connections
 
 DEFAULT_CHUNK = 16384
@@ -55,6 +69,7 @@ class ScanResult:
     chart: str
     estimates: tuple[ConingEstimate, ...]
     admissible_fraction: float
+    build_failures: int  # cone samples whose build raised SurfaceError
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -116,7 +131,37 @@ def _cell_accepts(lengths, ranks, eps_sorted) -> bool:
     return True
 
 
-def _process_chunk(args) -> tuple[np.ndarray, int]:
+def _areas(verts: np.ndarray) -> np.ndarray:
+    """Signed shoelace area of each row of polygon vertices."""
+    nxt = np.roll(verts, -1, axis=1)
+    return 0.5 * (verts.real * nxt.imag - verts.imag * nxt.real).sum(axis=1)
+
+
+def _unit_area_check(x: np.ndarray):
+    """Rescale the samples ``x`` (batch, n) of positive area to unit area
+    and check those in one batch.
+
+    Returns their areas before the rescale, their unit-area sides, and
+    which of them are admissible: one ``polygon_simple_mask`` call and a
+    positive-area test on the unit-area vertices, which are bit for bit
+    the vertices the builder triangulates.
+
+    A sliver of tiny area rescales to vertices whose products overflow.
+    Its shortest edge is then far below the mask's relative tolerance, and
+    inf or nan fail every strict test, so it is rejected; the overflow is
+    expected and not reported.
+    """
+    area = _areas(symmetric_vertices_batch(x))
+    pos = area > 0
+    area = area[pos]
+    unit = x[pos] * (1.0 / np.sqrt(area))[:, None]
+    verts = symmetric_vertices_batch(unit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        admissible = polygon_simple_mask(verts) & (_areas(verts) > 0)
+    return area, unit, admissible
+
+
+def _process_chunk(args) -> tuple[np.ndarray, int, int]:
     (chart, half_width, basis, seed, chunk_index, size,
      cells, l_max, k_max, budget) = args
     rng = _chunk_generator(seed, chunk_index)
@@ -125,15 +170,7 @@ def _process_chunk(args) -> tuple[np.ndarray, int]:
     x = w if basis is None else w @ basis.T
     subspace = LinearSubspace(chart.dim, basis)
 
-    # vertices of the symmetric polygon, vectorized over the chunk
-    sides = np.concatenate([x, -x], axis=1)
-    verts = np.cumsum(sides, axis=1)
-    verts = np.concatenate([np.zeros((size, 1), dtype=complex),
-                            verts[:, :-1]], axis=1)
-    nxt = np.roll(verts, -1, axis=1)
-    area2 = (verts.real * nxt.imag - verts.imag * nxt.real).sum(axis=1)
-    area = 0.5 * area2
-    admissible = (area > 0) & polygon_simple_mask(verts)
+    area, unit, admissible = _unit_area_check(x)
     cone = admissible & (area <= 1.0)
 
     counts = np.zeros(len(cells), dtype=np.int64)
@@ -142,13 +179,14 @@ def _process_chunk(args) -> tuple[np.ndarray, int]:
     if plain_cells:
         counts[plain_cells] = int(cone.sum())
 
+    failures = 0
     if eps_cells and l_max > 0:
-        for idx in np.nonzero(cone)[0]:
-            scale = 1.0 / math.sqrt(area[idx])
+        for sides in checked_sides(unit[cone]):
             try:
-                surf = chart.build([z * scale for z in x[idx]])
+                surf = chart.build(sides)
             except SurfaceError:
-                continue  # borderline simplicity at the rescale
+                failures += 1
+                continue
             scs = enumerate_saddle_connections(surf, l_max, budget=budget)
             if not scs:
                 continue
@@ -158,7 +196,7 @@ def _process_chunk(args) -> tuple[np.ndarray, int]:
             for i, eps_sorted in eps_cells:
                 if _cell_accepts(lengths, ranks, eps_sorted):
                     counts[i] += 1
-    return counts, int(admissible.sum())
+    return counts, int(admissible.sum()), failures
 
 
 def scan_chart(
@@ -175,9 +213,14 @@ def scan_chart(
 
     Cells share one sample stream and one enumeration per sample (at the
     largest radius), so a grid scan costs one pass.  A cell of None
-    estimates the plain cone volume (admissible, area <= 1).  The chart's
-    box must be (-h, h, -h, h) with one h on every coordinate; any
-    ``ChartModel`` with such a box works, also with ``threads`` > 1.
+    estimates the plain cone volume (admissible, area <= 1).  Admissibility
+    is one batch simplicity mask and positive-area test per chunk, on the
+    polygons rescaled to unit area; each cone sample is then built once,
+    from those checked sides, and unfolded.  The parameters are the first
+    side vectors of the polygon.  The chart's box must be (-h, h, -h, h)
+    with one h on every coordinate; any ``ChartModel`` with such a box
+    works.  ``threads`` is the number of worker processes (1 runs in this
+    process); results do not depend on it.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
@@ -216,9 +259,11 @@ def scan_chart(
             results = list(pool.map(_process_chunk, tasks))
     counts = np.zeros(len(norm_cells), dtype=np.int64)
     n_adm = 0
-    for cts, adm in results:
+    n_failed = 0
+    for cts, adm, failed in results:
         counts += cts
         n_adm += adm
+        n_failed += failed
 
     # intrinsic box volume: one box per sampled coordinate
     dim = chart.dim if basis is None else basis.shape[1]
@@ -240,7 +285,7 @@ def scan_chart(
         out.append(ConingEstimate(
             value=p * vol, standard_error=stderr, samples=samples, seed=seed,
             eps=cell, accepted=int(k), admissible=n_adm, box_volume=vol))
-    return ScanResult(name, tuple(out), adm_fraction)
+    return ScanResult(name, tuple(out), adm_fraction, n_failed)
 
 
 def estimate_coned_measure(

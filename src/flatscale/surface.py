@@ -489,6 +489,51 @@ def polygon_is_simple(vertices, rel_eps=1e-12) -> bool:
     return bool(polygon_simple_mask(row[None, :], rel_eps)[0])
 
 
+class CheckedSides(tuple):
+    """First side vectors z_1..z_n, as Python ``complex``, of a centrally
+    symmetric polygon already found simple and positively oriented.
+
+    Made only by :func:`checked_sides`, from rows whose vertices passed a
+    batch check.  :func:`surface_from_symmetric_polygon` skips its own
+    re-check for this type alone; lists, tuples and arrays are checked.
+    """
+
+    __slots__ = ()
+
+
+def symmetric_vertices(sides) -> list[complex]:
+    """Vertices 0, z_1, z_1 + z_2, ... of the centrally symmetric polygon
+    with side sequence z_1, ..., z_n, -z_1, ..., -z_n, summed left to right:
+    the vertices :func:`surface_from_symmetric_polygon` triangulates."""
+    full = list(sides) + [-z for z in sides]
+    verts = [0j]
+    for z in full[:-1]:
+        verts.append(verts[-1] + z)
+    return verts
+
+
+def symmetric_vertices_batch(sides) -> np.ndarray:
+    """:func:`symmetric_vertices` of every row of ``sides`` (batch, n).
+
+    The result has shape (batch, 2n).  Each row is summed from 0 in the
+    same order, so it is bit for bit the list the builder triangulates.
+    """
+    sides = np.asarray(sides, dtype=complex)
+    steps = np.concatenate([np.zeros((len(sides), 1), dtype=complex),
+                            sides, -sides[:, :-1]], axis=1)
+    return np.cumsum(steps, axis=1)
+
+
+def checked_sides(sides: np.ndarray) -> list[CheckedSides]:
+    """One :class:`CheckedSides` per row of ``sides`` (batch, n).
+
+    Pass only rows whose :func:`symmetric_vertices_batch` passed
+    :func:`polygon_simple_mask` and have positive area: the builder trusts
+    them and triangulates those very vertices without checking again.
+    """
+    return [CheckedSides(row) for row in np.asarray(sides, dtype=complex).tolist()]
+
+
 def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
     """Build a surface from a centrally symmetric 2n-gon with sides glued in
     opposite pairs.
@@ -498,22 +543,21 @@ def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
     ``coeffs`` optionally gives an integer row per side expressing it in
     chart parameters.
 
-    The polygon is checked to be simple and positively oriented, then ear
-    clipped.  The gluings, neighbour table, corner vertices, vertex count
-    and integer edge coordinates depend only on the key (n, ear-clip index
-    triples, coefficient rows); they are memoised per key in a bounded LRU
-    cache and shared, read-only, by every surface with that key.  Only the
-    edge vectors are computed per call.
+    The polygon is checked to be simple and positively oriented, unless
+    ``sides`` is a :class:`CheckedSides` (its vertices passed that check in
+    a batch), then ear clipped.  The gluings, neighbour table, corner
+    vertices, vertex count and integer edge coordinates depend only on the
+    key (n, ear-clip index triples, coefficient rows); they are memoised per
+    key in a bounded LRU cache and shared, read-only, by every surface with
+    that key.  Only the edge vectors are computed per call.
     """
     n = len(sides)
-    full = list(sides) + [-z for z in sides]
-    verts = [0j]
-    for z in full[:-1]:
-        verts.append(verts[-1] + z)
-    if not polygon_is_simple(verts):
-        raise SurfaceError("polygon is not simple")
-    if shoelace_area(verts) <= 0:
-        raise SurfaceError("polygon is not positively oriented")
+    verts = symmetric_vertices(sides)
+    if not isinstance(sides, CheckedSides):
+        if not polygon_is_simple(verts):
+            raise SurfaceError("polygon is not simple")
+        if shoelace_area(verts) <= 0:
+            raise SurfaceError("polygon is not positively oriented")
     tris = tuple(ear_clip(verts))
     rows = None
     if coeffs is not None:

@@ -1,17 +1,33 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flatscale import sampling
 from flatscale.charts import ChartModel, get_chart
 from flatscale.homology import LinearSubspace, full_space, independence_rank, real_subspace
 from flatscale.sampling import ConingEstimate, estimate_coned_measure, scan_chart
+from flatscale.surface import (
+    CheckedSides,
+    SurfaceError,
+    checked_sides,
+    ear_clip,
+    polygon_is_simple,
+    shoelace_area,
+    surface_from_symmetric_polygon,
+    symmetric_vertices,
+    symmetric_vertices_batch,
+)
 from flatscale.torus_oracle import cone_volume_quadrature, torus_exact_oracle
 from flatscale.unfolding import UnfoldingBudgetError
 
 N_FAST = 60_000
 SEED = 1234
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+SUBSPACE_BASIS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 
 
 class TestEstimatorBasics:
@@ -158,6 +174,18 @@ GOLDEN_COUNTS = {
 }
 
 
+# Admissible samples of the same scans, recorded while the batch mask still
+# ran on the polygons before their unit-area rescale.
+GOLDEN_ADMISSIBLE = {
+    ("torus", 1): 10049,
+    ("torus", 2): 10024,
+    ("octagon", 1): 11492,
+    ("octagon", 2): 11640,
+    ("octagon-subspace", 1): 9951,
+    ("octagon-subspace", 2): 9976,
+}
+
+
 class TestGoldenCounts:
     @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
     def test_accepted_counts(self, case, seed):
@@ -165,6 +193,8 @@ class TestGoldenCounts:
         W = None if rows is None else real_subspace(rows)
         res = scan_chart(chart, W, cells, samples, seed)
         assert [e.accepted for e in res.estimates] == GOLDEN_COUNTS[case, seed]
+        assert {e.admissible for e in res.estimates} == {GOLDEN_ADMISSIBLE[case, seed]}
+        assert res.build_failures == 0
 
 
 class TestChartInput:
@@ -194,3 +224,179 @@ class TestChartInput:
         with pytest.raises(UnfoldingBudgetError):
             scan_chart("torus", None, [(0.45,)], 2000, SEED, threads=2,
                        chunk_size=500, budget=1)
+
+
+class FlakyTorus(ChartModel):
+    """Torus chart whose build fails for every sample with Re z_1 > 0.
+
+    Module level, so that worker processes can unpickle it.
+    """
+
+    def build(self, z):
+        if z[0].real > 0:
+            raise SurfaceError("refused by the test chart")
+        return super().build(z)
+
+
+class TestBuildFailures:
+    def test_failures_counted_for_any_worker_count(self, monkeypatch):
+        box = get_chart("torus").param_box
+        cells = [None, (0.3,), (0.45,)]
+        results = [scan_chart(FlakyTorus("flaky", 2, box), None, cells, 20_000,
+                              SEED, threads=threads, chunk_size=8192)
+                   for threads in (1, 2)]
+        assert results[0] == results[1]
+
+        # the same scan on the plain chart, noting which builds would fail
+        refused = []
+        build = ChartModel.build
+
+        def noting_build(self, z):
+            refused.append(z[0].real > 0)
+            return build(self, z)
+
+        monkeypatch.setattr(ChartModel, "build", noting_build)
+        plain = scan_chart(ChartModel("flaky", 2, box), None, cells, 20_000,
+                           SEED, chunk_size=8192)
+        got = results[0]
+        assert plain.build_failures == 0
+        assert 0 < got.build_failures == sum(refused) < len(refused)
+        # a failed build stays a cone sample but is accepted by no cell
+        assert got.estimates[0] == plain.estimates[0]
+        for a, b in zip(got.estimates[1:], plain.estimates[1:]):
+            assert 0 < a.accepted < b.accepted
+
+
+class TestLayerHooks:
+    """The benchmark times layers by wrapping ``ChartModel.build`` and
+    ``sampling.polygon_simple_mask``; the scan must call them as it does."""
+
+    @pytest.mark.parametrize("chart, cells", [
+        ("torus", [None, (0.3,)]),
+        ("h2-octagon", [None, (0.6,), (0.6, 1.0)]),
+    ])
+    def test_one_build_per_cone_sample_one_mask_per_chunk(self, chart, cells,
+                                                         monkeypatch):
+        builds = []
+        masks = []
+        build = ChartModel.build
+        mask = sampling.polygon_simple_mask
+
+        def build_hook(self, *args, **kwargs):
+            assert len(args) == 1 and not kwargs
+            sides = list(args[0])
+            assert len(sides) == self.dim
+            assert all(type(w) is complex for w in sides)
+            builds.append(sides)
+            return build(self, *args)
+
+        def mask_hook(verts, *args, **kwargs):
+            masks.append(verts)
+            return mask(verts, *args, **kwargs)
+
+        monkeypatch.setattr(ChartModel, "build", build_hook)
+        monkeypatch.setattr(sampling, "polygon_simple_mask", mask_hook)
+        res = scan_chart(chart, None, cells, 20_000, SEED, chunk_size=8192)
+        assert len(builds) == res.estimates[0].accepted > 0
+        assert len(masks) == 3
+        # the mask sees only the samples of positive area, at unit area
+        for verts in masks:
+            assert np.allclose(sampling._areas(verts), 1.0, rtol=1e-12, atol=0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+def _sample_rows(dim):
+    """Batches of chart parameters, as scan_chart draws them from the box:
+    lists of rows of ``dim`` complex numbers with parts in [-2, 2]."""
+    part = st.floats(-2.0, 2.0, allow_nan=False)
+    row = st.lists(st.builds(complex, part, part), min_size=dim, max_size=dim)
+    return st.lists(row, min_size=1, max_size=24).map(
+        lambda rows: np.asarray(rows, dtype=complex))
+
+
+def _assert_checked_rows_build_as_checked(x, coeffs):
+    """Every row the unit-area batch check accepts reaches the builder as
+    CheckedSides whose vertices are the checked ones, bit for bit, and
+    builds the surface the checking path builds."""
+    area, unit, admissible = sampling._unit_area_check(x)
+    verts = symmetric_vertices_batch(unit)
+    rows = checked_sides(unit[admissible])
+    assert len(rows) == int(admissible.sum())
+    for sides, row in zip(rows, verts[admissible]):
+        assert isinstance(sides, CheckedSides)
+        assert all(type(w) is complex for w in sides)
+        built_from = symmetric_vertices(sides)
+        assert _bits(built_from) == _bits(row)
+        # the per-sample check the builder skips would have passed
+        assert polygon_is_simple(built_from) and shoelace_area(built_from) > 0
+
+        X = surface_from_symmetric_polygon(sides, coeffs)
+        Y = surface_from_symmetric_polygon(list(sides), coeffs)
+        assert X._tables is Y._tables
+        edges = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
+        assert _bits(edges) == _bits([[Y.edge(t, e) for e in range(3)]
+                                      for t in range(Y.n_triangles)])
+        want = [[row[b] - row[a], row[c] - row[b], row[a] - row[c]]
+                for a, b, c in ear_clip(list(row))]
+        assert _bits(edges) == _bits(want)
+
+
+def _unit_rows(dim):
+    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+
+
+class TestCheckedSides:
+    @PROPERTY
+    @given(_sample_rows(2))
+    @example(np.array([[complex(-0.0, 1.0), complex(-1.0, -0.0)]]))  # signed zeros
+    def test_tori(self, x):
+        _assert_checked_rows_build_as_checked(x, _unit_rows(2))
+
+    @PROPERTY
+    @given(_sample_rows(4))
+    def test_octagons(self, x):
+        _assert_checked_rows_build_as_checked(x, _unit_rows(4))
+
+    @PROPERTY
+    @given(_sample_rows(2))
+    def test_subspace_octagons(self, w):
+        _assert_checked_rows_build_as_checked(w @ SUBSPACE_BASIS.T, _unit_rows(4))
+
+    @pytest.mark.parametrize("name, seed", [("torus", 1), ("h2-octagon", 2)])
+    def test_scan_samples(self, name, seed):
+        chart = get_chart(name)
+        rng = sampling._chunk_generator(seed, 0)
+        x = sampling._sample_params(rng, 4096, chart.dim, 2.0)
+        _assert_checked_rows_build_as_checked(x, _unit_rows(chart.dim))
+
+    def test_tiny_areas(self):
+        x = np.array([
+            [1e-150, 1e-150j],          # tiny square: unit square after the rescale
+            [1j, -2.2250738585e-311],   # sliver of subnormal area
+            [1, 1e-320j],
+            [1, 1e-300j],
+            [1, 1e-400j],               # area 0
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            area, unit, admissible = sampling._unit_area_check(x)
+        assert len(area) == 4
+        assert admissible.tolist() == [True, False, False, False]
+        assert [get_chart("torus").admissible(z) for z in x] == [True] + [False] * 4
+        assert unit[0].tolist() == [1, 1j]
+
+    def test_unit_area_check_matches_admissible(self):
+        chart = get_chart("h2-octagon")
+        rng = sampling._chunk_generator(3, 0)
+        x = sampling._sample_params(rng, 2000, chart.dim, 2.0)
+        area, unit, admissible = sampling._unit_area_check(x)
+        positive = [chart.area(z) > 0 for z in x]
+        assert positive.count(True) == len(area)
+        want = [chart.admissible(z) for z, p in zip(x, positive) if p]
+        assert admissible.tolist() == want
+        unit_areas = [shoelace_area(symmetric_vertices(row))
+                      for row in unit[admissible].tolist()]
+        assert np.allclose(unit_areas, 1.0, rtol=1e-12)

@@ -173,6 +173,23 @@ class TestPolygons:
         with pytest.raises(SurfaceError):
             torus(1 + 0j, 1 + 0j)
 
+    @pytest.mark.parametrize("sides, message", [
+        ([1, 1], "polygon is not simple"),                # folded quadrilateral
+        ([1, 1j, 1, 1j], "polygon is not simple"),        # repeats vertex 1+1j
+        ([1j, 1], "not positively oriented"),             # clockwise square
+        ([1, 1 - 1j, -1j, -1 - 1j], "not positively oriented"),
+    ])
+    @pytest.mark.parametrize("container", [list, tuple, np.array])
+    def test_unchecked_sides_are_checked(self, sides, message, container):
+        z = container([complex(w) for w in sides])
+        coeffs = [tuple(int(i == j) for j in range(len(sides)))
+                  for i in range(len(sides))]
+        with pytest.raises(SurfaceError, match=message):
+            surface_from_symmetric_polygon(z, coeffs)
+        chart = get_chart("torus" if len(sides) == 2 else "h2-octagon")
+        with pytest.raises(SurfaceError, match=message):
+            chart.build(z)
+
 
 class TestJsonRoundTrip:
     def test_bit_exact(self):
