@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .surface import (
     CheckedSides,
     TranslationSurface,
+    identity_rows,
     polygon_is_simple,
     shoelace_area,
     surface_from_symmetric_polygon,
@@ -63,9 +64,7 @@ class ChartModel:
 
     def build(self, z) -> TranslationSurface:
         sides = z if isinstance(z, CheckedSides) else self.side_vectors(z)
-        coeffs = [tuple(1 if j == i else 0 for j in range(self.dim))
-                  for i in range(self.dim)]
-        return surface_from_symmetric_polygon(sides, coeffs)
+        return surface_from_symmetric_polygon(sides, identity_rows(self.dim))
 
     @property
     def box_volume(self) -> float:

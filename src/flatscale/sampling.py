@@ -21,6 +21,17 @@ samples go to ``ChartModel.build`` as ``CheckedSides`` and are not checked
 again one by one.  A build that still fails (ear clipping can) is counted
 in ``ScanResult.build_failures``; the sample stays in the plain cone count
 and is accepted by no radius cell.
+
+The surfaces built from a chunk's cone samples are unfolded together, in
+one ``unfold_surfaces`` call per chunk; the chunk is the batch, so the
+counts and ``ScanResult.unfolding_nodes`` do not depend on the worker
+count.  Each surface's connections come sorted by length, and its prefix
+ranks give R_i, the length at which the rank first reaches i + 1 (inf if
+it never does).  Cell (eps_1 <= ... <= eps_k) accepts the surface iff
+R_i <= eps_(i+1) for every i < k: the connections no longer than eps_(i+1)
+are a prefix of the sorted list, and they reach rank i + 1 iff that prefix
+contains the one at R_i.  One broadcast comparison of the thresholds
+against every cell's radii counts all cells of the chunk.
 """
 
 from __future__ import annotations
@@ -40,7 +51,9 @@ from .surface import (
     polygon_simple_mask,
     symmetric_vertices_batch,
 )
-from .unfolding import enumerate_saddle_connections
+# enumerate_saddle_connections is not called here; it stays bound because
+# perfbench/layers.py reads sampling's binding when it installs its wrappers.
+from .unfolding import enumerate_saddle_connections, unfold_surfaces  # noqa: F401
 
 DEFAULT_CHUNK = 16384
 DEFAULT_BUDGET = 1_000_000
@@ -70,6 +83,7 @@ class ScanResult:
     estimates: tuple[ConingEstimate, ...]
     admissible_fraction: float
     build_failures: int  # cone samples whose build raised SurfaceError
+    unfolding_nodes: int  # chain nodes the unfolding expanded, all chunks
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -122,15 +136,6 @@ def _prefix_ranks(classes: np.ndarray, subspace: LinearSubspace,
     return ranks
 
 
-def _cell_accepts(lengths, ranks, eps_sorted) -> bool:
-    # rank of {connections with length <= eps_i} must be at least i+1
-    for i, e in enumerate(eps_sorted):
-        j = int(np.searchsorted(lengths, e, side="right"))
-        if j == 0 or ranks[j - 1] < i + 1:
-            return False
-    return True
-
-
 def _areas(verts: np.ndarray) -> np.ndarray:
     """Signed shoelace area of each row of polygon vertices."""
     nxt = np.roll(verts, -1, axis=1)
@@ -161,7 +166,23 @@ def _unit_area_check(x: np.ndarray):
     return area, unit, admissible
 
 
-def _process_chunk(args) -> tuple[np.ndarray, int, int]:
+def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
+    """R[s, i]: the length at which the prefix rank of surface s's
+    connections (sorted by length) first reaches i + 1, or inf."""
+    thresholds = np.full((len(batch.dims), k_max), np.inf)
+    for s in range(len(batch.dims)):
+        a, b = batch.offsets[s], batch.offsets[s + 1]
+        if a == b:
+            continue
+        classes = batch.classes[a:b, :batch.dims[s]].astype(complex)
+        ranks = _prefix_ranks(classes, subspace, k_max)
+        first = np.searchsorted(ranks, np.arange(1, k_max + 1))
+        reached = first < b - a
+        thresholds[s, reached] = batch.length[a + first[reached]]
+    return thresholds
+
+
+def _process_chunk(args) -> tuple[np.ndarray, int, int, int]:
     (chart, half_width, basis, seed, chunk_index, size,
      cells, l_max, k_max, budget) = args
     rng = _chunk_generator(seed, chunk_index)
@@ -172,31 +193,35 @@ def _process_chunk(args) -> tuple[np.ndarray, int, int]:
 
     area, unit, admissible = _unit_area_check(x)
     cone = admissible & (area <= 1.0)
+    cone_sides = unit[cone]
+    del w, x, unit  # not needed while the chunk's cone samples unfold
 
     counts = np.zeros(len(cells), dtype=np.int64)
     plain_cells = [i for i, c in enumerate(cells) if c is None]
-    eps_cells = [(i, np.asarray(c)) for i, c in enumerate(cells) if c is not None]
+    eps_cells = [i for i, c in enumerate(cells) if c is not None]
     if plain_cells:
         counts[plain_cells] = int(cone.sum())
 
     failures = 0
+    nodes = 0
     if eps_cells and l_max > 0:
-        for sides in checked_sides(unit[cone]):
+        surfaces = []
+        for sides in checked_sides(cone_sides):
             try:
-                surf = chart.build(sides)
+                surfaces.append(chart.build(sides))
             except SurfaceError:
                 failures += 1
-                continue
-            scs = enumerate_saddle_connections(surf, l_max, budget=budget)
-            if not scs:
-                continue
-            lengths = np.asarray([abs(s.holonomy) for s in scs])
-            classes = np.asarray([s.class_vector for s in scs], dtype=complex)
-            ranks = _prefix_ranks(classes, subspace, k_max)
-            for i, eps_sorted in eps_cells:
-                if _cell_accepts(lengths, ranks, eps_sorted):
-                    counts[i] += 1
-    return counts, int(admissible.sum()), failures
+        batch = unfold_surfaces(surfaces, l_max, budget=budget)
+        nodes = int(batch.nodes.sum())
+        # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
+        # every i < k; radii past k are inf and pass.
+        radii = np.full((len(eps_cells), k_max), np.inf)
+        for row, i in enumerate(eps_cells):
+            radii[row, :len(cells[i])] = cells[i]
+        thresholds = _rank_thresholds(batch, subspace, k_max)
+        accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)
+        counts[eps_cells] = accepts.sum(axis=0)
+    return counts, int(admissible.sum()), failures, nodes
 
 
 def scan_chart(
@@ -212,7 +237,8 @@ def scan_chart(
     """Estimate the cone-set measure for every radius vector in ``eps_cells``.
 
     Cells share one sample stream and one enumeration per sample (at the
-    largest radius), so a grid scan costs one pass.  A cell of None
+    largest radius, all cone samples of a chunk in one batched search), so
+    a grid scan costs one pass.  A cell of None
     estimates the plain cone volume (admissible, area <= 1).  Admissibility
     is one batch simplicity mask and positive-area test per chunk, on the
     polygons rescaled to unit area; each cone sample is then built once,
@@ -260,10 +286,12 @@ def scan_chart(
     counts = np.zeros(len(norm_cells), dtype=np.int64)
     n_adm = 0
     n_failed = 0
-    for cts, adm, failed in results:
+    n_nodes = 0
+    for cts, adm, failed, nodes in results:
         counts += cts
         n_adm += adm
         n_failed += failed
+        n_nodes += nodes
 
     # intrinsic box volume: one box per sampled coordinate
     dim = chart.dim if basis is None else basis.shape[1]
@@ -285,7 +313,7 @@ def scan_chart(
         out.append(ConingEstimate(
             value=p * vol, standard_error=stderr, samples=samples, seed=seed,
             eps=cell, accepted=int(k), admissible=n_adm, box_volume=vol))
-    return ScanResult(name, tuple(out), adm_fraction, n_failed)
+    return ScanResult(name, tuple(out), adm_fraction, n_failed, n_nodes)
 
 
 def estimate_coned_measure(

@@ -286,7 +286,8 @@ class TranslationSurface:
         return cls(tri, gluings)
 
 
-class _SurfaceTables(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _SurfaceTables:
     """Combinatorics of a triangulated surface, independent of edge vectors.
 
     Every field is immutable, so one instance can be shared by surfaces.
@@ -297,6 +298,34 @@ class _SurfaceTables(NamedTuple):
     corner_vertex: tuple           # corner_vertex[t][c]: vertex id
     n_vertices: int
     coeffs: tuple | None           # coeffs[t][e]: integer row, or None
+
+    @functools.cached_property
+    def arrays(self) -> "_TableArrays":
+        """The tables as flat arrays over half-edges h = 3 t + e, made once
+        per instance and shared by every surface that uses it."""
+        nbr = np.asarray([-1 if g is None else 3 * g[0] + g[1]
+                          for row in self.neighbor for g in row], dtype=np.int64)
+        vert = np.asarray(self.corner_vertex, dtype=np.int64).reshape(-1)
+        coeffs, dim, cmax = None, None, 0
+        if self.coeffs is not None:
+            dim = len(self.coeffs[0][0])
+            cmax = max((abs(x) for tri in self.coeffs for row in tri for x in row),
+                       default=0)
+            if cmax < 2**63:
+                coeffs = np.asarray(self.coeffs, dtype=np.int64).reshape(-1, dim)
+        for a in (nbr, vert, coeffs):
+            if a is not None:
+                a.setflags(write=False)
+        return _TableArrays(nbr, vert, dim, cmax, coeffs)
+
+
+class _TableArrays(NamedTuple):
+    neighbor: np.ndarray           # (3T,) glued half-edge, or -1
+    corner_vertex: np.ndarray      # (3T,) vertex id of corner h
+    dim: int | None                # length of a coefficient row, or None
+    coeff_max: int                 # largest |coefficient|, 0 without rows
+    coeffs: np.ndarray | None      # (3T, dim) int64 rows; None without rows
+                                   # or when coeff_max does not fit in int64
 
 
 def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTables:
@@ -541,7 +570,8 @@ def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
     ``sides`` lists the first n side vectors z_1..z_n; the polygon has side
     sequence z_1, ..., z_n, -z_1, ..., -z_n.  Side k is glued to side k+n.
     ``coeffs`` optionally gives an integer row per side expressing it in
-    chart parameters.
+    chart parameters; a tuple of int tuples (such as :func:`identity_rows`)
+    is used as the cache key as it is, anything else is converted first.
 
     The polygon is checked to be simple and positively oriented, unless
     ``sides`` is a :class:`CheckedSides` (its vertices passed that check in
@@ -559,13 +589,20 @@ def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
         if shoelace_area(verts) <= 0:
             raise SurfaceError("polygon is not positively oriented")
     tris = tuple(ear_clip(verts))
-    rows = None
-    if coeffs is not None:
+    rows = coeffs
+    if coeffs is not None and not (type(coeffs) is tuple
+                                   and all(type(r) is tuple for r in coeffs)):
         rows = tuple(tuple(int(x) for x in r) for r in coeffs)
     tables = _symmetric_polygon_tables(n, tris, rows)
     edges = [(verts[b] - verts[a], verts[c] - verts[b], verts[a] - verts[c])
              for a, b, c in tris]
     return TranslationSurface._from_tables(edges, tables)
+
+
+@functools.lru_cache(maxsize=None)
+def identity_rows(dim: int) -> tuple[tuple[int, ...], ...]:
+    """The unit coefficient rows of a chart whose parameters are its sides."""
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 @functools.lru_cache(maxsize=4096)

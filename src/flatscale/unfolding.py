@@ -1,4 +1,4 @@
-"""Saddle connection enumeration by breadth-first geodesic unfolding.
+"""Saddle connection enumeration by geodesic unfolding, batched.
 
 From every corner at a cone point we develop chains of triangles into the
 plane, keeping the wedge of directions that remain visible from the corner
@@ -16,14 +16,32 @@ corner wedge is clipped to the directions from DOWN below the positive
 real axis to DOWN below the negative one before it is developed.  DOWN is
 far above the wedge and pairing tolerances, so everything the clip cuts
 away lies in the discarded half plane.
+
+:func:`unfold_surfaces` searches a whole batch of surfaces at once, one
+level of chain depth per step.  The frontier of every corner of every
+surface lives in flat arrays: root corner, entry half-edge, the two
+developed corner positions and their int64 classes, and the wedge.  A step
+expands a whole level and lays out each node's children in parent order,
+the child through edge e+1 before the child through edge e+2, so each
+corner's nodes come out in breadth-first order.  The float arithmetic is
+that of a scalar search, done in the same order, so every surface gets
+exactly the connections it gets alone.
+
+The canonical order, per surface: of connections with equal starting
+corner and holonomy rounded to ten significant digits, the first in
+search order is kept; the kept ones are sorted stably by length, angle,
+start zero and end zero.  :func:`enumerate_saddle_connections` is the batch
+of one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .surface import TranslationSurface
 
@@ -33,6 +51,7 @@ DOWN = 1e-6  # angle below the real axis down to which the canonical search runs
 _SIN_DOWN = math.sin(DOWN)
 _BELOW_POS = complex(math.cos(DOWN), -_SIN_DOWN)   # angle -DOWN
 _BELOW_NEG = complex(-math.cos(DOWN), -_SIN_DOWN)  # angle pi + DOWN
+_INT64_LIMIT = 2**63
 
 
 class UnfoldingBudgetError(RuntimeError):
@@ -63,20 +82,45 @@ class SaddleConnection:
         return abs(self.holonomy)
 
 
-def _seg_dist2(a: complex, b: complex) -> float:
-    # squared distance from the origin to segment [a, b]
-    ab = b - a
-    denom = ab.real * ab.real + ab.imag * ab.imag
-    if denom == 0.0:
-        return a.real * a.real + a.imag * a.imag
-    t = -(a.real * ab.real + a.imag * ab.imag) / denom
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    px = a.real + t * ab.real
-    py = a.imag + t * ab.imag
-    return px * px + py * py
+class UnfoldedBatch(NamedTuple):
+    """Saddle connections of a batch of surfaces, as flat arrays.
+
+    The connections of surface s are rows ``offsets[s]:offsets[s + 1]``,
+    in the canonical order of :func:`enumerate_saddle_connections`.
+
+    holonomy    complex displacement of each connection
+    length      its absolute value
+    start_zero  vertex id of the initial cone point
+    end_zero    vertex id of the final cone point
+    classes     (n, D) int64 homology classes; a surface with class rows
+                of length d < D uses the first d columns, and a surface
+                without chart coordinates has rows of 0
+    dims        per surface, its class length, or None without coordinates
+    chains      per connection its (triangle, entry edge) records, or None
+                when chains were not requested
+    nodes       per surface, the chain nodes expanded
+    """
+
+    offsets: np.ndarray
+    holonomy: np.ndarray
+    length: np.ndarray
+    start_zero: np.ndarray
+    end_zero: np.ndarray
+    classes: np.ndarray
+    dims: tuple
+    chains: list | None
+    nodes: np.ndarray
+
+    def connections(self, s: int) -> list[SaddleConnection]:
+        """The connections of surface ``s`` as :class:`SaddleConnection`."""
+        a, b = int(self.offsets[s]), int(self.offsets[s + 1])
+        dim = self.dims[s]
+        classes = (None,) * (b - a) if dim is None else map(
+            tuple, self.classes[a:b, :dim].tolist())
+        chains = (None,) * (b - a) if self.chains is None else self.chains[a:b]
+        return [SaddleConnection(h, v0, v1, ch, cl) for h, v0, v1, ch, cl in zip(
+            self.holonomy[a:b].tolist(), self.start_zero[a:b].tolist(),
+            self.end_zero[a:b].tolist(), chains, classes)]
 
 
 def enumerate_saddle_connections(
@@ -95,223 +139,315 @@ def enumerate_saddle_connections(
     with equal holonomy are reported separately.  Raises
     :class:`UnfoldingBudgetError` when the search expands more than
     ``budget`` chain nodes; with the half-plane clip, that counts the nodes
-    of the clipped search.
+    of the clipped search.  This is :func:`unfold_surfaces` on one surface.
+    """
+    return unfold_surfaces([surface], length_bound, budget, record_chains,
+                           keep_orientations).connections(0)
+
+
+def unfold_surfaces(surfaces, length_bound: float, budget: int = 1_000_000,
+                    record_chains: bool = False,
+                    keep_orientations: bool = False) -> UnfoldedBatch:
+    """:func:`enumerate_saddle_connections` of every surface in one search.
+
+    Each surface gets exactly the connections, in the order, that it gets
+    alone.  Raises :class:`UnfoldingBudgetError` when some surface expands
+    more than ``budget`` chain nodes, and ``ValueError`` when a class
+    coefficient times ``budget + 2`` (the most rows a developed class sums)
+    could leave int64.
     """
     if length_bound <= 0:
         raise ValueError("length bound must be positive")
-    E = surface._edges
-    nbr = surface._neighbor
-    vert = surface._corner_vertex
-    coeffs = surface._coeffs
-    L2 = length_bound * length_bound
-    eps = WEDGE_EPS
-    clip = not keep_orientations
-
-    if coeffs:
-        dim, shift, packed = _packed_classes(coeffs, budget)
-    else:
-        dim, shift, packed = None, 0, ((0, 0, 0),) * surface.n_triangles
-
-    found = {}
-    nodes = 0
-
-    for t0 in range(surface.n_triangles):
-        for c0 in range(3):
-            v0 = vert[t0][c0]
-            corner = (t0, c0)
-            ea = E[t0][c0]
-            eb = -E[t0][(c0 + 2) % 3]
-            ca = packed[t0][c0]
-
-            # The outgoing edge at this corner is itself a geodesic to the
-            # next cone point; it is the closed low boundary of the wedge.
-            la2 = ea.real * ea.real + ea.imag * ea.imag
-            if la2 <= L2:
-                _emit(found, corner, ea, v0, vert[t0][(c0 + 1) % 3],
-                      ((t0, c0),) if record_chains else None, ca, dim, shift)
-
-            # Continue through the far edge with both boundaries open.
-            far = (c0 + 1) % 3
-            nx = nbr[t0][far]
-            if nx is None:
-                continue
-            mla = math.sqrt(la2)
-            mlb = abs(eb)
-            lo = complex(ea.real / mla, ea.imag / mla)
-            hi = complex(eb.real / mlb, eb.imag / mlb)
-            if lo.real * hi.imag - lo.imag * hi.real <= eps:
-                continue
-            if clip:
-                # A corner wedge spans less than pi, so it meets the kept
-                # arc [-DOWN, pi + DOWN] in one sub-wedge, or not at all
-                # when both boundaries lie below it.
-                lo_below = lo.imag < -_SIN_DOWN
-                hi_below = hi.imag < -_SIN_DOWN
-                if lo_below and hi_below:
-                    continue
-                if lo_below:
-                    lo = _BELOW_POS
-                elif hi_below:
-                    hi = _BELOW_NEG
-            if _seg_dist2(ea, eb) > L2:
-                continue
-            chain0 = ((t0, c0),) if record_chains else None
-            # state: (tri, entry_edge, pos_cornerE, class_cornerE,
-            #         pos_cornerE1, class_cornerE1, lo, hi, chain)
-            t1, e1 = nx
-            cb = packed[t0][(c0 + 2) % 3]
-            # positions in the neighbor's frame: corner e1 at eb, corner e1+1 at ea
-            queue = deque()
-            queue.append((t1, e1, eb, -cb, ea, ca, lo, hi, chain0))
-            while queue:
-                st = queue.popleft()
-                nodes += 1
-                if nodes > budget:
-                    raise UnfoldingBudgetError(
-                        f"unfolding exceeded budget of {budget} nodes")
-                t, e, pa, cpa, pb, cpb, lo, hi, chain = st
-                e1i = (e + 1) % 3
-                e2i = (e + 2) % 3
-                apex = pb + E[t][e1i]
-                capex = cpb + packed[t][e1i]
-                r2 = apex.real * apex.real + apex.imag * apex.imag
-                rm = math.sqrt(r2)
-                cl = lo.real * apex.imag - lo.imag * apex.real
-                ch = apex.real * hi.imag - apex.imag * hi.real
-                thr = eps * rm
-                newchain = chain + ((t, e),) if record_chains else None
-
-                interior = cl > thr and ch > thr
-                if interior and r2 <= L2:
-                    _emit(found, corner, apex, v0, vert[t][e2i], newchain, capex,
-                          dim, shift)
-
-                # Far edge e+1 runs from corner e+1 (pb) to the apex; edge e+2
-                # from the apex to corner e (pa).  Split the wedge at the apex
-                # direction with open boundaries.
-                if interior:
-                    ap = complex(apex.real / rm, apex.imag / rm)
-                    sub1 = (lo, ap)
-                    sub2 = (ap, hi)
-                elif cl <= thr:
-                    sub1 = None      # apex at or before lo: nothing through e+1
-                    sub2 = (lo, hi)
-                else:
-                    sub1 = (lo, hi)  # apex at or beyond hi
-                    sub2 = None
-
-                # The two child tests are _seg_dist2 inlined: squared
-                # distance from the origin to the far edge, against L2.
-                if sub1 is not None:
-                    ax, ay = pb.real, pb.imag
-                    bx = apex.real - ax
-                    by = apex.imag - ay
-                    denom = bx * bx + by * by
-                    if denom == 0.0:
-                        d2 = ax * ax + ay * ay
-                    else:
-                        s = -(ax * bx + ay * by) / denom
-                        if s < 0.0:
-                            s = 0.0
-                        elif s > 1.0:
-                            s = 1.0
-                        px = ax + s * bx
-                        py = ay + s * by
-                        d2 = px * px + py * py
-                    if d2 <= L2:
-                        nx1 = nbr[t][e1i]
-                        if nx1 is not None:
-                            l1, h1 = sub1
-                            if l1.real * h1.imag - l1.imag * h1.real > eps:
-                                tn, en = nx1
-                                queue.append((tn, en, apex, capex, pb, cpb,
-                                              l1, h1, newchain))
-                if sub2 is not None:
-                    ax, ay = apex.real, apex.imag
-                    bx = pa.real - ax
-                    by = pa.imag - ay
-                    denom = bx * bx + by * by
-                    if denom == 0.0:
-                        d2 = ax * ax + ay * ay
-                    else:
-                        s = -(ax * bx + ay * by) / denom
-                        if s < 0.0:
-                            s = 0.0
-                        elif s > 1.0:
-                            s = 1.0
-                        px = ax + s * bx
-                        py = ay + s * by
-                        d2 = px * px + py * py
-                    if d2 <= L2:
-                        nx2 = nbr[t][e2i]
-                        if nx2 is not None:
-                            l2, h2 = sub2
-                            if l2.real * h2.imag - l2.imag * h2.real > eps:
-                                tn, en = nx2
-                                queue.append((tn, en, pa, cpa, apex, capex,
-                                              l2, h2, newchain))
-
-    return _canonicalize(found.values(), keep_orientations)
+    surfaces = list(surfaces)
+    tables = [s._tables.arrays for s in surfaces]
+    cmax = max((t.coeff_max for t in tables), default=0)
+    rows = max(budget, 0) + 2
+    if cmax * rows >= _INT64_LIMIT:
+        raise ValueError(
+            f"class coefficients up to {cmax} times budget + 2 = {rows} "
+            f"reach {cmax * rows}, beyond int64 (2**63); lower the budget")
+    b = _Batch(surfaces, tables)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels = [] if record_chains else None
+        found, nodes = _search(b, length_bound * length_bound, budget,
+                               not keep_orientations, levels)
+        return _canonical(b, found, nodes, levels, keep_orientations)
 
 
-@functools.lru_cache(maxsize=4096)
-def _packed_classes(coeffs, budget: int):
-    """Edge classes packed into one integer each: row c becomes sum c_i B^i
-    with B = 2**shift.
+class _Batch:
+    """Edges and tables of a batch, flat over global half-edges h = 3 t + e
+    (t counts the triangles of all surfaces, in batch order).  Vectors are
+    stored component first: ``edge`` is (2, H) and ``coeffs`` (D, H)."""
 
-    Packing is linear, so classes add as integers along a chain.  A
-    developed position sums at most budget + 1 rows, so each coefficient
-    stays below B / 2 in absolute value and unpacks exactly.  Surfaces from
-    one builder key share ``coeffs``, so this runs once per key and budget.
+    def __init__(self, surfaces, tables):
+        n = len(surfaces)
+        n_he = np.fromiter((3 * s.n_triangles for s in surfaces), np.int64, n)
+        start = np.zeros(n + 1, np.int64)
+        np.cumsum(n_he, out=start[1:])
+        h = int(start[-1])
+        self.n, self.start, self.dims = n, start, tuple(t.dim for t in tables)
+        self.surf = np.repeat(np.arange(n), n_he)
+        edges = np.fromiter(chain.from_iterable(chain.from_iterable(
+            s._edges for s in surfaces)), complex, h)
+        self.edge = np.stack([edges.real, edges.imag])
+        local = _cat([t.neighbor for t in tables])
+        self.nbr = np.where(local >= 0, local + start[self.surf], -1)
+        self.vert = _cat([t.corner_vertex for t in tables])
+        d = max((t.dim or 0 for t in tables), default=0)
+        if d and all(t.dim == d for t in tables):
+            coeffs = np.concatenate([t.coeffs for t in tables])
+        else:
+            coeffs = np.zeros((h, d), np.int64)
+            for s, t in enumerate(tables):
+                if t.dim:
+                    coeffs[start[s]:start[s + 1], :t.dim] = t.coeffs
+        self.coeffs = np.ascontiguousarray(coeffs.T)
+        he = np.arange(h)
+        self.nxt = he + np.tile([1, 1, -2], h // 3)
+        self.prv = he + np.tile([2, -1, -1], h // 3)
+
+
+def _cat(arrays) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+
+
+def _norm2(v):
+    """x * x + y * y of each vector, for v = (x, y) stacked on axis 0."""
+    v = v * v
+    return v[0] + v[1]
+
+
+def _seg_dist2(a, b):
+    """Squared distance from the origin to each segment [a, b]; points are
+    stacked (x, y) on axis 0.
+
+    The foot of the perpendicular is a + s (b - a), s = -a.(b - a) /
+    |b - a|^2 clamped to [0, 1], computed with n = a - b = -(b - a), which
+    is exact.  For a segment of zero length s is 0 / 0; fmax and fmin take
+    that nan to 0, so the distance is |a|.
     """
-    dim = len(coeffs[0][0])
-    cmax = max((abs(x) for tri in coeffs for row in tri for x in row), default=0)
-    shift = (4 * (max(budget, 0) + 2) * max(cmax, 1)).bit_length()
-    packed = tuple(tuple(sum(c << (shift * i) for i, c in enumerate(row))
-                         for row in tri) for tri in coeffs)
-    return dim, shift, packed
+    n = a - b
+    an = a * n
+    s = (an[0] + an[1]) / _norm2(n)
+    s = np.fmin(np.fmax(s, 0.0), 1.0)
+    return _norm2(a - s * n)
 
 
-def _unpack(packed: int, dim: int, shift: int) -> tuple[int, ...]:
-    """Balanced base-2**shift digits of ``packed``, lowest first."""
-    base = 1 << shift
-    half = base >> 1
-    out = []
-    for _ in range(dim):
-        d = packed & (base - 1)
-        if d >= half:
-            d -= base
-        out.append(d)
-        packed = (packed - d) >> shift
-    return tuple(out)
+def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
+    """The level-synchronous search.  Returns the emitted connections in
+    per-corner search order (root corner, holonomy (2, n), end vertex,
+    class (D, n), level, node index in that level) and the nodes expanded
+    per surface.  Appends each level's entry half-edges and parent indices
+    to ``levels`` unless it is None.
+
+    Node vectors are stored component first, so every step works on
+    contiguous rows, and a level's children are laid out (node, child)
+    along the last axis, which keeps them in parent order.
+    """
+    edge, nbr, coeffs, vert = b.edge, b.nbr, b.coeffs, b.vert
+
+    # The outgoing edge at each corner is itself a geodesic to the next
+    # cone point; it is the closed low boundary of the corner's wedge.
+    ea = edge
+    eb = -edge[:, b.prv]
+    la2 = _norm2(ea)
+    own = np.flatnonzero(la2 <= L2)
+    emits = [(own, ea[:, own], vert[b.nxt[own]], coeffs[:, own],
+              np.full(own.size, -1), np.full(own.size, -1))]
+
+    # Continue through the far edge with both boundaries open.
+    lo = ea / np.sqrt(la2)
+    hi = eb / np.hypot(eb[0], eb[1])
+    ok = (nbr[b.nxt] >= 0) & ~(lo[0] * hi[1] - lo[1] * hi[0] <= WEDGE_EPS)
+    if clip:
+        # A corner wedge spans less than pi, so it meets the kept arc
+        # [-DOWN, pi + DOWN] in one sub-wedge, or not at all when both
+        # boundaries lie below it.
+        lo_below = lo[1] < -_SIN_DOWN
+        hi_below = hi[1] < -_SIN_DOWN
+        ok &= ~(lo_below & hi_below)
+        lo[:, lo_below] = [[_BELOW_POS.real], [_BELOW_POS.imag]]
+        hi[:, hi_below & ~lo_below] = [[_BELOW_NEG.real], [_BELOW_NEG.imag]]
+    ok &= ~(_seg_dist2(ea, eb) > L2)
+    root = np.flatnonzero(ok)
+
+    # Node state.  f: the positions of corners e (pa) and e+1 (pb) of the
+    # entry edge, then the wedge as lo.x, hi.y, lo.y, hi.x, so that one
+    # product gives both boundary crosses; k: the classes of pa, then pb;
+    # he: the entry half-edge.
+    f = np.concatenate([eb[:, root], ea[:, root], lo[:1, root], hi[1:, root],
+                        lo[1:, root], hi[:1, root]])
+    k = np.concatenate([-coeffs[:, b.prv[root]], coeffs[:, root]])
+    he = nbr[b.nxt[root]]
+    dim = coeffs.shape[0]
+    del eb, la2, lo, hi, ok
+    # Per entry half-edge: the edge vector and class of edge e+1, the end
+    # vertex of an apex emit, and the entries of the two children.  The
+    # level loop gathers with take, which costs much less per call than
+    # fancy indexing on small arrays; the tables are made by take too, so
+    # they are C-contiguous and a take along axis 1 does not copy them.
+    apex_edge = edge.take(b.nxt, 1)
+    apex_class = coeffs.take(b.nxt, 1)
+    apex_vert = vert[b.prv]
+    kids = np.stack([nbr[b.nxt], nbr[b.prv]], axis=1)
+    closed = bool((nbr >= 0).all())
+
+    nodes = np.zeros(b.n, np.int64)
+    parent = None
+    level = 0
+    while root.size:
+        if levels is not None:
+            levels.append((he, parent))
+        nodes += np.bincount(b.surf.take(root), minlength=b.n)
+        if nodes.max() > budget:
+            raise UnfoldingBudgetError(
+                f"unfolding exceeded budget of {budget} nodes "
+                f"(surface {int(nodes.argmax())} of the batch)")
+
+        n = root.size
+        apex = f[2:4] + apex_edge.take(he, 1)
+        capex = k[dim:] + apex_class.take(he, 1)
+        r2 = _norm2(apex)
+        rm = np.sqrt(r2)
+        cross = f[4:6] * apex[::-1] - f[6:8] * apex  # (cl, ch)
+        inside = cross > WEDGE_EPS * rm
+        interior = inside[0] & inside[1]
+        hit = np.flatnonzero(interior & (r2 <= L2))
+        if hit.size:
+            emits.append((root.take(hit), apex.take(hit, 1),
+                          apex_vert.take(he.take(hit)), capex.take(hit, 1),
+                          np.full(hit.size, level), hit))
+
+        # Child 0 crosses edge e+1, from pb to the apex; child 1 crosses edge
+        # e+2, from the apex to pa.  The wedge is split at the apex direction
+        # with open boundaries: child 0 keeps (lo, apex), child 1
+        # (apex, hi).  With the apex at or before lo only child 1 goes on,
+        # with (lo, hi); at or beyond hi only child 0.
+        ap = apex / rm
+        g = f.repeat(2, axis=1).reshape(8, n, 2)
+        g[0:2, :, 0] = apex
+        g[2:4, :, 1] = apex
+        np.copyto(g[5::2, :, 0], ap[::-1], where=interior)
+        np.copyto(g[4::2, :, 1], ap, where=interior)
+        keep = inside.T.copy()
+        keep[:, 1] |= ~inside[0]
+        keep &= _seg_dist2(g[2:4], g[0:2]) <= L2
+        wedge = g[4::2] * g[5::2]
+        keep &= wedge[0] - wedge[1] > WEDGE_EPS
+        child = kids.take(he, 0)
+        if not closed:
+            keep &= child >= 0
+        sel = np.flatnonzero(keep)
+        parent = sel >> 1
+
+        gk = k.repeat(2, axis=1).reshape(2 * dim, n, 2)
+        gk[:dim, :, 0] = capex
+        gk[dim:, :, 1] = capex
+        f = g.reshape(8, 2 * n).take(sel, 1)
+        k = gk.reshape(2 * dim, 2 * n).take(sel, 1)
+        he = child.reshape(2 * n).take(sel)
+        root = root.take(parent)
+        level += 1
+
+    root, hol, end, cls, level, node = zip(*emits)
+    cat = np.concatenate
+    found = [cat(root), cat(hol, axis=1).T, cat(end), cat(cls, axis=1).T,
+             cat(level), cat(node)]
+    return found, nodes
 
 
-def _emit(found, corner, hol, v0, v1, chain, packed, dim, shift):
+def _floor_log10(m: np.ndarray) -> np.ndarray:
+    """math.floor(math.log10(x)) of each x > 0.
+
+    numpy's log10 may differ from the C library's in the last bit, which
+    moves the floor only next to an integer; those few go through math.
+    """
+    lg = np.log10(m)
+    out = np.floor(lg)
+    near = np.abs(lg - np.rint(lg)) < 1e-9
+    if near.any():
+        out[near] = [math.floor(math.log10(x)) for x in m[near].tolist()]
+    return out.astype(np.int64)
+
+
+def _pow10(k: np.ndarray) -> np.ndarray:
+    """10.0 ** k as Python computes it (numpy's power may differ in the
+    last bit), one call per exponent in the range of k."""
+    if not k.size:
+        return np.zeros(0)
+    lo = int(k.min())
+    table = [10.0 ** x for x in range(lo, int(k.max()) + 1)]
+    return np.asarray(table)[k - lo]
+
+
+def _canonical(b: _Batch, found, nodes, levels,
+               keep_orientations: bool) -> UnfoldedBatch:
+    """Dedupe, orientation filter and stable canonical sort, per surface."""
+    order = np.argsort(found[0], kind="stable")  # per corner, search order
+    root, hol, end, cls, level, node = (col[order] for col in found)
+    m = np.hypot(hol[:, 0], hol[:, 1])
+    idx = np.flatnonzero(m != 0.0)
+
     # Keyed on the starting corner, not on the end points: homologous
-    # connections share their holonomy but leave a zero at different corners.
-    m = abs(hol)
-    if m == 0.0:
-        return
-    q = 10.0 ** (9 - math.floor(math.log10(m)))
-    key = (corner, round(hol.real * q), round(hol.imag * q))
-    if key not in found:
-        found[key] = SaddleConnection(
-            hol, v0, v1, chain, None if dim is None else _unpack(packed, dim, shift))
+    # connections share their holonomy but leave a zero at different
+    # corners.  The first in search order wins.
+    q = _pow10(9 - _floor_log10(m[idx]))
+    key = (np.rint(hol[idx, 1] * q), np.rint(hol[idx, 0] * q), root[idx])
+    s = np.lexsort(key)
+    dup = np.ones(s.size - 1, bool) if s.size else np.zeros(0, bool)
+    for col in key:
+        col = col[s]
+        dup &= col[1:] == col[:-1]
+    first = np.ones(idx.size, bool)
+    first[s[1:][dup]] = False
+    idx = idx[first]
+
+    if not keep_orientations:
+        x, y, tol = hol[idx, 0], hol[idx, 1], PAIR_EPS * m[idx]
+        idx = idx[~((y < -tol) | ((np.abs(y) <= tol) & (x < 0)))]
+
+    # Stable sort on (length, angle, start zero, end zero) per surface.  The
+    # angle is math.atan2 (numpy's may differ in the last bit), needed only
+    # where lengths tie.
+    surf, length = b.surf[root[idx]], m[idx]
+    start_zero, end_zero = b.vert[root[idx]], end[idx]
+    p = np.lexsort((length, surf))
+    tie = (surf[p[1:]] == surf[p[:-1]]) & (length[p[1:]] == length[p[:-1]])
+    angle = np.zeros(idx.size)
+    if tie.any():
+        t = np.zeros(idx.size, bool)
+        t[p[1:][tie]] = t[p[:-1][tie]] = True
+        angle[t] = list(map(math.atan2, hol[idx[t], 1].tolist(),
+                            hol[idx[t], 0].tolist()))
+    p = np.lexsort((end_zero, start_zero, angle, length, surf))
+    idx = idx[p]
+    chains = None
+    if levels is not None:
+        chains = _chains(b, root[idx], level[idx], node[idx], levels)
+    return UnfoldedBatch(
+        offsets=np.searchsorted(surf[p], np.arange(b.n + 1)),
+        holonomy=np.ascontiguousarray(hol[idx]).view(complex).reshape(-1),
+        length=length[p], start_zero=start_zero[p], end_zero=end_zero[p],
+        classes=cls[idx], dims=b.dims, chains=chains, nodes=nodes)
 
 
-def _canonicalize(connections, keep_orientations: bool):
+def _chains(b: _Batch, root, level, node, levels):
+    """(triangle, entry edge) records from each connection's root corner
+    down its parent links, triangles numbered within their surface."""
+    h = np.arange(b.surf.size)
+    records = list(zip((h // 3 - b.start[b.surf] // 3).tolist(),
+                       (h % 3).tolist()))
+    he = [x.tolist() for x, _ in levels]
+    parent = [None if x is None else x.tolist() for _, x in levels]
     out = []
-    for sc in connections:
-        h = sc.holonomy
-        if not keep_orientations:
-            if h.imag < -PAIR_EPS * abs(h):
-                continue
-            if abs(h.imag) <= PAIR_EPS * abs(h) and h.real < 0:
-                continue
-        out.append(sc)
-    out.sort(key=lambda s: (abs(s.holonomy),
-                            math.atan2(s.holonomy.imag, s.holonomy.real),
-                            s.start_zero, s.end_zero))
+    for r, lv, j in zip(root.tolist(), level.tolist(), node.tolist()):
+        path = []
+        while lv >= 0:
+            path.append(records[he[lv][j]])
+            if lv:
+                j = parent[lv][j]
+            lv -= 1
+        out.append((records[r],) + tuple(reversed(path)))
     return out
 
 

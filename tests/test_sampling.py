@@ -14,6 +14,7 @@ from flatscale.surface import (
     SurfaceError,
     checked_sides,
     ear_clip,
+    identity_rows,
     polygon_is_simple,
     shoelace_area,
     surface_from_symmetric_polygon,
@@ -21,7 +22,7 @@ from flatscale.surface import (
     symmetric_vertices_batch,
 )
 from flatscale.torus_oracle import cone_volume_quadrature, torus_exact_oracle
-from flatscale.unfolding import UnfoldingBudgetError
+from flatscale.unfolding import UnfoldedBatch, UnfoldingBudgetError, unfold_surfaces
 
 N_FAST = 60_000
 SEED = 1234
@@ -400,3 +401,101 @@ class TestCheckedSides:
         unit_areas = [shoelace_area(symmetric_vertices(row))
                       for row in unit[admissible].tolist()]
         assert np.allclose(unit_areas, 1.0, rtol=1e-12)
+
+
+class TestBatchedScan:
+    """Each chunk's cone samples are unfolded in one batch."""
+
+    @pytest.mark.parametrize("chart, cells", [
+        ("torus", [None, (0.3,), (0.45,)]),
+        ("h2-octagon", [None, (0.6,), (0.6, 1.0)]),
+    ])
+    def test_unfolding_nodes(self, chart, cells, monkeypatch):
+        built, calls = [], []
+        build, unfold = ChartModel.build, sampling.unfold_surfaces
+
+        def noting_build(self, z):
+            X = build(self, z)
+            built.append(X)
+            return X
+
+        def noting_unfold(surfaces, *args, **kwargs):
+            calls.append(len(surfaces))
+            return unfold(surfaces, *args, **kwargs)
+
+        monkeypatch.setattr(ChartModel, "build", noting_build)
+        monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
+        res = scan_chart(chart, None, cells, 20_000, SEED, chunk_size=8192)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert sum(calls) == len(built) == res.estimates[0].accepted
+        two = scan_chart(chart, None, cells, 20_000, SEED, threads=2,
+                         chunk_size=8192)
+        assert two == res
+        l_max = max(c[-1] for c in cells if c is not None)
+        alone = sum(int(unfold_surfaces([X], l_max).nodes[0]) for X in built)
+        assert res.unfolding_nodes == alone > 0
+
+    def test_no_radius_cell_unfolds_nothing(self):
+        res = scan_chart("torus", None, [None], 5000, SEED)
+        assert res.unfolding_nodes == 0
+
+    @PROPERTY
+    @given(st.data())
+    def test_thresholds_decide_cells_as_prefix_ranks(self, data):
+        """R_i <= eps_(i+1) for all i < k is the searchsorted test: the
+        connections no longer than eps_(i+1) reach rank i + 1."""
+        grid = [0.25, 0.5, 0.75, 1.0, 1.25]
+        sizes = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=5))
+        offsets = np.cumsum([0] + sizes)
+        values = st.sampled_from(grid + [0.3, 0.9])  # with ties
+        lengths = np.concatenate([
+            np.sort(np.asarray(data.draw(st.lists(values, min_size=m,
+                                                  max_size=m)), dtype=float))
+            for m in sizes])
+        classes = np.asarray(data.draw(st.lists(
+            st.lists(st.integers(-1, 1), min_size=4, max_size=4),
+            min_size=sum(sizes), max_size=sum(sizes))), dtype=np.int64)
+        classes = classes.reshape(sum(sizes), 4)
+        batch = UnfoldedBatch(
+            offsets=offsets, holonomy=lengths.astype(complex), length=lengths,
+            start_zero=np.zeros(len(lengths), np.int64),
+            end_zero=np.zeros(len(lengths), np.int64), classes=classes,
+            dims=(4,) * len(sizes), chains=None,
+            nodes=np.zeros(len(sizes), np.int64))
+        W = full_space(4)
+        R = sampling._rank_thresholds(batch, W, 3)
+        cells = [(e,) for e in grid] + [
+            tuple(sorted(c)) for c in data.draw(st.lists(
+                st.lists(st.sampled_from(grid), min_size=2, max_size=3),
+                min_size=1, max_size=6))]
+        for s, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+            ls = lengths[a:b]
+            ranks = (sampling._prefix_ranks(classes[a:b].astype(complex), W, 3)
+                     if b > a else [])
+            for cell in cells:
+                want = True
+                for i, e in enumerate(cell):
+                    j = int(np.searchsorted(ls, e, side="right"))
+                    if j == 0 or ranks[j - 1] < i + 1:
+                        want = False
+                got = all(R[s, i] <= e for i, e in enumerate(cell))
+                assert got == want
+
+
+class TestIdentityRows:
+    def test_chart_rows_are_built_once(self):
+        assert identity_rows(4) is identity_rows(4)
+        assert identity_rows(2) == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("name", ["torus", "h2-octagon"])
+    def test_chart_build_shares_tables_with_converted_rows(self, name):
+        chart = get_chart(name)
+        rng = sampling._chunk_generator(5, 0)
+        x = sampling._sample_params(rng, 256, chart.dim, 2.0)
+        area, unit, admissible = sampling._unit_area_check(x)
+        for sides in checked_sides(unit[admissible])[:40]:
+            X = chart.build(sides)
+            Y = surface_from_symmetric_polygon(list(sides), _unit_rows(chart.dim))
+            assert X._tables is Y._tables
+            assert X._coeffs == Y._coeffs

@@ -12,8 +12,10 @@ from flatscale.unfolding import (
     UnfoldingBudgetError,
     enumerate_saddle_connections,
     primitive_lattice_vectors,
+    unfold_surfaces,
 )
 
+from scalar_unfolding import scalar_unfold
 from test_surface import octagon_surface, square_torus, torus
 
 SUBSPACE_BASIS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
@@ -431,3 +433,182 @@ class TestMultiplicity:
                 for sc in enumerate_saddle_connections(Y, L,
                                                        keep_orientations=True))
             assert got == want and want
+
+
+def no_coordinates(X):
+    """X without chart coordinates: its connections carry no class."""
+    return TranslationSurface(
+        [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)],
+        X.gluings)
+
+
+surfaces_for_batch = st.one_of(
+    st.builds(lambda r1, r2, a, gap: torus(r1 * cmath.exp(1j * a),
+                                           r2 * cmath.exp(1j * (a + gap))),
+              radius, radius, angle, st.floats(0.2, math.pi - 0.2)),
+    st.builds(star_octagon, angle, st.lists(unit, min_size=4, max_size=4),
+              st.lists(st.floats(0.3, 1.0), min_size=4, max_size=4)),
+    st.builds(subspace_octagon, st.integers(0, 2**32 - 1)),
+    # shortest connection 4 > every L drawn below: nothing to report
+    st.just(square_torus().rescaled(4.0)),
+    st.builds(lambda s: no_coordinates(star_octagon(s, [0.5, 0.8, 0.6, 0.9],
+                                                    [0.9, 0.4, 0.7, 0.5])),
+              angle),
+)
+
+
+def assert_batch_is_concatenation(batch, singles):
+    """Every field of the batch equals the batch-of-one results in turn."""
+    assert batch.offsets.tolist() == np.cumsum(
+        [0] + [s.offsets[-1] for s in singles]).tolist()
+    assert batch.dims == tuple(s.dims[0] for s in singles)
+    assert batch.nodes.tolist() == [s.nodes[0] for s in singles]
+    for i, one in enumerate(singles):
+        rows = slice(batch.offsets[i], batch.offsets[i + 1])
+        for name in ("holonomy", "length", "start_zero", "end_zero"):
+            got, want = getattr(batch, name)[rows], getattr(one, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        dim = one.dims[0] or 0
+        assert np.array_equal(batch.classes[rows, :dim], one.classes[:, :dim])
+        assert not batch.classes[rows, dim:].any()
+        if one.chains is None:
+            assert batch.chains is None
+        else:
+            assert batch.chains[rows] == one.chains
+        assert fields(batch.connections(i)) == fields(one.connections(0))
+
+
+def assert_equals_scalar(X, L, record_chains, keep):
+    want, nodes = scalar_unfold(X, L, record_chains, keep)
+    batch = unfold_surfaces([X], L, record_chains=record_chains,
+                            keep_orientations=keep)
+    got = batch.connections(0)
+    assert fields(got) == fields(want)
+    assert ([bits(sc.holonomy) for sc in got]
+            == [bits(sc.holonomy) for sc in want])
+    assert batch.nodes.tolist() == [nodes]
+    if nodes:
+        with pytest.raises(UnfoldingBudgetError):
+            unfold_surfaces([X], L, budget=nodes - 1, keep_orientations=keep)
+
+
+def bits(z):
+    return np.asarray([z.real, z.imag]).view(np.uint64).tolist()
+
+
+class TestBatchedUnfolding:
+    """unfold_surfaces develops a whole batch in one level-synchronous
+    search; each surface must get exactly what it gets alone."""
+
+    @PROPERTY
+    @given(surfaces=st.lists(surfaces_for_batch, min_size=1, max_size=8),
+           L=st.floats(0.5, 3.0), record_chains=st.booleans(),
+           keep=st.booleans())
+    def test_mixed_batch_equals_batches_of_one(self, surfaces, L,
+                                               record_chains, keep):
+        batch = unfold_surfaces(surfaces, L, record_chains=record_chains,
+                                keep_orientations=keep)
+        singles = [unfold_surfaces([X], L, record_chains=record_chains,
+                                   keep_orientations=keep) for X in surfaces]
+        assert_batch_is_concatenation(batch, singles)
+
+    def test_fixed_mixed_batch(self):
+        surfaces = [square_torus(), regular_octagon(), subspace_octagon(4),
+                    square_torus().rescaled(4.0), no_coordinates(octagon_surface()),
+                    torus(0.3 + 0j, 0.1 + 3.3j)]
+        for L in (1.0, 3.0):
+            batch = unfold_surfaces(surfaces, L, record_chains=True)
+            assert batch.offsets[4] == batch.offsets[3]  # nothing below L
+            assert batch.dims == (2, 4, 4, 2, None, 2)
+            singles = [unfold_surfaces([X], L, record_chains=True)
+                       for X in surfaces]
+            assert_batch_is_concatenation(batch, singles)
+            for i, X in enumerate(surfaces):
+                assert fields(batch.connections(i)) == fields(
+                    enumerate_saddle_connections(X, L, record_chains=True))
+
+    def test_empty_batch(self):
+        batch = unfold_surfaces([], 2.0)
+        assert batch.offsets.tolist() == [0]
+        assert batch.nodes.size == 0 and batch.dims == ()
+        for name in ("holonomy", "length", "start_zero", "end_zero", "classes"):
+            assert getattr(batch, name).shape[0] == 0
+        with pytest.raises(ValueError, match="positive"):
+            unfold_surfaces([], 0.0)
+
+    def test_budget_is_per_surface(self):
+        """The batch raises exactly when one surface alone needs more than
+        the budget, not when the batch total does."""
+        surfaces = [square_torus(), torus(0.3 + 0j, 0.1 + 3.3j),
+                    regular_octagon(), octagon_surface()]
+        L = 6.0
+        counts = [int(unfold_surfaces([X], L).nodes[0]) for X in surfaces]
+        most = max(counts)
+        assert counts.count(most) == 1 and sum(counts) > most
+        batch = unfold_surfaces(surfaces, L, budget=most)
+        assert batch.nodes.tolist() == counts
+        with pytest.raises(UnfoldingBudgetError):
+            unfold_surfaces(surfaces, L, budget=most - 1)
+        with pytest.raises(UnfoldingBudgetError):
+            enumerate_saddle_connections(surfaces[counts.index(most)], L,
+                                         budget=most - 1)
+
+    def test_class_overflow_bound(self):
+        """Classes are int64: a coefficient times budget + 2 must stay below
+        2**63, else the search refuses to start."""
+        X = octagon_surface()
+        tris = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
+        for big, budget in ((10**12, 10**7), (2**70, 10)):
+            coords = np.asarray(
+                [[[big * c for c in X.edge_coeff(t, e)] for e in range(3)]
+                 for t in range(X.n_triangles)], dtype=object)
+            Y = TranslationSurface(tris, X.gluings, coords)
+            for call in (lambda: unfold_surfaces([square_torus(), Y], 2.0,
+                                                 budget=budget),
+                         lambda: enumerate_saddle_connections(Y, 2.0,
+                                                              budget=budget)):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(big) in str(err.value)
+                assert str(budget + 2) in str(err.value)
+        # just below the bound the classes are exact Python ints
+        big = (2**63 - 1) // (1000 + 2)
+        coords = np.asarray([[[big * c for c in X.edge_coeff(t, e)]
+                              for e in range(3)] for t in range(X.n_triangles)],
+                            dtype=object)
+        Y = TranslationSurface(tris, X.gluings, coords)
+        got = enumerate_saddle_connections(Y, 1.5, budget=1000)
+        want = enumerate_saddle_connections(X, 1.5)
+        assert [sc.class_vector for sc in got] == [
+            tuple(big * c for c in sc.class_vector) for sc in want]
+        assert all(type(c) is int for sc in got for c in sc.class_vector)
+
+    @PROPERTY
+    @given(X=surfaces_for_batch, L=st.floats(0.5, 3.0),
+           record_chains=st.booleans(), keep=st.booleans())
+    def test_equals_scalar_search(self, X, L, record_chains, keep):
+        """Bit for bit the connections, order and node count of the scalar
+        breadth-first search."""
+        assert_equals_scalar(X, L, record_chains, keep)
+
+    @pytest.mark.parametrize("surface", [
+        square_torus, regular_octagon, octagon_surface,
+        lambda: torus(0.3 + 0j, 0.1 + 3.3j),
+        lambda: star_octagon(0.3, [0.5, 0.9, 0.4, 0.7], [0.8, 0.5, 1.0, 0.6]),
+    ])
+    def test_fixed_surfaces_equal_scalar_search(self, surface):
+        X = surface()
+        for L in (1.0, 3.0 * math.sqrt(X.area())):
+            for record_chains in (False, True):
+                for keep in (False, True):
+                    assert_equals_scalar(X, L, record_chains, keep)
+
+    def test_tables_arrays_are_shared(self):
+        X = square_torus()
+        Y = torus(1.0 + 0.1j, 0.2 + 1j)
+        assert X._tables is Y._tables
+        assert X._tables.arrays is Y._tables.arrays
+        a = X._tables.arrays
+        assert a.dim == 2 and a.coeff_max == 1
+        assert not a.neighbor.flags.writeable
