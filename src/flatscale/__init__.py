@@ -6,8 +6,6 @@ from .surface import (
     StratumSignature,
     TranslationSurface,
     ValidationReport,
-    area,
-    validate_surface,
 )
 from .unfolding import (
     SaddleConnection,

@@ -3,11 +3,13 @@
 Both built-in charts follow the same pattern: the parameters are the first
 half of the sides of a centrally symmetric polygon with opposite sides
 identified, so the chart parameters literally are the periods of a basis
-of relative homology.
+of relative homology.  A chart's box is the square (-h, h) x (-h, h) on
+the real and imaginary part of every coordinate, h = ``half_width``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .surface import (
@@ -27,8 +29,9 @@ DEFAULT_BOX_HALF_WIDTH = 2.0
 class ChartModel:
     """A period coordinate chart given by polygon side parameters.
 
-    ``param_box`` is a per-coordinate tuple (re_lo, re_hi, im_lo, im_hi).
-    The builder is only guaranteed to succeed where ``admissible`` holds.
+    ``half_width`` is the h > 0 of the parameter box: every coordinate z_i
+    ranges over |Re z_i| < h, |Im z_i| < h.  The builder is only
+    guaranteed to succeed where ``admissible`` holds.
 
     ``build`` checks that the polygon is simple and positively oriented,
     except when given a :class:`~flatscale.surface.CheckedSides`.  Those
@@ -40,11 +43,12 @@ class ChartModel:
 
     name: str
     dim: int
-    param_box: tuple[tuple[float, float, float, float], ...]
+    half_width: float
 
     def __post_init__(self):
-        if len(self.param_box) != self.dim:
-            raise ValueError("param_box must give one box per coordinate")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"chart {self.name!r}: half_width must be finite "
+                             f"and positive, got {self.half_width}")
 
     def side_vectors(self, z) -> list[complex]:
         return [complex(w) for w in z]
@@ -68,15 +72,15 @@ class ChartModel:
 
     @property
     def box_volume(self) -> float:
-        vol = 1.0
-        for (rl, rh, il, ih) in self.param_box:
-            vol *= (rh - rl) * (ih - il)
-        return vol
+        return square_box_volume(self.half_width, self.dim)
 
 
-def _default_box(dim: int, half_width: float):
-    b = (-half_width, half_width, -half_width, half_width)
-    return tuple(b for _ in range(dim))
+def square_box_volume(half_width: float, dim: int) -> float:
+    """Volume of the box (-h, h)^2 in each of ``dim`` complex coordinates."""
+    vol = 1.0
+    for _ in range(dim):
+        vol *= (2 * half_width) * (2 * half_width)
+    return vol
 
 
 def build_torus_chart(half_width: float = DEFAULT_BOX_HALF_WIDTH) -> ChartModel:
@@ -84,7 +88,7 @@ def build_torus_chart(half_width: float = DEFAULT_BOX_HALF_WIDTH) -> ChartModel:
 
     Admissible iff Im(conj(u) v) > 0; area equals Im(conj(u) v).
     """
-    return ChartModel("torus", 2, _default_box(2, half_width))
+    return ChartModel("torus", 2, half_width)
 
 
 def build_h2_octagon_chart(half_width: float = DEFAULT_BOX_HALF_WIDTH) -> ChartModel:
@@ -94,7 +98,7 @@ def build_h2_octagon_chart(half_width: float = DEFAULT_BOX_HALF_WIDTH) -> ChartM
     lies in the stratum with a single zero of order 2.  Admissible iff the
     octagon is simple and positively oriented.
     """
-    return ChartModel("h2-octagon", 4, _default_box(4, half_width))
+    return ChartModel("h2-octagon", 4, half_width)
 
 
 BUILTIN_CHARTS = {

@@ -19,6 +19,22 @@ marked-torus family (b = 1, no residue: plumbing inserts a trivial flat
 bubble and the smoothed surface is the torus with marked points colliding
 at rate t) and the horizontal family (two tori joined by two flat
 cylinders whose cross periods are c + (r/2) log t).
+
+Each family is checked against an independent route in
+``tests/test_families.py``:
+
+- ``MarkedTorusFamily`` (``TestMarkedTorusFamily``): its periods are
+  holonomies of saddle connections that the unfolding finds on
+  ``surface(params)``.
+- ``HorizontalCylinderFamily`` (``TestHorizontalCylinderFamily``): the same,
+  on the two tori joined by cylinders.
+- ``ResidueFamily`` (``TestResidueFamily``): ``verify_period_expansion``
+  recovers the t log t coefficient -r, and the annulus term agrees with
+  quadrature along the sector branch.
+- ``ThreeLevelFamily`` (``TestThreeLevelFamily``): with t_{-2} fixed, the
+  fit recovers -r t_{-2}.
+- ``NoninjectivityFamily`` (``TestNoninjectivityFamily``): t and -t share a
+  period vector, and one sector arc separates them.
 """
 
 from __future__ import annotations
@@ -45,12 +61,11 @@ from .surface import SurfaceError, TranslationSurface
 
 @dataclass(frozen=True)
 class PlumbingParams:
-    """Scaling parameters per level, horizontal parameters per edge,
-    moduli, and the perturbed-period truncation point p."""
+    """Scaling parameters per level, horizontal parameters per edge, and
+    the perturbed-period truncation point p."""
 
     t: dict[int, complex] = field(default_factory=dict)
     t_h: dict[int, complex] = field(default_factory=dict)
-    s: tuple[complex, ...] = ()
     p: complex = 0.25
 
 
@@ -137,14 +152,17 @@ class SyntheticFamily:
         return self._decompositions[cycle]
 
     def period(self, cycle: str, params: PlumbingParams) -> complex:
+        missing = [f"t[{lvl}]" for lvl in self.a if lvl not in params.t]
+        missing += [f"t_h[{i}]" for i, _ in self.graph.horizontal_edges()
+                    if i not in params.t_h]
+        if missing:
+            raise ValueError(
+                f"{type(self).__name__} has no value for {', '.join(missing)}")
         return self._decompositions[cycle].evaluate(
             self.graph, self.a, self.sector, params)
 
     def periods(self, params: PlumbingParams) -> dict[str, complex]:
         return {c: self.period(c, params) for c in self.cycles}
-
-    def surface(self, params: PlumbingParams) -> TranslationSurface | None:
-        return None
 
 
 # -- rational bottom pieces ---------------------------------------------------------
@@ -403,7 +421,7 @@ class NoninjectivityFamily(SyntheticFamily):
 
     def period_vector(self, t: complex, s: tuple[complex, complex],
                       p: complex = 0.25) -> np.ndarray:
-        params = PlumbingParams(t={-1: t}, s=tuple(s), p=p)
+        params = PlumbingParams(t={-1: t}, p=p)
         cross = self.period("cross", params)
         scale = rescale_factor(-1, params.t, self.a)  # = t^2
         return np.array([1.0, 1j, 1.0, 1j, cross,
@@ -546,23 +564,6 @@ class HorizontalCylinderFamily(SyntheticFamily):
             gluings[x] = y
             gluings[y] = x
         return TranslationSurface(triangles, gluings)
-
-
-@dataclass(frozen=True)
-class AssembledFamily:
-    surface: TranslationSurface | None
-    decompositions: dict[str, PeriodDecomposition]
-    values: dict[str, complex]
-
-
-def assemble_synthetic_family(family: SyntheticFamily,
-                              params: PlumbingParams) -> AssembledFamily:
-    """Evaluate all designated periods and build the exact surface when the
-    family admits one."""
-    values = family.periods(params)
-    surf = family.surface(params)
-    decs = {c: family.decomposition(c) for c in family.cycles}
-    return AssembledFamily(surf, decs, values)
 
 
 # -- period expansion fit ------------------------------------------------------------

@@ -19,13 +19,11 @@ class LinearSubspace:
     """Subspace W of the chart's period coordinates C^n.
 
     ``basis`` has shape (n, d) with columns spanning W; None means the full
-    space.  ``field`` records whether W is spanned by real vectors (the
-    complexification of a real subspace) or requires complex coefficients.
+    space.
     """
 
     ambient_dim: int
     basis: np.ndarray | None = None
-    field: str = "complex"
 
     def __post_init__(self):
         if self.basis is not None:
@@ -38,8 +36,6 @@ class LinearSubspace:
                 raise ValueError("basis columns are not independent")
             b.setflags(write=False)
             object.__setattr__(self, "basis", b)
-        if self.field not in ("real", "complex"):
-            raise ValueError("field must be 'real' or 'complex'")
 
     @property
     def dim(self) -> int:
@@ -69,13 +65,13 @@ class LinearSubspace:
 
 
 def full_space(n: int) -> LinearSubspace:
-    return LinearSubspace(n, None, "real")
+    return LinearSubspace(n)
 
 
 def real_subspace(rows: np.ndarray) -> LinearSubspace:
     """Complexification of the real column span of ``rows`` (n x d real)."""
     b = np.asarray(rows, dtype=float)
-    return LinearSubspace(b.shape[0], b.astype(complex), "real")
+    return LinearSubspace(b.shape[0], b.astype(complex))
 
 
 def are_parallel(s1, s2, tol: float = TAU_PARALLEL) -> bool:

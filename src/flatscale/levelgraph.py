@@ -67,10 +67,6 @@ class EnhancedLevelGraph:
             for h in self.half_edges))
 
     @property
-    def levels(self) -> list[int]:
-        return sorted({v.level for v in self.vertices}, reverse=True)
-
-    @property
     def depth(self) -> int:
         return -min(v.level for v in self.vertices)
 

@@ -1,14 +1,16 @@
 """Monte Carlo estimation of coned short-saddle-connection loci.
 
 Samples are drawn uniformly from the chart's parameter box (or from a
-linear subspace's intrinsic box) with counter-based Philox streams: chunk
-c always uses the generator keyed by (seed, c), so results are bit
-identical for any worker count.  A sample is accepted for the cell with
-radii (eps_1 <= ... <= eps_k) when it is admissible, has area <= 1, and
-the unit-area rescale carries saddle connections s_1, ..., s_k with
-|s_i| <= eps_i whose classes restrict to rank k on W; by Rado's criterion
-for the nested length-filtration this holds iff the classes of connections
-shorter than eps_i have rank >= i for every i.  The test never needs a rank
+linear subspace's intrinsic box): the square |Re| < h, |Im| < h in every
+sampled coordinate, h = ``ChartModel.half_width``.  The streams are
+counter-based Philox: chunk c always uses the generator keyed by
+(seed, c), so results are bit identical for any worker count.  A sample
+is accepted for the cell with radii (eps_1 <= ... <= eps_k) when it is
+admissible, has area <= 1, and the unit-area rescale carries saddle
+connections s_1, ..., s_k with |s_i| <= eps_i whose classes restrict to
+rank k on W; by Rado's criterion for the nested length-filtration this
+holds iff the classes of connections shorter than eps_i have rank >= i
+for every i.  The test never needs a rank
 above k, so the prefix ranks are taken only up to k_max, the size of the
 largest cell: a greedy pass keeps the rows found independent so far, ranks
 them with one candidate row at a time, and stops at rank k_max.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartModel, get_chart
+from .charts import ChartModel, get_chart, square_box_volume
 from .homology import LinearSubspace, independence_rank
 from .surface import (
     SurfaceError,
@@ -72,10 +74,6 @@ class ConingEstimate:
     admissible: int
     box_volume: float
 
-    @property
-    def relative_error(self) -> float:
-        return self.standard_error / self.value if self.value > 0 else math.inf
-
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -89,21 +87,6 @@ class ScanResult:
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     bits = np.random.Philox(key=seed, counter=[0, 0, 0, chunk_index])
     return np.random.Generator(bits)
-
-
-def _square_half_width(chart: ChartModel) -> float:
-    """h such that every coordinate box of the chart is (-h, h, -h, h).
-
-    Samples are drawn from that square box; any other box would be
-    sampled wrongly while its volume scaled the estimate.
-    """
-    h = chart.param_box[0][1]
-    if not h > 0 or any(tuple(b) != (-h, h, -h, h) for b in chart.param_box):
-        raise ValueError(
-            f"chart {chart.name!r}: scan_chart samples only boxes "
-            f"(-h, h, -h, h) with the same h > 0 on every coordinate, "
-            f"got {chart.param_box}")
-    return h
 
 
 def _sample_params(rng, size: int, dim: int, half_width: float) -> np.ndarray:
@@ -183,11 +166,11 @@ def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
 
 
 def _process_chunk(args) -> tuple[np.ndarray, int, int, int]:
-    (chart, half_width, basis, seed, chunk_index, size,
+    (chart, basis, seed, chunk_index, size,
      cells, l_max, k_max, budget) = args
     rng = _chunk_generator(seed, chunk_index)
     dim = chart.dim if basis is None else basis.shape[1]
-    w = _sample_params(rng, size, dim, half_width)
+    w = _sample_params(rng, size, dim, chart.half_width)
     x = w if basis is None else w @ basis.T
     subspace = LinearSubspace(chart.dim, basis)
 
@@ -243,15 +226,16 @@ def scan_chart(
     is one batch simplicity mask and positive-area test per chunk, on the
     polygons rescaled to unit area; each cone sample is then built once,
     from those checked sides, and unfolded.  The parameters are the first
-    side vectors of the polygon.  The chart's box must be (-h, h, -h, h)
-    with one h on every coordinate; any ``ChartModel`` with such a box
-    works.  ``threads`` is the number of worker processes (1 runs in this
-    process); results do not depend on it.
+    side vectors of the polygon.  Each sampled coordinate (each coordinate
+    of the subspace, when one is given) is drawn uniformly from the square
+    |Re| < h, |Im| < h with h = ``chart.half_width``, and the estimates
+    scale by that box's volume; any ``ChartModel`` works.  ``threads`` is
+    the number of worker processes (1 runs in this process); results do not
+    depend on it.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
     name = chart.name
-    half_width = _square_half_width(chart)
     basis = None
     if subspace is not None and subspace.basis is not None:
         if subspace.ambient_dim != chart.dim:
@@ -275,7 +259,7 @@ def scan_chart(
     tasks = []
     for c in range(n_chunks):
         size = min(chunk_size, samples - c * chunk_size)
-        tasks.append((chart, half_width, basis, seed, c, size,
+        tasks.append((chart, basis, seed, c, size,
                       norm_cells, l_max, k_max, budget))
 
     if threads <= 1:
@@ -294,11 +278,8 @@ def scan_chart(
         n_nodes += nodes
 
     # intrinsic box volume: one box per sampled coordinate
-    dim = chart.dim if basis is None else basis.shape[1]
-    rl, rh, il, ih = chart.param_box[0]
-    vol = 1.0
-    for _ in range(dim):
-        vol *= (rh - rl) * (ih - il)
+    vol = square_box_volume(chart.half_width,
+                            chart.dim if basis is None else basis.shape[1])
 
     adm_fraction = n_adm / samples
     if adm_fraction < 0.01:

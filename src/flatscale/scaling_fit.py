@@ -22,11 +22,6 @@ class FitResult:
     intercept: float
     r_squared: float
 
-    def slope_lower_bound(self, axis: int, confidence: float = 0.95) -> float:
-        from scipy import stats
-        z = stats.norm.ppf(confidence)
-        return self.slopes[axis] - z * self.slope_stderr[axis]
-
 
 def fit_scaling_exponent(results, min_points: int = 4,
                          max_rel_stderr: float = 0.20,
@@ -34,10 +29,12 @@ def fit_scaling_exponent(results, min_points: int = 4,
     """Fit log(estimate) = c + sum_i slope_i log(eps_i) by weighted least
     squares, weights from the delta-method log-variances.
 
-    ``results`` is a sequence of (eps_vector, estimate, stderr).  With
-    ``strict`` the preconditions are enforced: at least ``min_points``
-    distinct radii per axis and every relative standard error below
-    ``max_rel_stderr``.
+    ``results`` is a sequence of (eps_vector, estimate, stderr).  Every row
+    needs the same number k of finite positive radii, a finite positive
+    estimate and a finite stderr >= 0; any other row raises
+    ``DegenerateFitError``.  With ``strict`` the preconditions are
+    enforced too: at least ``min_points`` distinct radii per axis and every
+    relative standard error below ``max_rel_stderr``.
     """
     rows = []
     for eps, est, se in results:
@@ -46,6 +43,18 @@ def fit_scaling_exponent(results, min_points: int = 4,
     if not rows:
         raise DegenerateFitError("no data")
     k = len(rows[0][0])
+    for eps, est, se in rows:
+        if len(eps) != k:
+            raise DegenerateFitError(
+                f"radii {eps} have {len(eps)} entries, the first row {k}")
+        if not all(math.isfinite(e) and e > 0 for e in eps):
+            raise DegenerateFitError(f"radii {eps} must be finite and positive")
+        if not math.isfinite(est):
+            raise DegenerateFitError(
+                f"estimate {est} at radii {eps} is not finite")
+        if not (math.isfinite(se) and se >= 0):
+            raise DegenerateFitError(
+                f"stderr {se} at radii {eps} must be finite and >= 0")
     zeros = [eps for eps, est, _ in rows if est <= 0]
     if zeros:
         raise DegenerateFitError(

@@ -47,9 +47,6 @@ class Arc:
         """Arc of z^m as z sweeps this arc (needs m*width < 2*pi)."""
         return Arc(self.alpha * m, self.width * m)
 
-    def plus(self, other: "Arc") -> "Arc":
-        return Arc(self.alpha + other.alpha, self.width + other.width)
-
     def log(self, z: complex, tol: float = 1e-9) -> complex:
         """Branch of log continuous on the arc; errors off the arc."""
         if z == 0:
@@ -105,9 +102,6 @@ class MultiSector:
             if idx in self.horizontal_arcs and not self.horizontal_arcs[idx].contains(val):
                 return False
         return True
-
-    def log_t(self, level: int, value: complex) -> complex:
-        return self.vertical_arcs[level].log(value)
 
     def log_horizontal(self, edge_index: int, value: complex) -> complex:
         return self.horizontal_arcs[edge_index].log(value)

@@ -89,8 +89,8 @@ class TranslationSurface:
         oriented triangles have cross(e0, e1) > 0.
     gluings : dict mapping (tri, edge) -> (tri, edge).  Must be a fixed-point
         free involution; glued edges carry opposite vectors.
-    edge_coords : optional integer array of shape (n_tri, 3, n_params) giving
-        each edge vector as an integral combination of chart parameters.
+    edge_coords : optional integer array of shape (n_tri, 3, d) giving each
+        edge vector as an integral combination of the d chart parameters.
         Enables exact homology classes for enumerated saddle connections.
     """
 
@@ -135,21 +135,12 @@ class TranslationSurface:
         return self._coeffs is not None
 
     @property
-    def n_params(self) -> int:
-        if self._coeffs is None:
-            raise SurfaceError("surface carries no chart coordinates")
-        return len(self._coeffs[0][0])
-
-    @property
     def gluings(self):
         return dict(self._gluings)
 
     @property
     def n_vertices(self) -> int:
         return self._n_vertices
-
-    def vertex_of_corner(self, t: int, c: int) -> int:
-        return self._corner_vertex[t][c]
 
     def corner_angle(self, t: int, c: int) -> float:
         a = self._edges[t][c]
@@ -366,15 +357,6 @@ def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTabl
                        for t in range(n_triangles))
     return _SurfaceTables(gluings, tuple(tuple(row) for row in nbr),
                           corner_vertex, len(roots), coeffs)
-
-
-def validate_surface(surface: TranslationSurface,
-                     sig: StratumSignature | None = None) -> ValidationReport:
-    return surface.validate(sig)
-
-
-def area(surface: TranslationSurface) -> float:
-    return surface.area()
 
 
 # -- polygon ingestion -----------------------------------------------------------

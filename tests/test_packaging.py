@@ -44,3 +44,37 @@ def test_test_imports_declared():
                 top = name.split(".")[0]
                 if top not in sys.stdlib_module_names and top not in local:
                     assert top in declared, f"{path.name} imports {top}"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Names of the flatscale modules that the file at ``path`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: inside the package
+                base = "flatscale." + base if base else "flatscale"
+            dotted = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in dotted:
+            parts = name.split(".")
+            if parts[0] == "flatscale" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
+
+def test_every_module_has_an_importer():
+    """Every package module is imported by another package module or by a
+    test, so no module is left without a caller or a test."""
+    package = PYPROJECT.parent / "src" / "flatscale"
+    tests = PYPROJECT.parent / "tests"
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    reached = set()
+    for path in package.glob("*.py"):
+        reached |= _imported_modules(path) - {path.stem}
+    for path in tests.glob("*.py"):
+        reached |= _imported_modules(path)
+    assert sorted(modules - reached) == []

@@ -92,7 +92,7 @@ class TestSubspaceSampling:
     def test_full_rank_subspace_on_octagon(self):
         rng = np.random.default_rng(4)
         basis = rng.normal(size=(4, 2))
-        W = LinearSubspace(4, basis.astype(complex), "real")
+        W = LinearSubspace(4, basis.astype(complex))
         est = estimate_coned_measure("h2-octagon", W, (0.5,), 30_000, SEED)
         assert est.value >= 0
         assert est.box_volume == pytest.approx(256.0)
@@ -201,7 +201,7 @@ class TestGoldenCounts:
 class TestChartInput:
     def test_custom_chart_matches_builtin(self):
         builtin = get_chart("torus", 1.0)
-        custom = ChartModel("my-torus", 2, builtin.param_box)
+        custom = ChartModel("my-torus", 2, builtin.half_width)
         cells = [None, (0.2,), (0.45,)]
         want = scan_chart(builtin, None, cells, 20_000, SEED, chunk_size=8192)
         for threads in (1, 2):
@@ -210,16 +210,13 @@ class TestChartInput:
             assert got.chart == "my-torus"
             assert got.estimates == want.estimates
 
-    @pytest.mark.parametrize("box", [
-        ((-1, 1, -0.5, 0.5),) * 2,
-        ((-1, 1, -1, 1), (-2, 2, -2, 2)),
-        ((0, 2, 0, 2),) * 2,
-        ((0, 0, 0, 0),) * 2,
-    ])
-    def test_non_square_box_rejected(self, box):
-        chart = ChartModel("torus", 2, box)
-        with pytest.raises(ValueError, match="samples only boxes"):
-            scan_chart(chart, None, [(0.3,)], N_FAST, SEED)
+    # A chart's box is the square (-h, h) x (-h, h) in every coordinate, so
+    # the only bad box left is one whose h is not finite and positive.
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf],
+                             ids=["box0", "box1", "box2", "box3"])
+    def test_non_square_box_rejected(self, half_width):
+        with pytest.raises(ValueError, match="half_width must be finite"):
+            ChartModel("torus", 2, half_width)
 
     def test_worker_error_propagates(self):
         with pytest.raises(UnfoldingBudgetError):
@@ -241,10 +238,10 @@ class FlakyTorus(ChartModel):
 
 class TestBuildFailures:
     def test_failures_counted_for_any_worker_count(self, monkeypatch):
-        box = get_chart("torus").param_box
+        half_width = get_chart("torus").half_width
         cells = [None, (0.3,), (0.45,)]
-        results = [scan_chart(FlakyTorus("flaky", 2, box), None, cells, 20_000,
-                              SEED, threads=threads, chunk_size=8192)
+        results = [scan_chart(FlakyTorus("flaky", 2, half_width), None, cells,
+                              20_000, SEED, threads=threads, chunk_size=8192)
                    for threads in (1, 2)]
         assert results[0] == results[1]
 
@@ -257,8 +254,8 @@ class TestBuildFailures:
             return build(self, z)
 
         monkeypatch.setattr(ChartModel, "build", noting_build)
-        plain = scan_chart(ChartModel("flaky", 2, box), None, cells, 20_000,
-                           SEED, chunk_size=8192)
+        plain = scan_chart(ChartModel("flaky", 2, half_width), None, cells,
+                           20_000, SEED, chunk_size=8192)
         got = results[0]
         assert plain.build_failures == 0
         assert 0 < got.build_failures == sum(refused) < len(refused)

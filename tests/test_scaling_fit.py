@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from flatscale.scaling_fit import DegenerateFitError, FitResult, fit_scaling_exponent
+from flatscale.scaling_fit import DegenerateFitError, fit_scaling_exponent
 
 
 def synth(eps_grid, fn, rel_noise=0.0, seed=0):
@@ -19,6 +21,7 @@ class TestExactPowerLaws:
         rows = synth([(e,) for e in (0.025, 0.05, 0.1, 0.2)], lambda e: 7.0 * e[0] ** 2)
         fit = fit_scaling_exponent(rows)
         assert fit.slopes[0] == pytest.approx(2.0, abs=1e-9)
+        assert fit.intercept == pytest.approx(math.log(7.0), abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_k2_product(self):
@@ -33,6 +36,7 @@ class TestExactPowerLaws:
                      lambda e: e[0] ** 2 * e[1] ** 2)
         fit = fit_scaling_exponent(rows)
         assert fit.joint_slope == pytest.approx(2.0, abs=1e-9)
+        assert 0 < fit.joint_stderr < 1e-2
 
 
 class TestNoise:
@@ -42,6 +46,8 @@ class TestNoise:
         fit = fit_scaling_exponent(rows)
         lo, hi = fit.ci95[0]
         assert lo <= 2.0 <= hi or abs(fit.slopes[0] - 2.0) < 0.2
+        half = 1.959964 * fit.slope_stderr[0]
+        assert (lo, hi) == pytest.approx((fit.slopes[0] - half, fit.slopes[0] + half))
 
 
 class TestValidation:
@@ -62,3 +68,33 @@ class TestValidation:
             fit_scaling_exponent(rows)
         fit = fit_scaling_exponent(rows, strict=False)
         assert fit.slopes[0] == pytest.approx(2.0, abs=1e-6)
+
+
+K1_ROWS = [((e,), e ** 2, 1e-3 * e ** 2) for e in (0.05, 0.1, 0.2, 0.4)]
+
+
+def with_row(row):
+    return K1_ROWS[:3] + [row]
+
+
+class TestMalformedRows:
+    """Rows that cannot enter a log-log fit raise instead of being fitted."""
+
+    def test_mixed_eps_lengths(self):
+        with pytest.raises(DegenerateFitError, match="entries"):
+            fit_scaling_exponent(K1_ROWS + [((0.3, 0.3), 0.09, 1e-4)])
+
+    @pytest.mark.parametrize("eps", [0.0, -0.4, math.nan, math.inf])
+    def test_bad_eps(self, eps):
+        with pytest.raises(DegenerateFitError, match="finite and positive"):
+            fit_scaling_exponent(with_row(((eps,), 0.16, 1e-4)), strict=False)
+
+    @pytest.mark.parametrize("est", [math.nan, math.inf])
+    def test_nonfinite_estimate(self, est):
+        with pytest.raises(DegenerateFitError, match="not finite"):
+            fit_scaling_exponent(with_row(((0.4,), est, 1e-4)), strict=False)
+
+    @pytest.mark.parametrize("se", [-1e-4, math.nan, math.inf])
+    def test_bad_stderr(self, se):
+        with pytest.raises(DegenerateFitError, match="stderr"):
+            fit_scaling_exponent(with_row(((0.4,), 0.16, se)), strict=False)
