@@ -434,6 +434,8 @@ def reproduce_noninjectivity(t0: complex = 0.05, n_pairs: int = 10_000,
                              ) -> NoninjReport:
     """Period collision for t vs -t, and an injectivity witness inside one
     multi-sector arc."""
+    from scipy.spatial import cKDTree
+
     fam = family or NoninjectivityFamily()
     s = (0.7 + 0.2j, 0.1 + 0.9j)
     P1 = fam.period_vector(complex(t0), s)
@@ -442,26 +444,27 @@ def reproduce_noninjectivity(t0: complex = 0.05, n_pairs: int = 10_000,
     arc = fam.sector.vertical_arcs[-1]
     excluded = not (arc.contains(t0) and arc.contains(-t0))
 
+    vecs = _arc_period_vectors(fam, n_pairs, seed)
+    # nearest other sample of each: k = 1 is the sample itself
+    x = np.hstack([vecs.real, vecs.imag])
+    min_d = float(cKDTree(x).query(x, k=2)[0][:, 1].min())
+    return NoninjReport(dist, complex(t0) != -complex(t0), excluded,
+                        n_pairs, min_d)
+
+
+def _arc_period_vectors(fam: NoninjectivityFamily, n_pairs: int,
+                        seed: int) -> np.ndarray:
+    """Period vectors of n_pairs random (t, s) with t inside the last
+    vertical arc of the family's sector."""
+    arc = fam.sector.vertical_arcs[-1]
     rng = np.random.default_rng(seed)
     mod = rng.uniform(0.01, fam.sector.eps * 0.9, n_pairs)
     ang = arc.alpha + rng.uniform(0.02, 0.98, n_pairs) * arc.width
     ts = mod * np.exp(1j * ang)
     ss = (rng.uniform(0.3, 1.2, (n_pairs, 2))
           + 1j * rng.uniform(0.3, 1.2, (n_pairs, 2)))
-    vecs = np.stack([fam.period_vector(ts[i], (ss[i, 0], ss[i, 1]))
+    return np.stack([fam.period_vector(ts[i], (ss[i, 0], ss[i, 1]))
                      for i in range(n_pairs)])
-    min_d = math.inf
-    chunk = 512
-    for i in range(0, n_pairs, chunk):
-        block = vecs[i:i + chunk]
-        diff = block[:, None, :] - vecs[None, i:, :]
-        d = np.sqrt((np.abs(diff) ** 2).sum(axis=2))
-        rows = np.arange(d.shape[0])
-        d[rows, rows] = math.inf  # self-distances on the diagonal offset
-        m = float(d.min())
-        min_d = min(min_d, m)
-    return NoninjReport(dist, complex(t0) != -complex(t0), excluded,
-                        n_pairs, min_d)
 
 
 # -- horizontal (degenerating cylinder) family --------------------------------------
@@ -590,6 +593,10 @@ def verify_period_expansion(family: SyntheticFamily, cycle: str,
     scaling parameter of the cycle's level, on the sector branch."""
     dec = family.decomposition(cycle)
     lvl = dec.level
+    if lvl - 1 not in family.a:
+        raise IllConditionedFit(
+            f"cycle {cycle!r} has no level below its level {lvl}, so no "
+            "vertical period expansion")
     a_eff = family.a[lvl - 1]
     arc = family.sector.vertical_arcs[lvl - 1].scaled(a_eff)
 

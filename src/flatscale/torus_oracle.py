@@ -21,19 +21,31 @@ integrand equals the full disc area, so the grid converges fast.
 Each pair is evaluated with array operations.  Grid points whose disc lies
 inside every w-square with area <= 1 take pi r^2 directly.  For the rest
 the w-squares intersect to one (N, 4) array of rectangles; rows where
-eps^2 |z|^2 > 1 are clipped by the half plane row by row, and every row is
-padded to five vertices by repeating a vertex (a zero-length edge adds
-exactly 0).  One call to circle_polygon_area then gives all their areas:
-each edge adds an arc, a chord and an arc, split at its entry and exit
-parameters on the circle clamped to the edge.  Memory stays at one pair's
-grid, at most grid_resolution^2 rows.
+eps^2 |z|^2 > 1 are clipped by the half plane row by row (_clip_rows, the
+module's only polygon clipper), and every row is padded to five vertices
+by repeating a vertex (a zero-length edge adds exactly 0).  One call to
+circle_polygon_area then gives all their areas: each edge adds an arc, a
+chord and an arc, split at its entry and exit parameters on the circle
+clamped to the edge.  Memory stays at one pair's grid, at most
+grid_resolution^2 rows.
+
+For eps at or above the Hermite bound (4/3)^(1/4), every unit-area lattice
+has a vector no longer than eps, so the k = 1 measure is the whole cone
+volume V(h) = |{(u, v) in [-h, h]^4 : 0 < Im(conj(u) v) <= 1}|.  Rescaled
+to [-1, 1]^4, Im(conj(u) v) / h^2 is the determinant X - Y of a 2 x 2
+matrix with iid U[-1, 1] entries, X and Y products of two of them with
+density f(y) = -log|y| / 2 and CDF G(x) = (1 + x - x log|x|) / 2 on
+[-1, 1]; with c = 1 / h^2,
+
+    V(h) = (2h)^4 int_{-1}^{1} f(y) [G(min(y + c, 1)) - G(y)] dy,
+
+which cone_volume_quadrature evaluates with one quad call.
 
 No geodesic unfolding is involved anywhere in this module.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 
@@ -59,26 +71,11 @@ def bezout_complement(p: int, q: int) -> tuple[int, int]:
     """Small (r, s) with p s - q r = 1."""
     if q == 0:
         return (0, 1) if p == 1 else (0, -1)
-    g, x, y = _ext_gcd(p, q)
-    # p x + q y = 1  ->  s = x, r = -y
-    s, r = x, -y
+    s = pow(p, -1, q)
+    r = (p * s - 1) // q  # exact: p s = 1 (mod q)
     # reduce: (r, s) -> (r + t p, s + t q) keeps p s - q r = 1
     t = round(-(r * p + s * q) / (p * p + q * q))
     return r + t * p, s + t * q
-
-
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_s, s = s, old_s - k * s
-        old_t, t = t, old_t - k * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 # -- exact circle/polygon intersection ------------------------------------------
@@ -127,27 +124,12 @@ def circle_polygon_area(cx, cy, radius, poly):
     return float(area) if area.ndim == 0 else area
 
 
-def _clip_halfplane(poly, nx, ny, c):
-    """Clip polygon by n . x <= c (Sutherland-Hodgman)."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        in1 = nx * x1 + ny * y1 <= c
-        in2 = nx * x2 + ny * y2 <= c
-        if in1:
-            out.append((x1, y1))
-        if in1 != in2:
-            d = (c - nx * x1 - ny * y1) / (nx * (x2 - x1) + ny * (y2 - y1))
-            out.append((x1 + d * (x2 - x1), y1 + d * (y2 - y1)))
-    return out
-
-
 def _clip_rows(poly, nx, ny):
     """Clip each convex polygon poly[i] ((N, m, 2)) by nx[i] x + ny[i] y <= 1.
 
-    Row-wise Sutherland-Hodgman with the arithmetic of _clip_halfplane.
+    Row-wise Sutherland-Hodgman: vertex x1 is kept when it satisfies the
+    inequality, and an edge x1 -> x2 whose ends fall on opposite sides then
+    adds its crossing x1 + d (x2 - x1), d = (1 - n . x1) / (n . (x2 - x1)).
     Returns the clipped polygons, padded to m + 1 vertices by repeating
     each row's last kept vertex, and the number of vertices each row kept.
     """
@@ -168,15 +150,6 @@ def _clip_rows(poly, nx, ny):
     slot = np.minimum(np.arange(m + 1), count[:, None] - 1)
     slot = np.take_along_axis(order, slot, axis=1)
     return np.take_along_axis(cand, slot[..., None], axis=1), count
-
-
-def _poly_area(poly):
-    n = len(poly)
-    if n < 3:
-        return 0.0
-    return 0.5 * abs(sum(
-        poly[i][0] * poly[(i + 1) % n][1] - poly[(i + 1) % n][0] * poly[i][1]
-        for i in range(n)))
 
 
 # -- per-pair volume --------------------------------------------------------------
@@ -260,11 +233,6 @@ def _pair_volume(p: int, q: int, eps: float, half_width: float,
     return float(area.sum() * h * h)
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_cone_volume(half_width: float) -> float:
-    return cone_volume_quadrature(half_width)
-
-
 def torus_exact_oracle(
     eps,
     grid_resolution: int = DEFAULT_Z_GRID,
@@ -274,8 +242,10 @@ def torus_exact_oracle(
     """Cone-set measure on the torus chart by deterministic integration.
 
     Supports k = 1 for eps < 1 (disjoint primitive-pair sum, see module
-    docstring) and eps >= Hermite bound 1.0747 (saturated: full cone
-    volume).  For k = 2 the locus is empty whenever eps1 * eps2 < 1.
+    docstring) and eps >= Hermite bound 1.0747 (saturated: the full cone
+    volume, cone_volume_quadrature(half_width); grid_resolution and pq_max
+    are then unused).  For k = 2 the locus is empty whenever
+    eps1 * eps2 < 1.
     Raises ValueError, naming the argument, on a radius that is not finite
     and positive, a grid_resolution or pq_max that is not an integer >= 1,
     or a half_width that is not finite and positive.
@@ -291,7 +261,7 @@ def torus_exact_oracle(
     if len(eps) == 1:
         e = eps[0]
         if e >= HERMITE_SHORTEST:
-            return _cached_cone_volume(half_width)
+            return cone_volume_quadrature(half_width)
         if e >= 1.0:
             raise ValueError(
                 "radii in [1, 1.0747) are outside the oracle's disjointness "
@@ -309,25 +279,27 @@ def torus_exact_oracle(
     raise ValueError("oracle supports k in {1, 2}")
 
 
-def strip_box_area(nx, ny, c_lo, c_hi, half_width):
-    """Exact area of {x in [-H,H]^2 : c_lo <= n . x <= c_hi}."""
-    H = half_width
-    poly = [(-H, -H), (H, -H), (H, H), (-H, H)]
-    poly = _clip_halfplane(poly, nx, ny, c_hi)
-    if len(poly) >= 3:
-        poly = _clip_halfplane(poly, -nx, -ny, -c_lo)
-    return _poly_area(poly)
+def cone_volume_quadrature(half_width: float = 2.0) -> float:
+    """The cone volume V(h) of the module docstring, h = half_width.
 
+    X - Y is symmetric, so the integral there equals 1/2 - P(X - Y > c),
+    and P(X - Y > c) = int_{-1}^{1-c} f(y) G(-y - c) dy because
+    1 - G(x) = G(-x).  One quad call over s = y + 1 in [0, 2 - c], split
+    where the integrand is singular (y = -c and y = 0), evaluates it.  For
+    h <= 1/sqrt(2) the range is empty and V(h) = (2h)^4 / 2 exactly.
+    Raises ValueError for a half_width that is not finite and positive.
+    """
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise ValueError(f"half_width must be finite and positive, got {half_width}")
+    c = 1.0 / (half_width * half_width)
 
-def cone_volume_quadrature(half_width: float = 2.0, tol: float = 1e-9) -> float:
-    """Volume of {(u,v) in box: 0 < Im(conj(u) v) <= 1} by 2-d adaptive
-    quadrature over u of the exact strip-in-square area in v."""
-    H = half_width
+    def tail(s):
+        y, x = s - 1.0, 1.0 - c - s  # x = -y - c
+        x_log_x = x * math.log(abs(x)) if x else 0.0
+        return -0.25 * math.log(abs(y)) * (1.0 + x - x_log_x)
 
-    def inner(b, a):
-        # v-area of {0 < a t - b s <= 1}: normal (-b, a) in (s, t)
-        return strip_box_area(-b, a, 0.0, 1.0, H)
-
-    val, _ = integrate.dblquad(inner, -H, H, -H, H,
-                               epsabs=tol * 16 * H * H, epsrel=1e-8)
-    return val
+    end = max(2.0 - c, 0.0)
+    points = [b for b in (1.0 - c, 1.0) if 0.0 < b < end]
+    val, _ = integrate.quad(tail, 0.0, end, points=points,
+                            epsabs=1e-14, epsrel=1e-13, limit=200)
+    return (2.0 * half_width) ** 4 * (0.5 - val)

@@ -17,9 +17,11 @@ from flatscale.families import (
     HorizontalCylinderFamily,
     IllConditionedFit,
     MarkedTorusFamily,
+    NoninjectivityFamily,
     PlumbingParams,
     ResidueFamily,
     ThreeLevelFamily,
+    _arc_period_vectors,
     reproduce_noninjectivity,
     verify_period_expansion,
 )
@@ -105,6 +107,12 @@ class TestHorizontalCylinderFamily:
         with pytest.raises(ValueError, match=r"t_h\[1\]"):
             self.family.period("cross_a", PlumbingParams(t_h={0: 0.01}))
 
+    def test_no_vertical_expansion_named(self):
+        # one level only: no level below the cycle to expand in
+        grid = [PlumbingParams(t_h={0: t, 1: t}) for t in (1e-3, 1e-2, 1e-1)]
+        with pytest.raises(IllConditionedFit, match="cross_a"):
+            verify_period_expansion(self.family, "cross_a", grid)
+
 
 class TestResidueFamily:
     r = 0.3 + 0.1j
@@ -171,3 +179,10 @@ class TestNoninjectivityFamily:
         assert rep.sector_excludes_pair
         assert rep.sampled_pairs == 500
         assert rep.min_sample_distance > 0
+
+    def test_min_distance_is_brute_force_minimum(self):
+        vecs = _arc_period_vectors(NoninjectivityFamily(), 300, seed=0)
+        d = np.linalg.norm(vecs[:, None, :] - vecs[None, :, :], axis=2)
+        np.fill_diagonal(d, np.inf)
+        got = reproduce_noninjectivity(n_pairs=300).min_sample_distance
+        assert got == pytest.approx(d.min(), rel=1e-12)

@@ -322,6 +322,26 @@ class TestBezout:
                 r, s = bezout_complement(p, q)
                 assert p * s - q * r == 1
 
+    @pytest.mark.parametrize("pq, rs", [
+        ((1, 1), (-1, 0)), ((-3, 5), (1, -2)), ((7, 24), (2, 7)),
+        ((-24, 23), (1, -1)), ((5, 2), (2, 1)),
+    ])
+    def test_recorded_complements(self, pq, rs):
+        # recorded values: _pair_volume lays out its z-grid from (r, s)
+        assert bezout_complement(*pq) == rs
+
+
+class TestConeVolume:
+    @pytest.mark.parametrize("h", [0.25, 0.5, 1 / math.sqrt(2)])
+    def test_half_box_when_every_determinant_fits(self, h):
+        # |Im(conj(u) v)| <= 2 h^2 <= 1: the cone is the half box Im > 0
+        assert cone_volume_quadrature(h) == (2 * h) ** 4 / 2
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_half_width(self, h):
+        with pytest.raises(ValueError, match="half_width"):
+            cone_volume_quadrature(h)
+
 
 class TestOracle:
     def test_monotone_in_eps(self):
@@ -330,8 +350,13 @@ class TestOracle:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_saturated_equals_cone_volume(self):
-        assert torus_exact_oracle([2.0]) == pytest.approx(
-            cone_volume_quadrature(), rel=1e-6)
+        # want: scipy dblquad (epsrel 1e-8) of the exact area of the strip
+        # 0 < Im(conj(u) v) <= 1 in the v-square, integrated over u
+        for h, want in ((1.0, 7.7101318687168705), (2.0, 54.47491372439421),
+                        (3.0, 134.280664993742)):
+            volume = cone_volume_quadrature(h)
+            assert volume == pytest.approx(want, rel=1e-8)
+            assert torus_exact_oracle([2.0], half_width=h) == volume
 
     def test_unsupported_window(self):
         with pytest.raises(ValueError):
@@ -370,3 +395,7 @@ class TestOracle:
         se = 256.0 * math.sqrt(short.sum()) / N
         ex = torus_exact_oracle([0.2])
         assert abs(ex - mc) < 4 * se
+        # the same samples estimate the cone volume
+        cone = mask.sum() / N * 256.0
+        cone_se = 256.0 * math.sqrt(mask.mean() * (1 - mask.mean()) / N)
+        assert abs(cone_volume_quadrature(2.0) - cone) < 4 * cone_se
