@@ -12,13 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .surface import (
-    CheckedSides,
+    SurfaceBatch,
     TranslationSurface,
     identity_rows,
     polygon_is_simple,
     shoelace_area,
     surface_from_symmetric_polygon,
+    symmetric_polygon_batch,
     symmetric_vertices,
 )
 
@@ -33,12 +36,11 @@ class ChartModel:
     ranges over |Re z_i| < h, |Im z_i| < h.  The builder is only
     guaranteed to succeed where ``admissible`` holds.
 
-    ``build`` checks that the polygon is simple and positively oriented,
-    except when given a :class:`~flatscale.surface.CheckedSides`.  Those
-    are side vectors whose very vertices ``scan_chart`` already passed
-    through its one batch simplicity mask and area test; checking each
-    again would repeat that work and cost most of a build.  Any other
-    input (a list, tuple or array) is checked.
+    ``build`` builds one surface and checks that its polygon is simple and
+    positively oriented.  ``build_batch`` builds many at once and checks
+    nothing: ``scan_chart`` passes it only rows whose vertices its one
+    batch simplicity mask and area test already passed, and builds a row
+    that ``build_batch`` rejects with ``build`` on its own, which raises.
     """
 
     name: str
@@ -67,8 +69,14 @@ class ChartModel:
         return shoelace_area(self.polygon_vertices(z))
 
     def build(self, z) -> TranslationSurface:
-        sides = z if isinstance(z, CheckedSides) else self.side_vectors(z)
-        return surface_from_symmetric_polygon(sides, identity_rows(self.dim))
+        return surface_from_symmetric_polygon(self.side_vectors(z),
+                                              identity_rows(self.dim))
+
+    def build_batch(self, sides) -> tuple[SurfaceBatch, np.ndarray]:
+        """The surfaces of the rows of ``sides`` (batch, dim), whose polygons
+        are known to be simple and positively oriented, and which rows
+        built (see :func:`~flatscale.surface.symmetric_polygon_batch`)."""
+        return symmetric_polygon_batch(sides, identity_rows(self.dim))
 
     @property
     def box_volume(self) -> float:

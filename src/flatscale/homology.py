@@ -55,11 +55,12 @@ class LinearSubspace:
         return np.asarray(w, dtype=complex) @ self.basis.T
 
     def restrict_classes(self, classes) -> np.ndarray:
-        """Rows of ``classes`` as functionals on W (in intrinsic coordinates)."""
+        """Rows of ``classes`` (..., r, n) as functionals on W (in intrinsic
+        coordinates)."""
         g = np.atleast_2d(np.asarray(classes, dtype=complex))
-        if g.shape[1] != self.ambient_dim:
+        if g.shape[-1] != self.ambient_dim:
             raise DimensionMismatch(
-                f"classes have {g.shape[1]} coordinates, expected "
+                f"classes have {g.shape[-1]} coordinates, expected "
                 f"{self.ambient_dim}")
         return g if self.basis is None else g @ self.basis
 
@@ -83,12 +84,16 @@ def are_parallel(s1, s2, tol: float = TAU_PARALLEL) -> bool:
 
 
 def independence_rank(classes, subspace: LinearSubspace,
-                      tol: float = TAU_RANK) -> int:
-    """Rank over C of the homology classes restricted to the subspace."""
+                      tol: float = TAU_RANK):
+    """Rank over C of the homology classes restricted to the subspace.
+
+    ``classes`` holds one class per row, (r, n), and the rank is an int;
+    or it is a stack of such matrices, (..., r, n), and the ranks are an
+    array of shape (...), one per matrix, from one stacked SVD.  The rank
+    counts the singular values above ``tol`` times the largest (none when
+    the largest is 0).
+    """
     g = subspace.restrict_classes(classes)
-    if g.size == 0:
-        return 0
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    rank = np.sum(sv > tol * sv[..., :1], axis=-1)
+    return int(rank) if g.ndim == 2 else rank

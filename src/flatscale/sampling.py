@@ -12,28 +12,35 @@ rank k on W; by Rado's criterion for the nested length-filtration this
 holds iff the classes of connections shorter than eps_i have rank >= i
 for every i.  The test never needs a rank
 above k, so the prefix ranks are taken only up to k_max, the size of the
-largest cell: a greedy pass keeps the rows found independent so far, ranks
-them with one candidate row at a time, and stops at rank k_max.
+largest cell.
 
 Each chunk rescales every sample of positive area to unit area first, then
 runs one ``polygon_simple_mask`` call and one positive-area test on those
 unit-area polygons.  That single batch check decides admissibility, and it
-checks exactly the vertices the builder will triangulate, so the cone
-samples go to ``ChartModel.build`` as ``CheckedSides`` and are not checked
-again one by one.  A build that still fails (ear clipping can) is counted
-in ``ScanResult.build_failures``; the sample stays in the plain cone count
-and is accepted by no radius cell.
+checks exactly the vertices the builder will triangulate.  The chunk's
+cone samples are then built in one ``ChartModel.build_batch`` call: one
+batch ear clip of all their polygons, the combinatorial tables looked up
+once per distinct triangulation, and the edge vectors as one array; no
+sample is checked again or made into a ``TranslationSurface``.  A row the
+batch ear clip rejects is built alone with ``ChartModel.build``, which
+raises; it is counted in ``ScanResult.build_failures``, stays in the plain
+cone count and is accepted by no radius cell.
 
-The surfaces built from a chunk's cone samples are unfolded together, in
-one ``unfold_surfaces`` call per chunk; the chunk is the batch, so the
-counts and ``ScanResult.unfolding_nodes`` do not depend on the worker
-count.  Each surface's connections come sorted by length, and its prefix
-ranks give R_i, the length at which the rank first reaches i + 1 (inf if
-it never does).  Cell (eps_1 <= ... <= eps_k) accepts the surface iff
-R_i <= eps_(i+1) for every i < k: the connections no longer than eps_(i+1)
-are a prefix of the sorted list, and they reach rank i + 1 iff that prefix
-contains the one at R_i.  One broadcast comparison of the thresholds
-against every cell's radii counts all cells of the chunk.
+The built surfaces are unfolded together, in one ``unfold_surfaces`` call
+per chunk; the chunk is the batch, so the counts and
+``ScanResult.unfolding_nodes`` do not depend on the worker count.  Each
+surface's connections come sorted by length, and its prefix ranks give
+R_i, the length at which the rank first reaches i + 1 (inf if it never
+does).  They come from a greedy pass that keeps the rows found independent
+so far and ranks them with the next class not seen before on the surface,
+stopping at rank k_max.  It runs for all surfaces of the chunk in rounds:
+each round ranks [independent rows + next new class] of every unfinished
+surface, one stacked ``independence_rank`` call per matrix height.  Cell
+(eps_1 <= ... <= eps_k) accepts the surface iff R_i <= eps_(i+1) for every
+i < k: the connections no longer than eps_(i+1) are a prefix of the sorted
+list, and they reach rank i + 1 iff that prefix contains the one at R_i.
+One broadcast comparison of the thresholds against every cell's radii
+counts all cells of the chunk.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .charts import ChartModel, get_chart, square_box_volume
 from .homology import LinearSubspace, independence_rank
 from .surface import (
     SurfaceError,
-    checked_sides,
+    distinct_rows,
     polygon_simple_mask,
     symmetric_vertices_batch,
 )
@@ -94,31 +101,6 @@ def _sample_params(rng, size: int, dim: int, half_width: float) -> np.ndarray:
     return flat[:, 0::2] + 1j * flat[:, 1::2]
 
 
-def _prefix_ranks(classes: np.ndarray, subspace: LinearSubspace,
-                  k_max: int) -> list[int]:
-    """min(rank of classes[:j] on W, k_max) for j = 1, ..., len(classes).
-
-    A class equal to an earlier one (homologous connections) cannot raise
-    the rank, so it is not ranked again.
-    """
-    cap = min(k_max, subspace.dim)
-    independent: list[int] = []
-    seen = set()
-    ranks = []
-    for j in range(classes.shape[0]):
-        if len(independent) >= cap:
-            break
-        key = classes[j].tobytes()
-        if key not in seen:
-            seen.add(key)
-            rank = independence_rank(classes[independent + [j]], subspace)
-            if rank > len(independent):
-                independent.append(j)
-        ranks.append(len(independent))
-    ranks.extend([len(independent)] * (classes.shape[0] - len(ranks)))
-    return ranks
-
-
 def _areas(verts: np.ndarray) -> np.ndarray:
     """Signed shoelace area of each row of polygon vertices."""
     nxt = np.roll(verts, -1, axis=1)
@@ -151,18 +133,58 @@ def _unit_area_check(x: np.ndarray):
 
 def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
     """R[s, i]: the length at which the prefix rank of surface s's
-    connections (sorted by length) first reaches i + 1, or inf."""
-    thresholds = np.full((len(batch.dims), k_max), np.inf)
-    for s in range(len(batch.dims)):
-        a, b = batch.offsets[s], batch.offsets[s + 1]
-        if a == b:
-            continue
-        classes = batch.classes[a:b, :batch.dims[s]].astype(complex)
-        ranks = _prefix_ranks(classes, subspace, k_max)
-        first = np.searchsorted(ranks, np.arange(1, k_max + 1))
-        reached = first < b - a
-        thresholds[s, reached] = batch.length[a + first[reached]]
-    return thresholds
+    connections (sorted by length) first reaches i + 1, or inf.
+
+    The greedy pass behind it keeps, per surface, the rows found
+    independent so far and ranks them with the next class not seen before
+    on that surface (a repeated class cannot raise the rank), stopping at
+    rank min(k_max, dim W).  It runs for all surfaces at once in rounds:
+    a round ranks [independent rows + next new class] of every unfinished
+    surface, one stacked ``independence_rank`` call per matrix height.
+    These are the matrices a surface-by-surface pass ranks, in its order.
+    """
+    n = len(batch.offsets) - 1
+    thresholds = np.full((n, k_max), np.inf)
+    cap = min(k_max, subspace.dim)
+    surf = np.repeat(np.arange(n), np.diff(batch.offsets))
+    classes = batch.classes
+    # the first connection of each class on its surface, in order
+    cand = np.sort(distinct_rows(np.column_stack([surf, classes]))[0])
+    ptr = np.searchsorted(surf[cand], np.arange(n))
+    end = np.searchsorted(surf[cand], np.arange(n), side="right")
+    rows = np.zeros((n, cap, classes.shape[1]), dtype=complex)
+    found = np.zeros(n, dtype=np.int64)
+    while True:
+        live = np.flatnonzero((found < cap) & (ptr < end))
+        if not live.size:
+            return thresholds
+        j = cand[ptr[live]]
+        for height in np.unique(found[live]).tolist():
+            at = found[live] == height
+            s, c = live[at], j[at]
+            mats = np.concatenate([rows[s, :height], classes[c, None]], axis=1)
+            grew = independence_rank(mats, subspace) > height
+            s, c = s[grew], c[grew]
+            rows[s, height] = classes[c]
+            thresholds[s, height] = batch.length[c]
+            found[s] += 1
+        ptr[live] += 1
+
+
+def _rebuild_rejected(chart: ChartModel, sides: np.ndarray) -> int:
+    """Build each row of ``sides`` that the batch builder rejected on its
+    own, through ``chart.build``, so that it raises its ``SurfaceError``
+    as a build of that row does; returns how many raised."""
+    failures = 0
+    for z in sides.tolist():
+        try:
+            chart.build(z)
+        except SurfaceError:
+            failures += 1
+        else:
+            raise RuntimeError(f"chart {chart.name!r}: build_batch rejected "
+                               f"sides {z} that build accepts")
+    return failures
 
 
 def _process_chunk(args) -> tuple[np.ndarray, int, int, int]:
@@ -188,12 +210,8 @@ def _process_chunk(args) -> tuple[np.ndarray, int, int, int]:
     failures = 0
     nodes = 0
     if eps_cells and l_max > 0:
-        surfaces = []
-        for sides in checked_sides(cone_sides):
-            try:
-                surfaces.append(chart.build(sides))
-            except SurfaceError:
-                failures += 1
+        surfaces, built = chart.build_batch(cone_sides)
+        failures = _rebuild_rejected(chart, cone_sides[~built])
         batch = unfold_surfaces(surfaces, l_max, budget=budget)
         nodes = int(batch.nodes.sum())
         # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
@@ -224,14 +242,15 @@ def scan_chart(
     a grid scan costs one pass.  A cell of None
     estimates the plain cone volume (admissible, area <= 1).  Admissibility
     is one batch simplicity mask and positive-area test per chunk, on the
-    polygons rescaled to unit area; each cone sample is then built once,
-    from those checked sides, and unfolded.  The parameters are the first
-    side vectors of the polygon.  Each sampled coordinate (each coordinate
-    of the subspace, when one is given) is drawn uniformly from the square
-    |Re| < h, |Im| < h with h = ``chart.half_width``, and the estimates
-    scale by that box's volume; any ``ChartModel`` works.  ``threads`` is
-    the number of worker processes (1 runs in this process); results do not
-    depend on it.
+    polygons rescaled to unit area; the chunk's cone samples are then built
+    in one batch, from those checked sides, and unfolded.  The parameters
+    are the first side vectors of the polygon.  Each sampled coordinate
+    (each coordinate of the subspace, when one is given) is drawn uniformly
+    from the square |Re| < h, |Im| < h with h = ``chart.half_width``, and
+    the estimates scale by that box's volume; any ``ChartModel`` works.
+    ``threads`` is the number of worker processes (1 runs in this process);
+    results do not depend on it.  Radii must be finite and positive, and
+    ``chunk_size`` at least 1.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
@@ -243,14 +262,16 @@ def scan_chart(
         basis = np.asarray(subspace.basis)
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     norm_cells = []
     for c in eps_cells:
         if c is None:
             norm_cells.append(None)
         else:
             e = tuple(sorted(float(v) for v in (c if hasattr(c, "__len__") else [c])))
-            if any(v <= 0 for v in e):
-                raise ValueError("radii must be positive")
+            if not all(math.isfinite(v) and v > 0 for v in e):
+                raise ValueError(f"radii must be finite and positive, got {e}")
             norm_cells.append(e)
     l_max = max((e[-1] for e in norm_cells if e is not None), default=0.0)
     k_max = max((len(e) for e in norm_cells if e is not None), default=0)

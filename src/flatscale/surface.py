@@ -13,6 +13,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -369,54 +370,76 @@ def shoelace_area(vertices) -> float:
     )
 
 
-def _point_in_triangle(p, a, b, c, eps):
-    d1 = _cross(b - a, p - a)
-    d2 = _cross(c - b, p - b)
-    d3 = _cross(a - c, p - c)
-    return d1 >= -eps and d2 >= -eps and d3 >= -eps
+def ear_clip_batch(verts) -> tuple[np.ndarray, np.ndarray]:
+    """Triangulate each row of ``verts`` (batch, m), complex, by ear clipping.
+
+    Returns ``tris`` (batch, m - 2, 3), the triangles as triples of vertex
+    indices in the order they are clipped, and ``ok`` (batch,), False for
+    a row in which some step finds no ear (its triples are meaningless).
+    Each step tests every remaining corner b of every row at once, with
+    neighbours a and c: b is an ear when its turn cross(b - a, c - b)
+    exceeds eps and no other remaining vertex p has cross(b - a, p - a),
+    cross(c - b, p - b) and cross(a - c, p - c) all >= -eps, where eps =
+    1e-12 * max |v|^2 per row.  The first ear of a row is clipped, so every
+    row gets the triangles a corner-by-corner scan of that row would give,
+    from the same float predicates.
+    """
+    verts = np.atleast_2d(np.asarray(verts, dtype=complex))
+    batch, m = verts.shape
+    if m < 3:
+        raise SurfaceError("polygon needs at least 3 vertices")
+    scale = np.abs(verts).max(axis=1)
+    eps = (1e-12 * scale * scale)[:, None]
+    tol = -eps[:, :, None]
+    x, y = verts.real, verts.imag
+    idx = np.broadcast_to(np.arange(m), (batch, m))
+    rows = np.arange(batch)
+    tris = np.empty((batch, m - 2, 3), dtype=np.intp)
+    ok = np.ones(batch, dtype=bool)
+    for r in range(m, 3, -1):
+        prv, nxt, other = _ear_indices(r)
+        ax, ay, cx, cy = x.take(prv, 1), y.take(prv, 1), x.take(nxt, 1), y.take(nxt, 1)
+        ux, uy, vx, vy, wx, wy = x - ax, y - ay, cx - x, cy - y, ax - cx, ay - cy
+        ear = ux * vy - uy * vx > eps
+        px, py = x.take(other, 1), y.take(other, 1)  # (batch, r, r - 3)
+        inside = (ux[..., None] * (py - ay[..., None])
+                  - uy[..., None] * (px - ax[..., None]) >= tol)
+        inside &= (vx[..., None] * (py - y[..., None])
+                   - vy[..., None] * (px - x[..., None]) >= tol)
+        inside &= (wx[..., None] * (py - cy[..., None])
+                   - wy[..., None] * (px - cx[..., None]) >= tol)
+        ear &= ~inside.any(axis=2)
+        k = ear.argmax(axis=1)
+        ok &= ear[rows, k]
+        tris[:, m - r] = idx[rows[:, None], np.stack([prv[k], k, nxt[k]], axis=1)]
+        keep = np.arange(r) != k[:, None]
+        idx, x, y = (a[keep].reshape(batch, r - 1) for a in (idx, x, y))
+    tris[:, -1] = idx
+    return tris, ok
+
+
+@functools.lru_cache(maxsize=None)
+def _ear_indices(r: int):
+    """Previous and next corner of each corner of an r-gon, and (r, r - 3)
+    the other corners of each."""
+    k = np.arange(r)
+    out = ((k - 1) % r, (k + 1) % r, (k[:, None] + 2 + np.arange(r - 3)) % r)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def ear_clip(vertices) -> list[tuple[int, int, int]]:
     """Triangulate a simple positively oriented polygon by ear clipping.
 
     Returns triangles as triples of indices into the input vertex list.
+    This is :func:`ear_clip_batch` on one row; raises
+    :class:`SurfaceError` for fewer than 3 vertices or when it finds no ear.
     """
-    n = len(vertices)
-    if n < 3:
-        raise SurfaceError("polygon needs at least 3 vertices")
-    scale = max(abs(v) for v in vertices)
-    eps = 1e-12 * scale * scale
-    idx = list(range(n))
-    out = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * n * n:
-            raise SurfaceError("ear clipping failed; polygon may be degenerate")
-        clipped = False
-        for k in range(len(idx)):
-            i_prev = idx[k - 1]
-            i_cur = idx[k]
-            i_next = idx[(k + 1) % len(idx)]
-            a, b, c = vertices[i_prev], vertices[i_cur], vertices[i_next]
-            if _cross(b - a, c - b) <= eps:
-                continue
-            ok = True
-            for j in idx:
-                if j in (i_prev, i_cur, i_next):
-                    continue
-                if _point_in_triangle(vertices[j], a, b, c, eps):
-                    ok = False
-                    break
-            if ok:
-                out.append((i_prev, i_cur, i_next))
-                del idx[k]
-                clipped = True
-                break
-        if not clipped:
-            raise SurfaceError("no ear found; polygon not simple enough")
-    out.append((idx[0], idx[1], idx[2]))
-    return out
+    tris, ok = ear_clip_batch([complex(v) for v in vertices])
+    if not ok[0]:
+        raise SurfaceError("no ear found; polygon not simple enough")
+    return [tuple(t) for t in tris[0].tolist()]
 
 
 MASK_BLOCK = 512  # rows per block of the pairwise edge test
@@ -500,18 +523,6 @@ def polygon_is_simple(vertices, rel_eps=1e-12) -> bool:
     return bool(polygon_simple_mask(row[None, :], rel_eps)[0])
 
 
-class CheckedSides(tuple):
-    """First side vectors z_1..z_n, as Python ``complex``, of a centrally
-    symmetric polygon already found simple and positively oriented.
-
-    Made only by :func:`checked_sides`, from rows whose vertices passed a
-    batch check.  :func:`surface_from_symmetric_polygon` skips its own
-    re-check for this type alone; lists, tuples and arrays are checked.
-    """
-
-    __slots__ = ()
-
-
 def symmetric_vertices(sides) -> list[complex]:
     """Vertices 0, z_1, z_1 + z_2, ... of the centrally symmetric polygon
     with side sequence z_1, ..., z_n, -z_1, ..., -z_n, summed left to right:
@@ -535,16 +546,6 @@ def symmetric_vertices_batch(sides) -> np.ndarray:
     return np.cumsum(steps, axis=1)
 
 
-def checked_sides(sides: np.ndarray) -> list[CheckedSides]:
-    """One :class:`CheckedSides` per row of ``sides`` (batch, n).
-
-    Pass only rows whose :func:`symmetric_vertices_batch` passed
-    :func:`polygon_simple_mask` and have positive area: the builder trusts
-    them and triangulates those very vertices without checking again.
-    """
-    return [CheckedSides(row) for row in np.asarray(sides, dtype=complex).tolist()]
-
-
 def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
     """Build a surface from a centrally symmetric 2n-gon with sides glued in
     opposite pairs.
@@ -552,33 +553,108 @@ def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
     ``sides`` lists the first n side vectors z_1..z_n; the polygon has side
     sequence z_1, ..., z_n, -z_1, ..., -z_n.  Side k is glued to side k+n.
     ``coeffs`` optionally gives an integer row per side expressing it in
-    chart parameters; a tuple of int tuples (such as :func:`identity_rows`)
-    is used as the cache key as it is, anything else is converted first.
+    chart parameters.
 
-    The polygon is checked to be simple and positively oriented, unless
-    ``sides`` is a :class:`CheckedSides` (its vertices passed that check in
-    a batch), then ear clipped.  The gluings, neighbour table, corner
-    vertices, vertex count and integer edge coordinates depend only on the
-    key (n, ear-clip index triples, coefficient rows); they are memoised per
-    key in a bounded LRU cache and shared, read-only, by every surface with
-    that key.  Only the edge vectors are computed per call.
+    The polygon is checked to be simple and positively oriented, then built
+    as the batch of one of :func:`symmetric_polygon_batch`; raises
+    :class:`SurfaceError` when a check fails or ear clipping finds no ear.
     """
-    n = len(sides)
     verts = symmetric_vertices(sides)
-    if not isinstance(sides, CheckedSides):
-        if not polygon_is_simple(verts):
-            raise SurfaceError("polygon is not simple")
-        if shoelace_area(verts) <= 0:
-            raise SurfaceError("polygon is not positively oriented")
-    tris = tuple(ear_clip(verts))
+    if not polygon_is_simple(verts):
+        raise SurfaceError("polygon is not simple")
+    if shoelace_area(verts) <= 0:
+        raise SurfaceError("polygon is not positively oriented")
+    batch, ok = symmetric_polygon_batch([sides], coeffs)
+    if not ok[0]:
+        raise SurfaceError("no ear found; polygon not simple enough")
+    edges = [tuple(t) for t in batch.edges.reshape(-1, 3).tolist()]
+    return TranslationSurface._from_tables(edges, batch.tables[0])
+
+
+@dataclass(frozen=True, eq=False)
+class SurfaceBatch:
+    """Triangulated surfaces as flat arrays, the input of the batched
+    unfolding.
+
+    edges   (H,) complex: the edge vectors of every triangle of every
+            surface, three per triangle, surfaces in batch order
+    tables  the distinct combinatorial tables of the batch
+    kind    (n,) int: surface s has ``tables[kind[s]]``, and so as many
+            triangles as those tables
+    """
+
+    edges: np.ndarray
+    tables: tuple
+    kind: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    @classmethod
+    def of(cls, surfaces) -> "SurfaceBatch":
+        """The batch of a sequence of :class:`TranslationSurface`; surfaces
+        that share their tables share one entry of ``tables``."""
+        surfaces = list(surfaces)
+        index: dict[int, int] = {}
+        tables = []
+        kind = np.empty(len(surfaces), dtype=np.intp)
+        for s, X in enumerate(surfaces):
+            k = index.setdefault(id(X._tables), len(tables))
+            if k == len(tables):
+                tables.append(X._tables)
+            kind[s] = k
+        edges = np.fromiter(chain.from_iterable(chain.from_iterable(
+            X._edges for X in surfaces)), complex,
+            3 * sum(X.n_triangles for X in surfaces))
+        return cls(edges, tuple(tables), kind)
+
+
+def symmetric_polygon_batch(sides, coeffs=None) -> tuple[SurfaceBatch, np.ndarray]:
+    """Build the surfaces of a batch of centrally symmetric polygons.
+
+    ``sides`` (batch, n) holds the first side vectors of each polygon, as
+    in :func:`surface_from_symmetric_polygon`, and ``coeffs`` the integer
+    rows of those sides in chart parameters (or None).  The rows are not
+    checked: pass only rows whose :func:`symmetric_vertices_batch` passed
+    :func:`polygon_simple_mask` and have positive area.  Those very
+    vertices are ear clipped, all rows at once (:func:`ear_clip_batch`).
+
+    Returns the batch of the rows that ear clip and ``ok`` (batch,), which
+    rows those are.  The gluings, neighbour table, corner vertices, vertex
+    count and integer edge coordinates depend only on the key (n, ear-clip
+    index triples, coefficient rows); they are made once per key, kept in
+    a bounded LRU cache and shared, read-only, by every surface with that
+    key.  Only the edge vectors are computed per row.
+    """
+    sides = np.asarray(sides, dtype=complex)
+    n = sides.shape[1]
+    verts = symmetric_vertices_batch(sides)
+    tris, ok = ear_clip_batch(verts)
+    tris, verts = tris[ok], verts[ok]
     rows = coeffs
     if coeffs is not None and not (type(coeffs) is tuple
                                    and all(type(r) is tuple for r in coeffs)):
         rows = tuple(tuple(int(x) for x in r) for r in coeffs)
-    tables = _symmetric_polygon_tables(n, tris, rows)
-    edges = [(verts[b] - verts[a], verts[c] - verts[b], verts[a] - verts[c])
-             for a, b, c in tris]
-    return TranslationSurface._from_tables(edges, tables)
+    # an ear clip is fixed by the corner it clips at each step
+    first, kind = distinct_rows(tris[:, :-1, 1])
+    tables = tuple(_symmetric_polygon_tables(n, tuple(map(tuple, key)), rows)
+                   for key in tris[first].tolist())
+    corners = verts[np.arange(len(tris))[:, None, None], tris]
+    edges = np.roll(corners, -1, axis=2) - corners
+    return SurfaceBatch(edges.reshape(-1), tables, kind), ok
+
+
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the rows of the int array ``a`` (batch, k): the first row of each
+    distinct value (the earliest, as the sort is stable), and the index of
+    each row's value among those."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    kind = np.empty(len(a), dtype=np.intp)
+    kind[order] = np.cumsum(new) - 1
+    return order[new], kind
 
 
 @functools.lru_cache(maxsize=None)

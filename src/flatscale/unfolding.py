@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .surface import TranslationSurface
+from .surface import SurfaceBatch, TranslationSurface
 
 WEDGE_EPS = 1e-9  # relative angular tolerance for boundary coincidence
 PAIR_EPS = 1e-12  # relative tolerance for the horizontal-direction tiebreak
@@ -150,7 +149,9 @@ def unfold_surfaces(surfaces, length_bound: float, budget: int = 1_000_000,
                     keep_orientations: bool = False) -> UnfoldedBatch:
     """:func:`enumerate_saddle_connections` of every surface in one search.
 
-    Each surface gets exactly the connections, in the order, that it gets
+    ``surfaces`` is a :class:`~flatscale.surface.SurfaceBatch`, or a
+    sequence of :class:`TranslationSurface`, which is made into one.  Each
+    surface gets exactly the connections, in the order, that it gets
     alone.  Raises :class:`UnfoldingBudgetError` when some surface expands
     more than ``budget`` chain nodes, and ``ValueError`` when a class
     coefficient times ``budget + 2`` (the most rows a developed class sums)
@@ -158,15 +159,16 @@ def unfold_surfaces(surfaces, length_bound: float, budget: int = 1_000_000,
     """
     if length_bound <= 0:
         raise ValueError("length bound must be positive")
-    surfaces = list(surfaces)
-    tables = [s._tables.arrays for s in surfaces]
+    if not isinstance(surfaces, SurfaceBatch):
+        surfaces = SurfaceBatch.of(surfaces)
+    tables = [t.arrays for t in surfaces.tables]
     cmax = max((t.coeff_max for t in tables), default=0)
     rows = max(budget, 0) + 2
     if cmax * rows >= _INT64_LIMIT:
         raise ValueError(
             f"class coefficients up to {cmax} times budget + 2 = {rows} "
             f"reach {cmax * rows}, beyond int64 (2**63); lower the budget")
-    b = _Batch(surfaces, tables)
+    b = _Batch(surfaces.edges, tables, surfaces.kind)
     with np.errstate(divide="ignore", invalid="ignore"):
         levels = [] if record_chains else None
         found, nodes = _search(b, length_bound * length_bound, budget,
@@ -177,31 +179,39 @@ def unfold_surfaces(surfaces, length_bound: float, budget: int = 1_000_000,
 class _Batch:
     """Edges and tables of a batch, flat over global half-edges h = 3 t + e
     (t counts the triangles of all surfaces, in batch order).  Vectors are
-    stored component first: ``edge`` is (2, H) and ``coeffs`` (D, H)."""
+    stored component first: ``edge`` is (2, H) and ``coeffs`` (D, H).
 
-    def __init__(self, surfaces, tables):
-        n = len(surfaces)
-        n_he = np.fromiter((3 * s.n_triangles for s in surfaces), np.int64, n)
+    ``edges`` (H,) are the edge vectors, ``tables`` the distinct table
+    arrays and ``kind`` (n,) the index of each surface's tables; every
+    table is gathered onto the half-edges of its surfaces at once.
+    """
+
+    def __init__(self, edges, tables, kind):
+        n = len(kind)
+        size = np.asarray([t.neighbor.size for t in tables], np.int64)
+        n_he = size[kind]
         start = np.zeros(n + 1, np.int64)
         np.cumsum(n_he, out=start[1:])
         h = int(start[-1])
-        self.n, self.start, self.dims = n, start, tuple(t.dim for t in tables)
+        first = np.zeros(len(tables), np.int64)
+        np.cumsum(size[:-1], out=first[1:])
+        self.n, self.start = n, start
+        dims = [t.dim for t in tables]
+        self.dims = ((dims[0],) * n if len(set(dims)) == 1
+                     else tuple(dims[k] for k in kind.tolist()))
         self.surf = np.repeat(np.arange(n), n_he)
-        edges = np.fromiter(chain.from_iterable(chain.from_iterable(
-            s._edges for s in surfaces)), complex, h)
+        # where each global half-edge sits in the concatenated tables
+        src = (first[kind] - start[:-1]).repeat(n_he) + np.arange(h)
         self.edge = np.stack([edges.real, edges.imag])
-        local = _cat([t.neighbor for t in tables])
+        local = _cat([t.neighbor for t in tables])[src]
         self.nbr = np.where(local >= 0, local + start[self.surf], -1)
-        self.vert = _cat([t.corner_vertex for t in tables])
+        self.vert = _cat([t.corner_vertex for t in tables])[src]
         d = max((t.dim or 0 for t in tables), default=0)
-        if d and all(t.dim == d for t in tables):
-            coeffs = np.concatenate([t.coeffs for t in tables])
-        else:
-            coeffs = np.zeros((h, d), np.int64)
-            for s, t in enumerate(tables):
-                if t.dim:
-                    coeffs[start[s]:start[s + 1], :t.dim] = t.coeffs
-        self.coeffs = np.ascontiguousarray(coeffs.T)
+        coeffs = np.zeros((int(size.sum()), d), np.int64)
+        for t, a in zip(tables, first.tolist()):
+            if t.dim:
+                coeffs[a:a + t.neighbor.size, :t.dim] = t.coeffs
+        self.coeffs = np.ascontiguousarray(coeffs[src].T)
         he = np.arange(h)
         self.nxt = he + np.tile([1, 1, -2], h // 3)
         self.prv = he + np.tile([2, -1, -1], h // 3)

@@ -78,3 +78,44 @@ def test_every_module_has_an_importer():
     for path in tests.glob("*.py"):
         reached |= _imported_modules(path)
     assert sorted(modules - reached) == []
+
+
+def _rebound_attributes(path: Path) -> list[tuple[str, str, str]]:
+    """(module, owner, attribute) of every binding that ``_rebound`` calls
+    in the benchmark's layer hooks replace; owner is the name the hooks
+    import, a module or a class in it."""
+    tree = ast.parse(path.read_text())
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            for a in node.names:
+                owners[a.asname or a.name] = node.module
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_rebound"):
+            for item in node.args[0].elts:
+                owner, attr = item.elts[0].id, item.elts[1].value
+                found.append((owners[owner], owner, attr))
+    return found
+
+
+def test_benchmark_rebound_attributes_exist():
+    """perfbench/layers.py installs its wrappers by rebinding attributes of
+    the package; a refactor that drops one must fail here, not only in a
+    traced benchmark run."""
+    layers = PYPROJECT.parent / "perfbench" / "layers.py"
+    found = _rebound_attributes(layers)
+    assert {(o, a) for _, o, a in found} >= {
+        ("sampling", "polygon_simple_mask"), ("ChartModel", "build"),
+        ("sampling", "enumerate_saddle_connections"),
+        ("sampling", "independence_rank"),
+        ("torus_oracle", "circle_polygon_area")}
+    for module, owner, attr in found:
+        mod = importlib.import_module(module)
+        # ``from flatscale import sampling`` names a module, ``from
+        # flatscale.charts import ChartModel`` a class in one
+        obj = getattr(mod, owner, None)
+        if obj is None:
+            obj = importlib.import_module(f"{module}.{owner}")
+        assert callable(getattr(obj, attr, None)), f"{owner}.{attr}"

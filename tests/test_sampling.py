@@ -10,19 +10,20 @@ from flatscale.charts import ChartModel, get_chart
 from flatscale.homology import LinearSubspace, full_space, independence_rank, real_subspace
 from flatscale.sampling import ConingEstimate, estimate_coned_measure, scan_chart
 from flatscale.surface import (
-    CheckedSides,
     SurfaceError,
-    checked_sides,
-    ear_clip,
     identity_rows,
     polygon_is_simple,
     shoelace_area,
     surface_from_symmetric_polygon,
+    symmetric_polygon_batch,
     symmetric_vertices,
     symmetric_vertices_batch,
 )
 from flatscale.torus_oracle import cone_volume_quadrature, torus_exact_oracle
 from flatscale.unfolding import UnfoldedBatch, UnfoldingBudgetError, unfold_surfaces
+
+from scalar_ear_clip import scalar_ear_clip
+from scalar_prefix_ranks import prefix_ranks, reference_thresholds
 
 N_FAST = 60_000
 SEED = 1234
@@ -105,6 +106,21 @@ class TestOctagonSmoke:
         assert one.accepted >= two.accepted
 
 
+def _class_batch(surfaces) -> UnfoldedBatch:
+    """An UnfoldedBatch whose surface s has the connections of classes
+    ``surfaces[s]`` (rows of 4 ints), of lengths 1, 2, 3, ..."""
+    sizes = [len(c) for c in surfaces]
+    classes = np.concatenate([np.asarray(c, dtype=np.int64).reshape(-1, 4)
+                              for c in surfaces])
+    length = np.concatenate([np.arange(1.0, m + 1) for m in sizes])
+    return UnfoldedBatch(
+        offsets=np.cumsum([0] + sizes), holonomy=length.astype(complex),
+        length=length, start_zero=np.zeros(len(length), np.int64),
+        end_zero=np.zeros(len(length), np.int64), classes=classes,
+        dims=(4,) * len(sizes), chains=None,
+        nodes=np.zeros(len(sizes), np.int64))
+
+
 class TestPrefixRanks:
     @pytest.mark.parametrize("subspace", [
         full_space(4),
@@ -112,40 +128,54 @@ class TestPrefixRanks:
         real_subspace(np.random.default_rng(3).normal(size=(4, 3))),
     ])
     def test_capped_ranks_equal_svd_prefix_ranks(self, subspace, monkeypatch):
+        """The stacked rounds give the thresholds of the greedy reference,
+        whose ranks are the capped SVD ranks of every prefix."""
         rng = np.random.default_rng(5)
-        rows_seen = []
-
-        def counting_rank(classes, sub):
-            rows_seen.append(len(classes))
-            return independence_rank(classes, sub)
-
-        monkeypatch.setattr(sampling, "independence_rank", counting_rank)
+        surfaces = []
         for _ in range(200):
             n = int(rng.integers(1, 12))
             classes = rng.integers(-2, 3, size=(n, 4))
             dup = rng.integers(0, n, size=n // 3)  # repeated classes
             classes[rng.integers(0, n, size=dup.size)] = classes[dup]
+            surfaces.append(classes)
             classes = classes.astype(complex)
             full = [independence_rank(classes[:j], subspace) for j in range(1, n + 1)]
             for k_max in (1, 2, 3, 4):
-                rows_seen.clear()
-                got = sampling._prefix_ranks(classes, subspace, k_max)
+                got = prefix_ranks(classes, subspace, k_max)
                 assert got == [min(r, k_max) for r in full]
-                assert all(r <= min(k_max, subspace.dim) for r in rows_seen)
+        surfaces.insert(7, np.zeros((0, 4), np.int64))  # no connections
+        batch = _class_batch(surfaces)
+
+        heights = []
+
+        def counting_rank(classes, sub):
+            heights.append(np.shape(classes)[-2])
+            return independence_rank(classes, sub)
+
+        monkeypatch.setattr(sampling, "independence_rank", counting_rank)
+        for k_max in (1, 2, 3, 4):
+            heights.clear()
+            got = sampling._rank_thresholds(batch, subspace, k_max)
+            want = reference_thresholds(batch, subspace, k_max)
+            assert np.array_equal(got, want)
+            assert 0 < max(heights) <= min(k_max, subspace.dim)
 
     def test_repeated_classes_ranked_once(self, monkeypatch):
+        """Each distinct class of a surface goes to the SVD once, as the
+        last row of a stacked matrix; the rounds rank all surfaces."""
         calls = []
 
         def counting_rank(classes, sub):
-            calls.append(classes[-1].tolist())
+            calls.append(np.asarray(classes)[:, -1].real.astype(int).tolist())
             return independence_rank(classes, sub)
 
         monkeypatch.setattr(sampling, "independence_rank", counting_rank)
         a, b, c = [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]
-        classes = np.asarray([a, a, c, c, b, b], dtype=complex)
-        ranks = sampling._prefix_ranks(classes, full_space(4), 3)
-        assert ranks == [1, 1, 2, 2, 2, 2]
-        assert calls == [a, c, b]
+        batch = _class_batch([[a, a, c, c, b, b], [b, b, a]])
+        R = sampling._rank_thresholds(batch, full_space(4), 3)
+        assert R.tolist() == [[1, 3, math.inf], [1, 3, math.inf]]
+        # round 1: a and b alone; round 2: [a, c] and [b, a]; round 3: [a, c, b]
+        assert calls == [[a, b], [c, a], [b]]
 
 
 # Per-cell accepted counts recorded before the combinatorics cache, the
@@ -218,6 +248,20 @@ class TestChartInput:
         with pytest.raises(ValueError, match="half_width must be finite"):
             ChartModel("torus", 2, half_width)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.3])
+    def test_bad_radius_rejected(self, radius):
+        # a nan radius made l_max nan, so every radius cell counted 0
+        with pytest.raises(ValueError, match="radii must be finite and positive"):
+            scan_chart("torus", None, [None, (radius,), (0.3,)], 2000, 1)
+        with pytest.raises(ValueError, match="radii must be finite and positive"):
+            scan_chart("torus", None, [(0.2, radius)], 2000, 1)
+
+    @pytest.mark.parametrize("chunk_size", [-5, 0])
+    def test_bad_chunk_size_rejected(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+            scan_chart("torus", None, [None, (0.3,)], 2000, 1,
+                       chunk_size=chunk_size)
+
     def test_worker_error_propagates(self):
         with pytest.raises(UnfoldingBudgetError):
             scan_chart("torus", None, [(0.45,)], 2000, SEED, threads=2,
@@ -225,15 +269,33 @@ class TestChartInput:
 
 
 class FlakyTorus(ChartModel):
-    """Torus chart whose build fails for every sample with Re z_1 > 0.
+    """Torus chart that refuses every sample with Re z_1 > 0: its batch
+    builder rejects those rows, and its build raises for them.
 
     Module level, so that worker processes can unpickle it.
     """
 
+    def build_batch(self, sides):
+        keep = sides[:, 0].real <= 0
+        batch, ok = super().build_batch(sides[keep])
+        built = np.zeros(len(sides), dtype=bool)
+        built[keep] = ok
+        return batch, built
+
     def build(self, z):
+        assert len(z) == self.dim and all(type(w) is complex for w in z)
         if z[0].real > 0:
             raise SurfaceError("refused by the test chart")
         return super().build(z)
+
+
+class LenientBuild(ChartModel):
+    """Torus chart whose batch builder rejects every row that its build
+    accepts."""
+
+    def build_batch(self, sides):
+        batch, ok = super().build_batch(sides[:0])
+        return batch, np.zeros(len(sides), dtype=bool)
 
 
 class TestBuildFailures:
@@ -247,13 +309,13 @@ class TestBuildFailures:
 
         # the same scan on the plain chart, noting which builds would fail
         refused = []
-        build = ChartModel.build
+        build_batch = ChartModel.build_batch
 
-        def noting_build(self, z):
-            refused.append(z[0].real > 0)
-            return build(self, z)
+        def noting_build_batch(self, sides):
+            refused.extend((sides[:, 0].real > 0).tolist())
+            return build_batch(self, sides)
 
-        monkeypatch.setattr(ChartModel, "build", noting_build)
+        monkeypatch.setattr(ChartModel, "build_batch", noting_build_batch)
         plain = scan_chart(ChartModel("flaky", 2, half_width), None, cells,
                            20_000, SEED, chunk_size=8192)
         got = results[0]
@@ -264,10 +326,16 @@ class TestBuildFailures:
         for a, b in zip(got.estimates[1:], plain.estimates[1:]):
             assert 0 < a.accepted < b.accepted
 
+    def test_rejected_row_that_builds_alone_is_an_error(self):
+        chart = LenientBuild("lenient", 2, get_chart("torus").half_width)
+        with pytest.raises(RuntimeError, match="build_batch rejected"):
+            scan_chart(chart, None, [(0.3,)], 2000, SEED)
+
 
 class TestLayerHooks:
     """The benchmark times layers by wrapping ``ChartModel.build`` and
-    ``sampling.polygon_simple_mask``; the scan must call them as it does."""
+    ``sampling.polygon_simple_mask``, and counts build failures on
+    ``ChartModel.build``; the scan must call them as it does."""
 
     @pytest.mark.parametrize("chart, cells", [
         ("torus", [None, (0.3,)]),
@@ -275,27 +343,33 @@ class TestLayerHooks:
     ])
     def test_one_build_per_cone_sample_one_mask_per_chunk(self, chart, cells,
                                                          monkeypatch):
+        batches = []
         builds = []
         masks = []
-        build = ChartModel.build
+        build, build_batch = ChartModel.build, ChartModel.build_batch
         mask = sampling.polygon_simple_mask
 
+        def batch_hook(self, sides):
+            batches.append(len(sides))
+            return build_batch(self, sides)
+
         def build_hook(self, *args, **kwargs):
-            assert len(args) == 1 and not kwargs
-            sides = list(args[0])
-            assert len(sides) == self.dim
-            assert all(type(w) is complex for w in sides)
-            builds.append(sides)
-            return build(self, *args)
+            builds.append(args)
+            return build(self, *args, **kwargs)
 
         def mask_hook(verts, *args, **kwargs):
             masks.append(verts)
             return mask(verts, *args, **kwargs)
 
+        monkeypatch.setattr(ChartModel, "build_batch", batch_hook)
         monkeypatch.setattr(ChartModel, "build", build_hook)
         monkeypatch.setattr(sampling, "polygon_simple_mask", mask_hook)
         res = scan_chart(chart, None, cells, 20_000, SEED, chunk_size=8192)
-        assert len(builds) == res.estimates[0].accepted > 0
+        # every cone sample is built once, in its chunk's batch; only a row
+        # that the batch rejects is built alone (none here)
+        assert len(batches) == 3
+        assert sum(batches) == res.estimates[0].accepted > 0
+        assert builds == [] and res.build_failures == 0
         assert len(masks) == 3
         # the mask sees only the samples of positive area, at unit area
         for verts in masks:
@@ -316,30 +390,35 @@ def _sample_rows(dim):
 
 
 def _assert_checked_rows_build_as_checked(x, coeffs):
-    """Every row the unit-area batch check accepts reaches the builder as
-    CheckedSides whose vertices are the checked ones, bit for bit, and
-    builds the surface the checking path builds."""
+    """Every row the unit-area batch check accepts is built, in one batch,
+    from the very vertices checked, bit for bit, into the surface that a
+    checked build of that row alone gives."""
     area, unit, admissible = sampling._unit_area_check(x)
-    verts = symmetric_vertices_batch(unit)
-    rows = checked_sides(unit[admissible])
-    assert len(rows) == int(admissible.sum())
-    for sides, row in zip(rows, verts[admissible]):
-        assert isinstance(sides, CheckedSides)
-        assert all(type(w) is complex for w in sides)
-        built_from = symmetric_vertices(sides)
-        assert _bits(built_from) == _bits(row)
-        # the per-sample check the builder skips would have passed
-        assert polygon_is_simple(built_from) and shoelace_area(built_from) > 0
+    verts = symmetric_vertices_batch(unit)[admissible]
+    batch, built = symmetric_polygon_batch(unit[admissible], coeffs)
+    assert len(built) == len(verts) and len(batch) == int(built.sum())
+    edges = batch.edges.reshape(len(batch), x.shape[1] * 2 - 2, 3)
+    kinds = iter(zip(edges, batch.kind.tolist()))
+    for sides, row, ok in zip(unit[admissible].tolist(), verts.tolist(), built):
+        # the per-sample check the batch skips would have passed
+        assert polygon_is_simple(row) and shoelace_area(row) > 0
+        assert _bits(symmetric_vertices(sides)) == _bits(row)
+        try:
+            tris = scalar_ear_clip(row)
+        except SurfaceError:
+            assert not ok
+            continue
+        assert ok
+        got, kind = next(kinds)
+        want = [[row[b] - row[a], row[c] - row[b], row[a] - row[c]]
+                for a, b, c in tris]
+        assert _bits(got) == _bits(want)
 
         X = surface_from_symmetric_polygon(sides, coeffs)
-        Y = surface_from_symmetric_polygon(list(sides), coeffs)
-        assert X._tables is Y._tables
-        edges = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
-        assert _bits(edges) == _bits([[Y.edge(t, e) for e in range(3)]
-                                      for t in range(Y.n_triangles)])
-        want = [[row[b] - row[a], row[c] - row[b], row[a] - row[c]]
-                for a, b, c in ear_clip(list(row))]
-        assert _bits(edges) == _bits(want)
+        assert X._tables is batch.tables[kind]
+        assert _bits([[X.edge(t, e) for e in range(3)]
+                      for t in range(X.n_triangles)]) == _bits(want)
+    assert next(kinds, None) is None
 
 
 def _unit_rows(dim):
@@ -347,6 +426,9 @@ def _unit_rows(dim):
 
 
 class TestCheckedSides:
+    """Rows that pass the unit-area check build in one batch, checked by
+    nothing more, and give the surfaces of checked builds."""
+
     @PROPERTY
     @given(_sample_rows(2))
     @example(np.array([[complex(-0.0, 1.0), complex(-1.0, -0.0)]]))  # signed zeros
@@ -408,29 +490,30 @@ class TestBatchedScan:
         ("h2-octagon", [None, (0.6,), (0.6, 1.0)]),
     ])
     def test_unfolding_nodes(self, chart, cells, monkeypatch):
-        built, calls = [], []
-        build, unfold = ChartModel.build, sampling.unfold_surfaces
+        rows, calls = [], []
+        build_batch, unfold = ChartModel.build_batch, sampling.unfold_surfaces
 
-        def noting_build(self, z):
-            X = build(self, z)
-            built.append(X)
-            return X
+        def noting_build_batch(self, sides):
+            rows.extend(sides.tolist())
+            return build_batch(self, sides)
 
         def noting_unfold(surfaces, *args, **kwargs):
             calls.append(len(surfaces))
             return unfold(surfaces, *args, **kwargs)
 
-        monkeypatch.setattr(ChartModel, "build", noting_build)
+        monkeypatch.setattr(ChartModel, "build_batch", noting_build_batch)
         monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
         res = scan_chart(chart, None, cells, 20_000, SEED, chunk_size=8192)
         monkeypatch.undo()
         assert len(calls) == 3
-        assert sum(calls) == len(built) == res.estimates[0].accepted
+        assert sum(calls) == len(rows) == res.estimates[0].accepted
         two = scan_chart(chart, None, cells, 20_000, SEED, threads=2,
                          chunk_size=8192)
         assert two == res
         l_max = max(c[-1] for c in cells if c is not None)
-        alone = sum(int(unfold_surfaces([X], l_max).nodes[0]) for X in built)
+        model = get_chart(chart)
+        alone = sum(int(unfold_surfaces([model.build(z)], l_max).nodes[0])
+                    for z in rows)
         assert res.unfolding_nodes == alone > 0
 
     def test_no_radius_cell_unfolds_nothing(self):
@@ -468,7 +551,7 @@ class TestBatchedScan:
                 min_size=1, max_size=6))]
         for s, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
             ls = lengths[a:b]
-            ranks = (sampling._prefix_ranks(classes[a:b].astype(complex), W, 3)
+            ranks = (prefix_ranks(classes[a:b].astype(complex), W, 3)
                      if b > a else [])
             for cell in cells:
                 want = True
@@ -491,8 +574,10 @@ class TestIdentityRows:
         rng = sampling._chunk_generator(5, 0)
         x = sampling._sample_params(rng, 256, chart.dim, 2.0)
         area, unit, admissible = sampling._unit_area_check(x)
-        for sides in checked_sides(unit[admissible])[:40]:
+        batch, built = chart.build_batch(unit[admissible][:40])
+        assert built.all()
+        for sides, kind in zip(unit[admissible][:40].tolist(), batch.kind):
             X = chart.build(sides)
-            Y = surface_from_symmetric_polygon(list(sides), _unit_rows(chart.dim))
-            assert X._tables is Y._tables
+            Y = surface_from_symmetric_polygon(sides, _unit_rows(chart.dim))
+            assert X._tables is Y._tables is batch.tables[kind]
             assert X._coeffs == Y._coeffs

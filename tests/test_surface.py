@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from flatscale import sampling
 from flatscale.charts import get_chart
 from flatscale.surface import (
     MASK_BLOCK,
@@ -10,11 +12,15 @@ from flatscale.surface import (
     SurfaceError,
     TranslationSurface,
     ear_clip,
+    ear_clip_batch,
     polygon_is_simple,
     polygon_simple_mask,
     shoelace_area,
     surface_from_symmetric_polygon,
+    symmetric_vertices_batch,
 )
+
+from scalar_ear_clip import scalar_ear_clip
 
 
 def square_torus():
@@ -409,3 +415,132 @@ class TestSimpleMask:
             verts[pos] = poly
             want[pos] = simple
         assert polygon_simple_mask(verts).tolist() == want.tolist()
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=80)
+SUBSPACE_BASIS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+
+
+def assert_ear_clip_batch_is_scalar(verts):
+    """ear_clip_batch gives every row the index triples of the scalar ear
+    clip, and fails on exactly the rows where it raises."""
+    verts = np.asarray(verts, dtype=complex)
+    tris, ok = ear_clip_batch(verts)
+    assert tris.shape == (len(verts), verts.shape[1] - 2, 3)
+    failures = 0
+    for row, got, built in zip(verts.tolist(), tris.tolist(), ok.tolist()):
+        try:
+            want = scalar_ear_clip(row)
+        except SurfaceError:
+            assert not built
+            failures += 1
+            continue
+        assert built and [tuple(t) for t in got] == want
+    return failures
+
+
+_part = st.floats(-2.0, 2.0, allow_nan=False)
+_point = st.builds(complex, _part, _part)
+
+
+def _symmetric_rows(dim):
+    """Vertices of batches of centrally symmetric polygons, every row a
+    chart sample as the box draws it (most are not simple)."""
+    row = st.lists(_point, min_size=dim, max_size=dim)
+    return st.lists(row, min_size=1, max_size=24).map(
+        lambda rows: symmetric_vertices_batch(np.asarray(rows, dtype=complex)))
+
+
+@st.composite
+def _grid_polygons(draw):
+    """Batches of m-gons, m in 3..10, on a small integer grid: many have
+    collinear, repeated or coincident vertices."""
+    m = draw(st.integers(3, 10))
+    coord = st.integers(-2, 2)
+    vertex = st.builds(complex, coord, coord)
+    rows = draw(st.lists(st.lists(vertex, min_size=m, max_size=m),
+                         min_size=1, max_size=16))
+    return np.asarray(rows, dtype=complex)
+
+
+@st.composite
+def _star_polygons(draw):
+    """Batches of mostly non-convex polygons with 10 vertices, in order of
+    angle about the origin: simple when no gap between angles exceeds pi."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        angles = draw(st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True),
+                               min_size=10, max_size=10, unique=True))
+        radii = draw(st.lists(st.floats(0.1, 2.0), min_size=10, max_size=10))
+        rows.append(np.asarray(radii) * np.exp(1j * np.sort(angles)))
+    return np.asarray(rows)
+
+
+class TestEarClipBatch:
+    @pytest.mark.parametrize("name, seed", [
+        ("torus", 1), ("torus", 2), ("h2-octagon", 1), ("h2-octagon", 2)])
+    def test_scan_chunk_rows(self, name, seed):
+        """The unit-area rows a scan chunk builds; many octagons among them
+        are not convex."""
+        chart = get_chart(name)
+        rng = sampling._chunk_generator(seed, 0)
+        x = sampling._sample_params(rng, 16384, chart.dim, chart.half_width)
+        area, unit, admissible = sampling._unit_area_check(x)
+        verts = symmetric_vertices_batch(unit[admissible])
+        assert assert_ear_clip_batch_is_scalar(verts) == 0
+        if name == "h2-octagon":
+            e = np.roll(verts, -1, axis=1) - verts
+            turn = (np.roll(e, 1, axis=1).conj() * e).imag
+            assert (turn < 0).any(axis=1).sum() > 100  # reflex corners
+
+    @PROPERTY
+    @given(_symmetric_rows(2))
+    def test_tori(self, verts):
+        assert_ear_clip_batch_is_scalar(verts)
+
+    @PROPERTY
+    @given(_symmetric_rows(4))
+    def test_octagons(self, verts):
+        assert_ear_clip_batch_is_scalar(verts)
+
+    @PROPERTY
+    @given(st.lists(st.lists(_point, min_size=2, max_size=2), min_size=1,
+                    max_size=24))
+    def test_subspace_octagons(self, w):
+        x = np.asarray(w, dtype=complex) @ SUBSPACE_BASIS.T
+        assert_ear_clip_batch_is_scalar(symmetric_vertices_batch(x))
+
+    @PROPERTY
+    @given(_grid_polygons())
+    @example(np.array([[0, 1, 2, 2 + 1j, 1j]]))             # collinear vertex
+    @example(np.array([[0, 1, 2, 3]]))                      # all on a line
+    @example(np.array([[0, 0, 0, 0], [1, 1, 1j, 1j]]))      # coincident
+    @example(np.array([[0, 1, 1 + 1j, 1j, 1, 1 + 1j]]))     # repeated edge
+    @example(np.array([[0, 1, 1j]]))                        # a triangle
+    # ties at the tolerance, eps = 1e-12 here: corner 0 turns by exactly
+    # eps; vertex 2 lies exactly -eps across an edge of the ear at corner 0
+    @example(np.array([[1, 1 + 1e-12j, 0.5 + 0.8j, 0],
+                       [1, 1j, -1e-12 + 0.5j, 0],
+                       [1, 1j, 0.5 - 1e-12j, 0]]))
+    def test_collinear_and_degenerate(self, verts):
+        assert_ear_clip_batch_is_scalar(verts)
+
+    @PROPERTY
+    @given(_star_polygons())
+    def test_ten_gons(self, verts):
+        assert_ear_clip_batch_is_scalar(verts)
+
+    @PROPERTY
+    @given(_symmetric_rows(5))
+    def test_decagons(self, verts):
+        assert_ear_clip_batch_is_scalar(verts)
+
+    def test_failures_are_seen(self):
+        verts = [[0, 1, 2, 3], [0, 1, 1 + 1j, 1j]]
+        assert assert_ear_clip_batch_is_scalar(verts) == 1
+        assert ear_clip(verts[1]) == [(3, 0, 1), (1, 2, 3)]
+        with pytest.raises(SurfaceError, match="no ear found"):
+            ear_clip(verts[0])
+        with pytest.raises(SurfaceError, match="at least 3 vertices"):
+            ear_clip([0, 1])
