@@ -36,6 +36,10 @@ class ChartModel:
     ranges over |Re z_i| < h, |Im z_i| < h.  The builder is only
     guaranteed to succeed where ``admissible`` holds.
 
+    The parameters z are the first sides of a centrally symmetric polygon:
+    ``polygon_vertices`` are its vertices (``symmetric_vertices``), and
+    ``area`` and ``admissible`` test them with ``shoelace_area`` and
+    ``polygon_is_simple``, the routines that also check a whole batch.
     ``build`` builds one surface and checks that its polygon is simple and
     positively oriented.  ``build_batch`` builds many at once and checks
     nothing: ``scan_chart`` passes it only rows whose vertices its one
@@ -52,25 +56,18 @@ class ChartModel:
             raise ValueError(f"chart {self.name!r}: half_width must be finite "
                              f"and positive, got {self.half_width}")
 
-    def side_vectors(self, z) -> list[complex]:
-        return [complex(w) for w in z]
-
-    def polygon_vertices(self, z) -> list[complex]:
-        return symmetric_vertices(self.side_vectors(z))
+    def polygon_vertices(self, z) -> np.ndarray:
+        return symmetric_vertices(z)
 
     def admissible(self, z) -> bool:
         verts = self.polygon_vertices(z)
-        try:
-            return shoelace_area(verts) > 0 and polygon_is_simple(verts)
-        except (ValueError, ZeroDivisionError):
-            return False
+        return bool(shoelace_area(verts) > 0) and polygon_is_simple(verts)
 
     def area(self, z) -> float:
-        return shoelace_area(self.polygon_vertices(z))
+        return float(shoelace_area(self.polygon_vertices(z)))
 
     def build(self, z) -> TranslationSurface:
-        return surface_from_symmetric_polygon(self.side_vectors(z),
-                                              identity_rows(self.dim))
+        return surface_from_symmetric_polygon(z, identity_rows(self.dim))
 
     def build_batch(self, sides) -> tuple[SurfaceBatch, np.ndarray]:
         """The surfaces of the rows of ``sides`` (batch, dim), whose polygons

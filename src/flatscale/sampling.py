@@ -16,15 +16,17 @@ largest cell.
 
 Each chunk rescales every sample of positive area to unit area first, then
 runs one ``polygon_simple_mask`` call and one positive-area test on those
-unit-area polygons.  That single batch check decides admissibility, and it
-checks exactly the vertices the builder will triangulate.  The chunk's
-cone samples are then built in one ``ChartModel.build_batch`` call: one
-batch ear clip of all their polygons, the combinatorial tables looked up
-once per distinct triangulation, and the edge vectors as one array; no
-sample is checked again or made into a ``TranslationSurface``.  A row the
-batch ear clip rejects is built alone with ``ChartModel.build``, which
-raises; it is counted in ``ScanResult.build_failures``, stays in the plain
-cone count and is accepted by no radius cell.
+unit-area polygons (``symmetric_vertices`` and ``shoelace_area`` take the
+whole stack, as ``ChartModel`` passes them one polygon).  That single batch
+check decides admissibility, and it checks exactly the vertices the builder
+will triangulate.  The chunk's cone samples are then built in one
+``ChartModel.build_batch`` call: one batch ear clip of all their polygons,
+the combinatorial tables looked up once per distinct triangulation, and the
+edge vectors as one array; no sample is checked again or made into a
+``TranslationSurface``.  A row the batch ear clip rejects is built alone
+with ``ChartModel.build``, which raises; it is counted in
+``ScanResult.build_failures``, stays in the plain cone count and is accepted
+by no radius cell.
 
 The built surfaces are unfolded together, in one ``unfold_surfaces`` call
 per chunk; the chunk is the batch, so the counts and
@@ -58,7 +60,8 @@ from .surface import (
     SurfaceError,
     distinct_rows,
     polygon_simple_mask,
-    symmetric_vertices_batch,
+    shoelace_area,
+    symmetric_vertices,
 )
 # enumerate_saddle_connections is not called here; it stays bound because
 # perfbench/layers.py reads sampling's binding when it installs its wrappers.
@@ -101,12 +104,6 @@ def _sample_params(rng, size: int, dim: int, half_width: float) -> np.ndarray:
     return flat[:, 0::2] + 1j * flat[:, 1::2]
 
 
-def _areas(verts: np.ndarray) -> np.ndarray:
-    """Signed shoelace area of each row of polygon vertices."""
-    nxt = np.roll(verts, -1, axis=1)
-    return 0.5 * (verts.real * nxt.imag - verts.imag * nxt.real).sum(axis=1)
-
-
 def _unit_area_check(x: np.ndarray):
     """Rescale the samples ``x`` (batch, n) of positive area to unit area
     and check those in one batch.
@@ -121,13 +118,13 @@ def _unit_area_check(x: np.ndarray):
     inf or nan fail every strict test, so it is rejected; the overflow is
     expected and not reported.
     """
-    area = _areas(symmetric_vertices_batch(x))
+    area = shoelace_area(symmetric_vertices(x))
     pos = area > 0
     area = area[pos]
     unit = x[pos] * (1.0 / np.sqrt(area))[:, None]
-    verts = symmetric_vertices_batch(unit)
+    verts = symmetric_vertices(unit)
     with np.errstate(over="ignore", invalid="ignore"):
-        admissible = polygon_simple_mask(verts) & (_areas(verts) > 0)
+        admissible = polygon_simple_mask(verts) & (shoelace_area(verts) > 0)
     return area, unit, admissible
 
 
@@ -188,13 +185,11 @@ def _rebuild_rejected(chart: ChartModel, sides: np.ndarray) -> int:
 
 
 def _process_chunk(args) -> tuple[np.ndarray, int, int, int]:
-    (chart, basis, seed, chunk_index, size,
+    (chart, subspace, seed, chunk_index, size,
      cells, l_max, k_max, budget) = args
     rng = _chunk_generator(seed, chunk_index)
-    dim = chart.dim if basis is None else basis.shape[1]
-    w = _sample_params(rng, size, dim, chart.half_width)
-    x = w if basis is None else w @ basis.T
-    subspace = LinearSubspace(chart.dim, basis)
+    w = _sample_params(rng, size, subspace.dim, chart.half_width)
+    x = subspace.embed(w)
 
     area, unit, admissible = _unit_area_check(x)
     cone = admissible & (area <= 1.0)
@@ -255,11 +250,10 @@ def scan_chart(
     if isinstance(chart, str):
         chart = get_chart(chart)
     name = chart.name
-    basis = None
-    if subspace is not None and subspace.basis is not None:
-        if subspace.ambient_dim != chart.dim:
-            raise ValueError("subspace ambient dimension does not match chart")
-        basis = np.asarray(subspace.basis)
+    if subspace is None:
+        subspace = LinearSubspace(chart.dim)
+    elif subspace.ambient_dim != chart.dim:
+        raise ValueError("subspace ambient dimension does not match chart")
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
     if chunk_size < 1:
@@ -280,7 +274,7 @@ def scan_chart(
     tasks = []
     for c in range(n_chunks):
         size = min(chunk_size, samples - c * chunk_size)
-        tasks.append((chart, basis, seed, c, size,
+        tasks.append((chart, subspace, seed, c, size,
                       norm_cells, l_max, k_max, budget))
 
     if threads <= 1:
@@ -299,8 +293,7 @@ def scan_chart(
         n_nodes += nodes
 
     # intrinsic box volume: one box per sampled coordinate
-    vol = square_box_volume(chart.half_width,
-                            chart.dim if basis is None else basis.shape[1])
+    vol = square_box_volume(chart.half_width, subspace.dim)
 
     adm_fraction = n_adm / samples
     if adm_fraction < 0.01:

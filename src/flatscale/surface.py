@@ -13,9 +13,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,85 +91,86 @@ class TranslationSurface:
     edge_coords : optional integer array of shape (n_tri, 3, d) giving each
         edge vector as an integral combination of the d chart parameters.
         Enables exact homology classes for enumerated saddle connections.
+
+    The edge vectors are kept as one read-only (n_tri, 3) complex array,
+    the combinatorics as shared :class:`_SurfaceTables`.
     """
 
     def __init__(self, triangles, gluings, edge_coords=None):
-        tri = [tuple(complex(z) for z in t) for t in triangles]
-        if any(len(t) != 3 for t in tri):
+        try:
+            edges = np.array(triangles, dtype=complex)
+        except ValueError:
+            edges = None
+        if edges is None or edges.ndim != 2 or edges.shape[1] != 3:
             raise SurfaceError("each triangle needs exactly 3 edges")
         if edge_coords is not None:
             edge_coords = np.asarray(edge_coords)
-            if edge_coords.shape[:2] != (len(tri), 3):
+            if edge_coords.shape[:2] != edges.shape:
                 raise SurfaceError("edge_coords shape mismatch")
-        self._assign(tri, _surface_tables(len(tri), gluings, edge_coords))
+        edges.setflags(write=False)
+        self._edges = edges
+        self._tables = _surface_tables(len(edges), gluings, edge_coords)
 
     @classmethod
     def _from_tables(cls, edges, tables: "_SurfaceTables") -> "TranslationSurface":
-        """Surface from edge vectors (tuples of complex) and precomputed,
+        """Surface from a (n_tri, 3) complex edge array and precomputed,
         shared combinatorial tables; nothing is checked or copied."""
         self = cls.__new__(cls)
-        self._assign(edges, tables)
-        return self
-
-    def _assign(self, edges, tables: "_SurfaceTables") -> None:
         self._edges = edges
-        self.n_triangles = len(edges)
         self._tables = tables
-        self._gluings = tables.gluings
-        self._coeffs = tables.coeffs
-        self._neighbor = tables.neighbor
-        self._corner_vertex = tables.corner_vertex
-        self._n_vertices = tables.n_vertices
+        return self
 
     # -- basic geometry --------------------------------------------------------
 
+    @property
+    def n_triangles(self) -> int:
+        return len(self._edges)
+
     def edge(self, t: int, e: int) -> complex:
-        return self._edges[t][e]
+        return complex(self._edges[t, e])
 
     def edge_coeff(self, t: int, e: int):
-        return None if self._coeffs is None else self._coeffs[t][e]
+        coeffs = self._tables.coeffs
+        return None if coeffs is None else tuple(coeffs[3 * t + e].tolist())
 
     @property
     def has_coords(self) -> bool:
-        return self._coeffs is not None
+        return self._tables.coeffs is not None
 
     @property
     def gluings(self):
-        return dict(self._gluings)
+        return dict(self._tables.gluings)
 
     @property
     def n_vertices(self) -> int:
-        return self._n_vertices
-
-    def corner_angle(self, t: int, c: int) -> float:
-        a = self._edges[t][c]
-        b = -self._edges[t][(c - 1) % 3]
-        return math.atan2(_cross(a, b), _dot(a, b)) % TWO_PI
+        return self._tables.n_vertices
 
     def vertex_angles(self) -> list[float]:
-        angles = [0.0] * self._n_vertices
-        for t in range(self.n_triangles):
-            for c in range(3):
-                angles[self._corner_vertex[t][c]] += self.corner_angle(t, c)
-        return angles
+        """Total angle at each vertex: the sum of its corner angles, corner
+        k of a triangle lying between edge k and the reverse of edge k-1."""
+        a = self._edges
+        b = -np.roll(a, 1, axis=1)
+        corner = np.arctan2(_cross(a, b), _dot(a, b)) % TWO_PI
+        return np.bincount(self._tables.corner_vertex, corner.reshape(-1),
+                           self.n_vertices).tolist()
 
     def vertex_orders(self) -> list[int]:
         """Cone angle of vertex v is 2*pi*(order+1)."""
         return [int(round(a / TWO_PI)) - 1 for a in self.vertex_angles()]
 
     def area(self) -> float:
-        return sum(0.5 * _cross(t[0], t[1]) for t in self._edges)
+        e = self._edges
+        return sum((0.5 * _cross(e[:, 0], e[:, 1])).tolist())
 
     def scale(self) -> float:
-        return max(abs(z) for t in self._edges for z in t)
+        return float(np.abs(self._edges).max())
 
     def rescaled(self, s: float) -> "TranslationSurface":
         """Surface with every edge vector multiplied by s > 0.
 
         Chart coordinates are kept: homology classes are scale invariant.
         """
-        tri = [tuple(s * z for z in t) for t in self._edges]
-        return TranslationSurface._from_tables(tri, self._tables)
+        return TranslationSurface._from_tables(s * self._edges, self._tables)
 
     def mapped(self, m) -> "TranslationSurface":
         """Apply a real-linear map (2x2 matrix acting on R^2) to all edges.
@@ -184,29 +183,26 @@ class TranslationSurface:
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if not (np.isfinite(m).all() and det > 0.0):
             raise SurfaceError(f"mapped needs a finite map with det > 0, got det {det}")
-        tri = [
-            tuple(
-                complex(m[0, 0] * z.real + m[0, 1] * z.imag,
-                        m[1, 0] * z.real + m[1, 1] * z.imag)
-                for z in t
-            )
-            for t in self._edges
-        ]
-        return TranslationSurface._from_tables(tri, self._tables)
+        x, y = self._edges.real, self._edges.imag
+        edges = np.empty_like(self._edges)
+        edges.real = m[0, 0] * x + m[0, 1] * y
+        edges.imag = m[1, 0] * x + m[1, 1] * y
+        return TranslationSurface._from_tables(edges, self._tables)
 
     # -- validation -------------------------------------------------------------
 
     def validate(self, sig: StratumSignature | None = None) -> ValidationReport:
         structural: list[str] = []
         metric: list[str] = []
+        gluings, edges = self._tables.gluings, self._edges.tolist()
         seen = set()
         for t in range(self.n_triangles):
             for e in range(3):
                 key = (t, e)
-                if key not in self._gluings:
+                if key not in gluings:
                     structural.append(f"edge {key} has no gluing partner")
                     continue
-                partner = self._gluings[key]
+                partner = gluings[key]
                 if partner == key:
                     structural.append(f"edge {key} glued to itself")
                     continue
@@ -214,7 +210,7 @@ class TranslationSurface:
                 if not (0 <= pt < self.n_triangles and pe in (0, 1, 2)):
                     structural.append(f"edge {key} glued to missing edge {partner}")
                     continue
-                if self._gluings.get(partner) != key:
+                if gluings.get(partner) != key:
                     structural.append(f"gluing at {key} is not an involution")
                     continue
                 seen.add(key)
@@ -222,16 +218,15 @@ class TranslationSurface:
             return ValidationReport(tuple(structural), tuple(metric))
 
         s = self.scale()
-        for t in range(self.n_triangles):
-            e0, e1, e2 = self._edges[t]
+        for t, (e0, e1, e2) in enumerate(edges):
             if abs(e0 + e1 + e2) > TOL_CLOSURE * s:
                 metric.append(f"triangle {t} edges do not close up")
             if _cross(e0, e1) <= 0:
                 metric.append(f"triangle {t} is not positively oriented")
         for (t, e) in seen:
-            (t2, e2) = self._gluings[(t, e)]
+            (t2, e2) = gluings[(t, e)]
             if (t, e) < (t2, e2):
-                if abs(self._edges[t][e] + self._edges[t2][e2]) > TOL_GLUING * s:
+                if abs(edges[t][e] + edges[t2][e2]) > TOL_GLUING * s:
                     metric.append(
                         f"glued edges {(t, e)} and {(t2, e2)} are not opposite")
         if self.area() <= 0:
@@ -258,9 +253,11 @@ class TranslationSurface:
 
     def to_json(self) -> str:
         data = {
-            "triangles": [[[z.real, z.imag] for z in t] for t in self._edges],
+            "triangles": [[[z.real, z.imag] for z in t]
+                          for t in self._edges.tolist()],
             "gluings": sorted(
-                [list(k), list(v)] for k, v in self._gluings.items() if k < v
+                [list(k), list(v)] for k, v in self._tables.gluings.items()
+                if k < v
             ),
             "zeros": {str(v): m for v, m in enumerate(self.vertex_orders())},
         }
@@ -280,52 +277,39 @@ class TranslationSurface:
 
 @dataclass(frozen=True, eq=False)
 class _SurfaceTables:
-    """Combinatorics of a triangulated surface, independent of edge vectors.
+    """Combinatorics of a triangulated surface, independent of edge vectors,
+    as read-only arrays over half-edges h = 3 t + e (edge e of triangle t).
 
-    Every field is immutable, so one instance can be shared by surfaces.
+    One instance is shared by every surface with the same triangulation,
+    and the batched unfolding reads its arrays as they are.
+
+    gluings        (tri, edge) -> (tri, edge), as given; ``validate``
+                   reports on it
+    neighbor       (3T,) the half-edge glued to h, or -1
+    corner_vertex  (3T,) vertex id of corner h, the start of edge h
+    n_vertices     number of vertices
+    coeffs         (3T, dim) integer row of edge h in chart parameters:
+                   int64 when every |c| < 2**63, otherwise Python ints;
+                   None without rows
+    dim            length of a row, or None without rows
+    coeff_max      largest |c|, 0 without rows
     """
 
-    gluings: MappingProxyType      # (tri, edge) -> (tri, edge)
-    neighbor: tuple                # neighbor[t][e]: glued (tri, edge) or None
-    corner_vertex: tuple           # corner_vertex[t][c]: vertex id
+    gluings: MappingProxyType
+    neighbor: np.ndarray
+    corner_vertex: np.ndarray
     n_vertices: int
-    coeffs: tuple | None           # coeffs[t][e]: integer row, or None
-
-    @functools.cached_property
-    def arrays(self) -> "_TableArrays":
-        """The tables as flat arrays over half-edges h = 3 t + e, made once
-        per instance and shared by every surface that uses it."""
-        nbr = np.asarray([-1 if g is None else 3 * g[0] + g[1]
-                          for row in self.neighbor for g in row], dtype=np.int64)
-        vert = np.asarray(self.corner_vertex, dtype=np.int64).reshape(-1)
-        coeffs, dim, cmax = None, None, 0
-        if self.coeffs is not None:
-            dim = len(self.coeffs[0][0])
-            cmax = max((abs(x) for tri in self.coeffs for row in tri for x in row),
-                       default=0)
-            if cmax < 2**63:
-                coeffs = np.asarray(self.coeffs, dtype=np.int64).reshape(-1, dim)
-        for a in (nbr, vert, coeffs):
-            if a is not None:
-                a.setflags(write=False)
-        return _TableArrays(nbr, vert, dim, cmax, coeffs)
-
-
-class _TableArrays(NamedTuple):
-    neighbor: np.ndarray           # (3T,) glued half-edge, or -1
-    corner_vertex: np.ndarray      # (3T,) vertex id of corner h
-    dim: int | None                # length of a coefficient row, or None
-    coeff_max: int                 # largest |coefficient|, 0 without rows
-    coeffs: np.ndarray | None      # (3T, dim) int64 rows; None without rows
-                                   # or when coeff_max does not fit in int64
+    coeffs: np.ndarray | None
+    dim: int | None
+    coeff_max: int
 
 
 def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTables:
     gluings = MappingProxyType(dict(gluings))
-    nbr = [[None] * 3 for _ in range(n_triangles)]
+    nbr = np.full(3 * n_triangles, -1, dtype=np.int64)
     for (t, e), (t2, e2) in gluings.items():
         if 0 <= t < n_triangles and e in (0, 1, 2):
-            nbr[t][e] = (t2, e2)
+            nbr[3 * t + e] = 3 * t2 + e2
 
     # Union-find over corners; corner k of a triangle is the start of
     # edge k.  Gluing (t,e) <-> (t2,e2) identifies corner e of t with
@@ -346,28 +330,33 @@ def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTabl
     for (t, e), (t2, e2) in gluings.items():
         union(3 * t + e, 3 * t2 + (e2 + 1) % 3)
         union(3 * t + (e + 1) % 3, 3 * t2 + e2)
-    roots = sorted({find(x) for x in range(3 * n_triangles)})
-    index = {r: i for i, r in enumerate(roots)}
-    corner_vertex = tuple(tuple(index[find(3 * t + c)] for c in range(3))
-                          for t in range(n_triangles))
+    roots = [find(x) for x in range(3 * n_triangles)]
+    index = {r: i for i, r in enumerate(sorted(set(roots)))}
+    vert = np.asarray([index[r] for r in roots], dtype=np.int64)
 
-    coeffs = None
+    coeffs, dim, cmax = None, None, 0
     if edge_coords is not None:
-        coeffs = tuple(tuple(tuple(int(x) for x in edge_coords[t][e])
-                             for e in range(3))
-                       for t in range(n_triangles))
-    return _SurfaceTables(gluings, tuple(tuple(row) for row in nbr),
-                          corner_vertex, len(roots), coeffs)
+        edge_coords = np.asarray(edge_coords)
+        dim = edge_coords.shape[2]
+        ints = [int(x) for x in edge_coords.reshape(-1).tolist()]
+        cmax = max(map(abs, ints), default=0)
+        coeffs = np.asarray(ints, dtype=np.int64 if cmax < 2**63 else object)
+        coeffs = coeffs.reshape(3 * n_triangles, dim)
+    for a in (nbr, vert, coeffs):
+        if a is not None:
+            a.setflags(write=False)
+    return _SurfaceTables(gluings, nbr, vert, len(index), coeffs, dim, cmax)
 
 
 # -- polygon ingestion -----------------------------------------------------------
 
 
-def shoelace_area(vertices) -> float:
-    n = len(vertices)
-    return 0.5 * sum(
-        _cross(vertices[i], vertices[(i + 1) % n]) for i in range(n)
-    )
+def shoelace_area(vertices):
+    """Signed area of the polygon with vertices (m,), or of each polygon of
+    a stack (..., m): one float, or an array of shape (...)."""
+    v = np.asarray(vertices, dtype=complex)
+    nxt = np.roll(v, -1, axis=-1)
+    return 0.5 * (v.real * nxt.imag - v.imag * nxt.real).sum(axis=-1)
 
 
 def ear_clip_batch(verts) -> tuple[np.ndarray, np.ndarray]:
@@ -519,31 +508,21 @@ def _separate_collinear(sep, tol, p1, ei, q1, ej, d1, d2, d3, d4) -> None:
 
 def polygon_is_simple(vertices, rel_eps=1e-12) -> bool:
     """Strict simplicity: nondegenerate edges, no improper contacts."""
-    row = np.asarray([complex(v) for v in vertices])
-    return bool(polygon_simple_mask(row[None, :], rel_eps)[0])
+    return bool(polygon_simple_mask(vertices, rel_eps)[0])
 
 
-def symmetric_vertices(sides) -> list[complex]:
+def symmetric_vertices(sides) -> np.ndarray:
     """Vertices 0, z_1, z_1 + z_2, ... of the centrally symmetric polygon
     with side sequence z_1, ..., z_n, -z_1, ..., -z_n, summed left to right:
-    the vertices :func:`surface_from_symmetric_polygon` triangulates."""
-    full = list(sides) + [-z for z in sides]
-    verts = [0j]
-    for z in full[:-1]:
-        verts.append(verts[-1] + z)
-    return verts
+    the vertices :func:`surface_from_symmetric_polygon` triangulates.
 
-
-def symmetric_vertices_batch(sides) -> np.ndarray:
-    """:func:`symmetric_vertices` of every row of ``sides`` (batch, n).
-
-    The result has shape (batch, 2n).  Each row is summed from 0 in the
-    same order, so it is bit for bit the list the builder triangulates.
+    ``sides`` is one polygon (n,), giving (2n,), or a stack (..., n),
+    giving (..., 2n); every polygon is summed in the same order.
     """
     sides = np.asarray(sides, dtype=complex)
-    steps = np.concatenate([np.zeros((len(sides), 1), dtype=complex),
-                            sides, -sides[:, :-1]], axis=1)
-    return np.cumsum(steps, axis=1)
+    zero = np.zeros(sides.shape[:-1] + (1,), dtype=complex)
+    steps = np.concatenate([zero, sides, -sides[..., :-1]], axis=-1)
+    return np.cumsum(steps, axis=-1)
 
 
 def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
@@ -567,8 +546,8 @@ def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
     batch, ok = symmetric_polygon_batch([sides], coeffs)
     if not ok[0]:
         raise SurfaceError("no ear found; polygon not simple enough")
-    edges = [tuple(t) for t in batch.edges.reshape(-1, 3).tolist()]
-    return TranslationSurface._from_tables(edges, batch.tables[0])
+    return TranslationSurface._from_tables(batch.edges.reshape(-1, 3),
+                                           batch.tables[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,8 +556,10 @@ class SurfaceBatch:
     unfolding.
 
     edges   (H,) complex: the edge vectors of every triangle of every
-            surface, three per triangle, surfaces in batch order
-    tables  the distinct combinatorial tables of the batch
+            surface, three per triangle, surfaces in batch order; the
+            rows of each surface's (T, 3) edge array, concatenated
+    tables  the distinct :class:`_SurfaceTables` of the batch, whose
+            arrays the unfolding reads as they are
     kind    (n,) int: surface s has ``tables[kind[s]]``, and so as many
             triangles as those tables
     """
@@ -603,9 +584,8 @@ class SurfaceBatch:
             if k == len(tables):
                 tables.append(X._tables)
             kind[s] = k
-        edges = np.fromiter(chain.from_iterable(chain.from_iterable(
-            X._edges for X in surfaces)), complex,
-            3 * sum(X.n_triangles for X in surfaces))
+        edges = np.concatenate([np.zeros(0, dtype=complex)]
+                               + [X._edges.reshape(-1) for X in surfaces])
         return cls(edges, tuple(tables), kind)
 
 
@@ -615,7 +595,7 @@ def symmetric_polygon_batch(sides, coeffs=None) -> tuple[SurfaceBatch, np.ndarra
     ``sides`` (batch, n) holds the first side vectors of each polygon, as
     in :func:`surface_from_symmetric_polygon`, and ``coeffs`` the integer
     rows of those sides in chart parameters (or None).  The rows are not
-    checked: pass only rows whose :func:`symmetric_vertices_batch` passed
+    checked: pass only rows whose :func:`symmetric_vertices` passed
     :func:`polygon_simple_mask` and have positive area.  Those very
     vertices are ear clipped, all rows at once (:func:`ear_clip_batch`).
 
@@ -628,7 +608,7 @@ def symmetric_polygon_batch(sides, coeffs=None) -> tuple[SurfaceBatch, np.ndarra
     """
     sides = np.asarray(sides, dtype=complex)
     n = sides.shape[1]
-    verts = symmetric_vertices_batch(sides)
+    verts = symmetric_vertices(sides)
     tris, ok = ear_clip_batch(verts)
     tris, verts = tris[ok], verts[ok]
     rows = coeffs
@@ -665,23 +645,9 @@ def identity_rows(dim: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=4096)
 def _symmetric_polygon_tables(n: int, tris, rows) -> _SurfaceTables:
-    vrows = None
-    if rows is not None:
-        dim = len(rows[0])
-        rows = rows + tuple(tuple(-x for x in r) for r in rows)
-        vrows = [tuple([0] * dim)]
-        for r in rows[:-1]:
-            vrows.append(tuple(a + b for a, b in zip(vrows[-1], r)))
-
     m = 2 * n
     edge_lookup = {}
-    tri_coords = [] if rows is not None else None
     for t, vs in enumerate(tris):
-        if tri_coords is not None:
-            tri_coords.append([
-                tuple(x - y for x, y in zip(vrows[vs[(k + 1) % 3]], vrows[vs[k]]))
-                for k in range(3)
-            ])
         for k in range(3):
             edge_lookup[(vs[k], vs[(k + 1) % 3])] = (t, k)
 
@@ -692,4 +658,13 @@ def _symmetric_polygon_tables(n: int, tris, rows) -> _SurfaceTables:
         else:  # boundary side (a, a+1): partner is the opposite side
             pa, pb = (a + n) % m, (b + n) % m
             gluings[(t, k)] = edge_lookup[(pa, pb)]
-    return _surface_tables(len(tris), gluings, tri_coords)
+
+    coords = None
+    if rows is not None:
+        # the integer rows of the vertices, summed as symmetric_vertices
+        # sums the sides, and of each triangle edge (end minus start)
+        side = np.asarray(rows, dtype=object)
+        steps = np.concatenate([np.zeros_like(side[:1]), side, -side[:-1]])
+        corner = np.cumsum(steps, axis=0)[np.asarray(tris)]
+        coords = np.roll(corner, -1, axis=1) - corner
+    return _surface_tables(len(tris), gluings, coords)

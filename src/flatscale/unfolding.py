@@ -161,14 +161,13 @@ def unfold_surfaces(surfaces, length_bound: float, budget: int = 1_000_000,
         raise ValueError("length bound must be positive")
     if not isinstance(surfaces, SurfaceBatch):
         surfaces = SurfaceBatch.of(surfaces)
-    tables = [t.arrays for t in surfaces.tables]
-    cmax = max((t.coeff_max for t in tables), default=0)
+    cmax = max((t.coeff_max for t in surfaces.tables), default=0)
     rows = max(budget, 0) + 2
     if cmax * rows >= _INT64_LIMIT:
         raise ValueError(
             f"class coefficients up to {cmax} times budget + 2 = {rows} "
             f"reach {cmax * rows}, beyond int64 (2**63); lower the budget")
-    b = _Batch(surfaces.edges, tables, surfaces.kind)
+    b = _Batch(surfaces.edges, surfaces.tables, surfaces.kind)
     with np.errstate(divide="ignore", invalid="ignore"):
         levels = [] if record_chains else None
         found, nodes = _search(b, length_bound * length_bound, budget,
@@ -181,9 +180,10 @@ class _Batch:
     (t counts the triangles of all surfaces, in batch order).  Vectors are
     stored component first: ``edge`` is (2, H) and ``coeffs`` (D, H).
 
-    ``edges`` (H,) are the edge vectors, ``tables`` the distinct table
-    arrays and ``kind`` (n,) the index of each surface's tables; every
-    table is gathered onto the half-edges of its surfaces at once.
+    ``edges`` (H,) are the edge vectors, ``tables`` the distinct
+    ``_SurfaceTables`` of the batch, whose arrays are read as they are,
+    and ``kind`` (n,) the index of each surface's tables; every table is
+    gathered onto the half-edges of its surfaces at once.
     """
 
     def __init__(self, edges, tables, kind):

@@ -42,11 +42,15 @@ def _neg(a):
 
 def scalar_unfold(surface, length_bound, record_chains=False,
                   keep_orientations=False):
-    E = surface._edges
-    nbr = surface._neighbor
-    vert = surface._corner_vertex
-    coeffs = surface._coeffs
-    cls = ((None,) * 3,) * surface.n_triangles if coeffs is None else coeffs
+    # the surface's arrays as nested lists of Python scalars
+    T, tables = surface.n_triangles, surface._tables
+    E = surface._edges.tolist()
+    nbr = [[None if g < 0 else divmod(g, 3) for g in row]
+           for row in tables.neighbor.reshape(T, 3).tolist()]
+    vert = tables.corner_vertex.reshape(T, 3).tolist()
+    cls = ((None,) * 3,) * T if tables.coeffs is None else [
+        [tuple(r) for r in tri]
+        for tri in tables.coeffs.reshape(T, 3, tables.dim).tolist()]
     L2 = length_bound * length_bound
     eps = WEDGE_EPS
     found = {}

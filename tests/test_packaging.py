@@ -6,13 +6,12 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_script_entries_resolve():
     """Every console script in pyproject.toml names an importable callable."""
+    tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as f:
         project = tomllib.load(f)["project"]
     for name, target in project.get("scripts", {}).items():
@@ -26,6 +25,7 @@ def test_script_entries_resolve():
 def test_test_imports_declared():
     """Every third-party module the tests import is a dependency or in the
     `test` extra, so `pip install .[test]` can collect the suite."""
+    tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as f:
         project = tomllib.load(f)["project"]
     reqs = project["dependencies"] + project["optional-dependencies"]["test"]

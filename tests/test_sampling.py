@@ -17,7 +17,6 @@ from flatscale.surface import (
     surface_from_symmetric_polygon,
     symmetric_polygon_batch,
     symmetric_vertices,
-    symmetric_vertices_batch,
 )
 from flatscale.torus_oracle import cone_volume_quadrature, torus_exact_oracle
 from flatscale.unfolding import UnfoldedBatch, UnfoldingBudgetError, unfold_surfaces
@@ -256,6 +255,14 @@ class TestChartInput:
         with pytest.raises(ValueError, match="radii must be finite and positive"):
             scan_chart("torus", None, [(0.2, radius)], 2000, 1)
 
+    @pytest.mark.parametrize("subspace", [
+        full_space(4), real_subspace(np.eye(4)[:, :2]), full_space(1)])
+    def test_subspace_of_wrong_dimension_rejected(self, subspace):
+        # a full space of the wrong dimension once ran and reported the box
+        # volume of its own dimension
+        with pytest.raises(ValueError, match="ambient dimension"):
+            scan_chart("torus", subspace, [0.3], 2000, 1)
+
     @pytest.mark.parametrize("chunk_size", [-5, 0])
     def test_bad_chunk_size_rejected(self, chunk_size):
         with pytest.raises(ValueError, match="chunk_size must be at least 1"):
@@ -373,7 +380,7 @@ class TestLayerHooks:
         assert len(masks) == 3
         # the mask sees only the samples of positive area, at unit area
         for verts in masks:
-            assert np.allclose(sampling._areas(verts), 1.0, rtol=1e-12, atol=0)
+            assert np.allclose(shoelace_area(verts), 1.0, rtol=1e-12, atol=0)
 
 
 def _bits(values):
@@ -394,7 +401,7 @@ def _assert_checked_rows_build_as_checked(x, coeffs):
     from the very vertices checked, bit for bit, into the surface that a
     checked build of that row alone gives."""
     area, unit, admissible = sampling._unit_area_check(x)
-    verts = symmetric_vertices_batch(unit)[admissible]
+    verts = symmetric_vertices(unit)[admissible]
     batch, built = symmetric_polygon_batch(unit[admissible], coeffs)
     assert len(built) == len(verts) and len(batch) == int(built.sum())
     edges = batch.edges.reshape(len(batch), x.shape[1] * 2 - 2, 3)
@@ -580,4 +587,3 @@ class TestIdentityRows:
             X = chart.build(sides)
             Y = surface_from_symmetric_polygon(sides, _unit_rows(chart.dim))
             assert X._tables is Y._tables is batch.tables[kind]
-            assert X._coeffs == Y._coeffs

@@ -17,7 +17,7 @@ from flatscale.surface import (
     polygon_simple_mask,
     shoelace_area,
     surface_from_symmetric_polygon,
-    symmetric_vertices_batch,
+    symmetric_vertices,
 )
 
 from scalar_ear_clip import scalar_ear_clip
@@ -140,6 +140,41 @@ class TestMapped:
                                        X.edge(0, 0).real + X.edge(0, 0).imag)
         assert abs(Y.area() - X.area()) < 1e-12
 
+    def test_bit_for_bit_scalar_arithmetic(self):
+        """``mapped`` and ``rescaled`` are the per-edge Python arithmetic
+        complex(m00 x + m01 y, m10 x + m11 y) and s * z, signed zeros too."""
+        rng = np.random.default_rng(19)
+        chart = get_chart("h2-octagon")
+        surfaces = [octagon_surface()]
+        while len(surfaces) < 40:
+            z = rng.uniform(-2, 2, 4) + 1j * rng.uniform(-2, 2, 4)
+            if chart.admissible(z):
+                surfaces.append(chart.build(z))
+        maps = [[[0.0, -1.0], [1.0, 0.0]], [[2.0, 1.0], [1.0, 1.0]]]
+        maps += [m for m in rng.normal(size=(20, 2, 2)).tolist()
+                 if m[0][0] * m[1][1] - m[0][1] * m[1][0] > 0]
+        scales = [0.5, 0.37, 3.0, 1e-3] + rng.uniform(0.01, 10, 8).tolist()
+
+        def bits(X):
+            return np.asarray([[X.edge(t, e) for e in range(3)]
+                               for t in range(X.n_triangles)]).view(np.uint64)
+
+        for X in surfaces:
+            edges = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
+            for m in maps:
+                (m00, m01), (m10, m11) = m
+                want = [[complex(m00 * z.real + m01 * z.imag,
+                                 m10 * z.real + m11 * z.imag) for z in row]
+                        for row in edges]
+                got = X.mapped(m)
+                assert got._tables is X._tables
+                assert np.array_equal(bits(got),
+                                      np.asarray(want).view(np.uint64))
+            for scale in scales:
+                want = [[scale * z for z in row] for row in edges]
+                assert np.array_equal(bits(X.rescaled(scale)),
+                                      np.asarray(want).view(np.uint64))
+
     @pytest.mark.parametrize("m", [
         [[1.0, 0.0], [0.0, -1.0]],         # reflection
         [[1.0, 2.0], [0.5, 1.0]],          # singular
@@ -174,6 +209,27 @@ class TestPolygons:
                 shoelace_area([verts[a], verts[b], verts[c]])
                 for a, b, c in tris)
             assert abs(total - shoelace_area(verts)) < 1e-9
+
+    def test_vertices_and_area_of_one_polygon_or_a_stack(self):
+        """One polygon gives the row of a stack bit for bit, and its
+        vertices are the partial sums 0, z_1, z_1 + z_2, ... from the left."""
+        rng = np.random.default_rng(23)
+        sides = rng.uniform(-2, 2, (3, 5, 4)) + 1j * rng.uniform(-2, 2, (3, 5, 4))
+        verts, area = symmetric_vertices(sides), shoelace_area(
+            symmetric_vertices(sides))
+        assert verts.shape == (3, 5, 8) and area.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                z = sides[i, j].tolist()
+                want = [0j]
+                for w in z + [-w for w in z[:-1]]:
+                    want.append(want[-1] + w)
+                one = symmetric_vertices(z)
+                assert np.array_equal(one.view(np.uint64),
+                                      np.asarray(want).view(np.uint64))
+                assert np.array_equal(one.view(np.uint64),
+                                      verts[i, j].view(np.uint64))
+                assert shoelace_area(one) == area[i, j]
 
     def test_degenerate_lattice_inadmissible(self):
         with pytest.raises(SurfaceError):
@@ -252,10 +308,10 @@ class TestMemoisedBuild:
             coords = [[X.edge_coeff(t, e) for e in range(3)]
                       for t in range(X.n_triangles)]
             Y = TranslationSurface(edges, X.gluings, coords)
-            assert X._neighbor == Y._neighbor
-            assert X._corner_vertex == Y._corner_vertex
+            for name in ("neighbor", "corner_vertex", "coeffs"):
+                assert np.array_equal(getattr(X._tables, name),
+                                      getattr(Y._tables, name))
             assert X.n_vertices == Y.n_vertices
-            assert X._coeffs == Y._coeffs
         assert len(types) >= min_types
 
     def test_same_triangulation_shares_tables(self):
@@ -263,6 +319,26 @@ class TestMemoisedBuild:
         Y = torus(1.0 + 0.1j, 0.2 + 1j)
         assert X._tables is Y._tables
         assert X.edge(0, 0) != Y.edge(0, 0)
+
+    def test_tables_are_read_only(self):
+        """Surfaces share their tables, so no table can be written: those of
+        the constructor, of ``chart.build`` and of ``build_batch``."""
+        chart = get_chart("h2-octagon")
+        z = np.asarray(OCTAGON_Z)
+        X = chart.build(z)
+        Y = TranslationSurface(
+            [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)],
+            X.gluings, [[X.edge_coeff(t, e) for e in range(3)]
+                        for t in range(X.n_triangles)])
+        batch, built = chart.build_batch(z[None])
+        assert built.all()
+        for tables in (X._tables, Y._tables, batch.tables[0]):
+            for name in ("neighbor", "corner_vertex", "coeffs"):
+                a = getattr(tables, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[1]
+            with pytest.raises(TypeError):
+                tables.gluings[(0, 0)] = (0, 1)
 
     def test_rescaled_keeps_tables(self):
         X = octagon_surface()
@@ -449,7 +525,7 @@ def _symmetric_rows(dim):
     chart sample as the box draws it (most are not simple)."""
     row = st.lists(_point, min_size=dim, max_size=dim)
     return st.lists(row, min_size=1, max_size=24).map(
-        lambda rows: symmetric_vertices_batch(np.asarray(rows, dtype=complex)))
+        lambda rows: symmetric_vertices(np.asarray(rows, dtype=complex)))
 
 
 @st.composite
@@ -487,7 +563,7 @@ class TestEarClipBatch:
         rng = sampling._chunk_generator(seed, 0)
         x = sampling._sample_params(rng, 16384, chart.dim, chart.half_width)
         area, unit, admissible = sampling._unit_area_check(x)
-        verts = symmetric_vertices_batch(unit[admissible])
+        verts = symmetric_vertices(unit[admissible])
         assert assert_ear_clip_batch_is_scalar(verts) == 0
         if name == "h2-octagon":
             e = np.roll(verts, -1, axis=1) - verts
@@ -509,7 +585,7 @@ class TestEarClipBatch:
                     max_size=24))
     def test_subspace_octagons(self, w):
         x = np.asarray(w, dtype=complex) @ SUBSPACE_BASIS.T
-        assert_ear_clip_batch_is_scalar(symmetric_vertices_batch(x))
+        assert_ear_clip_batch_is_scalar(symmetric_vertices(x))
 
     @PROPERTY
     @given(_grid_polygons())
