@@ -63,19 +63,14 @@ class StratumSignature:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    structural_errors: tuple[str, ...]
     metric_errors: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.structural_errors and not self.metric_errors
+        return not self.metric_errors
 
     def __str__(self):
-        if self.ok:
-            return "valid"
-        lines = [f"structural: {e}" for e in self.structural_errors]
-        lines += [f"metric: {e}" for e in self.metric_errors]
-        return "\n".join(lines)
+        return "\n".join(self.metric_errors) if self.metric_errors else "valid"
 
 
 class TranslationSurface:
@@ -87,13 +82,15 @@ class TranslationSurface:
         triangle runs from corner k to corner k+1 (mod 3); positively
         oriented triangles have cross(e0, e1) > 0.
     gluings : dict mapping (tri, edge) -> (tri, edge).  Must be a fixed-point
-        free involution; glued edges carry opposite vectors.
+        free involution on all the edges; glued edges carry opposite vectors.
     edge_coords : optional integer array of shape (n_tri, 3, d) giving each
         edge vector as an integral combination of the d chart parameters.
         Enables exact homology classes for enumerated saddle connections.
 
-    The edge vectors are kept as one read-only (n_tri, 3) complex array,
-    the combinatorics as shared :class:`_SurfaceTables`.
+    The constructor checks the gluing and the coordinates, raising
+    :class:`SurfaceError` on the first fault; :meth:`validate` checks the
+    metric.  The edge vectors are kept as one read-only (n_tri, 3) complex
+    array, the combinatorics as shared :class:`_SurfaceTables`.
     """
 
     def __init__(self, triangles, gluings, edge_coords=None):
@@ -103,10 +100,6 @@ class TranslationSurface:
             edges = None
         if edges is None or edges.ndim != 2 or edges.shape[1] != 3:
             raise SurfaceError("each triangle needs exactly 3 edges")
-        if edge_coords is not None:
-            edge_coords = np.asarray(edge_coords)
-            if edge_coords.shape[:2] != edges.shape:
-                raise SurfaceError("edge_coords shape mismatch")
         edges.setflags(write=False)
         self._edges = edges
         self._tables = _surface_tables(len(edges), gluings, edge_coords)
@@ -192,39 +185,16 @@ class TranslationSurface:
     # -- validation -------------------------------------------------------------
 
     def validate(self, sig: StratumSignature | None = None) -> ValidationReport:
-        structural: list[str] = []
+        """Metric checks; the gluing was checked when the surface was built."""
         metric: list[str] = []
-        gluings, edges = self._tables.gluings, self._edges.tolist()
-        seen = set()
-        for t in range(self.n_triangles):
-            for e in range(3):
-                key = (t, e)
-                if key not in gluings:
-                    structural.append(f"edge {key} has no gluing partner")
-                    continue
-                partner = gluings[key]
-                if partner == key:
-                    structural.append(f"edge {key} glued to itself")
-                    continue
-                pt, pe = partner
-                if not (0 <= pt < self.n_triangles and pe in (0, 1, 2)):
-                    structural.append(f"edge {key} glued to missing edge {partner}")
-                    continue
-                if gluings.get(partner) != key:
-                    structural.append(f"gluing at {key} is not an involution")
-                    continue
-                seen.add(key)
-        if structural:
-            return ValidationReport(tuple(structural), tuple(metric))
-
+        edges = self._edges.tolist()
         s = self.scale()
         for t, (e0, e1, e2) in enumerate(edges):
             if abs(e0 + e1 + e2) > TOL_CLOSURE * s:
                 metric.append(f"triangle {t} edges do not close up")
             if _cross(e0, e1) <= 0:
                 metric.append(f"triangle {t} is not positively oriented")
-        for (t, e) in seen:
-            (t2, e2) = gluings[(t, e)]
+        for (t, e), (t2, e2) in self._tables.gluings.items():
             if (t, e) < (t2, e2):
                 if abs(edges[t][e] + edges[t2][e2]) > TOL_GLUING * s:
                     metric.append(
@@ -247,7 +217,7 @@ class TranslationSurface:
                 metric.append(
                     f"vertex orders {sorted(orders)} do not match "
                     f"stratum {sorted(sig.zero_orders)}")
-        return ValidationReport(tuple(structural), tuple(metric))
+        return ValidationReport(tuple(metric))
 
     # -- serialization ------------------------------------------------------------
 
@@ -283,9 +253,9 @@ class _SurfaceTables:
     One instance is shared by every surface with the same triangulation,
     and the batched unfolding reads its arrays as they are.
 
-    gluings        (tri, edge) -> (tri, edge), as given; ``validate``
-                   reports on it
-    neighbor       (3T,) the half-edge glued to h, or -1
+    gluings        (tri, edge) -> (tri, edge), a fixed-point free
+                   involution on all 3T edges, as Python ints
+    neighbor       (3T,) the half-edge glued to h
     corner_vertex  (3T,) vertex id of corner h, the start of edge h
     n_vertices     number of vertices
     coeffs         (3T, dim) integer row of edge h in chart parameters:
@@ -305,47 +275,77 @@ class _SurfaceTables:
 
 
 def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTables:
-    gluings = MappingProxyType(dict(gluings))
-    nbr = np.full(3 * n_triangles, -1, dtype=np.int64)
-    for (t, e), (t2, e2) in gluings.items():
-        if 0 <= t < n_triangles and e in (0, 1, 2):
-            nbr[3 * t + e] = 3 * t2 + e2
+    """The tables of a surface of ``n_triangles`` triangles; raises
+    :class:`SurfaceError` for a faulty gluing or faulty coordinates."""
+    gluings, nbr = _check_gluings(n_triangles, gluings)
 
-    # Union-find over corners; corner k of a triangle is the start of
-    # edge k.  Gluing (t,e) <-> (t2,e2) identifies corner e of t with
-    # the end corner of edge e2 (= corner e2+1) and vice versa.
-    parent = list(range(3 * n_triangles))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for (t, e), (t2, e2) in gluings.items():
-        union(3 * t + e, 3 * t2 + (e2 + 1) % 3)
-        union(3 * t + (e + 1) % 3, 3 * t2 + e2)
-    roots = [find(x) for x in range(3 * n_triangles)]
-    index = {r: i for i, r in enumerate(sorted(set(roots)))}
-    vert = np.asarray([index[r] for r in roots], dtype=np.int64)
+    # Corner k of a triangle is the start of edge k, and gluing h <-> g
+    # makes the start of h the end of g, corner nxt(g): the vertices are the
+    # cycles of h -> nxt(nbr[h]), numbered in the order of their least
+    # corners, which pointer doubling finds.
+    step = (np.arange(3 * n_triangles) + np.tile([1, 1, -2], n_triangles))[nbr]
+    low = np.arange(3 * n_triangles)
+    for _ in range((3 * n_triangles).bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    roots, vert = np.unique(low, return_inverse=True)
 
     coeffs, dim, cmax = None, None, 0
     if edge_coords is not None:
-        edge_coords = np.asarray(edge_coords)
+        edge_coords = np.asarray(edge_coords, dtype=object)
+        if edge_coords.ndim != 3 or edge_coords.shape[:2] != (n_triangles, 3):
+            raise SurfaceError(f"edge_coords must have shape ({n_triangles}, 3, d)")
         dim = edge_coords.shape[2]
-        ints = [int(x) for x in edge_coords.reshape(-1).tolist()]
+        ints = [_integer(x) for x in edge_coords.reshape(-1).tolist()]
         cmax = max(map(abs, ints), default=0)
         coeffs = np.asarray(ints, dtype=np.int64 if cmax < 2**63 else object)
         coeffs = coeffs.reshape(3 * n_triangles, dim)
     for a in (nbr, vert, coeffs):
         if a is not None:
             a.setflags(write=False)
-    return _SurfaceTables(gluings, nbr, vert, len(index), coeffs, dim, cmax)
+    return _SurfaceTables(gluings, nbr, vert, len(roots), coeffs, dim, cmax)
+
+
+def _check_gluings(n_triangles: int, gluings):
+    """``gluings`` as Python ints and the half-edge glued to each half-edge
+    h = 3 t + e.  Raises :class:`SurfaceError` naming the first fault
+    unless every key and partner is an edge, every edge has exactly one
+    partner and the map is a fixed-point free involution."""
+    items = list(dict(gluings).items())
+    try:
+        pairs = np.asarray(items or np.zeros((0, 2, 2), np.int64))
+    except ValueError:
+        pairs = np.zeros(0)
+    if pairs.shape != (len(items), 2, 2) or pairs.dtype.kind not in "iu":
+        raise SurfaceError("gluings must map (triangle, edge) integer pairs")
+    t, e = pairs[..., 0], pairs[..., 1]
+    bad = (t < 0) | (t >= n_triangles) | (e < 0) | (e > 2)
+    if bad.any():
+        g, side = np.argwhere(bad)[0]
+        raise SurfaceError(f"gluing {items[g][0]} -> {items[g][1]} names "
+                           f"missing edge {items[g][side]}")
+    h = 3 * t + e
+    nbr = np.full(3 * n_triangles, -1, dtype=np.int64)
+    nbr[h[:, 0]] = h[:, 1]  # the keys are distinct: one partner at most
+    he = np.arange(nbr.size)
+    for fault, what in ((nbr < 0, "has no gluing partner"),
+                        (nbr == he, "is glued to itself"),
+                        (nbr[nbr] != he, "is not glued back: not an involution")):
+        if fault.any():
+            raise SurfaceError(f"edge {divmod(int(fault.argmax()), 3)} {what}")
+    return MappingProxyType({(a, b): (c, d) for (a, b), (c, d) in pairs.tolist()}), nbr
+
+
+def _integer(x) -> int:
+    """``x`` as a Python int; raises :class:`SurfaceError` when it is NaN,
+    infinite, fractional or not a number."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != x:
+        raise SurfaceError(f"coefficient {x!r} is not an integer")
+    return i
 
 
 # -- polygon ingestion -----------------------------------------------------------
@@ -614,7 +614,7 @@ def symmetric_polygon_batch(sides, coeffs=None) -> tuple[SurfaceBatch, np.ndarra
     rows = coeffs
     if coeffs is not None and not (type(coeffs) is tuple
                                    and all(type(r) is tuple for r in coeffs)):
-        rows = tuple(tuple(int(x) for x in r) for r in coeffs)
+        rows = tuple(tuple(_integer(x) for x in r) for r in coeffs)
     # an ear clip is fixed by the corner it clips at each step
     first, kind = distinct_rows(tris[:, :-1, 1])
     tables = tuple(_symmetric_polygon_tables(n, tuple(map(tuple, key)), rows)
@@ -664,6 +664,8 @@ def _symmetric_polygon_tables(n: int, tris, rows) -> _SurfaceTables:
         # the integer rows of the vertices, summed as symmetric_vertices
         # sums the sides, and of each triangle edge (end minus start)
         side = np.asarray(rows, dtype=object)
+        if side.ndim != 2 or len(side) != n:
+            raise SurfaceError(f"coeffs must be {n} rows of equal length")
         steps = np.concatenate([np.zeros_like(side[:1]), side, -side[:-1]])
         corner = np.cumsum(steps, axis=0)[np.asarray(tris)]
         coords = np.roll(corner, -1, axis=1) - corner

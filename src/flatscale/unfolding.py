@@ -27,11 +27,11 @@ corner's nodes come out in breadth-first order.  The float arithmetic is
 that of a scalar search, done in the same order, so every surface gets
 exactly the connections it gets alone.
 
-The canonical order, per surface: of connections with equal starting
-corner and holonomy rounded to ten significant digits, the first in
-search order is kept; the kept ones are sorted stably by length, angle,
-start zero and end zero.  :func:`enumerate_saddle_connections` is the batch
-of one.
+The canonical order, per surface: the connections in search order, each
+corner's in turn, sorted stably by length, angle, start zero and end zero.
+Nothing is deduped: the half-open wedges emit each connection once by
+construction, on the closed tables that the surface constructor checks.
+:func:`enumerate_saddle_connections` is the batch of one.
 """
 
 from __future__ import annotations
@@ -203,8 +203,7 @@ class _Batch:
         # where each global half-edge sits in the concatenated tables
         src = (first[kind] - start[:-1]).repeat(n_he) + np.arange(h)
         self.edge = np.stack([edges.real, edges.imag])
-        local = _cat([t.neighbor for t in tables])[src]
-        self.nbr = np.where(local >= 0, local + start[self.surf], -1)
+        self.nbr = _cat([t.neighbor for t in tables])[src] + start[self.surf]
         self.vert = _cat([t.corner_vertex for t in tables])[src]
         d = max((t.dim or 0 for t in tables), default=0)
         coeffs = np.zeros((int(size.sum()), d), np.int64)
@@ -268,7 +267,7 @@ def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
     # Continue through the far edge with both boundaries open.
     lo = ea / np.sqrt(la2)
     hi = eb / np.hypot(eb[0], eb[1])
-    ok = (nbr[b.nxt] >= 0) & ~(lo[0] * hi[1] - lo[1] * hi[0] <= WEDGE_EPS)
+    ok = ~(lo[0] * hi[1] - lo[1] * hi[0] <= WEDGE_EPS)
     if clip:
         # A corner wedge spans less than pi, so it meets the kept arc
         # [-DOWN, pi + DOWN] in one sub-wedge, or not at all when both
@@ -300,7 +299,6 @@ def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
     apex_class = coeffs.take(b.nxt, 1)
     apex_vert = vert[b.prv]
     kids = np.stack([nbr[b.nxt], nbr[b.prv]], axis=1)
-    closed = bool((nbr >= 0).all())
 
     nodes = np.zeros(b.n, np.int64)
     parent = None
@@ -344,9 +342,6 @@ def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
         keep &= _seg_dist2(g[2:4], g[0:2]) <= L2
         wedge = g[4::2] * g[5::2]
         keep &= wedge[0] - wedge[1] > WEDGE_EPS
-        child = kids.take(he, 0)
-        if not closed:
-            keep &= child >= 0
         sel = np.flatnonzero(keep)
         parent = sel >> 1
 
@@ -355,7 +350,7 @@ def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
         gk[dim:, :, 1] = capex
         f = g.reshape(8, 2 * n).take(sel, 1)
         k = gk.reshape(2 * dim, 2 * n).take(sel, 1)
-        he = child.reshape(2 * n).take(sel)
+        he = kids.take(he, 0).reshape(2 * n).take(sel)
         root = root.take(parent)
         level += 1
 
@@ -366,51 +361,13 @@ def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
     return found, nodes
 
 
-def _floor_log10(m: np.ndarray) -> np.ndarray:
-    """math.floor(math.log10(x)) of each x > 0.
-
-    numpy's log10 may differ from the C library's in the last bit, which
-    moves the floor only next to an integer; those few go through math.
-    """
-    lg = np.log10(m)
-    out = np.floor(lg)
-    near = np.abs(lg - np.rint(lg)) < 1e-9
-    if near.any():
-        out[near] = [math.floor(math.log10(x)) for x in m[near].tolist()]
-    return out.astype(np.int64)
-
-
-def _pow10(k: np.ndarray) -> np.ndarray:
-    """10.0 ** k as Python computes it (numpy's power may differ in the
-    last bit), one call per exponent in the range of k."""
-    if not k.size:
-        return np.zeros(0)
-    lo = int(k.min())
-    table = [10.0 ** x for x in range(lo, int(k.max()) + 1)]
-    return np.asarray(table)[k - lo]
-
-
 def _canonical(b: _Batch, found, nodes, levels,
                keep_orientations: bool) -> UnfoldedBatch:
-    """Dedupe, orientation filter and stable canonical sort, per surface."""
+    """Orientation filter and stable canonical sort, per surface."""
     order = np.argsort(found[0], kind="stable")  # per corner, search order
     root, hol, end, cls, level, node = (col[order] for col in found)
     m = np.hypot(hol[:, 0], hol[:, 1])
     idx = np.flatnonzero(m != 0.0)
-
-    # Keyed on the starting corner, not on the end points: homologous
-    # connections share their holonomy but leave a zero at different
-    # corners.  The first in search order wins.
-    q = _pow10(9 - _floor_log10(m[idx]))
-    key = (np.rint(hol[idx, 1] * q), np.rint(hol[idx, 0] * q), root[idx])
-    s = np.lexsort(key)
-    dup = np.ones(s.size - 1, bool) if s.size else np.zeros(0, bool)
-    for col in key:
-        col = col[s]
-        dup &= col[1:] == col[:-1]
-    first = np.ones(idx.size, bool)
-    first[s[1:][dup]] = False
-    idx = idx[first]
 
     if not keep_orientations:
         x, y, tol = hol[idx, 0], hol[idx, 1], PAIR_EPS * m[idx]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from flatscale.surface import (
     StratumSignature,
     SurfaceError,
     TranslationSurface,
+    _surface_tables,
     ear_clip,
     ear_clip_batch,
     polygon_is_simple,
@@ -88,21 +90,84 @@ class TestValidation:
         assert not report.ok
         assert any("close up" in e or "opposite" in e for e in report.metric_errors)
 
-    def test_dangling_gluing_is_structural(self):
+    # a, b and c are the square torus's glued pairs.  Edges glued to
+    # themselves and missing keys come as a whole pair, so that reading
+    # the dict back as symmetric pairs cannot mend them.
+    @pytest.mark.parametrize("break_gluing, fault", [
+        (lambda g, a, b, c: g.update({a[0]: (5, 1)}), "missing edge"),
+        (lambda g, a, b, c: g.update({a[0]: (-1, 1)}), "missing edge"),
+        (lambda g, a, b, c: g.update({a[0]: (1, 3)}), "missing edge"),
+        (lambda g, a, b, c: g.update({a[0]: a[0], a[1]: a[1]}), "itself"),
+        # a[0] -> b[0] -> b[1] -> b[0], and the same on the other sides
+        (lambda g, a, b, c: g.update({a[0]: b[0], b[0]: b[1], b[1]: b[0],
+                                      a[1]: c[0], c[0]: c[1], c[1]: c[0]}),
+         "not an involution"),
+        (lambda g, a, b, c: [g.pop(k) for k in a], "no gluing partner"),
+    ], ids=["partner-past-end", "negative-partner", "edge-index-3",
+            "glued-to-itself", "not-an-involution", "missing-key"])
+    def test_malformed_gluing_is_rejected(self, break_gluing, fault):
+        """The constructor and ``from_json`` reject every malformed gluing
+        of the square torus with a SurfaceError that names the fault.  Each
+        break survives ``from_json``'s symmetric reading of pairs."""
         X = square_torus()
         gl = X.gluings
-        k = next(iter(gl))
-        del gl[k]
-        bad = TranslationSurface(
-            [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)], gl)
-        report = bad.validate()
-        assert report.structural_errors
-        assert not report.metric_errors
+        break_gluing(gl, *sorted((k, v) for k, v in gl.items() if k < v))
+        tri = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
+        with pytest.raises(SurfaceError, match=fault):
+            TranslationSurface(tri, gl)
+        data = json.loads(X.to_json())
+        data["gluings"] = [[list(k), list(v)] for k, v in gl.items()]
+        with pytest.raises(SurfaceError, match=fault):
+            TranslationSurface.from_json(json.dumps(data))
 
     def test_wrong_stratum_detected(self):
         X = square_torus()
         report = X.validate(StratumSignature((2,)))
         assert not report.ok
+
+
+class TestCoefficients:
+    """Chart coefficients are integers of shape (T, 3, d), or SurfaceError."""
+
+    def edges_and_coords(self):
+        X = octagon_surface()
+        tri = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
+        coords = [[list(X.edge_coeff(t, e)) for e in range(3)]
+                  for t in range(X.n_triangles)]
+        return X, tri, coords
+
+    def test_coords_without_parameter_axis(self):
+        X, tri, _ = self.edges_and_coords()
+        with pytest.raises(SurfaceError, match="shape"):
+            TranslationSurface(tri, X.gluings, np.zeros((X.n_triangles, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5, "1"])
+    def test_coords_not_integers(self, bad):
+        X, tri, coords = self.edges_and_coords()
+        coords[1][2][3] = bad
+        with pytest.raises(SurfaceError, match="not an integer"):
+            TranslationSurface(tri, X.gluings, coords)
+
+    def test_integral_floats_are_integers(self):
+        X, tri, coords = self.edges_and_coords()
+        Y = TranslationSurface(tri, X.gluings, np.asarray(coords, dtype=float))
+        assert np.array_equal(Y._tables.coeffs, X._tables.coeffs)
+        assert Y._tables.coeffs.dtype == np.int64
+
+    @pytest.mark.parametrize("rows", [
+        [(0.5, 0), (0, 1.7)],
+        ((0.5, 0), (0, 1.7)),  # the fast path, checked when its tables are made
+        [(math.nan, 0), (0, 1)],
+    ])
+    def test_polygon_rows_not_integers(self, rows):
+        with pytest.raises(SurfaceError, match="not an integer"):
+            surface_from_symmetric_polygon([1, 1j], rows)
+
+    @pytest.mark.parametrize("rows", [[(1, 0)], [(1, 0), (0, 1), (1, 1)],
+                                      [(1, 0), (0,)]])
+    def test_polygon_rows_one_per_side(self, rows):
+        with pytest.raises(SurfaceError, match="rows"):
+            surface_from_symmetric_polygon([1, 1j], rows)
 
 
 class TestArea:
@@ -276,6 +341,45 @@ def _reference_gluings(n, tris):
         return (b, a) if (b, a) in where else ((a + n) % m, (b + n) % m)
 
     return {where[ab]: where[partner(*ab)] for ab in where}
+
+
+def union_find_vertices(n_triangles, gluings):
+    """Vertex id of each corner h = 3 t + e by union-find: gluing (t, e) to
+    (t2, e2) joins corner e of t with corner e2 + 1 of t2, and the vertices
+    are numbered in the order of their least corners."""
+    parent = list(range(3 * n_triangles))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for (t, e), (t2, e2) in gluings.items():
+        for x, y in ((3 * t + e, 3 * t2 + (e2 + 1) % 3),
+                     (3 * t + (e + 1) % 3, 3 * t2 + e2)):
+            rx, ry = find(x), find(y)
+            parent[max(rx, ry)] = min(rx, ry)
+    roots = [find(x) for x in range(3 * n_triangles)]
+    ids = {r: i for i, r in enumerate(sorted(set(roots)))}
+    return [ids[r] for r in roots]
+
+
+class TestCornerVertices:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_union_find_on_random_gluings(self, seed):
+        """The vectorised cycle labels of the tables number the vertices as
+        a union-find over the gluings does, for random fixed-point free
+        involutions of up to 120 half-edges."""
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            T = 2 * int(rng.integers(1, 21))
+            gl = {}
+            for a, b in rng.permutation(3 * T).reshape(-1, 2).tolist():
+                gl[divmod(a, 3)], gl[divmod(b, 3)] = divmod(b, 3), divmod(a, 3)
+            tables = _surface_tables(T, gl)
+            want = union_find_vertices(T, gl)
+            assert tables.corner_vertex.tolist() == want
+            assert tables.n_vertices == max(want) + 1
 
 
 class TestMemoisedBuild:

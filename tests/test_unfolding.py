@@ -263,6 +263,11 @@ def regular_octagon():
     return octagon_surface([cmath.exp(1j * k * math.pi / 4) for k in range(4)])
 
 
+def unit_regular_octagon():
+    X = regular_octagon()
+    return X.rescaled(1.0 / math.sqrt(X.area()))
+
+
 unit = st.floats(0.2, 1.0)
 radius = st.floats(0.3, 1.5)
 angle = st.floats(0.0, 2 * math.pi)
@@ -596,10 +601,16 @@ class TestBatchedUnfolding:
         square_torus, regular_octagon, octagon_surface,
         lambda: torus(0.3 + 0j, 0.1 + 3.3j),
         lambda: star_octagon(0.3, [0.5, 0.9, 0.4, 0.7], [0.8, 0.5, 1.0, 0.6]),
+        # The densest inputs: 852 and 984 connections in the kept half
+        # plane.  The scalar search keeps the first of equal rounded keys,
+        # so bit equality shows that the batch emits no connection twice.
+        pytest.param((square_torus, (30.0,)), id="square_torus-L30"),
+        pytest.param((unit_regular_octagon, (10.0,)), id="unit_octagon-L10"),
     ])
     def test_fixed_surfaces_equal_scalar_search(self, surface):
+        surface, lengths = surface if isinstance(surface, tuple) else (surface, None)
         X = surface()
-        for L in (1.0, 3.0 * math.sqrt(X.area())):
+        for L in lengths or (1.0, 3.0 * math.sqrt(X.area())):
             for record_chains in (False, True):
                 for keep in (False, True):
                     assert_equals_scalar(X, L, record_chains, keep)
