@@ -56,7 +56,12 @@ from .levelgraph import (
 )
 from .plumbing import annulus_period, cylinder_cross_period
 from .sectors import Arc, MultiSector
-from .surface import SurfaceError, TranslationSurface
+from .surface import (
+    SurfaceError,
+    TranslationSurface,
+    _cross,
+    symmetric_polygon_gluings,
+)
 
 
 @dataclass(frozen=True)
@@ -266,32 +271,15 @@ class MarkedTorusFamily(SyntheticFamily):
         from scipy.spatial import Delaunay
 
         w1, w2 = self.omega
+        # the symmetric 4-gon 0, w1, w1 + w2, w2 with the marked points inside
         pts = [0j, w1, w1 + w2, w2, *self.marked_points(params)]
-        coords = np.array([[z.real, z.imag] for z in pts])
-        tri = Delaunay(coords)
-        simplices = []
-        for simplex in tri.simplices:
-            a, b, c = (int(i) for i in simplex)
-            za, zb, zc = pts[a], pts[b], pts[c]
-            cross = ((zb - za).real * (zc - zb).imag
-                     - (zb - za).imag * (zc - zb).real)
-            simplices.append((a, b, c) if cross > 0 else (a, c, b))
-        edge_map = {}
-        for ti, (a, b, c) in enumerate(simplices):
-            for k, (x, y) in enumerate(((a, b), (b, c), (c, a))):
-                edge_map[(x, y)] = (ti, k)
-        boundary_pairs = {(0, 1): (2, 3), (1, 2): (3, 0),
-                          (2, 3): (0, 1), (3, 0): (1, 2)}
-        gluings = {}
-        for (x, y), loc in edge_map.items():
-            if (y, x) in edge_map:
-                gluings[loc] = edge_map[(y, x)]
-            else:
-                px, py = boundary_pairs[(x, y)]
-                gluings[loc] = edge_map[(px, py)]
+        tri = Delaunay([[z.real, z.imag] for z in pts]).simplices.tolist()
+        simplices = [(a, b, c) if _cross(pts[b] - pts[a], pts[c] - pts[b]) > 0
+                     else (a, c, b) for a, b, c in tri]
         triangles = [[pts[b] - pts[a], pts[c] - pts[b], pts[a] - pts[c]]
                      for (a, b, c) in simplices]
-        return TranslationSurface(triangles, gluings)
+        return TranslationSurface(triangles,
+                                  symmetric_polygon_gluings(2, simplices))
 
 
 # -- two-level residue family (two nodes, b = 1, residues +-r) ----------------------

@@ -83,17 +83,16 @@ def are_parallel(s1, s2, tol: float = TAU_PARALLEL) -> bool:
     return abs(cross) <= tol * abs(h1) * abs(h2)
 
 
-def independence_rank(classes, subspace: LinearSubspace,
-                      tol: float = TAU_RANK):
+def independence_rank(classes, subspace: LinearSubspace):
     """Rank over C of the homology classes restricted to the subspace.
 
     ``classes`` holds one class per row, (r, n), and the rank is an int;
     or it is a stack of such matrices, (..., r, n), and the ranks are an
     array of shape (...), one per matrix, from one stacked SVD.  The rank
-    counts the singular values above ``tol`` times the largest (none when
-    the largest is 0).
+    counts the singular values above ``TAU_RANK`` times the largest (none
+    when the largest is 0).
     """
     g = subspace.restrict_classes(classes)
     sv = np.linalg.svd(g, compute_uv=False)
-    rank = np.sum(sv > tol * sv[..., :1], axis=-1)
+    rank = np.sum(sv > TAU_RANK * sv[..., :1], axis=-1)
     return int(rank) if g.ndim == 2 else rank

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .surface import StratumSignature
 
+TOL_GLUE = 1e-12  # relative tolerance of the plumbing equation u v = T
+
 
 class GraphError(ValueError):
     pass
@@ -231,8 +233,9 @@ def plumbing_T(g: EnhancedLevelGraph, edge_index: int, t: dict[int, complex],
     return out
 
 
-def glue_ok(u: complex, v: complex, T: complex, tol: float = 1e-12) -> bool:
-    return abs(u * v - T) <= tol * max(abs(T), abs(u * v), 1e-300)
+def glue_ok(u: complex, v: complex, T: complex) -> bool:
+    """Whether u v = T to ``TOL_GLUE`` relative."""
+    return abs(u * v - T) <= TOL_GLUE * max(abs(T), abs(u * v), 1e-300)
 
 
 def rescale_factor(level: int, t: dict[int, complex],

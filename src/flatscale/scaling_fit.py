@@ -7,6 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_POINTS = 4  # a strict fit needs this many distinct radii per axis
+MAX_REL_STDERR = 0.20  # and every relative standard error below this
+
 
 class DegenerateFitError(ValueError):
     pass
@@ -23,9 +26,7 @@ class FitResult:
     r_squared: float
 
 
-def fit_scaling_exponent(results, min_points: int = 4,
-                         max_rel_stderr: float = 0.20,
-                         strict: bool = True) -> FitResult:
+def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
     """Fit log(estimate) = c + sum_i slope_i log(eps_i) by weighted least
     squares, weights from the delta-method log-variances.
 
@@ -33,8 +34,8 @@ def fit_scaling_exponent(results, min_points: int = 4,
     needs the same number k of finite positive radii, a finite positive
     estimate and a finite stderr >= 0; any other row raises
     ``DegenerateFitError``.  With ``strict`` the preconditions are
-    enforced too: at least ``min_points`` distinct radii per axis and every
-    relative standard error below ``max_rel_stderr``.
+    enforced too: at least ``MIN_POINTS`` distinct radii per axis and every
+    relative standard error below ``MAX_REL_STDERR``.
     """
     rows = []
     for eps, est, se in results:
@@ -62,13 +63,13 @@ def fit_scaling_exponent(results, min_points: int = 4,
     if strict:
         for axis in range(k):
             vals = {eps[axis] for eps, _, _ in rows}
-            if len(vals) < min_points:
+            if len(vals) < MIN_POINTS:
                 raise DegenerateFitError(
-                    f"need >= {min_points} distinct radii on axis {axis}")
-        bad = [(eps, se / est) for eps, est, se in rows if se / est >= max_rel_stderr]
+                    f"need >= {MIN_POINTS} distinct radii on axis {axis}")
+        bad = [(eps, se / est) for eps, est, se in rows if se / est >= MAX_REL_STDERR]
         if bad:
             raise DegenerateFitError(
-                f"relative standard error >= {max_rel_stderr:.0%} at {bad}")
+                f"relative standard error >= {MAX_REL_STDERR:.0%} at {bad}")
 
     y = np.array([math.log(est) for _, est, _ in rows])
     sigma = np.array([se / est for _, est, se in rows])
@@ -77,9 +78,7 @@ def fit_scaling_exponent(results, min_points: int = 4,
     X = np.column_stack(
         [np.ones(len(rows))] +
         [[math.log(eps[a]) for eps, _, _ in rows] for a in range(k)])
-    WX = X * w[:, None]
-    cov = np.linalg.pinv(X.T @ WX)  # pinv: collinear designs (diagonal grids)
-    beta = cov @ (WX.T @ y)
+    beta, cov = _wls(X, y, w)
     resid = y - X @ beta
     ybar = np.sum(w * y) / np.sum(w)
     sst = np.sum(w * (y - ybar) ** 2)
@@ -95,10 +94,14 @@ def fit_scaling_exponent(results, min_points: int = 4,
     Xj = np.column_stack(
         [np.ones(len(rows)),
          [sum(math.log(e) for e in eps) for eps, _, _ in rows]])
-    WXj = Xj * w[:, None]
-    gram = Xj.T @ WXj
-    covj = np.linalg.pinv(gram)
-    betaj = covj @ (WXj.T @ y)
+    betaj, covj = _wls(Xj, y, w)
     joint = float(betaj[1])
     jerr = float(math.sqrt(max(covj[1, 1], 0.0)))
     return FitResult(slopes, errs, ci, joint, jerr, float(beta[0]), float(r2))
+
+
+def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Weighted least squares: the coefficients and their covariance."""
+    WX = X * w[:, None]
+    cov = np.linalg.pinv(X.T @ WX)  # pinv: collinear designs (diagonal grids)
+    return cov @ (WX.T @ y), cov

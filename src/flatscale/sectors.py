@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
+TOL_CONTAINS = 1e-12  # angle slack of Arc.contains
+TOL_LOG = 1e-9  # angle slack of Arc.log
 
 
 class SectorBranchError(ValueError):
@@ -35,26 +37,26 @@ class Arc:
     def center(self) -> float:
         return self.alpha + 0.5 * self.width
 
-    def contains(self, z: complex, tol: float = 1e-12) -> bool:
+    def contains(self, z: complex) -> bool:
         if z == 0:
             return False
         d = (cmath.phase(z) - self.center) % TWO_PI
         if d > math.pi:
             d -= TWO_PI
-        return abs(d) <= 0.5 * self.width + tol
+        return abs(d) <= 0.5 * self.width + TOL_CONTAINS
 
     def scaled(self, m: int) -> "Arc":
         """Arc of z^m as z sweeps this arc (needs m*width < 2*pi)."""
         return Arc(self.alpha * m, self.width * m)
 
-    def log(self, z: complex, tol: float = 1e-9) -> complex:
-        """Branch of log continuous on the arc; errors off the arc."""
+    def log(self, z: complex) -> complex:
+        """Branch of log continuous on the arc; errors ``TOL_LOG`` off it."""
         if z == 0:
             raise ValueError("log of zero")
         d = (cmath.phase(z) - self.center) % TWO_PI
         if d > math.pi:
             d -= TWO_PI
-        if abs(d) > 0.5 * self.width + tol:
+        if abs(d) > 0.5 * self.width + TOL_LOG:
             raise SectorBranchError(
                 f"arg {cmath.phase(z):.6f} outside arc "
                 f"({self.alpha:.6f}, {self.alpha + self.width:.6f})")
@@ -91,16 +93,12 @@ class MultiSector:
 
     def contains(self, t: dict[int, complex] | None = None,
                  t_h: dict[int, complex] | None = None) -> bool:
-        for lvl, val in (t or {}).items():
-            if not (0 < abs(val) < self.eps):
-                return False
-            if lvl in self.vertical_arcs and not self.vertical_arcs[lvl].contains(val):
-                return False
-        for idx, val in (t_h or {}).items():
-            if not (0 < abs(val) < self.eps):
-                return False
-            if idx in self.horizontal_arcs and not self.horizontal_arcs[idx].contains(val):
-                return False
+        for arcs, values in ((self.vertical_arcs, t), (self.horizontal_arcs, t_h)):
+            for key, val in (values or {}).items():
+                if not (0 < abs(val) < self.eps):
+                    return False
+                if key in arcs and not arcs[key].contains(val):
+                    return False
         return True
 
     def log_horizontal(self, edge_index: int, value: complex) -> complex:

@@ -13,7 +13,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -23,6 +22,7 @@ TWO_PI = 2.0 * math.pi
 TOL_CLOSURE = 1e-9
 TOL_GLUING = 1e-9
 TOL_ANGLE = 1e-7
+TOL_SIMPLE = 1e-12  # of the polygon simplicity test
 
 
 class SurfaceError(ValueError):
@@ -83,8 +83,8 @@ class TranslationSurface:
         oriented triangles have cross(e0, e1) > 0.
     gluings : dict mapping (tri, edge) -> (tri, edge).  Must be a fixed-point
         free involution on all the edges; glued edges carry opposite vectors.
-    edge_coords : optional integer array of shape (n_tri, 3, d) giving each
-        edge vector as an integral combination of the d chart parameters.
+    edge_coords : optional integer array of shape (n_tri, 3, d), entries
+        |c| < 2**63, giving each edge vector in the d chart parameters.
         Enables exact homology classes for enumerated saddle connections.
 
     The constructor checks the gluing and the coordinates, raising
@@ -131,8 +131,9 @@ class TranslationSurface:
         return self._tables.coeffs is not None
 
     @property
-    def gluings(self):
-        return dict(self._tables.gluings)
+    def gluings(self) -> dict[tuple[int, int], tuple[int, int]]:
+        return {divmod(h, 3): divmod(g, 3)
+                for h, g in enumerate(self._tables.neighbor.tolist())}
 
     @property
     def n_vertices(self) -> int:
@@ -187,18 +188,17 @@ class TranslationSurface:
     def validate(self, sig: StratumSignature | None = None) -> ValidationReport:
         """Metric checks; the gluing was checked when the surface was built."""
         metric: list[str] = []
-        edges = self._edges.tolist()
         s = self.scale()
-        for t, (e0, e1, e2) in enumerate(edges):
+        for t, (e0, e1, e2) in enumerate(self._edges.tolist()):
             if abs(e0 + e1 + e2) > TOL_CLOSURE * s:
                 metric.append(f"triangle {t} edges do not close up")
             if _cross(e0, e1) <= 0:
                 metric.append(f"triangle {t} is not positively oriented")
-        for (t, e), (t2, e2) in self._tables.gluings.items():
-            if (t, e) < (t2, e2):
-                if abs(edges[t][e] + edges[t2][e2]) > TOL_GLUING * s:
-                    metric.append(
-                        f"glued edges {(t, e)} and {(t2, e2)} are not opposite")
+        edges, nbr = self._edges.reshape(-1).tolist(), self._tables.neighbor
+        for h, g in enumerate(nbr.tolist()):
+            if h < g and abs(edges[h] + edges[g]) > TOL_GLUING * s:
+                metric.append(f"glued edges {divmod(h, 3)} and "
+                              f"{divmod(g, 3)} are not opposite")
         if self.area() <= 0:
             metric.append("total area is not positive")
 
@@ -225,23 +225,25 @@ class TranslationSurface:
         data = {
             "triangles": [[[z.real, z.imag] for z in t]
                           for t in self._edges.tolist()],
-            "gluings": sorted(
-                [list(k), list(v)] for k, v in self._tables.gluings.items()
-                if k < v
-            ),
+            "gluings": [[list(divmod(h, 3)), list(divmod(g, 3))]
+                        for h, g in enumerate(self._tables.neighbor.tolist())
+                        if h < g],
             "zeros": {str(v): m for v, m in enumerate(self.vertex_orders())},
         }
         return json.dumps(data, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "TranslationSurface":
-        data = json.loads(text)
-        tri = [[complex(re, im) for re, im in t] for t in data["triangles"]]
-        gluings = {}
-        for (a, b) in data["gluings"]:
-            ka, kb = (a[0], a[1]), (b[0], b[1])
-            gluings[ka] = kb
-            gluings[kb] = ka
+        """Inverse of :meth:`to_json`; malformed text raises SurfaceError."""
+        try:
+            data = json.loads(text)
+            tri = [[complex(re, im) for re, im in t] for t in data["triangles"]]
+            gluings = {}
+            for a, b in data["gluings"]:
+                gluings[tuple(a)] = tuple(b)
+                gluings[tuple(b)] = tuple(a)
+        except (TypeError, ValueError, KeyError) as err:
+            raise SurfaceError(f"malformed surface JSON: {err!r}") from None
         return cls(tri, gluings)
 
 
@@ -253,19 +255,16 @@ class _SurfaceTables:
     One instance is shared by every surface with the same triangulation,
     and the batched unfolding reads its arrays as they are.
 
-    gluings        (tri, edge) -> (tri, edge), a fixed-point free
-                   involution on all 3T edges, as Python ints
-    neighbor       (3T,) the half-edge glued to h
+    neighbor       (3T,) the half-edge glued to h: the gluing, a fixed-point
+                   free involution on all 3T half-edges
     corner_vertex  (3T,) vertex id of corner h, the start of edge h
     n_vertices     number of vertices
-    coeffs         (3T, dim) integer row of edge h in chart parameters:
-                   int64 when every |c| < 2**63, otherwise Python ints;
-                   None without rows
+    coeffs         (3T, dim) int64 row of edge h in chart parameters, every
+                   |c| < 2**63; None without rows
     dim            length of a row, or None without rows
     coeff_max      largest |c|, 0 without rows
     """
 
-    gluings: MappingProxyType
     neighbor: np.ndarray
     corner_vertex: np.ndarray
     n_vertices: int
@@ -277,7 +276,7 @@ class _SurfaceTables:
 def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTables:
     """The tables of a surface of ``n_triangles`` triangles; raises
     :class:`SurfaceError` for a faulty gluing or faulty coordinates."""
-    gluings, nbr = _check_gluings(n_triangles, gluings)
+    nbr = _check_gluings(n_triangles, gluings)
 
     # Corner k of a triangle is the start of edge k, and gluing h <-> g
     # makes the start of h the end of g, corner nxt(g): the vertices are the
@@ -298,18 +297,17 @@ def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTabl
         dim = edge_coords.shape[2]
         ints = [_integer(x) for x in edge_coords.reshape(-1).tolist()]
         cmax = max(map(abs, ints), default=0)
-        coeffs = np.asarray(ints, dtype=np.int64 if cmax < 2**63 else object)
-        coeffs = coeffs.reshape(3 * n_triangles, dim)
+        coeffs = np.array(ints, dtype=np.int64).reshape(3 * n_triangles, dim)
     for a in (nbr, vert, coeffs):
         if a is not None:
             a.setflags(write=False)
-    return _SurfaceTables(gluings, nbr, vert, len(roots), coeffs, dim, cmax)
+    return _SurfaceTables(nbr, vert, len(roots), coeffs, dim, cmax)
 
 
-def _check_gluings(n_triangles: int, gluings):
-    """``gluings`` as Python ints and the half-edge glued to each half-edge
-    h = 3 t + e.  Raises :class:`SurfaceError` naming the first fault
-    unless every key and partner is an edge, every edge has exactly one
+def _check_gluings(n_triangles: int, gluings) -> np.ndarray:
+    """The half-edge glued to each half-edge h = 3 t + e, (3T,) int64.
+    Raises :class:`SurfaceError` naming the first fault unless every key
+    and partner of ``gluings`` is an edge, every edge has exactly one
     partner and the map is a fixed-point free involution."""
     items = list(dict(gluings).items())
     try:
@@ -333,18 +331,18 @@ def _check_gluings(n_triangles: int, gluings):
                         (nbr[nbr] != he, "is not glued back: not an involution")):
         if fault.any():
             raise SurfaceError(f"edge {divmod(int(fault.argmax()), 3)} {what}")
-    return MappingProxyType({(a, b): (c, d) for (a, b), (c, d) in pairs.tolist()}), nbr
+    return nbr
 
 
 def _integer(x) -> int:
     """``x`` as a Python int; raises :class:`SurfaceError` when it is NaN,
-    infinite, fractional or not a number."""
+    infinite, fractional, not a number or does not fit int64."""
     try:
         i = int(x)
     except (TypeError, ValueError, OverflowError):
         i = None
-    if i is None or i != x:
-        raise SurfaceError(f"coefficient {x!r} is not an integer")
+    if i is None or i != x or not -2**63 < i < 2**63:
+        raise SurfaceError(f"coefficient {x!r} is not an integer with |c| < 2**63")
     return i
 
 
@@ -447,12 +445,13 @@ def _mask_indices(m: int):
     return out
 
 
-def polygon_simple_mask(verts: np.ndarray, rel_eps=1e-12) -> np.ndarray:
+def polygon_simple_mask(verts: np.ndarray) -> np.ndarray:
     """Vectorized strict simplicity test for a batch of polygons.
 
     ``verts`` has shape (batch, m), complex.  Rejects degenerate edges,
     improper contacts between non-adjacent edges, and reversal at a joint.
-    Collinear non-adjacent edges pass when they are disjoint.
+    Collinear non-adjacent edges pass when they are disjoint.  Tolerances
+    are ``TOL_SIMPLE`` relative to each row's scale (squared for crosses).
     All non-adjacent edge pairs are tested at once, MASK_BLOCK rows at a
     time, so the temporaries stay O(MASK_BLOCK * m^2) for any batch.
     """
@@ -463,8 +462,8 @@ def polygon_simple_mask(verts: np.ndarray, rel_eps=1e-12) -> np.ndarray:
     scale = np.abs(verts).max(axis=1) + np.abs(e).max(axis=1)
     ok = scale > 0
     safe = np.where(ok, scale, 1.0)
-    eps = rel_eps * safe * safe
-    ok &= (np.abs(e) > (rel_eps * safe)[:, None]).all(axis=1)
+    eps = TOL_SIMPLE * safe * safe
+    ok &= (np.abs(e) > (TOL_SIMPLE * safe)[:, None]).all(axis=1)
 
     for lo in range(0, batch, MASK_BLOCK):
         rows = slice(lo, lo + MASK_BLOCK)
@@ -506,9 +505,9 @@ def _separate_collinear(sep, tol, p1, ei, q1, ej, d1, d2, d3, d4) -> None:
     sep[r[apart], c[apart]] = True
 
 
-def polygon_is_simple(vertices, rel_eps=1e-12) -> bool:
+def polygon_is_simple(vertices) -> bool:
     """Strict simplicity: nondegenerate edges, no improper contacts."""
-    return bool(polygon_simple_mask(vertices, rel_eps)[0])
+    return bool(polygon_simple_mask(vertices)[0])
 
 
 def symmetric_vertices(sides) -> np.ndarray:
@@ -600,8 +599,8 @@ def symmetric_polygon_batch(sides, coeffs=None) -> tuple[SurfaceBatch, np.ndarra
     vertices are ear clipped, all rows at once (:func:`ear_clip_batch`).
 
     Returns the batch of the rows that ear clip and ``ok`` (batch,), which
-    rows those are.  The gluings, neighbour table, corner vertices, vertex
-    count and integer edge coordinates depend only on the key (n, ear-clip
+    rows those are.  The neighbour table, corner vertices, vertex count
+    and integer edge coordinates depend only on the key (n, ear-clip
     index triples, coefficient rows); they are made once per key, kept in
     a bounded LRU cache and shared, read-only, by every surface with that
     key.  Only the edge vectors are computed per row.
@@ -643,22 +642,27 @@ def identity_rows(dim: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
+def symmetric_polygon_gluings(n: int, tris) -> dict:
+    """The gluings (tri, edge) -> (tri, edge) of a centrally symmetric
+    2n-gon with corners 0, ..., 2n - 1 in order, triangulated by the
+    positively oriented vertex triples ``tris`` (vertices >= 2n are interior
+    points): an interior edge is glued to its reverse, side k to side k + n.
+    """
+    m = 2 * n
+    where = {(vs[k], vs[(k + 1) % 3]): (t, k)
+             for t, vs in enumerate(tris) for k in range(3)}
+
+    def partner(a, b):
+        return (b, a) if (b, a) in where else ((a + n) % m, (b + n) % m)
+
+    try:
+        return {loc: where[partner(*ab)] for ab, loc in where.items()}
+    except KeyError as err:
+        raise SurfaceError(f"no edge {err.args[0]} to glue to") from None
+
+
 @functools.lru_cache(maxsize=4096)
 def _symmetric_polygon_tables(n: int, tris, rows) -> _SurfaceTables:
-    m = 2 * n
-    edge_lookup = {}
-    for t, vs in enumerate(tris):
-        for k in range(3):
-            edge_lookup[(vs[k], vs[(k + 1) % 3])] = (t, k)
-
-    gluings = {}
-    for (a, b), (t, k) in edge_lookup.items():
-        if (b, a) in edge_lookup:  # interior diagonal
-            gluings[(t, k)] = edge_lookup[(b, a)]
-        else:  # boundary side (a, a+1): partner is the opposite side
-            pa, pb = (a + n) % m, (b + n) % m
-            gluings[(t, k)] = edge_lookup[(pa, pb)]
-
     coords = None
     if rows is not None:
         # the integer rows of the vertices, summed as symmetric_vertices
@@ -669,4 +673,4 @@ def _symmetric_polygon_tables(n: int, tris, rows) -> _SurfaceTables:
         steps = np.concatenate([np.zeros_like(side[:1]), side, -side[:-1]])
         corner = np.cumsum(steps, axis=0)[np.asarray(tris)]
         coords = np.roll(corner, -1, axis=1) - corner
-    return _surface_tables(len(tris), gluings, coords)
+    return _surface_tables(len(tris), symmetric_polygon_gluings(n, tris), coords)

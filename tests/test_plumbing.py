@@ -121,6 +121,17 @@ class TestSectors:
         assert not ms.contains(t={-1: -t_in})
         assert not ms.contains(t={-1: 0.5 * cmath.exp(1j * 0.1)})
 
+    def test_multisector_horizontal_membership(self):
+        """Node parameters obey the same radius and arc rule as levels; an
+        edge without an arc is bounded by the radius alone."""
+        ms = MultiSector.standard({-1: 1}, horizontal_edges=(0,), eps=0.3)
+        t_in = 0.1 * cmath.exp(1j * (math.pi / 8))
+        assert ms.contains(t={-1: t_in}, t_h={0: t_in})
+        assert not ms.contains(t={-1: t_in}, t_h={0: -t_in})
+        assert not ms.contains(t_h={0: 3 * t_in})
+        assert ms.contains(t_h={1: -t_in})
+        assert not ms.contains(t_h={1: 0j})
+
     def test_scaled_arc_log_consistency(self):
         # log(t^m) on the scaled arc equals m * log(t) on the base arc
         arc = Arc(0.05, math.pi / 8)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -19,6 +20,7 @@ from flatscale.surface import (
     polygon_simple_mask,
     shoelace_area,
     surface_from_symmetric_polygon,
+    symmetric_polygon_gluings,
     symmetric_vertices,
 )
 
@@ -168,6 +170,29 @@ class TestCoefficients:
     def test_polygon_rows_one_per_side(self, rows):
         with pytest.raises(SurfaceError, match="rows"):
             surface_from_symmetric_polygon([1, 1j], rows)
+
+    @pytest.mark.parametrize("c", [2**63 - 1, -(2**63 - 1), 2**63, -2**63])
+    def test_int64_bound(self, c):
+        """Coefficients are stored as int64: |c| < 2**63 is kept exactly, any
+        other raises a SurfaceError naming it, from the constructor and from
+        polygon rows (as a list and as the tuple fast path)."""
+        X, tri, coords = self.edges_and_coords()
+        coords[1][2][3] = c
+        rows = ((c, 0), (0, 1))  # the edges carry c, -c, and (+-c, 1)
+        builds = [lambda: TranslationSurface(tri, X.gluings, coords),
+                  lambda: surface_from_symmetric_polygon([1, 1j], list(rows)),
+                  lambda: surface_from_symmetric_polygon([1, 1j], rows)]
+        if abs(c) < 2**63:
+            Y, *tori = [build() for build in builds]
+            assert Y.edge_coeff(1, 2)[3] == c
+            for T in tori:
+                assert T._tables.coeffs.dtype == np.int64
+                assert c in {T.edge_coeff(t, e)[0]
+                             for t in range(2) for e in range(3)}
+        else:
+            for build in builds:
+                with pytest.raises(SurfaceError, match=str(2**63)):
+                    build()
 
 
 class TestArea:
@@ -329,6 +354,36 @@ class TestJsonRoundTrip:
                 assert Y.edge(t, e) == X.edge(t, e)
         assert Y.gluings == X.gluings
 
+    @pytest.mark.parametrize("surface, pairs", [
+        (square_torus, [[[0, 0], [1, 0]], [[0, 1], [1, 1]], [[0, 2], [1, 2]]]),
+        (octagon_surface,
+         [[[0, 0], [3, 1]], [[0, 1], [4, 1]], [[0, 2], [1, 0]],
+          [[1, 1], [5, 0]], [[1, 2], [2, 0]], [[2, 1], [5, 1]],
+          [[2, 2], [3, 0]], [[3, 2], [4, 0]], [[4, 2], [5, 2]]]),
+    ])
+    def test_gluing_pairs_are_pinned(self, surface, pairs):
+        """Each glued pair once, lesser edge first, in the order of it."""
+        assert json.loads(surface().to_json())["gluings"] == pairs
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["gluings"].__setitem__(0, [[0], [1, 0]]),
+        lambda d: d.pop("gluings"),
+        lambda d: d["triangles"][0].__setitem__(0, [1]),
+        lambda d: d["gluings"].__setitem__(0, [[0, 0, 5], [1, 0]]),
+        "not json",
+        "null",
+    ], ids=["short-edge", "no-gluings", "short-vertex", "long-edge",
+            "not-json", "null"])
+    def test_malformed_text_is_rejected(self, edit):
+        if isinstance(edit, str):
+            text = edit
+        else:
+            data = json.loads(square_torus().to_json())
+            edit(data)
+            text = json.dumps(data)
+        with pytest.raises(SurfaceError):
+            TranslationSurface.from_json(text)
+
 
 def _reference_gluings(n, tris):
     """Opposite-side gluings of a triangulated symmetric 2n-gon, derived
@@ -362,6 +417,54 @@ def union_find_vertices(n_triangles, gluings):
     roots = [find(x) for x in range(3 * n_triangles)]
     ids = {r: i for i, r in enumerate(sorted(set(roots)))}
     return [ids[r] for r in roots]
+
+
+class TestSymmetricPolygonGluings:
+    """``symmetric_polygon_gluings`` on Delaunay triangulations of a
+    symmetric polygon with random interior points: the square torus (its
+    corners are one point, c = 1) and the regular hexagon (c = 2)."""
+
+    @pytest.mark.parametrize("sides, c", [
+        ([1 + 0j, 1j], 1),
+        ([cmath.exp(1j * math.pi * k / 3) for k in range(3)], 2),
+    ], ids=["square", "hexagon"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_reference_and_validates(self, sides, c, k):
+        from scipy.spatial import Delaunay
+
+        corners = symmetric_vertices(sides)
+        n = len(sides)
+        rng = np.random.default_rng(100 * n + k)
+        lo = np.array([corners.real.min(), corners.imag.min()])
+        hi = np.array([corners.real.max(), corners.imag.max()])
+        step = np.roll(corners, -1) - corners
+        for _ in range(20):
+            inner = []
+            while len(inner) < k:
+                x, y = rng.uniform(lo, hi)
+                z = complex(x, y)
+                # strictly inside: left of every side by a margin
+                if (step.real * (z - corners).imag
+                        - step.imag * (z - corners).real > 1e-3).all():
+                    inner.append(z)
+            pts = [*corners.tolist(), *inner]
+            xy = [[z.real, z.imag] for z in pts]
+            tris = []
+            for a, b, d in Delaunay(xy).simplices.tolist():
+                u, v = pts[b] - pts[a], pts[d] - pts[a]
+                tris.append((a, b, d) if u.real * v.imag - u.imag * v.real > 0
+                            else (a, d, b))
+            gluings = symmetric_polygon_gluings(n, tris)
+            assert gluings == _reference_gluings(n, tris)
+            X = TranslationSurface(
+                [[pts[b] - pts[a], pts[d] - pts[b], pts[a] - pts[d]]
+                 for a, b, d in tris], gluings)
+            assert X.validate(StratumSignature((0,) * (c + k))).ok
+
+    def test_edge_without_partner(self):
+        # a square cut by one diagonal read as a hexagon: sides 2..5 absent
+        with pytest.raises(SurfaceError, match="no edge"):
+            symmetric_polygon_gluings(3, [(0, 1, 2), (0, 2, 3)])
 
 
 class TestCornerVertices:
@@ -426,7 +529,8 @@ class TestMemoisedBuild:
 
     def test_tables_are_read_only(self):
         """Surfaces share their tables, so no table can be written: those of
-        the constructor, of ``chart.build`` and of ``build_batch``."""
+        the constructor, of ``chart.build`` and of ``build_batch``.  The
+        ``gluings`` a surface returns are a fresh dict."""
         chart = get_chart("h2-octagon")
         z = np.asarray(OCTAGON_Z)
         X = chart.build(z)
@@ -441,8 +545,9 @@ class TestMemoisedBuild:
                 a = getattr(tables, name)
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = a[1]
-            with pytest.raises(TypeError):
-                tables.gluings[(0, 0)] = (0, 1)
+        gluings = X.gluings
+        gluings[(0, 0)] = (0, 1)
+        assert X.gluings[(0, 0)] != (0, 1) and X.gluings == Y.gluings
 
     def test_rescaled_keeps_tables(self):
         X = octagon_surface()

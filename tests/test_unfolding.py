@@ -561,22 +561,25 @@ class TestBatchedUnfolding:
 
     def test_class_overflow_bound(self):
         """Classes are int64: a coefficient times budget + 2 must stay below
-        2**63, else the search refuses to start."""
+        2**63, else the search refuses to start.  A coefficient that does
+        not fit int64 is refused when the surface is built."""
         X = octagon_surface()
         tris = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
-        for big, budget in ((10**12, 10**7), (2**70, 10)):
-            coords = np.asarray(
-                [[[big * c for c in X.edge_coeff(t, e)] for e in range(3)]
-                 for t in range(X.n_triangles)], dtype=object)
-            Y = TranslationSurface(tris, X.gluings, coords)
-            for call in (lambda: unfold_surfaces([square_torus(), Y], 2.0,
-                                                 budget=budget),
-                         lambda: enumerate_saddle_connections(Y, 2.0,
-                                                              budget=budget)):
-                with pytest.raises(ValueError) as err:
-                    call()
-                assert str(big) in str(err.value)
-                assert str(budget + 2) in str(err.value)
+        big, budget = 10**12, 10**7
+        coords = np.asarray(
+            [[[big * c for c in X.edge_coeff(t, e)] for e in range(3)]
+             for t in range(X.n_triangles)], dtype=object)
+        Y = TranslationSurface(tris, X.gluings, coords)
+        for call in (lambda: unfold_surfaces([square_torus(), Y], 2.0,
+                                             budget=budget),
+                     lambda: enumerate_saddle_connections(Y, 2.0,
+                                                          budget=budget)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(big) in str(err.value)
+            assert str(budget + 2) in str(err.value)
+        with pytest.raises(SurfaceError, match=str(2**70)):
+            TranslationSurface(tris, X.gluings, coords // big * 2**70)
         # just below the bound the classes are exact Python ints
         big = (2**63 - 1) // (1000 + 2)
         coords = np.asarray([[[big * c for c in X.edge_coeff(t, e)]
