@@ -52,6 +52,9 @@ class ChartModel:
     half_width: float
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError(f"chart {self.name!r}: a polygon needs at least "
+                             f"2 side parameters, got dim {self.dim}")
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"chart {self.name!r}: half_width must be finite "
                              f"and positive, got {self.half_width}")
@@ -91,7 +94,11 @@ def square_box_volume(half_width: float, dim: int) -> float:
 def build_torus_chart(half_width: float = DEFAULT_BOX_HALF_WIDTH) -> ChartModel:
     """Tori with one marked point: parameters (u, v), lattice Zu + Zv.
 
-    Admissible iff Im(conj(u) v) > 0; area equals Im(conj(u) v).
+    Admissible iff Im(conj(u) v) > 0; area equals Im(conj(u) v).  The scan
+    builds and unfolds each sample on its Lagrange-Gauss reduced basis
+    B (u, v) (``surface.reduce_lattice_bases``), the same torus with fewer
+    chain nodes, and maps the classes back to (u, v) before the ranks;
+    ``build`` builds the parallelogram of (u, v) as given.
     """
     return ChartModel("torus", 2, half_width)
 

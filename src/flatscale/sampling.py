@@ -19,7 +19,12 @@ runs one ``polygon_simple_mask`` call and one positive-area test on those
 unit-area polygons (``symmetric_vertices`` and ``shoelace_area`` take the
 whole stack, as ``ChartModel`` passes them one polygon).  That single batch
 check decides admissibility, and it checks exactly the vertices the builder
-will triangulate.  The chunk's cone samples are then built in one
+will triangulate.  On a torus chart (``chart.dim == 2``, custom charts
+too) each cone sample's basis (u, v) is then Lagrange-Gauss reduced, in one
+vectorised ``reduce_lattice_bases`` call: any basis of the lattice gives the
+same torus, and the reduced one has two fat triangles instead of two long
+thin ones, so its unfolding expands far fewer chain nodes.  The chunk's
+cone samples (on a torus, their reduced sides) are then built in one
 ``ChartModel.build_batch`` call: one batch ear clip of all their polygons,
 the combinatorial tables looked up once per distinct triangulation, and the
 edge vectors as one array; no sample is checked again or made into a
@@ -31,7 +36,10 @@ by no radius cell.
 The built surfaces are unfolded together, in one ``unfold_surfaces`` call
 per chunk; the chunk is the batch, so the counts and
 ``ScanResult.unfolding_nodes`` do not depend on the worker count.  Each
-surface's connections come sorted by length, and its prefix ranks give
+torus's classes come in its reduced basis B (u, v); one int64 product,
+``classes @ B``, maps them back to the chart's (u, v) before the ranks, so
+ranks and subspaces stay in chart coordinates.  Each surface's connections
+come sorted by length, and its prefix ranks give
 R_i, the length at which the rank first reaches i + 1 (inf if it never
 does).  They come from a greedy pass that keeps the rows found independent
 so far and ranks them with the next class not seen before on the surface,
@@ -60,12 +68,14 @@ from .surface import (
     SurfaceError,
     distinct_rows,
     polygon_simple_mask,
+    reduce_lattice_bases,
     shoelace_area,
     symmetric_vertices,
 )
+from .unfolding import _INT64_LIMIT, unfold_surfaces
 # enumerate_saddle_connections is not called here; it stays bound because
 # perfbench/layers.py reads sampling's binding when it installs its wrappers.
-from .unfolding import enumerate_saddle_connections, unfold_surfaces  # noqa: F401
+from .unfolding import enumerate_saddle_connections  # noqa: F401
 
 DEFAULT_CHUNK = 16384
 DEFAULT_BUDGET = 1_000_000
@@ -168,6 +178,19 @@ def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
         ptr[live] += 1
 
 
+def _chart_classes(classes: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The classes (n, 2) of connections found on reduced tori, in the
+    chart's basis (u, v): row i is in the reduced basis ``basis[i]`` (u, v)
+    of its torus, so it maps to ``classes[i] @ basis[i]``, in int64.
+    Raises ``ValueError`` when 2 max|class| max|B| could leave int64."""
+    cmax = int(np.abs(classes).max(initial=0))
+    bmax = int(np.abs(basis).max(initial=0))
+    if 2 * cmax * bmax >= _INT64_LIMIT:
+        raise ValueError(f"classes up to {cmax} in bases up to {bmax} could "
+                         f"reach {2 * cmax * bmax}, beyond int64 (2**63)")
+    return (classes[:, None, :] @ basis)[:, 0]
+
+
 def _rebuild_rejected(chart: ChartModel, sides: np.ndarray) -> int:
     """Build each row of ``sides`` that the batch builder rejected on its
     own, through ``chart.build``, so that it raises its ``SurfaceError``
@@ -205,10 +228,21 @@ def _process_chunk(args) -> tuple[np.ndarray, int, int, int]:
     failures = 0
     nodes = 0
     if eps_cells and l_max > 0:
+        basis = None
+        if chart.dim == 2:
+            # Every basis of a lattice gives the same torus; the reduced one
+            # has two fat triangles, whose unfolding expands few nodes.
+            cone_sides, basis = reduce_lattice_bases(cone_sides)
         surfaces, built = chart.build_batch(cone_sides)
         failures = _rebuild_rejected(chart, cone_sides[~built])
         batch = unfold_surfaces(surfaces, l_max, budget=budget)
         nodes = int(batch.nodes.sum())
+        if basis is not None and len(batch.classes):
+            # the classes are in the reduced bases: map them back to the
+            # chart's (u, v), where the ranks are taken
+            surf = np.repeat(np.arange(len(surfaces)), np.diff(batch.offsets))
+            batch = batch._replace(classes=_chart_classes(
+                batch.classes, basis[built][surf]))
         # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
         # every i < k; radii past k are inf and pass.
         radii = np.full((len(eps_cells), k_max), np.inf)
@@ -244,8 +278,9 @@ def scan_chart(
     from the square |Re| < h, |Im| < h with h = ``chart.half_width``, and
     the estimates scale by that box's volume; any ``ChartModel`` works.
     ``threads`` is the number of worker processes (1 runs in this process);
-    results do not depend on it.  Radii must be finite and positive, and
-    ``chunk_size`` at least 1.
+    results do not depend on it.  A cell needs at least one radius, radii
+    must be finite and positive, and ``chunk_size`` and ``budget`` at
+    least 1.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
@@ -258,12 +293,16 @@ def scan_chart(
         raise ValueError("need at least 10^3 samples")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     norm_cells = []
     for c in eps_cells:
         if c is None:
             norm_cells.append(None)
         else:
             e = tuple(sorted(float(v) for v in (c if hasattr(c, "__len__") else [c])))
+            if not e:
+                raise ValueError(f"radius cell {c!r} is empty")
             if not all(math.isfinite(v) and v > 0 for v in e):
                 raise ValueError(f"radii must be finite and positive, got {e}")
             norm_cells.append(e)

@@ -524,6 +524,41 @@ def symmetric_vertices(sides) -> np.ndarray:
     return np.cumsum(steps, axis=-1)
 
 
+def reduce_lattice_bases(sides) -> tuple[np.ndarray, np.ndarray]:
+    """Lagrange-Gauss reduce each positively oriented lattice basis (u, v)
+    of ``sides`` (batch, 2).
+
+    Returns the reduced sides (batch, 2) and B (batch, 2, 2) int64 with
+    det B = +1 and reduced = B (u, v), computed as that product from
+    ``sides``.  A reduced basis has |u| <= |v| and |Re(conj(u) v)| <=
+    |u|^2 / 2, up to rounding, so its parallelogram is the fattest one of
+    the lattice; the torus C / (Zu + Zv) does not change.  One step takes
+    v to v - m u, m the nearest integer to Re(conj(u) v) / |u|^2, and then,
+    if v has become the shorter, swaps (u, v) to (v, -u), which keeps
+    det = +1.  Each basis takes its own steps, all in one vectorised loop
+    over the bases not yet reduced.
+    """
+    sides = np.asarray(sides, dtype=complex)
+    u, v = sides[:, 0], sides[:, 1]
+    if not (np.isfinite(sides).all() and (_cross(u, v) > 0).all()):
+        raise ValueError("lattice bases must be finite and positively oriented")
+    basis = np.empty((len(sides), 2, 2), dtype=np.int64)
+    rows = np.zeros_like(basis)
+    rows[:, 0, 0] = rows[:, 1, 1] = 1
+    live = np.arange(len(sides))
+    while live.size:
+        norm = _dot(u, u)
+        m = np.rint(_dot(u, v) / norm)
+        v = v - m * u
+        rows[:, 1] -= m.astype(np.int64)[:, None] * rows[:, 0]
+        swap = _dot(v, v) < norm
+        basis[live[~swap]] = rows[~swap]
+        live, u, v, rows = live[swap], v[swap], -u[swap], rows[swap][:, ::-1]
+        rows[:, 1] *= -1
+    reduced = basis[:, :, 0] * sides[:, :1] + basis[:, :, 1] * sides[:, 1:]
+    return reduced, basis
+
+
 def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
     """Build a surface from a centrally symmetric 2n-gon with sides glued in
     opposite pairs.

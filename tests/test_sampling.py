@@ -13,6 +13,7 @@ from flatscale.surface import (
     SurfaceError,
     identity_rows,
     polygon_is_simple,
+    reduce_lattice_bases,
     shoelace_area,
     surface_from_symmetric_polygon,
     symmetric_polygon_batch,
@@ -268,6 +269,31 @@ class TestChartInput:
         with pytest.raises(ValueError, match="chunk_size must be at least 1"):
             scan_chart("torus", None, [None, (0.3,)], 2000, 1,
                        chunk_size=chunk_size)
+
+    def test_empty_radius_cell_rejected(self):
+        # an empty cell once raised a bare IndexError from the largest radius
+        with pytest.raises(ValueError, match=r"radius cell \(\) is empty"):
+            scan_chart("torus", None, [(0.3,), ()], 1000, 1)
+        with pytest.raises(ValueError, match=r"radius cell \[\] is empty"):
+            scan_chart("h2-octagon", None, [[]], 1000, 1)
+
+    @pytest.mark.parametrize("budget", [-5, 0])
+    def test_bad_budget_rejected(self, budget, monkeypatch):
+        # a budget below 1 once sampled and built a whole chunk first
+        def no_chunks(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(sampling, "_process_chunk", no_chunks)
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            scan_chart("torus", None, [(0.3,)], 1000, 1, budget=budget)
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            estimate_coned_measure("torus", None, 0.3, 1000, 1, budget=budget)
+
+    @pytest.mark.parametrize("dim", [1, 0, -2])
+    def test_chart_of_fewer_than_two_sides_rejected(self, dim):
+        # ChartModel("x", 1, 2.0) once scanned until the ear clip raised
+        with pytest.raises(ValueError, match="at least 2 side parameters"):
+            ChartModel("x", dim, 2.0)
 
     def test_worker_error_propagates(self):
         with pytest.raises(UnfoldingBudgetError):
@@ -587,3 +613,98 @@ class TestIdentityRows:
             X = chart.build(sides)
             Y = surface_from_symmetric_polygon(sides, _unit_rows(chart.dim))
             assert X._tables is Y._tables is batch.tables[kind]
+
+
+def _cone_sides(seed, chunk, size):
+    """The unit-area sides of the cone samples of one torus scan chunk."""
+    x = sampling._sample_params(sampling._chunk_generator(seed, chunk), size,
+                                2, get_chart("torus").half_width)
+    area, unit, admissible = sampling._unit_area_check(x)
+    return unit[admissible & (area <= 1.0)]
+
+
+def _canonical_rows(classes, length):
+    """The classes of one surface up to sign (first nonzero entry > 0),
+    sorted, with their lengths in the same order."""
+    first = np.take_along_axis(classes, np.argmax(classes != 0, axis=1)[:, None], 1)
+    classes = classes * np.where(first < 0, -1, 1)
+    order = np.lexsort(classes.T[::-1])
+    return classes[order], length[order]
+
+
+class TestReducedTori:
+    """The scan builds and unfolds each torus on its reduced basis B (u, v):
+    the same torus, so the same connections, whose classes ``@ B`` are the
+    chart classes of the raw build."""
+
+    def test_each_surface_has_the_raw_connections(self):
+        chart = get_chart("torus")
+        raw = _cone_sides(41, 0, 10_000)
+        reduced, basis = reduce_lattice_bases(raw)
+        L = 0.45
+        got, want = [], []
+        for sides, out in ((raw, want), (reduced, got)):
+            surfaces, built = chart.build_batch(sides)
+            assert built.all()
+            out.append(unfold_surfaces(surfaces, L))
+        want, got = want[0], got[0]
+        assert len(raw) == 2098
+        assert np.array_equal(got.offsets, want.offsets)
+        surf = np.repeat(np.arange(len(raw)), np.diff(got.offsets))
+        mapped = sampling._chart_classes(got.classes, basis[surf])
+        assert mapped.dtype == np.int64
+        for a, b in zip(want.offsets[:-1].tolist(), want.offsets[1:].tolist()):
+            want_c, want_l = _canonical_rows(want.classes[a:b], want.length[a:b])
+            got_c, got_l = _canonical_rows(mapped[a:b], got.length[a:b])
+            assert np.array_equal(got_c, want_c)
+            assert np.allclose(got_l, want_l, rtol=1e-12, atol=0)
+        # the long thin tori are what the reduction removes
+        assert want.nodes.sum() > 5 * got.nodes.sum()
+        assert want.nodes.max() > 5 * got.nodes.max()
+
+    @pytest.mark.parametrize("rows", [None, np.array([[1.0, 0.0], [0.5, 1.0]])],
+                             ids=["full", "sheared"])
+    def test_scan_equals_raw_scan(self, rows, monkeypatch):
+        """The whole scan on reduced tori counts what it counts on the raw
+        bases, in every subspace, for any worker count."""
+        W = None if rows is None else real_subspace(rows)
+        cells = [None, (0.15,), (0.3,), (0.45,), (0.3, 0.45), (0.45, 0.45)]
+        got = scan_chart("torus", W, cells, 20_000, 3, chunk_size=8192)
+        two = scan_chart("torus", W, cells, 20_000, 3, threads=2,
+                         chunk_size=8192)
+        assert two == got
+
+        def unreduced(sides):
+            basis = np.zeros((len(sides), 2, 2), np.int64)
+            basis[:, 0, 0] = basis[:, 1, 1] = 1
+            return sides, basis
+
+        monkeypatch.setattr(sampling, "reduce_lattice_bases", unreduced)
+        want = scan_chart("torus", W, cells, 20_000, 3, chunk_size=8192)
+        assert got.estimates == want.estimates
+        assert any(e.accepted for e in got.estimates[1:])
+        assert 0 < 5 * got.unfolding_nodes < want.unfolding_nodes
+
+    @pytest.mark.parametrize("rows", [[[1.0], [1.0]], [[1.0], [-2.0]]])
+    def test_chunks_without_connections(self, rows):
+        # a real line of C^2 holds only degenerate tori, so no chunk has a
+        # cone sample, a surface or a connection to map
+        with pytest.warns(RuntimeWarning, match="admissibility rejection"):
+            res = scan_chart("torus", real_subspace(np.array(rows)),
+                             [None, (0.3,), (0.3, 0.45)], 2000, 1,
+                             chunk_size=500)
+        assert [e.accepted for e in res.estimates] == [0, 0, 0]
+        assert res.unfolding_nodes == 0
+
+    def test_class_map_stays_in_int64(self):
+        classes = np.array([[2**40, -1], [3, 2**40]], dtype=np.int64)
+        basis = np.array([[[2**22 - 1, 1], [-1, 0]]] * 2, dtype=np.int64)
+        got = sampling._chart_classes(classes, basis)
+        want = [[sum(c * int(b[i][j]) for i, c in enumerate(row))
+                 for j in range(2)]
+                for row, b in zip(classes.tolist(), basis.tolist())]
+        assert got.tolist() == want
+        # 2 max|class| max|B| = 2**63 could leave int64
+        basis[0, 0, 0] = 2**22
+        with pytest.raises(ValueError, match="beyond int64"):
+            sampling._chart_classes(classes, basis)

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from flatscale.surface import (
     ear_clip_batch,
     polygon_is_simple,
     polygon_simple_mask,
+    reduce_lattice_bases,
     shoelace_area,
     surface_from_symmetric_polygon,
     symmetric_polygon_gluings,
@@ -829,3 +831,83 @@ class TestEarClipBatch:
             ear_clip(verts[0])
         with pytest.raises(SurfaceError, match="at least 3 vertices"):
             ear_clip([0, 1])
+
+
+@st.composite
+def _unit_area_bases(draw):
+    """Up to 40 unit-area lattice bases (u, v = u (s + i / |u|^2)), with
+    |u| from 1/170 to 170 and |v| up to about 170, as long and thin as the
+    unit-area rescale of a box sample can make them."""
+    m = draw(st.integers(1, 40))
+    size = draw(st.lists(st.floats(-math.log(170), math.log(170)),
+                         min_size=m, max_size=m))
+    angle = draw(st.lists(st.floats(0, 2 * math.pi), min_size=m, max_size=m))
+    shear = draw(st.lists(st.floats(-1, 1), min_size=m, max_size=m))
+    r = np.exp(size)
+    u = r * np.exp(1j * np.asarray(angle))
+    v = u * (np.asarray(shear) * 170 / r + 1j / (r * r))
+    return np.stack([u, v], axis=1)
+
+
+def _exact_products(basis, sides):
+    """B (u, v) of each row, summed exactly from the float sides and then
+    rounded once."""
+    out = []
+    for b, row in zip(basis.tolist(), sides.tolist()):
+        parts = [(Fraction(w.real), Fraction(w.imag)) for w in row]
+        out.append([complex(float(sum(c * x for c, (x, _) in zip(bi, parts))),
+                            float(sum(c * y for c, (_, y) in zip(bi, parts))))
+                    for bi in b])
+    return np.asarray(out, dtype=complex)
+
+
+class TestLatticeReduction:
+    """``reduce_lattice_bases`` gives a reduced basis of the same lattice,
+    with the same orientation."""
+
+    @PROPERTY
+    @given(_unit_area_bases())
+    @example(np.array([[167.0 + 0.2j, 167.001 + 0.206j], [1j, -1.0 + 0j]]))
+    def test_reduced_bases(self, sides):
+        reduced, basis = reduce_lattice_bases(sides)
+        assert basis.dtype == np.int64 and basis.shape == (len(sides), 2, 2)
+        det = basis[:, 0, 0] * basis[:, 1, 1] - basis[:, 0, 1] * basis[:, 1, 0]
+        assert (det == 1).all()
+        # the sides are B (u, v), rounded as a product of the given sides;
+        # a reduced side can be far shorter than the terms summed into it,
+        # so its rounding error is bounded by those terms
+        exact = _exact_products(basis, sides)
+        terms = np.abs(basis) @ np.abs(sides)[:, :, None]
+        assert (np.abs(reduced - exact) <= 1e-15 * terms[:, :, 0]).all()
+        u, v = reduced[:, 0], reduced[:, 1]
+        assert (abs(u) <= abs(v) * (1 + 1e-9)).all()
+        shear = abs(u.real * v.real + u.imag * v.imag)
+        assert (shear <= abs(u) ** 2 * (0.5 + 1e-9)).all()
+        # the lattice and its orientation are kept: the area is unchanged
+        area = (u.conjugate() * v).imag
+        want = (sides[:, 0].conjugate() * sides[:, 1]).imag
+        assert np.allclose(area, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("sides, basis, reduced", [
+        # already reduced: kept as it is
+        ([1 + 0j, 0.3 + 1j], [[1, 0], [0, 1]], [1 + 0j, 0.3 + 1j]),
+        ([1.5j, -2 + 0j], [[1, 0], [0, 1]], [1.5j, -2 + 0j]),
+        # v - 7 u = i
+        ([1 + 0j, 7 + 1j], [[1, 0], [-7, 1]], [1 + 0j, 1j]),
+        # the longer u is swapped to (v, -u) = (i, -7 - i), which keeps the
+        # orientation, and then -7 - i + i = -7
+        ([7 + 1j, 1j], [[0, 1], [-1, 1]], [1j, -7 + 0j]),
+    ])
+    def test_known_reductions(self, sides, basis, reduced):
+        got, B = reduce_lattice_bases([sides])
+        assert B.tolist() == [basis] and got.tolist() == [reduced]
+
+    @pytest.mark.parametrize("sides", [
+        [[1 + 0j, 2 + 0j]],                 # degenerate
+        [[1j, 1 + 0j]],                     # clockwise
+        [[1 + 0j, complex(math.nan, 1)]],
+        [[complex(math.inf, 0), 1j]],
+    ], ids=["degenerate", "clockwise", "nan", "inf"])
+    def test_bad_bases_rejected(self, sides):
+        with pytest.raises(ValueError, match="finite and positively oriented"):
+            reduce_lattice_bases(sides)

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from flatscale.surface import SurfaceError, TranslationSurface
 from flatscale.unfolding import (
@@ -438,6 +439,59 @@ class TestMultiplicity:
                 for sc in enumerate_saddle_connections(Y, L,
                                                        keep_orientations=True))
             assert got == want and want
+
+
+def same_multiset(a, b, tol=1e-9):
+    """Whether the complex multisets ``a`` and ``b`` pair up one to one
+    within ``tol``: the cheapest pairing (by total distance) has every pair
+    within ``tol``.  Equal holonomies from different developments may differ
+    in the last bits, and a tolerance cannot split them as a rounding grid
+    can."""
+    a, b = np.asarray(a), np.asarray(b)
+    if len(a) != len(b):
+        return False
+    dist = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    return bool((dist[rows, cols] <= tol * max(1.0, np.abs(a).max(initial=0))).all())
+
+
+class TestVeechGroup:
+    """The unit-area regular octagon is a lattice surface: its Veech group
+    holds the rotation by pi/4 and the parabolic T = [[1, 2 cot(pi/8)],
+    [0, 1]] (Veech 1989), each of which maps its holonomy multiset onto
+    itself."""
+
+    L = 3.0
+
+    @pytest.fixture(scope="class")
+    def holonomies(self):
+        X = unit_regular_octagon()
+        small = [sc.holonomy for sc in enumerate_saddle_connections(
+            X, self.L, keep_orientations=True)]
+        # |T^-1| < 5.1, so every connection that T maps within L is
+        # within 5.1 L < 17 before
+        big = np.array([sc.holonomy for sc in enumerate_saddle_connections(
+            X, 17.0, keep_orientations=True)])
+        assert len(small) == 176 and len(big) == 6064
+        return np.asarray(small), big
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_rotation(self, holonomies, k):
+        small, _ = holonomies
+        assert same_multiset(small * cmath.exp(1j * k * math.pi / 4), small)
+
+    @pytest.mark.parametrize("shear, veech", [
+        (2 / math.tan(math.pi / 8), True),
+        (2.0, False),
+        (1 + math.sqrt(2), False),
+    ], ids=["2cot(pi/8)", "2", "1+sqrt2"])
+    def test_parabolic(self, holonomies, shear, veech):
+        small, big = holonomies
+        image = big + shear * big.imag
+        image = image[np.abs(image) <= self.L]
+        assert same_multiset(image, small) == veech
+        if not veech:
+            assert len(image) == 204
 
 
 def no_coordinates(X):
