@@ -278,9 +278,9 @@ def scan_chart(
     from the square |Re| < h, |Im| < h with h = ``chart.half_width``, and
     the estimates scale by that box's volume; any ``ChartModel`` works.
     ``threads`` is the number of worker processes (1 runs in this process);
-    results do not depend on it.  A cell needs at least one radius, radii
-    must be finite and positive, and ``chunk_size`` and ``budget`` at
-    least 1.
+    results do not depend on it.  A cell is one radius (a number or a 0-d
+    array) or a sequence of at least one; radii must be finite and
+    positive, and ``chunk_size`` and ``budget`` at least 1.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
@@ -300,7 +300,7 @@ def scan_chart(
         if c is None:
             norm_cells.append(None)
         else:
-            e = tuple(sorted(float(v) for v in (c if hasattr(c, "__len__") else [c])))
+            e = tuple(sorted(float(v) for v in ([c] if np.ndim(c) == 0 else c)))
             if not e:
                 raise ValueError(f"radius cell {c!r} is empty")
             if not all(math.isfinite(v) and v > 0 for v in e):

@@ -256,6 +256,13 @@ class TestChartInput:
         with pytest.raises(ValueError, match="radii must be finite and positive"):
             scan_chart("torus", None, [(0.2, radius)], 2000, 1)
 
+    def test_zero_dim_array_radius_is_one_radius(self):
+        # a 0-d array has __len__ but no length: it raised a bare TypeError
+        cells = [np.array(0.2), np.float64(0.3), (np.array(0.2), 0.3)]
+        got = scan_chart("torus", None, cells, 2000, 1).estimates
+        assert [e.eps for e in got] == [(0.2,), (0.3,), (0.2, 0.3)]
+        assert got == scan_chart("torus", None, [0.2, 0.3, (0.2, 0.3)], 2000, 1).estimates
+
     @pytest.mark.parametrize("subspace", [
         full_space(4), real_subspace(np.eye(4)[:, :2]), full_space(1)])
     def test_subspace_of_wrong_dimension_rejected(self, subspace):

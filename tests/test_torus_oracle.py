@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from flatscale import torus_oracle
 from flatscale.torus_oracle import (
+    DEFAULT_PQ_MAX,
     HERMITE_SHORTEST,
+    PAIR_BLOCK,
+    _block_volumes,
     _clip_rows,
     _pair_volume,
     bezout_complement,
@@ -270,9 +276,9 @@ class TestVectorisedPairVolume:
         for eps, want in ORACLE_GOLDEN.items():
             assert torus_exact_oracle([eps]) == pytest.approx(want, rel=1e-12)
 
-    def test_one_call_per_pair(self, monkeypatch):
-        """The slow points of a pair go to circle_polygon_area in one call,
-        looked up as a module attribute at call time."""
+    def test_one_call_per_block(self, monkeypatch):
+        """The overlapping rows of a block of pairs go to circle_polygon_area
+        in one call, looked up as a module attribute at call time."""
         calls = []
         cpa = torus_oracle.circle_polygon_area
 
@@ -288,9 +294,77 @@ class TestVectorisedPairVolume:
             per_pair.append(len(calls) - before)
         assert set(per_pair) == {0, 1}
         assert max(calls) > 100
+
+        blocks = torus_oracle._block_volumes
+        per_block = []
+
+        def counting_blocks(*args):
+            before = len(calls)
+            out = blocks(*args)
+            per_block.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(torus_oracle, "_block_volumes", counting_blocks)
         calls.clear()
         torus_exact_oracle([0.3])
-        assert 0 < len(calls) <= len(primitive_pairs(24))
+        n_pairs = len(primitive_pairs(DEFAULT_PQ_MAX))
+        assert len(per_block) == -(-n_pairs // PAIR_BLOCK)
+        assert set(per_block) == {0, 1}
+        assert min(calls) > 0
+        # the skip leaves 2368 of the 249,008 slow rows at eps = 0.3
+        assert sum(calls) < 3000
+
+    @pytest.mark.parametrize("eps", [0.15, 0.3])
+    def test_blocks_equal_pairs(self, eps):
+        """Every pair's volume is bit for bit the same in any block, and the
+        oracle adds them in primitive_pairs order."""
+        pairs = primitive_pairs(DEFAULT_PQ_MAX)
+        grids = [48 if max(abs(p), abs(q)) <= 4 else 24 for p, q in pairs]
+        single = [_pair_volume(p, q, eps, 2.0, n) for (p, q), n in zip(pairs, grids)]
+        blocks = np.concatenate([
+            _block_volumes(pairs[b:b + PAIR_BLOCK], eps, 2.0, grids[b:b + PAIR_BLOCK])
+            for b in range(0, len(pairs), PAIR_BLOCK)])
+        assert len(single) == 720
+        np.testing.assert_array_equal(blocks, single)
+        np.testing.assert_array_equal(_block_volumes(pairs[5:18], eps, 2.0, grids[5:18]),
+                                      single[5:18])
+        total = 0.0
+        for volume in single:
+            total += volume
+        assert torus_exact_oracle([eps]) == total
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.95])
+    def test_skipped_rows_are_rounding_noise(self, eps, monkeypatch):
+        """With the skip off, every row whose disc misses the bounding box of
+        its clip polygon, a superset of the rows the skip drops, gets an area
+        of rounding noise from circle_polygon_area: under machine epsilon
+        times the disc area, and under 1e-17 up to eps = 0.3 (at eps = 0.95
+        the discs reach radius 1.25 and the noise 1.8e-16)."""
+        meets = torus_oracle._disc_meets_box
+        cpa = torus_oracle.circle_polygon_area
+        dropped, rows = [], []
+
+        def no_skip(cx, cy, radius, *box):
+            dropped.append(np.count_nonzero(~meets(cx, cy, radius, *box)))
+            return np.ones(len(cx), dtype=bool)
+
+        def recording(cx, cy, radius, poly):
+            area = cpa(cx, cy, radius, poly)
+            rows.append((cx, cy, radius, poly, area))
+            return area
+
+        monkeypatch.setattr(torus_oracle, "_disc_meets_box", no_skip)
+        monkeypatch.setattr(torus_oracle, "circle_polygon_area", recording)
+        for p, q in primitive_pairs(6):
+            _pair_volume(p, q, eps, 2.0, 48)
+        cx, cy, radius, poly, area = (np.concatenate(v) for v in zip(*rows))
+        lo, hi = poly.min(axis=1), poly.max(axis=1)
+        miss = ~meets(cx, cy, radius, lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1])
+        assert miss.sum() >= sum(dropped) > 40_000
+        noise = np.abs(area[miss])
+        assert np.all(noise <= np.finfo(float).eps * math.pi * radius[miss] ** 2)
+        if eps <= 0.3:
+            assert noise.max() <= 1e-17
 
 
 class TestOracleArguments:
@@ -344,6 +418,26 @@ class TestConeVolume:
 
 
 class TestOracle:
+    def test_zero_dim_array_is_one_radius(self):
+        # a 0-d array has __len__ but no length: it raised a bare TypeError
+        want = torus_exact_oracle([0.2], pq_max=6)
+        assert torus_exact_oracle(np.array(0.2), pq_max=6) == want
+        assert torus_exact_oracle(np.float64(0.2), pq_max=6) == want
+        assert torus_exact_oracle(np.array([0.2]), pq_max=6) == want
+
+    def test_no_scipy_below_the_hermite_bound(self):
+        """Only the saturated cone volume integrates with scipy; a pair-sum
+        value must not import it."""
+        src = str(Path(torus_oracle.__file__).parents[1])
+        code = ("import sys\n"
+                f"sys.path.insert(0, {src!r})\n"
+                "from flatscale.torus_oracle import torus_exact_oracle\n"
+                "torus_exact_oracle([0.3])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
     def test_monotone_in_eps(self):
         vals = [torus_exact_oracle([e], grid_resolution=32, pq_max=12)
                 for e in (0.05, 0.1, 0.2, 0.4)]
