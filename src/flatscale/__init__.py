@@ -16,7 +16,6 @@ from .unfolding import (
 from .homology import (
     LinearSubspace,
     are_parallel,
-    full_space,
     independence_rank,
     real_subspace,
 )

@@ -17,8 +17,7 @@ import numpy as np
 from .surface import (
     SurfaceBatch,
     TranslationSurface,
-    identity_rows,
-    polygon_is_simple,
+    polygon_simple_mask,
     shoelace_area,
     surface_from_symmetric_polygon,
     symmetric_polygon_batch,
@@ -36,10 +35,11 @@ class ChartModel:
     ranges over |Re z_i| < h, |Im z_i| < h.  The builder is only
     guaranteed to succeed where ``admissible`` holds.
 
-    The parameters z are the first sides of a centrally symmetric polygon:
-    ``polygon_vertices`` are its vertices (``symmetric_vertices``), and
+    The parameters z are the first sides of a centrally symmetric polygon,
+    and the builders take the sides only: each is its own chart coordinate.
+    ``polygon_vertices`` are the vertices (``symmetric_vertices``), and
     ``area`` and ``admissible`` test them with ``shoelace_area`` and
-    ``polygon_is_simple``, the routines that also check a whole batch.
+    ``polygon_simple_mask``, the routines that also check a whole batch.
     ``build`` builds one surface and checks that its polygon is simple and
     positively oriented.  ``build_batch`` builds many at once and checks
     nothing: ``scan_chart`` passes it only rows whose vertices its one
@@ -64,19 +64,19 @@ class ChartModel:
 
     def admissible(self, z) -> bool:
         verts = self.polygon_vertices(z)
-        return bool(shoelace_area(verts) > 0) and polygon_is_simple(verts)
+        return bool(shoelace_area(verts) > 0 and polygon_simple_mask(verts)[0])
 
     def area(self, z) -> float:
         return float(shoelace_area(self.polygon_vertices(z)))
 
     def build(self, z) -> TranslationSurface:
-        return surface_from_symmetric_polygon(z, identity_rows(self.dim))
+        return surface_from_symmetric_polygon(z)
 
     def build_batch(self, sides) -> tuple[SurfaceBatch, np.ndarray]:
         """The surfaces of the rows of ``sides`` (batch, dim), whose polygons
         are known to be simple and positively oriented, and which rows
         built (see :func:`~flatscale.surface.symmetric_polygon_batch`)."""
-        return symmetric_polygon_batch(sides, identity_rows(self.dim))
+        return symmetric_polygon_batch(sides)
 
     @property
     def box_volume(self) -> float:

@@ -41,13 +41,6 @@ class LinearSubspace:
     def dim(self) -> int:
         return self.ambient_dim if self.basis is None else self.basis.shape[1]
 
-    @property
-    def basis_functionals(self) -> np.ndarray:
-        """d x n matrix whose rows restrict to a basis of functionals on W."""
-        if self.basis is None:
-            return np.eye(self.ambient_dim, dtype=complex)
-        return np.linalg.pinv(self.basis)
-
     def embed(self, w: np.ndarray) -> np.ndarray:
         """Map intrinsic coordinates w in C^d to ambient points."""
         if self.basis is None:
@@ -63,10 +56,6 @@ class LinearSubspace:
                 f"classes have {g.shape[-1]} coordinates, expected "
                 f"{self.ambient_dim}")
         return g if self.basis is None else g @ self.basis
-
-
-def full_space(n: int) -> LinearSubspace:
-    return LinearSubspace(n)
 
 
 def real_subspace(rows: np.ndarray) -> LinearSubspace:

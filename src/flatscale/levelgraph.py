@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .surface import StratumSignature
 
-TOL_GLUE = 1e-12  # relative tolerance of the plumbing equation u v = T
-
 
 class GraphError(ValueError):
     pass
@@ -231,11 +229,6 @@ def plumbing_T(g: EnhancedLevelGraph, edge_index: int, t: dict[int, complex],
                 f"enhancement {e.b} does not divide a[{k}] = {a[k]}")
         out *= complex(t[k]) ** exp
     return out
-
-
-def glue_ok(u: complex, v: complex, T: complex) -> bool:
-    """Whether u v = T to ``TOL_GLUE`` relative."""
-    return abs(u * v - T) <= TOL_GLUE * max(abs(T), abs(u * v), 1e-300)
 
 
 def rescale_factor(level: int, t: dict[int, complex],

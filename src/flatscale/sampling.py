@@ -65,6 +65,7 @@ import numpy as np
 from .charts import ChartModel, get_chart, square_box_volume
 from .homology import LinearSubspace, independence_rank
 from .surface import (
+    INT64_LIMIT,
     SurfaceError,
     distinct_rows,
     polygon_simple_mask,
@@ -72,13 +73,12 @@ from .surface import (
     shoelace_area,
     symmetric_vertices,
 )
-from .unfolding import _INT64_LIMIT, unfold_surfaces
+from .unfolding import DEFAULT_BUDGET, unfold_surfaces
 # enumerate_saddle_connections is not called here; it stays bound because
 # perfbench/layers.py reads sampling's binding when it installs its wrappers.
 from .unfolding import enumerate_saddle_connections  # noqa: F401
 
 DEFAULT_CHUNK = 16384
-DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def _chart_classes(classes: np.ndarray, basis: np.ndarray) -> np.ndarray:
     Raises ``ValueError`` when 2 max|class| max|B| could leave int64."""
     cmax = int(np.abs(classes).max(initial=0))
     bmax = int(np.abs(basis).max(initial=0))
-    if 2 * cmax * bmax >= _INT64_LIMIT:
+    if 2 * cmax * bmax >= INT64_LIMIT:
         raise ValueError(f"classes up to {cmax} in bases up to {bmax} could "
                          f"reach {2 * cmax * bmax}, beyond int64 (2**63)")
     return (classes[:, None, :] @ basis)[:, 0]
@@ -348,21 +348,3 @@ def scan_chart(
             value=p * vol, standard_error=stderr, samples=samples, seed=seed,
             eps=cell, accepted=int(k), admissible=n_adm, box_volume=vol))
     return ScanResult(name, tuple(out), adm_fraction, n_failed, n_nodes)
-
-
-def estimate_coned_measure(
-    chart: ChartModel | str,
-    subspace: LinearSubspace | None,
-    eps,
-    samples: int,
-    seed: int,
-    threads: int = 1,
-    budget: int = DEFAULT_BUDGET,
-) -> ConingEstimate:
-    """Single-cell version of :func:`scan_chart`.
-
-    ``eps`` may be None to estimate the plain cone volume.
-    """
-    res = scan_chart(chart, subspace, [eps], samples, seed,
-                     threads=threads, budget=budget)
-    return res.estimates[0]

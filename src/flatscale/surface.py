@@ -23,6 +23,7 @@ TOL_CLOSURE = 1e-9
 TOL_GLUING = 1e-9
 TOL_ANGLE = 1e-7
 TOL_SIMPLE = 1e-12  # of the polygon simplicity test
+INT64_LIMIT = 2**63  # |c| of every chart coefficient and class stays below it
 
 
 class SurfaceError(ValueError):
@@ -341,7 +342,7 @@ def _integer(x) -> int:
         i = int(x)
     except (TypeError, ValueError, OverflowError):
         i = None
-    if i is None or i != x or not -2**63 < i < 2**63:
+    if i is None or i != x or not -INT64_LIMIT < i < INT64_LIMIT:
         raise SurfaceError(f"coefficient {x!r} is not an integer with |c| < 2**63")
     return i
 
@@ -505,11 +506,6 @@ def _separate_collinear(sep, tol, p1, ei, q1, ej, d1, d2, d3, d4) -> None:
     sep[r[apart], c[apart]] = True
 
 
-def polygon_is_simple(vertices) -> bool:
-    """Strict simplicity: nondegenerate edges, no improper contacts."""
-    return bool(polygon_simple_mask(vertices)[0])
-
-
 def symmetric_vertices(sides) -> np.ndarray:
     """Vertices 0, z_1, z_1 + z_2, ... of the centrally symmetric polygon
     with side sequence z_1, ..., z_n, -z_1, ..., -z_n, summed left to right:
@@ -559,25 +555,25 @@ def reduce_lattice_bases(sides) -> tuple[np.ndarray, np.ndarray]:
     return reduced, basis
 
 
-def surface_from_symmetric_polygon(sides, coeffs=None) -> TranslationSurface:
+def surface_from_symmetric_polygon(sides) -> TranslationSurface:
     """Build a surface from a centrally symmetric 2n-gon with sides glued in
     opposite pairs.
 
     ``sides`` lists the first n side vectors z_1..z_n; the polygon has side
     sequence z_1, ..., z_n, -z_1, ..., -z_n.  Side k is glued to side k+n.
-    ``coeffs`` optionally gives an integer row per side expressing it in
-    chart parameters.
+    The sides are the chart parameters: side k carries the unit row e_k,
+    and every edge the integer row of its vector in z_1..z_n.
 
     The polygon is checked to be simple and positively oriented, then built
     as the batch of one of :func:`symmetric_polygon_batch`; raises
     :class:`SurfaceError` when a check fails or ear clipping finds no ear.
     """
     verts = symmetric_vertices(sides)
-    if not polygon_is_simple(verts):
+    if not polygon_simple_mask(verts)[0]:
         raise SurfaceError("polygon is not simple")
     if shoelace_area(verts) <= 0:
         raise SurfaceError("polygon is not positively oriented")
-    batch, ok = symmetric_polygon_batch([sides], coeffs)
+    batch, ok = symmetric_polygon_batch([sides])
     if not ok[0]:
         raise SurfaceError("no ear found; polygon not simple enough")
     return TranslationSurface._from_tables(batch.edges.reshape(-1, 3),
@@ -623,35 +619,31 @@ class SurfaceBatch:
         return cls(edges, tuple(tables), kind)
 
 
-def symmetric_polygon_batch(sides, coeffs=None) -> tuple[SurfaceBatch, np.ndarray]:
+def symmetric_polygon_batch(sides) -> tuple[SurfaceBatch, np.ndarray]:
     """Build the surfaces of a batch of centrally symmetric polygons.
 
-    ``sides`` (batch, n) holds the first side vectors of each polygon, as
-    in :func:`surface_from_symmetric_polygon`, and ``coeffs`` the integer
-    rows of those sides in chart parameters (or None).  The rows are not
-    checked: pass only rows whose :func:`symmetric_vertices` passed
-    :func:`polygon_simple_mask` and have positive area.  Those very
-    vertices are ear clipped, all rows at once (:func:`ear_clip_batch`).
+    ``sides`` (batch, n) holds the first side vectors of each polygon, which
+    are its chart parameters, as in :func:`surface_from_symmetric_polygon`.
+    The rows are not checked: pass only rows whose
+    :func:`symmetric_vertices` passed :func:`polygon_simple_mask` and have
+    positive area.  Those very vertices are ear clipped, all rows at once
+    (:func:`ear_clip_batch`).
 
     Returns the batch of the rows that ear clip and ``ok`` (batch,), which
     rows those are.  The neighbour table, corner vertices, vertex count
     and integer edge coordinates depend only on the key (n, ear-clip
-    index triples, coefficient rows); they are made once per key, kept in
-    a bounded LRU cache and shared, read-only, by every surface with that
-    key.  Only the edge vectors are computed per row.
+    index triples); they are made once per key, kept in a bounded LRU
+    cache and shared, read-only, by every surface with that key.  Only the
+    edge vectors are computed per row.
     """
     sides = np.asarray(sides, dtype=complex)
     n = sides.shape[1]
     verts = symmetric_vertices(sides)
     tris, ok = ear_clip_batch(verts)
     tris, verts = tris[ok], verts[ok]
-    rows = coeffs
-    if coeffs is not None and not (type(coeffs) is tuple
-                                   and all(type(r) is tuple for r in coeffs)):
-        rows = tuple(tuple(_integer(x) for x in r) for r in coeffs)
     # an ear clip is fixed by the corner it clips at each step
     first, kind = distinct_rows(tris[:, :-1, 1])
-    tables = tuple(_symmetric_polygon_tables(n, tuple(map(tuple, key)), rows)
+    tables = tuple(_symmetric_polygon_tables(n, tuple(map(tuple, key)))
                    for key in tris[first].tolist())
     corners = verts[np.arange(len(tris))[:, None, None], tris]
     edges = np.roll(corners, -1, axis=2) - corners
@@ -669,12 +661,6 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kind = np.empty(len(a), dtype=np.intp)
     kind[order] = np.cumsum(new) - 1
     return order[new], kind
-
-
-@functools.lru_cache(maxsize=None)
-def identity_rows(dim: int) -> tuple[tuple[int, ...], ...]:
-    """The unit coefficient rows of a chart whose parameters are its sides."""
-    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 def symmetric_polygon_gluings(n: int, tris) -> dict:
@@ -697,15 +683,9 @@ def symmetric_polygon_gluings(n: int, tris) -> dict:
 
 
 @functools.lru_cache(maxsize=4096)
-def _symmetric_polygon_tables(n: int, tris, rows) -> _SurfaceTables:
-    coords = None
-    if rows is not None:
-        # the integer rows of the vertices, summed as symmetric_vertices
-        # sums the sides, and of each triangle edge (end minus start)
-        side = np.asarray(rows, dtype=object)
-        if side.ndim != 2 or len(side) != n:
-            raise SurfaceError(f"coeffs must be {n} rows of equal length")
-        steps = np.concatenate([np.zeros_like(side[:1]), side, -side[:-1]])
-        corner = np.cumsum(steps, axis=0)[np.asarray(tris)]
-        coords = np.roll(corner, -1, axis=1) - corner
+def _symmetric_polygon_tables(n: int, tris) -> _SurfaceTables:
+    # row v: vertex v in the sides (column i is the polygon of side e_i)
+    rows = symmetric_vertices(np.eye(n)).real.T.astype(np.int64)
+    corner = rows[np.asarray(tris)]
+    coords = np.roll(corner, -1, axis=1) - corner
     return _surface_tables(len(tris), symmetric_polygon_gluings(n, tris), coords)

@@ -18,8 +18,9 @@ The w-area is evaluated exactly by circle-polygon intersection and
 integrated over a per-pair midpoint grid in z; away from a thin band the
 integrand equals the full disc area, so the grid converges fast.
 
-The pairs are evaluated PAIR_BLOCK at a time with array operations: the
-grid points of a block's pairs are flattened together, and each point
+The pairs are evaluated in blocks with array operations: a block is a run
+of consecutive pairs with at most BLOCK_POINTS grid points, or one pair.
+The grid points of a block's pairs are flattened together, and each point
 carries its pair's gates and w-squares (an absent square is
 (alpha, beta) = (0, inf), which every point passes).  Grid points whose
 disc lies inside every w-square with area <= 1 take pi r^2 directly.  For
@@ -36,7 +37,7 @@ parameters on the circle clamped to the edge.  np.bincount adds each
 pair's areas in point order, so a pair's volume does not depend on the
 block it lands in (_pair_volume is the block of one), and the oracle adds
 the pair volumes in primitive_pairs order.  Memory stays at one block's
-grids, at most PAIR_BLOCK * grid_resolution^2 points.
+grids, at most max(BLOCK_POINTS, grid_resolution^2) points.
 
 For eps at or above the Hermite bound (4/3)^(1/4), every unit-area lattice
 has a vector no longer than eps, so the k = 1 measure is the whole cone
@@ -63,7 +64,7 @@ import numpy as np
 DEFAULT_Z_GRID = 48
 DEFAULT_PQ_MAX = 24
 HERMITE_SHORTEST = (4.0 / 3.0) ** 0.25  # max of lambda_1 over unit-area lattices
-PAIR_BLOCK = 8  # pairs per _block_volumes call, chosen by timing the oracle
+BLOCK_POINTS = 4608  # grid points per _block_volumes call: eight 24^2 grids
 
 
 def primitive_pairs(pq_max: int):
@@ -258,6 +259,18 @@ def _block_volumes(pairs, eps: float, half_width: float, grids) -> np.ndarray:
     return np.bincount(pair, weights=area, minlength=len(pairs)) * h * h
 
 
+def _blocks(grids):
+    """Runs of consecutive pairs, pair k on a grids[k]^2 z-grid, each as
+    long as BLOCK_POINTS grid points allow and at least one pair long."""
+    start, points = 0, 0
+    for k, n in enumerate(grids):
+        if k > start and points + n * n > BLOCK_POINTS:
+            yield slice(start, k)
+            start, points = k, 0
+        points += n * n
+    yield slice(start, len(grids))
+
+
 def _pair_volume(p: int, q: int, eps: float, half_width: float,
                  n_grid: int) -> float:
     """Volume of one canonical pair on an n_grid^2 z-grid: a block of one."""
@@ -302,8 +315,7 @@ def torus_exact_oracle(
         grids = [grid_resolution if max(abs(p), abs(q)) <= 4
                  else max(24, grid_resolution // 2) for p, q in pairs]
         total = 0.0
-        for b in range(0, len(pairs), PAIR_BLOCK):
-            block = slice(b, b + PAIR_BLOCK)
+        for block in _blocks(grids):
             for volume in _block_volumes(pairs[block], e, half_width, grids[block]):
                 total += volume  # in primitive_pairs order
         return float(total)

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .surface import SurfaceBatch, TranslationSurface
+from .surface import INT64_LIMIT, SurfaceBatch, TranslationSurface
 
 WEDGE_EPS = 1e-9  # relative angular tolerance for boundary coincidence
 PAIR_EPS = 1e-12  # relative tolerance for the horizontal-direction tiebreak
@@ -50,7 +50,7 @@ DOWN = 1e-6  # angle below the real axis down to which the canonical search runs
 _SIN_DOWN = math.sin(DOWN)
 _BELOW_POS = complex(math.cos(DOWN), -_SIN_DOWN)   # angle -DOWN
 _BELOW_NEG = complex(-math.cos(DOWN), -_SIN_DOWN)  # angle pi + DOWN
-_INT64_LIMIT = 2**63
+DEFAULT_BUDGET = 1_000_000  # chain nodes one surface may expand
 
 
 class UnfoldingBudgetError(RuntimeError):
@@ -125,7 +125,7 @@ class UnfoldedBatch(NamedTuple):
 def enumerate_saddle_connections(
     surface: TranslationSurface,
     length_bound: float,
-    budget: int = 1_000_000,
+    budget: int = DEFAULT_BUDGET,
     record_chains: bool = False,
     keep_orientations: bool = False,
 ):
@@ -144,7 +144,7 @@ def enumerate_saddle_connections(
                            keep_orientations).connections(0)
 
 
-def unfold_surfaces(surfaces, length_bound: float, budget: int = 1_000_000,
+def unfold_surfaces(surfaces, length_bound: float, budget: int = DEFAULT_BUDGET,
                     record_chains: bool = False,
                     keep_orientations: bool = False) -> UnfoldedBatch:
     """:func:`enumerate_saddle_connections` of every surface in one search.
@@ -163,7 +163,7 @@ def unfold_surfaces(surfaces, length_bound: float, budget: int = 1_000_000,
         surfaces = SurfaceBatch.of(surfaces)
     cmax = max((t.coeff_max for t in surfaces.tables), default=0)
     rows = max(budget, 0) + 2
-    if cmax * rows >= _INT64_LIMIT:
+    if cmax * rows >= INT64_LIMIT:
         raise ValueError(
             f"class coefficients up to {cmax} times budget + 2 = {rows} "
             f"reach {cmax * rows}, beyond int64 (2**63); lower the budget")

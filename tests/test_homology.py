@@ -5,7 +5,6 @@ from flatscale.homology import (
     DimensionMismatch,
     LinearSubspace,
     are_parallel,
-    full_space,
     independence_rank,
     real_subspace,
 )
@@ -26,14 +25,14 @@ class TestAreParallel:
 
 class TestIndependenceRank:
     def test_full_space_two_units(self):
-        W = full_space(4)
+        W = LinearSubspace(4)
         classes = np.zeros((2, 4))
         classes[0, 0] = 1
         classes[1, 1] = 1
         assert independence_rank(classes, W) == 2
 
     def test_repeated_class(self):
-        W = full_space(3)
+        W = LinearSubspace(3)
         classes = np.tile([1.0, 2.0, 0.0], (5, 1))
         assert independence_rank(classes, W) == 1
 
@@ -41,7 +40,7 @@ class TestIndependenceRank:
         # classes (p, q) and (2p, 2q) restricted to a real subspace
         p, q = 3, 5
         classes = np.array([[p, q], [2 * p, 2 * q]], dtype=float)
-        for W in (full_space(2), real_subspace(np.array([[1.0], [0.5]]))):
+        for W in (LinearSubspace(2), real_subspace(np.array([[1.0], [0.5]]))):
             assert independence_rank(classes, W) == 1
 
     def test_annihilated_class(self):
@@ -51,7 +50,7 @@ class TestIndependenceRank:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            independence_rank(np.eye(3), full_space(2))
+            independence_rank(np.eye(3), LinearSubspace(2))
 
 
 class TestNonParallelImpliesIndependent:
@@ -88,14 +87,3 @@ class TestNonParallelImpliesIndependent:
                 if r1 > 1e-9 and r2 > 1e-9:
                     assert independence_rank(classes, W) == 2
             hits += 1
-
-
-class TestBasisFunctionals:
-    def test_full_row_rank(self):
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-        W = LinearSubspace(5, b)
-        F = W.basis_functionals
-        assert F.shape == (2, 5)
-        assert np.linalg.matrix_rank(F) == 2
-        assert np.allclose(F @ W.basis, np.eye(2))

@@ -9,7 +9,6 @@ from flatscale.levelgraph import (
     GraphVertex,
     HalfEdge,
     compute_a,
-    glue_ok,
     plumbing_T,
     rescale_factor,
     validate_graph,
@@ -152,10 +151,6 @@ class TestPlumbingT:
         # a = 6; both exponents integral here, so force a bad case manually
         with pytest.raises(GraphError):
             plumbing_T(g, 0, {-1: 0.1}, a={-1: 3})
-
-    def test_glue_ok(self):
-        assert glue_ok(0.2, 0.05, 0.01)
-        assert not glue_ok(0.2, 0.06, 0.01)
 
 
 class TestRescale:

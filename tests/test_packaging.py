@@ -119,3 +119,37 @@ def test_benchmark_rebound_attributes_exist():
         if obj is None:
             obj = importlib.import_module(f"{module}.{owner}")
         assert callable(getattr(obj, attr, None)), f"{owner}.{attr}"
+
+
+def _flatscale_imports(tree) -> list[tuple[str, str | None]]:
+    """(module, name) of every import from flatscale in ``tree``, name None
+    for ``import flatscale...``; code in string constants, which the
+    benchmark runs in child processes, is searched too."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(a.name, None) for a in node.names
+                      if a.name.split(".")[0] == "flatscale"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "flatscale"):
+            found += [(node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for line in re.findall(r"^(?:from|import) flatscale\b.*$",
+                                   node.value, re.MULTILINE):
+                found += _flatscale_imports(ast.parse(line))
+    return found
+
+
+def test_benchmark_imports_resolve():
+    """Every name that perfbench/*.py imports from flatscale exists, so a
+    refactor that drops one fails here, not only when the benchmark runs."""
+    found = []
+    for path in sorted((PYPROJECT.parent / "perfbench").glob("*.py")):
+        found += _flatscale_imports(ast.parse(path.read_text()))
+    assert ("flatscale.torus_oracle", "primitive_pairs") in found
+    assert ("flatscale.surface", "ear_clip") in found
+    for module, name in found:
+        mod = importlib.import_module(module)
+        if name is not None and hasattr(mod, "__path__") and not hasattr(mod, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule
+        assert name is None or hasattr(mod, name), f"{module} has no {name}"

@@ -7,12 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from flatscale import sampling
 from flatscale.charts import ChartModel, get_chart
-from flatscale.homology import LinearSubspace, full_space, independence_rank, real_subspace
-from flatscale.sampling import ConingEstimate, estimate_coned_measure, scan_chart
+from flatscale.homology import LinearSubspace, independence_rank, real_subspace
+from flatscale.sampling import scan_chart
 from flatscale.surface import (
     SurfaceError,
-    identity_rows,
-    polygon_is_simple,
+    polygon_simple_mask,
     reduce_lattice_bases,
     shoelace_area,
     surface_from_symmetric_polygon,
@@ -34,29 +33,29 @@ SUBSPACE_BASIS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 
 class TestEstimatorBasics:
     def test_matches_oracle_moderate_eps(self):
-        est = estimate_coned_measure("torus", None, (0.3,), 150_000, SEED)
+        est = scan_chart("torus", None, [(0.3,)], 150_000, SEED).estimates[0]
         oracle = torus_exact_oracle([0.3])
         assert abs(est.value - oracle) < 3 * est.standard_error
         assert est.accepted > 50
 
     def test_stderr_formula(self):
-        est = estimate_coned_measure("torus", None, (0.3,), N_FAST, SEED)
+        est = scan_chart("torus", None, [(0.3,)], N_FAST, SEED).estimates[0]
         p = est.accepted / est.samples
         want = est.box_volume * math.sqrt(p * (1 - p) / est.samples)
         assert est.standard_error == pytest.approx(want)
 
     def test_tiny_eps_rejects_everything(self):
         # below the shortest connection over the sampled cone: measure ~ 0
-        est = estimate_coned_measure("torus", None, (0.004,), N_FAST, SEED)
+        est = scan_chart("torus", None, [(0.004,)], N_FAST, SEED).estimates[0]
         assert est.accepted == 0
 
     def test_cone_volume_sanity(self):
-        est = estimate_coned_measure("torus", None, None, 200_000, SEED)
+        est = scan_chart("torus", None, [None], 200_000, SEED).estimates[0]
         want = cone_volume_quadrature()
         assert abs(est.value - want) < 3 * est.standard_error
 
     def test_k2_torus_is_empty(self):
-        est = estimate_coned_measure("torus", None, (0.2, 0.2), N_FAST, SEED)
+        est = scan_chart("torus", None, [(0.2, 0.2)], N_FAST, SEED).estimates[0]
         assert est.accepted == 0
 
     def test_monotone_in_eps_shared_samples(self):
@@ -67,7 +66,7 @@ class TestEstimatorBasics:
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
-            estimate_coned_measure("torus", None, (0.1,), 10, SEED)
+            scan_chart("torus", None, [(0.1,)], 10, SEED)
 
 
 class TestDeterminism:
@@ -84,8 +83,8 @@ class TestDeterminism:
             assert x.accepted == y.accepted
 
     def test_different_seeds_differ(self):
-        a = estimate_coned_measure("torus", None, (0.3,), N_FAST, 1)
-        b = estimate_coned_measure("torus", None, (0.3,), N_FAST, 2)
+        a = scan_chart("torus", None, [(0.3,)], N_FAST, 1).estimates[0]
+        b = scan_chart("torus", None, [(0.3,)], N_FAST, 2).estimates[0]
         assert a.accepted != b.accepted
 
 
@@ -94,7 +93,7 @@ class TestSubspaceSampling:
         rng = np.random.default_rng(4)
         basis = rng.normal(size=(4, 2))
         W = LinearSubspace(4, basis.astype(complex))
-        est = estimate_coned_measure("h2-octagon", W, (0.5,), 30_000, SEED)
+        est = scan_chart("h2-octagon", W, [(0.5,)], 30_000, SEED).estimates[0]
         assert est.value >= 0
         assert est.box_volume == pytest.approx(256.0)
 
@@ -104,6 +103,30 @@ class TestOctagonSmoke:
         res = scan_chart("h2-octagon", None, [(0.4,), (0.4, 0.4)], 40_000, SEED)
         one, two = res.estimates
         assert one.accepted >= two.accepted
+
+
+class TestTeichmullerCurve:
+    """On the GL2(R) orbit of the regular octagon, the complex span W of the
+    real and imaginary parts of its sides z_k = exp(i k pi / 4), every
+    unit-area surface has |s_1 x s_2| >= sin^2(pi/8) for non-parallel
+    connections s_1, s_2 (the least value on the regular octagon, which
+    SL2(R) keeps).  So a cell (eps_1, eps_2) below that product accepts
+    nothing, and cells a little above it accept."""
+
+    EMPTY = [(0.3, 0.3), (0.2, 0.7)]
+    HIT = [(0.4, 0.4), (0.25, 0.62), (0.3, 0.52), (0.2, 0.76)]
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_threshold_is_sin_squared(self, seed):
+        least = math.sin(math.pi / 8) ** 2
+        assert all(a * b <= 0.97 * least for a, b in self.EMPTY)
+        assert all(a * b >= 1.03 * least for a, b in self.HIT)
+        z = np.exp(1j * np.arange(4) * math.pi / 4)
+        W = real_subspace(np.column_stack([z.real, z.imag]))
+        res = scan_chart("h2-octagon", W, self.EMPTY + self.HIT, 100_000, seed)
+        counts = [e.accepted for e in res.estimates]
+        assert counts[:len(self.EMPTY)] == [0] * len(self.EMPTY)
+        assert all(c > 0 for c in counts[len(self.EMPTY):])
 
 
 def _class_batch(surfaces) -> UnfoldedBatch:
@@ -123,7 +146,7 @@ def _class_batch(surfaces) -> UnfoldedBatch:
 
 class TestPrefixRanks:
     @pytest.mark.parametrize("subspace", [
-        full_space(4),
+        LinearSubspace(4),
         real_subspace(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])),
         real_subspace(np.random.default_rng(3).normal(size=(4, 3))),
     ])
@@ -172,7 +195,7 @@ class TestPrefixRanks:
         monkeypatch.setattr(sampling, "independence_rank", counting_rank)
         a, b, c = [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]
         batch = _class_batch([[a, a, c, c, b, b], [b, b, a]])
-        R = sampling._rank_thresholds(batch, full_space(4), 3)
+        R = sampling._rank_thresholds(batch, LinearSubspace(4), 3)
         assert R.tolist() == [[1, 3, math.inf], [1, 3, math.inf]]
         # round 1: a and b alone; round 2: [a, c] and [b, a]; round 3: [a, c, b]
         assert calls == [[a, b], [c, a], [b]]
@@ -264,7 +287,7 @@ class TestChartInput:
         assert got == scan_chart("torus", None, [0.2, 0.3, (0.2, 0.3)], 2000, 1).estimates
 
     @pytest.mark.parametrize("subspace", [
-        full_space(4), real_subspace(np.eye(4)[:, :2]), full_space(1)])
+        LinearSubspace(4), real_subspace(np.eye(4)[:, :2]), LinearSubspace(1)])
     def test_subspace_of_wrong_dimension_rejected(self, subspace):
         # a full space of the wrong dimension once ran and reported the box
         # volume of its own dimension
@@ -293,8 +316,6 @@ class TestChartInput:
         monkeypatch.setattr(sampling, "_process_chunk", no_chunks)
         with pytest.raises(ValueError, match="budget must be at least 1"):
             scan_chart("torus", None, [(0.3,)], 1000, 1, budget=budget)
-        with pytest.raises(ValueError, match="budget must be at least 1"):
-            estimate_coned_measure("torus", None, 0.3, 1000, 1, budget=budget)
 
     @pytest.mark.parametrize("dim", [1, 0, -2])
     def test_chart_of_fewer_than_two_sides_rejected(self, dim):
@@ -429,19 +450,19 @@ def _sample_rows(dim):
         lambda rows: np.asarray(rows, dtype=complex))
 
 
-def _assert_checked_rows_build_as_checked(x, coeffs):
+def _assert_checked_rows_build_as_checked(x):
     """Every row the unit-area batch check accepts is built, in one batch,
     from the very vertices checked, bit for bit, into the surface that a
     checked build of that row alone gives."""
     area, unit, admissible = sampling._unit_area_check(x)
     verts = symmetric_vertices(unit)[admissible]
-    batch, built = symmetric_polygon_batch(unit[admissible], coeffs)
+    batch, built = symmetric_polygon_batch(unit[admissible])
     assert len(built) == len(verts) and len(batch) == int(built.sum())
     edges = batch.edges.reshape(len(batch), x.shape[1] * 2 - 2, 3)
     kinds = iter(zip(edges, batch.kind.tolist()))
     for sides, row, ok in zip(unit[admissible].tolist(), verts.tolist(), built):
         # the per-sample check the batch skips would have passed
-        assert polygon_is_simple(row) and shoelace_area(row) > 0
+        assert polygon_simple_mask(row)[0] and shoelace_area(row) > 0
         assert _bits(symmetric_vertices(sides)) == _bits(row)
         try:
             tris = scalar_ear_clip(row)
@@ -454,15 +475,11 @@ def _assert_checked_rows_build_as_checked(x, coeffs):
                 for a, b, c in tris]
         assert _bits(got) == _bits(want)
 
-        X = surface_from_symmetric_polygon(sides, coeffs)
+        X = surface_from_symmetric_polygon(sides)
         assert X._tables is batch.tables[kind]
         assert _bits([[X.edge(t, e) for e in range(3)]
                       for t in range(X.n_triangles)]) == _bits(want)
     assert next(kinds, None) is None
-
-
-def _unit_rows(dim):
-    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
 
 
 class TestCheckedSides:
@@ -473,24 +490,24 @@ class TestCheckedSides:
     @given(_sample_rows(2))
     @example(np.array([[complex(-0.0, 1.0), complex(-1.0, -0.0)]]))  # signed zeros
     def test_tori(self, x):
-        _assert_checked_rows_build_as_checked(x, _unit_rows(2))
+        _assert_checked_rows_build_as_checked(x)
 
     @PROPERTY
     @given(_sample_rows(4))
     def test_octagons(self, x):
-        _assert_checked_rows_build_as_checked(x, _unit_rows(4))
+        _assert_checked_rows_build_as_checked(x)
 
     @PROPERTY
     @given(_sample_rows(2))
     def test_subspace_octagons(self, w):
-        _assert_checked_rows_build_as_checked(w @ SUBSPACE_BASIS.T, _unit_rows(4))
+        _assert_checked_rows_build_as_checked(w @ SUBSPACE_BASIS.T)
 
     @pytest.mark.parametrize("name, seed", [("torus", 1), ("h2-octagon", 2)])
     def test_scan_samples(self, name, seed):
         chart = get_chart(name)
         rng = sampling._chunk_generator(seed, 0)
         x = sampling._sample_params(rng, 4096, chart.dim, 2.0)
-        _assert_checked_rows_build_as_checked(x, _unit_rows(chart.dim))
+        _assert_checked_rows_build_as_checked(x)
 
     def test_tiny_areas(self):
         x = np.array([
@@ -583,7 +600,7 @@ class TestBatchedScan:
             end_zero=np.zeros(len(lengths), np.int64), classes=classes,
             dims=(4,) * len(sizes), chains=None,
             nodes=np.zeros(len(sizes), np.int64))
-        W = full_space(4)
+        W = LinearSubspace(4)
         R = sampling._rank_thresholds(batch, W, 3)
         cells = [(e,) for e in grid] + [
             tuple(sorted(c)) for c in data.draw(st.lists(
@@ -604,9 +621,8 @@ class TestBatchedScan:
 
 
 class TestIdentityRows:
-    def test_chart_rows_are_built_once(self):
-        assert identity_rows(4) is identity_rows(4)
-        assert identity_rows(2) == ((1, 0), (0, 1))
+    """A chart's coordinates are its polygon's sides: the chart builders and
+    the polygon builders give one surface, on one shared set of tables."""
 
     @pytest.mark.parametrize("name", ["torus", "h2-octagon"])
     def test_chart_build_shares_tables_with_converted_rows(self, name):
@@ -618,7 +634,7 @@ class TestIdentityRows:
         assert built.all()
         for sides, kind in zip(unit[admissible][:40].tolist(), batch.kind):
             X = chart.build(sides)
-            Y = surface_from_symmetric_polygon(sides, _unit_rows(chart.dim))
+            Y = surface_from_symmetric_polygon(sides)
             assert X._tables is Y._tables is batch.tables[kind]
 
 

@@ -17,7 +17,6 @@ from flatscale.surface import (
     _surface_tables,
     ear_clip,
     ear_clip_batch,
-    polygon_is_simple,
     polygon_simple_mask,
     reduce_lattice_bases,
     shoelace_area,
@@ -30,20 +29,18 @@ from scalar_ear_clip import scalar_ear_clip
 
 
 def square_torus():
-    return surface_from_symmetric_polygon([1 + 0j, 1j], [(1, 0), (0, 1)])
+    return surface_from_symmetric_polygon([1 + 0j, 1j])
 
 
 def torus(u, v):
-    return surface_from_symmetric_polygon([u, v], [(1, 0), (0, 1)])
+    return surface_from_symmetric_polygon([u, v])
 
 
 OCTAGON_Z = [1 + 0j, 1 + 1j, 1j, -1 + 1j]
 
 
 def octagon_surface(z=None):
-    z = list(OCTAGON_Z) if z is None else list(z)
-    coeffs = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
-    return surface_from_symmetric_polygon(z, coeffs)
+    return surface_from_symmetric_polygon(OCTAGON_Z if z is None else list(z))
 
 
 class TestStratumSignature:
@@ -158,43 +155,19 @@ class TestCoefficients:
         assert np.array_equal(Y._tables.coeffs, X._tables.coeffs)
         assert Y._tables.coeffs.dtype == np.int64
 
-    @pytest.mark.parametrize("rows", [
-        [(0.5, 0), (0, 1.7)],
-        ((0.5, 0), (0, 1.7)),  # the fast path, checked when its tables are made
-        [(math.nan, 0), (0, 1)],
-    ])
-    def test_polygon_rows_not_integers(self, rows):
-        with pytest.raises(SurfaceError, match="not an integer"):
-            surface_from_symmetric_polygon([1, 1j], rows)
-
-    @pytest.mark.parametrize("rows", [[(1, 0)], [(1, 0), (0, 1), (1, 1)],
-                                      [(1, 0), (0,)]])
-    def test_polygon_rows_one_per_side(self, rows):
-        with pytest.raises(SurfaceError, match="rows"):
-            surface_from_symmetric_polygon([1, 1j], rows)
-
     @pytest.mark.parametrize("c", [2**63 - 1, -(2**63 - 1), 2**63, -2**63])
     def test_int64_bound(self, c):
         """Coefficients are stored as int64: |c| < 2**63 is kept exactly, any
-        other raises a SurfaceError naming it, from the constructor and from
-        polygon rows (as a list and as the tuple fast path)."""
+        other raises a SurfaceError naming it."""
         X, tri, coords = self.edges_and_coords()
         coords[1][2][3] = c
-        rows = ((c, 0), (0, 1))  # the edges carry c, -c, and (+-c, 1)
-        builds = [lambda: TranslationSurface(tri, X.gluings, coords),
-                  lambda: surface_from_symmetric_polygon([1, 1j], list(rows)),
-                  lambda: surface_from_symmetric_polygon([1, 1j], rows)]
         if abs(c) < 2**63:
-            Y, *tori = [build() for build in builds]
+            Y = TranslationSurface(tri, X.gluings, coords)
             assert Y.edge_coeff(1, 2)[3] == c
-            for T in tori:
-                assert T._tables.coeffs.dtype == np.int64
-                assert c in {T.edge_coeff(t, e)[0]
-                             for t in range(2) for e in range(3)}
+            assert Y._tables.coeffs.dtype == np.int64
         else:
-            for build in builds:
-                with pytest.raises(SurfaceError, match=str(2**63)):
-                    build()
+            with pytest.raises(SurfaceError, match=str(2**63)):
+                TranslationSurface(tri, X.gluings, coords)
 
 
 class TestArea:
@@ -293,7 +266,7 @@ class TestPolygons:
             for w in z + [-w for w in z]:
                 verts.append(verts[-1] + w)
             verts = verts[:-1]
-            if not (polygon_is_simple(verts) and shoelace_area(verts) > 0):
+            if not (polygon_simple_mask(verts)[0] and shoelace_area(verts) > 0):
                 continue
             tris = ear_clip(verts)
             assert len(tris) == 6
@@ -336,10 +309,8 @@ class TestPolygons:
     @pytest.mark.parametrize("container", [list, tuple, np.array])
     def test_unchecked_sides_are_checked(self, sides, message, container):
         z = container([complex(w) for w in sides])
-        coeffs = [tuple(int(i == j) for j in range(len(sides)))
-                  for i in range(len(sides))]
         with pytest.raises(SurfaceError, match=message):
-            surface_from_symmetric_polygon(z, coeffs)
+            surface_from_symmetric_polygon(z)
         chart = get_chart("torus" if len(sides) == 2 else "h2-octagon")
         with pytest.raises(SurfaceError, match=message):
             chart.build(z)
@@ -677,19 +648,19 @@ class TestSimpleMask:
         want = [False, False, True, False, False]
         assert polygon_simple_mask(special).tolist() == want
         assert [_brute_force_simple(list(v)) for v in special] == want
-        assert polygon_is_simple([0, 1, 1 + 1j, 1j])
-        assert not polygon_is_simple([0, 2, 1, 1 + 1j])  # folds back at 2
+        assert polygon_simple_mask([0, 1, 1 + 1j, 1j])[0]
+        assert not polygon_simple_mask([0, 2, 1, 1 + 1j])[0]  # folds back at 2
 
     def test_collinear_disjoint_edges(self):
         # U shape: edges 0 (0 -> 1) and 4 (2 -> 3) lie on one line apart
         u_shape = [0, 1, 1 + 1j, 2 + 1j, 2, 3, 3 + 2j, 2j]
-        assert polygon_is_simple(u_shape)
+        assert polygon_simple_mask(u_shape)[0]
         assert _brute_force_simple([complex(v) for v in u_shape])
         # the same edges overlapping on [1, 2], or touching at 1
         overlap = [0, 2, 2 + 1j, 1 + 1j, 1, 3, 3 + 2j, 2j]
         touch = [0, 1, 1 + 1j, 2 + 1j, 1, 3, 3 + 2j, 2j]
         for poly in (overlap, touch):
-            assert not polygon_is_simple(poly)
+            assert not polygon_simple_mask(poly)[0]
             assert not _brute_force_simple([complex(v) for v in poly])
 
     def test_collinear_rows_in_a_batch(self):

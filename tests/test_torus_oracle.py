@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from flatscale import torus_oracle
 from flatscale.torus_oracle import (
+    BLOCK_POINTS,
     DEFAULT_PQ_MAX,
     HERMITE_SHORTEST,
-    PAIR_BLOCK,
     _block_volumes,
     _clip_rows,
     _pair_volume,
@@ -265,6 +265,12 @@ ORACLE_GOLDEN = {
 }
 
 
+def _default_grids(pq_max=DEFAULT_PQ_MAX, grid_resolution=48):
+    """The z-grid of each of primitive_pairs(pq_max) in the oracle."""
+    return [grid_resolution if max(abs(p), abs(q)) <= 4
+            else max(24, grid_resolution // 2) for p, q in primitive_pairs(pq_max)]
+
+
 class TestVectorisedPairVolume:
     def test_golden_values(self):
         for ((p, q), eps, n), want in PAIR_VOLUME_GOLDEN.items():
@@ -307,23 +313,57 @@ class TestVectorisedPairVolume:
         monkeypatch.setattr(torus_oracle, "_block_volumes", counting_blocks)
         calls.clear()
         torus_exact_oracle([0.3])
-        n_pairs = len(primitive_pairs(DEFAULT_PQ_MAX))
-        assert len(per_block) == -(-n_pairs // PAIR_BLOCK)
+        # runs of consecutive pairs, as many as fit in BLOCK_POINTS = 4608
+        # grid points: the 48^2 grids of max(|p|, |q|) <= 4 fit 2 to a
+        # block, the 24^2 grids 8
+        n_blocks, points = 1, 0
+        for n in _default_grids():
+            if points and points + n * n > BLOCK_POINTS:
+                n_blocks, points = n_blocks + 1, 0
+            points += n * n
+        assert len(per_block) == n_blocks == 100
         assert set(per_block) == {0, 1}
         assert min(calls) > 0
         # the skip leaves 2368 of the 249,008 slow rows at eps = 0.3
         assert sum(calls) < 3000
 
+    @pytest.mark.parametrize("grid_resolution, pq_max", [(200, 2), (60, 6)])
+    def test_blocks_within_the_cap(self, grid_resolution, pq_max, monkeypatch):
+        """The oracle's blocks are runs of consecutive pairs, in order, each
+        of one pair or of at most BLOCK_POINTS grid points, and each as long
+        as the cap allows: the grids held at once, and so the peak memory,
+        stay within max(BLOCK_POINTS, one pair's grid)."""
+        blocks = torus_oracle._block_volumes
+        seen = []
+
+        def spy(pairs, eps, half_width, grids):
+            seen.append((list(pairs), list(grids)))
+            return blocks(pairs, eps, half_width, grids)
+
+        monkeypatch.setattr(torus_oracle, "_block_volumes", spy)
+        torus_exact_oracle([0.3], grid_resolution=grid_resolution, pq_max=pq_max)
+        grids = _default_grids(pq_max, grid_resolution)
+        assert [p for pairs, _ in seen for p in pairs] == primitive_pairs(pq_max)
+        assert [n for _, g in seen for n in g] == grids
+        points = [sum(n * n for n in g) for _, g in seen]
+        for (pairs, _), total in zip(seen, points):
+            assert len(pairs) == 1 or total <= BLOCK_POINTS
+        firsts = [g[0] for _, g in seen[1:]]
+        assert all(total + n * n > BLOCK_POINTS for total, n in zip(points, firsts))
+        if grid_resolution == 200:
+            assert all(len(pairs) == 1 for pairs, _ in seen)
+        else:
+            assert max(len(pairs) for pairs, _ in seen) > 1
+
     @pytest.mark.parametrize("eps", [0.15, 0.3])
     def test_blocks_equal_pairs(self, eps):
         """Every pair's volume is bit for bit the same in any block, and the
         oracle adds them in primitive_pairs order."""
-        pairs = primitive_pairs(DEFAULT_PQ_MAX)
-        grids = [48 if max(abs(p), abs(q)) <= 4 else 24 for p, q in pairs]
+        pairs, grids = primitive_pairs(DEFAULT_PQ_MAX), _default_grids()
         single = [_pair_volume(p, q, eps, 2.0, n) for (p, q), n in zip(pairs, grids)]
         blocks = np.concatenate([
-            _block_volumes(pairs[b:b + PAIR_BLOCK], eps, 2.0, grids[b:b + PAIR_BLOCK])
-            for b in range(0, len(pairs), PAIR_BLOCK)])
+            _block_volumes(pairs[b], eps, 2.0, grids[b])
+            for b in torus_oracle._blocks(grids)])
         assert len(single) == 720
         np.testing.assert_array_equal(blocks, single)
         np.testing.assert_array_equal(_block_volumes(pairs[5:18], eps, 2.0, grids[5:18]),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from flatscale.homology import TAU_PARALLEL
 from flatscale.surface import SurfaceError, TranslationSurface
 from flatscale.unfolding import (
     PAIR_EPS,
@@ -455,6 +456,19 @@ def same_multiset(a, b, tol=1e-9):
     return bool((dist[rows, cols] <= tol * max(1.0, np.abs(a).max(initial=0))).all())
 
 
+def all_holonomies(X, L):
+    """The holonomies of every oriented connection of X up to length L."""
+    return np.array([sc.holonomy for sc in enumerate_saddle_connections(
+        X, L, keep_orientations=True)])
+
+
+SHEARS = pytest.mark.parametrize("shear, veech", [
+    (2 / math.tan(math.pi / 8), True),
+    (2.0, False),
+    (1 + math.sqrt(2), False),
+], ids=["2cot(pi/8)", "2", "1+sqrt2"])
+
+
 class TestVeechGroup:
     """The unit-area regular octagon is a lattice surface: its Veech group
     holds the rotation by pi/4 and the parabolic T = [[1, 2 cot(pi/8)],
@@ -466,25 +480,26 @@ class TestVeechGroup:
     @pytest.fixture(scope="class")
     def holonomies(self):
         X = unit_regular_octagon()
-        small = [sc.holonomy for sc in enumerate_saddle_connections(
-            X, self.L, keep_orientations=True)]
         # |T^-1| < 5.1, so every connection that T maps within L is
         # within 5.1 L < 17 before
-        big = np.array([sc.holonomy for sc in enumerate_saddle_connections(
-            X, 17.0, keep_orientations=True)])
+        small, big = all_holonomies(X, self.L), all_holonomies(X, 17.0)
         assert len(small) == 176 and len(big) == 6064
-        return np.asarray(small), big
+        return small, big
+
+    @pytest.fixture(scope="class")
+    def holonomies_at_two(self):
+        X = unit_regular_octagon()
+        # as at L = 3: 5.1 * 2 < 11
+        small, big = all_holonomies(X, 2.0), all_holonomies(X, 11.0)
+        assert len(small) == 80 and len(big) == 2512
+        return small, big
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_rotation(self, holonomies, k):
         small, _ = holonomies
         assert same_multiset(small * cmath.exp(1j * k * math.pi / 4), small)
 
-    @pytest.mark.parametrize("shear, veech", [
-        (2 / math.tan(math.pi / 8), True),
-        (2.0, False),
-        (1 + math.sqrt(2), False),
-    ], ids=["2cot(pi/8)", "2", "1+sqrt2"])
+    @SHEARS
     def test_parabolic(self, holonomies, shear, veech):
         small, big = holonomies
         image = big + shear * big.imag
@@ -492,6 +507,34 @@ class TestVeechGroup:
         assert same_multiset(image, small) == veech
         if not veech:
             assert len(image) == 204
+
+    @SHEARS
+    def test_parabolic_at_radius_two(self, holonomies_at_two, shear, veech):
+        small, big = holonomies_at_two
+        image = big + shear * big.imag
+        image = image[np.abs(image) <= 2.0]
+        assert same_multiset(image, small) == veech
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cyclic_relabelling(self, holonomies, k):
+        """The octagon built from the shifted sides (z_k+1, ..., z_4, -z_1,
+        ..., -z_k) is the same surface, triangulated from another corner
+        and in other chart coordinates: it has the same holonomies."""
+        z = [cmath.exp(1j * j * math.pi / 4) for j in range(4)]
+        Y = octagon_surface(z[k:] + [-w for w in z[:k]])
+        Y = Y.rescaled(1.0 / math.sqrt(Y.area()))
+        assert same_multiset(all_holonomies(Y, self.L), holonomies[0])
+
+    @pytest.mark.parametrize("L, count", [(2.0, 80), (4.0, 336), (6.0, 768)])
+    def test_least_cross_product(self, L, count):
+        """|s_1 x s_2| is SL2(R)-invariant, and on the unit-area octagon its
+        least value over non-parallel pairs of connections is sin^2(pi/8),
+        reached already by connections shorter than 2."""
+        h = all_holonomies(unit_regular_octagon(), L)
+        cross = np.abs(h.real[:, None] * h.imag - h.imag[:, None] * h.real)
+        apart = cross > TAU_PARALLEL * np.abs(h)[:, None] * np.abs(h)
+        assert len(h) == count
+        assert abs(cross[apart].min() - math.sin(math.pi / 8) ** 2) < 1e-12
 
 
 def no_coordinates(X):
