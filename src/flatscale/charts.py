@@ -42,9 +42,11 @@ class ChartModel:
     ``polygon_simple_mask``, the routines that also check a whole batch.
     ``build`` builds one surface and checks that its polygon is simple and
     positively oriented.  ``build_batch`` builds many at once and checks
-    nothing: ``scan_chart`` passes it only rows whose vertices its one
-    batch simplicity mask and area test already passed, and builds a row
-    that ``build_batch`` rejects with ``build`` on its own, which raises.
+    nothing.  ``scan_chart`` masks only the samples with 0 < area <= 1,
+    rescaled to unit area, one batch simplicity mask and area test per
+    chunk; it passes ``build_batch`` only the rows that passed, gathered
+    into batches of cone samples, and builds a row that ``build_batch``
+    rejects with ``build`` on its own, which raises.
     """
 
     name: str

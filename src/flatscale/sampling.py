@@ -14,43 +14,54 @@ for every i.  The test never needs a rank
 above k, so the prefix ranks are taken only up to k_max, the size of the
 largest cell.
 
-Each chunk rescales every sample of positive area to unit area first, then
-runs one ``polygon_simple_mask`` call and one positive-area test on those
-unit-area polygons (``symmetric_vertices`` and ``shoelace_area`` take the
-whole stack, as ``ChartModel`` passes them one polygon).  That single batch
-check decides admissibility, and it checks exactly the vertices the builder
-will triangulate.  On a torus chart (``chart.dim == 2``, custom charts
-too) each cone sample's basis (u, v) is then Lagrange-Gauss reduced, in one
-vectorised ``reduce_lattice_bases`` call: any basis of the lattice gives the
-same torus, and the reduced one has two fat triangles instead of two long
-thin ones, so its unfolding expands far fewer chain nodes.  The chunk's
-cone samples (on a torus, their reduced sides) are then built in one
-``ChartModel.build_batch`` call: one batch ear clip of all their polygons,
-the combinatorial tables looked up once per distinct triangulation, and the
-edge vectors as one array; no sample is checked again or made into a
-``TranslationSurface``.  A row the batch ear clip rejects is built alone
-with ``ChartModel.build``, which raises; it is counted in
-``ScanResult.build_failures``, stays in the plain cone count and is accepted
-by no radius cell.
+The scan runs in two stages.  The front end runs once per chunk: it draws
+the chunk's samples, computes their areas, and keeps only those with
+0 < area <= 1, since no other sample can reach the cone.  It rescales
+those to unit area and runs one ``polygon_simple_mask`` call and one
+positive-area test on the unit-area polygons (``symmetric_vertices`` and
+``shoelace_area`` take the whole stack, as ``ChartModel`` passes them one
+polygon).  That single batch check decides admissibility, and it checks
+exactly the vertices the builder will triangulate; the mask decides each
+row alone, so masking only these rows gives the cone set that masking
+every sample of positive area gives.  ``ScanResult`` reports the gate
+counts: positive area, area <= 1, admissible (the cone).
+
+The back end runs once per batch of cone samples.  Each worker scans one
+contiguous range of chunks (one range, in this process, for
+``threads=1``) and gathers the cone samples of its chunks until at least
+``chunk_size`` of them wait, then passes them through the back end in one
+batch; the rest goes through once more at the end.  On a torus chart
+(``chart.dim == 2``, custom charts too) each cone sample's basis (u, v) is
+first Lagrange-Gauss reduced, in one vectorised ``reduce_lattice_bases``
+call: any basis of the lattice gives the same torus, and the reduced one
+has two fat triangles instead of two long thin ones, so its unfolding
+expands far fewer chain nodes.  The batch's cone samples (on a torus,
+their reduced sides) are then built in one ``ChartModel.build_batch``
+call: one batch ear clip of all their polygons, the combinatorial tables
+looked up once per distinct triangulation, and the edge vectors as one
+array; no sample is checked again or made into a ``TranslationSurface``.
+A row the batch ear clip rejects is built alone with ``ChartModel.build``,
+which raises; it is counted in ``ScanResult.build_failures``, stays in the
+plain cone count and is accepted by no radius cell.
 
 The built surfaces are unfolded together, in one ``unfold_surfaces`` call
-per chunk; the chunk is the batch, so the counts and
-``ScanResult.unfolding_nodes`` do not depend on the worker count.  Each
-torus's classes come in its reduced basis B (u, v); one int64 product,
-``classes @ B``, maps them back to the chart's (u, v) before the ranks, so
-ranks and subspaces stay in chart coordinates.  Each surface's connections
-come sorted by length, and its prefix ranks give
-R_i, the length at which the rank first reaches i + 1 (inf if it never
-does).  They come from a greedy pass that keeps the rows found independent
-so far and ranks them with the next class not seen before on the surface,
-stopping at rank k_max.  It runs for all surfaces of the chunk in rounds:
-each round ranks [independent rows + next new class] of every unfinished
-surface, one stacked ``independence_rank`` call per matrix height.  Cell
-(eps_1 <= ... <= eps_k) accepts the surface iff R_i <= eps_(i+1) for every
-i < k: the connections no longer than eps_(i+1) are a prefix of the sorted
-list, and they reach rank i + 1 iff that prefix contains the one at R_i.
-One broadcast comparison of the thresholds against every cell's radii
-counts all cells of the chunk.
+per batch.  Each surface's connections, ranks and nodes do not depend on
+which batch holds it, so the counts and ``ScanResult.unfolding_nodes`` do
+not depend on the worker count.  Each torus's classes come in its reduced
+basis B (u, v); one int64 product, ``classes @ B``, maps them back to the
+chart's (u, v) before the ranks, so ranks and subspaces stay in chart
+coordinates.  Each surface's connections come sorted by length, and its
+prefix ranks give R_i, the length at which the rank first reaches i + 1
+(inf if it never does).  They come from a greedy pass that keeps the rows
+found independent so far and ranks them with the next class not seen
+before on the surface, stopping at rank k_max.  It runs for all surfaces
+of the batch in rounds: each round ranks [independent rows + next new
+class] of every unfinished surface, one stacked ``independence_rank`` call
+per matrix height.  Cell (eps_1 <= ... <= eps_k) accepts the surface iff
+R_i <= eps_(i+1) for every i < k: the connections no longer than
+eps_(i+1) are a prefix of the sorted list, and they reach rank i + 1 iff
+that prefix contains the one at R_i.  One broadcast comparison of the
+thresholds against every cell's radii counts all cells of the batch.
 """
 
 from __future__ import annotations
@@ -91,17 +102,24 @@ class ConingEstimate:
     seed: int
     eps: tuple[float, ...] | None
     accepted: int
-    admissible: int
+    admissible: int  # samples with 0 < area <= 1 that the mask passes: the cone
     box_volume: float
 
 
 @dataclass(frozen=True)
 class ScanResult:
+    """What one scan found, gate by gate: of the samples drawn, those of
+    positive area, of those the ones of area <= 1, and of those the ones
+    that pass the mask (the cone), then the build failures among them."""
+
     chart: str
     estimates: tuple[ConingEstimate, ...]
-    admissible_fraction: float
+    positive_area: int  # samples whose polygon has positive signed area
+    area_at_most_one: int  # of those, area <= 1: the samples masked
+    admissible: int  # of those, the ones the mask passes: the cone
+    admissible_fraction: float  # admissible / area_at_most_one, or 0.0
     build_failures: int  # cone samples whose build raised SurfaceError
-    unfolding_nodes: int  # chain nodes the unfolding expanded, all chunks
+    unfolding_nodes: int  # chain nodes the unfolding expanded, all batches
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -115,13 +133,16 @@ def _sample_params(rng, size: int, dim: int, half_width: float) -> np.ndarray:
 
 
 def _unit_area_check(x: np.ndarray):
-    """Rescale the samples ``x`` (batch, n) of positive area to unit area
+    """Rescale the samples ``x`` (batch, n) with 0 < area <= 1 to unit area
     and check those in one batch.
 
-    Returns their areas before the rescale, their unit-area sides, and
-    which of them are admissible: one ``polygon_simple_mask`` call and a
-    positive-area test on the unit-area vertices, which are bit for bit
-    the vertices the builder triangulates.
+    Returns how many samples have positive area, the unit-area sides of
+    those with 0 < area <= 1, and which of those are admissible: one
+    ``polygon_simple_mask`` call and a positive-area test on the unit-area
+    vertices, which are bit for bit the vertices the builder triangulates.
+    A sample of area > 1 can never be in the cone, so it is neither
+    rescaled nor masked; the mask decides each row alone, so the cone set
+    is the one a check of every sample of positive area gives.
 
     A sliver of tiny area rescales to vertices whose products overflow.
     Its shortest edge is then far below the mask's relative tolerance, and
@@ -129,13 +150,13 @@ def _unit_area_check(x: np.ndarray):
     expected and not reported.
     """
     area = shoelace_area(symmetric_vertices(x))
-    pos = area > 0
-    area = area[pos]
-    unit = x[pos] * (1.0 / np.sqrt(area))[:, None]
+    positive = area > 0
+    small = positive & (area <= 1.0)
+    unit = x[small] * (1.0 / np.sqrt(area[small]))[:, None]
     verts = symmetric_vertices(unit)
     with np.errstate(over="ignore", invalid="ignore"):
         admissible = polygon_simple_mask(verts) & (shoelace_area(verts) > 0)
-    return area, unit, admissible
+    return int(positive.sum()), unit, admissible
 
 
 def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
@@ -182,12 +203,18 @@ def _chart_classes(classes: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The classes (n, 2) of connections found on reduced tori, in the
     chart's basis (u, v): row i is in the reduced basis ``basis[i]`` (u, v)
     of its torus, so it maps to ``classes[i] @ basis[i]``, in int64.
-    Raises ``ValueError`` when 2 max|class| max|B| could leave int64."""
-    cmax = int(np.abs(classes).max(initial=0))
-    bmax = int(np.abs(basis).max(initial=0))
-    if 2 * cmax * bmax >= INT64_LIMIT:
-        raise ValueError(f"classes up to {cmax} in bases up to {bmax} could "
-                         f"reach {2 * cmax * bmax}, beyond int64 (2**63)")
+    Raises ``ValueError`` when some row's 2 max|class| max|B|, of its own
+    class and basis, could leave int64; the test is row by row, so it does
+    not depend on which rows share a batch."""
+    cmax = np.abs(classes).max(axis=1, initial=0)
+    bmax = np.abs(basis).max(axis=(1, 2), initial=0)
+    # for integers c, b >= 1: 2 c b >= 2**63 iff c > (2**62 - 1) // b
+    over = (bmax > 0) & (cmax > (INT64_LIMIT // 2 - 1) // np.maximum(bmax, 1))
+    if over.any():
+        i = int(np.argmax(over))
+        c, b = int(cmax[i]), int(bmax[i])
+        raise ValueError(f"class up to {c} in a basis up to {b} could "
+                         f"reach {2 * c * b}, beyond int64 (2**63)")
     return (classes[:, None, :] @ basis)[:, 0]
 
 
@@ -207,51 +234,86 @@ def _rebuild_rejected(chart: ChartModel, sides: np.ndarray) -> int:
     return failures
 
 
-def _process_chunk(args) -> tuple[np.ndarray, int, int, int]:
-    (chart, subspace, seed, chunk_index, size,
-     cells, l_max, k_max, budget) = args
+def _process_chunk(chart: ChartModel, subspace: LinearSubspace, seed: int,
+                   chunk_index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The front end of one chunk: draw its ``size`` samples and check the
+    ones with 0 < area <= 1 (``_unit_area_check``).
+
+    Returns the unit-area sides of its cone samples and its gate counts
+    (positive area, area <= 1, admissible); every other array of the chunk
+    is freed on return.
+    """
     rng = _chunk_generator(seed, chunk_index)
-    w = _sample_params(rng, size, subspace.dim, chart.half_width)
-    x = subspace.embed(w)
+    x = subspace.embed(_sample_params(rng, size, subspace.dim, chart.half_width))
+    positive, unit, admissible = _unit_area_check(x)
+    gates = np.array([positive, len(unit), int(admissible.sum())], np.int64)
+    return unit[admissible], gates
 
-    area, unit, admissible = _unit_area_check(x)
-    cone = admissible & (area <= 1.0)
-    cone_sides = unit[cone]
-    del w, x, unit  # not needed while the chunk's cone samples unfold
 
-    counts = np.zeros(len(cells), dtype=np.int64)
-    plain_cells = [i for i, c in enumerate(cells) if c is None]
-    eps_cells = [i for i, c in enumerate(cells) if c is not None]
-    if plain_cells:
-        counts[plain_cells] = int(cone.sum())
+def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
+                      cone_sides: np.ndarray, radii: np.ndarray, l_max: float,
+                      budget: int) -> tuple[np.ndarray, int, int]:
+    """The back end of a batch of cone samples, from any chunks: reduce
+    (tori), build, unfold to ``l_max``, rank and test every radius cell.
 
-    failures = 0
-    nodes = 0
-    if eps_cells and l_max > 0:
-        basis = None
-        if chart.dim == 2:
-            # Every basis of a lattice gives the same torus; the reduced one
-            # has two fat triangles, whose unfolding expands few nodes.
-            cone_sides, basis = reduce_lattice_bases(cone_sides)
-        surfaces, built = chart.build_batch(cone_sides)
-        failures = _rebuild_rejected(chart, cone_sides[~built])
-        batch = unfold_surfaces(surfaces, l_max, budget=budget)
-        nodes = int(batch.nodes.sum())
-        if basis is not None and len(batch.classes):
-            # the classes are in the reduced bases: map them back to the
-            # chart's (u, v), where the ranks are taken
-            surf = np.repeat(np.arange(len(surfaces)), np.diff(batch.offsets))
-            batch = batch._replace(classes=_chart_classes(
-                batch.classes, basis[built][surf]))
-        # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
-        # every i < k; radii past k are inf and pass.
-        radii = np.full((len(eps_cells), k_max), np.inf)
-        for row, i in enumerate(eps_cells):
-            radii[row, :len(cells[i])] = cells[i]
-        thresholds = _rank_thresholds(batch, subspace, k_max)
-        accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)
-        counts[eps_cells] = accepts.sum(axis=0)
-    return counts, int(admissible.sum()), failures, nodes
+    ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
+    Returns the accepted count of each cell, the build failures and the
+    chain nodes.  Each sample's connections, ranks and nodes are its own,
+    so the results of two batches add up to those of their concatenation.
+    """
+    basis = None
+    if chart.dim == 2:
+        # Every basis of a lattice gives the same torus; the reduced one
+        # has two fat triangles, whose unfolding expands few nodes.
+        cone_sides, basis = reduce_lattice_bases(cone_sides)
+    surfaces, built = chart.build_batch(cone_sides)
+    failures = _rebuild_rejected(chart, cone_sides[~built])
+    batch = unfold_surfaces(surfaces, l_max, budget=budget)
+    if basis is not None and len(batch.classes):
+        # the classes are in the reduced bases: map them back to the
+        # chart's (u, v), where the ranks are taken
+        surf = np.repeat(np.arange(len(surfaces)), np.diff(batch.offsets))
+        batch = batch._replace(classes=_chart_classes(
+            batch.classes, basis[built][surf]))
+    # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
+    # every i < k; radii past k are inf and pass.
+    thresholds = _rank_thresholds(batch, subspace, radii.shape[1])
+    accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)
+    return accepts.sum(axis=0), failures, int(batch.nodes.sum())
+
+
+def _scan_chunks(args) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """One worker's scan of a contiguous range of chunks.
+
+    The front end runs once per chunk.  Its cone samples wait until at
+    least ``chunk_size`` of them have gathered, then go through the back
+    end in one batch; the rest goes through once more at the end.  With
+    no radius cell (``radii`` has no rows) nothing is unfolded.  Returns
+    the summed gate counts, the accepted count of each radius cell, the
+    build failures and the chain nodes.
+    """
+    (chart, subspace, seed, chunks, chunk_size, samples,
+     radii, l_max, budget) = args
+    gates = np.zeros(3, np.int64)
+    counts = np.zeros(len(radii), np.int64)
+    failures = nodes = 0
+    pending, waiting = [], 0
+    for c in chunks:
+        size = min(chunk_size, samples - c * chunk_size)
+        cone_sides, chunk_gates = _process_chunk(chart, subspace, seed, c, size)
+        gates += chunk_gates
+        if len(radii):
+            pending.append(cone_sides)
+            waiting += len(cone_sides)
+        if waiting and (waiting >= chunk_size or c == chunks[-1]):
+            batch = np.concatenate(pending)
+            pending, waiting = [], 0
+            cts, failed, n = _count_cone_batch(chart, subspace, batch, radii,
+                                               l_max, budget)
+            counts += cts
+            failures += failed
+            nodes += n
+    return gates, counts, failures, nodes
 
 
 def scan_chart(
@@ -267,20 +329,24 @@ def scan_chart(
     """Estimate the cone-set measure for every radius vector in ``eps_cells``.
 
     Cells share one sample stream and one enumeration per sample (at the
-    largest radius, all cone samples of a chunk in one batched search), so
-    a grid scan costs one pass.  A cell of None
-    estimates the plain cone volume (admissible, area <= 1).  Admissibility
-    is one batch simplicity mask and positive-area test per chunk, on the
-    polygons rescaled to unit area; the chunk's cone samples are then built
-    in one batch, from those checked sides, and unfolded.  The parameters
-    are the first side vectors of the polygon.  Each sampled coordinate
-    (each coordinate of the subspace, when one is given) is drawn uniformly
-    from the square |Re| < h, |Im| < h with h = ``chart.half_width``, and
-    the estimates scale by that box's volume; any ``ChartModel`` works.
-    ``threads`` is the number of worker processes (1 runs in this process);
-    results do not depend on it.  A cell is one radius (a number or a 0-d
-    array) or a sequence of at least one; radii must be finite and
-    positive, and ``chunk_size`` and ``budget`` at least 1.
+    largest radius, the cone samples in batches), so a grid scan costs one
+    pass.  A cell of None estimates the plain cone volume (admissible,
+    area <= 1).  Admissibility is one batch simplicity mask and
+    positive-area test per chunk, on its samples with 0 < area <= 1
+    rescaled to unit area; the cone samples are then built from those
+    checked sides and unfolded, in batches of at least ``chunk_size`` (but
+    the last of each worker).  The parameters are the first side vectors
+    of the polygon.  Each sampled coordinate (each coordinate of the
+    subspace, when one is given) is drawn uniformly from the square
+    |Re| < h, |Im| < h with h = ``chart.half_width``, and the estimates
+    scale by that box's volume; any ``ChartModel`` works.  ``threads`` is
+    the number of worker processes (1 runs in this process), each scanning
+    one contiguous range of chunks; results do not depend on it.  A
+    ``RuntimeWarning`` says when under 1 % of the samples with
+    0 < area <= 1 are admissible, or none has such an area.  A cell is one
+    radius (a number or a 0-d array) or a sequence of at least one; radii
+    must be finite and positive, and ``chunk_size`` and ``budget`` at
+    least 1.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
@@ -306,38 +372,46 @@ def scan_chart(
             if not all(math.isfinite(v) and v > 0 for v in e):
                 raise ValueError(f"radii must be finite and positive, got {e}")
             norm_cells.append(e)
-    l_max = max((e[-1] for e in norm_cells if e is not None), default=0.0)
-    k_max = max((len(e) for e in norm_cells if e is not None), default=0)
+    eps_cells = [c for c in norm_cells if c is not None]
+    l_max = max((e[-1] for e in eps_cells), default=0.0)
+    k_max = max((len(e) for e in eps_cells), default=0)
+    radii = np.full((len(eps_cells), k_max), np.inf)
+    for row, e in enumerate(eps_cells):
+        radii[row, :len(e)] = e
 
+    # each worker scans one contiguous range of chunks
     n_chunks = (samples + chunk_size - 1) // chunk_size
-    tasks = []
-    for c in range(n_chunks):
-        size = min(chunk_size, samples - c * chunk_size)
-        tasks.append((chart, subspace, seed, c, size,
-                      norm_cells, l_max, k_max, budget))
-
-    if threads <= 1:
-        results = list(map(_process_chunk, tasks))
+    workers = max(1, min(threads, n_chunks))
+    tasks = [(chart, subspace, seed,
+              range(w * n_chunks // workers, (w + 1) * n_chunks // workers),
+              chunk_size, samples, radii, l_max, budget)
+             for w in range(workers)]
+    if workers == 1:
+        results = list(map(_scan_chunks, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_process_chunk, tasks))
-    counts = np.zeros(len(norm_cells), dtype=np.int64)
-    n_adm = 0
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_scan_chunks, tasks))
+    gates = np.zeros(3, np.int64)
+    eps_counts = np.zeros(len(eps_cells), np.int64)
     n_failed = 0
     n_nodes = 0
-    for cts, adm, failed, nodes in results:
-        counts += cts
-        n_adm += adm
+    for g, cts, failed, nodes in results:
+        gates += g
+        eps_counts += cts
         n_failed += failed
         n_nodes += nodes
+    positive, small, n_adm = gates.tolist()
+    eps_counts = iter(eps_counts.tolist())
+    counts = [n_adm if c is None else next(eps_counts) for c in norm_cells]
 
     # intrinsic box volume: one box per sampled coordinate
     vol = square_box_volume(chart.half_width, subspace.dim)
 
-    adm_fraction = n_adm / samples
+    adm_fraction = n_adm / small if small else 0.0
     if adm_fraction < 0.01:
         warnings.warn(
-            f"admissibility rejection above 99% on chart {name}; "
+            f"admissibility rejection above 99% on chart {name} ({n_adm} of "
+            f"{small} samples with 0 < area <= 1 admissible); "
             "the parameter box is poorly chosen", RuntimeWarning)
 
     out = []
@@ -346,5 +420,9 @@ def scan_chart(
         stderr = vol * math.sqrt(p * (1.0 - p) / samples)
         out.append(ConingEstimate(
             value=p * vol, standard_error=stderr, samples=samples, seed=seed,
-            eps=cell, accepted=int(k), admissible=n_adm, box_volume=vol))
-    return ScanResult(name, tuple(out), adm_fraction, n_failed, n_nodes)
+            eps=cell, accepted=k, admissible=n_adm, box_volume=vol))
+    return ScanResult(
+        chart=name, estimates=tuple(out), positive_area=positive,
+        area_at_most_one=small, admissible=n_adm,
+        admissible_fraction=adm_fraction, build_failures=n_failed,
+        unfolding_nodes=n_nodes)

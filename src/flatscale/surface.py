@@ -512,12 +512,21 @@ def symmetric_vertices(sides) -> np.ndarray:
     the vertices :func:`surface_from_symmetric_polygon` triangulates.
 
     ``sides`` is one polygon (n,), giving (2n,), or a stack (..., n),
-    giving (..., 2n); every polygon is summed in the same order.
+    giving a C-contiguous (..., 2n); every polygon is summed in the same
+    order.  The sums run one vertex column at a time over the whole stack:
+    a cumulative sum along the last axis runs one short inner loop per
+    polygon and takes about three times as long.  v - z has the bits of
+    v + (-z), so the columns are the left-to-right sums bit for bit.
     """
     sides = np.asarray(sides, dtype=complex)
-    zero = np.zeros(sides.shape[:-1] + (1,), dtype=complex)
-    steps = np.concatenate([zero, sides, -sides[..., :-1]], axis=-1)
-    return np.cumsum(steps, axis=-1)
+    n = sides.shape[-1]
+    verts = np.empty(sides.shape[:-1] + (2 * n,), dtype=complex)
+    verts[..., 0] = 0
+    for k in range(n):
+        np.add(verts[..., k], sides[..., k], out=verts[..., k + 1])
+    for k in range(n - 1):
+        np.subtract(verts[..., n + k], sides[..., k], out=verts[..., n + k + 1])
+    return verts
 
 
 def reduce_lattice_bases(sides) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,12 @@ from flatscale.surface import (
     symmetric_vertices,
 )
 from flatscale.torus_oracle import cone_volume_quadrature, torus_exact_oracle
-from flatscale.unfolding import UnfoldedBatch, UnfoldingBudgetError, unfold_surfaces
+from flatscale.unfolding import (
+    DEFAULT_BUDGET,
+    UnfoldedBatch,
+    UnfoldingBudgetError,
+    unfold_surfaces,
+)
 
 from scalar_ear_clip import scalar_ear_clip
 from scalar_prefix_ranks import prefix_ranks, reference_thresholds
@@ -93,7 +98,12 @@ class TestSubspaceSampling:
         rng = np.random.default_rng(4)
         basis = rng.normal(size=(4, 2))
         W = LinearSubspace(4, basis.astype(complex))
-        est = scan_chart("h2-octagon", W, [(0.5,)], 30_000, SEED).estimates[0]
+        # W holds the octagons of its samples with 0 < area <= 1, and none
+        # of those is simple
+        with pytest.warns(RuntimeWarning, match=r"\(0 of 7313 samples"):
+            res = scan_chart("h2-octagon", W, [(0.5,)], 30_000, SEED)
+        est = res.estimates[0]
+        assert res.admissible == res.admissible_fraction == est.admissible == 0
         assert est.value >= 0
         assert est.box_volume == pytest.approx(256.0)
 
@@ -203,7 +213,8 @@ class TestPrefixRanks:
 
 # Per-cell accepted counts recorded before the combinatorics cache, the
 # blocked mask and the capped prefix ranks went in: optimisations of the scan
-# must leave every count bit-identical.
+# must leave every count bit-identical.  The None cell of "octagon-subspace"
+# was added later; it adds a count and changes none.
 OCTAGON_EPS = (0.2, 0.35, 0.6, 1.0)
 GOLDEN_CASES = {
     "torus": ("torus", None, 20_000,
@@ -214,7 +225,7 @@ GOLDEN_CASES = {
     "octagon-subspace": (
         "h2-octagon",
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]),
-        20_000, [(0.5,), (0.8,), (0.8, 1.0)]),
+        20_000, [None, (0.5,), (0.8,), (0.8, 1.0)]),
 }
 GOLDEN_COUNTS = {
     ("torus", 1): [4330, 5, 12, 97, 472, 0],
@@ -223,32 +234,65 @@ GOLDEN_COUNTS = {
                      422, 463, 463],
     ("octagon", 2): [446, 159, 352, 446, 446, 14, 69, 135, 159, 112, 313, 352,
                      405, 446, 446],
-    ("octagon-subspace", 1): [1142, 1573, 1088],
-    ("octagon-subspace", 2): [1095, 1565, 1089],
+    ("octagon-subspace", 1): [1573, 1142, 1573, 1088],
+    ("octagon-subspace", 2): [1565, 1095, 1565, 1089],
 }
 
 
-# Admissible samples of the same scans, recorded while the batch mask still
-# ran on the polygons before their unit-area rescale.
-GOLDEN_ADMISSIBLE = {
-    ("torus", 1): 10049,
-    ("torus", 2): 10024,
-    ("octagon", 1): 11492,
-    ("octagon", 2): 11640,
-    ("octagon-subspace", 1): 9951,
-    ("octagon-subspace", 2): 9976,
+# The gates of the same scans: samples of positive area, of those the ones
+# of area <= 1 (the samples masked), and of those the admissible ones (the
+# cone).  The first two are the counts of the scan that masked every sample
+# of positive area; the admissible count then counted all of its admissible
+# samples (10049, 10024, 11492, 11640, 9951 and 9976 in this order).
+GOLDEN_GATES = {
+    ("torus", 1): (10049, 4330, 4330),
+    ("torus", 2): (10024, 4247, 4247),
+    ("octagon", 1): (19897, 4344, 463),
+    ("octagon", 2): (19979, 4302, 446),
+    ("octagon-subspace", 1): (9951, 1573, 1573),
+    ("octagon-subspace", 2): (9976, 1565, 1565),
 }
+
+
+# Chain nodes the unfolding expanded in the same scans, recorded while the
+# cone samples were unfolded one chunk at a time.
+GOLDEN_NODES = {
+    ("torus", 1): 2966,
+    ("torus", 2): 3219,
+    ("octagon", 1): 71241,
+    ("octagon", 2): 67394,
+    ("octagon-subspace", 1): 430442,
+    ("octagon-subspace", 2): 435183,
+}
+
+
+def _assert_golden_scan(case, seed, threads):
+    """Counts, gates and nodes of a golden scan are the goldens."""
+    chart, rows, samples, cells = GOLDEN_CASES[case]
+    W = None if rows is None else real_subspace(rows)
+    res = scan_chart(chart, W, cells, samples, seed, threads=threads)
+    counts = [e.accepted for e in res.estimates]
+    assert counts == GOLDEN_COUNTS[case, seed]
+    gates = (res.positive_area, res.area_at_most_one, res.admissible)
+    assert gates == GOLDEN_GATES[case, seed]
+    assert res.positive_area >= res.area_at_most_one >= res.admissible
+    # the samples that pass the mask are the plain cone
+    assert res.admissible == counts[cells.index(None)]
+    assert {e.admissible for e in res.estimates} == {res.admissible}
+    assert res.admissible_fraction == res.admissible / res.area_at_most_one
+    assert res.unfolding_nodes == GOLDEN_NODES[case, seed]
+    assert res.build_failures == 0
 
 
 class TestGoldenCounts:
     @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
     def test_accepted_counts(self, case, seed):
-        chart, rows, samples, cells = GOLDEN_CASES[case]
-        W = None if rows is None else real_subspace(rows)
-        res = scan_chart(chart, W, cells, samples, seed)
-        assert [e.accepted for e in res.estimates] == GOLDEN_COUNTS[case, seed]
-        assert {e.admissible for e in res.estimates} == {GOLDEN_ADMISSIBLE[case, seed]}
-        assert res.build_failures == 0
+        _assert_golden_scan(case, seed, threads=1)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
+    def test_any_worker_count(self, case, seed, threads):
+        _assert_golden_scan(case, seed, threads)
 
 
 class TestChartInput:
@@ -396,7 +440,9 @@ class TestBuildFailures:
 class TestLayerHooks:
     """The benchmark times layers by wrapping ``ChartModel.build`` and
     ``sampling.polygon_simple_mask``, and counts build failures on
-    ``ChartModel.build``; the scan must call them as it does."""
+    ``ChartModel.build``; the scan must call them as it does: the mask
+    once per chunk, on its samples with 0 < area <= 1, and the batch build
+    once per batch of cone samples."""
 
     @pytest.mark.parametrize("chart, cells", [
         ("torus", [None, (0.3,)]),
@@ -426,13 +472,15 @@ class TestLayerHooks:
         monkeypatch.setattr(ChartModel, "build", build_hook)
         monkeypatch.setattr(sampling, "polygon_simple_mask", mask_hook)
         res = scan_chart(chart, None, cells, 20_000, SEED, chunk_size=8192)
-        # every cone sample is built once, in its chunk's batch; only a row
-        # that the batch rejects is built alone (none here)
-        assert len(batches) == 3
+        # every cone sample is built once; the three chunks hold fewer than
+        # 8192 cone samples, so they make one batch.  Only a row that the
+        # batch rejects is built alone (none here)
+        assert len(batches) == 1
         assert sum(batches) == res.estimates[0].accepted > 0
         assert builds == [] and res.build_failures == 0
         assert len(masks) == 3
-        # the mask sees only the samples of positive area, at unit area
+        # the mask sees only the samples with 0 < area <= 1, at unit area
+        assert sum(map(len, masks)) == res.area_at_most_one
         for verts in masks:
             assert np.allclose(shoelace_area(verts), 1.0, rtol=1e-12, atol=0)
 
@@ -454,7 +502,7 @@ def _assert_checked_rows_build_as_checked(x):
     """Every row the unit-area batch check accepts is built, in one batch,
     from the very vertices checked, bit for bit, into the surface that a
     checked build of that row alone gives."""
-    area, unit, admissible = sampling._unit_area_check(x)
+    positive, unit, admissible = sampling._unit_area_check(x)
     verts = symmetric_vertices(unit)[admissible]
     batch, built = symmetric_polygon_batch(unit[admissible])
     assert len(built) == len(verts) and len(batch) == int(built.sum())
@@ -519,8 +567,8 @@ class TestCheckedSides:
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            area, unit, admissible = sampling._unit_area_check(x)
-        assert len(area) == 4
+            positive, unit, admissible = sampling._unit_area_check(x)
+        assert positive == len(unit) == 4
         assert admissible.tolist() == [True, False, False, False]
         assert [get_chart("torus").admissible(z) for z in x] == [True] + [False] * 4
         assert unit[0].tolist() == [1, 1j]
@@ -529,10 +577,11 @@ class TestCheckedSides:
         chart = get_chart("h2-octagon")
         rng = sampling._chunk_generator(3, 0)
         x = sampling._sample_params(rng, 2000, chart.dim, 2.0)
-        area, unit, admissible = sampling._unit_area_check(x)
-        positive = [chart.area(z) > 0 for z in x]
-        assert positive.count(True) == len(area)
-        want = [chart.admissible(z) for z, p in zip(x, positive) if p]
+        positive, unit, admissible = sampling._unit_area_check(x)
+        areas = [chart.area(z) for z in x]
+        assert positive == sum(a > 0 for a in areas)
+        want = [chart.admissible(z) for z, a in zip(x, areas) if 0 < a <= 1]
+        assert len(want) < positive
         assert admissible.tolist() == want
         unit_areas = [shoelace_area(symmetric_vertices(row))
                       for row in unit[admissible].tolist()]
@@ -540,7 +589,9 @@ class TestCheckedSides:
 
 
 class TestBatchedScan:
-    """Each chunk's cone samples are unfolded in one batch."""
+    """Each worker gathers the cone samples of its chunks and unfolds them
+    in batches of at least ``chunk_size`` (but its last one); a surface's
+    connections, ranks and nodes do not depend on its batch."""
 
     @pytest.mark.parametrize("chart, cells", [
         ("torus", [None, (0.3,), (0.45,)]),
@@ -562,7 +613,8 @@ class TestBatchedScan:
         monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
         res = scan_chart(chart, None, cells, 20_000, SEED, chunk_size=8192)
         monkeypatch.undo()
-        assert len(calls) == 3
+        # three chunks, with fewer than 8192 cone samples: one batch
+        assert len(calls) == 1
         assert sum(calls) == len(rows) == res.estimates[0].accepted
         two = scan_chart(chart, None, cells, 20_000, SEED, threads=2,
                          chunk_size=8192)
@@ -629,7 +681,7 @@ class TestIdentityRows:
         chart = get_chart(name)
         rng = sampling._chunk_generator(5, 0)
         x = sampling._sample_params(rng, 256, chart.dim, 2.0)
-        area, unit, admissible = sampling._unit_area_check(x)
+        positive, unit, admissible = sampling._unit_area_check(x)
         batch, built = chart.build_batch(unit[admissible][:40])
         assert built.all()
         for sides, kind in zip(unit[admissible][:40].tolist(), batch.kind):
@@ -640,10 +692,8 @@ class TestIdentityRows:
 
 def _cone_sides(seed, chunk, size):
     """The unit-area sides of the cone samples of one torus scan chunk."""
-    x = sampling._sample_params(sampling._chunk_generator(seed, chunk), size,
-                                2, get_chart("torus").half_width)
-    area, unit, admissible = sampling._unit_area_check(x)
-    return unit[admissible & (area <= 1.0)]
+    chart = get_chart("torus")
+    return sampling._process_chunk(chart, LinearSubspace(2), seed, chunk, size)[0]
 
 
 def _canonical_rows(classes, length):
@@ -731,3 +781,50 @@ class TestReducedTori:
         basis[0, 0, 0] = 2**22
         with pytest.raises(ValueError, match="beyond int64"):
             sampling._chart_classes(classes, basis)
+        # the guard is row by row: a large class in a small basis and a
+        # small class in a large basis pass, alone or in one batch, though
+        # the batch's largest class times its largest basis would not
+        classes = np.array([[2**40, -1], [3, 1]], dtype=np.int64)
+        basis = np.array([[[1, 1], [-1, 0]], [[2**22, 1], [-1, 0]]],
+                         dtype=np.int64)
+        assert 2 * 2**40 * 2**22 == 2**63
+        got = sampling._chart_classes(classes, basis)
+        assert got.tolist() == [[2**40 + 1, 2**40], [3 * 2**22 - 1, 3]]
+        for i in range(2):
+            assert sampling._chart_classes(classes[i:i + 1],
+                                           basis[i:i + 1]).tolist() == [got[i].tolist()]
+
+
+class TestCountConeBatch:
+    """The back end counts each cone sample on its own, so one call on a
+    batch gives what its pieces give, summed."""
+
+    @pytest.mark.parametrize("name, chunks, cells", [
+        ("torus", [0], [(0.15,), (0.3,), (0.45,), (0.3, 0.45)]),
+        ("h2-octagon", [0, 1], [(0.35,), (0.6,), (1.0,), (0.6, 1.0), (0.35, 0.6)]),
+    ])
+    def test_any_split_sums_to_the_batch(self, name, chunks, cells):
+        chart = get_chart(name)
+        W = LinearSubspace(chart.dim)
+        sides = np.concatenate([sampling._process_chunk(chart, W, 11, c, 8192)[0]
+                                for c in chunks])
+        radii = np.full((len(cells), 2), np.inf)
+        for row, e in enumerate(cells):
+            radii[row, :len(e)] = e
+        l_max = float(radii[np.isfinite(radii)].max())
+
+        def count(part):
+            counts, failures, nodes = sampling._count_cone_batch(
+                chart, W, part, radii, l_max, DEFAULT_BUDGET)
+            return counts.tolist() + [failures, nodes]
+
+        whole = count(sides)
+        assert whole[0] > 0 and whole[-1] > 0
+        rng = np.random.default_rng(8)
+        for pieces in (2, 3, 7):
+            cuts = np.sort(rng.integers(1, len(sides), size=pieces - 1))
+            parts = [count(p) for p in np.split(sides, cuts)]
+            assert np.sum(parts, axis=0).tolist() == whole
+        # one sample at a time, as a scan of one-sample batches would
+        alone = [count(sides[i:i + 1]) for i in range(0, len(sides), 37)]
+        assert np.sum(alone, axis=0).tolist() == count(sides[::37])

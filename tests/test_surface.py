@@ -735,6 +735,33 @@ def _star_polygons(draw):
     return np.asarray(rows)
 
 
+_signed_part = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(-1e300, 1e300, allow_nan=False))
+
+
+class TestSymmetricVertices:
+    @PROPERTY
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.lists(st.builds(complex, _signed_part, _signed_part),
+                 min_size=n, max_size=n), min_size=1, max_size=12)))
+    def test_bits_of_the_left_to_right_sum(self, rows):
+        """Every row of a stack gets the bits, signed zeros included, of the
+        partial sums 0, z_1, z_1 + z_2, ... taken one at a time from the
+        left, as a C-contiguous array."""
+        sides = np.asarray(rows, dtype=complex)
+        stack = np.stack([sides, sides[::-1]])  # (2, batch, n) stacks too
+        for got_all, rows_in in ((symmetric_vertices(sides), sides),
+                                 (symmetric_vertices(stack)[1], stack[1])):
+            assert got_all.flags.c_contiguous
+            for z, got in zip(rows_in.tolist(), got_all):
+                want = [0j]
+                for w in z + [-w for w in z[:-1]]:
+                    want.append(want[-1] + w)
+                want = np.asarray(want, dtype=complex).view(np.uint64)
+                assert got.view(np.uint64).tolist() == want.tolist()
+                assert symmetric_vertices(z).view(np.uint64).tolist() == want.tolist()
+
+
 class TestEarClipBatch:
     @pytest.mark.parametrize("name, seed", [
         ("torus", 1), ("torus", 2), ("h2-octagon", 1), ("h2-octagon", 2)])
