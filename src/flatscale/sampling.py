@@ -67,6 +67,7 @@ thresholds against every cell's radii counts all cells of the batch.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -129,7 +130,7 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _sample_params(rng, size: int, dim: int, half_width: float) -> np.ndarray:
     flat = rng.uniform(-half_width, half_width, size=(size, 2 * dim))
-    return flat[:, 0::2] + 1j * flat[:, 1::2]
+    return flat.view(complex)  # (re, im) pairs of columns, no copy
 
 
 def _unit_area_check(x: np.ndarray):
@@ -345,8 +346,9 @@ def scan_chart(
     ``RuntimeWarning`` says when under 1 % of the samples with
     0 < area <= 1 are admissible, or none has such an area.  A cell is one
     radius (a number or a 0-d array) or a sequence of at least one; radii
-    must be finite and positive, and ``chunk_size`` and ``budget`` at
-    least 1.
+    must be finite and positive.  ``samples``, ``chunk_size``, ``budget``
+    and ``threads`` must be integers of at least 1 (``samples`` at least
+    1000); a ``ValueError`` names the argument otherwise.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
@@ -355,12 +357,16 @@ def scan_chart(
         subspace = LinearSubspace(chart.dim)
     elif subspace.ambient_dim != chart.dim:
         raise ValueError("subspace ambient dimension does not match chart")
+    for arg, value in (("samples", samples), ("chunk_size", chunk_size),
+                       ("budget", budget), ("threads", threads)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{arg} must be an integer, got {value!r}")
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+    for arg, value in (("chunk_size", chunk_size), ("budget", budget),
+                       ("threads", threads)):
+        if value < 1:
+            raise ValueError(f"{arg} must be at least 1, got {value}")
     norm_cells = []
     for c in eps_cells:
         if c is None:

@@ -18,26 +18,40 @@ The w-area is evaluated exactly by circle-polygon intersection and
 integrated over a per-pair midpoint grid in z; away from a thin band the
 integrand equals the full disc area, so the grid converges fast.
 
+The integrand does not change when z turns by 90 degrees.  Under z -> iz
+the disc center and radius turn with z, and so do the w-square centers
+alpha z; the squares are axis-aligned, so a turned square is a square of
+the same half-side.  The gates |z_x|, |z_y| <= gate swap, and
+Im(conj(iw) iz) = Im(conj(w) z) keeps the half plane.  The n x n midpoint
+grid maps onto itself by (i, j) -> (n-1-j, i), so each pair evaluates one
+quadrant, the points with i < (n-1)/2 and j <= (n-1)/2, each of weight 4,
+and for odd n the centre once, of weight 1 (_quadrant): a quarter of the
+points, for the same sum up to rounding.
+
 The pairs are evaluated in blocks with array operations: a block is a run
-of consecutive pairs with at most BLOCK_POINTS grid points, or one pair.
-The grid points of a block's pairs are flattened together, and each point
-carries its pair's gates and w-squares (an absent square is
-(alpha, beta) = (0, inf), which every point passes).  Grid points whose
-disc lies inside every w-square with area <= 1 take pi r^2 directly.  For
-the rest the w-squares intersect to one rectangle per point, and a disc
-that misses its rectangle is dropped: the clip polygon lies inside the
-rectangle, so its area is exactly 0 (at eps = 0.3 this drops all but 2368
-of the 249,008 such points of the 720 pairs).  Of the points left, those
-where eps^2 |z|^2 > 1 are clipped by the half plane row by row (_clip_rows,
-the module's only polygon clipper), and every row is padded to five
-vertices by repeating a vertex (a zero-length edge adds exactly 0).  One
-call to circle_polygon_area per block then gives all their areas: each
-edge adds an arc, a chord and an arc, split at its entry and exit
-parameters on the circle clamped to the edge.  np.bincount adds each
-pair's areas in point order, so a pair's volume does not depend on the
+of consecutive pairs with at most BLOCK_POINTS quadrant points, or one
+pair (25 blocks for the 720 pairs at the default grid).  The (p, q, r, s)
+rows of the pairs are one read-only table per pq_max (_pair_table), and
+each block's gates, w-squares and z-domains come from it by array
+arithmetic (_pair_bounds).  The quadrant points of a block's pairs are
+flattened together, and each point carries its pair's gates and w-squares
+(an absent square is (alpha, beta) = (0, inf), which every point passes);
+_point_areas gives their areas.  Points whose disc lies inside every
+w-square with area <= 1 take pi r^2 directly.  For the rest the w-squares
+intersect to one rectangle per point, and a disc that misses its rectangle
+is dropped: the clip polygon lies inside the rectangle, so its area is
+exactly 0 (at eps = 0.3 this drops all but 592 of the 62,252 such points
+of the 720 pairs).  Of the points left, those where eps^2 |z|^2 > 1 are
+clipped by the half plane row by row (_clip_rows, the module's only
+polygon clipper), and every row is padded to five vertices by repeating a
+vertex (a zero-length edge adds exactly 0).  One call to
+circle_polygon_area per block then gives all their areas: each edge adds
+an arc, a chord and an arc, split at its entry and exit parameters on the
+circle clamped to the edge.  np.add.reduceat sums each pair's weighted
+areas as one segment, pairwise, so a pair's volume does not depend on the
 block it lands in (_pair_volume is the block of one), and the oracle adds
 the pair volumes in primitive_pairs order.  Memory stays at one block's
-grids, at most max(BLOCK_POINTS, grid_resolution^2) points.
+points, at most max(BLOCK_POINTS, one quadrant of grid_resolution^2).
 
 For eps at or above the Hermite bound (4/3)^(1/4), every unit-area lattice
 has a vector no longer than eps, so the k = 1 measure is the whole cone
@@ -56,6 +70,7 @@ No geodesic unfolding is involved anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -64,7 +79,7 @@ import numpy as np
 DEFAULT_Z_GRID = 48
 DEFAULT_PQ_MAX = 24
 HERMITE_SHORTEST = (4.0 / 3.0) ** 0.25  # max of lambda_1 over unit-area lattices
-BLOCK_POINTS = 4608  # grid points per _block_volumes call: eight 24^2 grids
+BLOCK_POINTS = 4608  # quadrant points per _block_volumes call: eight 48^2 grids
 
 
 def primitive_pairs(pq_max: int):
@@ -165,8 +180,19 @@ def _clip_rows(poly, nx, ny):
 # -- pair volumes, a block of pairs at a time -------------------------------------
 
 
-def _pair_bounds(p: int, q: int, e2: float, half_width: float) -> list[float]:
-    """[gate, alpha_u, beta_u, alpha_v, beta_v, lim] of one pair.
+@functools.lru_cache(maxsize=8)
+def _pair_table(pq_max: int) -> np.ndarray:
+    """Read-only (p, q, r, s) rows of primitive_pairs(pq_max), with (r, s)
+    the bezout_complement of (p, q)."""
+    table = np.array([(p, q, *bezout_complement(p, q))
+                      for p, q in primitive_pairs(pq_max)])
+    table.flags.writeable = False
+    return table
+
+
+def _pair_bounds(pairs: np.ndarray, e2: float, half_width: float) -> np.ndarray:
+    """Rows gate, alpha_u, beta_u, alpha_v, beta_v, lim of the (p, q, r, s)
+    rows of pairs: a (6, len(pairs)) array.
 
     u = s w - q z and v = -r w + p z.  Where the w-coefficient of u or v
     vanishes the box gives the z-gate |z_x|, |z_y| <= gate; otherwise it
@@ -174,24 +200,40 @@ def _pair_bounds(p: int, q: int, e2: float, half_width: float) -> list[float]:
     gate is inf, and an absent square is (alpha, beta) = (0, inf): both
     pass every point.  lim is the half-width of the pair's square z-domain.
     """
-    r, s = bezout_complement(p, q)
-    gate, squares, lim = math.inf, [], math.inf
-    for cw, cz in ((s, q), (r, p)):
-        if cw == 0:
-            gate = min(gate, half_width / abs(cz))
-            squares += [0.0, math.inf]
-            continue
-        alpha, beta = cz / cw, half_width / abs(cw)
+    cw, cz = pairs[:, [3, 2]], pairs[:, [1, 0]]  # (s, q) for u, (r, p) for v
+    gated = cw == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gate = np.where(gated, half_width / np.abs(cz), math.inf).min(axis=1)
+        alpha = np.where(gated, 0.0, cz / cw)
+        beta = np.where(gated, math.inf, half_width / np.abs(cw))
         # the disc lies in |w| <= eps^2 |z|, so a w-square forces
         # |alpha| |z| / sqrt(2) <= beta + eps^2 |z|
-        a = abs(alpha) / math.sqrt(2.0)
-        if a > e2:
-            lim = min(lim, beta / (a - e2))
-        squares += [alpha, beta]
-    lim = min(lim, gate)
-    if not math.isfinite(lim):
+        a = np.abs(alpha) / math.sqrt(2.0)
+        lim = np.where(a > e2, beta / (a - e2), math.inf).min(axis=1)
+    lim = np.minimum(lim, gate)
+    if not np.isfinite(lim).all():
         raise RuntimeError("unbounded z-domain; invalid pair data")
-    return [gate, *squares, lim]
+    return np.stack([gate, alpha[:, 0], beta[:, 0], alpha[:, 1], beta[:, 1], lim])
+
+
+@functools.lru_cache(maxsize=16)
+def _quadrant(n: int):
+    """Midpoints (i + 1/2, j + 1/2) and weights of one quadrant of the n x n
+    grid, read-only, i (the z_x index) the slow index.
+
+    The rotation z -> iz maps the grid onto itself by (i, j) -> (n-1-j, i).
+    Each of its orbits of four points meets i < (n-1)/2, j <= (n-1)/2 once;
+    for odd n the centre is an orbit of its own, added last with weight 1.
+    """
+    i, j = np.meshgrid(np.arange(n // 2), np.arange((n + 1) // 2), indexing="ij")
+    i, j, weight = i.ravel(), j.ravel(), np.full(i.size, 4.0)
+    if n % 2:
+        i, j = np.append(i, n // 2), np.append(j, n // 2)
+        weight = np.append(weight, 1.0)
+    out = (i + 0.5, j + 0.5, weight)
+    for v in out:
+        v.flags.writeable = False
+    return out
 
 
 def _disc_meets_box(cx, cy, radius, lo_x, lo_y, hi_x, hi_y):
@@ -202,25 +244,12 @@ def _disc_meets_box(cx, cy, radius, lo_x, lo_y, hi_x, hi_y):
     return dx * dx + dy * dy < radius * radius
 
 
-def _block_volumes(pairs, eps: float, half_width: float, grids) -> np.ndarray:
-    """Volumes of the canonical pairs (p, q), pair k on a grids[k]^2 z-grid."""
-    e2 = eps * eps
-    bounds = np.array([_pair_bounds(p, q, e2, half_width) for p, q in pairs])
-    n = np.asarray(grids)
-    h = 2.0 * bounds[:, 5] / n
-
-    # every pair's midpoint grid, pair after pair, z_x the slow index
-    pair = np.repeat(np.arange(len(pairs)), n * n)
-    unit = {m: np.meshgrid(np.arange(m) + 0.5, np.arange(m) + 0.5, indexing="ij")
-            for m in set(grids)}
-    zx = np.concatenate([unit[m][0].ravel() for m in grids])
-    zy = np.concatenate([unit[m][1].ravel() for m in grids])
-    gate, au, bu, av, bv, lim, step = (col[pair] for col in (*bounds.T, h))
-    zx = -lim + zx * step
-    zy = -lim + zy * step
-    live = (np.abs(zx) <= gate) & (np.abs(zy) <= gate)
-    pair, zx, zy, au, bu, av, bv = (
-        v[live] for v in (pair, zx, zy, au, bu, av, bv))
+def _point_areas(zx, zy, e2: float, bounds) -> np.ndarray:
+    """w-area of each point z = (zx, zy): |w|^2 <= eps^2 Im(conj(w) z),
+    inside the point's w-squares, with Im(conj(w) z) <= 1, and 0 outside
+    its gate.  bounds holds the point's gate, alpha_u, beta_u, alpha_v,
+    beta_v (rows of _pair_bounds, one column per point)."""
+    gate, au, bu, av, bv = bounds[:5]
     zz = zx * zx + zy * zy
     rad = 0.5 * e2 * np.sqrt(zz)
     ccx, ccy = 0.5 * e2 * zy, -0.5 * e2 * zx
@@ -255,26 +284,49 @@ def _block_volumes(pairs, eps: float, half_width: float, grids) -> np.ndarray:
         if ok.any():
             i = i[ok]
             area[i] = circle_polygon_area(ccx[i], ccy[i], rad[i], poly[ok])
-    # bincount adds each pair's areas in point order, whatever the block
-    return np.bincount(pair, weights=area, minlength=len(pairs)) * h * h
+    live = (np.abs(zx) <= gate) & (np.abs(zy) <= gate)
+    return np.where(live, area, 0.0)
+
+
+def _block_volumes(pairs, eps: float, half_width: float, grids) -> np.ndarray:
+    """Volumes of the (p, q, r, s) rows of pairs, pair k on a grids[k]^2
+    z-grid of which one quadrant is evaluated (see _quadrant)."""
+    e2 = eps * eps
+    bounds = _pair_bounds(pairs, e2, half_width)
+    h = 2.0 * bounds[5] / np.asarray(grids)
+
+    # every pair's quadrant, pair after pair, and its bounds at each point
+    quads = [_quadrant(n) for n in grids]
+    sizes = [weight.size for _, _, weight in quads]
+    zx, zy, weight = (np.concatenate(v) for v in zip(*quads))
+    point = np.repeat(np.vstack([bounds, h]), sizes, axis=1)
+    lim, step = point[5], point[6]
+    zx = -lim + zx * step
+    zy = -lim + zy * step
+    area = weight * _point_areas(zx, zy, e2, point)
+    # each pair's points are one segment, summed pairwise whatever the block
+    starts = np.cumsum([0, *sizes[:-1]])
+    return np.add.reduceat(area, starts) * h * h
 
 
 def _blocks(grids):
     """Runs of consecutive pairs, pair k on a grids[k]^2 z-grid, each as
-    long as BLOCK_POINTS grid points allow and at least one pair long."""
+    long as BLOCK_POINTS quadrant points allow and at least one pair long."""
     start, points = 0, 0
     for k, n in enumerate(grids):
-        if k > start and points + n * n > BLOCK_POINTS:
+        size = _quadrant(n)[2].size
+        if k > start and points + size > BLOCK_POINTS:
             yield slice(start, k)
             start, points = k, 0
-        points += n * n
+        points += size
     yield slice(start, len(grids))
 
 
 def _pair_volume(p: int, q: int, eps: float, half_width: float,
                  n_grid: int) -> float:
     """Volume of one canonical pair on an n_grid^2 z-grid: a block of one."""
-    return float(_block_volumes([(p, q)], eps, half_width, [n_grid])[0])
+    pairs = np.array([(p, q, *bezout_complement(p, q))])
+    return float(_block_volumes(pairs, eps, half_width, [n_grid])[0])
 
 
 def torus_exact_oracle(
@@ -311,9 +363,9 @@ def torus_exact_oracle(
             raise ValueError(
                 "radii in [1, 1.0747) are outside the oracle's disjointness "
                 "and saturation regimes")
-        pairs = primitive_pairs(pq_max)
-        grids = [grid_resolution if max(abs(p), abs(q)) <= 4
-                 else max(24, grid_resolution // 2) for p, q in pairs]
+        pairs = _pair_table(pq_max)
+        grids = np.where(np.abs(pairs[:, :2]).max(axis=1) <= 4, grid_resolution,
+                         max(24, grid_resolution // 2)).tolist()
         total = 0.0
         for block in _blocks(grids):
             for volume in _block_volumes(pairs[block], e, half_width, grids[block]):

@@ -93,6 +93,21 @@ class TestDeterminism:
         assert a.accepted != b.accepted
 
 
+class TestSampleDraw:
+    @pytest.mark.parametrize("seed", [1, 7, 101])
+    def test_view_has_the_bits_of_the_column_sum(self, seed):
+        """The complex view of a chunk's uniform draw has the bits of
+        re + 1j im formed from its even and odd columns."""
+        for dim in (1, 2, 4, 5):
+            for chunk in range(3):
+                x = sampling._sample_params(sampling._chunk_generator(seed, chunk),
+                                            4096, dim, 2.0)
+                flat = sampling._chunk_generator(seed, chunk).uniform(
+                    -2.0, 2.0, size=(4096, 2 * dim))
+                want = flat[:, 0::2] + 1j * flat[:, 1::2]
+                assert x.shape == (4096, dim) and x.dtype == complex
+                np.testing.assert_array_equal(x.view(np.uint64), want.view(np.uint64))
+
 class TestSubspaceSampling:
     def test_full_rank_subspace_on_octagon(self):
         rng = np.random.default_rng(4)
@@ -360,6 +375,33 @@ class TestChartInput:
         monkeypatch.setattr(sampling, "_process_chunk", no_chunks)
         with pytest.raises(ValueError, match="budget must be at least 1"):
             scan_chart("torus", None, [(0.3,)], 1000, 1, budget=budget)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(samples=2000.0), "samples"),
+        (dict(samples="2000"), "samples"),
+        (dict(samples=999), "samples"),
+        (dict(chunk_size=1000.0), "chunk_size"),
+        (dict(budget=10.5), "budget"),
+        (dict(threads=0), "threads"),
+        (dict(threads=-2), "threads"),
+        (dict(threads=1.5), "threads"),
+    ])
+    def test_bad_count_argument_named(self, kwargs, name, monkeypatch):
+        # a float samples or chunk_size once raised a bare TypeError, and
+        # threads=0, threads=1.5 and budget=10.5 were accepted
+        def no_chunks(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(sampling, "_process_chunk", no_chunks)
+        args = {"samples": 2000, "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            scan_chart("torus", None, [(0.3,)], **args)
+
+    def test_numpy_integer_counts_accepted(self):
+        want = scan_chart("torus", None, [0.3], 2000, 1, chunk_size=700)
+        got = scan_chart("torus", None, [0.3], np.int64(2000), 1, threads=np.int32(1),
+                         chunk_size=np.int64(700), budget=np.int64(10**6))
+        assert got == want
 
     @pytest.mark.parametrize("dim", [1, 0, -2])
     def test_chart_of_fewer_than_two_sides_rejected(self, dim):

@@ -14,7 +14,11 @@ from flatscale.torus_oracle import (
     HERMITE_SHORTEST,
     _block_volumes,
     _clip_rows,
+    _pair_bounds,
+    _pair_table,
     _pair_volume,
+    _point_areas,
+    _quadrant,
     bezout_complement,
     circle_polygon_area,
     cone_volume_quadrature,
@@ -265,6 +269,28 @@ ORACLE_GOLDEN = {
 }
 
 
+# odd grids, where a quadrant adds its centre point alone: torus_exact_oracle
+# ([0.3], grid_resolution=n) and _pair_volume(p, q, eps, 2.0, 25) of the
+# implementation that evaluated every point of each pair's grid
+ODD_GRID_ORACLE_GOLDEN = {
+    25: 1.1822129381579694,
+    47: 1.1726176332293587,
+}
+ODD_GRID_PAIR_GOLDEN = {
+    ((1, 0), 0.3): 0.27099931150172596,
+    ((1, 0), 0.95): 9.20272128892747,
+    ((2, 1), 0.3): 0.018398798387573356,
+    ((2, 1), 0.95): 1.6248300066807755,
+    ((-3, 1), 0.3): 0.0033968802665882165,
+    ((-3, 1), 0.95): 0.3374417371913897,
+}
+
+
+def quadrant_points(n):
+    """Points of one quadrant of the n x n grid, the centre of odd n too."""
+    return (n // 2) * ((n + 1) // 2) + n % 2
+
+
 def _default_grids(pq_max=DEFAULT_PQ_MAX, grid_resolution=48):
     """The z-grid of each of primitive_pairs(pq_max) in the oracle."""
     return [grid_resolution if max(abs(p), abs(q)) <= 4
@@ -299,7 +325,7 @@ class TestVectorisedPairVolume:
             _pair_volume(p, q, 0.3, 2.0, 48)
             per_pair.append(len(calls) - before)
         assert set(per_pair) == {0, 1}
-        assert max(calls) > 100
+        assert max(calls) > 25
 
         blocks = torus_oracle._block_volumes
         per_block = []
@@ -314,30 +340,31 @@ class TestVectorisedPairVolume:
         calls.clear()
         torus_exact_oracle([0.3])
         # runs of consecutive pairs, as many as fit in BLOCK_POINTS = 4608
-        # grid points: the 48^2 grids of max(|p|, |q|) <= 4 fit 2 to a
-        # block, the 24^2 grids 8
+        # quadrant points: the 24^2 quadrants of the 48^2 grids of
+        # max(|p|, |q|) <= 4 fit 8 to a block, the 12^2 ones of the 24^2
+        # grids 32
         n_blocks, points = 1, 0
         for n in _default_grids():
-            if points and points + n * n > BLOCK_POINTS:
+            if points and points + quadrant_points(n) > BLOCK_POINTS:
                 n_blocks, points = n_blocks + 1, 0
-            points += n * n
-        assert len(per_block) == n_blocks == 100
+            points += quadrant_points(n)
+        assert len(per_block) == n_blocks == 25
         assert set(per_block) == {0, 1}
         assert min(calls) > 0
-        # the skip leaves 2368 of the 249,008 slow rows at eps = 0.3
-        assert sum(calls) < 3000
+        # the skip leaves 592 of the 62,252 slow rows at eps = 0.3
+        assert sum(calls) < 750
 
     @pytest.mark.parametrize("grid_resolution, pq_max", [(200, 2), (60, 6)])
     def test_blocks_within_the_cap(self, grid_resolution, pq_max, monkeypatch):
         """The oracle's blocks are runs of consecutive pairs, in order, each
-        of one pair or of at most BLOCK_POINTS grid points, and each as long
-        as the cap allows: the grids held at once, and so the peak memory,
-        stay within max(BLOCK_POINTS, one pair's grid)."""
+        of one pair or of at most BLOCK_POINTS quadrant points, and each as
+        long as the cap allows: the points held at once, and so the peak
+        memory, stay within max(BLOCK_POINTS, one pair's quadrant)."""
         blocks = torus_oracle._block_volumes
         seen = []
 
         def spy(pairs, eps, half_width, grids):
-            seen.append((list(pairs), list(grids)))
+            seen.append(([(p, q) for p, q, _, _ in pairs.tolist()], list(grids)))
             return blocks(pairs, eps, half_width, grids)
 
         monkeypatch.setattr(torus_oracle, "_block_volumes", spy)
@@ -345,11 +372,12 @@ class TestVectorisedPairVolume:
         grids = _default_grids(pq_max, grid_resolution)
         assert [p for pairs, _ in seen for p in pairs] == primitive_pairs(pq_max)
         assert [n for _, g in seen for n in g] == grids
-        points = [sum(n * n for n in g) for _, g in seen]
+        points = [sum(map(quadrant_points, g)) for _, g in seen]
         for (pairs, _), total in zip(seen, points):
             assert len(pairs) == 1 or total <= BLOCK_POINTS
         firsts = [g[0] for _, g in seen[1:]]
-        assert all(total + n * n > BLOCK_POINTS for total, n in zip(points, firsts))
+        assert all(total + quadrant_points(n) > BLOCK_POINTS
+                   for total, n in zip(points, firsts))
         if grid_resolution == 200:
             assert all(len(pairs) == 1 for pairs, _ in seen)
         else:
@@ -359,8 +387,9 @@ class TestVectorisedPairVolume:
     def test_blocks_equal_pairs(self, eps):
         """Every pair's volume is bit for bit the same in any block, and the
         oracle adds them in primitive_pairs order."""
-        pairs, grids = primitive_pairs(DEFAULT_PQ_MAX), _default_grids()
-        single = [_pair_volume(p, q, eps, 2.0, n) for (p, q), n in zip(pairs, grids)]
+        pairs, grids = _pair_table(DEFAULT_PQ_MAX), _default_grids()
+        single = [_pair_volume(p, q, eps, 2.0, n)
+                  for (p, q, _, _), n in zip(pairs.tolist(), grids)]
         blocks = np.concatenate([
             _block_volumes(pairs[b], eps, 2.0, grids[b])
             for b in torus_oracle._blocks(grids)])
@@ -400,12 +429,103 @@ class TestVectorisedPairVolume:
         cx, cy, radius, poly, area = (np.concatenate(v) for v in zip(*rows))
         lo, hi = poly.min(axis=1), poly.max(axis=1)
         miss = ~meets(cx, cy, radius, lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1])
-        assert miss.sum() >= sum(dropped) > 40_000
+        assert miss.sum() >= sum(dropped) > 10_000
         noise = np.abs(area[miss])
         assert np.all(noise <= np.finfo(float).eps * math.pi * radius[miss] ** 2)
         if eps <= 0.3:
             assert noise.max() <= 1e-17
 
+
+def scalar_pair_bounds(p, q, e2, half_width):
+    """[gate, alpha_u, beta_u, alpha_v, beta_v, lim] of one pair, one
+    coefficient at a time."""
+    r, s = bezout_complement(p, q)
+    gate, squares, lim = math.inf, [], math.inf
+    for cw, cz in ((s, q), (r, p)):
+        if cw == 0:
+            gate = min(gate, half_width / abs(cz))
+            squares += [0.0, math.inf]
+            continue
+        alpha, beta = cz / cw, half_width / abs(cw)
+        a = abs(alpha) / math.sqrt(2.0)
+        if a > e2:
+            lim = min(lim, beta / (a - e2))
+        squares += [alpha, beta]
+    return [gate, *squares, min(lim, gate)]
+
+
+class TestPairTable:
+    def test_rows_are_the_pairs_and_complements(self):
+        table = _pair_table(DEFAULT_PQ_MAX)
+        assert table is _pair_table(DEFAULT_PQ_MAX)
+        assert not table.flags.writeable
+        assert [(p, q) for p, q, _, _ in table.tolist()] == primitive_pairs(DEFAULT_PQ_MAX)
+        assert all(bezout_complement(p, q) == (r, s) for p, q, r, s in table.tolist())
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.95])
+    def test_bounds_match_the_scalar_loop(self, eps):
+        table = _pair_table(DEFAULT_PQ_MAX)
+        want = [scalar_pair_bounds(p, q, eps * eps, 2.0) for p, q, _, _ in table.tolist()]
+        got = _pair_bounds(table, eps * eps, 2.0)
+        assert got.shape == (6, len(table))
+        np.testing.assert_array_equal(got.T, want)
+
+    def test_unbounded_domain_raises(self):
+        # p s - q r = 0: both w-squares grow with |z| no faster than the disc
+        with pytest.raises(RuntimeError, match="unbounded z-domain"):
+            _pair_bounds(np.array([(1, 1, 1, 1)]), 0.81, 2.0)
+
+
+class TestQuadrant:
+    """One quadrant of the n x n midpoint grid, each point weighted by the
+    size of its orbit under (i, j) -> (n - 1 - j, i), the rotation z -> iz."""
+
+    @pytest.mark.parametrize("n", range(1, 51))
+    def test_orbits_cover_the_grid_once(self, n):
+        x, y, weight = _quadrant(n)
+        assert not any(v.flags.writeable for v in (x, y, weight))
+        assert weight.sum() == n * n
+        assert set(weight) <= {1.0, 4.0} and np.count_nonzero(weight == 1.0) == n % 2
+        seen = np.zeros((n, n), dtype=int)
+        for i, j, w in zip((x - 0.5).astype(int), (y - 0.5).astype(int), weight):
+            orbit = {(i, j)}
+            for _ in range(3):
+                i, j = n - 1 - j, i
+                orbit.add((i, j))
+            assert len(orbit) == w
+            for ij in orbit:
+                seen[ij] += 1
+        assert np.all(seen == 1)
+
+    def test_odd_grid_golden_values(self):
+        for n, want in ODD_GRID_ORACLE_GOLDEN.items():
+            assert torus_exact_oracle([0.3], grid_resolution=n) == pytest.approx(
+                want, rel=1e-12)
+        for ((p, q), eps), want in ODD_GRID_PAIR_GOLDEN.items():
+            assert _pair_volume(p, q, eps, 2.0, 25) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("pq", [(1, 0), (2, 1), (-3, 1), (-2, 3), (3, 5),
+                                    (-7, 4), (5, 2)])
+    def test_point_areas_invariant_under_rotation(self, pq):
+        """The per-point areas at z, iz, -z and -iz agree to 1e-12 of the
+        disc area, on random z around the pair's z-domain (beyond it too,
+        where a gated pair's gate gives 0)."""
+        rng = np.random.default_rng(17)
+        clipped = 0
+        for eps in (0.05, 0.3, 0.95):
+            e2 = eps * eps
+            bounds = _pair_bounds(np.array([(*pq, *bezout_complement(*pq))]), e2, 2.0)
+            zx, zy = rng.uniform(-1.25, 1.25, (2, 4000)) * bounds[5, 0]
+            point = np.repeat(bounds, zx.size, axis=1)
+            area = [_point_areas(x, y, e2, point)
+                    for x, y in ((zx, zy), (-zy, zx), (-zx, -zy), (zy, -zx))]
+            disc = math.pi * (0.5 * e2) ** 2 * (zx * zx + zy * zy)
+            for other in area[1:]:
+                assert np.all(np.abs(other - area[0]) <= 1e-12 * disc)
+            assert np.any(area[0] >= disc * (1 - 1e-15))
+            clipped += np.count_nonzero((area[0] > 0.0) & (area[0] < 0.99 * disc))
+        # the points reach the clipped areas, not only 0 and the whole disc
+        assert clipped > 0
 
 class TestOracleArguments:
     @pytest.mark.parametrize("kwargs, name", [
