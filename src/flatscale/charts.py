@@ -41,12 +41,13 @@ class ChartModel:
     ``area`` and ``admissible`` test them with ``shoelace_area`` and
     ``polygon_simple_mask``, the routines that also check a whole batch.
     ``build`` builds one surface and checks that its polygon is simple and
-    positively oriented.  ``build_batch`` builds many at once and checks
-    nothing.  ``scan_chart`` masks only the samples with 0 < area <= 1,
-    rescaled to unit area, one batch simplicity mask and area test per
-    chunk; it passes ``build_batch`` only the rows that passed, gathered
-    into batches of cone samples, and builds a row that ``build_batch``
-    rejects with ``build`` on its own, which raises.
+    positively oriented.  ``build_batch`` builds many at once, as one
+    ``SurfaceBatch`` whose per-surface half-edge rows the unfolding reads,
+    and checks nothing.  ``scan_chart`` masks only the samples with
+    0 < area <= 1, rescaled to unit area, one batch simplicity mask and
+    area test per chunk; it passes ``build_batch`` only the rows that
+    passed, gathered into batches of cone samples, and builds a row that
+    ``build_batch`` rejects with ``build`` on its own, which raises.
     """
 
     name: str

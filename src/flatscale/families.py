@@ -59,9 +59,10 @@ from .sectors import Arc, MultiSector
 from .surface import (
     SurfaceError,
     TranslationSurface,
-    _cross,
     symmetric_polygon_gluings,
 )
+
+SECTOR_EPS = 0.3  # the radius of every family's multi-sector
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ class SyntheticFamily:
 
 @dataclass(frozen=True)
 class RationalBottom:
-    """Sphere with eta = (1/v^2 + r/v) dv + (A2/(v+1)^2 - r/(v+1)) dv.
+    """Sphere with eta = (1/v^2 + r/v) dv + (1/(v+1)^2 - r/(v+1)) dv.
 
     Poles of order 2 at v = 0 (residue r) and v = -1 (residue -r); the two
     zeros are the roots of the numerator quadratic.  Periods integrate in
@@ -183,18 +184,16 @@ class RationalBottom:
     """
 
     r: complex
-    A2: complex = 1.0
 
     def zeros(self) -> tuple[complex, complex]:
-        # eta * v^2 (v+1)^2 / dv = (v+1)^2 + A2 v^2 + r v (v+1)
-        a = 1.0 + self.A2 + self.r
-        b = 2.0 + self.r
+        # eta * v^2 (v+1)^2 / dv = (v+1)^2 + v^2 + r v (v+1)
+        a = b = 2.0 + self.r
         c = 1.0
         disc = cmath.sqrt(b * b - 4 * a * c)
         return ((-b + disc) / (2 * a), (-b - disc) / (2 * a))
 
     def antiderivative(self, v: complex) -> complex:
-        out = -1.0 / v - self.A2 / (v + 1.0)
+        out = -1.0 / v - 1.0 / (v + 1.0)
         if self.r != 0:
             out += self.r * (cmath.log(v) - cmath.log(v + 1.0))
         return out
@@ -215,22 +214,20 @@ class MarkedTorusFamily(SyntheticFamily):
     u = t / v.
     """
 
-    def __init__(self, omega1=1.0 + 0j, omega2=1j, node=0.5 + 0.5j,
-                 marked=0.15 + 0.8j, v_a=2.0 + 0j, v_b=-1.0 + 2.0j,
-                 sector_eps=0.3):
+    omega = (1.0 + 0j, 1j)  # the torus periods
+    node = 0.5 + 0.5j
+    marked = 0.15 + 0.8j
+    v_a, v_b = 2.0 + 0j, -1.0 + 2.0j  # the bottom marked points
+
+    def __init__(self):
         self.graph = EnhancedLevelGraph(
             vertices=(GraphVertex(1, 0), GraphVertex(0, -1)),
             edges=(GraphEdge(0, 1, "vertical", b=1, prong=0),),
             half_edges=(HalfEdge(0, 0), HalfEdge(0, 0),
                         HalfEdge(1, 0), HalfEdge(1, 0)),
         )
-        self.omega = (complex(omega1), complex(omega2))
-        self.node = complex(node)
-        self.marked = complex(marked)
-        self.v_a = complex(v_a)
-        self.v_b = complex(v_b)
         super().__init__()
-        self.sector = MultiSector.standard(self.a, eps=sector_eps,
+        self.sector = MultiSector.standard(self.a, eps=SECTOR_EPS,
                                            base_angle=-math.pi / 16)
         def F(v):
             return -1.0 / v
@@ -274,7 +271,9 @@ class MarkedTorusFamily(SyntheticFamily):
         # the symmetric 4-gon 0, w1, w1 + w2, w2 with the marked points inside
         pts = [0j, w1, w1 + w2, w2, *self.marked_points(params)]
         tri = Delaunay([[z.real, z.imag] for z in pts]).simplices.tolist()
-        simplices = [(a, b, c) if _cross(pts[b] - pts[a], pts[c] - pts[b]) > 0
+        # (a, b, c) is positively oriented iff Im(conj(b - a) (c - b)) > 0
+        simplices = [(a, b, c) if ((pts[b] - pts[a]).conjugate()
+                                   * (pts[c] - pts[b])).imag > 0
                      else (a, c, b) for a, b, c in tri]
         triangles = [[pts[b] - pts[a], pts[c] - pts[b], pts[a] - pts[c]]
                      for (a, b, c) in simplices]
@@ -293,9 +292,10 @@ class ResidueFamily(SyntheticFamily):
     term with coefficient -r/b = -r.
     """
 
-    def __init__(self, r: complex, A2: complex = 1.0, node1=0.5 + 0.5j,
-                 node2=0.2 + 0.25j, marked=0.15 + 0.8j, p_bottom=1.0 + 0j,
-                 sector_eps=0.3):
+    node1 = 0.5 + 0.5j  # the residue-r node
+    marked = 0.15 + 0.8j
+
+    def __init__(self, r: complex):
         self.graph = EnhancedLevelGraph(
             vertices=(GraphVertex(1, 0), GraphVertex(0, -1)),
             edges=(GraphEdge(0, 1, "vertical", b=1, prong=0),
@@ -303,12 +303,9 @@ class ResidueFamily(SyntheticFamily):
             half_edges=(HalfEdge(0, 0), HalfEdge(1, 1), HalfEdge(1, 1)),
         )
         self.r = complex(r)
-        self.bottom = RationalBottom(self.r, A2)
-        self.node1 = complex(node1)
-        self.node2 = complex(node2)
-        self.marked = complex(marked)
+        self.bottom = RationalBottom(self.r)
         super().__init__()
-        self.sector = MultiSector.standard(self.a, eps=sector_eps,
+        self.sector = MultiSector.standard(self.a, eps=SECTOR_EPS,
                                            base_angle=-math.pi / 16)
         z1, z2 = self.bottom.zeros()
         self._decompositions = {
@@ -316,8 +313,7 @@ class ResidueFamily(SyntheticFamily):
                 level=0,
                 pert=self.marked - self.node1,
                 annulus_terms=(AnnulusTerm(0, 1, self.r),),
-                lower_terms=(LowerTerm(
-                    -1, self.bottom.period(complex(p_bottom), z1)),),
+                lower_terms=(LowerTerm(-1, self.bottom.period(1.0 + 0j, z1)),),
             ),
             "top_a": PeriodDecomposition(level=0, pert=1.0),
         }
@@ -331,7 +327,7 @@ class ThreeLevelFamily(SyntheticFamily):
     bottom.  The skipping annulus has T = t_{-1} t_{-2}, so the fitted
     expansion in t = t_{-1} has a genuinely varying bounded tail."""
 
-    def __init__(self, r: complex = 1.0, sector_eps=0.3):
+    def __init__(self, r: complex = 1.0):
         self.graph = EnhancedLevelGraph(
             vertices=(GraphVertex(1, 0), GraphVertex(0, -1),
                       GraphVertex(0, -2)),
@@ -345,7 +341,7 @@ class ThreeLevelFamily(SyntheticFamily):
         self.node_skip = 0.6 + 0.4j
         self.marked = 0.15 + 0.8j
         super().__init__()
-        self.sector = MultiSector.standard(self.a, eps=sector_eps,
+        self.sector = MultiSector.standard(self.a, eps=SECTOR_EPS,
                                            base_angle=-math.pi / 16)
         z1, _ = self.bottom.zeros()
         self._decompositions = {
@@ -382,17 +378,17 @@ class NoninjectivityFamily(SyntheticFamily):
     pi/8) cannot contain both.
     """
 
-    def __init__(self, slit=0.3 + 0.1j, c_bottom=-0.2 + 0.05j,
-                 sector_eps=0.3):
+    slit = 0.3 + 0.1j
+    c_bottom = -0.2 + 0.05j  # the bottom part of the cross period
+
+    def __init__(self):
         self.graph = EnhancedLevelGraph(
             vertices=(GraphVertex(2, 0), GraphVertex(1, -1)),
             edges=(GraphEdge(0, 1, "vertical", b=2, prong=0),),
             half_edges=(HalfEdge(0, 1), HalfEdge(1, 3)),
         )
-        self.slit = complex(slit)
-        self.c_bottom = complex(c_bottom)
         super().__init__()
-        self.sector = MultiSector.standard(self.a, eps=sector_eps,
+        self.sector = MultiSector.standard(self.a, eps=SECTOR_EPS,
                                            base_angle=-math.pi / 32)
         self._decompositions = {
             "top_a1": PeriodDecomposition(level=0, pert=1.0),
@@ -407,24 +403,21 @@ class NoninjectivityFamily(SyntheticFamily):
             ),
         }
 
-    def period_vector(self, t: complex, s: tuple[complex, complex],
-                      p: complex = 0.25) -> np.ndarray:
-        params = PlumbingParams(t={-1: t}, p=p)
+    def period_vector(self, t: complex, s: tuple[complex, complex]) -> np.ndarray:
+        params = PlumbingParams(t={-1: t})
         cross = self.period("cross", params)
         scale = rescale_factor(-1, params.t, self.a)  # = t^2
         return np.array([1.0, 1j, 1.0, 1j, cross,
                          scale * s[0], scale * s[1]], dtype=complex)
 
 
-def reproduce_noninjectivity(t0: complex = 0.05, n_pairs: int = 10_000,
-                             seed: int = 0,
-                             family: NoninjectivityFamily | None = None
-                             ) -> NoninjReport:
-    """Period collision for t vs -t, and an injectivity witness inside one
-    multi-sector arc."""
+def reproduce_noninjectivity(n_pairs: int = 10_000) -> NoninjReport:
+    """Period collision for t vs -t at t0 = 0.05, and an injectivity
+    witness inside one multi-sector arc, from ``n_pairs`` seeded samples."""
     from scipy.spatial import cKDTree
 
-    fam = family or NoninjectivityFamily()
+    fam = NoninjectivityFamily()
+    t0 = 0.05
     s = (0.7 + 0.2j, 0.1 + 0.9j)
     P1 = fam.period_vector(complex(t0), s)
     P2 = fam.period_vector(-complex(t0), s)
@@ -432,7 +425,7 @@ def reproduce_noninjectivity(t0: complex = 0.05, n_pairs: int = 10_000,
     arc = fam.sector.vertical_arcs[-1]
     excluded = not (arc.contains(t0) and arc.contains(-t0))
 
-    vecs = _arc_period_vectors(fam, n_pairs, seed)
+    vecs = _arc_period_vectors(fam, n_pairs, seed=0)
     # nearest other sample of each: k = 1 is the sample itself
     x = np.hstack([vecs.real, vecs.imag])
     min_d = float(cKDTree(x).query(x, k=2)[0][:, 1].min())
@@ -467,22 +460,21 @@ class HorizontalCylinderFamily(SyntheticFamily):
     cross-checked against flat geometry on the assembled surface.
     """
 
-    def __init__(self, w: float = 0.4, twist_a: complex = 0.1,
-                 twist_b: complex = 0.05, slit_base=0.3 + 0.5j,
-                 sector_eps=0.3):
+    w = 0.4 + 0j
+    r = w / (2j * math.pi)
+    twists = (0.1 + 0j, 0.05 + 0j)  # the cross vectors' constants c
+    slit_base = 0.3 + 0.5j
+
+    def __init__(self):
         self.graph = EnhancedLevelGraph(
             vertices=(GraphVertex(1, 0), GraphVertex(1, 0)),
             edges=(GraphEdge(0, 1, "horizontal"),
                    GraphEdge(0, 1, "horizontal")),
             half_edges=(HalfEdge(0, 2), HalfEdge(1, 2)),
         )
-        self.w = complex(w)
-        self.r = self.w / (2j * math.pi)
-        self.twists = (complex(twist_a), complex(twist_b))
-        self.slit_base = complex(slit_base)
         super().__init__()
         self.sector = MultiSector(
-            eps=sector_eps,
+            eps=SECTOR_EPS,
             horizontal_arcs={0: Arc(-math.pi / 8, math.pi / 4),
                              1: Arc(-math.pi / 8, math.pi / 4)})
         self._decompositions = {

@@ -9,18 +9,16 @@ import numpy as np
 
 
 def annulus_period(b: int, r: complex, T: complex, p: complex,
-                   log_T: complex, log_p: complex | None = None) -> complex:
+                   log_T: complex) -> complex:
     """Period of (u^(b-1) + T^b r / u) du along a path from T to p.
 
-    ``log_T`` fixes the branch (supply the sector log); ``log_p`` defaults
-    to the principal branch of the truncation point.
+    ``log_T`` fixes the branch (supply the sector log); the truncation
+    point p takes the principal branch.
     """
     if b < 1:
         raise ValueError("b must be a positive integer")
-    if log_p is None:
-        log_p = cmath.log(p)
     Tb = T ** b
-    return (p ** b - Tb) / b + Tb * r * (log_p - log_T)
+    return (p ** b - Tb) / b + Tb * r * (cmath.log(p) - log_T)
 
 
 def cylinder_cross_period(r: complex, t: complex, log_t: complex) -> complex:

@@ -37,9 +37,11 @@ call: any basis of the lattice gives the same torus, and the reduced one
 has two fat triangles instead of two long thin ones, so its unfolding
 expands far fewer chain nodes.  The batch's cone samples (on a torus,
 their reduced sides) are then built in one ``ChartModel.build_batch``
-call: one batch ear clip of all their polygons, the combinatorial tables
-looked up once per distinct triangulation, and the edge vectors as one
-array; no sample is checked again or made into a ``TranslationSurface``.
+call: one batch ear clip of all their polygons, the cached tables of each
+distinct triangulation gathered once onto the rows of its surfaces, and
+the edge vectors as one array, all in one ``SurfaceBatch`` of flat
+half-edge arrays; no sample is checked again or made into a
+``TranslationSurface``.
 A row the batch ear clip rejects is built alone with ``ChartModel.build``,
 which raises; it is counted in ``ScanResult.build_failures``, stays in the
 plain cone count and is accepted by no radius cell.

@@ -30,8 +30,9 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
     """Fit log(estimate) = c + sum_i slope_i log(eps_i) by weighted least
     squares, weights from the delta-method log-variances.
 
-    ``results`` is a sequence of (eps_vector, estimate, stderr).  Every row
-    needs the same number k of finite positive radii, a finite positive
+    ``results`` is a sequence of (eps_vector, estimate, stderr); a scalar
+    eps (a 0-d array too) is one radius.  Every row needs numbers: the
+    same number k of finite positive radii, a finite positive
     estimate and a finite stderr >= 0; any other row raises
     ``DegenerateFitError``.  With ``strict`` the preconditions are
     enforced too: at least ``MIN_POINTS`` distinct radii per axis and every
@@ -39,8 +40,12 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
     """
     rows = []
     for eps, est, se in results:
-        eps = tuple(float(e) for e in (eps if hasattr(eps, "__len__") else [eps]))
-        rows.append((eps, float(est), float(se)))
+        try:
+            eps = tuple(float(e) for e in ([eps] if np.ndim(eps) == 0 else eps))
+            rows.append((eps, float(est), float(se)))
+        except (TypeError, ValueError):
+            raise DegenerateFitError(
+                f"row ({eps!r}, {est!r}, {se!r}) is not numeric") from None
     if not rows:
         raise DegenerateFitError("no data")
     k = len(rows[0][0])

@@ -223,14 +223,19 @@ class TranslationSurface:
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> str:
+        """The edges, the glued pairs, the chart rows (``edge_coords``, only
+        when the surface has them) and the zero orders, as JSON."""
         data = {
             "triangles": [[[z.real, z.imag] for z in t]
                           for t in self._edges.tolist()],
             "gluings": [[list(divmod(h, 3)), list(divmod(g, 3))]
                         for h, g in enumerate(self._tables.neighbor.tolist())
                         if h < g],
-            "zeros": {str(v): m for v, m in enumerate(self.vertex_orders())},
         }
+        if self.has_coords:
+            data["edge_coords"] = self._tables.coeffs.reshape(
+                self.n_triangles, 3, -1).tolist()
+        data["zeros"] = {str(v): m for v, m in enumerate(self.vertex_orders())}
         return json.dumps(data, indent=1)
 
     @classmethod
@@ -245,7 +250,7 @@ class TranslationSurface:
                 gluings[tuple(b)] = tuple(a)
         except (TypeError, ValueError, KeyError) as err:
             raise SurfaceError(f"malformed surface JSON: {err!r}") from None
-        return cls(tri, gluings)
+        return cls(tri, gluings, data.get("edge_coords"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +258,8 @@ class _SurfaceTables:
     """Combinatorics of a triangulated surface, independent of edge vectors,
     as read-only arrays over half-edges h = 3 t + e (edge e of triangle t).
 
-    One instance is shared by every surface with the same triangulation,
-    and the batched unfolding reads its arrays as they are.
+    One instance is shared by every surface with the same triangulation;
+    a :class:`SurfaceBatch` gathers the tables of its surfaces.
 
     neighbor       (3T,) the half-edge glued to h: the gluing, a fixed-point
                    free involution on all 3T half-edges
@@ -263,7 +268,6 @@ class _SurfaceTables:
     coeffs         (3T, dim) int64 row of edge h in chart parameters, every
                    |c| < 2**63; None without rows
     dim            length of a row, or None without rows
-    coeff_max      largest |c|, 0 without rows
     """
 
     neighbor: np.ndarray
@@ -271,7 +275,6 @@ class _SurfaceTables:
     n_vertices: int
     coeffs: np.ndarray | None
     dim: int | None
-    coeff_max: int
 
 
 def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTables:
@@ -290,19 +293,18 @@ def _surface_tables(n_triangles: int, gluings, edge_coords=None) -> _SurfaceTabl
         step = step[step]
     roots, vert = np.unique(low, return_inverse=True)
 
-    coeffs, dim, cmax = None, None, 0
+    coeffs, dim = None, None
     if edge_coords is not None:
         edge_coords = np.asarray(edge_coords, dtype=object)
         if edge_coords.ndim != 3 or edge_coords.shape[:2] != (n_triangles, 3):
             raise SurfaceError(f"edge_coords must have shape ({n_triangles}, 3, d)")
         dim = edge_coords.shape[2]
         ints = [_integer(x) for x in edge_coords.reshape(-1).tolist()]
-        cmax = max(map(abs, ints), default=0)
         coeffs = np.array(ints, dtype=np.int64).reshape(3 * n_triangles, dim)
     for a in (nbr, vert, coeffs):
         if a is not None:
             a.setflags(write=False)
-    return _SurfaceTables(nbr, vert, len(roots), coeffs, dim, cmax)
+    return _SurfaceTables(nbr, vert, len(roots), coeffs, dim)
 
 
 def _check_gluings(n_triangles: int, gluings) -> np.ndarray:
@@ -541,7 +543,9 @@ def reduce_lattice_bases(sides) -> tuple[np.ndarray, np.ndarray]:
     v to v - m u, m the nearest integer to Re(conj(u) v) / |u|^2, and then,
     if v has become the shorter, swaps (u, v) to (v, -u), which keeps
     det = +1.  Each basis takes its own steps, all in one vectorised loop
-    over the bases not yet reduced.
+    over the bases not yet reduced.  Raises ``ValueError`` before a step
+    whose multiplier or new entries of B could reach 2**62 (a nan or
+    infinite multiplier too), so B never leaves int64.
     """
     sides = np.asarray(sides, dtype=complex)
     u, v = sides[:, 0], sides[:, 1]
@@ -553,7 +557,13 @@ def reduce_lattice_bases(sides) -> tuple[np.ndarray, np.ndarray]:
     live = np.arange(len(sides))
     while live.size:
         norm = _dot(u, u)
-        m = np.rint(_dot(u, v) / norm)
+        # |r1 - m r0| <= |r1| + |m| |r0|, held below 2**62 with room for rounding
+        with np.errstate(all="ignore"):
+            m = np.rint(_dot(u, v) / norm)
+            reach = np.abs(rows[:, 1]) + np.abs(m)[:, None] * np.abs(rows[:, 0])
+        if not (reach < INT64_LIMIT / 2).all():
+            raise ValueError("lattice basis reduction would leave int64: a "
+                             "basis is too close to degenerate")
         v = v - m * u
         rows[:, 1] -= m.astype(np.int64)[:, None] * rows[:, 0]
         swap = _dot(v, v) < norm
@@ -573,59 +583,94 @@ def surface_from_symmetric_polygon(sides) -> TranslationSurface:
     The sides are the chart parameters: side k carries the unit row e_k,
     and every edge the integer row of its vector in z_1..z_n.
 
-    The polygon is checked to be simple and positively oriented, then built
-    as the batch of one of :func:`symmetric_polygon_batch`; raises
-    :class:`SurfaceError` when a check fails or ear clipping finds no ear.
+    The polygon is checked to be simple and positively oriented, then ear
+    clipped (:func:`ear_clip`) and given its triangulation's cached tables;
+    raises :class:`SurfaceError` when a check fails or ear clipping finds no
+    ear.
     """
     verts = symmetric_vertices(sides)
     if not polygon_simple_mask(verts)[0]:
         raise SurfaceError("polygon is not simple")
     if shoelace_area(verts) <= 0:
         raise SurfaceError("polygon is not positively oriented")
-    batch, ok = symmetric_polygon_batch([sides])
-    if not ok[0]:
-        raise SurfaceError("no ear found; polygon not simple enough")
-    return TranslationSurface._from_tables(batch.edges.reshape(-1, 3),
-                                           batch.tables[0])
+    tris = ear_clip(verts)
+    corners = verts[np.asarray(tris)]
+    return TranslationSurface._from_tables(
+        np.roll(corners, -1, axis=1) - corners,
+        _symmetric_polygon_tables(len(verts) // 2, tuple(tris)))
 
 
 @dataclass(frozen=True, eq=False)
 class SurfaceBatch:
-    """Triangulated surfaces as flat arrays, the input of the batched
-    unfolding.
+    """Triangulated surfaces as flat arrays over global half-edges h = 3 t + e
+    (t counts the triangles of all surfaces, in batch order), the input of
+    the batched unfolding.  Surface s owns the half-edges
+    ``start[s]:start[s + 1]``, and every array's columns there are its
+    own; surfaces that share a triangulation have equal rows.
 
-    edges   (H,) complex: the edge vectors of every triangle of every
-            surface, three per triangle, surfaces in batch order; the
-            rows of each surface's (T, 3) edge array, concatenated
-    tables  the distinct :class:`_SurfaceTables` of the batch, whose
-            arrays the unfolding reads as they are
-    kind    (n,) int: surface s has ``tables[kind[s]]``, and so as many
-            triangles as those tables
+    edge           (2, H) float: x, then y, of each edge vector
+    neighbor       (H,) the global half-edge glued to h
+    corner_vertex  (H,) vertex id of corner h within its surface
+    coeffs         (D, H) int64 chart row of each edge, zero padded to the
+                   longest row D; zero for a surface without rows
+    start          (n + 1,) first half-edge of each surface, then H
+    surf           (H,) the surface of each half-edge
+    dims           per surface, its row length, or None without rows
+    coeff_max      largest |c| in ``coeffs``
     """
 
-    edges: np.ndarray
-    tables: tuple
-    kind: np.ndarray
+    edge: np.ndarray
+    neighbor: np.ndarray
+    corner_vertex: np.ndarray
+    coeffs: np.ndarray
+    start: np.ndarray
+    surf: np.ndarray
+    dims: tuple
+    coeff_max: int
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self.start) - 1
 
     @classmethod
     def of(cls, surfaces) -> "SurfaceBatch":
-        """The batch of a sequence of :class:`TranslationSurface`; surfaces
-        that share their tables share one entry of ``tables``."""
+        """The batch of a sequence of :class:`TranslationSurface`."""
         surfaces = list(surfaces)
-        index: dict[int, int] = {}
-        tables = []
-        kind = np.empty(len(surfaces), dtype=np.intp)
-        for s, X in enumerate(surfaces):
-            k = index.setdefault(id(X._tables), len(tables))
-            if k == len(tables):
-                tables.append(X._tables)
-            kind[s] = k
         edges = np.concatenate([np.zeros(0, dtype=complex)]
                                + [X._edges.reshape(-1) for X in surfaces])
-        return cls(edges, tuple(tables), kind)
+        return _gather(edges, [X._tables for X in surfaces],
+                       np.arange(len(surfaces)))
+
+
+def _gather(edges, tables, kind) -> SurfaceBatch:
+    """The batch of the surfaces whose edge vectors are ``edges`` (H,),
+    surfaces in order, where surface s has the tables ``tables[kind[s]]``.
+    The tables are stacked once, as rows (neighbor, corner vertex, padded
+    chart row), and gathered onto the half-edges of their surfaces."""
+    n = len(kind)
+    size = np.asarray([t.neighbor.size for t in tables], np.int64)
+    n_he = size[kind]
+    start = np.concatenate([[0], np.cumsum(n_he)])
+    first = np.cumsum(size) - size  # where each table's rows begin
+    d = max((t.dim or 0 for t in tables), default=0)
+    stacked = np.zeros((int(size.sum()), 2 + d), np.int64)
+    for t, a in zip(tables, first.tolist()):
+        rows = stacked[a:a + t.neighbor.size]
+        rows[:, 0] = t.neighbor
+        rows[:, 1] = t.corner_vertex
+        if t.dim:
+            rows[:, 2:2 + t.dim] = t.coeffs
+    surf = np.repeat(np.arange(n), n_he)
+    # where each global half-edge sits in the stacked tables
+    src = (first[kind] - start[:-1]).repeat(n_he) + np.arange(start[-1])
+    cols = np.ascontiguousarray(stacked[src].T)
+    dims = [t.dim for t in tables]
+    return SurfaceBatch(
+        edge=np.stack([edges.real, edges.imag]),
+        neighbor=cols[0] + start[surf], corner_vertex=cols[1], coeffs=cols[2:],
+        start=start, surf=surf,
+        dims=((dims[0],) * n if len(set(dims)) == 1
+              else tuple(dims[k] for k in kind.tolist())),
+        coeff_max=int(np.abs(stacked[:, 2:]).max(initial=0)))
 
 
 def symmetric_polygon_batch(sides) -> tuple[SurfaceBatch, np.ndarray]:
@@ -641,9 +686,9 @@ def symmetric_polygon_batch(sides) -> tuple[SurfaceBatch, np.ndarray]:
     Returns the batch of the rows that ear clip and ``ok`` (batch,), which
     rows those are.  The neighbour table, corner vertices, vertex count
     and integer edge coordinates depend only on the key (n, ear-clip
-    index triples); they are made once per key, kept in a bounded LRU
-    cache and shared, read-only, by every surface with that key.  Only the
-    edge vectors are computed per row.
+    index triples); they are made once per key, kept read-only in a
+    bounded LRU cache, and gathered once per batch onto the rows of every
+    surface with that key.  Only the edge vectors are computed per row.
     """
     sides = np.asarray(sides, dtype=complex)
     n = sides.shape[1]
@@ -656,7 +701,7 @@ def symmetric_polygon_batch(sides) -> tuple[SurfaceBatch, np.ndarray]:
                    for key in tris[first].tolist())
     corners = verts[np.arange(len(tris))[:, None, None], tris]
     edges = np.roll(corners, -1, axis=2) - corners
-    return SurfaceBatch(edges.reshape(-1), tables, kind), ok
+    return _gather(edges.reshape(-1), tables, kind), ok
 
 
 def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

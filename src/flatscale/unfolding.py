@@ -18,8 +18,10 @@ far above the wedge and pairing tolerances, so everything the clip cuts
 away lies in the discarded half plane.
 
 :func:`unfold_surfaces` searches a whole batch of surfaces at once, one
-level of chain depth per step.  The frontier of every corner of every
-surface lives in flat arrays: root corner, entry half-edge, the two
+level of chain depth per step.  It reads the flat half-edge arrays of a
+:class:`~flatscale.surface.SurfaceBatch` (edge vectors, global neighbours,
+corner vertices, chart rows) as they are.  The frontier of every corner of
+every surface lives in flat arrays too: root corner, entry half-edge, the two
 developed corner positions and their int64 classes, and the wedge.  A step
 expands a whole level and lays out each node's children in parent order,
 the child through edge e+1 before the child through edge e+2, so each
@@ -161,63 +163,17 @@ def unfold_surfaces(surfaces, length_bound: float, budget: int = DEFAULT_BUDGET,
         raise ValueError("length bound must be positive")
     if not isinstance(surfaces, SurfaceBatch):
         surfaces = SurfaceBatch.of(surfaces)
-    cmax = max((t.coeff_max for t in surfaces.tables), default=0)
+    cmax = surfaces.coeff_max
     rows = max(budget, 0) + 2
     if cmax * rows >= INT64_LIMIT:
         raise ValueError(
             f"class coefficients up to {cmax} times budget + 2 = {rows} "
             f"reach {cmax * rows}, beyond int64 (2**63); lower the budget")
-    b = _Batch(surfaces.edges, surfaces.tables, surfaces.kind)
     with np.errstate(divide="ignore", invalid="ignore"):
         levels = [] if record_chains else None
-        found, nodes = _search(b, length_bound * length_bound, budget,
+        found, nodes = _search(surfaces, length_bound * length_bound, budget,
                                not keep_orientations, levels)
-        return _canonical(b, found, nodes, levels, keep_orientations)
-
-
-class _Batch:
-    """Edges and tables of a batch, flat over global half-edges h = 3 t + e
-    (t counts the triangles of all surfaces, in batch order).  Vectors are
-    stored component first: ``edge`` is (2, H) and ``coeffs`` (D, H).
-
-    ``edges`` (H,) are the edge vectors, ``tables`` the distinct
-    ``_SurfaceTables`` of the batch, whose arrays are read as they are,
-    and ``kind`` (n,) the index of each surface's tables; every table is
-    gathered onto the half-edges of its surfaces at once.
-    """
-
-    def __init__(self, edges, tables, kind):
-        n = len(kind)
-        size = np.asarray([t.neighbor.size for t in tables], np.int64)
-        n_he = size[kind]
-        start = np.zeros(n + 1, np.int64)
-        np.cumsum(n_he, out=start[1:])
-        h = int(start[-1])
-        first = np.zeros(len(tables), np.int64)
-        np.cumsum(size[:-1], out=first[1:])
-        self.n, self.start = n, start
-        dims = [t.dim for t in tables]
-        self.dims = ((dims[0],) * n if len(set(dims)) == 1
-                     else tuple(dims[k] for k in kind.tolist()))
-        self.surf = np.repeat(np.arange(n), n_he)
-        # where each global half-edge sits in the concatenated tables
-        src = (first[kind] - start[:-1]).repeat(n_he) + np.arange(h)
-        self.edge = np.stack([edges.real, edges.imag])
-        self.nbr = _cat([t.neighbor for t in tables])[src] + start[self.surf]
-        self.vert = _cat([t.corner_vertex for t in tables])[src]
-        d = max((t.dim or 0 for t in tables), default=0)
-        coeffs = np.zeros((int(size.sum()), d), np.int64)
-        for t, a in zip(tables, first.tolist()):
-            if t.dim:
-                coeffs[a:a + t.neighbor.size, :t.dim] = t.coeffs
-        self.coeffs = np.ascontiguousarray(coeffs[src].T)
-        he = np.arange(h)
-        self.nxt = he + np.tile([1, 1, -2], h // 3)
-        self.prv = he + np.tile([2, -1, -1], h // 3)
-
-
-def _cat(arrays) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+        return _canonical(surfaces, found, nodes, levels, keep_orientations)
 
 
 def _norm2(v):
@@ -242,7 +198,7 @@ def _seg_dist2(a, b):
     return _norm2(a - s * n)
 
 
-def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
+def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
     """The level-synchronous search.  Returns the emitted connections in
     per-corner search order (root corner, holonomy (2, n), end vertex,
     class (D, n), level, node index in that level) and the nodes expanded
@@ -253,15 +209,18 @@ def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
     contiguous rows, and a level's children are laid out (node, child)
     along the last axis, which keeps them in parent order.
     """
-    edge, nbr, coeffs, vert = b.edge, b.nbr, b.coeffs, b.vert
+    edge, nbr, coeffs, vert = b.edge, b.neighbor, b.coeffs, b.corner_vertex
+    h = np.arange(nbr.size)
+    nxt = h + np.tile([1, 1, -2], h.size // 3)
+    prv = h + np.tile([2, -1, -1], h.size // 3)
 
     # The outgoing edge at each corner is itself a geodesic to the next
     # cone point; it is the closed low boundary of the corner's wedge.
     ea = edge
-    eb = -edge[:, b.prv]
+    eb = -edge[:, prv]
     la2 = _norm2(ea)
     own = np.flatnonzero(la2 <= L2)
-    emits = [(own, ea[:, own], vert[b.nxt[own]], coeffs[:, own],
+    emits = [(own, ea[:, own], vert[nxt[own]], coeffs[:, own],
               np.full(own.size, -1), np.full(own.size, -1))]
 
     # Continue through the far edge with both boundaries open.
@@ -286,8 +245,8 @@ def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
     # he: the entry half-edge.
     f = np.concatenate([eb[:, root], ea[:, root], lo[:1, root], hi[1:, root],
                         lo[1:, root], hi[:1, root]])
-    k = np.concatenate([-coeffs[:, b.prv[root]], coeffs[:, root]])
-    he = nbr[b.nxt[root]]
+    k = np.concatenate([-coeffs[:, prv[root]], coeffs[:, root]])
+    he = nbr[nxt[root]]
     dim = coeffs.shape[0]
     del eb, la2, lo, hi, ok
     # Per entry half-edge: the edge vector and class of edge e+1, the end
@@ -295,18 +254,19 @@ def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
     # level loop gathers with take, which costs much less per call than
     # fancy indexing on small arrays; the tables are made by take too, so
     # they are C-contiguous and a take along axis 1 does not copy them.
-    apex_edge = edge.take(b.nxt, 1)
-    apex_class = coeffs.take(b.nxt, 1)
-    apex_vert = vert[b.prv]
-    kids = np.stack([nbr[b.nxt], nbr[b.prv]], axis=1)
+    apex_edge = edge.take(nxt, 1)
+    apex_class = coeffs.take(nxt, 1)
+    apex_vert = vert[prv]
+    kids = np.stack([nbr[nxt], nbr[prv]], axis=1)
 
-    nodes = np.zeros(b.n, np.int64)
+    n_surf = len(b)
+    nodes = np.zeros(n_surf, np.int64)
     parent = None
     level = 0
     while root.size:
         if levels is not None:
             levels.append((he, parent))
-        nodes += np.bincount(b.surf.take(root), minlength=b.n)
+        nodes += np.bincount(b.surf.take(root), minlength=n_surf)
         if nodes.max() > budget:
             raise UnfoldingBudgetError(
                 f"unfolding exceeded budget of {budget} nodes "
@@ -361,7 +321,7 @@ def _search(b: _Batch, L2: float, budget: int, clip: bool, levels):
     return found, nodes
 
 
-def _canonical(b: _Batch, found, nodes, levels,
+def _canonical(b: SurfaceBatch, found, nodes, levels,
                keep_orientations: bool) -> UnfoldedBatch:
     """Orientation filter and stable canonical sort, per surface."""
     order = np.argsort(found[0], kind="stable")  # per corner, search order
@@ -377,7 +337,7 @@ def _canonical(b: _Batch, found, nodes, levels,
     # angle is math.atan2 (numpy's may differ in the last bit), needed only
     # where lengths tie.
     surf, length = b.surf[root[idx]], m[idx]
-    start_zero, end_zero = b.vert[root[idx]], end[idx]
+    start_zero, end_zero = b.corner_vertex[root[idx]], end[idx]
     p = np.lexsort((length, surf))
     tie = (surf[p[1:]] == surf[p[:-1]]) & (length[p[1:]] == length[p[:-1]])
     angle = np.zeros(idx.size)
@@ -392,13 +352,13 @@ def _canonical(b: _Batch, found, nodes, levels,
     if levels is not None:
         chains = _chains(b, root[idx], level[idx], node[idx], levels)
     return UnfoldedBatch(
-        offsets=np.searchsorted(surf[p], np.arange(b.n + 1)),
+        offsets=np.searchsorted(surf[p], np.arange(len(b) + 1)),
         holonomy=np.ascontiguousarray(hol[idx]).view(complex).reshape(-1),
         length=length[p], start_zero=start_zero[p], end_zero=end_zero[p],
         classes=cls[idx], dims=b.dims, chains=chains, nodes=nodes)
 
 
-def _chains(b: _Batch, root, level, node, levels):
+def _chains(b: SurfaceBatch, root, level, node, levels):
     """(triangle, entry edge) records from each connection's root corner
     down its parent links, triangles numbered within their surface."""
     h = np.arange(b.surf.size)

@@ -80,6 +80,20 @@ def test_every_module_has_an_importer():
     assert sorted(modules - reached) == []
 
 
+def test_no_private_cross_module_imports():
+    """No package module imports a ``_``-prefixed name from another package
+    module: what modules share is public."""
+    package = PYPROJECT.parent / "src" / "flatscale"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "flatscale"):
+                found += [f"{path.name}: {a.name} from {node.module}"
+                          for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
 def _rebound_attributes(path: Path) -> list[tuple[str, str, str]]:
     """(module, owner, attribute) of every binding that ``_rebound`` calls
     in the benchmark's layer hooks replace; owner is the name the hooks

@@ -540,16 +540,31 @@ def _sample_rows(dim):
         lambda rows: np.asarray(rows, dtype=complex))
 
 
+def _assert_rows_are_tables(batch, s, tables):
+    """Surface ``s`` of ``batch`` owns the half-edges start[s]:start[s + 1],
+    and its rows there are ``tables``: the neighbours offset by start[s],
+    the corner vertices and the chart rows."""
+    a, b = batch.start[s], batch.start[s + 1]
+    assert (batch.surf[a:b] == s).all() and batch.dims[s] == tables.dim
+    assert np.array_equal(batch.neighbor[a:b] - a, tables.neighbor)
+    assert np.array_equal(batch.corner_vertex[a:b], tables.corner_vertex)
+    assert np.array_equal(batch.coeffs[:, a:b].T, tables.coeffs)
+
+
 def _assert_checked_rows_build_as_checked(x):
     """Every row the unit-area batch check accepts is built, in one batch,
     from the very vertices checked, bit for bit, into the surface that a
-    checked build of that row alone gives."""
+    checked build of that row alone gives: the row's slice of the batch is
+    that build's edges and tables.  Checked builds of one triangulation
+    share one read-only table."""
     positive, unit, admissible = sampling._unit_area_check(x)
     verts = symmetric_vertices(unit)[admissible]
     batch, built = symmetric_polygon_batch(unit[admissible])
     assert len(built) == len(verts) and len(batch) == int(built.sum())
-    edges = batch.edges.reshape(len(batch), x.shape[1] * 2 - 2, 3)
-    kinds = iter(zip(edges, batch.kind.tolist()))
+    # the edge vectors, (x, y) pairs viewed as complex: bits and signed zeros kept
+    edges = np.ascontiguousarray(batch.edge.T).view(complex).reshape(-1, 3)
+    shared = {}
+    s = 0
     for sides, row, ok in zip(unit[admissible].tolist(), verts.tolist(), built):
         # the per-sample check the batch skips would have passed
         assert polygon_simple_mask(row)[0] and shoelace_area(row) > 0
@@ -560,16 +575,20 @@ def _assert_checked_rows_build_as_checked(x):
             assert not ok
             continue
         assert ok
-        got, kind = next(kinds)
         want = [[row[b] - row[a], row[c] - row[b], row[a] - row[c]]
                 for a, b, c in tris]
+        got = edges[batch.start[s] // 3:batch.start[s + 1] // 3]
         assert _bits(got) == _bits(want)
 
         X = surface_from_symmetric_polygon(sides)
-        assert X._tables is batch.tables[kind]
+        tables = X._tables
+        assert shared.setdefault(tuple(map(tuple, tris)), tables) is tables
+        assert not tables.neighbor.flags.writeable
+        _assert_rows_are_tables(batch, s, tables)
         assert _bits([[X.edge(t, e) for e in range(3)]
                       for t in range(X.n_triangles)]) == _bits(want)
-    assert next(kinds, None) is None
+        s += 1
+    assert s == len(batch)
 
 
 class TestCheckedSides:
@@ -726,10 +745,15 @@ class TestIdentityRows:
         positive, unit, admissible = sampling._unit_area_check(x)
         batch, built = chart.build_batch(unit[admissible][:40])
         assert built.all()
-        for sides, kind in zip(unit[admissible][:40].tolist(), batch.kind):
+        shared = {}
+        for s, sides in enumerate(unit[admissible][:40].tolist()):
             X = chart.build(sides)
             Y = surface_from_symmetric_polygon(sides)
-            assert X._tables is Y._tables is batch.tables[kind]
+            assert X._tables is Y._tables
+            _assert_rows_are_tables(batch, s, X._tables)
+            # equal rows in the batch: one shared table
+            key = X._tables.neighbor.tobytes() + X._tables.coeffs.tobytes()
+            assert shared.setdefault(key, X._tables) is X._tables
 
 
 def _cone_sides(seed, chunk, size):

@@ -98,3 +98,21 @@ class TestMalformedRows:
     def test_bad_stderr(self, se):
         with pytest.raises(DegenerateFitError, match="stderr"):
             fit_scaling_exponent(with_row(((0.4,), 0.16, se)), strict=False)
+
+    @pytest.mark.parametrize("row", [
+        ("ab", 0.16, 1e-4), ((0.4, "ab"), 0.16, 1e-4), ((None,), 0.16, 1e-4),
+        ((0.4,), "x", 1e-4), ((0.4,), 0.16, None),
+    ], ids=["eps-str", "eps-entry", "eps-none", "estimate", "stderr"])
+    def test_non_numeric_entries(self, row):
+        with pytest.raises(DegenerateFitError, match="not numeric"):
+            fit_scaling_exponent(with_row(row), strict=False)
+
+
+class TestScalarRadii:
+    def test_zero_d_array_is_one_radius(self):
+        """A 0-d array radius counts as one radius, as in ``scan_chart``."""
+        rows = [(e, 0.1 * e ** 2, 1e-4) for e in (0.1, 0.2, 0.3, 0.4)]
+        want = fit_scaling_exponent(rows)
+        got = fit_scaling_exponent([(np.array(e), est, se) for e, est, se in rows])
+        assert got == want
+        assert got.slopes[0] == pytest.approx(2.0, abs=1e-9)

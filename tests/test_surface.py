@@ -24,6 +24,7 @@ from flatscale.surface import (
     symmetric_polygon_gluings,
     symmetric_vertices,
 )
+from flatscale.unfolding import enumerate_saddle_connections
 
 from scalar_ear_clip import scalar_ear_clip
 
@@ -327,6 +328,35 @@ class TestJsonRoundTrip:
                 assert Y.edge(t, e) == X.edge(t, e)
         assert Y.gluings == X.gluings
 
+    def test_chart_rows_kept(self):
+        """The round trip keeps every chart row, so the classes too."""
+        X = get_chart("h2-octagon").build([1, 1 + 1j, 1j, -1 + 1j])
+        Y = TranslationSurface.from_json(X.to_json())
+        assert Y.has_coords and X.edge_coeff(0, 0) == (0, 0, 0, -1)
+        for t in range(X.n_triangles):
+            for e in range(3):
+                assert Y.edge_coeff(t, e) == X.edge_coeff(t, e)
+        want = enumerate_saddle_connections(X, 3.0)
+        got = enumerate_saddle_connections(Y, 3.0)
+        assert len(want) > 0
+        assert [sc.class_vector for sc in got] == [sc.class_vector for sc in want]
+        assert Y.to_json() == X.to_json()
+
+    def test_surface_without_rows_unchanged(self):
+        """A surface without chart rows writes the keys it always wrote."""
+        X = square_torus()
+        tri = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
+        Y = TranslationSurface(tri, X.gluings)
+        data = json.loads(Y.to_json())
+        assert list(data) == ["triangles", "gluings", "zeros"]
+        assert not TranslationSurface.from_json(Y.to_json()).has_coords
+
+    def test_malformed_rows_rejected(self):
+        data = json.loads(square_torus().to_json())
+        data["edge_coords"][0][0] = [0.5, 1]
+        with pytest.raises(SurfaceError, match="not an integer"):
+            TranslationSurface.from_json(json.dumps(data))
+
     @pytest.mark.parametrize("surface, pairs", [
         (square_torus, [[[0, 0], [1, 0]], [[0, 1], [1, 1]], [[0, 2], [1, 2]]]),
         (octagon_surface,
@@ -502,8 +532,9 @@ class TestMemoisedBuild:
 
     def test_tables_are_read_only(self):
         """Surfaces share their tables, so no table can be written: those of
-        the constructor, of ``chart.build`` and of ``build_batch``.  The
-        ``gluings`` a surface returns are a fresh dict."""
+        the constructor and of ``chart.build``; ``build_batch`` gathers them
+        into arrays of its own, so writing those leaves the tables alone.
+        The ``gluings`` a surface returns are a fresh dict."""
         chart = get_chart("h2-octagon")
         z = np.asarray(OCTAGON_Z)
         X = chart.build(z)
@@ -511,13 +542,23 @@ class TestMemoisedBuild:
             [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)],
             X.gluings, [[X.edge_coeff(t, e) for e in range(3)]
                         for t in range(X.n_triangles)])
-        batch, built = chart.build_batch(z[None])
-        assert built.all()
-        for tables in (X._tables, Y._tables, batch.tables[0]):
+        for tables in (X._tables, Y._tables):
             for name in ("neighbor", "corner_vertex", "coeffs"):
                 a = getattr(tables, name)
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = a[1]
+        want = [a.copy() for a in (X._tables.neighbor, X._tables.corner_vertex,
+                                   X._tables.coeffs)]
+        batch, built = chart.build_batch(z[None])
+        assert built.all()
+        for a in (batch.neighbor, batch.corner_vertex, batch.coeffs):
+            a[...] = -1
+        assert chart.build(z)._tables is X._tables
+        again, _ = chart.build_batch(z[None])
+        for got, a in zip((X._tables.neighbor, X._tables.corner_vertex,
+                           X._tables.coeffs, again.neighbor,
+                           again.corner_vertex, again.coeffs.T), want * 2):
+            assert np.array_equal(got, a)
         gluings = X.gluings
         gluings[(0, 0)] = (0, 1)
         assert X.gluings[(0, 0)] != (0, 1) and X.gluings == Y.gluings
@@ -909,3 +950,13 @@ class TestLatticeReduction:
     def test_bad_bases_rejected(self, sides):
         with pytest.raises(ValueError, match="finite and positively oriented"):
             reduce_lattice_bases(sides)
+
+    @pytest.mark.parametrize("sides", [
+        [[1e-20 + 0j, 1 + 1j]],             # multiplier 1e20
+        [[1e-170 + 0j, 1 + 1j]],            # |u|^2 underflows: m = inf
+        [[1e-170 + 0j, 1e-170 + 1j]],       # m = 0 / 0 = nan
+        [[1 + 0j, 0.5 + 1j], [1e-20 + 0j, 1 + 1j]],
+    ], ids=["huge", "inf", "nan", "second-row"])
+    def test_steps_beyond_int64_rejected(self, sides):
+        with pytest.raises(ValueError, match="would leave int64"):
+            reduce_lattice_bases(np.array(sides))

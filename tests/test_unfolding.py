@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from flatscale.families import (
+    HorizontalCylinderFamily,
+    MarkedTorusFamily,
+    PlumbingParams,
+)
 from flatscale.homology import TAU_PARALLEL
-from flatscale.surface import SurfaceError, TranslationSurface
+from flatscale.surface import SurfaceBatch, SurfaceError, TranslationSurface
 from flatscale.unfolding import (
     PAIR_EPS,
     UnfoldingBudgetError,
@@ -343,7 +348,7 @@ class TestPackedClasses:
                     for j in range(5)] for e in range(3)]
                   for t in range(X.n_triangles)]
         Y = TranslationSurface(tris, X.gluings, np.asarray(coords))
-        assert Y._tables.coeff_max > 10**12
+        assert SurfaceBatch.of([Y]).coeff_max > 10**12
         small = enumerate_saddle_connections(X, 4.0, record_chains=True)
         big = enumerate_saddle_connections(Y, 4.0, record_chains=True)
         assert [sc.holonomy for sc in big] == [sc.holonomy for sc in small]
@@ -630,6 +635,23 @@ class TestBatchedUnfolding:
                 assert fields(batch.connections(i)) == fields(
                     enumerate_saddle_connections(X, L, record_chains=True))
 
+    def test_several_vertices(self):
+        """Surfaces with several cone points, alone and in one batch with a
+        chart torus, equal the scalar search, start and end zeros included."""
+        surfaces = [
+            MarkedTorusFamily().surface(PlumbingParams(t={-1: 0.05 + 0.02j})),
+            HorizontalCylinderFamily().surface(
+                PlumbingParams(t_h={0: 0.01, 1: 0.02}))]
+        assert [X.n_vertices for X in surfaces] == [4, 4]
+        for X in surfaces:
+            for keep in (False, True):
+                assert_equals_scalar(X, 1.0, True, keep)
+        mixed = [surfaces[0], square_torus(), surfaces[1]]
+        batch = unfold_surfaces(mixed, 1.0, record_chains=True)
+        assert_batch_is_concatenation(batch, [
+            unfold_surfaces([X], 1.0, record_chains=True) for X in mixed])
+        assert len(set(batch.start_zero.tolist())) == 4
+
     def test_empty_batch(self):
         batch = unfold_surfaces([], 2.0)
         assert batch.offsets.tolist() == [0]
@@ -720,5 +742,5 @@ class TestBatchedUnfolding:
         Y = torus(1.0 + 0.1j, 0.2 + 1j)
         assert X._tables is Y._tables
         a = X._tables
-        assert a.dim == 2 and a.coeff_max == 1
+        assert a.dim == 2 and SurfaceBatch.of([X, Y]).coeff_max == 1
         assert not a.neighbor.flags.writeable
