@@ -15,12 +15,18 @@ above k, so the prefix ranks are taken only up to k_max, the size of the
 largest cell.
 
 The scan runs in two stages.  The front end runs once per chunk: it draws
-the chunk's samples, computes their areas, and keeps only those with
-0 < area <= 1, since no other sample can reach the cone.  It rescales
-those to unit area and runs one ``polygon_simple_mask`` call and one
-positive-area test on the unit-area polygons (``symmetric_vertices`` and
-``shoelace_area`` take the whole stack, as ``ChartModel`` passes them one
-polygon).  That single batch check decides admissibility, and it checks
+the chunk's samples and keeps only those with 0 < area <= 1, since no
+other sample can reach the cone.  The area of every sample comes first in
+closed form from its sides, sum_i cross(z_1 + ... + z_i, z_(i+1)), which
+settles the samples clearly below area 0 or above area 1; only the rest
+(near or below area 1) get the exact shoelace area of their vertices,
+which decides both gates and the rescale, so the gates are those of the
+shoelace area of every sample, bit for bit.  The front end rescales the
+samples with 0 < area <= 1 to unit area and runs one
+``polygon_simple_mask`` call and one positive-area test on the unit-area
+polygons (``symmetric_vertices`` and ``shoelace_area`` take the whole
+stack, as ``ChartModel`` passes them one polygon).  That single batch
+check decides admissibility, and it checks
 exactly the vertices the builder will triangulate; the mask decides each
 row alone, so masking only these rows gives the cone set that masking
 every sample of positive area gives.  ``ScanResult`` reports the gate
@@ -93,6 +99,7 @@ from .unfolding import DEFAULT_BUDGET, unfold_surfaces
 from .unfolding import enumerate_saddle_connections  # noqa: F401
 
 DEFAULT_CHUNK = 16384
+_FLOAT_TINY = 2.0 ** -1022  # the least normal float
 
 
 @dataclass(frozen=True)
@@ -147,19 +154,45 @@ def _unit_area_check(x: np.ndarray):
     rescaled nor masked; the mask decides each row alone, so the cone set
     is the one a check of every sample of positive area gives.
 
+    Both area gates and the rescale use the shoelace area of the vertices,
+    ``shoelace_area(symmetric_vertices(x))``, but it is taken only for
+    the rows whose gates the closed form a = sum_i cross(z_1 + ... + z_i,
+    z_(i+1)) cannot decide: a row with a < -margin has negative shoelace
+    area, and one with a > 1 + margin has shoelace area > 1, where
+    margin = 1e-12 n^2 s^2 + tiny and s = sum_i (|Re z_i| + |Im z_i|).
+    Every product and term of either sum is at most s^2, so each is off
+    by a few n^2 ulps of s^2, and by a few subnormal ulps where it
+    underflows, which tiny (the least normal float) covers; where s^2
+    overflows, margin is inf and the shoelace area decides.  So every gate
+    and every unit-area side is the one the shoelace area of every row
+    gives, bit for bit.
+
     A sliver of tiny area rescales to vertices whose products overflow.
     Its shortest edge is then far below the mask's relative tolerance, and
     inf or nan fail every strict test, so it is rejected; the overflow is
     expected and not reported.
     """
-    area = shoelace_area(symmetric_vertices(x))
+    n = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed, part = np.zeros(len(x)), x[:, 0]
+        s = abs(part.real) + abs(part.imag)
+        for k in range(1, n):
+            z = x[:, k]
+            closed += part.real * z.imag - part.imag * z.real
+            part = part + z
+            s += abs(z.real)
+            s += abs(z.imag)
+        margin = 1e-12 * n * n * (s * s) + _FLOAT_TINY
+    above = closed > 1.0 + margin
+    near = x[~(above | (closed < -margin))]
+    area = shoelace_area(symmetric_vertices(near))
     positive = area > 0
     small = positive & (area <= 1.0)
-    unit = x[small] * (1.0 / np.sqrt(area[small]))[:, None]
+    unit = near[small] * (1.0 / np.sqrt(area[small]))[:, None]
     verts = symmetric_vertices(unit)
     with np.errstate(over="ignore", invalid="ignore"):
         admissible = polygon_simple_mask(verts) & (shoelace_area(verts) > 0)
-    return int(positive.sum()), unit, admissible
+    return int(positive.sum() + above.sum()), unit, admissible
 
 
 def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
@@ -349,8 +382,9 @@ def scan_chart(
     0 < area <= 1 are admissible, or none has such an area.  A cell is one
     radius (a number or a 0-d array) or a sequence of at least one; radii
     must be finite and positive.  ``samples``, ``chunk_size``, ``budget``
-    and ``threads`` must be integers of at least 1 (``samples`` at least
-    1000); a ``ValueError`` names the argument otherwise.
+    and ``threads`` must be integers, not bools, of at least 1
+    (``samples`` at least 1000); a ``ValueError`` names the argument
+    otherwise.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
@@ -361,7 +395,8 @@ def scan_chart(
         raise ValueError("subspace ambient dimension does not match chart")
     for arg, value in (("samples", samples), ("chunk_size", chunk_size),
                        ("budget", budget), ("threads", threads)):
-        if not isinstance(value, numbers.Integral):
+        # bool is Integral, but True is no count
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{arg} must be an integer, got {value!r}")
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")

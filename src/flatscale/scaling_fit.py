@@ -32,14 +32,25 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
 
     ``results`` is a sequence of (eps_vector, estimate, stderr); a scalar
     eps (a 0-d array too) is one radius.  Every row needs numbers: the
-    same number k of finite positive radii, a finite positive
-    estimate and a finite stderr >= 0; any other row raises
-    ``DegenerateFitError``.  With ``strict`` the preconditions are
-    enforced too: at least ``MIN_POINTS`` distinct radii per axis and every
-    relative standard error below ``MAX_REL_STDERR``.
+    same number k of finite positive radii, a finite positive estimate and
+    a finite stderr >= 0; any other row, and a ``results`` that is not a
+    sequence of triples, raises ``DegenerateFitError``.  With ``strict``
+    the preconditions are enforced too: at least ``MIN_POINTS`` distinct
+    radii per axis and every relative standard error below
+    ``MAX_REL_STDERR``.
     """
+    try:
+        results = list(results)
+    except TypeError:
+        raise DegenerateFitError(
+            f"results {results!r} is not a sequence of rows") from None
     rows = []
-    for eps, est, se in results:
+    for row in results:
+        try:
+            eps, est, se = row
+        except (TypeError, ValueError):
+            raise DegenerateFitError(
+                f"row {row!r} is not an (eps, estimate, stderr) triple") from None
         try:
             eps = tuple(float(e) for e in ([eps] if np.ndim(eps) == 0 else eps))
             rows.append((eps, float(est), float(se)))

@@ -322,6 +322,22 @@ def _blocks(grids):
     yield slice(start, len(grids))
 
 
+def _settle_heap():
+    """Allocate and free one 1 MB array, which the C allocator maps on its
+    own.
+
+    glibc's malloc then raises its mmap threshold to 1 MB and its trim
+    threshold to 2 MB, so the block temporaries (a few hundred kB each)
+    stay on its heap and the heap is not trimmed between blocks.  Without
+    it, a process whose heap held no free room below its top for a block
+    grew the heap for every block and trimmed it after, about 50 fresh
+    page faults a block, and took 25-30 % longer per value; which
+    processes did so changed with the sizes of unrelated allocations at
+    start-up.  Under other allocators it only allocates and frees.
+    """
+    np.empty(1 << 17)
+
+
 def _pair_volume(p: int, q: int, eps: float, half_width: float,
                  n_grid: int) -> float:
     """Volume of one canonical pair on an n_grid^2 z-grid: a block of one."""
@@ -363,6 +379,7 @@ def torus_exact_oracle(
             raise ValueError(
                 "radii in [1, 1.0747) are outside the oracle's disjointness "
                 "and saturation regimes")
+        _settle_heap()
         pairs = _pair_table(pq_max)
         grids = np.where(np.abs(pairs[:, :2]).max(axis=1) <= 4, grid_resolution,
                          max(24, grid_resolution // 2)).tolist()

@@ -198,6 +198,15 @@ def _seg_dist2(a, b):
     return _norm2(a - s * n)
 
 
+def _twice(a):
+    """(rows, n, 2): each row of ``a`` (rows, n) with every entry twice in a
+    row, as ``a.repeat(2, axis=1)``, which is slower on wide levels."""
+    out = np.empty(a.shape + (2,), a.dtype)
+    out[..., 0] = a
+    out[..., 1] = a
+    return out
+
+
 def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
     """The level-synchronous search.  Returns the emitted connections in
     per-corner search order (root corner, holonomy (2, n), end vertex,
@@ -207,7 +216,14 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
 
     Node vectors are stored component first, so every step works on
     contiguous rows, and a level's children are laid out (node, child)
-    along the last axis, which keeps them in parent order.
+    along the last axis, which keeps them in parent order.  A level costs
+    some fixed numpy calls whatever its width, and most levels are narrow,
+    so the loop makes few: the int node state is one array, taken once
+    per level, and the nodes are counted per surface lazily.  Until the
+    batch total passes ``budget`` no surface can, so one ``bincount`` at
+    the end counts them; from then on every level is counted and checked,
+    so the budget error comes at the level, and names the surface, that
+    counting every level gives.
     """
     edge, nbr, coeffs, vert = b.edge, b.neighbor, b.coeffs, b.corner_vertex
     h = np.arange(nbr.size)
@@ -219,7 +235,7 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
     ea = edge
     eb = -edge[:, prv]
     la2 = _norm2(ea)
-    own = np.flatnonzero(la2 <= L2)
+    own = (la2 <= L2).nonzero()[0]
     emits = [(own, ea[:, own], vert[nxt[own]], coeffs[:, own],
               np.full(own.size, -1), np.full(own.size, -1))]
 
@@ -237,18 +253,20 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
         lo[:, lo_below] = [[_BELOW_POS.real], [_BELOW_POS.imag]]
         hi[:, hi_below & ~lo_below] = [[_BELOW_NEG.real], [_BELOW_NEG.imag]]
     ok &= ~(_seg_dist2(ea, eb) > L2)
-    root = np.flatnonzero(ok)
+    root = ok.nonzero()[0]
 
     # Node state.  f: the positions of corners e (pa) and e+1 (pb) of the
     # entry edge, then the wedge as lo.x, hi.y, lo.y, hi.x, so that one
-    # product gives both boundary crosses; k: the classes of pa, then pb;
-    # he: the entry half-edge.
+    # product gives both boundary crosses.  q, int64: the classes of pa,
+    # then pb, then the entry half-edge and the root corner, so that one
+    # take carries all of them to the next level.
+    dim = coeffs.shape[0]
+    he_row, root_row = 2 * dim, 2 * dim + 1
     f = np.concatenate([eb[:, root], ea[:, root], lo[:1, root], hi[1:, root],
                         lo[1:, root], hi[:1, root]])
-    k = np.concatenate([-coeffs[:, prv[root]], coeffs[:, root]])
-    he = nbr[nxt[root]]
-    dim = coeffs.shape[0]
-    del eb, la2, lo, hi, ok
+    q = np.concatenate([-coeffs[:, prv[root]], coeffs[:, root],
+                        nbr[nxt[root]][None], root[None]])
+    del eb, la2, lo, hi, ok, root
     # Per entry half-edge: the edge vector and class of edge e+1, the end
     # vertex of an apex emit, and the entries of the two children.  The
     # level loop gathers with take, which costs much less per call than
@@ -261,26 +279,31 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
 
     n_surf = len(b)
     nodes = np.zeros(n_surf, np.int64)
+    uncounted, total = [], 0
     parent = None
     level = 0
-    while root.size:
+    while n := q.shape[1]:
+        he, root = q[he_row], q[root_row]
         if levels is not None:
-            levels.append((he, parent))
-        nodes += np.bincount(b.surf.take(root), minlength=n_surf)
-        if nodes.max() > budget:
-            raise UnfoldingBudgetError(
-                f"unfolding exceeded budget of {budget} nodes "
-                f"(surface {int(nodes.argmax())} of the batch)")
+            levels.append((he.copy(), parent))
+        uncounted.append(b.surf.take(root))
+        total += n
+        if total > budget:
+            nodes += np.bincount(np.concatenate(uncounted), minlength=n_surf)
+            uncounted = []
+            if nodes.max() > budget:
+                raise UnfoldingBudgetError(
+                    f"unfolding exceeded budget of {budget} nodes "
+                    f"(surface {int(nodes.argmax())} of the batch)")
 
-        n = root.size
         apex = f[2:4] + apex_edge.take(he, 1)
-        capex = k[dim:] + apex_class.take(he, 1)
+        capex = q[dim:he_row] + apex_class.take(he, 1)
         r2 = _norm2(apex)
         rm = np.sqrt(r2)
         cross = f[4:6] * apex[::-1] - f[6:8] * apex  # (cl, ch)
         inside = cross > WEDGE_EPS * rm
         interior = inside[0] & inside[1]
-        hit = np.flatnonzero(interior & (r2 <= L2))
+        hit = (interior & (r2 <= L2)).nonzero()[0]
         if hit.size:
             emits.append((root.take(hit), apex.take(hit, 1),
                           apex_vert.take(he.take(hit)), capex.take(hit, 1),
@@ -292,7 +315,7 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
         # (apex, hi).  With the apex at or before lo only child 1 goes on,
         # with (lo, hi); at or beyond hi only child 0.
         ap = apex / rm
-        g = f.repeat(2, axis=1).reshape(8, n, 2)
+        g = _twice(f)
         g[0:2, :, 0] = apex
         g[2:4, :, 1] = apex
         np.copyto(g[5::2, :, 0], ap[::-1], where=interior)
@@ -302,17 +325,19 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
         keep &= _seg_dist2(g[2:4], g[0:2]) <= L2
         wedge = g[4::2] * g[5::2]
         keep &= wedge[0] - wedge[1] > WEDGE_EPS
-        sel = np.flatnonzero(keep)
-        parent = sel >> 1
+        sel = keep.reshape(2 * n).nonzero()[0]
+        if levels is not None:
+            parent = sel >> 1
 
-        gk = k.repeat(2, axis=1).reshape(2 * dim, n, 2)
-        gk[:dim, :, 0] = capex
-        gk[dim:, :, 1] = capex
+        gq = _twice(q)
+        gq[:dim, :, 0] = capex
+        gq[dim:he_row, :, 1] = capex
+        gq[he_row] = kids.take(he, 0)
         f = g.reshape(8, 2 * n).take(sel, 1)
-        k = gk.reshape(2 * dim, 2 * n).take(sel, 1)
-        he = kids.take(he, 0).reshape(2 * n).take(sel)
-        root = root.take(parent)
+        q = gq.reshape(root_row + 1, 2 * n).take(sel, 1)
         level += 1
+    if uncounted:
+        nodes += np.bincount(np.concatenate(uncounted), minlength=n_surf)
 
     root, hol, end, cls, level, node = zip(*emits)
     cat = np.concatenate

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -26,6 +27,7 @@ from flatscale.unfolding import (
     unfold_surfaces,
 )
 
+from all_rows_area_check import all_rows_unit_area_check
 from scalar_ear_clip import scalar_ear_clip
 from scalar_prefix_ranks import prefix_ranks, reference_thresholds
 
@@ -299,6 +301,27 @@ def _assert_golden_scan(case, seed, threads):
     assert res.build_failures == 0
 
 
+# SHA-256 of repr(ScanResult) over a larger grid, recorded before the area
+# gates were decided from the sides in closed form and the unfolding counted
+# its nodes lazily: every count, gate, node count and float of the result
+# must stay bit-identical, for any worker count.
+DIGEST_CELLS = [None, (0.15,), (0.3,), (0.45,), (0.2, 0.7), (0.4, 0.4),
+                (0.3, 0.6, 0.9)]
+DIGEST_CASES = {
+    "torus": ("torus", None, 60_000),
+    "octagon": ("h2-octagon", None, 120_000),
+    "octagon-subspace": ("h2-octagon", SUBSPACE_BASIS, 120_000),
+}
+REPR_DIGESTS = {
+    ("torus", 11): "a5bedbe06029ad3ebb1786e64cd4a7ecdac87e4433dc1cb8ab6ed035429042e3",
+    ("torus", 12): "a5d11f38e9091331c89948e551cc3aeebc7c06ce2e2ca9d36c58e93d39cca18b",
+    ("octagon", 11): "803aa35cf7083c807d2dc526ade4668b0708178d67804609db1e26e05ace9016",
+    ("octagon", 12): "477bb46e796dabd3b6dd6ab2e20bcfd73d3d12ab13da93e07b8c0c253a1583b1",
+    ("octagon-subspace", 11): "4b35af920f339d435a8049c76e5419e7a0e67bdd503fdefc24b88e4a016896bc",
+    ("octagon-subspace", 12): "385409ad1ea0fdabd32c4d2917979dcd5305f01d0e32497370cc3f0c5ff498f9",
+}
+
+
 class TestGoldenCounts:
     @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
     def test_accepted_counts(self, case, seed):
@@ -308,6 +331,15 @@ class TestGoldenCounts:
     @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
     def test_any_worker_count(self, case, seed, threads):
         _assert_golden_scan(case, seed, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case, seed", sorted(REPR_DIGESTS))
+    def test_result_digest(self, case, seed, threads):
+        chart, rows, samples = DIGEST_CASES[case]
+        W = None if rows is None else real_subspace(rows)
+        res = scan_chart(chart, W, DIGEST_CELLS, samples, seed, threads=threads)
+        digest = hashlib.sha256(repr(res).encode()).hexdigest()
+        assert digest == REPR_DIGESTS[case, seed]
 
 
 class TestChartInput:
@@ -395,6 +427,20 @@ class TestChartInput:
         monkeypatch.setattr(sampling, "_process_chunk", no_chunks)
         args = {"samples": 2000, "seed": 1, **kwargs}
         with pytest.raises(ValueError, match=name):
+            scan_chart("torus", None, [(0.3,)], **args)
+
+    @pytest.mark.parametrize("name", ["samples", "chunk_size", "budget",
+                                      "threads"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_count_rejected(self, name, flag, monkeypatch):
+        # bool is Integral: budget=True once scanned until it raised
+        # "exceeded budget of True nodes"
+        def no_chunks(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(sampling, "_process_chunk", no_chunks)
+        args = {"samples": 2000, "seed": 1, name: flag}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             scan_chart("torus", None, [(0.3,)], **args)
 
     def test_numpy_integer_counts_accepted(self):
@@ -633,6 +679,7 @@ class TestCheckedSides:
         assert admissible.tolist() == [True, False, False, False]
         assert [get_chart("torus").admissible(z) for z in x] == [True] + [False] * 4
         assert unit[0].tolist() == [1, 1j]
+        _assert_check_matches_all_rows(x)
 
     def test_unit_area_check_matches_admissible(self):
         chart = get_chart("h2-octagon")
@@ -647,6 +694,115 @@ class TestCheckedSides:
         unit_areas = [shoelace_area(symmetric_vertices(row))
                       for row in unit[admissible].tolist()]
         assert np.allclose(unit_areas, 1.0, rtol=1e-12)
+
+
+def _assert_check_matches_all_rows(x):
+    """``_unit_area_check`` gives the gate count, the unit-area sides and
+    the admissible flags of the all-rows reference, bit for bit."""
+    with np.errstate(all="ignore"):  # the reference overflows on huge rows
+        want = all_rows_unit_area_check(x)
+        got = sampling._unit_area_check(x)
+    assert got[0] == want[0]
+    assert got[1].shape == want[1].shape
+    assert _bits(got[1]) == _bits(want[1])
+    assert got[2].tolist() == want[2].tolist()
+
+
+def _row_of_area(row, target):
+    """``row`` times the scale whose shoelace area is exactly ``target``,
+    found by stepping the scale one ulp at a time; None if no scale near
+    sqrt(target / area) hits it."""
+    t = math.sqrt(target / shoelace_area(symmetric_vertices(row)))
+    for _ in range(64):
+        area = shoelace_area(symmetric_vertices(row * t))
+        if area == target:
+            return row * t
+        t = np.nextafter(t, math.inf if area < target else 0.0)
+    return None
+
+
+def _rows_at_unit_boundary(dim, seed):
+    """Rows of shoelace area 1 - 1 ulp, 1 and 1 + 1 ulp, from box samples
+    of positive area."""
+    rng = sampling._chunk_generator(seed, 0)
+    x = sampling._sample_params(rng, 64, dim, 2.0)
+    x = x[shoelace_area(symmetric_vertices(x)) > 0]
+    targets = (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))
+    rows = [r for t in targets for r in map(_row_of_area, x, [t] * len(x))
+            if r is not None]
+    got = shoelace_area(symmetric_vertices(np.array(rows)))
+    assert set(got.tolist()) == set(targets)
+    return np.array(rows)
+
+
+class TestClosedFormGates:
+    """The closed-form area decides the gates of the rows far from area 0
+    and 1; every gate, unit-area side and admissible flag is that of the
+    check that takes the shoelace area of every row."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_unit_boundary(self, dim):
+        x = _rows_at_unit_boundary(dim, seed=5)
+        _assert_check_matches_all_rows(x)
+        # 1 - 1 ulp and 1 are in the cone's area gate, 1 + 1 ulp is not
+        area = shoelace_area(symmetric_vertices(x))
+        assert len(sampling._unit_area_check(x)[1]) == (area <= 1.0).sum() > 0
+
+    @pytest.mark.parametrize("x", [
+        np.array([[1, 2], [0, 0], [1j, 2j], [0, 1]]),
+        np.array([[1, 2, 3, 4], [1j, -1j, 2j, 0], [0, 0, 0, 0]]),
+        np.array([[1j, 1], [2j, 0.5]]),
+        np.array([[-1, -1 + 1j, 1j, 1 + 1j], [1, 1 - 1j, -1j, -1 - 1j]]),
+        np.array([[1e200, 1e200j], [1e200j, 1e200], [1e200, 3e199j],
+                  [0.5e200, 0.5e200j]]),
+        np.array([[1e200, 1e200 + 1e200j, 1e200j, -1e200 + 1e200j],
+                  [1e154, 1e154j, -1e154, 1e-154j],
+                  [1e-160, 1e-160j, 1.0, 1j]]),
+        # sum_i cross(z_1 + ... + z_i, z_(i+1)) is -5e-324 on both rows,
+        # the shoelace area 5e-324 and 1e-323
+        np.array([[-1.4855424892728158e-162 + 9.850959608164805e-163j,
+                   -1.3092685376961296e-162 - 1.17687441992701e-162j,
+                   8.873025849275767e-163 + 9.983593213631736e-163j,
+                   -1.5125690252787263e-162 + 7.194706819175265e-163j],
+                  [-1.3598055070986066e-162 + 1.1446288146317096e-162j,
+                   -1.9822958163458614e-162 + 1.921660746419583e-162j,
+                   1.0466676941406407e-162 - 2.126659143411238e-162j,
+                   -6.191980583148651e-163 - 1.0452835342223527e-162j]]),
+    ], ids=["zero-tori", "zero-octagons", "negative-tori", "negative-octagons",
+            "huge-tori", "huge-octagons", "subnormal-octagons"])
+    def test_degenerate_and_huge_rows(self, x):
+        _assert_check_matches_all_rows(x.astype(complex))
+
+    @PROPERTY
+    @given(_sample_rows(2), st.sampled_from([1.0, 1e-160, 1e150, 1e200]))
+    def test_tori(self, x, scale):
+        _assert_check_matches_all_rows(x * scale)
+
+    @PROPERTY
+    @given(_sample_rows(4), st.sampled_from([1.0, 1e-160, 1e150, 1e200]))
+    def test_octagons(self, x, scale):
+        _assert_check_matches_all_rows(x * scale)
+
+    @PROPERTY
+    @given(_sample_rows(4), st.integers(-3, 3))
+    def test_octagons_near_unit_area(self, x, ulps):
+        """Rows rescaled to area about 1, then moved by a few ulps: the
+        rows the closed form cannot decide."""
+        area = shoelace_area(symmetric_vertices(x))
+        x = x[area != 0] / np.sqrt(np.abs(area[area != 0]))[:, None]
+        _assert_check_matches_all_rows(x * (1.0 + ulps * 2.0 ** -52))
+
+    @PROPERTY
+    @given(_sample_rows(2))
+    def test_subspace_octagons(self, w):
+        _assert_check_matches_all_rows(w @ SUBSPACE_BASIS.T)
+
+    @pytest.mark.parametrize("name, seed", [("torus", 1), ("h2-octagon", 2)])
+    def test_scan_chunk(self, name, seed):
+        chart = get_chart(name)
+        rng = sampling._chunk_generator(seed, 0)
+        _assert_check_matches_all_rows(
+            sampling._sample_params(rng, 16384, chart.dim, chart.half_width))
 
 
 class TestBatchedScan:

@@ -107,6 +107,12 @@ class TestMalformedRows:
         with pytest.raises(DegenerateFitError, match="not numeric"):
             fit_scaling_exponent(with_row(row), strict=False)
 
+    @pytest.mark.parametrize("results", [[(0.1, 0.2)] * 4, [0.1] * 4, None, 3],
+                             ids=["pairs", "scalars", "none", "int"])
+    def test_malformed_container(self, results):
+        with pytest.raises(DegenerateFitError, match="triple|sequence"):
+            fit_scaling_exponent(results, strict=False)
+
 
 class TestScalarRadii:
     def test_zero_d_array_is_one_radius(self):

@@ -672,8 +672,13 @@ class TestBatchedUnfolding:
         assert counts.count(most) == 1 and sum(counts) > most
         batch = unfold_surfaces(surfaces, L, budget=most)
         assert batch.nodes.tolist() == counts
-        with pytest.raises(UnfoldingBudgetError):
-            unfold_surfaces(surfaces, L, budget=most - 1)
+        # the batch total passes most - 1 no later than any surface does;
+        # the error names the surface that passes it, wherever it stands
+        i = counts.index(most)
+        for order, named in ((surfaces, i), (surfaces[::-1], len(counts) - 1 - i)):
+            with pytest.raises(UnfoldingBudgetError,
+                               match=rf"\(surface {named} of the batch\)"):
+                unfold_surfaces(order, L, budget=most - 1)
         with pytest.raises(UnfoldingBudgetError):
             enumerate_saddle_connections(surfaces[counts.index(most)], L,
                                          budget=most - 1)
