@@ -19,4 +19,4 @@ from .homology import (
     independence_rank,
     real_subspace,
 )
-from .charts import ChartModel, build_h2_octagon_chart, build_torus_chart, get_chart
+from .charts import ChartModel, get_chart

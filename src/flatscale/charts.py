@@ -48,6 +48,19 @@ class ChartModel:
     area test per chunk; it passes ``build_batch`` only the rows that
     passed, gathered into batches of cone samples, and builds a row that
     ``build_batch`` rejects with ``build`` on its own, which raises.
+
+    The built-in charts (``BUILTIN_CHARTS``, made by ``get_chart``):
+
+    torus       dim 2: tori with one marked point, parameters (u, v),
+                lattice Zu + Zv; admissible iff Im(conj(u) v), the area,
+                is > 0.  The scan builds each sample on its Lagrange-Gauss
+                reduced basis B (u, v) (``surface.reduce_lattice_bases``),
+                the same torus with fewer chain nodes, and rebases its rows
+                to (u, v) (``SurfaceBatch.rebased``) before the search;
+                ``build`` builds the parallelogram of (u, v) as given.
+    h2-octagon  dim 4: octagons with opposite sides identified, one cone
+                point of angle 6 pi: the stratum H(2).  Admissible iff the
+                octagon is simple and positively oriented.
     """
 
     name: str
@@ -66,8 +79,11 @@ class ChartModel:
         return symmetric_vertices(z)
 
     def admissible(self, z) -> bool:
-        verts = self.polygon_vertices(z)
-        return bool(shoelace_area(verts) > 0 and polygon_simple_mask(verts)[0])
+        # a row whose products overflow gives inf or nan, which fail every
+        # strict test: the predicate is decided, so nothing is reported
+        with np.errstate(over="ignore", invalid="ignore"):
+            verts = self.polygon_vertices(z)
+            return bool(shoelace_area(verts) > 0 and polygon_simple_mask(verts)[0])
 
     def area(self, z) -> float:
         return float(shoelace_area(self.polygon_vertices(z)))
@@ -94,38 +110,13 @@ def square_box_volume(half_width: float, dim: int) -> float:
     return vol
 
 
-def build_torus_chart(half_width: float = DEFAULT_BOX_HALF_WIDTH) -> ChartModel:
-    """Tori with one marked point: parameters (u, v), lattice Zu + Zv.
-
-    Admissible iff Im(conj(u) v) > 0; area equals Im(conj(u) v).  The scan
-    builds and unfolds each sample on its Lagrange-Gauss reduced basis
-    B (u, v) (``surface.reduce_lattice_bases``), the same torus with fewer
-    chain nodes, and maps the classes back to (u, v) before the ranks;
-    ``build`` builds the parallelogram of (u, v) as given.
-    """
-    return ChartModel("torus", 2, half_width)
-
-
-def build_h2_octagon_chart(half_width: float = DEFAULT_BOX_HALF_WIDTH) -> ChartModel:
-    """Octagons with opposite sides identified: one cone point of angle 6*pi.
-
-    Parameters (z1, z2, z3, z4) are the first four side vectors; the surface
-    lies in the stratum with a single zero of order 2.  Admissible iff the
-    octagon is simple and positively oriented.
-    """
-    return ChartModel("h2-octagon", 4, half_width)
-
-
-BUILTIN_CHARTS = {
-    "torus": build_torus_chart,
-    "h2-octagon": build_h2_octagon_chart,
-}
+BUILTIN_CHARTS = {"torus": 2, "h2-octagon": 4}  # name -> dim
 
 
 def get_chart(name: str, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> ChartModel:
     try:
-        factory = BUILTIN_CHARTS[name]
+        dim = BUILTIN_CHARTS[name]
     except KeyError:
         raise KeyError(f"unknown chart {name!r}; "
                        f"available: {sorted(BUILTIN_CHARTS)}") from None
-    return factory(half_width)
+    return ChartModel(name, dim, half_width)

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .surface import StratumSignature
+from .surface import StratumSignature, ValidationReport
 
 
 class GraphError(ValueError):
@@ -128,20 +128,8 @@ class EnhancedLevelGraph:
         )
 
 
-@dataclass(frozen=True)
-class GraphValidationReport:
-    errors: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def __str__(self):
-        return "valid" if self.ok else "\n".join(self.errors)
-
-
 def validate_graph(g: EnhancedLevelGraph,
-                   sig: StratumSignature | None = None) -> GraphValidationReport:
+                   sig: StratumSignature | None = None) -> ValidationReport:
     errors = []
     n = len(g.vertices)
     for e in g.edges:
@@ -157,7 +145,7 @@ def validate_graph(g: EnhancedLevelGraph,
         if not (0 <= h.vertex < n):
             errors.append(f"half-edge {h} references a missing vertex")
     if errors:
-        return GraphValidationReport(tuple(errors))
+        return ValidationReport(tuple(errors))
 
     levels = {v.level for v in g.vertices}
     depth = -min(levels)
@@ -194,7 +182,7 @@ def validate_graph(g: EnhancedLevelGraph,
             errors.append(
                 f"vertex {i}: orders sum to {total}, expected 2g-2 = "
                 f"{2 * v.genus - 2}")
-    return GraphValidationReport(tuple(errors))
+    return ValidationReport(tuple(errors))
 
 
 def compute_a(g: EnhancedLevelGraph) -> dict[int, int]:

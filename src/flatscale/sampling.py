@@ -47,7 +47,11 @@ call: one batch ear clip of all their polygons, the cached tables of each
 distinct triangulation gathered once onto the rows of its surfaces, and
 the edge vectors as one array, all in one ``SurfaceBatch`` of flat
 half-edge arrays; no sample is checked again or made into a
-``TranslationSurface``.
+``TranslationSurface``.  A torus built on its reduced basis B (u, v) has
+its edge rows in that basis; ``SurfaceBatch.rebased`` rewrites each row c
+as c @ B, its row in the chart's (u, v), before the search, so there is
+no class map: every class comes out of the unfolding in chart
+coordinates, where the ranks and subspaces are taken.
 A row the batch ear clip rejects is built alone with ``ChartModel.build``,
 which raises; it is counted in ``ScanResult.build_failures``, stays in the
 plain cone count and is accepted by no radius cell.
@@ -55,17 +59,14 @@ plain cone count and is accepted by no radius cell.
 The built surfaces are unfolded together, in one ``unfold_surfaces`` call
 per batch.  Each surface's connections, ranks and nodes do not depend on
 which batch holds it, so the counts and ``ScanResult.unfolding_nodes`` do
-not depend on the worker count.  Each torus's classes come in its reduced
-basis B (u, v); one int64 product, ``classes @ B``, maps them back to the
-chart's (u, v) before the ranks, so ranks and subspaces stay in chart
-coordinates.  Each surface's connections come sorted by length, and its
-prefix ranks give R_i, the length at which the rank first reaches i + 1
-(inf if it never does).  They come from a greedy pass that keeps the rows
-found independent so far and ranks them with the next class not seen
-before on the surface, stopping at rank k_max.  It runs for all surfaces
-of the batch in rounds: each round ranks [independent rows + next new
-class] of every unfinished surface, one stacked ``independence_rank`` call
-per matrix height.  Cell (eps_1 <= ... <= eps_k) accepts the surface iff
+not depend on the worker count.  Each surface's connections come sorted
+by length, and its prefix ranks give R_i, the length at which the rank
+first reaches i + 1 (inf if it never does).  They come from a greedy pass
+that keeps the rows found independent so far and ranks them with the next
+class not seen before on the surface, stopping at rank k_max.  It runs
+for all surfaces of the batch in rounds: each round ranks [independent
+rows + next new class] of every unfinished surface, one stacked
+``independence_rank`` call per matrix height.  Cell (eps_1 <= ... <= eps_k) accepts the surface iff
 R_i <= eps_(i+1) for every i < k: the connections no longer than
 eps_(i+1) are a prefix of the sorted list, and they reach rank i + 1 iff
 that prefix contains the one at R_i.  One broadcast comparison of the
@@ -85,7 +86,6 @@ import numpy as np
 from .charts import ChartModel, get_chart, square_box_volume
 from .homology import LinearSubspace, independence_rank
 from .surface import (
-    INT64_LIMIT,
     SurfaceError,
     distinct_rows,
     polygon_simple_mask,
@@ -167,10 +167,11 @@ def _unit_area_check(x: np.ndarray):
     and every unit-area side is the one the shoelace area of every row
     gives, bit for bit.
 
-    A sliver of tiny area rescales to vertices whose products overflow.
-    Its shortest edge is then far below the mask's relative tolerance, and
-    inf or nan fail every strict test, so it is rejected; the overflow is
-    expected and not reported.
+    A row whose products overflow has a shoelace area of inf or nan, and a
+    sliver of tiny area rescales to vertices whose products overflow (its
+    shortest edge is then far below the mask's relative tolerance).  inf
+    and nan fail every strict test, so the gates decide such rows; the
+    overflow is expected and not reported.
     """
     n = x.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,7 +186,8 @@ def _unit_area_check(x: np.ndarray):
         margin = 1e-12 * n * n * (s * s) + _FLOAT_TINY
     above = closed > 1.0 + margin
     near = x[~(above | (closed < -margin))]
-    area = shoelace_area(symmetric_vertices(near))
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = shoelace_area(symmetric_vertices(near))
     positive = area > 0
     small = positive & (area <= 1.0)
     unit = near[small] * (1.0 / np.sqrt(area[small]))[:, None]
@@ -235,25 +237,6 @@ def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
         ptr[live] += 1
 
 
-def _chart_classes(classes: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The classes (n, 2) of connections found on reduced tori, in the
-    chart's basis (u, v): row i is in the reduced basis ``basis[i]`` (u, v)
-    of its torus, so it maps to ``classes[i] @ basis[i]``, in int64.
-    Raises ``ValueError`` when some row's 2 max|class| max|B|, of its own
-    class and basis, could leave int64; the test is row by row, so it does
-    not depend on which rows share a batch."""
-    cmax = np.abs(classes).max(axis=1, initial=0)
-    bmax = np.abs(basis).max(axis=(1, 2), initial=0)
-    # for integers c, b >= 1: 2 c b >= 2**63 iff c > (2**62 - 1) // b
-    over = (bmax > 0) & (cmax > (INT64_LIMIT // 2 - 1) // np.maximum(bmax, 1))
-    if over.any():
-        i = int(np.argmax(over))
-        c, b = int(cmax[i]), int(bmax[i])
-        raise ValueError(f"class up to {c} in a basis up to {b} could "
-                         f"reach {2 * c * b}, beyond int64 (2**63)")
-    return (classes[:, None, :] @ basis)[:, 0]
-
-
 def _rebuild_rejected(chart: ChartModel, sides: np.ndarray) -> int:
     """Build each row of ``sides`` that the batch builder rejected on its
     own, through ``chart.build``, so that it raises its ``SurfaceError``
@@ -290,7 +273,8 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
                       cone_sides: np.ndarray, radii: np.ndarray, l_max: float,
                       budget: int) -> tuple[np.ndarray, int, int]:
     """The back end of a batch of cone samples, from any chunks: reduce
-    (tori), build, unfold to ``l_max``, rank and test every radius cell.
+    (tori), build, rebase (tori), unfold to ``l_max``, rank and test every
+    radius cell.
 
     ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
     Returns the accepted count of each cell, the build failures and the
@@ -303,14 +287,12 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
         # has two fat triangles, whose unfolding expands few nodes.
         cone_sides, basis = reduce_lattice_bases(cone_sides)
     surfaces, built = chart.build_batch(cone_sides)
+    if basis is not None:
+        # the rows are in the reduced bases: rebase them to the chart's
+        # (u, v), so the classes, and the ranks, are in chart coordinates
+        surfaces = surfaces.rebased(basis[built])
     failures = _rebuild_rejected(chart, cone_sides[~built])
     batch = unfold_surfaces(surfaces, l_max, budget=budget)
-    if basis is not None and len(batch.classes):
-        # the classes are in the reduced bases: map them back to the
-        # chart's (u, v), where the ranks are taken
-        surf = np.repeat(np.arange(len(surfaces)), np.diff(batch.offsets))
-        batch = batch._replace(classes=_chart_classes(
-            batch.classes, basis[built][surf]))
     # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
     # every i < k; radii past k are inf and pass.
     thresholds = _rank_thresholds(batch, subspace, radii.shape[1])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,14 +64,16 @@ class StratumSignature:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    metric_errors: tuple[str, ...]
+    """What a validation found: one message per fault, none when valid."""
+
+    errors: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.metric_errors
+        return not self.errors
 
     def __str__(self):
-        return "\n".join(self.metric_errors) if self.metric_errors else "valid"
+        return "\n".join(self.errors) if self.errors else "valid"
 
 
 class TranslationSurface:
@@ -617,6 +619,10 @@ class SurfaceBatch:
     surf           (H,) the surface of each half-edge
     dims           per surface, its row length, or None without rows
     coeff_max      largest |c| in ``coeffs``
+
+    A surface built on other coordinates w = B z of the chart's z (a torus
+    on its reduced basis) has rows in w; :meth:`rebased` rewrites them in
+    z, so the unfolding's classes come out in chart coordinates.
     """
 
     edge: np.ndarray
@@ -639,6 +645,34 @@ class SurfaceBatch:
                                + [X._edges.reshape(-1) for X in surfaces])
         return _gather(edges, [X._tables for X in surfaces],
                        np.arange(len(surfaces)))
+
+    def rebased(self, basis) -> "SurfaceBatch":
+        """The batch with each chart row c of surface s, padded to D,
+        rewritten as c @ basis[s]: for a surface built on the coordinates
+        w = basis[s] z, its rows in z.  ``basis`` is (n, D, D) integer.
+        Raises ``ValueError`` when D coeff_max max|basis|, the most an
+        entry or a partial sum could reach, reaches 2**63; like the
+        unfolding's guard, it bounds the whole batch.  A batch of no
+        surfaces, whose rows have no columns, is its own rebase.
+        """
+        if not len(self):
+            return self
+        basis = np.asarray(basis, dtype=np.int64)
+        d = self.coeffs.shape[0]
+        if basis.shape != (len(self), d, d):
+            raise ValueError(f"need a {(len(self), d, d)} basis per surface, "
+                             f"got shape {basis.shape}")
+        bmax = max(int(basis.max()), -int(basis.min()))
+        if d * self.coeff_max * bmax >= INT64_LIMIT:
+            raise ValueError(f"{d} rows up to {self.coeff_max} times a basis "
+                             f"up to {bmax} could reach 2**63, beyond int64")
+        b = basis.take(self.surf, 0)  # each half-edge's basis
+        coeffs = np.zeros_like(self.coeffs)
+        for i in range(d):
+            for j in range(d):
+                coeffs[j] += self.coeffs[i] * b[:, i, j]
+        return replace(self, coeffs=coeffs,
+                       coeff_max=int(np.abs(coeffs).max(initial=0)))
 
 
 def _gather(edges, tables, kind) -> SurfaceBatch:

@@ -22,10 +22,11 @@ level of chain depth per step.  It reads the flat half-edge arrays of a
 :class:`~flatscale.surface.SurfaceBatch` (edge vectors, global neighbours,
 corner vertices, chart rows) as they are.  The frontier of every corner of
 every surface lives in flat arrays too: root corner, entry half-edge, the two
-developed corner positions and their int64 classes, and the wedge.  A step
-expands a whole level and lays out each node's children in parent order,
-the child through edge e+1 before the child through edge e+2, so each
-corner's nodes come out in breadth-first order.  The float arithmetic is
+developed corner positions, the int64 class of the second (an apex's class
+is that plus the row of the edge from it to the apex), and the wedge.  A
+step expands a whole level and lays out each node's children in parent
+order, the child through edge e+1 before the child through edge e+2, so
+each corner's nodes come out in breadth-first order.  The float arithmetic is
 that of a scalar search, done in the same order, so every surface gets
 exactly the connections it gets alone.
 
@@ -218,9 +219,10 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
     contiguous rows, and a level's children are laid out (node, child)
     along the last axis, which keeps them in parent order.  A level costs
     some fixed numpy calls whatever its width, and most levels are narrow,
-    so the loop makes few: the int node state is one array, taken once
-    per level, and the nodes are counted per surface lazily.  Until the
-    batch total passes ``budget`` no surface can, so one ``bincount`` at
+    so the loop makes few: the int node state is one array of D + 2 rows
+    (the class of the entry edge's second corner, the entry half-edge, the
+    root corner), taken once per level, and the nodes are counted per
+    surface lazily.  Until the batch total passes ``budget`` no surface can, so one ``bincount`` at
     the end counts them; from then on every level is counted and checked,
     so the budget error comes at the level, and names the surface, that
     counting every level gives.
@@ -257,15 +259,14 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
 
     # Node state.  f: the positions of corners e (pa) and e+1 (pb) of the
     # entry edge, then the wedge as lo.x, hi.y, lo.y, hi.x, so that one
-    # product gives both boundary crosses.  q, int64: the classes of pa,
-    # then pb, then the entry half-edge and the root corner, so that one
-    # take carries all of them to the next level.
+    # product gives both boundary crosses.  q, int64: the class of pb, then
+    # the entry half-edge and the root corner, so that one take carries all
+    # of them to the next level.
     dim = coeffs.shape[0]
-    he_row, root_row = 2 * dim, 2 * dim + 1
+    he_row, root_row = dim, dim + 1
     f = np.concatenate([eb[:, root], ea[:, root], lo[:1, root], hi[1:, root],
                         lo[1:, root], hi[:1, root]])
-    q = np.concatenate([-coeffs[:, prv[root]], coeffs[:, root],
-                        nbr[nxt[root]][None], root[None]])
+    q = np.concatenate([coeffs[:, root], nbr[nxt[root]][None], root[None]])
     del eb, la2, lo, hi, ok, root
     # Per entry half-edge: the edge vector and class of edge e+1, the end
     # vertex of an apex emit, and the entries of the two children.  The
@@ -297,7 +298,7 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
                     f"(surface {int(nodes.argmax())} of the batch)")
 
         apex = f[2:4] + apex_edge.take(he, 1)
-        capex = q[dim:he_row] + apex_class.take(he, 1)
+        capex = q[:dim] + apex_class.take(he, 1)
         r2 = _norm2(apex)
         rm = np.sqrt(r2)
         cross = f[4:6] * apex[::-1] - f[6:8] * apex  # (cl, ch)
@@ -309,11 +310,12 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
                           apex_vert.take(he.take(hit)), capex.take(hit, 1),
                           np.full(hit.size, level), hit))
 
-        # Child 0 crosses edge e+1, from pb to the apex; child 1 crosses edge
-        # e+2, from the apex to pa.  The wedge is split at the apex direction
-        # with open boundaries: child 0 keeps (lo, apex), child 1
-        # (apex, hi).  With the apex at or before lo only child 1 goes on,
-        # with (lo, hi); at or beyond hi only child 0.
+        # Child 0 crosses edge e+1, from pb to the apex, and keeps pb and its
+        # class; child 1 crosses edge e+2, from the apex to pa, whose pb is
+        # the apex.  The wedge is split at the apex direction with open
+        # boundaries: child 0 keeps (lo, apex), child 1 (apex, hi).  With the
+        # apex at or before lo only child 1 goes on, with (lo, hi); at or
+        # beyond hi only child 0.
         ap = apex / rm
         g = _twice(f)
         g[0:2, :, 0] = apex
@@ -330,8 +332,7 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
             parent = sel >> 1
 
         gq = _twice(q)
-        gq[:dim, :, 0] = capex
-        gq[dim:he_row, :, 1] = capex
+        gq[:dim, :, 1] = capex
         gq[he_row] = kids.take(he, 0)
         f = g.reshape(8, 2 * n).take(sel, 1)
         q = gq.reshape(root_row + 1, 2 * n).take(sel, 1)

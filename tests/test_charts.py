@@ -1,10 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from flatscale.charts import get_chart
-from flatscale.surface import StratumSignature, SurfaceError
+from flatscale.charts import BUILTIN_CHARTS, ChartModel, get_chart
+from flatscale.surface import (
+    StratumSignature,
+    SurfaceError,
+    polygon_simple_mask,
+    shoelace_area,
+    symmetric_vertices,
+)
 from flatscale.unfolding import enumerate_saddle_connections
 
 
@@ -67,3 +74,38 @@ class TestOctagonChart:
     def test_dim(self):
         sig = StratumSignature((2,))
         assert self.chart.dim == sig.dimension == 4
+
+
+class TestChartTable:
+    """The built-in charts are a table of names and dims."""
+
+    def test_get_chart(self):
+        assert BUILTIN_CHARTS == {"torus": 2, "h2-octagon": 4}
+        assert get_chart("torus", 1.0) == ChartModel("torus", 2, 1.0)
+        assert get_chart("h2-octagon") == ChartModel("h2-octagon", 4, 2.0)
+        assert get_chart("torus", 1.0).box_volume == pytest.approx(16.0)
+        with pytest.raises(KeyError, match="unknown chart 'decagon'"):
+            get_chart("decagon")
+
+    @pytest.mark.parametrize("name, z", [
+        ("torus", [1e200, 1e200j]),
+        ("torus", [1e200j, 1e200]),
+        ("torus", [1e200, 3e199j]),
+        ("h2-octagon", [1e200, 1e200j, -1e200 + 1e200j, -1e200]),
+        ("h2-octagon", [1e200, 1e200 + 1e200j, 1e200j, -1e200 + 1e200j]),
+    ])
+    def test_admissible_on_overflowing_rows(self, name, z):
+        """``admissible`` is a predicate that inf and nan decide, so it
+        reports no overflow; ``area``, whose value overflowed, does."""
+        chart = get_chart(name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            verts = symmetric_vertices(z)
+            want = bool(shoelace_area(verts) > 0
+                        and polygon_simple_mask(verts)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chart.admissible(z) == want
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chart.area(z)
+        assert any("overflow" in str(w.message) for w in caught)

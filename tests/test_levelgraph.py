@@ -13,7 +13,7 @@ from flatscale.levelgraph import (
     rescale_factor,
     validate_graph,
 )
-from flatscale.surface import StratumSignature
+from flatscale.surface import StratumSignature, ValidationReport
 
 
 def h22_graph():
@@ -63,6 +63,8 @@ class TestValidation:
     def test_h22_valid(self):
         report = validate_graph(h22_graph(), StratumSignature((2, 2)))
         assert report.ok, str(report)
+        # one report type for surfaces and graphs
+        assert type(report) is ValidationReport and str(report) == "valid"
 
     def test_h31_valid(self):
         report = validate_graph(h31_graph(), StratumSignature((3, 1)))

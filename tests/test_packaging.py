@@ -80,6 +80,38 @@ def test_every_module_has_an_importer():
     assert sorted(modules - reached) == []
 
 
+def _names_used(path: Path) -> set[str]:
+    """Every name that the file at ``path`` reads, imports or reads as an
+    attribute."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used |= {a.name for a in node.names}
+    return used
+
+
+def test_every_export_is_used():
+    """Every name that ``flatscale/__init__.py`` imports is used by a
+    package module other than the one defining it, by a test or by a
+    perfbench file, so no export is left that nothing uses."""
+    root = PYPROJECT.parent
+    package = root / "src" / "flatscale"
+    exports = {}
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            exports.update((a.asname or a.name, node.module) for a in node.names)
+    files = [p for p in package.glob("*.py") if p.stem != "__init__"]
+    files += [*(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    used = [(p.stem, _names_used(p)) for p in files]
+    unused = [name for name, module in exports.items()
+              if not any(name in names for stem, names in used if stem != module)]
+    assert len(exports) > 10 and sorted(unused) == []
+
+
 def test_no_private_cross_module_imports():
     """No package module imports a ``_``-prefixed name from another package
     module: what modules share is public."""

@@ -698,9 +698,12 @@ class TestCheckedSides:
 
 def _assert_check_matches_all_rows(x):
     """``_unit_area_check`` gives the gate count, the unit-area sides and
-    the admissible flags of the all-rows reference, bit for bit."""
+    the admissible flags of the all-rows reference, bit for bit, and
+    reports no overflow: inf and nan decide the gates of huge rows."""
     with np.errstate(all="ignore"):  # the reference overflows on huge rows
         want = all_rows_unit_area_check(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = sampling._unit_area_check(x)
     assert got[0] == want[0]
     assert got[1].shape == want[1].shape
@@ -929,28 +932,62 @@ def _canonical_rows(classes, length):
 
 class TestReducedTori:
     """The scan builds and unfolds each torus on its reduced basis B (u, v):
-    the same torus, so the same connections, whose classes ``@ B`` are the
-    chart classes of the raw build."""
+    the same torus, so the same connections.  ``SurfaceBatch.rebased(B)``
+    rewrites each row c of the build as c @ B, its row in the chart's
+    (u, v), so the unfolding gives the chart classes of the raw build."""
+
+    @staticmethod
+    def _exact_rebase(batch, basis):
+        """Each surface's columns times its basis, in Python ints."""
+        out = []
+        for s in range(len(batch)):
+            a, b = batch.start[s], batch.start[s + 1]
+            cols = batch.coeffs[:, a:b].T.astype(object)
+            out.append((cols @ basis[s].astype(object)).T)
+        return np.concatenate(out, axis=1).tolist()
+
+    @pytest.mark.parametrize("name", ["torus", "h2-octagon"])
+    def test_rebased_rows_are_rows_times_basis(self, name):
+        chart = get_chart(name)
+        W = LinearSubspace(chart.dim)
+        sides = sampling._process_chunk(chart, W, 17, 0, 4096)[0][:60]
+        batch, built = chart.build_batch(sides)
+        assert built.all()
+        if name == "torus":
+            basis = reduce_lattice_bases(sides)[1]
+        else:
+            basis = np.random.default_rng(3).integers(
+                -50, 51, size=(len(batch), 4, 4))
+        assert len(np.unique(basis.reshape(len(batch), -1), axis=0)) > 10
+        got = batch.rebased(basis)
+        assert got.coeffs.dtype == np.int64
+        assert got.coeffs.tolist() == self._exact_rebase(batch, basis)
+        assert got.coeff_max == int(np.abs(got.coeffs).max())
+        for field in ("edge", "neighbor", "corner_vertex", "start", "surf",
+                      "dims"):
+            assert getattr(got, field) is getattr(batch, field)
+        # the identity changes nothing
+        eye = np.broadcast_to(np.eye(chart.dim, dtype=np.int64),
+                              basis.shape)
+        assert np.array_equal(batch.rebased(eye).coeffs, batch.coeffs)
 
     def test_each_surface_has_the_raw_connections(self):
         chart = get_chart("torus")
         raw = _cone_sides(41, 0, 10_000)
         reduced, basis = reduce_lattice_bases(raw)
         L = 0.45
-        got, want = [], []
-        for sides, out in ((raw, want), (reduced, got)):
-            surfaces, built = chart.build_batch(sides)
-            assert built.all()
-            out.append(unfold_surfaces(surfaces, L))
-        want, got = want[0], got[0]
+        surfaces, built = chart.build_batch(raw)
+        assert built.all()
+        want = unfold_surfaces(surfaces, L)
+        surfaces, built = chart.build_batch(reduced)
+        assert built.all()
+        got = unfold_surfaces(surfaces.rebased(basis), L)
         assert len(raw) == 2098
+        assert got.classes.dtype == np.int64
         assert np.array_equal(got.offsets, want.offsets)
-        surf = np.repeat(np.arange(len(raw)), np.diff(got.offsets))
-        mapped = sampling._chart_classes(got.classes, basis[surf])
-        assert mapped.dtype == np.int64
         for a, b in zip(want.offsets[:-1].tolist(), want.offsets[1:].tolist()):
             want_c, want_l = _canonical_rows(want.classes[a:b], want.length[a:b])
-            got_c, got_l = _canonical_rows(mapped[a:b], got.length[a:b])
+            got_c, got_l = _canonical_rows(got.classes[a:b], got.length[a:b])
             assert np.array_equal(got_c, want_c)
             assert np.allclose(got_l, want_l, rtol=1e-12, atol=0)
         # the long thin tori are what the reduction removes
@@ -968,14 +1005,17 @@ class TestReducedTori:
         two = scan_chart("torus", W, cells, 20_000, 3, threads=2,
                          chunk_size=8192)
         assert two == got
+        calls = []
 
         def unreduced(sides):
+            calls.append(len(sides))
             basis = np.zeros((len(sides), 2, 2), np.int64)
             basis[:, 0, 0] = basis[:, 1, 1] = 1
             return sides, basis
 
         monkeypatch.setattr(sampling, "reduce_lattice_bases", unreduced)
         want = scan_chart("torus", W, cells, 20_000, 3, chunk_size=8192)
+        assert calls and sum(calls) == want.admissible == got.admissible
         assert got.estimates == want.estimates
         assert any(e.accepted for e in got.estimates[1:])
         assert 0 < 5 * got.unfolding_nodes < want.unfolding_nodes
@@ -983,7 +1023,7 @@ class TestReducedTori:
     @pytest.mark.parametrize("rows", [[[1.0], [1.0]], [[1.0], [-2.0]]])
     def test_chunks_without_connections(self, rows):
         # a real line of C^2 holds only degenerate tori, so no chunk has a
-        # cone sample, a surface or a connection to map
+        # cone sample, a surface or a connection
         with pytest.warns(RuntimeWarning, match="admissibility rejection"):
             res = scan_chart("torus", real_subspace(np.array(rows)),
                              [None, (0.3,), (0.3, 0.45)], 2000, 1,
@@ -991,30 +1031,45 @@ class TestReducedTori:
         assert [e.accepted for e in res.estimates] == [0, 0, 0]
         assert res.unfolding_nodes == 0
 
-    def test_class_map_stays_in_int64(self):
-        classes = np.array([[2**40, -1], [3, 2**40]], dtype=np.int64)
-        basis = np.array([[[2**22 - 1, 1], [-1, 0]]] * 2, dtype=np.int64)
-        got = sampling._chart_classes(classes, basis)
-        want = [[sum(c * int(b[i][j]) for i, c in enumerate(row))
-                 for j in range(2)]
-                for row, b in zip(classes.tolist(), basis.tolist())]
-        assert got.tolist() == want
-        # 2 max|class| max|B| = 2**63 could leave int64
-        basis[0, 0, 0] = 2**22
-        with pytest.raises(ValueError, match="beyond int64"):
-            sampling._chart_classes(classes, basis)
-        # the guard is row by row: a large class in a small basis and a
-        # small class in a large basis pass, alone or in one batch, though
-        # the batch's largest class times its largest basis would not
-        classes = np.array([[2**40, -1], [3, 1]], dtype=np.int64)
-        basis = np.array([[[1, 1], [-1, 0]], [[2**22, 1], [-1, 0]]],
-                         dtype=np.int64)
-        assert 2 * 2**40 * 2**22 == 2**63
-        got = sampling._chart_classes(classes, basis)
-        assert got.tolist() == [[2**40 + 1, 2**40], [3 * 2**22 - 1, 3]]
-        for i in range(2):
-            assert sampling._chart_classes(classes[i:i + 1],
-                                           basis[i:i + 1]).tolist() == [got[i].tolist()]
+    def test_rebased_stays_in_int64(self):
+        """D coeff_max max|B| bounds every entry and partial sum: at
+        2**63 - 2 the rows are exact, at 2**63 ``rebased`` raises."""
+        batch, built = get_chart("torus").build_batch(np.array([[1, 1j]]))
+        assert built.all() and batch.coeff_max == 1
+        # the diagonal's row is +-(1, -1), which reaches 2 max|B|
+        assert (batch.coeffs[0] == -batch.coeffs[1]).sum() == 2
+        basis = np.array([[[2**62 - 1, 0], [1 - 2**62, 1]]], dtype=np.int64)
+        got = batch.rebased(basis)
+        assert got.coeffs.tolist() == self._exact_rebase(batch, basis)
+        assert got.coeff_max == 2**63 - 2
+        for big in (2**62, -2**62, -2**63):
+            basis[0, 0, 0] = big
+            with pytest.raises(ValueError, match="beyond int64"):
+                batch.rebased(basis)
+        with pytest.raises(ValueError, match="basis per surface"):
+            batch.rebased(basis[:, :1])
+
+    def test_unfolding_guard_on_rebased_batch(self):
+        """The unfolding's int64 guard reads the rebased rows: past
+        coeff_max (budget + 2) < 2**63 it refuses to start, naming
+        budget + 2; just below it the classes are the raw ones times B."""
+        chart = get_chart("torus")
+        batch, built = chart.build_batch(np.array([[1, 1j], [1, 0.5 + 1j]]))
+        assert built.all()
+        basis = np.array([[[2**40, 0], [0, 1]], [[1, 0], [3, 1]]], np.int64)
+        rebased = batch.rebased(basis)
+        assert rebased.coeff_max == 2**40
+        budget = 2**23 - 2
+        with pytest.raises(ValueError) as err:
+            unfold_surfaces(rebased, 1.5, budget=budget)
+        assert str(budget + 2) in str(err.value)
+        got = unfold_surfaces(rebased, 1.5, budget=budget - 1)
+        want = unfold_surfaces(batch, 1.5)
+        assert np.array_equal(got.offsets, want.offsets)
+        surf = np.repeat(np.arange(2), np.diff(want.offsets))
+        assert got.classes.tolist() == [
+            (np.array(c, dtype=object) @ basis[s].astype(object)).tolist()
+            for c, s in zip(want.classes.tolist(), surf.tolist())]
 
 
 class TestCountConeBatch:

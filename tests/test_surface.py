@@ -90,7 +90,7 @@ class TestValidation:
         bad = TranslationSurface(tri, X.gluings)
         report = bad.validate()
         assert not report.ok
-        assert any("close up" in e or "opposite" in e for e in report.metric_errors)
+        assert any("close up" in e or "opposite" in e for e in report.errors)
 
     # a, b and c are the square torus's glued pairs.  Edges glued to
     # themselves and missing keys come as a whole pair, so that reading
