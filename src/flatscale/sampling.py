@@ -56,10 +56,19 @@ A row the batch ear clip rejects is built alone with ``ChartModel.build``,
 which raises; it is counted in ``ScanResult.build_failures``, stays in the
 plain cone count and is accepted by no radius cell.
 
-The built surfaces are unfolded together, in one ``unfold_surfaces`` call
-per batch.  Each surface's connections, ranks and nodes do not depend on
-which batch holds it, so the counts and ``ScanResult.unfolding_nodes`` do
-not depend on the worker count.  Each surface's connections come sorted
+So the back end runs, per batch: reduce (tori), build, rebase (tori),
+retriangulate, unfold, rank, test the cells.  ``SurfaceBatch.delaunay``
+retriangulates the built surfaces toward Delaunay in a few vectorised
+rounds of cylinder twists and edge flips.  The ear clip leaves long thin
+triangles, and a Delaunay surface unfolds to the same connections with
+about half the chain nodes and far fewer narrow levels.  The
+retriangulated surfaces are unfolded together, in one ``unfold_surfaces``
+call per batch, and ``ScanResult.unfolding_nodes`` counts the nodes of the
+retriangulated surfaces.  Each surface's retriangulation, connections,
+ranks and nodes do not depend on which batch holds it, so the counts and
+the nodes do not depend on the worker count.
+
+Each surface's connections come sorted
 by length, and its prefix ranks give R_i, the length at which the rank
 first reaches i + 1 (inf if it never does).  They come from a greedy pass
 that keeps the rows found independent so far and ranks them with the next
@@ -129,7 +138,7 @@ class ScanResult:
     admissible: int  # of those, the ones the mask passes: the cone
     admissible_fraction: float  # admissible / area_at_most_one, or 0.0
     build_failures: int  # cone samples whose build raised SurfaceError
-    unfolding_nodes: int  # chain nodes the unfolding expanded, all batches
+    unfolding_nodes: int  # chain nodes of the retriangulated surfaces, all batches
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -273,8 +282,8 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
                       cone_sides: np.ndarray, radii: np.ndarray, l_max: float,
                       budget: int) -> tuple[np.ndarray, int, int]:
     """The back end of a batch of cone samples, from any chunks: reduce
-    (tori), build, rebase (tori), unfold to ``l_max``, rank and test every
-    radius cell.
+    (tori), build, rebase (tori), retriangulate toward Delaunay, unfold to
+    ``l_max``, rank and test every radius cell.
 
     ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
     Returns the accepted count of each cell, the build failures and the
@@ -292,6 +301,7 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
         # (u, v), so the classes, and the ranks, are in chart coordinates
         surfaces = surfaces.rebased(basis[built])
     failures = _rebuild_rejected(chart, cone_sides[~built])
+    surfaces = surfaces.delaunay()  # the same surfaces, half the chain nodes
     batch = unfold_surfaces(surfaces, l_max, budget=budget)
     # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
     # every i < k; radii past k are inf and pass.
@@ -365,7 +375,8 @@ def scan_chart(
     radius (a number or a 0-d array) or a sequence of at least one; radii
     must be finite and positive.  ``samples``, ``chunk_size``, ``budget``
     and ``threads`` must be integers, not bools, of at least 1
-    (``samples`` at least 1000); a ``ValueError`` names the argument
+    (``samples`` at least 1000), and ``seed`` an integer, not a bool, in
+    [0, 2**128), the Philox key range; a ``ValueError`` names the argument
     otherwise.
     """
     if isinstance(chart, str):
@@ -380,6 +391,10 @@ def scan_chart(
         # bool is Integral, but True is no count
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{arg} must be an integer, got {value!r}")
+    # a Philox key: None would draw OS entropy, which no rerun repeats
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= int(seed) < 2**128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
     for arg, value in (("chunk_size", chunk_size), ("budget", budget),

@@ -24,6 +24,7 @@ TOL_GLUING = 1e-9
 TOL_ANGLE = 1e-7
 TOL_SIMPLE = 1e-12  # of the polygon simplicity test
 INT64_LIMIT = 2**63  # |c| of every chart coefficient and class stays below it
+DELAUNAY_ROUNDS = 8  # twist-and-flip rounds SurfaceBatch.delaunay runs at most
 
 
 class SurfaceError(ValueError):
@@ -623,6 +624,13 @@ class SurfaceBatch:
     A surface built on other coordinates w = B z of the chart's z (a torus
     on its reduced basis) has rows in w; :meth:`rebased` rewrites them in
     z, so the unfolding's classes come out in chart coordinates.
+
+    :meth:`delaunay` retriangulates every surface toward Delaunay: rounds
+    that twist two-triangle cylinders by whole multiples of their core and
+    flip edges whose opposite angles sum past pi, all surfaces at once, at
+    most ``DELAUNAY_ROUNDS`` of them.  The surfaces, their vertices and
+    their classes stay the same, so the unfolding finds the same
+    connections, with fewer chain nodes; the cap costs speed only.
     """
 
     edge: np.ndarray
@@ -673,6 +681,266 @@ class SurfaceBatch:
                 coeffs[j] += self.coeffs[i] * b[:, i, j]
         return replace(self, coeffs=coeffs,
                        coeff_max=int(np.abs(coeffs).max(initial=0)))
+
+    def delaunay(self) -> "SurfaceBatch":
+        """The same surfaces retriangulated toward Delaunay, as a new batch.
+
+        Each surface is retriangulated on its own, in rounds that run for
+        the whole batch at once.  An edge is a candidate when cot(alpha) +
+        cot(beta) < -1e-9, alpha and beta the angles opposite it; the cot
+        of the angle opposite a half-edge is -(b . c) / cross(b, c), from
+        the two edges b, c that follow it in its triangle.  First each
+        glued pair is made exactly opposite (the later half-edge takes the
+        negated vector of the earlier, which the ear clip matched only to
+        rounding); then a round takes two steps:
+
+        1. Twist.  A candidate glued between triangles t and u that share
+           exactly two edge pairs crosses a two-triangle cylinder: t's
+           third edge c and u's, -c, bound it.  With p and q the edges
+           after c in t and k = rint(Re(p conj c) / |c|^2), a cylinder with
+           |k| >= 2 gets p - k c for p and q + k c for q, their rows alike,
+           and the glued half-edges the negated vectors and rows; nothing
+           else changes.  Every cylinder with |k| >= 2 has a candidate,
+           unless it is some 10^9 times taller than its core.
+        2. Flip.  Of the candidates on no triangle just twisted, each
+           surface flips those whose (cot sum, half-edge) is the least
+           among the candidates of both their triangles, an independent
+           set.  Flipping h (in t, from P to Q, then b, c) glued to g (in
+           u, then d, e) puts c + d, from R to S, at h and its negation at
+           g; t keeps (c + d, e, b) and u (-(c + d), c, d), each edge with
+           its corner vertex and row.
+
+        A surface stops when a round changes nothing, and all of them after
+        ``DELAUNAY_ROUNDS``: any triangulation unfolds correctly, so the
+        cap costs speed only, and every class is the row of a chain of
+        edges, so the unfolding finds the same connections.  A twist or
+        flip whose new rows would pass max(2**31, the largest |c| its
+        surface came with) is skipped, as is a twist whose k is not finite
+        or reaches 2**62, so coeff_max stays within max(2**31, coeff_max).
+        """
+        work = _Retriangulation(self)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            work.score_all()
+            for _ in range(DELAUNAY_ROUNDS):
+                fh = work.candidates()
+                if not fh.size:
+                    break
+                twisted, fh = work.twist(fh)
+                changed = np.concatenate([twisted, work.flip(fh)])
+                if not changed.size:
+                    break
+                work.score(changed)
+        return work.batch()
+
+
+class _Retriangulation:
+    """The working state of :meth:`SurfaceBatch.delaunay`: copies of the
+    batch's half-edge arrays, and per half-edge minus the cot of its
+    opposite angle and whether its edge is a candidate.  A cot depends on
+    its own triangle alone, so after a round only the triangles it changed
+    are scored again."""
+
+    def __init__(self, batch: SurfaceBatch):
+        self.source = batch
+        self.edge, self.rows = batch.edge.copy(), batch.coeffs.copy()
+        self.nbr, self.vert = batch.neighbor.copy(), batch.corner_vertex.copy()
+        # the identity, but while a flip moves half-edges
+        self.where = h = np.arange(self.nbr.size)
+        self.nxt, self.prv = h + 1, h - 1  # in the half-edge's triangle
+        self.nxt[2::3] -= 3
+        self.prv[::3] += 3
+        n_tri = self.nbr.size // 3
+        self.cot = np.empty(self.nbr.size)
+        self.cand = np.zeros(self.nbr.size, bool)
+        self.twisted = np.zeros(n_tri, bool)
+        self.best, self.least = np.empty(n_tri), np.empty(n_tri, np.int64)
+        self.guard = _RowGuard(batch)
+        upper = (self.where > self.nbr).nonzero()[0]
+        _put(self.edge, upper, -self.edge.take(self.nbr.take(upper), 1))
+
+    def score_all(self) -> None:
+        """Score every half-edge, and the candidacy of every edge."""
+        n_tri = self.nbr.size // 3
+        x, y = self.edge.reshape(2, n_tri, 3)
+        cot3 = self.cot.reshape(n_tri, 3)
+        for k in range(3):  # a column at a time: no takes
+            cot3[:, k] = _cot((x[:, k - 2], y[:, k - 2]), (x[:, k - 1], y[:, k - 1]))
+        self.cand = self.cot + self.cot.take(self.nbr) > 1e-9  # both halves
+
+    def score(self, h) -> None:
+        """Score again the half-edges ``h``, whole triangles, and the
+        candidacy of their edges."""
+        edge, cot = self.edge, self.cot
+        cot[h] = _cot(edge.take(self.nxt.take(h), 1), edge.take(self.prv.take(h), 1))
+        g = self.nbr.take(h)
+        self.cand[h] = self.cand[g] = cot.take(h) + cot.take(g) > 1e-9
+
+    def candidates(self):
+        """The earlier half-edge of each candidate edge, in order."""
+        fh = self.cand.nonzero()[0]
+        return fh[fh < self.nbr.take(fh)]
+
+    def twist(self, fh):
+        """Twist the cylinders that the candidates ``fh`` cross; returns
+        the half-edges of the twisted triangles and the candidates on
+        none of them."""
+        edge, rows, nbr, nxt, prv = self.edge, self.rows, self.nbr, self.nxt, self.prv
+        none = fh[:0]
+        u = nbr.take(fh) // 3
+        # c is the edge of fh's triangle that is not glued to u
+        to_u = nbr.take(nxt.take(fh)) // 3 == u
+        cyl = (to_u != (nbr.take(prv.take(fh)) // 3 == u)).nonzero()[0]
+        if not cyl.size:
+            return none, fh
+        f = fh.take(cyl)
+        hc = np.where(to_u.take(cyl), prv.take(f), nxt.take(f))
+        c, p = edge.take(hc, 1), edge.take(nxt.take(hc), 1)
+        k = np.rint((p[0] * c[0] + p[1] * c[1]) / (c[0] * c[0] + c[1] * c[1]))
+        go = ((np.abs(k) >= 2) & (np.abs(k) < 2.0**62)).nonzero()[0]
+        if go.size > 1:
+            # a cylinder once: either candidate that found it gives the
+            # same twist, bit for bit, so any one may stay
+            pair = np.minimum(hc // 3, u.take(cyl)).take(go)
+            self.least[pair] = go
+            go = go[self.least.take(pair) == go]
+        if not go.size:
+            return none, fh
+        hc, k = hc.take(go), k.take(go)
+        hp, hq = nxt.take(hc), prv.take(hc)
+        ops = (rows.take(hp, 1), rows.take(hq, 1), rows.take(hc, 1),
+               k.astype(np.int64))
+        fit = self.guard.fits(_twisted, hc, np.abs(k).max() + 1, *ops)
+        if fit is not None:
+            hc, hp, hq, k = hc[fit], hp[fit], hq[fit], k[fit]
+            ops = tuple(a[..., fit] for a in ops)
+        kc = k * edge.take(hc, 1)
+        side = np.concatenate([hp, hq])
+        far = nbr.take(side)
+        new = np.concatenate([edge.take(hp, 1) - kc, edge.take(hq, 1) + kc], axis=1)
+        r = np.concatenate(_twisted(*ops), axis=1)
+        for a, v in ((edge, new), (rows, r)):
+            _put(a, side, v)
+            _put(a, far, -v)
+        self.guard.grow(r)
+        tri = np.concatenate([hc, far[:hc.size]]) // 3  # t and u
+        self.twisted[tri] = True
+        keep = ~(self.twisted.take(fh // 3) | self.twisted.take(nbr.take(fh) // 3))
+        self.twisted[tri] = False
+        # t's half-edges c, p, q, and u's -p, -q and -c before -p
+        return np.concatenate([hc, side, far, prv.take(far[:hc.size])]), fh[keep]
+
+    def flip(self, fh):
+        """Flip the candidates ``fh`` that are the least, by (cot sum,
+        half-edge), in both their triangles; returns the half-edges of
+        the flipped triangles."""
+        edge, rows, vert, nbr = self.edge, self.rows, self.vert, self.nbr
+        if not fh.size:
+            return fh
+        fg = nbr.take(fh)
+        s = self.cot.take(fh) + self.cot.take(fg)  # minus the cot sum
+        t, u = fh // 3, fg // 3
+        best, least = self.best, self.least
+        best[t] = best[u] = -np.inf
+        np.maximum.at(best, t, s)
+        np.maximum.at(best, u, s)
+        at_t, at_u = best.take(t) == s, best.take(u) == s
+        least[t] = least[u] = nbr.size
+        np.minimum.at(least, t[at_t], fh[at_t])
+        np.minimum.at(least, u[at_u], fh[at_u])
+        go = (at_t & at_u & (least.take(t) == fh)
+              & (least.take(u) == fh)).nonzero()[0]
+        fh, fg = fh.take(go), fg.take(go)
+        t2, u1 = self.prv.take(fh), self.nxt.take(fg)
+        ops = (rows.take(t2, 1), rows.take(u1, 1))
+        fit = self.guard.fits(_summed, fh, 2, *ops)
+        if fit is not None:
+            fh, fg, t2, u1 = fh[fit], fg[fit], t2[fit], u1[fit]
+            ops = tuple(a[:, fit] for a in ops)
+        (r,) = _summed(*ops)
+        t1, u2 = self.nxt.take(fh), self.prv.take(fg)
+        # the outer edges turn one place: u2 -> t1 -> t2 -> u1 -> u2
+        src = np.concatenate([u2, t1, t2, u1])
+        dst = np.concatenate([t1, t2, u1, u2])
+        d = edge.take(t2, 1) + edge.take(u1, 1)
+        vh, vg = vert.take(t2), vert.take(u2)
+        for a, v in ((edge, d), (rows, r)):
+            _put(a, dst, a.take(src, 1))
+            _put(a, fh, v)
+            _put(a, fg, -v)
+        vert[dst] = vert.take(src)
+        vert[fh], vert[fg] = vh, vg
+        self.where[src] = dst
+        partner = self.where.take(nbr.take(src))
+        self.where[src] = src
+        nbr[dst] = partner
+        nbr[partner] = dst
+        self.guard.grow(r)
+        return np.concatenate([fh, dst, fg])
+
+    def batch(self) -> SurfaceBatch:
+        return replace(self.source, edge=self.edge, neighbor=self.nbr,
+                       corner_vertex=self.vert, coeffs=self.rows,
+                       coeff_max=int(np.abs(self.rows).max(initial=0)))
+
+
+def _put(a, idx, values) -> None:
+    """a[:, idx] = values, one row at a time: for these few rows the
+    two-dimensional fancy assignment takes about twice as long."""
+    for row, v in zip(a, values):
+        row[idx] = v
+
+
+def _cot(b, c):
+    """Minus the cot of the angle opposite a half-edge, from the edges b, c
+    (x, y stacked first) that follow it in its triangle: (b . c) /
+    cross(b, c)."""
+    return (b[0] * c[0] + b[1] * c[1]) / (b[0] * c[1] - b[1] * c[0])
+
+
+def _twisted(p, q, c, k):
+    """The rows of p - k c and q + k c, one column per move."""
+    kc = k * c
+    return p - kc, q + kc
+
+
+def _summed(a, b):
+    """The rows of a + b, one column per move."""
+    return (a + b,)
+
+
+class _RowGuard:
+    """Which twists or flips of :meth:`SurfaceBatch.delaunay` keep each
+    surface's rows within max(2**31, the largest |c| it came with)."""
+
+    FLOOR = 2**31
+
+    def __init__(self, batch: "SurfaceBatch"):
+        self.batch = batch
+        self.cmax = batch.coeff_max  # bounds every |c| so far
+        self.limit = None
+
+    def fits(self, rows, he, growth, *operands) -> np.ndarray | None:
+        """Which of the moves named by the half-edges ``he`` keep every
+        entry of the rows ``rows(*operands)`` (one per move) within the
+        limit of their surface, or None for all of them.  No entry passes
+        growth * cmax, which decides at once when it is within 2**31;
+        otherwise the rows are taken in Python ints."""
+        if growth * self.cmax <= self.FLOOR:
+            return None
+        if self.limit is None:
+            b = self.batch
+            top = np.abs(b.coeffs).max(axis=0, initial=0)
+            self.limit = np.maximum(np.maximum.reduceat(top, b.start[:-1]),
+                                    self.FLOOR).astype(object)
+        limit = self.limit[self.batch.surf[he]]
+        ok = np.ones(he.size, bool)
+        for r in rows(*(a.astype(object) for a in operands)):
+            ok &= (np.abs(r).max(axis=0, initial=0) <= limit).astype(bool)
+        return ok
+
+    def grow(self, rows) -> None:
+        """Take in the new ``rows``."""
+        self.cmax = max(self.cmax, int(np.abs(rows).max(initial=0)))
 
 
 def _gather(edges, tables, kind) -> SurfaceBatch:

@@ -158,14 +158,19 @@ def unfold_surfaces(surfaces, length_bound: float, budget: int = DEFAULT_BUDGET,
     alone.  Raises :class:`UnfoldingBudgetError` when some surface expands
     more than ``budget`` chain nodes, and ``ValueError`` when a class
     coefficient times ``budget + 2`` (the most rows a developed class sums)
-    could leave int64.
+    could leave int64, when ``length_bound`` is not finite and positive
+    (nan would find nothing and inf would run into the budget), or when
+    ``budget`` is negative.
     """
-    if length_bound <= 0:
-        raise ValueError("length bound must be positive")
+    if not (math.isfinite(length_bound) and length_bound > 0):
+        raise ValueError(f"length_bound must be finite and positive, "
+                         f"got {length_bound!r}")
+    if budget < 0:
+        raise ValueError(f"budget must not be negative, got {budget!r}")
     if not isinstance(surfaces, SurfaceBatch):
         surfaces = SurfaceBatch.of(surfaces)
     cmax = surfaces.coeff_max
-    rows = max(budget, 0) + 2
+    rows = budget + 2
     if cmax * rows >= INT64_LIMIT:
         raise ValueError(
             f"class coefficients up to {cmax} times budget + 2 = {rows} "

@@ -199,6 +199,23 @@ class TestOctagon:
 
 
 class TestBudget:
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -float("inf"),
+                                       0.0, -1.0, np.nan], ids=repr)
+    def test_bound_not_finite_and_positive(self, bound):
+        # nan once returned no connection, inf ran until the budget
+        with pytest.raises(ValueError, match="length_bound must be finite and positive"):
+            enumerate_saddle_connections(square_torus(), bound)
+        with pytest.raises(ValueError, match="length_bound"):
+            unfold_surfaces([square_torus(), octagon_surface()], bound)
+
+    def test_negative_budget(self):
+        # budget=-5 once raised UnfoldingBudgetError("... budget of -5 nodes")
+        for budget in (-5, -1):
+            with pytest.raises(ValueError, match="budget must not be negative"):
+                enumerate_saddle_connections(square_torus(), 1.5, budget=budget)
+        with pytest.raises(UnfoldingBudgetError):
+            enumerate_saddle_connections(square_torus(), 1.5, budget=0)
+
     def test_budget_error(self):
         X = square_torus()
         with pytest.raises(UnfoldingBudgetError):
