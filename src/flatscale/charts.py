@@ -56,8 +56,13 @@ class ChartModel:
                 is > 0.  The scan builds each sample on its Lagrange-Gauss
                 reduced basis B (u, v) (``surface.reduce_lattice_bases``),
                 the same torus with fewer chain nodes, and rebases its rows
-                to (u, v) (``SurfaceBatch.rebased``) before the search;
-                ``build`` builds the parallelogram of (u, v) as given.
+                to (u, v) (``SurfaceBatch.rebased``) before the search.
+                The reduced basis has 0 <= Re(conj(u) v) <= min(|u|,
+                |v|)^2 / 2, so the ear clip cuts its parallelogram along
+                the shorter diagonal into two triangles with no obtuse
+                angle: the torus is Delaunay as built, and the scan does
+                not retriangulate it.  ``build`` builds the parallelogram
+                of (u, v) as given.
     h2-octagon  dim 4: octagons with opposite sides identified, one cone
                 point of angle 6 pi: the stratum H(2).  Admissible iff the
                 octagon is simple and positively oriented.

@@ -57,16 +57,37 @@ which raises; it is counted in ``ScanResult.build_failures``, stays in the
 plain cone count and is accepted by no radius cell.
 
 So the back end runs, per batch: reduce (tori), build, rebase (tori),
-retriangulate, unfold, rank, test the cells.  ``SurfaceBatch.delaunay``
+retriangulate (all but the tori), guess, unfold, rank, check, unfold and
+rank again (rarely), test the cells.  ``SurfaceBatch.delaunay``
 retriangulates the built surfaces toward Delaunay in a few vectorised
 rounds of cylinder twists and edge flips.  The ear clip leaves long thin
 triangles, and a Delaunay surface unfolds to the same connections with
-about half the chain nodes and far fewer narrow levels.  The
-retriangulated surfaces are unfolded together, in one ``unfold_surfaces``
-call per batch, and ``ScanResult.unfolding_nodes`` counts the nodes of the
-retriangulated surfaces.  Each surface's retriangulation, connections,
-ranks and nodes do not depend on which batch holds it, so the counts and
-the nodes do not depend on the worker count.
+about half the chain nodes and far fewer narrow levels.  A reduced torus
+is Delaunay as built (``reduce_lattice_bases``), so the tori skip it.
+
+The cells need R_0, ..., R_(cap - 1) only, cap = min(k_max, dim W), so
+each surface is unfolded only as far as its own R_(cap - 1).  Every edge
+of a surface is a saddle connection, and on a (near-)Delaunay surface the
+shortest connection is an edge, so ``_threshold_guess`` reads a guess
+g_s >= R_(cap - 1) off surface s's edges, with no rank taken: the
+shortest edge for cap 1, the shortest edge not parallel to it (so of an
+independent class) for cap 2, and inf, no pruning, for cap >= 3.  The
+batch is unfolded in one ``unfold_surfaces`` call, surface s to its own
+reach min(l_max, g_s (1 + 2 GUESS_SLACK)), and ranked.  The check: a
+surface is done when its reach is l_max or R_(cap - 1) <= g_s (1 +
+GUESS_SLACK).  The search to the reach finds every connection no longer
+than g_s (1 + GUESS_SLACK), the slack covering the rounding of its
+pruning tests, and the canonical order is intrinsic, so those are, one by
+one and in order, the first connections of the search to l_max; the
+greedy pass stops at rank cap inside them, so every threshold is that of
+the search to l_max.  Any other surface is unfolded again to l_max and
+ranked on its own, so a wrong guess costs nodes, never a count.
+``ScanResult.unfolding_nodes``, like the node budget, counts the nodes
+the scan actually expands: those of the searches to the reach, plus
+those of any second search, and the budget holds for each search.  Each
+surface's retriangulation, guess, connections, ranks and nodes do not
+depend on which batch holds it, so the counts and the nodes do not
+depend on the worker count.
 
 Each surface's connections come sorted
 by length, and its prefix ranks give R_i, the length at which the rank
@@ -95,6 +116,7 @@ import numpy as np
 from .charts import ChartModel, get_chart, square_box_volume
 from .homology import LinearSubspace, independence_rank
 from .surface import (
+    SurfaceBatch,
     SurfaceError,
     distinct_rows,
     polygon_simple_mask,
@@ -102,12 +124,13 @@ from .surface import (
     shoelace_area,
     symmetric_vertices,
 )
-from .unfolding import DEFAULT_BUDGET, unfold_surfaces
+from .unfolding import DEFAULT_BUDGET, WEDGE_EPS, unfold_surfaces
 # enumerate_saddle_connections is not called here; it stays bound because
 # perfbench/layers.py reads sampling's binding when it installs its wrappers.
 from .unfolding import enumerate_saddle_connections  # noqa: F401
 
 DEFAULT_CHUNK = 16384
+GUESS_SLACK = 1e-9  # relative room around a surface's guessed R_(cap - 1)
 _FLOAT_TINY = 2.0 ** -1022  # the least normal float
 
 
@@ -138,7 +161,17 @@ class ScanResult:
     admissible: int  # of those, the ones the mask passes: the cone
     admissible_fraction: float  # admissible / area_at_most_one, or 0.0
     build_failures: int  # cone samples whose build raised SurfaceError
-    unfolding_nodes: int  # chain nodes of the retriangulated surfaces, all batches
+    unfolding_nodes: int  # chain nodes the unfoldings expanded, all batches
+
+
+def _radius(v, cell) -> float:
+    """The radius ``v`` of ``cell`` as a float: a real number, numpy's
+    and 0-d arrays too, but not a bool, a string or a complex number."""
+    if isinstance(v, np.ndarray) and v.ndim == 0:
+        v = v[()]
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+        raise ValueError(f"radius cell {cell!r} holds {v!r}, not a real number")
+    return float(v)
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -246,6 +279,31 @@ def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
         ptr[live] += 1
 
 
+def _threshold_guess(surfaces: SurfaceBatch, cap: int) -> np.ndarray:
+    """Per surface, a length from its own edges that is, as a rule, at
+    least R_(cap - 1): every edge is a saddle connection, and the shortest
+    connection of a Delaunay surface is an edge.  For cap 1 the shortest
+    edge; for cap 2 the shortest edge not parallel to it (directions
+    within ``WEDGE_EPS`` count as one), whose class is independent of the
+    shortest one's; for cap >= 3 inf.  A guess below R_(cap - 1) costs a
+    second search, never a wrong threshold (see ``_count_cone_batch``).
+    """
+    n = len(surfaces)
+    if cap > 2 or not n:
+        return np.full(n, np.inf)
+    ex, ey = surfaces.edge
+    length = np.hypot(ex, ey)
+    first, surf = surfaces.start[:-1], surfaces.surf
+    shortest = np.minimum.reduceat(length, first)
+    if cap == 1:
+        return shortest
+    at = np.flatnonzero(length == shortest.take(surf))
+    at = at.take(np.searchsorted(surf.take(at), np.arange(n)))
+    sx, sy = ex.take(at).take(surf), ey.take(at).take(surf)
+    parallel = abs(sx * ey - sy * ex) <= WEDGE_EPS * length * shortest.take(surf)
+    return np.minimum.reduceat(np.where(parallel, np.inf, length), first)
+
+
 def _rebuild_rejected(chart: ChartModel, sides: np.ndarray) -> int:
     """Build each row of ``sides`` that the batch builder rejected on its
     own, through ``chart.build``, so that it raises its ``SurfaceError``
@@ -282,8 +340,10 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
                       cone_sides: np.ndarray, radii: np.ndarray, l_max: float,
                       budget: int) -> tuple[np.ndarray, int, int]:
     """The back end of a batch of cone samples, from any chunks: reduce
-    (tori), build, rebase (tori), retriangulate toward Delaunay, unfold to
-    ``l_max``, rank and test every radius cell.
+    (tori), build, rebase (tori), retriangulate toward Delaunay (all but
+    the tori), unfold each surface to its own reach, rank, check, search
+    the surfaces that fail the check again to ``l_max``, and test every
+    radius cell.
 
     ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
     Returns the accepted count of each cell, the build failures and the
@@ -301,13 +361,30 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
         # (u, v), so the classes, and the ranks, are in chart coordinates
         surfaces = surfaces.rebased(basis[built])
     failures = _rebuild_rejected(chart, cone_sides[~built])
-    surfaces = surfaces.delaunay()  # the same surfaces, half the chain nodes
-    batch = unfold_surfaces(surfaces, l_max, budget=budget)
+    if basis is None:
+        # the same surfaces, half the chain nodes; a reduced torus is
+        # Delaunay as built
+        surfaces = surfaces.delaunay()
+    k_max = radii.shape[1]
+    cap = min(k_max, subspace.dim)
+    guess = _threshold_guess(surfaces, cap)
+    reach = np.minimum(l_max, guess * (1 + 2 * GUESS_SLACK))
+    batch = unfold_surfaces(surfaces, reach, budget=budget)
+    thresholds = _rank_thresholds(batch, subspace, k_max)
+    nodes = int(batch.nodes.sum())
+    # The search to reach_s finds every connection no longer than
+    # guess_s (1 + GUESS_SLACK), in the order of the search to l_max, so
+    # R_(cap-1) within that is exact; any other surface is searched again.
+    redo = np.flatnonzero(
+        (reach < l_max) & ~(thresholds[:, cap - 1] <= guess * (1 + GUESS_SLACK)))
+    if redo.size:
+        batch = unfold_surfaces(surfaces.take(redo), l_max, budget=budget)
+        thresholds[redo] = _rank_thresholds(batch, subspace, k_max)
+        nodes += int(batch.nodes.sum())
     # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
     # every i < k; radii past k are inf and pass.
-    thresholds = _rank_thresholds(batch, subspace, radii.shape[1])
     accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)
-    return accepts.sum(axis=0), failures, int(batch.nodes.sum())
+    return accepts.sum(axis=0), failures, nodes
 
 
 def _scan_chunks(args) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -356,10 +433,10 @@ def scan_chart(
 ) -> ScanResult:
     """Estimate the cone-set measure for every radius vector in ``eps_cells``.
 
-    Cells share one sample stream and one enumeration per sample (at the
-    largest radius, the cone samples in batches), so a grid scan costs one
-    pass.  A cell of None estimates the plain cone volume (admissible,
-    area <= 1).  Admissibility is one batch simplicity mask and
+    Cells share one sample stream and one enumeration per sample (as far
+    as the largest radius, or the sample's own rank thresholds, need; the
+    cone samples in batches), so a grid scan costs one pass.  A cell of
+    None estimates the plain cone volume (admissible, area <= 1).  Admissibility is one batch simplicity mask and
     positive-area test per chunk, on its samples with 0 < area <= 1
     rescaled to unit area; the cone samples are then built from those
     checked sides and unfolded, in batches of at least ``chunk_size`` (but
@@ -373,8 +450,9 @@ def scan_chart(
     ``RuntimeWarning`` says when under 1 % of the samples with
     0 < area <= 1 are admissible, or none has such an area.  A cell is one
     radius (a number or a 0-d array) or a sequence of at least one; radii
-    must be finite and positive.  ``samples``, ``chunk_size``, ``budget``
-    and ``threads`` must be integers, not bools, of at least 1
+    must be finite and positive real numbers, not bools, strings or
+    complex numbers.  ``samples``, ``chunk_size``, ``budget`` and
+    ``threads`` must be integers, not bools, of at least 1
     (``samples`` at least 1000), and ``seed`` an integer, not a bool, in
     [0, 2**128), the Philox key range; a ``ValueError`` names the argument
     otherwise.
@@ -406,7 +484,8 @@ def scan_chart(
         if c is None:
             norm_cells.append(None)
         else:
-            e = tuple(sorted(float(v) for v in ([c] if np.ndim(c) == 0 else c)))
+            e = tuple(sorted(_radius(v, c)
+                             for v in ([c] if np.ndim(c) == 0 else c)))
             if not e:
                 raise ValueError(f"radius cell {c!r} is empty")
             if not all(math.isfinite(v) and v > 0 for v in e):

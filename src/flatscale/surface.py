@@ -540,15 +540,19 @@ def reduce_lattice_bases(sides) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the reduced sides (batch, 2) and B (batch, 2, 2) int64 with
     det B = +1 and reduced = B (u, v), computed as that product from
-    ``sides``.  A reduced basis has |u| <= |v| and |Re(conj(u) v)| <=
-    |u|^2 / 2, up to rounding, so its parallelogram is the fattest one of
-    the lattice; the torus C / (Zu + Zv) does not change.  One step takes
-    v to v - m u, m the nearest integer to Re(conj(u) v) / |u|^2, and then,
-    if v has become the shorter, swaps (u, v) to (v, -u), which keeps
-    det = +1.  Each basis takes its own steps, all in one vectorised loop
-    over the bases not yet reduced.  Raises ``ValueError`` before a step
-    whose multiplier or new entries of B could reach 2**62 (a nan or
-    infinite multiplier too), so B never leaves int64.
+    ``sides``.  A reduced basis has 0 <= Re(conj(u) v) <= min(|u|, |v|)^2
+    / 2, up to rounding, so its parallelogram is the fattest one of the
+    lattice and the triangle (0, u, v) has no obtuse angle: the ear clip
+    of the parallelogram cuts it along v - u, the shorter diagonal, into
+    two such triangles, a Delaunay triangulation.  The torus C / (Zu + Zv)
+    does not change.  One step takes v to v - m u, m the nearest integer
+    to Re(conj(u) v) / |u|^2, and then, if v has become the shorter, swaps
+    (u, v) to (v, -u), which keeps det = +1; each basis takes its own
+    steps, all in one vectorised loop over the bases not yet reduced.  A
+    reduced basis with Re(conj(u) v) < 0 is last turned to (v, -u) too,
+    which makes it positive.  Raises ``ValueError`` before a step whose
+    multiplier or new entries of B could reach 2**62 (a nan or infinite
+    multiplier too), so B never leaves int64.
     """
     sides = np.asarray(sides, dtype=complex)
     u, v = sides[:, 0], sides[:, 1]
@@ -574,6 +578,10 @@ def reduce_lattice_bases(sides) -> tuple[np.ndarray, np.ndarray]:
         live, u, v, rows = live[swap], v[swap], -u[swap], rows[swap][:, ::-1]
         rows[:, 1] *= -1
     reduced = basis[:, :, 0] * sides[:, :1] + basis[:, :, 1] * sides[:, 1:]
+    turn = _dot(reduced[:, 0], reduced[:, 1]) < 0
+    if turn.any():
+        basis[turn] = basis[turn, ::-1] * [[1], [-1]]
+        reduced = basis[:, :, 0] * sides[:, :1] + basis[:, :, 1] * sides[:, 1:]
     return reduced, basis
 
 
@@ -624,6 +632,7 @@ class SurfaceBatch:
     A surface built on other coordinates w = B z of the chart's z (a torus
     on its reduced basis) has rows in w; :meth:`rebased` rewrites them in
     z, so the unfolding's classes come out in chart coordinates.
+    :meth:`take` gives the batch of some of the surfaces.
 
     :meth:`delaunay` retriangulates every surface toward Delaunay: rounds
     that twist two-triangle cylinders by whole multiples of their core and
@@ -653,6 +662,22 @@ class SurfaceBatch:
                                + [X._edges.reshape(-1) for X in surfaces])
         return _gather(edges, [X._tables for X in surfaces],
                        np.arange(len(surfaces)))
+
+    def take(self, index) -> "SurfaceBatch":
+        """The batch of the surfaces ``index``, in that order; the rows keep
+        their D columns."""
+        index = np.asarray(index, dtype=np.int64)
+        size = np.diff(self.start)[index]
+        start = np.concatenate([[0], np.cumsum(size)])
+        surf = np.repeat(np.arange(index.size), size)
+        shift = (self.start[index] - start[:-1]).repeat(size)
+        h = np.arange(start[-1]) + shift  # the old half-edge of each new one
+        coeffs = self.coeffs[:, h]
+        return SurfaceBatch(
+            edge=self.edge[:, h], neighbor=self.neighbor[h] - shift,
+            corner_vertex=self.corner_vertex[h], coeffs=coeffs, start=start,
+            surf=surf, dims=tuple(self.dims[i] for i in index.tolist()),
+            coeff_max=int(np.abs(coeffs).max(initial=0)))
 
     def rebased(self, basis) -> "SurfaceBatch":
         """The batch with each chart row c of surface s, padded to D,

@@ -23,7 +23,9 @@ level of chain depth per step.  It reads the flat half-edge arrays of a
 corner vertices, chart rows) as they are.  The frontier of every corner of
 every surface lives in flat arrays too: root corner, entry half-edge, the two
 developed corner positions, the int64 class of the second (an apex's class
-is that plus the row of the edge from it to the apex), and the wedge.  A
+is that plus the row of the edge from it to the apex), the wedge, and the
+squared length bound of the node's surface, since each surface may have
+its own bound; it moves with the node state, so it costs no gather.  A
 step expands a whole level and lays out each node's children in parent
 order, the child through edge e+1 before the child through edge e+2, so
 each corner's nodes come out in breadth-first order.  The float arithmetic is
@@ -147,28 +149,40 @@ def enumerate_saddle_connections(
                            keep_orientations).connections(0)
 
 
-def unfold_surfaces(surfaces, length_bound: float, budget: int = DEFAULT_BUDGET,
+def unfold_surfaces(surfaces, length_bound, budget: int = DEFAULT_BUDGET,
                     record_chains: bool = False,
                     keep_orientations: bool = False) -> UnfoldedBatch:
     """:func:`enumerate_saddle_connections` of every surface in one search.
 
     ``surfaces`` is a :class:`~flatscale.surface.SurfaceBatch`, or a
-    sequence of :class:`TranslationSurface`, which is made into one.  Each
-    surface gets exactly the connections, in the order, that it gets
-    alone.  Raises :class:`UnfoldingBudgetError` when some surface expands
-    more than ``budget`` chain nodes, and ``ValueError`` when a class
-    coefficient times ``budget + 2`` (the most rows a developed class sums)
-    could leave int64, when ``length_bound`` is not finite and positive
-    (nan would find nothing and inf would run into the budget), or when
-    ``budget`` is negative.
+    sequence of :class:`TranslationSurface`, which is made into one.
+    ``length_bound`` is one bound for every surface, or an (n,) array with
+    one bound per surface.  Each surface gets exactly the connections, in
+    the order, and the nodes that it gets alone with its own bound as the
+    scalar bound.  Raises :class:`UnfoldingBudgetError` when some surface
+    expands more than ``budget`` chain nodes, and ``ValueError`` when a
+    class coefficient times ``budget + 2`` (the most rows a developed class
+    sums) could leave int64, when ``length_bound`` has another shape or a
+    bound that is not finite and positive (nan would find nothing and inf
+    would run into the budget), or when ``budget`` is negative.
     """
-    if not (math.isfinite(length_bound) and length_bound > 0):
+    if not isinstance(surfaces, SurfaceBatch):
+        surfaces = SurfaceBatch.of(surfaces)
+    try:
+        bound = np.asarray(length_bound)
+        real = (bound.dtype.kind in "iuf"
+                and bound.shape in ((), (len(surfaces),)))
+    except ValueError:  # a ragged sequence
+        real = False
+    if not real:
+        raise ValueError(f"length_bound must be a real number or one per "
+                         f"surface ({len(surfaces)}), got {length_bound!r}")
+    bound = bound.astype(float)
+    if not (np.isfinite(bound) & (bound > 0)).all():
         raise ValueError(f"length_bound must be finite and positive, "
                          f"got {length_bound!r}")
     if budget < 0:
         raise ValueError(f"budget must not be negative, got {budget!r}")
-    if not isinstance(surfaces, SurfaceBatch):
-        surfaces = SurfaceBatch.of(surfaces)
     cmax = surfaces.coeff_max
     rows = budget + 2
     if cmax * rows >= INT64_LIMIT:
@@ -177,8 +191,9 @@ def unfold_surfaces(surfaces, length_bound: float, budget: int = DEFAULT_BUDGET,
             f"reach {cmax * rows}, beyond int64 (2**63); lower the budget")
     with np.errstate(divide="ignore", invalid="ignore"):
         levels = [] if record_chains else None
-        found, nodes = _search(surfaces, length_bound * length_bound, budget,
-                               not keep_orientations, levels)
+        L2 = np.broadcast_to(bound * bound, (len(surfaces),))
+        found, nodes = _search(surfaces, L2, budget, not keep_orientations,
+                               levels)
         return _canonical(surfaces, found, nodes, levels, keep_orientations)
 
 
@@ -213,12 +228,13 @@ def _twice(a):
     return out
 
 
-def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
-    """The level-synchronous search.  Returns the emitted connections in
-    per-corner search order (root corner, holonomy (2, n), end vertex,
-    class (D, n), level, node index in that level) and the nodes expanded
-    per surface.  Appends each level's entry half-edges and parent indices
-    to ``levels`` unless it is None.
+def _search(b: SurfaceBatch, L2: np.ndarray, budget: int, clip: bool, levels):
+    """The level-synchronous search, surface s to the squared bound L2[s].
+    Returns the emitted connections in per-corner search order (root
+    corner, holonomy (2, n), end vertex, class (D, n), level, node index
+    in that level) and the nodes expanded per surface.  Appends each
+    level's entry half-edges and parent indices to ``levels`` unless it is
+    None.
 
     Node vectors are stored component first, so every step works on
     contiguous rows, and a level's children are laid out (node, child)
@@ -242,6 +258,7 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
     ea = edge
     eb = -edge[:, prv]
     la2 = _norm2(ea)
+    L2 = L2.take(b.surf)  # each corner's squared bound
     own = (la2 <= L2).nonzero()[0]
     emits = [(own, ea[:, own], vert[nxt[own]], coeffs[:, own],
               np.full(own.size, -1), np.full(own.size, -1))]
@@ -264,15 +281,16 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
 
     # Node state.  f: the positions of corners e (pa) and e+1 (pb) of the
     # entry edge, then the wedge as lo.x, hi.y, lo.y, hi.x, so that one
-    # product gives both boundary crosses.  q, int64: the class of pb, then
-    # the entry half-edge and the root corner, so that one take carries all
-    # of them to the next level.
+    # product gives both boundary crosses, then the squared bound of the
+    # node's surface, which the take that moves f moves too.  q, int64:
+    # the class of pb, then the entry half-edge and the root corner, so
+    # that one take carries all of them to the next level.
     dim = coeffs.shape[0]
     he_row, root_row = dim, dim + 1
     f = np.concatenate([eb[:, root], ea[:, root], lo[:1, root], hi[1:, root],
-                        lo[1:, root], hi[:1, root]])
+                        lo[1:, root], hi[:1, root], L2[None, root]])
     q = np.concatenate([coeffs[:, root], nbr[nxt[root]][None], root[None]])
-    del eb, la2, lo, hi, ok, root
+    del eb, la2, lo, hi, ok, root, L2
     # Per entry half-edge: the edge vector and class of edge e+1, the end
     # vertex of an apex emit, and the entries of the two children.  The
     # level loop gathers with take, which costs much less per call than
@@ -309,7 +327,7 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
         cross = f[4:6] * apex[::-1] - f[6:8] * apex  # (cl, ch)
         inside = cross > WEDGE_EPS * rm
         interior = inside[0] & inside[1]
-        hit = (interior & (r2 <= L2)).nonzero()[0]
+        hit = (interior & (r2 <= f[8])).nonzero()[0]
         if hit.size:
             emits.append((root.take(hit), apex.take(hit, 1),
                           apex_vert.take(he.take(hit)), capex.take(hit, 1),
@@ -325,12 +343,12 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
         g = _twice(f)
         g[0:2, :, 0] = apex
         g[2:4, :, 1] = apex
-        np.copyto(g[5::2, :, 0], ap[::-1], where=interior)
-        np.copyto(g[4::2, :, 1], ap, where=interior)
+        np.copyto(g[5:8:2, :, 0], ap[::-1], where=interior)
+        np.copyto(g[4:8:2, :, 1], ap, where=interior)
         keep = inside.T.copy()
         keep[:, 1] |= ~inside[0]
-        keep &= _seg_dist2(g[2:4], g[0:2]) <= L2
-        wedge = g[4::2] * g[5::2]
+        keep &= _seg_dist2(g[2:4], g[0:2]) <= g[8]
+        wedge = g[4:8:2] * g[5:8:2]
         keep &= wedge[0] - wedge[1] > WEDGE_EPS
         sel = keep.reshape(2 * n).nonzero()[0]
         if levels is not None:
@@ -339,7 +357,7 @@ def _search(b: SurfaceBatch, L2: float, budget: int, clip: bool, levels):
         gq = _twice(q)
         gq[:dim, :, 1] = capex
         gq[he_row] = kids.take(he, 0)
-        f = g.reshape(8, 2 * n).take(sel, 1)
+        f = g.reshape(9, 2 * n).take(sel, 1)
         q = gq.reshape(root_row + 1, 2 * n).take(sel, 1)
         level += 1
     if uncounted:

@@ -24,6 +24,7 @@ from flatscale.surface import (
 from flatscale.torus_oracle import cone_volume_quadrature, torus_exact_oracle
 from flatscale.unfolding import (
     DEFAULT_BUDGET,
+    WEDGE_EPS,
     UnfoldedBatch,
     UnfoldingBudgetError,
     unfold_surfaces,
@@ -273,16 +274,19 @@ GOLDEN_GATES = {
 }
 
 
-# Chain nodes the unfolding expanded in the same scans, on the surfaces
-# retriangulated by SurfaceBatch.delaunay (before it, on the ear-clip
-# surfaces: 2966, 3219, 71241, 67394, 430442 and 435183 in this order).
+# Chain nodes the unfolding expanded in the same scans, each surface
+# searched only to its own reach (see sampling._count_cone_batch), the
+# octagons retriangulated by SurfaceBatch.delaunay.  Searched to the
+# largest radius: 2932, 3166, 37011, 34968, 104105 and 104054 in this
+# order; before the retriangulation, on the ear-clip surfaces: 2966,
+# 3219, 71241, 67394, 430442 and 435183.
 GOLDEN_NODES = {
     ("torus", 1): 2932,
     ("torus", 2): 3166,
-    ("octagon", 1): 37011,
-    ("octagon", 2): 34968,
-    ("octagon-subspace", 1): 104105,
-    ("octagon-subspace", 2): 104054,
+    ("octagon", 1): 9153,
+    ("octagon", 2): 8504,
+    ("octagon-subspace", 1): 80308,
+    ("octagon-subspace", 2): 80787,
 }
 
 
@@ -308,8 +312,10 @@ def _assert_golden_scan(case, seed, threads):
 # gates were decided from the sides in closed form and the unfolding counted
 # its nodes lazily: every count, gate and float of the result must stay
 # bit-identical, for any worker count.  The node count is hashed as the
-# ear-clip surfaces gave it (PARENT_NODES); the retriangulated surfaces'
-# own counts are pinned in DIGEST_NODES.
+# ear-clip surfaces gave it (PARENT_NODES); the nodes the scan expands now
+# are pinned in DIGEST_NODES (the cell (0.3, 0.6, 0.9) needs rank 3, so
+# only the rank-2 subspace scans search less than the largest radius:
+# 522073 and 533372 there before).
 DIGEST_CELLS = [None, (0.15,), (0.3,), (0.45,), (0.2, 0.7), (0.4, 0.4),
                 (0.3, 0.6, 0.9)]
 DIGEST_CASES = {
@@ -338,8 +344,8 @@ DIGEST_NODES = {
     ("torus", 12): 68330,
     ("octagon", 11): 90261,
     ("octagon", 12): 90311,
-    ("octagon-subspace", 11): 522073,
-    ("octagon-subspace", 12): 533372,
+    ("octagon-subspace", 11): 445568,
+    ("octagon-subspace", 12): 455401,
 }
 
 
@@ -392,6 +398,30 @@ class TestChartInput:
             scan_chart("torus", None, [None, (radius,), (0.3,)], 2000, 1)
         with pytest.raises(ValueError, match="radii must be finite and positive"):
             scan_chart("torus", None, [(0.2, radius)], 2000, 1)
+
+    @pytest.mark.parametrize("cell, bad", [
+        ([True], "True"), (True, "True"), ((0.2, np.True_), "np.True_"),
+        ("0.3", "'0.3'"), ((0.2, "0.4"), "'0.4'"), ("abc", "'abc'"),
+        (0.3 + 0j, r"\(0.3\+0j\)"),
+        ((0.2, np.complex128(0.4)), r"np.complex128\(0.4\+0j\)"),
+        (((0.2, 0.3),), r"\(0.2, 0.3\)"), ((0.2, None), "None"),
+    ], ids=repr)
+    def test_non_real_radius_rejected(self, cell, bad, monkeypatch):
+        # [True] once scanned as radius 1.0 and "0.3" as 0.3; "abc" and
+        # 0.3+0j raised float()'s bare messages
+        def no_chunks(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(sampling, "_process_chunk", no_chunks)
+        with pytest.raises(ValueError, match=rf"radius cell .* holds {bad}, "
+                                             "not a real number"):
+            scan_chart("torus", None, [(0.3,), cell], 1000, 1)
+
+    def test_real_radius_types_accepted(self):
+        cells = [np.float32(0.25), (np.int64(1), 0.5), np.array([0.5, 0.3])]
+        got = scan_chart("torus", None, cells, 2000, 1).estimates
+        assert [e.eps for e in got] == [(float(np.float32(0.25)),), (0.5, 1.0),
+                                        (0.3, 0.5)]
 
     def test_zero_dim_array_radius_is_one_radius(self):
         # a 0-d array has __len__ but no length: it raised a bare TypeError
@@ -850,6 +880,23 @@ class TestClosedFormGates:
             sampling._sample_params(rng, 16384, chart.dim, chart.half_width))
 
 
+def _guess_alone(X, cap):
+    """``sampling._threshold_guess`` of the batch of one surface ``X``,
+    one edge at a time: its shortest edge for cap 1, the shortest edge not
+    parallel to that one for cap 2, inf for cap 3 and up."""
+    if cap > 2:
+        return math.inf
+    edges = X.edge.T.tolist()
+    lengths = [float(np.hypot(x, y)) for x, y in edges]
+    shortest = min(lengths)
+    if cap == 1:
+        return shortest
+    sx, sy = edges[lengths.index(shortest)]
+    return min((m for (x, y), m in zip(edges, lengths)
+                if abs(sx * y - sy * x) > WEDGE_EPS * m * shortest),
+               default=math.inf)
+
+
 class TestBatchedScan:
     """Each worker gathers the cone samples of its chunks and unfolds them
     in batches of at least ``chunk_size`` (but its last one); a surface's
@@ -881,12 +928,28 @@ class TestBatchedScan:
         two = scan_chart(chart, None, cells, 20_000, SEED, threads=2,
                          chunk_size=8192)
         assert two == res
-        l_max = max(c[-1] for c in cells if c is not None)
+        # each surface alone, searched to its own reach and checked there:
+        # the tori (built on their reduced bases) as built, the octagons
+        # retriangulated
+        radii = [c for c in cells if c is not None]
+        l_max = max(c[-1] for c in radii)
         model = get_chart(chart)
-        alone = sum(int(unfold_surfaces(
-            SurfaceBatch.of([model.build(z)]).delaunay(), l_max).nodes[0])
-            for z in rows)
+        cap = min(max(map(len, radii)), model.dim)
+        alone = second = 0
+        for z in rows:
+            X = SurfaceBatch.of([model.build(z)])
+            if chart != "torus":
+                X = X.delaunay()
+            guess = _guess_alone(X, cap)
+            reach = min(l_max, guess * (1 + 2 * sampling.GUESS_SLACK))
+            one = unfold_surfaces(X, reach)
+            alone += int(one.nodes[0])
+            R = sampling._rank_thresholds(one, LinearSubspace(model.dim), cap)
+            if reach < l_max and not R[0, -1] <= guess * (1 + sampling.GUESS_SLACK):
+                second += 1
+                alone += int(unfold_surfaces(X, l_max).nodes[0])
         assert res.unfolding_nodes == alone > 0
+        assert second == 0
 
     def test_no_radius_cell_unfolds_nothing(self):
         res = scan_chart("torus", None, [None], 5000, SEED)
@@ -1121,6 +1184,79 @@ class TestReducedTori:
         assert got.classes.tolist() == [
             (np.array(c, dtype=object) @ basis[s].astype(object)).tolist()
             for c, s in zip(want.classes.tolist(), surf.tolist())]
+
+
+class TestSecondSearch:
+    """Each surface is searched to the reach its edges give and checked
+    there; a surface whose guess falls short of R_(cap - 1) is searched
+    again to the largest radius, so a wrong guess costs nodes only."""
+
+    CASES = {  # chart, subspace rows, samples, cells: rank 1 and rank 2
+        "torus": ("torus", None, 20_000, [None, (0.15,), (0.3,), (0.45,)]),
+        "octagon": GOLDEN_CASES["octagon"],
+        "octagon-subspace": GOLDEN_CASES["octagon-subspace"],
+    }
+    # the nodes of the searches to the largest radius: GOLDEN_NODES as
+    # recorded before the search stopped at each surface's own reach
+    FULL_NODES = {"octagon": 37011, "octagon-subspace": 104105}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_short_guesses_change_nothing_but_nodes(self, case, threads,
+                                                    monkeypatch):
+        chart, rows, samples, cells = self.CASES[case]
+        W = None if rows is None else real_subspace(rows)
+        want = scan_chart(chart, W, cells, samples, 1, threads=threads)
+        guess = sampling._threshold_guess
+        seen = []
+        for shrink in (lambda g: g / 2, lambda g: np.full_like(g, math.ulp(0.0))):
+            def short_guess(surfaces, cap):
+                return shrink(guess(surfaces, cap))
+
+            monkeypatch.setattr(sampling, "_threshold_guess", short_guess)
+            got = scan_chart(chart, W, cells, samples, 1, threads=threads)
+            assert dataclasses.replace(
+                got, unfolding_nodes=want.unfolding_nodes) == want
+            seen.append(got.unfolding_nodes)
+        half, tiny = seen
+        # the search to the guess and the second search both count; the
+        # search to 0+ expands no node, so tiny is the full search alone
+        assert half > want.unfolding_nodes
+        assert tiny > want.unfolding_nodes
+        if case in self.FULL_NODES:
+            assert tiny == self.FULL_NODES[case]
+
+    def test_only_short_surfaces_searched_again(self, monkeypatch):
+        """The second search takes exactly the surfaces whose R_(cap - 1)
+        passes their guess, and their thresholds are those of the search
+        to the largest radius."""
+        chart = get_chart("h2-octagon")
+        W = LinearSubspace(4)
+        sides = sampling._process_chunk(chart, W, 3, 0, 16384)[0]
+        radii = np.array([[0.6, np.inf], [0.6, 1.0]])
+        surfaces = chart.build_batch(sides)[0].delaunay()
+        full = sampling._rank_thresholds(unfold_surfaces(surfaces, 1.0), W, 2)
+        guess = sampling._threshold_guess(surfaces, 2)
+        assert (full[:, 1] <= guess).all()
+        # every third guess cut below R_1
+        short = guess.copy()
+        short[::3] = full[::3, 1] / 2
+        monkeypatch.setattr(sampling, "_threshold_guess", lambda b, cap: short)
+        taken = []
+        take = SurfaceBatch.take
+
+        def noting_take(batch, index):
+            taken.extend(index.tolist())
+            return take(batch, index)
+
+        monkeypatch.setattr(SurfaceBatch, "take", noting_take)
+        counts, _, _ = sampling._count_cone_batch(chart, W, sides, radii, 1.0,
+                                                  DEFAULT_BUDGET)
+        reach = np.minimum(1.0, short * (1 + 2 * sampling.GUESS_SLACK))
+        assert taken == [i for i in range(0, len(short), 3) if reach[i] < 1.0]
+        assert len(taken) > len(short) // 4
+        accepts = (full[:, None, :] <= radii[None]).all(axis=2)
+        assert counts.tolist() == accepts.sum(axis=0).tolist()
 
 
 class TestCountConeBatch:

@@ -907,6 +907,9 @@ class TestLatticeReduction:
     @PROPERTY
     @given(_unit_area_bases())
     @example(np.array([[167.0 + 0.2j, 167.001 + 0.206j], [1j, -1.0 + 0j]]))
+    @example(np.array([[1 + 0j, -0.5 + 0.75 ** 0.5 * 1j],  # hexagonal
+                       [1 + 0j, 0.5 + 0.75 ** 0.5 * 1j],
+                       [1 + 0j, -0.3 + 1j], [2j, -3 - 1j]]))
     def test_reduced_bases(self, sides):
         reduced, basis = reduce_lattice_bases(sides)
         assert basis.dtype == np.int64 and basis.shape == (len(sides), 2, 2)
@@ -919,9 +922,11 @@ class TestLatticeReduction:
         terms = np.abs(basis) @ np.abs(sides)[:, :, None]
         assert (np.abs(reduced - exact) <= 1e-15 * terms[:, :, 0]).all()
         u, v = reduced[:, 0], reduced[:, 1]
-        assert (abs(u) <= abs(v) * (1 + 1e-9)).all()
-        shear = abs(u.real * v.real + u.imag * v.imag)
-        assert (shear <= abs(u) ** 2 * (0.5 + 1e-9)).all()
+        # 0 <= Re(conj(u) v) <= min(|u|, |v|)^2 / 2: no angle of the
+        # triangle (0, u, v) is obtuse
+        shear = u.real * v.real + u.imag * v.imag
+        assert (shear >= 0).all()
+        assert (shear <= np.minimum(abs(u), abs(v)) ** 2 * (0.5 + 1e-9)).all()
         # the lattice and its orientation are kept: the area is unchanged
         area = (u.conjugate() * v).imag
         want = (sides[:, 0].conjugate() * sides[:, 1]).imag
@@ -936,6 +941,9 @@ class TestLatticeReduction:
         # the longer u is swapped to (v, -u) = (i, -7 - i), which keeps the
         # orientation, and then -7 - i + i = -7
         ([7 + 1j, 1j], [[0, 1], [-1, 1]], [1j, -7 + 0j]),
+        # reduced, but Re(conj(u) v) = -0.3 < 0: turned to (v, -u), whose
+        # triangle (0, u, v) has no obtuse angle
+        ([1 + 0j, -0.3 + 1j], [[0, 1], [-1, 0]], [-0.3 + 1j, -1 + 0j]),
     ])
     def test_known_reductions(self, sides, basis, reduced):
         got, B = reduce_lattice_bases([sides])

@@ -759,6 +759,20 @@ class TestBatchedUnfolding:
                 for keep in (False, True):
                     assert_equals_scalar(X, L, record_chains, keep)
 
+    def test_take_is_the_batch_of_those_surfaces(self):
+        surfaces = [square_torus(), regular_octagon(), no_coordinates(
+            octagon_surface()), torus(0.3 + 0j, 0.1 + 3.3j), subspace_octagon(2)]
+        batch = SurfaceBatch.of(surfaces)
+        for index in ([4, 0, 3], [1], [2, 2], [], list(range(5))):
+            got = batch.take(index)
+            want = SurfaceBatch.of([surfaces[i] for i in index])
+            for name in ("edge", "neighbor", "corner_vertex", "start", "surf"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            d = want.coeffs.shape[0]
+            assert np.array_equal(got.coeffs[:d], want.coeffs)
+            assert not got.coeffs[d:].any()
+            assert got.dims == want.dims and got.coeff_max == want.coeff_max
+
     def test_tables_arrays_are_shared(self):
         X = square_torus()
         Y = torus(1.0 + 0.1j, 0.2 + 1j)
@@ -766,3 +780,80 @@ class TestBatchedUnfolding:
         a = X._tables
         assert a.dim == 2 and SurfaceBatch.of([X, Y]).coeff_max == 1
         assert not a.neighbor.flags.writeable
+
+
+bounds = st.floats(0.3, 3.0)
+
+
+class TestPerSurfaceBound:
+    """``length_bound`` may be one bound per surface: each surface gets
+    what it gets alone with its own bound as the scalar bound."""
+
+    @PROPERTY
+    @given(data=st.data(), record_chains=st.booleans(), keep=st.booleans())
+    def test_mixed_batch_equals_batches_of_one(self, data, record_chains, keep):
+        surfaces = data.draw(st.lists(surfaces_for_batch, min_size=1,
+                                      max_size=8))
+        L = data.draw(st.lists(bounds, min_size=len(surfaces),
+                               max_size=len(surfaces)))
+        batch = unfold_surfaces(surfaces, np.array(L), record_chains=record_chains,
+                                keep_orientations=keep)
+        singles = [unfold_surfaces([X], b, record_chains=record_chains,
+                                   keep_orientations=keep)
+                   for X, b in zip(surfaces, L)]
+        assert_batch_is_concatenation(batch, singles)
+
+    @PROPERTY
+    @given(surfaces=st.lists(surfaces_for_batch, min_size=1, max_size=4),
+           L=st.lists(bounds, min_size=4, max_size=4), keep=st.booleans())
+    def test_equals_scalar_search(self, surfaces, L, keep):
+        """Bit for bit the connections and nodes of the scalar search of
+        each surface to its own bound."""
+        L = L[:len(surfaces)]
+        batch = unfold_surfaces(surfaces, L, record_chains=True,
+                                keep_orientations=keep)
+        for s, (X, b) in enumerate(zip(surfaces, L)):
+            want, nodes = scalar_unfold(X, b, True, keep)
+            got = batch.connections(s)
+            assert fields(got) == fields(want)
+            assert [bits(sc.holonomy) for sc in got] == [
+                bits(sc.holonomy) for sc in want]
+            assert batch.nodes[s] == nodes
+
+    def test_fixed_mixed_batch(self):
+        surfaces = [square_torus(), regular_octagon(), subspace_octagon(4),
+                    no_coordinates(octagon_surface()), torus(0.3 + 0j, 0.1 + 3.3j)]
+        L = [1.5, 1.2, 2.0, 3.0, 0.31]
+        batch = unfold_surfaces(surfaces, L, record_chains=True)
+        assert_batch_is_concatenation(batch, [
+            unfold_surfaces([X], b, record_chains=True)
+            for X, b in zip(surfaces, L)])
+        assert all(batch.length[batch.offsets[s]:batch.offsets[s + 1]].max(
+            initial=0) <= b for s, b in enumerate(L))
+        assert (np.diff(batch.offsets) > 0).all()
+        # a bound equal for all surfaces is the scalar bound
+        same = unfold_surfaces(surfaces, np.full(len(surfaces), 1.5))
+        assert_batch_is_concatenation(same, [
+            unfold_surfaces([X], 1.5) for X in surfaces])
+
+    @pytest.mark.parametrize("bound", [
+        [1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], [[1.0], [2.0]], np.ones((2, 2)),
+        [1.0, [2.0]], ["1", "2"], "1.5", True, [True, True], [1.0, 1j],
+    ], ids=repr)
+    def test_bad_shape_or_type(self, bound):
+        with pytest.raises(ValueError, match=r"length_bound must be a real "
+                                             r"number or one per surface \(2\)"):
+            unfold_surfaces([square_torus(), octagon_surface()], bound)
+
+    @pytest.mark.parametrize("bound", [
+        [1.0, math.nan], [math.inf, 1.0], [1.0, -math.inf], [0.0, 1.0],
+        [1.0, -2.0], np.array([1.0, -0.0])], ids=repr)
+    def test_entry_not_finite_and_positive(self, bound):
+        with pytest.raises(ValueError, match="length_bound must be finite and positive"):
+            unfold_surfaces([square_torus(), octagon_surface()], bound)
+
+    def test_empty_batch(self):
+        batch = unfold_surfaces([], np.zeros(0))
+        assert batch.offsets.tolist() == [0] and batch.nodes.size == 0
+        with pytest.raises(ValueError, match="one per surface"):
+            unfold_surfaces([], [1.0])
