@@ -11,7 +11,6 @@ from .unfolding import (
     SaddleConnection,
     UnfoldingBudgetError,
     enumerate_saddle_connections,
-    primitive_lattice_vectors,
 )
 from .homology import (
     LinearSubspace,

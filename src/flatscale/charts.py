@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, real
 from .surface import (
     SurfaceBatch,
     TranslationSurface,
@@ -32,8 +33,10 @@ class ChartModel:
     """A period coordinate chart given by polygon side parameters.
 
     ``half_width`` is the h > 0 of the parameter box: every coordinate z_i
-    ranges over |Re z_i| < h, |Im z_i| < h.  The builder is only
-    guaranteed to succeed where ``admissible`` holds.
+    ranges over |Re z_i| < h, |Im z_i| < h.  ``dim`` is an integer >= 2 and
+    ``half_width`` a finite positive real number, not a bool or a string
+    (``flatscale.checks``); a ``ValueError`` names either otherwise.  The
+    builder is only guaranteed to succeed where ``admissible`` holds.
 
     The parameters z are the first sides of a centrally symmetric polygon,
     and the builders take the sides only: each is its own chart coordinate.
@@ -73,6 +76,8 @@ class ChartModel:
     half_width: float
 
     def __post_init__(self):
+        integer(self.dim, "dim")
+        real(self.half_width, "half_width")
         if self.dim < 2:
             raise ValueError(f"chart {self.name!r}: a polygon needs at least "
                              f"2 side parameters, got dim {self.dim}")

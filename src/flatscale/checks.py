@@ -1,0 +1,30 @@
+"""The one rule for numeric arguments that come from outside the package.
+
+A radius, a length or a box width is a real number: a Python or numpy
+real, or a 0-d array of one, but not a bool (True is no radius), a string
+or a complex number.  A count (a dimension, a budget, a grid size) is a
+Python or numpy integer, but not a bool.  Each check raises a
+``ValueError`` that names the argument; the caller checks the range.
+"""
+
+from __future__ import annotations
+
+import numbers
+
+import numpy as np
+
+
+def real(value, name: str) -> float:
+    """``value`` as a float if it is a real number by the module's rule."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} holds {value!r}, not a real number")
+    return float(value)
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer by the module's rule."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

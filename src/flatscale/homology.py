@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer
+
 TAU_PARALLEL = 1e-12
 TAU_RANK = 1e-10
 
@@ -19,13 +21,17 @@ class LinearSubspace:
     """Subspace W of the chart's period coordinates C^n.
 
     ``basis`` has shape (n, d) with columns spanning W; None means the full
-    space.
+    space.  ``ambient_dim`` n is an integer >= 1, not a bool; a
+    ``ValueError`` names it otherwise.
     """
 
     ambient_dim: int
     basis: np.ndarray | None = None
 
     def __post_init__(self):
+        if integer(self.ambient_dim, "ambient_dim") < 1:
+            raise ValueError(f"ambient_dim must be at least 1, "
+                             f"got {self.ambient_dim}")
         if self.basis is not None:
             b = np.asarray(self.basis, dtype=complex)
             if b.ndim != 2 or b.shape[0] != self.ambient_dim:

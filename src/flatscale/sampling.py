@@ -114,6 +114,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ChartModel, get_chart, square_box_volume
+from .checks import integer, real
 from .homology import LinearSubspace, independence_rank
 from .surface import (
     SurfaceBatch,
@@ -162,16 +163,6 @@ class ScanResult:
     admissible_fraction: float  # admissible / area_at_most_one, or 0.0
     build_failures: int  # cone samples whose build raised SurfaceError
     unfolding_nodes: int  # chain nodes the unfoldings expanded, all batches
-
-
-def _radius(v, cell) -> float:
-    """The radius ``v`` of ``cell`` as a float: a real number, numpy's
-    and 0-d arrays too, but not a bool, a string or a complex number."""
-    if isinstance(v, np.ndarray) and v.ndim == 0:
-        v = v[()]
-    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
-        raise ValueError(f"radius cell {cell!r} holds {v!r}, not a real number")
-    return float(v)
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -466,9 +457,7 @@ def scan_chart(
         raise ValueError("subspace ambient dimension does not match chart")
     for arg, value in (("samples", samples), ("chunk_size", chunk_size),
                        ("budget", budget), ("threads", threads)):
-        # bool is Integral, but True is no count
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{arg} must be an integer, got {value!r}")
+        integer(value, arg)
     # a Philox key: None would draw OS entropy, which no rerun repeats
     if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
             or not 0 <= int(seed) < 2**128):
@@ -484,7 +473,7 @@ def scan_chart(
         if c is None:
             norm_cells.append(None)
         else:
-            e = tuple(sorted(_radius(v, c)
+            e = tuple(sorted(real(v, f"radius cell {c!r}")
                              for v in ([c] if np.ndim(c) == 0 else c)))
             if not e:
                 raise ValueError(f"radius cell {c!r} is empty")

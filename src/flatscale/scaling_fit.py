@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import real
+
 MIN_POINTS = 4  # a strict fit needs this many distinct radii per axis
 MAX_REL_STDERR = 0.20  # and every relative standard error below this
 
@@ -31,9 +33,10 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
     squares, weights from the delta-method log-variances.
 
     ``results`` is a sequence of (eps_vector, estimate, stderr); a scalar
-    eps (a 0-d array too) is one radius.  Every row needs numbers: the
-    same number k of finite positive radii, a finite positive estimate and
-    a finite stderr >= 0; any other row, and a ``results`` that is not a
+    eps (a 0-d array too) is one radius.  Every row needs real numbers (no
+    bool and no string, the rule of ``flatscale.checks``): the same number
+    k of finite positive radii, a finite positive estimate and a finite
+    stderr >= 0; any other row, and a ``results`` that is not a
     sequence of triples, raises ``DegenerateFitError``.  With ``strict``
     the preconditions are enforced too: at least ``MIN_POINTS`` distinct
     radii per axis and every relative standard error below
@@ -52,11 +55,12 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
             raise DegenerateFitError(
                 f"row {row!r} is not an (eps, estimate, stderr) triple") from None
         try:
-            eps = tuple(float(e) for e in ([eps] if np.ndim(eps) == 0 else eps))
-            rows.append((eps, float(est), float(se)))
-        except (TypeError, ValueError):
+            eps = tuple(real(e, "radius")
+                        for e in ([eps] if np.ndim(eps) == 0 else eps))
+            rows.append((eps, real(est, "estimate"), real(se, "stderr")))
+        except (TypeError, ValueError) as err:
             raise DegenerateFitError(
-                f"row ({eps!r}, {est!r}, {se!r}) is not numeric") from None
+                f"row ({eps!r}, {est!r}, {se!r}) is not numeric: {err}") from None
     if not rows:
         raise DegenerateFitError("no data")
     k = len(rows[0][0])

@@ -72,9 +72,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
+
+from .checks import integer, real
 
 DEFAULT_Z_GRID = 48
 DEFAULT_PQ_MAX = 24
@@ -359,18 +360,19 @@ def torus_exact_oracle(
     volume, cone_volume_quadrature(half_width); grid_resolution and pq_max
     are then unused).  For k = 2 the locus is empty whenever
     eps1 * eps2 < 1.
-    Raises ValueError, naming the argument, on a radius that is not finite
-    and positive, a grid_resolution or pq_max that is not an integer >= 1,
-    or a half_width that is not finite and positive.
+    Radii and half_width are real numbers, grid_resolution and pq_max
+    integers, by the rule of ``flatscale.checks`` (no bool, no string).
+    Raises ValueError, naming the argument, on a radius that is not a
+    finite positive real number, a grid_resolution or pq_max that is not an
+    integer >= 1, or a half_width that is not a finite positive real number.
     """
-    eps = [float(e) for e in ([eps] if np.ndim(eps) == 0 else eps)]
+    eps = [real(e, "eps") for e in ([eps] if np.ndim(eps) == 0 else eps)]
     if not all(math.isfinite(e) and e > 0.0 for e in eps):
         raise ValueError(f"eps: every radius must be finite and positive, got {eps}")
     for name, value in (("grid_resolution", grid_resolution), ("pq_max", pq_max)):
-        if not isinstance(value, numbers.Integral) or value < 1:
+        if integer(value, name) < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if not (math.isfinite(half_width) and half_width > 0.0):
-        raise ValueError(f"half_width must be finite and positive, got {half_width}")
+    _check_half_width(half_width)
     if len(eps) == 1:
         e = eps[0]
         if e >= HERMITE_SHORTEST:
@@ -395,6 +397,13 @@ def torus_exact_oracle(
     raise ValueError("oracle supports k in {1, 2}")
 
 
+def _check_half_width(half_width) -> None:
+    """Raise a ValueError unless ``half_width`` is a finite positive real."""
+    h = real(half_width, "half_width")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"half_width must be finite and positive, got {half_width}")
+
+
 def cone_volume_quadrature(half_width: float = 2.0) -> float:
     """The cone volume V(h) of the module docstring, h = half_width.
 
@@ -403,10 +412,10 @@ def cone_volume_quadrature(half_width: float = 2.0) -> float:
     1 - G(x) = G(-x).  One quad call over s = y + 1 in [0, 2 - c], split
     where the integrand is singular (y = -c and y = 0), evaluates it.  For
     h <= 1/sqrt(2) the range is empty and V(h) = (2h)^4 / 2 exactly.
-    Raises ValueError for a half_width that is not finite and positive.
+    Raises ValueError for a half_width that is not a finite positive real
+    number.
     """
-    if not (math.isfinite(half_width) and half_width > 0.0):
-        raise ValueError(f"half_width must be finite and positive, got {half_width}")
+    _check_half_width(half_width)
     from scipy import integrate  # only this saturated case needs scipy
 
     c = 1.0 / (half_width * half_width)

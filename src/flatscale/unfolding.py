@@ -10,12 +10,16 @@ wedge when wedges are taken half open.  Connections are told apart by their
 starting corner, so distinct homologous connections with equal holonomy
 (the two boundaries of a cylinder) are each reported.
 
-Only one orientation of each +- pair is returned unless all orientations
-are asked for, so the search then covers only the kept half plane: every
-corner wedge is clipped to the directions from DOWN below the positive
-real axis to DOWN below the negative one before it is developed.  DOWN is
-far above the wedge and pairing tolerances, so everything the clip cuts
-away lies in the discarded half plane.
+Only one orientation of each +- pair is returned, the canonical one
+(holonomy in the upper half plane, or positive real), so the search covers
+only the kept half plane: every corner wedge is clipped to the directions
+from DOWN below the positive real axis to DOWN below the negative one
+before it is developed.  DOWN is far above the wedge and pairing
+tolerances, so everything the clip cuts away lies in the discarded half
+plane.  There is one search mode and one output: the canonical
+connections, with their lengths, zeros and classes.  The unclipped search
+and the crossed-triangle chains of each connection live only in the
+scalar reference, ``tests/scalar_unfolding.py``.
 
 :func:`unfold_surfaces` searches a whole batch of surfaces at once, one
 level of chain depth per step.  It reads the flat half-edge arrays of a
@@ -47,6 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checks import integer
 from .surface import INT64_LIMIT, SurfaceBatch, TranslationSurface
 
 WEDGE_EPS = 1e-9  # relative angular tolerance for boundary coincidence
@@ -66,19 +71,16 @@ class UnfoldingBudgetError(RuntimeError):
 class SaddleConnection:
     """Oriented flat geodesic between cone points.
 
-    holonomy       complex displacement, one representative per +- pair
-    start_zero     vertex id of the initial cone point
-    end_zero       vertex id of the final cone point
-    segment_chain  (triangle, entry edge) records of the crossed triangles,
-                   or None when chains were not requested
-    class_vector   integral homology class in the chart parameter basis,
-                   or None when the surface carries no chart coordinates
+    holonomy      complex displacement, the canonical one of its +- pair
+    start_zero    vertex id of the initial cone point
+    end_zero      vertex id of the final cone point
+    class_vector  integral homology class in the chart parameter basis,
+                  or None when the surface carries no chart coordinates
     """
 
     holonomy: complex
     start_zero: int
     end_zero: int
-    segment_chain: tuple[tuple[int, int], ...] | None = None
     class_vector: tuple[int, ...] | None = None
 
     @property
@@ -100,8 +102,6 @@ class UnfoldedBatch(NamedTuple):
                 of length d < D uses the first d columns, and a surface
                 without chart coordinates has rows of 0
     dims        per surface, its class length, or None without coordinates
-    chains      per connection its (triangle, entry edge) records, or None
-                when chains were not requested
     nodes       per surface, the chain nodes expanded
     """
 
@@ -112,7 +112,6 @@ class UnfoldedBatch(NamedTuple):
     end_zero: np.ndarray
     classes: np.ndarray
     dims: tuple
-    chains: list | None
     nodes: np.ndarray
 
     def connections(self, s: int) -> list[SaddleConnection]:
@@ -121,37 +120,31 @@ class UnfoldedBatch(NamedTuple):
         dim = self.dims[s]
         classes = (None,) * (b - a) if dim is None else map(
             tuple, self.classes[a:b, :dim].tolist())
-        chains = (None,) * (b - a) if self.chains is None else self.chains[a:b]
-        return [SaddleConnection(h, v0, v1, ch, cl) for h, v0, v1, ch, cl in zip(
+        return [SaddleConnection(h, v0, v1, cl) for h, v0, v1, cl in zip(
             self.holonomy[a:b].tolist(), self.start_zero[a:b].tolist(),
-            self.end_zero[a:b].tolist(), chains, classes)]
+            self.end_zero[a:b].tolist(), classes)]
 
 
 def enumerate_saddle_connections(
     surface: TranslationSurface,
     length_bound: float,
     budget: int = DEFAULT_BUDGET,
-    record_chains: bool = False,
-    keep_orientations: bool = False,
 ):
-    """All saddle connections of length at most ``length_bound``.
+    """All saddle connections of length at most ``length_bound``, in
+    canonical order.
 
     Returns one representative per unordered +- pair (holonomy in the upper
-    half plane, or positive real), unless ``keep_orientations`` is set.
-    Without it, only directions in the kept half plane (down to ``DOWN``
-    below the real axis) are searched.  Distinct homologous connections
-    with equal holonomy are reported separately.  Raises
+    half plane, or positive real); only directions in that half plane (down
+    to ``DOWN`` below the real axis) are searched.  Distinct homologous
+    connections with equal holonomy are reported separately.  Raises
     :class:`UnfoldingBudgetError` when the search expands more than
-    ``budget`` chain nodes; with the half-plane clip, that counts the nodes
-    of the clipped search.  This is :func:`unfold_surfaces` on one surface.
+    ``budget`` chain nodes.  This is :func:`unfold_surfaces` on one surface.
     """
-    return unfold_surfaces([surface], length_bound, budget, record_chains,
-                           keep_orientations).connections(0)
+    return unfold_surfaces([surface], length_bound, budget).connections(0)
 
 
-def unfold_surfaces(surfaces, length_bound, budget: int = DEFAULT_BUDGET,
-                    record_chains: bool = False,
-                    keep_orientations: bool = False) -> UnfoldedBatch:
+def unfold_surfaces(surfaces, length_bound,
+                    budget: int = DEFAULT_BUDGET) -> UnfoldedBatch:
     """:func:`enumerate_saddle_connections` of every surface in one search.
 
     ``surfaces`` is a :class:`~flatscale.surface.SurfaceBatch`, or a
@@ -164,7 +157,8 @@ def unfold_surfaces(surfaces, length_bound, budget: int = DEFAULT_BUDGET,
     class coefficient times ``budget + 2`` (the most rows a developed class
     sums) could leave int64, when ``length_bound`` has another shape or a
     bound that is not finite and positive (nan would find nothing and inf
-    would run into the budget), or when ``budget`` is negative.
+    would run into the budget), or when ``budget`` is not an integer (a
+    bool is none) or is negative.
     """
     if not isinstance(surfaces, SurfaceBatch):
         surfaces = SurfaceBatch.of(surfaces)
@@ -181,7 +175,7 @@ def unfold_surfaces(surfaces, length_bound, budget: int = DEFAULT_BUDGET,
     if not (np.isfinite(bound) & (bound > 0)).all():
         raise ValueError(f"length_bound must be finite and positive, "
                          f"got {length_bound!r}")
-    if budget < 0:
+    if integer(budget, "budget") < 0:
         raise ValueError(f"budget must not be negative, got {budget!r}")
     cmax = surfaces.coeff_max
     rows = budget + 2
@@ -190,11 +184,9 @@ def unfold_surfaces(surfaces, length_bound, budget: int = DEFAULT_BUDGET,
             f"class coefficients up to {cmax} times budget + 2 = {rows} "
             f"reach {cmax * rows}, beyond int64 (2**63); lower the budget")
     with np.errstate(divide="ignore", invalid="ignore"):
-        levels = [] if record_chains else None
         L2 = np.broadcast_to(bound * bound, (len(surfaces),))
-        found, nodes = _search(surfaces, L2, budget, not keep_orientations,
-                               levels)
-        return _canonical(surfaces, found, nodes, levels, keep_orientations)
+        found, nodes = _search(surfaces, L2, budget)
+        return _canonical(surfaces, found, nodes)
 
 
 def _norm2(v):
@@ -228,13 +220,11 @@ def _twice(a):
     return out
 
 
-def _search(b: SurfaceBatch, L2: np.ndarray, budget: int, clip: bool, levels):
-    """The level-synchronous search, surface s to the squared bound L2[s].
-    Returns the emitted connections in per-corner search order (root
-    corner, holonomy (2, n), end vertex, class (D, n), level, node index
-    in that level) and the nodes expanded per surface.  Appends each
-    level's entry half-edges and parent indices to ``levels`` unless it is
-    None.
+def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
+    """The level-synchronous search, surface s to the squared bound L2[s],
+    in the kept half plane.  Returns the emitted connections in per-corner
+    search order (root corner, holonomy (2, n), end vertex, class (D, n))
+    and the nodes expanded per surface.
 
     Node vectors are stored component first, so every step works on
     contiguous rows, and a level's children are laid out (node, child)
@@ -260,22 +250,20 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int, clip: bool, levels):
     la2 = _norm2(ea)
     L2 = L2.take(b.surf)  # each corner's squared bound
     own = (la2 <= L2).nonzero()[0]
-    emits = [(own, ea[:, own], vert[nxt[own]], coeffs[:, own],
-              np.full(own.size, -1), np.full(own.size, -1))]
+    emits = [(own, ea[:, own], vert[nxt[own]], coeffs[:, own])]
 
     # Continue through the far edge with both boundaries open.
     lo = ea / np.sqrt(la2)
     hi = eb / np.hypot(eb[0], eb[1])
     ok = ~(lo[0] * hi[1] - lo[1] * hi[0] <= WEDGE_EPS)
-    if clip:
-        # A corner wedge spans less than pi, so it meets the kept arc
-        # [-DOWN, pi + DOWN] in one sub-wedge, or not at all when both
-        # boundaries lie below it.
-        lo_below = lo[1] < -_SIN_DOWN
-        hi_below = hi[1] < -_SIN_DOWN
-        ok &= ~(lo_below & hi_below)
-        lo[:, lo_below] = [[_BELOW_POS.real], [_BELOW_POS.imag]]
-        hi[:, hi_below & ~lo_below] = [[_BELOW_NEG.real], [_BELOW_NEG.imag]]
+    # A corner wedge spans less than pi, so it meets the kept arc
+    # [-DOWN, pi + DOWN] in one sub-wedge, or not at all when both
+    # boundaries lie below it.
+    lo_below = lo[1] < -_SIN_DOWN
+    hi_below = hi[1] < -_SIN_DOWN
+    ok &= ~(lo_below & hi_below)
+    lo[:, lo_below] = [[_BELOW_POS.real], [_BELOW_POS.imag]]
+    hi[:, hi_below & ~lo_below] = [[_BELOW_NEG.real], [_BELOW_NEG.imag]]
     ok &= ~(_seg_dist2(ea, eb) > L2)
     root = ok.nonzero()[0]
 
@@ -304,12 +292,8 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int, clip: bool, levels):
     n_surf = len(b)
     nodes = np.zeros(n_surf, np.int64)
     uncounted, total = [], 0
-    parent = None
-    level = 0
     while n := q.shape[1]:
         he, root = q[he_row], q[root_row]
-        if levels is not None:
-            levels.append((he.copy(), parent))
         uncounted.append(b.surf.take(root))
         total += n
         if total > budget:
@@ -330,8 +314,7 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int, clip: bool, levels):
         hit = (interior & (r2 <= f[8])).nonzero()[0]
         if hit.size:
             emits.append((root.take(hit), apex.take(hit, 1),
-                          apex_vert.take(he.take(hit)), capex.take(hit, 1),
-                          np.full(hit.size, level), hit))
+                          apex_vert.take(he.take(hit)), capex.take(hit, 1)))
 
         # Child 0 crosses edge e+1, from pb to the apex, and keeps pb and its
         # class; child 1 crosses edge e+2, from the apex to pa, whose pb is
@@ -351,36 +334,29 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int, clip: bool, levels):
         wedge = g[4:8:2] * g[5:8:2]
         keep &= wedge[0] - wedge[1] > WEDGE_EPS
         sel = keep.reshape(2 * n).nonzero()[0]
-        if levels is not None:
-            parent = sel >> 1
 
         gq = _twice(q)
         gq[:dim, :, 1] = capex
         gq[he_row] = kids.take(he, 0)
         f = g.reshape(9, 2 * n).take(sel, 1)
         q = gq.reshape(root_row + 1, 2 * n).take(sel, 1)
-        level += 1
     if uncounted:
         nodes += np.bincount(np.concatenate(uncounted), minlength=n_surf)
 
-    root, hol, end, cls, level, node = zip(*emits)
+    root, hol, end, cls = zip(*emits)
     cat = np.concatenate
-    found = [cat(root), cat(hol, axis=1).T, cat(end), cat(cls, axis=1).T,
-             cat(level), cat(node)]
+    found = [cat(root), cat(hol, axis=1).T, cat(end), cat(cls, axis=1).T]
     return found, nodes
 
 
-def _canonical(b: SurfaceBatch, found, nodes, levels,
-               keep_orientations: bool) -> UnfoldedBatch:
+def _canonical(b: SurfaceBatch, found, nodes) -> UnfoldedBatch:
     """Orientation filter and stable canonical sort, per surface."""
     order = np.argsort(found[0], kind="stable")  # per corner, search order
-    root, hol, end, cls, level, node = (col[order] for col in found)
+    root, hol, end, cls = (col[order] for col in found)
     m = np.hypot(hol[:, 0], hol[:, 1])
     idx = np.flatnonzero(m != 0.0)
-
-    if not keep_orientations:
-        x, y, tol = hol[idx, 0], hol[idx, 1], PAIR_EPS * m[idx]
-        idx = idx[~((y < -tol) | ((np.abs(y) <= tol) & (x < 0)))]
+    x, y, tol = hol[idx, 0], hol[idx, 1], PAIR_EPS * m[idx]
+    idx = idx[~((y < -tol) | ((np.abs(y) <= tol) & (x < 0)))]
 
     # Stable sort on (length, angle, start zero, end zero) per surface.  The
     # angle is math.atan2 (numpy's may differ in the last bit), needed only
@@ -397,51 +373,8 @@ def _canonical(b: SurfaceBatch, found, nodes, levels,
                             hol[idx[t], 0].tolist()))
     p = np.lexsort((end_zero, start_zero, angle, length, surf))
     idx = idx[p]
-    chains = None
-    if levels is not None:
-        chains = _chains(b, root[idx], level[idx], node[idx], levels)
     return UnfoldedBatch(
         offsets=np.searchsorted(surf[p], np.arange(len(b) + 1)),
         holonomy=np.ascontiguousarray(hol[idx]).view(complex).reshape(-1),
         length=length[p], start_zero=start_zero[p], end_zero=end_zero[p],
-        classes=cls[idx], dims=b.dims, chains=chains, nodes=nodes)
-
-
-def _chains(b: SurfaceBatch, root, level, node, levels):
-    """(triangle, entry edge) records from each connection's root corner
-    down its parent links, triangles numbered within their surface."""
-    h = np.arange(b.surf.size)
-    records = list(zip((h // 3 - b.start[b.surf] // 3).tolist(),
-                       (h % 3).tolist()))
-    he = [x.tolist() for x, _ in levels]
-    parent = [None if x is None else x.tolist() for _, x in levels]
-    out = []
-    for r, lv, j in zip(root.tolist(), level.tolist(), node.tolist()):
-        path = []
-        while lv >= 0:
-            path.append(records[he[lv][j]])
-            if lv:
-                j = parent[lv][j]
-            lv -= 1
-        out.append((records[r],) + tuple(reversed(path)))
-    return out
-
-
-def primitive_lattice_vectors(length_bound: float):
-    """Primitive integer vectors (p, q) with 0 < p^2+q^2 <= L^2, both signs.
-
-    Independent oracle for the square torus: its saddle connections are
-    exactly the primitive lattice vectors.
-    """
-    out = []
-    n = int(math.floor(length_bound))
-    L2 = length_bound * length_bound
-    for p in range(-n, n + 1):
-        for q in range(-n, n + 1):
-            if p == 0 and q == 0:
-                continue
-            if p * p + q * q > L2:
-                continue
-            if math.gcd(abs(p), abs(q)) == 1:
-                out.append((p, q))
-    return out
+        classes=cls[idx], dims=b.dims, nodes=nodes)

@@ -4,10 +4,19 @@ One deque per corner, one node at a time, with the float arithmetic the
 batched search must reproduce in the same order.  Classes are summed as
 tuples of Python ints.  Returns the connections in canonical order and the
 number of chain nodes expanded.
+
+It is the only source of the two things the batched search no longer
+gives: the chain of crossed triangles behind each connection, which it
+records in its own type (``ScalarConnection.segment_chain``), and the
+search over every direction (``keep_orientations=True``), which returns
+both orientations of each connection and does not clip the corner wedges
+to the kept half plane.  By default it clips and filters as the batched
+search does.
 """
 
 import math
 from collections import deque
+from typing import NamedTuple
 
 from flatscale.unfolding import (
     _BELOW_NEG,
@@ -15,8 +24,19 @@ from flatscale.unfolding import (
     _SIN_DOWN,
     PAIR_EPS,
     WEDGE_EPS,
-    SaddleConnection,
 )
+
+
+class ScalarConnection(NamedTuple):
+    """A saddle connection as the batch reports it, with the (triangle,
+    entry edge) records of the triangles it crosses, from its root corner
+    on."""
+
+    holonomy: complex
+    start_zero: int
+    end_zero: int
+    class_vector: tuple | None
+    segment_chain: tuple
 
 
 def _seg_dist2(a, b):
@@ -40,8 +60,7 @@ def _neg(a):
     return None if a is None else tuple(-x for x in a)
 
 
-def scalar_unfold(surface, length_bound, record_chains=False,
-                  keep_orientations=False):
+def scalar_unfold(surface, length_bound, keep_orientations=False):
     # the surface's arrays as nested lists of Python scalars
     T, tables = surface.n_triangles, surface._tables
     E = surface._edges.tolist()
@@ -63,7 +82,7 @@ def scalar_unfold(surface, length_bound, record_chains=False,
         q = 10.0 ** (9 - math.floor(math.log10(m)))
         key = (corner, round(hol.real * q), round(hol.imag * q))
         if key not in found:
-            found[key] = SaddleConnection(hol, v0, v1, chain, c)
+            found[key] = ScalarConnection(hol, v0, v1, c, chain)
 
     for t0 in range(surface.n_triangles):
         for c0 in range(3):
@@ -72,7 +91,7 @@ def scalar_unfold(surface, length_bound, record_chains=False,
             ea = E[t0][c0]
             eb = -E[t0][(c0 + 2) % 3]
             ca = cls[t0][c0]
-            chain0 = ((t0, c0),) if record_chains else None
+            chain0 = ((t0, c0),)
             la2 = ea.real * ea.real + ea.imag * ea.imag
             if la2 <= L2:
                 emit(corner, ea, v0, vert[t0][(c0 + 1) % 3], chain0, ca)
@@ -109,7 +128,7 @@ def scalar_unfold(surface, length_bound, record_chains=False,
                 cl = lo.real * apex.imag - lo.imag * apex.real
                 ch = apex.real * hi.imag - apex.imag * hi.real
                 thr = eps * rm
-                newchain = chain + ((t, e),) if record_chains else None
+                newchain = chain + ((t, e),)
                 interior = cl > thr and ch > thr
                 if interior and r2 <= L2:
                     emit(corner, apex, v0, vert[t][e2i], newchain, capex)

@@ -29,15 +29,15 @@ from flatscale.plumbing import annulus_integrand
 from flatscale.quadrature import log_segment_integral
 from flatscale.sectors import SectorBranchError
 from flatscale.surface import StratumSignature
-from flatscale.unfolding import enumerate_saddle_connections
+
+from test_unfolding import both_orientations
 
 HOLONOMY_RTOL = 1e-12
 G_COEFF_TOL = 1e-12
 
 
 def holonomies(surface, length_bound):
-    return np.array([sc.holonomy for sc in enumerate_saddle_connections(
-        surface, length_bound, keep_orientations=True)])
+    return np.array([sc.holonomy for sc in both_orientations(surface, length_bound)])
 
 
 def assert_is_holonomy(value, hols):

@@ -23,6 +23,18 @@ class TestAreParallel:
         assert not are_parallel(s1, s2, tol=1e-15)
 
 
+class TestLinearSubspace:
+    @pytest.mark.parametrize("dim", [2.0, True, np.True_, "2", -1, 0],
+                             ids=repr)
+    def test_bad_ambient_dim_named(self, dim):
+        # LinearSubspace(2.0), (True) and (-1) were accepted
+        with pytest.raises(ValueError, match="ambient_dim"):
+            LinearSubspace(dim)
+
+    def test_numpy_ambient_dim_accepted(self):
+        assert LinearSubspace(np.int64(3)).dim == 3
+
+
 class TestIndependenceRank:
     def test_full_space_two_units(self):
         W = LinearSubspace(4)

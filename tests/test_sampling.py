@@ -170,8 +170,7 @@ def _class_batch(surfaces) -> UnfoldedBatch:
         offsets=np.cumsum([0] + sizes), holonomy=length.astype(complex),
         length=length, start_zero=np.zeros(len(length), np.int64),
         end_zero=np.zeros(len(length), np.int64), classes=classes,
-        dims=(4,) * len(sizes), chains=None,
-        nodes=np.zeros(len(sizes), np.int64))
+        dims=(4,) * len(sizes), nodes=np.zeros(len(sizes), np.int64))
 
 
 class TestPrefixRanks:
@@ -520,6 +519,21 @@ class TestChartInput:
         got = scan_chart("torus", None, [0.3], np.int64(2000), 1, threads=np.int32(1),
                          chunk_size=np.int64(700), budget=np.int64(10**6))
         assert got == want
+
+    @pytest.mark.parametrize("dim, half_width, name", [
+        (3.0, 2.0, "dim"), ("2", 2.0, "dim"), (True, 2.0, "dim"),
+        (2, True, "half_width"), (2, "2.0", "half_width"),
+        (2, np.True_, "half_width"), (2, 2 + 0j, "half_width"),
+    ], ids=repr)
+    def test_chart_argument_not_a_number_named(self, dim, half_width, name):
+        # ChartModel("x", 3.0, 2.0) was accepted and failed in scan_chart
+        # with a bare TypeError, dim="2" raised one, half_width=True passed
+        with pytest.raises(ValueError, match=name):
+            ChartModel("x", dim, half_width)
+
+    def test_numpy_chart_arguments_accepted(self):
+        chart = ChartModel("x", np.int64(2), np.float32(2.0))
+        assert chart.box_volume == ChartModel("x", 2, 2.0).box_volume
 
     @pytest.mark.parametrize("dim", [1, 0, -2])
     def test_chart_of_fewer_than_two_sides_rejected(self, dim):
@@ -976,8 +990,7 @@ class TestBatchedScan:
             offsets=offsets, holonomy=lengths.astype(complex), length=lengths,
             start_zero=np.zeros(len(lengths), np.int64),
             end_zero=np.zeros(len(lengths), np.int64), classes=classes,
-            dims=(4,) * len(sizes), chains=None,
-            nodes=np.zeros(len(sizes), np.int64))
+            dims=(4,) * len(sizes), nodes=np.zeros(len(sizes), np.int64))
         W = LinearSubspace(4)
         R = sampling._rank_thresholds(batch, W, 3)
         cells = [(e,) for e in grid] + [

@@ -102,7 +102,12 @@ class TestMalformedRows:
     @pytest.mark.parametrize("row", [
         ("ab", 0.16, 1e-4), ((0.4, "ab"), 0.16, 1e-4), ((None,), 0.16, 1e-4),
         ((0.4,), "x", 1e-4), ((0.4,), 0.16, None),
-    ], ids=["eps-str", "eps-entry", "eps-none", "estimate", "stderr"])
+        # True was read as radius 1.0 and "0.1" as 0.1
+        ((True,), 0.16, 1e-4), (True, 0.16, 1e-4), (("0.4",), 0.16, 1e-4),
+        ((0.4,), "0.16", 1e-4), ((0.4 + 0j,), 0.16, 1e-4),
+    ], ids=["eps-str", "eps-entry", "eps-none", "estimate", "stderr",
+            "eps-bool", "eps-scalar-bool", "eps-numeric-str", "estimate-str",
+            "eps-complex"])
     def test_non_numeric_entries(self, row):
         with pytest.raises(DegenerateFitError, match="not numeric"):
             fit_scaling_exponent(with_row(row), strict=False)

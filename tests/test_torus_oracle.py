@@ -541,6 +541,16 @@ class TestOracleArguments:
         (dict(eps=[0.2], half_width=0.0), "half_width"),
         (dict(eps=[0.2], half_width=float("nan")), "half_width"),
         (dict(eps=[0.2], half_width=float("inf")), "half_width"),
+        # "0.3" was read as 0.3, half_width=True as a box of h = 1, and
+        # grid_resolution=True and pq_max=True were accepted
+        (dict(eps="0.3"), "eps"),
+        (dict(eps=[0.2, True]), "eps"),
+        (dict(eps=[0.3 + 0j]), "eps"),
+        (dict(eps=[0.2], half_width=True), "half_width"),
+        (dict(eps=[0.2], half_width="2.0"), "half_width"),
+        (dict(eps=[0.2], grid_resolution=True), "grid_resolution"),
+        (dict(eps=[0.2], pq_max=True), "pq_max"),
+        (dict(eps=[0.2], pq_max=np.True_), "pq_max"),
     ])
     def test_bad_argument_named(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
@@ -571,7 +581,9 @@ class TestConeVolume:
         # |Im(conj(u) v)| <= 2 h^2 <= 1: the cone is the half box Im > 0
         assert cone_volume_quadrature(h) == (2 * h) ** 4 / 2
 
-    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
+    # True once gave the cone volume of h = 1 (7.71)
+    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf"),
+                                   True, np.True_, "2.0", 2 + 0j])
     def test_bad_half_width(self, h):
         with pytest.raises(ValueError, match="half_width"):
             cone_volume_quadrature(h)

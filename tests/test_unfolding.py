@@ -16,9 +16,9 @@ from flatscale.homology import TAU_PARALLEL
 from flatscale.surface import SurfaceBatch, SurfaceError, TranslationSurface
 from flatscale.unfolding import (
     PAIR_EPS,
+    SaddleConnection,
     UnfoldingBudgetError,
     enumerate_saddle_connections,
-    primitive_lattice_vectors,
     unfold_surfaces,
 )
 
@@ -55,17 +55,26 @@ def as_pair_set(connections):
     return out
 
 
-def develop_chain(surface, sc, edge=None, origin=0j):
-    """Redevelop the segment chain and return the apex displacement.
+def both_orientations(X, L):
+    """Every oriented connection of X up to length L: each canonical
+    connection and its reverse (holonomy -h, zeros swapped, class -c).
+    ``TestReverses`` checks it against the scalar search over every
+    direction."""
+    out = []
+    for sc in enumerate_saddle_connections(X, L):
+        c = sc.class_vector
+        out += [sc, SaddleConnection(-sc.holonomy, sc.end_zero, sc.start_zero,
+                                     None if c is None else tuple(-x for x in c))]
+    return out
 
-    ``edge(t, e)`` gives the value carried by an edge (its vector by
-    default); any values with + and unary - develop the same way.
-    """
-    edge = surface.edge if edge is None else edge
-    chain = sc.segment_chain
+
+def develop_chain(surface, chain):
+    """Redevelop a segment chain of the scalar search and return the apex
+    displacement."""
+    edge = surface.edge
     t0, c0 = chain[0]
     pos = {
-        (t0, c0): origin,
+        (t0, c0): 0j,
         (t0, (c0 + 1) % 3): edge(t0, c0),
         (t0, (c0 + 2) % 3): -edge(t0, (c0 + 2) % 3),
     }
@@ -97,13 +106,14 @@ class TestSquareTorus:
     def test_exhaustive_lattice_count(self):
         X = square_torus()
         scs = enumerate_saddle_connections(X, 30.0)
-        assert 2 * len(scs) == len(primitive_lattice_vectors(30.0))
+        assert 2 * len(scs) == len(primitive_vectors_of_lattice(np.eye(2), 30.0))
 
     def test_holonomies_match_lattice(self):
         X = square_torus()
         scs = enumerate_saddle_connections(X, 12.0)
         got = as_pair_set(scs)
-        want = {(float(p), float(q)) for p, q in primitive_lattice_vectors(12.0)}
+        want = {(float(p), float(q))
+                for p, q in primitive_vectors_of_lattice(np.eye(2), 12.0)}
         assert got == want
 
     def test_classes_match_holonomy(self):
@@ -177,11 +187,14 @@ class TestRandomTori:
 
 class TestOctagon:
     def test_chains_develop_to_holonomy(self):
+        """The scalar search's chains, developed again, give the batch's
+        holonomies in canonical order."""
         X = octagon_surface()
-        scs = enumerate_saddle_connections(X, 3.0, record_chains=True)
-        assert scs
-        for sc in scs:
-            dev = develop_chain(X, sc)
+        scs = enumerate_saddle_connections(X, 3.0)
+        ref, _ = scalar_unfold(X, 3.0)
+        assert scs and len(ref) == len(scs)
+        for sc, r in zip(scs, ref):
+            dev = develop_chain(X, r.segment_chain)
             assert abs(dev - sc.holonomy) < 1e-9 * max(1.0, abs(sc.holonomy))
 
     def test_classes_reproduce_holonomy(self):
@@ -190,12 +203,6 @@ class TestOctagon:
         for sc in enumerate_saddle_connections(X, 3.0):
             hol = sum(c * w for c, w in zip(sc.class_vector, z))
             assert abs(hol - sc.holonomy) < 1e-9
-
-    def test_orientation_pairs(self):
-        X = octagon_surface()
-        both = enumerate_saddle_connections(X, 2.5, keep_orientations=True)
-        canon = enumerate_saddle_connections(X, 2.5)
-        assert len(both) == 2 * len(canon)
 
 
 class TestBudget:
@@ -221,17 +228,26 @@ class TestBudget:
         with pytest.raises(UnfoldingBudgetError):
             enumerate_saddle_connections(X, 500.0, budget=2000)
 
-    @pytest.mark.parametrize("keep", [False, True])
     @pytest.mark.parametrize("surface", [square_torus, octagon_surface])
-    def test_budget_error_both_paths(self, surface, keep):
+    def test_budget_error_at_large_bound(self, surface):
         with pytest.raises(UnfoldingBudgetError):
-            enumerate_saddle_connections(surface(), 60.0, budget=500,
-                                         keep_orientations=keep)
+            enumerate_saddle_connections(surface(), 60.0, budget=500)
+
+    @pytest.mark.parametrize("budget", [True, False, np.True_, 2.5, 500.0,
+                                        "5", None], ids=repr)
+    def test_budget_not_an_integer(self, budget):
+        # budget=True once raised "exceeded budget of True nodes", 2.5 was
+        # accepted, and "5" and None raised bare TypeErrors
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            enumerate_saddle_connections(square_torus(), 1.5, budget=budget)
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            unfold_surfaces([square_torus(), octagon_surface()], 1.5,
+                            budget=budget)
 
 
 def fields(connections):
-    return [(sc.holonomy, sc.start_zero, sc.end_zero, sc.segment_chain,
-             sc.class_vector) for sc in connections]
+    return [(sc.holonomy, sc.start_zero, sc.end_zero, sc.class_vector)
+            for sc in connections]
 
 
 def kept(sc):
@@ -242,19 +258,17 @@ def kept(sc):
     return not (abs(h.imag) <= PAIR_EPS * abs(h) and h.real < 0)
 
 
-def unclipped_canonical(X, L, record_chains):
-    """Reference for the clipped canonical search: the search over every
-    direction, filtered to the canonical orientation afterwards."""
-    both = enumerate_saddle_connections(X, L, record_chains=record_chains,
-                                        keep_orientations=True)
+def unclipped_canonical(X, L):
+    """Reference for the clipped canonical search: the scalar search over
+    every direction, filtered to the canonical orientation afterwards."""
+    both, _ = scalar_unfold(X, L, keep_orientations=True)
     return [sc for sc in both if kept(sc)]
 
 
 def assert_clip_exact(X):
     for L in (1.0, 3.0 * math.sqrt(X.area())):
-        for record_chains in (False, True):
-            got = enumerate_saddle_connections(X, L, record_chains=record_chains)
-            assert fields(got) == fields(unclipped_canonical(X, L, record_chains))
+        got = enumerate_saddle_connections(X, L)
+        assert fields(got) == fields(unclipped_canonical(X, L))
 
 
 def star_octagon(angle0, weights, radii):
@@ -299,7 +313,8 @@ angle = st.floats(0.0, 2 * math.pi)
 
 class TestHalfPlaneClip:
     """The canonical search develops only directions down to DOWN below the
-    real axis; its output must equal the full search's, field for field."""
+    real axis; its output must equal the scalar full search's, filtered to
+    the canonical orientation, field for field."""
 
     @PROPERTY
     @given(r1=radius, r2=radius, a=angle, gap=st.floats(0.2, math.pi - 0.2))
@@ -341,8 +356,7 @@ class TestHalfPlaneClip:
             if tilt:
                 X = X.mapped([[c, -s], [s, c]])
             L = 3.0 * math.sqrt(X.area())
-            flat = horizontal(
-                enumerate_saddle_connections(X, L, keep_orientations=True))
+            flat = horizontal(scalar_unfold(X, L, keep_orientations=True)[0])
             want = [sc for sc in flat if kept(sc)]
             assert 2 * len(want) == len(flat) and want
             if not tilt:
@@ -353,8 +367,9 @@ class TestHalfPlaneClip:
 
 class TestPackedClasses:
     def test_huge_coordinates(self):
-        """Classes with coordinates near 1e12 equal the exact tuple sums
-        along the chain and the small classes mapped by the same matrix."""
+        """Classes with coordinates near 1e12 equal the scalar search's
+        classes, exact sums of Python ints, and the small classes mapped by
+        the same matrix."""
         X = octagon_surface()
         rng = np.random.default_rng(3)
         M = [[int(x) for x in row]
@@ -366,19 +381,15 @@ class TestPackedClasses:
                   for t in range(X.n_triangles)]
         Y = TranslationSurface(tris, X.gluings, np.asarray(coords))
         assert SurfaceBatch.of([Y]).coeff_max > 10**12
-        small = enumerate_saddle_connections(X, 4.0, record_chains=True)
-        big = enumerate_saddle_connections(Y, 4.0, record_chains=True)
+        small = enumerate_saddle_connections(X, 4.0)
+        big = enumerate_saddle_connections(Y, 4.0)
         assert [sc.holonomy for sc in big] == [sc.holonomy for sc in small]
-
-        def coeff(t, e):
-            return np.asarray(Y.edge_coeff(t, e), dtype=object)
-
-        zero = np.zeros(5, dtype=object)
+        ref, _ = scalar_unfold(Y, 4.0)
+        assert [sc.class_vector for sc in big] == [sc.class_vector for sc in ref]
         for sb, ss in zip(big, small):
             want = tuple(sum(c * M[i][j] for i, c in enumerate(ss.class_vector))
                          for j in range(5))
             assert sb.class_vector == want
-            assert tuple(develop_chain(Y, sb, coeff, zero)) == want
             assert all(type(x) is int for x in sb.class_vector)
 
     def test_no_coordinates(self):
@@ -399,8 +410,7 @@ class TestMultiplicity:
         # completely periodic and carries sum(m_i + 1) = 3 connections
         X = regular_octagon()
         canon = enumerate_saddle_connections(X, 3.0)
-        both = enumerate_saddle_connections(X, 3.0, keep_orientations=True)
-        assert len(canon) == 32 and len(both) == 64
+        assert len(canon) == 32
         per_dir = Counter(round(cmath.phase(sc.holonomy) / (math.pi / 8), 6)
                           for sc in canon)
         assert all(per_dir[float(k)] == 3 for k in range(8))
@@ -423,7 +433,7 @@ class TestMultiplicity:
         X = star_octagon(1.1, [0.6, 0.3, 0.8, 0.5], [0.7, 0.9, 0.4, 1.0])
         L = 2.5 * math.sqrt(X.area())
         # 3 L exceeds |g^-1| L for each g below
-        base = enumerate_saddle_connections(X, 3.0 * L, keep_orientations=True)
+        base = both_orientations(X, 3.0 * L)
         for g in ([[1, 1], [0, 1]], [[1, 0], [-1, 1]], [[2, 1], [1, 1]]):
             want = Counter()
             for sc in base:
@@ -434,8 +444,7 @@ class TestMultiplicity:
                     want[(round(w.real, 7), round(w.imag, 7))] += 1
             got = Counter(
                 (round(sc.holonomy.real, 7), round(sc.holonomy.imag, 7))
-                for sc in enumerate_saddle_connections(X.mapped(g), L,
-                                                       keep_orientations=True))
+                for sc in both_orientations(X.mapped(g), L))
             assert got == want
 
     def test_sl2z_classes(self):
@@ -443,7 +452,7 @@ class TestMultiplicity:
         X.mapped(g) has the class of its preimage on X."""
         X = star_octagon(0.7, [0.5, 0.8, 0.6, 0.9], [0.9, 0.4, 0.7, 0.5])
         L = 2.5 * math.sqrt(X.area())
-        base = enumerate_saddle_connections(X, 3.0 * L, keep_orientations=True)
+        base = both_orientations(X, 3.0 * L)
         assert all(sc.class_vector is not None for sc in base)
         for g in ([[1, 1], [0, 1]], [[1, 0], [-1, 1]], [[2, 1], [1, 1]],
                   [[0, -1], [1, 0]]):
@@ -459,8 +468,7 @@ class TestMultiplicity:
             got = Counter(
                 (round(sc.holonomy.real, 7), round(sc.holonomy.imag, 7),
                  sc.class_vector)
-                for sc in enumerate_saddle_connections(Y, L,
-                                                       keep_orientations=True))
+                for sc in both_orientations(Y, L))
             assert got == want and want
 
 
@@ -480,8 +488,7 @@ def same_multiset(a, b, tol=1e-9):
 
 def all_holonomies(X, L):
     """The holonomies of every oriented connection of X up to length L."""
-    return np.array([sc.holonomy for sc in enumerate_saddle_connections(
-        X, L, keep_orientations=True)])
+    return np.array([sc.holonomy for sc in both_orientations(X, L)])
 
 
 SHEARS = pytest.mark.parametrize("shear, veech", [
@@ -596,17 +603,30 @@ def assert_batch_is_concatenation(batch, singles):
         dim = one.dims[0] or 0
         assert np.array_equal(batch.classes[rows, :dim], one.classes[:, :dim])
         assert not batch.classes[rows, dim:].any()
-        if one.chains is None:
-            assert batch.chains is None
-        else:
-            assert batch.chains[rows] == one.chains
         assert fields(batch.connections(i)) == fields(one.connections(0))
 
 
-def assert_equals_scalar(X, L, record_chains, keep):
-    want, nodes = scalar_unfold(X, L, record_chains, keep)
-    batch = unfold_surfaces([X], L, record_chains=record_chains,
-                            keep_orientations=keep)
+def assert_batch_equals_batches_of_one(surfaces, bound):
+    """The batch of ``surfaces`` to ``bound`` (one, or one per surface)
+    equals their batches of one, or raises the budget error exactly when
+    one of them does.  A subspace octagon of small area can need over 10**6
+    nodes at L = 2; the low budget keeps such an example short."""
+    budget = 50_000
+    each = np.broadcast_to(bound, (len(surfaces),)).tolist()
+    try:
+        singles = [unfold_surfaces([X], b, budget=budget)
+                   for X, b in zip(surfaces, each)]
+    except UnfoldingBudgetError:
+        with pytest.raises(UnfoldingBudgetError):
+            unfold_surfaces(surfaces, bound, budget=budget)
+        return
+    assert_batch_is_concatenation(
+        unfold_surfaces(surfaces, bound, budget=budget), singles)
+
+
+def assert_equals_scalar(X, L):
+    want, nodes = scalar_unfold(X, L)
+    batch = unfold_surfaces([X], L)
     got = batch.connections(0)
     assert fields(got) == fields(want)
     assert ([bits(sc.holonomy) for sc in got]
@@ -614,11 +634,58 @@ def assert_equals_scalar(X, L, record_chains, keep):
     assert batch.nodes.tolist() == [nodes]
     if nodes:
         with pytest.raises(UnfoldingBudgetError):
-            unfold_surfaces([X], L, budget=nodes - 1, keep_orientations=keep)
+            unfold_surfaces([X], L, budget=nodes - 1)
 
 
 def bits(z):
     return np.asarray([z.real, z.imag]).view(np.uint64).tolist()
+
+
+FIXED_SURFACES = pytest.mark.parametrize("surface", [
+    square_torus, regular_octagon, octagon_surface,
+    lambda: torus(0.3 + 0j, 0.1 + 3.3j),
+    lambda: star_octagon(0.3, [0.5, 0.9, 0.4, 0.7], [0.8, 0.5, 1.0, 0.6]),
+    # The densest inputs: 852 and 984 connections in the kept half
+    # plane.  The scalar search keeps the first of equal rounded keys,
+    # so bit equality shows that the batch emits no connection twice.
+    pytest.param((square_torus, (30.0,)), id="square_torus-L30"),
+    pytest.param((unit_regular_octagon, (10.0,)), id="unit_octagon-L10"),
+])
+
+
+def fixed_surface(surface):
+    """A ``FIXED_SURFACES`` entry as its surface and bounds: those given,
+    or 1 and 3 sqrt(area)."""
+    surface, lengths = surface if isinstance(surface, tuple) else (surface, None)
+    X = surface()
+    return X, lengths or (1.0, 3.0 * math.sqrt(X.area()))
+
+
+def oriented(connections):
+    """The multiset of connections, holonomies rounded to 8 digits."""
+    return Counter((round(sc.holonomy.real, 8), round(sc.holonomy.imag, 8),
+                    sc.start_zero, sc.end_zero, sc.class_vector)
+                   for sc in connections)
+
+
+class TestReverses:
+    """``both_orientations``, the canonical connections and their reverses,
+    is the scalar search over every direction."""
+
+    @FIXED_SURFACES
+    def test_fixed_surfaces(self, surface):
+        X, lengths = fixed_surface(surface)
+        for L in lengths:
+            want, _ = scalar_unfold(X, L, keep_orientations=True)
+            assert want and oriented(both_orientations(X, L)) == oriented(want)
+
+    @settings(PROPERTY, max_examples=15)
+    @given(surfaces=st.lists(surfaces_for_batch, min_size=1, max_size=8),
+           L=st.floats(0.5, 3.0))
+    def test_batch(self, surfaces, L):
+        for X in surfaces:
+            want, _ = scalar_unfold(X, L, keep_orientations=True)
+            assert oriented(both_orientations(X, L)) == oriented(want)
 
 
 class TestBatchedUnfolding:
@@ -627,46 +694,41 @@ class TestBatchedUnfolding:
 
     @PROPERTY
     @given(surfaces=st.lists(surfaces_for_batch, min_size=1, max_size=8),
-           L=st.floats(0.5, 3.0), record_chains=st.booleans(),
-           keep=st.booleans())
-    def test_mixed_batch_equals_batches_of_one(self, surfaces, L,
-                                               record_chains, keep):
-        batch = unfold_surfaces(surfaces, L, record_chains=record_chains,
-                                keep_orientations=keep)
-        singles = [unfold_surfaces([X], L, record_chains=record_chains,
-                                   keep_orientations=keep) for X in surfaces]
-        assert_batch_is_concatenation(batch, singles)
+           L=st.floats(0.5, 3.0))
+    def test_mixed_batch_equals_batches_of_one(self, surfaces, L):
+        assert_batch_equals_batches_of_one(surfaces, L)
 
     def test_fixed_mixed_batch(self):
         surfaces = [square_torus(), regular_octagon(), subspace_octagon(4),
                     square_torus().rescaled(4.0), no_coordinates(octagon_surface()),
                     torus(0.3 + 0j, 0.1 + 3.3j)]
         for L in (1.0, 3.0):
-            batch = unfold_surfaces(surfaces, L, record_chains=True)
+            batch = unfold_surfaces(surfaces, L)
             assert batch.offsets[4] == batch.offsets[3]  # nothing below L
             assert batch.dims == (2, 4, 4, 2, None, 2)
-            singles = [unfold_surfaces([X], L, record_chains=True)
-                       for X in surfaces]
+            singles = [unfold_surfaces([X], L) for X in surfaces]
             assert_batch_is_concatenation(batch, singles)
             for i, X in enumerate(surfaces):
                 assert fields(batch.connections(i)) == fields(
-                    enumerate_saddle_connections(X, L, record_chains=True))
+                    enumerate_saddle_connections(X, L))
 
     def test_several_vertices(self):
         """Surfaces with several cone points, alone and in one batch with a
-        chart torus, equal the scalar search, start and end zeros included."""
+        chart torus, equal the scalar search, clipped and over every
+        direction, start and end zeros included."""
         surfaces = [
             MarkedTorusFamily().surface(PlumbingParams(t={-1: 0.05 + 0.02j})),
             HorizontalCylinderFamily().surface(
                 PlumbingParams(t_h={0: 0.01, 1: 0.02}))]
         assert [X.n_vertices for X in surfaces] == [4, 4]
         for X in surfaces:
-            for keep in (False, True):
-                assert_equals_scalar(X, 1.0, True, keep)
+            assert_equals_scalar(X, 1.0)
+            assert fields(enumerate_saddle_connections(X, 1.0)) == fields(
+                unclipped_canonical(X, 1.0))
         mixed = [surfaces[0], square_torus(), surfaces[1]]
-        batch = unfold_surfaces(mixed, 1.0, record_chains=True)
+        batch = unfold_surfaces(mixed, 1.0)
         assert_batch_is_concatenation(batch, [
-            unfold_surfaces([X], 1.0, record_chains=True) for X in mixed])
+            unfold_surfaces([X], 1.0) for X in mixed])
         assert len(set(batch.start_zero.tolist())) == 4
 
     def test_empty_batch(self):
@@ -734,30 +796,17 @@ class TestBatchedUnfolding:
         assert all(type(c) is int for sc in got for c in sc.class_vector)
 
     @PROPERTY
-    @given(X=surfaces_for_batch, L=st.floats(0.5, 3.0),
-           record_chains=st.booleans(), keep=st.booleans())
-    def test_equals_scalar_search(self, X, L, record_chains, keep):
+    @given(X=surfaces_for_batch, L=st.floats(0.5, 3.0))
+    def test_equals_scalar_search(self, X, L):
         """Bit for bit the connections, order and node count of the scalar
         breadth-first search."""
-        assert_equals_scalar(X, L, record_chains, keep)
+        assert_equals_scalar(X, L)
 
-    @pytest.mark.parametrize("surface", [
-        square_torus, regular_octagon, octagon_surface,
-        lambda: torus(0.3 + 0j, 0.1 + 3.3j),
-        lambda: star_octagon(0.3, [0.5, 0.9, 0.4, 0.7], [0.8, 0.5, 1.0, 0.6]),
-        # The densest inputs: 852 and 984 connections in the kept half
-        # plane.  The scalar search keeps the first of equal rounded keys,
-        # so bit equality shows that the batch emits no connection twice.
-        pytest.param((square_torus, (30.0,)), id="square_torus-L30"),
-        pytest.param((unit_regular_octagon, (10.0,)), id="unit_octagon-L10"),
-    ])
+    @FIXED_SURFACES
     def test_fixed_surfaces_equal_scalar_search(self, surface):
-        surface, lengths = surface if isinstance(surface, tuple) else (surface, None)
-        X = surface()
-        for L in lengths or (1.0, 3.0 * math.sqrt(X.area())):
-            for record_chains in (False, True):
-                for keep in (False, True):
-                    assert_equals_scalar(X, L, record_chains, keep)
+        X, lengths = fixed_surface(surface)
+        for L in lengths:
+            assert_equals_scalar(X, L)
 
     def test_take_is_the_batch_of_those_surfaces(self):
         surfaces = [square_torus(), regular_octagon(), no_coordinates(
@@ -790,30 +839,24 @@ class TestPerSurfaceBound:
     what it gets alone with its own bound as the scalar bound."""
 
     @PROPERTY
-    @given(data=st.data(), record_chains=st.booleans(), keep=st.booleans())
-    def test_mixed_batch_equals_batches_of_one(self, data, record_chains, keep):
+    @given(data=st.data())
+    def test_mixed_batch_equals_batches_of_one(self, data):
         surfaces = data.draw(st.lists(surfaces_for_batch, min_size=1,
                                       max_size=8))
         L = data.draw(st.lists(bounds, min_size=len(surfaces),
                                max_size=len(surfaces)))
-        batch = unfold_surfaces(surfaces, np.array(L), record_chains=record_chains,
-                                keep_orientations=keep)
-        singles = [unfold_surfaces([X], b, record_chains=record_chains,
-                                   keep_orientations=keep)
-                   for X, b in zip(surfaces, L)]
-        assert_batch_is_concatenation(batch, singles)
+        assert_batch_equals_batches_of_one(surfaces, np.array(L))
 
     @PROPERTY
     @given(surfaces=st.lists(surfaces_for_batch, min_size=1, max_size=4),
-           L=st.lists(bounds, min_size=4, max_size=4), keep=st.booleans())
-    def test_equals_scalar_search(self, surfaces, L, keep):
+           L=st.lists(bounds, min_size=4, max_size=4))
+    def test_equals_scalar_search(self, surfaces, L):
         """Bit for bit the connections and nodes of the scalar search of
         each surface to its own bound."""
         L = L[:len(surfaces)]
-        batch = unfold_surfaces(surfaces, L, record_chains=True,
-                                keep_orientations=keep)
+        batch = unfold_surfaces(surfaces, L)
         for s, (X, b) in enumerate(zip(surfaces, L)):
-            want, nodes = scalar_unfold(X, b, True, keep)
+            want, nodes = scalar_unfold(X, b)
             got = batch.connections(s)
             assert fields(got) == fields(want)
             assert [bits(sc.holonomy) for sc in got] == [
@@ -824,10 +867,9 @@ class TestPerSurfaceBound:
         surfaces = [square_torus(), regular_octagon(), subspace_octagon(4),
                     no_coordinates(octagon_surface()), torus(0.3 + 0j, 0.1 + 3.3j)]
         L = [1.5, 1.2, 2.0, 3.0, 0.31]
-        batch = unfold_surfaces(surfaces, L, record_chains=True)
+        batch = unfold_surfaces(surfaces, L)
         assert_batch_is_concatenation(batch, [
-            unfold_surfaces([X], b, record_chains=True)
-            for X, b in zip(surfaces, L)])
+            unfold_surfaces([X], b) for X, b in zip(surfaces, L)])
         assert all(batch.length[batch.offsets[s]:batch.offsets[s + 1]].max(
             initial=0) <= b for s, b in enumerate(L))
         assert (np.diff(batch.offsets) > 0).all()
