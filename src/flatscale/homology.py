@@ -85,9 +85,14 @@ def independence_rank(classes, subspace: LinearSubspace):
     or it is a stack of such matrices, (..., r, n), and the ranks are an
     array of shape (...), one per matrix, from one stacked SVD.  The rank
     counts the singular values above ``TAU_RANK`` times the largest (none
-    when the largest is 0).
+    when the largest is 0).  A one-row matrix of finite entries has one
+    singular value, its norm, which passes that test exactly when the row
+    is nonzero, so such stacks take no SVD.
     """
     g = subspace.restrict_classes(classes)
+    if g.shape[-2] == 1 and np.isfinite(g).all():
+        rank = (g != 0).any(axis=-1)[..., 0]
+        return int(rank) if g.ndim == 2 else rank.astype(np.int64)
     sv = np.linalg.svd(g, compute_uv=False)
     rank = np.sum(sv > TAU_RANK * sv[..., :1], axis=-1)
     return int(rank) if g.ndim == 2 else rank

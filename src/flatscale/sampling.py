@@ -57,37 +57,51 @@ which raises; it is counted in ``ScanResult.build_failures``, stays in the
 plain cone count and is accepted by no radius cell.
 
 So the back end runs, per batch: reduce (tori), build, rebase (tori),
-retriangulate (all but the tori), guess, unfold, rank, check, unfold and
-rank again (rarely), test the cells.  ``SurfaceBatch.delaunay``
-retriangulates the built surfaces toward Delaunay in a few vectorised
-rounds of cylinder twists and edge flips.  The ear clip leaves long thin
-triangles, and a Delaunay surface unfolds to the same connections with
-about half the chain nodes and far fewer narrow levels.  A reduced torus
-is Delaunay as built (``reduce_lattice_bases``), so the tori skip it.
+retriangulate (all but the tori), certify, unfold, rank, test the cells.
+``SurfaceBatch.delaunay`` retriangulates the built surfaces toward
+Delaunay in a few vectorised rounds of cylinder twists and edge flips.
+The ear clip leaves long thin triangles, and a Delaunay surface unfolds
+to the same connections with about half the chain nodes and far fewer
+narrow levels.  A reduced torus is Delaunay as built
+(``reduce_lattice_bases``), so the tori skip it.
 
-The cells need R_0, ..., R_(cap - 1) only, cap = min(k_max, dim W), so
-each surface is unfolded only as far as its own R_(cap - 1).  Every edge
-of a surface is a saddle connection, and on a (near-)Delaunay surface the
-shortest connection is an edge, so ``_threshold_guess`` reads a guess
-g_s >= R_(cap - 1) off surface s's edges, with no rank taken: the
-shortest edge for cap 1, the shortest edge not parallel to it (so of an
-independent class) for cap 2, and inf, no pruning, for cap >= 3.  The
-batch is unfolded in one ``unfold_surfaces`` call, surface s to its own
-reach min(l_max, g_s (1 + 2 GUESS_SLACK)), and ranked.  The check: a
-surface is done when its reach is l_max or R_(cap - 1) <= g_s (1 +
-GUESS_SLACK).  The search to the reach finds every connection no longer
-than g_s (1 + GUESS_SLACK), the slack covering the rounding of its
-pruning tests, and the canonical order is intrinsic, so those are, one by
-one and in order, the first connections of the search to l_max; the
-greedy pass stops at rank cap inside them, so every threshold is that of
-the search to l_max.  Any other surface is unfolded again to l_max and
-ranked on its own, so a wrong guess costs nodes, never a count.
-``ScanResult.unfolding_nodes``, like the node budget, counts the nodes
-the scan actually expands: those of the searches to the reach, plus
-those of any second search, and the budget holds for each search.  Each
-surface's retriangulation, guess, connections, ranks and nodes do not
-depend on which batch holds it, so the counts and the nodes do not
-depend on the worker count.
+The cells need R_0, ..., R_(cap - 1) only, cap = min(k_max, dim W), and
+of each only whether it is at most a radius of the cell grid (every
+radius of every cell), so each surface is unfolded only as far as the
+grid below its own R_(cap - 1) needs.  Every edge of a surface is a saddle
+connection, and on a (near-)Delaunay surface the shortest connection is
+an edge, so ``_threshold_guess`` picks cap edges of surface s: the
+shortest edge for cap 1, and for cap 2 also the shortest edge not
+parallel to it (none for cap >= 3).  One stacked ``independence_rank``
+call checks that their classes, restricted to W, have rank cap.  A
+surface that passes has a certificate: R_(cap - 1) <= g_s, the length of
+its longer certificate edge rounded up by ``GUESS_SLACK``.  The rounding
+covers the last bits in which the two half-edges of an edge may differ
+(the search reports the one in the kept half plane), and it puts every
+radius at or above g_s clearly above both edges, so a search to that
+radius finds them.  Other surfaces have g_s = inf.
+
+Let rho_s be the largest radius of the grid strictly below g_s (l_max
+when g_s = inf, 0 when there is none).  The batch is unfolded in one
+``unfold_surfaces`` call, surface s to its reach min(l_max, rho_s (1 + 2
+GUESS_SLACK)), and ranked.  The search to the reach finds every
+connection no longer than rho_s (1 + GUESS_SLACK), the slack covering the
+rounding of its pruning tests, and the canonical order is intrinsic, so
+those are, one by one and in order, the first connections of the search
+to l_max, and every threshold R_i <= rho_s (1 + GUESS_SLACK) is that of
+the search to l_max.  Every other R_i, i < cap, is set to g_s: its value
+in the search to l_max lies in (rho_s, g_s], and no radius does, so each
+cell test R_i <= eps is the one the search to l_max gives.  Without a
+certificate the surface is searched to l_max, and an R_i it does not
+reach stays inf.  A surface with no radius below g_s passes every test
+of R_0, ..., R_(cap - 1) and needs no connection: its reach is the least
+normal float, whose square underflows to 0, so it expands no node unless
+a triangle is degenerate.  ``ScanResult.unfolding_nodes``, like the node
+budget, counts the nodes these searches expand.  The argument takes the
+ranks of ``independence_rank`` as the exact ranks of these integer
+classes, as the greedy pass below does.  Each surface's retriangulation,
+certificate, connections, ranks and nodes do not depend on which batch
+holds it, so the counts and the nodes do not depend on the worker count.
 
 Each surface's connections come sorted
 by length, and its prefix ranks give R_i, the length at which the rank
@@ -131,7 +145,7 @@ from .unfolding import DEFAULT_BUDGET, WEDGE_EPS, unfold_surfaces
 from .unfolding import enumerate_saddle_connections  # noqa: F401
 
 DEFAULT_CHUNK = 16384
-GUESS_SLACK = 1e-9  # relative room around a surface's guessed R_(cap - 1)
+GUESS_SLACK = 1e-9  # relative room around a certificate and a search's reach
 _FLOAT_TINY = 2.0 ** -1022  # the least normal float
 
 
@@ -270,29 +284,52 @@ def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
         ptr[live] += 1
 
 
-def _threshold_guess(surfaces: SurfaceBatch, cap: int) -> np.ndarray:
-    """Per surface, a length from its own edges that is, as a rule, at
-    least R_(cap - 1): every edge is a saddle connection, and the shortest
-    connection of a Delaunay surface is an edge.  For cap 1 the shortest
-    edge; for cap 2 the shortest edge not parallel to it (directions
-    within ``WEDGE_EPS`` count as one), whose class is independent of the
-    shortest one's; for cap >= 3 inf.  A guess below R_(cap - 1) costs a
-    second search, never a wrong threshold (see ``_count_cone_batch``).
+def _threshold_guess(surfaces: SurfaceBatch, cap: int):
+    """Per surface, the edges of its certificate and their length.
+
+    Every edge is a saddle connection, and the shortest connection of a
+    Delaunay surface is an edge.  For cap 1 the shortest edge; for cap 2
+    also the shortest edge not parallel to it (directions within
+    ``WEDGE_EPS`` count as one), whose class is, as a rule, independent of
+    the shortest one's.  Returns the length of the last edge, the longer
+    one, and the (n, cap) half-edge indices of the edges; for cap >= 3,
+    inf and None.  ``_certified_length`` checks that their classes have
+    rank cap on W.
     """
     n = len(surfaces)
     if cap > 2 or not n:
-        return np.full(n, np.inf)
+        return np.full(n, np.inf), None
     ex, ey = surfaces.edge
     length = np.hypot(ex, ey)
-    first, surf = surfaces.start[:-1], surfaces.surf
-    shortest = np.minimum.reduceat(length, first)
+    first, surf, each = surfaces.start[:-1], surfaces.surf, np.arange(n)
+
+    def shortest(lengths):
+        least = np.minimum.reduceat(lengths, first)
+        at = np.flatnonzero(lengths == least.take(surf))
+        return least, at.take(np.searchsorted(surf.take(at), each))
+
+    guess, at = shortest(length)
     if cap == 1:
-        return shortest
-    at = np.flatnonzero(length == shortest.take(surf))
-    at = at.take(np.searchsorted(surf.take(at), np.arange(n)))
+        return guess, at[:, None]
     sx, sy = ex.take(at).take(surf), ey.take(at).take(surf)
-    parallel = abs(sx * ey - sy * ex) <= WEDGE_EPS * length * shortest.take(surf)
-    return np.minimum.reduceat(np.where(parallel, np.inf, length), first)
+    parallel = abs(sx * ey - sy * ex) <= WEDGE_EPS * length * guess.take(surf)
+    guess, at2 = shortest(np.where(parallel, np.inf, length))
+    return guess, np.column_stack([at, at2])
+
+
+def _certified_length(surfaces: SurfaceBatch, subspace: LinearSubspace,
+                      cap: int) -> np.ndarray:
+    """g_s per surface: the length of its ``_threshold_guess`` edges,
+    rounded up by ``GUESS_SLACK``, where their classes restricted to W
+    have rank cap (one stacked ``independence_rank`` call), else inf.
+    Then R_(cap - 1) <= g_s, and every radius at or above g_s is far
+    enough above both edges that a search to it finds them."""
+    guess, edges = _threshold_guess(surfaces, cap)
+    if edges is None:
+        return guess
+    classes = np.moveaxis(surfaces.coeffs.take(edges, axis=1), 0, -1)
+    certified = independence_rank(classes, subspace) == cap
+    return np.where(certified, guess * (1 + GUESS_SLACK), np.inf)
 
 
 def _rebuild_rejected(chart: ChartModel, sides: np.ndarray) -> int:
@@ -327,20 +364,12 @@ def _process_chunk(chart: ChartModel, subspace: LinearSubspace, seed: int,
     return unit[admissible], gates
 
 
-def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
-                      cone_sides: np.ndarray, radii: np.ndarray, l_max: float,
-                      budget: int) -> tuple[np.ndarray, int, int]:
-    """The back end of a batch of cone samples, from any chunks: reduce
-    (tori), build, rebase (tori), retriangulate toward Delaunay (all but
-    the tori), unfold each surface to its own reach, rank, check, search
-    the surfaces that fail the check again to ``l_max``, and test every
-    radius cell.
-
-    ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
-    Returns the accepted count of each cell, the build failures and the
-    chain nodes.  Each sample's connections, ranks and nodes are its own,
-    so the results of two batches add up to those of their concatenation.
-    """
+def _cone_surfaces(chart: ChartModel,
+                   cone_sides: np.ndarray) -> tuple[SurfaceBatch, int]:
+    """The surfaces the back end unfolds, from a batch of cone samples:
+    reduce (tori), build, rebase (tori), retriangulate toward Delaunay (all
+    but the tori).  Returns them, one per row that builds, and the number
+    of rows whose build raised."""
     basis = None
     if chart.dim == 2:
         # Every basis of a lattice gives the same torus; the reduced one
@@ -356,26 +385,44 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
         # the same surfaces, half the chain nodes; a reduced torus is
         # Delaunay as built
         surfaces = surfaces.delaunay()
+    return surfaces, failures
+
+
+def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
+                      cone_sides: np.ndarray, radii: np.ndarray, l_max: float,
+                      budget: int) -> tuple[np.ndarray, int, int]:
+    """The back end of a batch of cone samples, from any chunks: build the
+    surfaces (``_cone_surfaces``), certify, unfold each surface to the
+    largest radius below its certificate, rank, and test every radius
+    cell.
+
+    ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
+    Returns the accepted count of each cell, the build failures and the
+    chain nodes.  The batch takes one ``unfold_surfaces`` call.  Each
+    sample's connections, ranks and nodes are its own, so the results of
+    two batches add up to those of their concatenation.
+    """
+    surfaces, failures = _cone_surfaces(chart, cone_sides)
     k_max = radii.shape[1]
     cap = min(k_max, subspace.dim)
-    guess = _threshold_guess(surfaces, cap)
-    reach = np.minimum(l_max, guess * (1 + 2 * GUESS_SLACK))
+    certified = _certified_length(surfaces, subspace, cap)
+    # rho: the largest radius below the certificate (l_max without one),
+    # or 0 when there is none and no connection is needed
+    grid = np.concatenate([[0.0], np.unique(radii[np.isfinite(radii)])])
+    rho = grid.take(np.searchsorted(grid, certified) - 1)
+    reach = np.maximum(np.minimum(l_max, rho * (1 + 2 * GUESS_SLACK)),
+                       _FLOAT_TINY)
     batch = unfold_surfaces(surfaces, reach, budget=budget)
     thresholds = _rank_thresholds(batch, subspace, k_max)
-    nodes = int(batch.nodes.sum())
-    # The search to reach_s finds every connection no longer than
-    # guess_s (1 + GUESS_SLACK), in the order of the search to l_max, so
-    # R_(cap-1) within that is exact; any other surface is searched again.
-    redo = np.flatnonzero(
-        (reach < l_max) & ~(thresholds[:, cap - 1] <= guess * (1 + GUESS_SLACK)))
-    if redo.size:
-        batch = unfold_surfaces(surfaces.take(redo), l_max, budget=budget)
-        thresholds[redo] = _rank_thresholds(batch, subspace, k_max)
-        nodes += int(batch.nodes.sum())
+    # The search to the reach settles every R_i <= rho (1 + GUESS_SLACK);
+    # any other R_i, i < cap, lies in (rho, certified], where no radius is.
+    head = thresholds[:, :cap]
+    settled = head <= (rho * (1 + GUESS_SLACK))[:, None]
+    thresholds[:, :cap] = np.where(settled, head, certified[:, None])
     # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
     # every i < k; radii past k are inf and pass.
     accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)
-    return accepts.sum(axis=0), failures, nodes
+    return accepts.sum(axis=0), failures, int(batch.nodes.sum())
 
 
 def _scan_chunks(args) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -445,14 +492,18 @@ def scan_chart(
     complex numbers.  ``samples``, ``chunk_size``, ``budget`` and
     ``threads`` must be integers, not bools, of at least 1
     (``samples`` at least 1000), and ``seed`` an integer, not a bool, in
-    [0, 2**128), the Philox key range; a ``ValueError`` names the argument
-    otherwise.
+    [0, 2**128), the Philox key range; ``subspace`` None or a
+    ``LinearSubspace`` of the chart's dimension; a ``ValueError`` names
+    the argument otherwise.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
     name = chart.name
     if subspace is None:
         subspace = LinearSubspace(chart.dim)
+    elif not isinstance(subspace, LinearSubspace):
+        raise ValueError(f"subspace must be None or a LinearSubspace, "
+                         f"got {type(subspace).__name__}")
     elif subspace.ambient_dim != chart.dim:
         raise ValueError("subspace ambient dimension does not match chart")
     for arg, value in (("samples", samples), ("chunk_size", chunk_size),

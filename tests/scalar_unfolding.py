@@ -3,7 +3,9 @@
 One deque per corner, one node at a time, with the float arithmetic the
 batched search must reproduce in the same order.  Classes are summed as
 tuples of Python ints.  Returns the connections in canonical order and the
-number of chain nodes expanded.
+number of chain nodes expanded.  With a ``budget`` it raises
+``UnfoldingBudgetError`` once it has expanded more nodes than that, so it
+raises exactly when the batched search at that budget does.
 
 It is the only source of the two things the batched search no longer
 gives: the chain of crossed triangles behind each connection, which it
@@ -24,6 +26,7 @@ from flatscale.unfolding import (
     _SIN_DOWN,
     PAIR_EPS,
     WEDGE_EPS,
+    UnfoldingBudgetError,
 )
 
 
@@ -60,7 +63,7 @@ def _neg(a):
     return None if a is None else tuple(-x for x in a)
 
 
-def scalar_unfold(surface, length_bound, keep_orientations=False):
+def scalar_unfold(surface, length_bound, keep_orientations=False, budget=None):
     # the surface's arrays as nested lists of Python scalars
     T, tables = surface.n_triangles, surface._tables
     E = surface._edges.tolist()
@@ -120,6 +123,9 @@ def scalar_unfold(surface, length_bound, keep_orientations=False):
             while queue:
                 t, e, pa, cpa, pb, cpb, lo, hi, chain = queue.popleft()
                 nodes += 1
+                if budget is not None and nodes > budget:
+                    raise UnfoldingBudgetError(
+                        f"scalar unfolding exceeded budget of {budget} nodes")
                 e1i, e2i = (e + 1) % 3, (e + 2) % 3
                 apex = pb + E[t][e1i]
                 capex = _add(cpb, cls[t][e1i])

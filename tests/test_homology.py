@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flatscale.homology import (
+    TAU_RANK,
     DimensionMismatch,
     LinearSubspace,
     are_parallel,
@@ -63,6 +64,27 @@ class TestIndependenceRank:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             independence_rank(np.eye(3), LinearSubspace(2))
+
+    def test_one_row_matrices_take_no_svd(self, monkeypatch):
+        """A one-row matrix has rank 1 exactly when its restricted row is
+        nonzero: the ranks the SVD gives, without an SVD."""
+        rng = np.random.default_rng(4)
+        rows = rng.integers(-2, 3, size=(300, 1, 4)).astype(float)
+        rows[::7] = 0
+        rows[1, 0] = [1e-320, 0, 0, 0]  # subnormal
+        rows[2, 0] = [1e300, -1e300, 3e307, 0]  # a norm beyond the floats
+        for W in (LinearSubspace(4),
+                  real_subspace(np.array([[1.0, 0], [0, 1], [1, 1], [1, -1]])),
+                  LinearSubspace(4, np.eye(4)[:, :2].astype(complex))):
+            sv = np.linalg.svd(W.restrict_classes(rows), compute_uv=False)
+            want = (sv > TAU_RANK * sv[..., :1]).sum(axis=-1).tolist()
+            assert 0 < sum(want) < len(want)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", None)
+                got = independence_rank(rows, W)
+                alone = [independence_rank(r, W) for r in rows]
+            assert got.shape == (300,) and got.tolist() == want
+            assert alone == want and all(type(r) is int for r in alone)
 
 
 class TestNonParallelImpliesIndependent:

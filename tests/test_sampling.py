@@ -274,18 +274,22 @@ GOLDEN_GATES = {
 
 
 # Chain nodes the unfolding expanded in the same scans, each surface
-# searched only to its own reach (see sampling._count_cone_batch), the
-# octagons retriangulated by SurfaceBatch.delaunay.  Searched to the
-# largest radius: 2932, 3166, 37011, 34968, 104105 and 104054 in this
-# order; before the retriangulation, on the ear-clip surfaces: 2966,
+# searched only as far as the radii below its certificate need (see
+# sampling._count_cone_batch), the octagons retriangulated by
+# SurfaceBatch.delaunay.  The tori's certificates (cap 2: the two shortest
+# non-parallel edges) lie above the largest radius, so they are searched
+# to it.  Searched to the largest radius: 2932, 3166, 37011, 34968, 104105
+# and 104054 in this order; to each surface's own R_(cap - 1), with a second
+# search where the edges' guess fell short: 2932, 3166, 9153, 8504, 80308
+# and 80787; before the retriangulation, on the ear-clip surfaces: 2966,
 # 3219, 71241, 67394, 430442 and 435183.
 GOLDEN_NODES = {
     ("torus", 1): 2932,
     ("torus", 2): 3166,
-    ("octagon", 1): 9153,
-    ("octagon", 2): 8504,
-    ("octagon-subspace", 1): 80308,
-    ("octagon-subspace", 2): 80787,
+    ("octagon", 1): 4112,
+    ("octagon", 2): 3837,
+    ("octagon-subspace", 1): 63662,
+    ("octagon-subspace", 2): 63429,
 }
 
 
@@ -314,7 +318,9 @@ def _assert_golden_scan(case, seed, threads):
 # ear-clip surfaces gave it (PARENT_NODES); the nodes the scan expands now
 # are pinned in DIGEST_NODES (the cell (0.3, 0.6, 0.9) needs rank 3, so
 # only the rank-2 subspace scans search less than the largest radius:
-# 522073 and 533372 there before).
+# 522073 and 533372 there before, and 445568 and 455401 to each surface's
+# own R_(cap - 1) before the search stopped at the radius below its
+# certificate).
 DIGEST_CELLS = [None, (0.15,), (0.3,), (0.45,), (0.2, 0.7), (0.4, 0.4),
                 (0.3, 0.6, 0.9)]
 DIGEST_CASES = {
@@ -343,8 +349,8 @@ DIGEST_NODES = {
     ("torus", 12): 68330,
     ("octagon", 11): 90261,
     ("octagon", 12): 90311,
-    ("octagon-subspace", 11): 445568,
-    ("octagon-subspace", 12): 455401,
+    ("octagon-subspace", 11): 368215,
+    ("octagon-subspace", 12): 377978,
 }
 
 
@@ -436,6 +442,13 @@ class TestChartInput:
         # volume of its own dimension
         with pytest.raises(ValueError, match="ambient dimension"):
             scan_chart("torus", subspace, [0.3], 2000, 1)
+
+    @pytest.mark.parametrize("subspace", [SUBSPACE_BASIS, "W"])
+    def test_subspace_not_a_linear_subspace_rejected(self, subspace):
+        # a basis array or a string once died on a missing ambient_dim
+        with pytest.raises(ValueError, match="subspace must be None or a "
+                                             "LinearSubspace"):
+            scan_chart("h2-octagon", subspace, [0.3], 2000, 1)
 
     @pytest.mark.parametrize("chunk_size", [-5, 0])
     def test_bad_chunk_size_rejected(self, chunk_size):
@@ -542,8 +555,10 @@ class TestChartInput:
             ChartModel("x", dim, 2.0)
 
     def test_worker_error_propagates(self):
+        # with the cell (0.45,) alone no torus expands a node: each is
+        # searched to 0.45 below its shortest edge, or not at all
         with pytest.raises(UnfoldingBudgetError):
-            scan_chart("torus", None, [(0.45,)], 2000, SEED, threads=2,
+            scan_chart("torus", None, [(0.45,), (1.0,)], 2000, SEED, threads=2,
                        chunk_size=500, budget=1)
 
 
@@ -894,21 +909,26 @@ class TestClosedFormGates:
             sampling._sample_params(rng, 16384, chart.dim, chart.half_width))
 
 
-def _guess_alone(X, cap):
-    """``sampling._threshold_guess`` of the batch of one surface ``X``,
-    one edge at a time: its shortest edge for cap 1, the shortest edge not
-    parallel to that one for cap 2, inf for cap 3 and up."""
+def _certificate_alone(X, cap, W):
+    """``sampling._certified_length`` of the batch of one surface ``X``,
+    one edge at a time: the length of its shortest edge for cap 1, of the
+    shortest edge not parallel to that one for cap 2, rounded up by
+    ``GUESS_SLACK``, where the classes of the edges have rank cap on W;
+    inf for cap 3 and up, or when they do not."""
     if cap > 2:
         return math.inf
     edges = X.edge.T.tolist()
     lengths = [float(np.hypot(x, y)) for x, y in edges]
     shortest = min(lengths)
-    if cap == 1:
-        return shortest
-    sx, sy = edges[lengths.index(shortest)]
-    return min((m for (x, y), m in zip(edges, lengths)
-                if abs(sx * y - sy * x) > WEDGE_EPS * m * shortest),
-               default=math.inf)
+    picked = [lengths.index(shortest)]
+    if cap == 2:
+        sx, sy = edges[picked[0]]
+        rest = [m if abs(sx * y - sy * x) > WEDGE_EPS * m * shortest
+                else math.inf for (x, y), m in zip(edges, lengths)]
+        picked.append(rest.index(min(rest)))
+    if independence_rank(X.coeffs[:, picked].T, W) < cap:
+        return math.inf
+    return lengths[picked[-1]] * (1 + sampling.GUESS_SLACK)
 
 
 class TestBatchedScan:
@@ -942,28 +962,27 @@ class TestBatchedScan:
         two = scan_chart(chart, None, cells, 20_000, SEED, threads=2,
                          chunk_size=8192)
         assert two == res
-        # each surface alone, searched to its own reach and checked there:
-        # the tori (built on their reduced bases) as built, the octagons
-        # retriangulated
+        # each surface alone, searched to the largest radius below its
+        # certificate: the tori (built on their reduced bases) as built,
+        # the octagons retriangulated
         radii = [c for c in cells if c is not None]
-        l_max = max(c[-1] for c in radii)
+        grid = sorted({r for c in radii for r in c})
         model = get_chart(chart)
+        W = LinearSubspace(model.dim)
         cap = min(max(map(len, radii)), model.dim)
-        alone = second = 0
+        alone = cut = 0
         for z in rows:
             X = SurfaceBatch.of([model.build(z)])
             if chart != "torus":
                 X = X.delaunay()
-            guess = _guess_alone(X, cap)
-            reach = min(l_max, guess * (1 + 2 * sampling.GUESS_SLACK))
-            one = unfold_surfaces(X, reach)
-            alone += int(one.nodes[0])
-            R = sampling._rank_thresholds(one, LinearSubspace(model.dim), cap)
-            if reach < l_max and not R[0, -1] <= guess * (1 + sampling.GUESS_SLACK):
-                second += 1
-                alone += int(unfold_surfaces(X, l_max).nodes[0])
+            certified = _certificate_alone(X, cap, W)
+            rho = max((r for r in grid if r < certified), default=0.0)
+            cut += rho < grid[-1]
+            reach = max(min(grid[-1], rho * (1 + 2 * sampling.GUESS_SLACK)),
+                        sampling._FLOAT_TINY)
+            alone += int(unfold_surfaces(X, reach).nodes[0])
         assert res.unfolding_nodes == alone > 0
-        assert second == 0
+        assert cut > 0
 
     def test_no_radius_cell_unfolds_nothing(self):
         res = scan_chart("torus", None, [None], 5000, SEED)
@@ -1199,10 +1218,44 @@ class TestReducedTori:
             for c, s in zip(want.classes.tolist(), surf.tolist())]
 
 
-class TestSecondSearch:
-    """Each surface is searched to the reach its edges give and checked
-    there; a surface whose guess falls short of R_(cap - 1) is searched
-    again to the largest radius, so a wrong guess costs nodes only."""
+def _cone_batch(case, seed=1):
+    """The chart, subspace, cells and cone samples of a ``TestCertificate``
+    case's scan, all chunks in one batch."""
+    chart, rows, samples, cells = TestCertificate.CASES[case]
+    model = get_chart(chart)
+    W = LinearSubspace(model.dim) if rows is None else real_subspace(rows)
+    chunk = sampling.DEFAULT_CHUNK
+    sides = np.concatenate([
+        sampling._process_chunk(model, W, seed, c, min(chunk, samples - c * chunk))[0]
+        for c in range(-(-samples // chunk))])
+    return model, W, [c for c in cells if c is not None], sides
+
+
+def _count(model, W, sides, cells):
+    """``sampling._count_cone_batch`` of the cone samples ``sides`` for
+    ``cells``: the accepted counts and the chain nodes."""
+    k_max = max(map(len, cells))
+    radii = np.full((len(cells), k_max), np.inf)
+    for row, e in enumerate(cells):
+        radii[row, :len(e)] = sorted(e)
+    l_max = float(radii[np.isfinite(radii)].max())
+    counts, _, nodes = sampling._count_cone_batch(model, W, sides, radii, l_max,
+                                                  DEFAULT_BUDGET)
+    return counts.tolist(), nodes
+
+
+def _without_certificate(monkeypatch):
+    """Every surface without a certificate, so searched to the largest
+    radius: the reference the certificates must not change."""
+    monkeypatch.setattr(sampling, "_threshold_guess",
+                        lambda surfaces, cap: (np.full(len(surfaces), np.inf), None))
+
+
+class TestCertificate:
+    """Each surface is searched only to the largest radius below its
+    certificate, the length of cap of its edges, where their classes have
+    rank cap on W; the counts are those of the search to the largest
+    radius."""
 
     CASES = {  # chart, subspace rows, samples, cells: rank 1 and rank 2
         "torus": ("torus", None, 20_000, [None, (0.15,), (0.3,), (0.45,)]),
@@ -1213,63 +1266,181 @@ class TestSecondSearch:
     # recorded before the search stopped at each surface's own reach
     FULL_NODES = {"octagon": 37011, "octagon-subspace": 104105}
 
+    def assert_equals_search_to_l_max(self, case, cells, monkeypatch):
+        """The batch's counts for ``cells`` are those of the batch searched
+        to the largest radius; returns the nodes of both."""
+        model, W, _, sides = _cone_batch(case)
+        got, nodes = _count(model, W, sides, cells)
+        with monkeypatch.context() as m:
+            _without_certificate(m)
+            want, full = _count(model, W, sides, cells)
+        assert got == want
+        assert nodes <= full
+        return nodes, full
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_short_guesses_change_nothing_but_nodes(self, case, threads,
-                                                    monkeypatch):
+    def test_search_to_l_max_changes_only_nodes(self, case, threads,
+                                                monkeypatch):
         chart, rows, samples, cells = self.CASES[case]
         W = None if rows is None else real_subspace(rows)
+        got = scan_chart(chart, W, cells, samples, 1, threads=threads)
+        _without_certificate(monkeypatch)
         want = scan_chart(chart, W, cells, samples, 1, threads=threads)
-        guess = sampling._threshold_guess
-        seen = []
-        for shrink in (lambda g: g / 2, lambda g: np.full_like(g, math.ulp(0.0))):
-            def short_guess(surfaces, cap):
-                return shrink(guess(surfaces, cap))
-
-            monkeypatch.setattr(sampling, "_threshold_guess", short_guess)
-            got = scan_chart(chart, W, cells, samples, 1, threads=threads)
-            assert dataclasses.replace(
-                got, unfolding_nodes=want.unfolding_nodes) == want
-            seen.append(got.unfolding_nodes)
-        half, tiny = seen
-        # the search to the guess and the second search both count; the
-        # search to 0+ expands no node, so tiny is the full search alone
-        assert half > want.unfolding_nodes
-        assert tiny > want.unfolding_nodes
+        assert dataclasses.replace(
+            got, unfolding_nodes=want.unfolding_nodes) == want
+        assert got.unfolding_nodes < want.unfolding_nodes
         if case in self.FULL_NODES:
-            assert tiny == self.FULL_NODES[case]
+            assert want.unfolding_nodes == self.FULL_NODES[case]
 
-    def test_only_short_surfaces_searched_again(self, monkeypatch):
-        """The second search takes exactly the surfaces whose R_(cap - 1)
-        passes their guess, and their thresholds are those of the search
-        to the largest radius."""
-        chart = get_chart("h2-octagon")
-        W = LinearSubspace(4)
-        sides = sampling._process_chunk(chart, W, 3, 0, 16384)[0]
-        radii = np.array([[0.6, np.inf], [0.6, 1.0]])
-        surfaces = chart.build_batch(sides)[0].delaunay()
-        full = sampling._rank_thresholds(unfold_surfaces(surfaces, 1.0), W, 2)
-        guess = sampling._threshold_guess(surfaces, 2)
-        assert (full[:, 1] <= guess).all()
-        # every third guess cut below R_1
-        short = guess.copy()
-        short[::3] = full[::3, 1] / 2
-        monkeypatch.setattr(sampling, "_threshold_guess", lambda b, cap: short)
-        taken = []
-        take = SurfaceBatch.take
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_golden_certificates(self, case):
+        """Every certificate of the golden cone batches has rank cap, and
+        its length bounds R_(cap - 1) of the search to the largest radius
+        (inf there means beyond it)."""
+        model, W, cells, sides = _cone_batch(case)
+        surfaces, _ = sampling._cone_surfaces(model, sides)
+        k_max = max(map(len, cells))
+        cap = min(k_max, W.dim)
+        l_max = max(c[-1] for c in cells)
+        guess, edges = sampling._threshold_guess(surfaces, cap)
+        assert edges.shape == (len(surfaces), cap)
+        ex, ey = surfaces.edge[:, edges]
+        assert np.array_equal(np.hypot(ex, ey)[:, -1], guess)
+        classes = np.moveaxis(surfaces.coeffs[:, edges], 0, -1)
+        assert (independence_rank(classes, W) == cap).all()
+        certified = sampling._certified_length(surfaces, W, cap)
+        assert np.array_equal(certified, guess * (1 + sampling.GUESS_SLACK))
+        R = sampling._rank_thresholds(unfold_surfaces(surfaces, l_max), W,
+                                      k_max)[:, cap - 1]
+        # the two half-edges of an edge may differ in their last bits, and
+        # the search reports the one in the kept half plane
+        assert ((R <= certified) | (np.isinf(R) & (guess > l_max))).all()
+        finite = np.isfinite(R)
+        assert (R[finite] <= guess[finite] * (1 + 1e-15)).all()
+        assert (guess <= l_max).any()
 
-        def noting_take(batch, index):
-            taken.extend(index.tolist())
-            return take(batch, index)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_radius_at_a_certificate_edge(self, case, monkeypatch):
+        """Radii equal to certificate lengths, rounded up or not, and one
+        float either side of them; among them lengths at which the search
+        reports the edge a few ulps longer (from its other half-edge)."""
+        model, W, cells, sides = _cone_batch(case)
+        surfaces, _ = sampling._cone_surfaces(model, sides)
+        k_max = max(map(len, cells))
+        cap = min(k_max, W.dim)
+        guess = sampling._threshold_guess(surfaces, cap)[0]
+        l_max = max(c[-1] for c in cells)
+        R = sampling._rank_thresholds(unfold_surfaces(surfaces, l_max), W,
+                                      k_max)[:, cap - 1]
+        longer = guess[(R > guess) & (R <= guess * (1 + 1e-15))][:3]
+        guess = np.sort(guess)
+        chosen = np.concatenate([
+            guess[[len(guess) // 50, len(guess) // 10, len(guess) // 3]], longer])
+        radii = [r for g in chosen.tolist() for r in (
+            g, math.nextafter(g, 0), math.nextafter(g, math.inf),
+            g * (1 + sampling.GUESS_SLACK))]
+        full = [(r,) * cap for r in radii]
+        pairs = [(r, q) for r in radii for q in radii if r <= q]
+        self.assert_equals_search_to_l_max(
+            case, [(r,) for r in radii] + full + pairs[::3], monkeypatch)
+        # each length alone: no radius just below it to widen the search
+        for g in chosen.tolist():
+            self.assert_equals_search_to_l_max(case, [(g,) * cap], monkeypatch)
+        # R_(cap - 1) at a certificate edge's length: the counts there and
+        # one float below differ
+        counts = _count(model, W, sides, full)[0]
+        assert any(counts[i] != counts[i + 1] for i in range(0, len(full), 4))
 
-        monkeypatch.setattr(SurfaceBatch, "take", noting_take)
-        counts, _, _ = sampling._count_cone_batch(chart, W, sides, radii, 1.0,
-                                                  DEFAULT_BUDGET)
-        reach = np.minimum(1.0, short * (1 + 2 * sampling.GUESS_SLACK))
-        assert taken == [i for i in range(0, len(short), 3) if reach[i] < 1.0]
-        assert len(taken) > len(short) // 4
-        accepts = (full[:, None, :] <= radii[None]).all(axis=2)
-        assert counts.tolist() == accepts.sum(axis=0).tolist()
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_radii_within_twice_the_slack(self, case, monkeypatch):
+        """Radii at the thresholds of the search to the largest radius and
+        within a few ``GUESS_SLACK`` of them and of each other."""
+        model, W, cells, sides = _cone_batch(case)
+        surfaces, _ = sampling._cone_surfaces(model, sides)
+        k_max = max(map(len, cells))
+        R = sampling._rank_thresholds(unfold_surfaces(surfaces, 1.0), W, k_max)
+        finite = np.unique(R[np.isfinite(R)])
+        certified = sampling._certified_length(surfaces, W, min(k_max, W.dim))
+        certified = np.sort(certified[certified <= 1.0])
+        slack = sampling.GUESS_SLACK
+        radii = [r * (1 + d * slack) for r in finite[::max(1, finite.size // 4)]
+                 for d in (-1, 0, 1, 2, 3)]
+        # the largest radius below a certificate and one within twice the
+        # slack above it, at or above the certificate
+        radii += [c * (1 + d * slack) for c in certified[::max(1, certified.size // 4)]
+                  for d in (-2, -0.5, 0, 0.5)]
+        radii.sort()
+        ones = [(r,) for r in radii]
+        pairs = [(r, q) for r, q in zip(radii, radii[1:])]
+        self.assert_equals_search_to_l_max(case, ones + pairs, monkeypatch)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_radii_below_every_certificate(self, case, monkeypatch):
+        model, W, cells, sides = _cone_batch(case)
+        surfaces, _ = sampling._cone_surfaces(model, sides)
+        cap = min(max(map(len, cells)), W.dim)
+        least = sampling._certified_length(surfaces, W, cap).min()
+        radii = [least / 2, least * 0.9, math.nextafter(least, 0)]
+        self.assert_equals_search_to_l_max(
+            case, [(r,) for r in radii] + [(radii[0], radii[-1])], monkeypatch)
+
+    @pytest.mark.parametrize("case", ["torus", "octagon"])
+    def test_radii_above_every_certificate(self, case, monkeypatch):
+        """With no radius below its certificate a surface is searched to
+        the least normal float: no node, the counts of the full search."""
+        model, W, cells, sides = _cone_batch(case)
+        surfaces, _ = sampling._cone_surfaces(model, sides)
+        cap = min(max(map(len, cells)), W.dim)
+        most = sampling._certified_length(surfaces, W, cap).max()
+        radii = [math.nextafter(most, math.inf), most * 1.1]
+        cells = [(r,) * cap for r in radii]
+        nodes, full = self.assert_equals_search_to_l_max(case, cells,
+                                                         monkeypatch)
+        assert nodes == 0 < full
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rank_three_cell(self, case, monkeypatch):
+        """A rank-3 cell (cap 3 but on the rank-2 charts) has no
+        certificate on the octagon: every surface is searched to l_max."""
+        cells = [(0.35,), (0.6, 0.6), (0.3, 0.6, 0.9), (0.6, 0.9, 0.9)]
+        nodes, full = self.assert_equals_search_to_l_max(case, cells,
+                                                         monkeypatch)
+        if case == "octagon":
+            assert nodes == full
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_failed_check_searches_to_l_max(self, case, monkeypatch):
+        """Certificate edges whose classes fall short of rank cap (here the
+        shortest edge twice) certify nothing: each batch is still one
+        ``unfold_surfaces`` call, every surface in it searched to l_max,
+        and the scan is the scan without certificates, nodes and all."""
+        chart, rows, samples, _ = self.CASES[case]
+        cells = [None, (0.35,), (0.35, 0.6), (0.6, 1.0)]
+        W = None if rows is None else real_subspace(rows)
+        with monkeypatch.context() as m:
+            _without_certificate(m)
+            want = scan_chart(chart, W, cells, samples, 1, chunk_size=256)
+        guess = sampling._threshold_guess
+        monkeypatch.setattr(sampling, "_threshold_guess", lambda surfaces, cap: (
+            guess(surfaces, cap)[0], guess(surfaces, cap)[1][:, [0, 0]]))
+        batches, reaches = [], []
+        count, unfold = sampling._count_cone_batch, sampling.unfold_surfaces
+
+        def noting_count(*args):
+            batches.append(len(args[2]))
+            return count(*args)
+
+        def noting_unfold(surfaces, reach, **kwargs):
+            reaches.append(np.broadcast_to(reach, (len(surfaces),)).copy())
+            return unfold(surfaces, reach, **kwargs)
+
+        monkeypatch.setattr(sampling, "_count_cone_batch", noting_count)
+        monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
+        got = scan_chart(chart, W, cells, samples, 1, chunk_size=256)
+        assert got == want
+        assert len(reaches) == len(batches) > 1
+        assert (np.concatenate(reaches) == 1.0).all()
 
 
 class TestCountConeBatch:

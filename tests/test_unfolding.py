@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from flatscale.families import (
@@ -15,6 +15,7 @@ from flatscale.families import (
 from flatscale.homology import TAU_PARALLEL
 from flatscale.surface import SurfaceBatch, SurfaceError, TranslationSurface
 from flatscale.unfolding import (
+    DEFAULT_BUDGET,
     PAIR_EPS,
     SaddleConnection,
     UnfoldingBudgetError,
@@ -28,6 +29,10 @@ from test_surface import octagon_surface, square_torus, torus
 SUBSPACE_BASIS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
+# The node budget of the tests that draw from ``surfaces_for_batch``: a
+# subspace octagon of small area can need over 10**6 nodes at L = 2, and
+# the low budget keeps such an example short on both sides.
+DRAWN_BUDGET = 50_000
 
 
 def primitive_vectors_of_lattice(m, L):
@@ -55,13 +60,13 @@ def as_pair_set(connections):
     return out
 
 
-def both_orientations(X, L):
+def both_orientations(X, L, budget=DEFAULT_BUDGET):
     """Every oriented connection of X up to length L: each canonical
     connection and its reverse (holonomy -h, zeros swapped, class -c).
     ``TestReverses`` checks it against the scalar search over every
     direction."""
     out = []
-    for sc in enumerate_saddle_connections(X, L):
+    for sc in enumerate_saddle_connections(X, L, budget):
         c = sc.class_vector
         out += [sc, SaddleConnection(-sc.holonomy, sc.end_zero, sc.start_zero,
                                      None if c is None else tuple(-x for x in c))]
@@ -609,9 +614,8 @@ def assert_batch_is_concatenation(batch, singles):
 def assert_batch_equals_batches_of_one(surfaces, bound):
     """The batch of ``surfaces`` to ``bound`` (one, or one per surface)
     equals their batches of one, or raises the budget error exactly when
-    one of them does.  A subspace octagon of small area can need over 10**6
-    nodes at L = 2; the low budget keeps such an example short."""
-    budget = 50_000
+    one of them does, at ``DRAWN_BUDGET``."""
+    budget = DRAWN_BUDGET
     each = np.broadcast_to(bound, (len(surfaces),)).tolist()
     try:
         singles = [unfold_surfaces([X], b, budget=budget)
@@ -624,9 +628,16 @@ def assert_batch_equals_batches_of_one(surfaces, bound):
         unfold_surfaces(surfaces, bound, budget=budget), singles)
 
 
-def assert_equals_scalar(X, L):
-    want, nodes = scalar_unfold(X, L)
-    batch = unfold_surfaces([X], L)
+def assert_equals_scalar(X, L, budget=DEFAULT_BUDGET):
+    """The batch of one equals the scalar search bit for bit, nodes too,
+    or both raise the budget error at ``budget``."""
+    try:
+        batch = unfold_surfaces([X], L, budget=budget)
+    except UnfoldingBudgetError:
+        with pytest.raises(UnfoldingBudgetError):
+            scalar_unfold(X, L, budget=budget)
+        return
+    want, nodes = scalar_unfold(X, L, budget=budget)
     got = batch.connections(0)
     assert fields(got) == fields(want)
     assert ([bits(sc.holonomy) for sc in got]
@@ -682,10 +693,21 @@ class TestReverses:
     @settings(PROPERTY, max_examples=15)
     @given(surfaces=st.lists(surfaces_for_batch, min_size=1, max_size=8),
            L=st.floats(0.5, 3.0))
+    @example(surfaces=[subspace_octagon(686)], L=3.0)
     def test_batch(self, surfaces, L):
+        """At ``DRAWN_BUDGET`` the canonical search raises exactly when
+        the scalar one does; else the scalar search over every direction,
+        which expands about twice its nodes, is its connections and their
+        reverses."""
         for X in surfaces:
+            try:
+                got = both_orientations(X, L, DRAWN_BUDGET)
+            except UnfoldingBudgetError:
+                with pytest.raises(UnfoldingBudgetError):
+                    scalar_unfold(X, L, budget=DRAWN_BUDGET)
+                continue
             want, _ = scalar_unfold(X, L, keep_orientations=True)
-            assert oriented(both_orientations(X, L)) == oriented(want)
+            assert oriented(got) == oriented(want)
 
 
 class TestBatchedUnfolding:
@@ -797,10 +819,11 @@ class TestBatchedUnfolding:
 
     @PROPERTY
     @given(X=surfaces_for_batch, L=st.floats(0.5, 3.0))
+    @example(X=subspace_octagon(686), L=3.0)
     def test_equals_scalar_search(self, X, L):
         """Bit for bit the connections, order and node count of the scalar
-        breadth-first search."""
-        assert_equals_scalar(X, L)
+        breadth-first search, or the budget error on both."""
+        assert_equals_scalar(X, L, DRAWN_BUDGET)
 
     @FIXED_SURFACES
     def test_fixed_surfaces_equal_scalar_search(self, surface):
@@ -850,13 +873,21 @@ class TestPerSurfaceBound:
     @PROPERTY
     @given(surfaces=st.lists(surfaces_for_batch, min_size=1, max_size=4),
            L=st.lists(bounds, min_size=4, max_size=4))
+    @example(surfaces=[subspace_octagon(686)], L=[3.0] * 4)
     def test_equals_scalar_search(self, surfaces, L):
         """Bit for bit the connections and nodes of the scalar search of
-        each surface to its own bound."""
+        each surface to its own bound; at ``DRAWN_BUDGET`` the batch raises
+        the budget error exactly when one of the scalar searches does."""
         L = L[:len(surfaces)]
-        batch = unfold_surfaces(surfaces, L)
+        try:
+            batch = unfold_surfaces(surfaces, L, budget=DRAWN_BUDGET)
+        except UnfoldingBudgetError:
+            with pytest.raises(UnfoldingBudgetError):
+                for X, b in zip(surfaces, L):
+                    scalar_unfold(X, b, budget=DRAWN_BUDGET)
+            return
         for s, (X, b) in enumerate(zip(surfaces, L)):
-            want, nodes = scalar_unfold(X, b)
+            want, nodes = scalar_unfold(X, b, budget=DRAWN_BUDGET)
             got = batch.connections(s)
             assert fields(got) == fields(want)
             assert [bits(sc.holonomy) for sc in got] == [
