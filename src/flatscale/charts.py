@@ -46,7 +46,10 @@ class ChartModel:
     ``build`` builds one surface and checks that its polygon is simple and
     positively oriented.  ``build_batch`` builds many at once, as one
     ``SurfaceBatch`` whose per-surface half-edge rows the unfolding reads,
-    and checks nothing.  ``scan_chart`` masks only the samples with
+    and checks only their number of sides: ``polygon_vertices`` (so
+    ``area`` and ``admissible``), ``build`` and ``build_batch`` take
+    ``dim`` sides per polygon and raise a ``ValueError`` that names
+    ``dim`` otherwise.  ``scan_chart`` masks only the samples with
     0 < area <= 1, rescaled to unit area, one batch simplicity mask and
     area test per chunk; it passes ``build_batch`` only the rows that
     passed, gathered into batches of cone samples, and builds a row that
@@ -85,8 +88,16 @@ class ChartModel:
             raise ValueError(f"chart {self.name!r}: half_width must be finite "
                              f"and positive, got {self.half_width}")
 
+    def _sides(self, z):
+        """``z`` if its last axis holds ``dim`` sides, else a ValueError."""
+        if np.ndim(z) == 0 or np.shape(z)[-1] != self.dim:
+            raise ValueError(f"chart {self.name!r} has dim {self.dim}: each "
+                             f"polygon needs {self.dim} sides, got shape "
+                             f"{np.shape(z)}")
+        return z
+
     def polygon_vertices(self, z) -> np.ndarray:
-        return symmetric_vertices(z)
+        return symmetric_vertices(self._sides(z))
 
     def admissible(self, z) -> bool:
         # a row whose products overflow gives inf or nan, which fail every
@@ -99,13 +110,13 @@ class ChartModel:
         return float(shoelace_area(self.polygon_vertices(z)))
 
     def build(self, z) -> TranslationSurface:
-        return surface_from_symmetric_polygon(z)
+        return surface_from_symmetric_polygon(self._sides(z))
 
     def build_batch(self, sides) -> tuple[SurfaceBatch, np.ndarray]:
         """The surfaces of the rows of ``sides`` (batch, dim), whose polygons
         are known to be simple and positively oriented, and which rows
         built (see :func:`~flatscale.surface.symmetric_polygon_batch`)."""
-        return symmetric_polygon_batch(sides)
+        return symmetric_polygon_batch(self._sides(sides))
 
     @property
     def box_volume(self) -> float:

@@ -20,8 +20,10 @@ class DimensionMismatch(ValueError):
 class LinearSubspace:
     """Subspace W of the chart's period coordinates C^n.
 
-    ``basis`` has shape (n, d) with columns spanning W; None means the full
-    space.  ``ambient_dim`` n is an integer >= 1, not a bool; a
+    ``basis`` has shape (n, d), d >= 1, with finite entries and
+    independent columns spanning W; None means the full space.  A
+    ``ValueError`` names ``basis`` otherwise (``DimensionMismatch`` for
+    the wrong shape).  ``ambient_dim`` n is an integer >= 1, not a bool; a
     ``ValueError`` names it otherwise.
     """
 
@@ -38,6 +40,10 @@ class LinearSubspace:
                 raise DimensionMismatch(
                     f"basis shape {b.shape} does not match ambient dim "
                     f"{self.ambient_dim}")
+            if not b.shape[1]:
+                raise ValueError("basis has no columns: W would be {0}")
+            if not np.isfinite(b).all():
+                raise ValueError("basis has entries that are not finite")
             if np.linalg.matrix_rank(b) < b.shape[1]:
                 raise ValueError("basis columns are not independent")
             b.setflags(write=False)

@@ -70,7 +70,7 @@ of each only whether it is at most a radius of the cell grid (every
 radius of every cell), so each surface is unfolded only as far as the
 grid below its own R_(cap - 1) needs.  Every edge of a surface is a saddle
 connection, and on a (near-)Delaunay surface the shortest connection is
-an edge, so ``_threshold_guess`` picks cap edges of surface s: the
+an edge, so ``_certified_length`` picks cap edges of surface s: the
 shortest edge for cap 1, and for cap 2 also the shortest edge not
 parallel to it (none for cap >= 3).  One stacked ``independence_rank``
 call checks that their classes, restricted to W, have rank cap.  A
@@ -81,18 +81,20 @@ covers the last bits in which the two half-edges of an edge may differ
 radius at or above g_s clearly above both edges, so a search to that
 radius finds them.  Other surfaces have g_s = inf.
 
-Let rho_s be the largest radius of the grid strictly below g_s (l_max
-when g_s = inf, 0 when there is none).  The batch is unfolded in one
-``unfold_surfaces`` call, surface s to its reach min(l_max, rho_s (1 + 2
-GUESS_SLACK)), and ranked.  The search to the reach finds every
-connection no longer than rho_s (1 + GUESS_SLACK), the slack covering the
-rounding of its pruning tests, and the canonical order is intrinsic, so
-those are, one by one and in order, the first connections of the search
-to l_max, and every threshold R_i <= rho_s (1 + GUESS_SLACK) is that of
-the search to l_max.  Every other R_i, i < cap, is set to g_s: its value
-in the search to l_max lies in (rho_s, g_s], and no radius does, so each
-cell test R_i <= eps is the one the search to l_max gives.  Without a
-certificate the surface is searched to l_max, and an R_i it does not
+Let rho_s be the largest radius of the grid strictly below g_s (l_max,
+the largest radius, when g_s = inf; 0 when there is none).  The batch is
+unfolded in one ``unfold_surfaces`` call, surface s to its reach
+min(l_max, rho_s (1 + 2 GUESS_SLACK)), and ranked.  The search to the
+reach finds every connection no longer than rho_s (1 + GUESS_SLACK), the
+slack covering the rounding of its pruning tests, and the canonical order
+is intrinsic, so those are, one by one and in order, the first
+connections of the search to l_max, and a threshold at or below rho_s is
+that of the search to l_max.  Then every R_i, i < cap, is clipped to
+min(R_i, g_s).  An exact R_i is at most R_(cap - 1) <= g_s and stays;
+any R_i above rho_s becomes a value in (rho_s, g_s], where its value in
+the search to l_max lies too and no radius does, so each cell test
+R_i <= eps is the one the search to l_max gives.  Without a certificate
+(g_s = inf) the surface is searched to l_max, and an R_i it does not
 reach stays inf.  A surface with no radius below g_s passes every test
 of R_0, ..., R_(cap - 1) and needs no connection: its reach is the least
 normal float, whose square underflows to 0, so it expands no node unless
@@ -284,21 +286,17 @@ def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
         ptr[live] += 1
 
 
-def _threshold_guess(surfaces: SurfaceBatch, cap: int):
-    """Per surface, the edges of its certificate and their length.
-
-    Every edge is a saddle connection, and the shortest connection of a
-    Delaunay surface is an edge.  For cap 1 the shortest edge; for cap 2
-    also the shortest edge not parallel to it (directions within
-    ``WEDGE_EPS`` count as one), whose class is, as a rule, independent of
-    the shortest one's.  Returns the length of the last edge, the longer
-    one, and the (n, cap) half-edge indices of the edges; for cap >= 3,
-    inf and None.  ``_certified_length`` checks that their classes have
-    rank cap on W.
-    """
+def _certified_length(surfaces: SurfaceBatch, subspace: LinearSubspace,
+                      cap: int) -> np.ndarray:
+    """g_s per surface, with R_(cap - 1) <= g_s: the length of the longer
+    of its certificate edges (the shortest edge; for cap 2 also the
+    shortest edge not parallel to it, directions within ``WEDGE_EPS``
+    counting as one), rounded up by ``GUESS_SLACK``, where their classes
+    restricted to W have rank cap (one stacked ``independence_rank``
+    call); inf where they do not, and for cap >= 3."""
     n = len(surfaces)
     if cap > 2 or not n:
-        return np.full(n, np.inf), None
+        return np.full(n, np.inf)
     ex, ey = surfaces.edge
     length = np.hypot(ex, ey)
     first, surf, each = surfaces.start[:-1], surfaces.surf, np.arange(n)
@@ -309,24 +307,12 @@ def _threshold_guess(surfaces: SurfaceBatch, cap: int):
         return least, at.take(np.searchsorted(surf.take(at), each))
 
     guess, at = shortest(length)
-    if cap == 1:
-        return guess, at[:, None]
-    sx, sy = ex.take(at).take(surf), ey.take(at).take(surf)
-    parallel = abs(sx * ey - sy * ex) <= WEDGE_EPS * length * guess.take(surf)
-    guess, at2 = shortest(np.where(parallel, np.inf, length))
-    return guess, np.column_stack([at, at2])
-
-
-def _certified_length(surfaces: SurfaceBatch, subspace: LinearSubspace,
-                      cap: int) -> np.ndarray:
-    """g_s per surface: the length of its ``_threshold_guess`` edges,
-    rounded up by ``GUESS_SLACK``, where their classes restricted to W
-    have rank cap (one stacked ``independence_rank`` call), else inf.
-    Then R_(cap - 1) <= g_s, and every radius at or above g_s is far
-    enough above both edges that a search to it finds them."""
-    guess, edges = _threshold_guess(surfaces, cap)
-    if edges is None:
-        return guess
+    edges = at[:, None]
+    if cap == 2:
+        sx, sy = ex.take(at).take(surf), ey.take(at).take(surf)
+        parallel = abs(sx * ey - sy * ex) <= WEDGE_EPS * length * guess.take(surf)
+        guess, at2 = shortest(np.where(parallel, np.inf, length))
+        edges = np.column_stack([at, at2])
     classes = np.moveaxis(surfaces.coeffs.take(edges, axis=1), 0, -1)
     certified = independence_rank(classes, subspace) == cap
     return np.where(certified, guess * (1 + GUESS_SLACK), np.inf)
@@ -370,26 +356,23 @@ def _cone_surfaces(chart: ChartModel,
     reduce (tori), build, rebase (tori), retriangulate toward Delaunay (all
     but the tori).  Returns them, one per row that builds, and the number
     of rows whose build raised."""
-    basis = None
-    if chart.dim == 2:
-        # Every basis of a lattice gives the same torus; the reduced one
-        # has two fat triangles, whose unfolding expands few nodes.
-        cone_sides, basis = reduce_lattice_bases(cone_sides)
+    if chart.dim != 2:
+        surfaces, built = chart.build_batch(cone_sides)
+        failures = _rebuild_rejected(chart, cone_sides[~built])
+        # the same surfaces, half the chain nodes
+        return surfaces.delaunay(), failures
+    # Every basis of a lattice gives the same torus; the reduced one has
+    # two fat triangles, whose unfolding expands few nodes, and is Delaunay.
+    cone_sides, basis = reduce_lattice_bases(cone_sides)
     surfaces, built = chart.build_batch(cone_sides)
-    if basis is not None:
-        # the rows are in the reduced bases: rebase them to the chart's
-        # (u, v), so the classes, and the ranks, are in chart coordinates
-        surfaces = surfaces.rebased(basis[built])
-    failures = _rebuild_rejected(chart, cone_sides[~built])
-    if basis is None:
-        # the same surfaces, half the chain nodes; a reduced torus is
-        # Delaunay as built
-        surfaces = surfaces.delaunay()
-    return surfaces, failures
+    # the rows are in the reduced bases: rebase them to the chart's (u, v),
+    # so the classes, and the ranks, are in chart coordinates
+    surfaces = surfaces.rebased(basis[built])
+    return surfaces, _rebuild_rejected(chart, cone_sides[~built])
 
 
 def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
-                      cone_sides: np.ndarray, radii: np.ndarray, l_max: float,
+                      cone_sides: np.ndarray, radii: np.ndarray,
                       budget: int) -> tuple[np.ndarray, int, int]:
     """The back end of a batch of cone samples, from any chunks: build the
     surfaces (``_cone_surfaces``), certify, unfold each surface to the
@@ -398,7 +381,8 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
 
     ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
     Returns the accepted count of each cell, the build failures and the
-    chain nodes.  The batch takes one ``unfold_surfaces`` call.  Each
+    chain nodes.  The batch takes one ``unfold_surfaces`` call, and the
+    thresholds R_i, i < cap, are clipped to the certificates.  Each
     sample's connections, ranks and nodes are its own, so the results of
     two batches add up to those of their concatenation.
     """
@@ -406,19 +390,16 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
     k_max = radii.shape[1]
     cap = min(k_max, subspace.dim)
     certified = _certified_length(surfaces, subspace, cap)
-    # rho: the largest radius below the certificate (l_max without one),
-    # or 0 when there is none and no connection is needed
+    # rho: the largest radius below the certificate (the largest radius,
+    # grid[-1], without one), or 0 when there is none and no connection
+    # is needed
     grid = np.concatenate([[0.0], np.unique(radii[np.isfinite(radii)])])
     rho = grid.take(np.searchsorted(grid, certified) - 1)
-    reach = np.maximum(np.minimum(l_max, rho * (1 + 2 * GUESS_SLACK)),
+    reach = np.maximum(np.minimum(grid[-1], rho * (1 + 2 * GUESS_SLACK)),
                        _FLOAT_TINY)
     batch = unfold_surfaces(surfaces, reach, budget=budget)
     thresholds = _rank_thresholds(batch, subspace, k_max)
-    # The search to the reach settles every R_i <= rho (1 + GUESS_SLACK);
-    # any other R_i, i < cap, lies in (rho, certified], where no radius is.
-    head = thresholds[:, :cap]
-    settled = head <= (rho * (1 + GUESS_SLACK))[:, None]
-    thresholds[:, :cap] = np.where(settled, head, certified[:, None])
+    thresholds[:, :cap] = np.minimum(thresholds[:, :cap], certified[:, None])
     # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
     # every i < k; radii past k are inf and pass.
     accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)
@@ -436,7 +417,7 @@ def _scan_chunks(args) -> tuple[np.ndarray, np.ndarray, int, int]:
     build failures and the chain nodes.
     """
     (chart, subspace, seed, chunks, chunk_size, samples,
-     radii, l_max, budget) = args
+     radii, budget) = args
     gates = np.zeros(3, np.int64)
     counts = np.zeros(len(radii), np.int64)
     failures = nodes = 0
@@ -452,7 +433,7 @@ def _scan_chunks(args) -> tuple[np.ndarray, np.ndarray, int, int]:
             batch = np.concatenate(pending)
             pending, waiting = [], 0
             cts, failed, n = _count_cone_batch(chart, subspace, batch, radii,
-                                               l_max, budget)
+                                               budget)
             counts += cts
             failures += failed
             nodes += n
@@ -532,7 +513,6 @@ def scan_chart(
                 raise ValueError(f"radii must be finite and positive, got {e}")
             norm_cells.append(e)
     eps_cells = [c for c in norm_cells if c is not None]
-    l_max = max((e[-1] for e in eps_cells), default=0.0)
     k_max = max((len(e) for e in eps_cells), default=0)
     radii = np.full((len(eps_cells), k_max), np.inf)
     for row, e in enumerate(eps_cells):
@@ -543,7 +523,7 @@ def scan_chart(
     workers = max(1, min(threads, n_chunks))
     tasks = [(chart, subspace, seed,
               range(w * n_chunks // workers, (w + 1) * n_chunks // workers),
-              chunk_size, samples, radii, l_max, budget)
+              chunk_size, samples, radii, budget)
              for w in range(workers)]
     if workers == 1:
         results = list(map(_scan_chunks, tasks))

@@ -627,12 +627,12 @@ class SurfaceBatch:
     start          (n + 1,) first half-edge of each surface, then H
     surf           (H,) the surface of each half-edge
     dims           per surface, its row length, or None without rows
-    coeff_max      largest |c| in ``coeffs``
 
-    A surface built on other coordinates w = B z of the chart's z (a torus
-    on its reduced basis) has rows in w; :meth:`rebased` rewrites them in
-    z, so the unfolding's classes come out in chart coordinates.
-    :meth:`take` gives the batch of some of the surfaces.
+    The property :attr:`coeff_max`, the largest |c| in ``coeffs``, is read
+    off them, not stored.  A surface built on other coordinates w = B z of
+    the chart's z (a torus on its reduced basis) has rows in w;
+    :meth:`rebased` rewrites them in z, so the unfolding's classes come
+    out in chart coordinates.
 
     :meth:`delaunay` retriangulates every surface toward Delaunay: rounds
     that twist two-triangle cylinders by whole multiples of their core and
@@ -649,10 +649,15 @@ class SurfaceBatch:
     start: np.ndarray
     surf: np.ndarray
     dims: tuple
-    coeff_max: int
 
     def __len__(self) -> int:
         return len(self.start) - 1
+
+    @property
+    def coeff_max(self) -> int:
+        """The largest |c| in ``coeffs``, 0 for none."""
+        c = self.coeffs
+        return max(int(c.max(initial=0)), -int(c.min(initial=0)))
 
     @classmethod
     def of(cls, surfaces) -> "SurfaceBatch":
@@ -662,22 +667,6 @@ class SurfaceBatch:
                                + [X._edges.reshape(-1) for X in surfaces])
         return _gather(edges, [X._tables for X in surfaces],
                        np.arange(len(surfaces)))
-
-    def take(self, index) -> "SurfaceBatch":
-        """The batch of the surfaces ``index``, in that order; the rows keep
-        their D columns."""
-        index = np.asarray(index, dtype=np.int64)
-        size = np.diff(self.start)[index]
-        start = np.concatenate([[0], np.cumsum(size)])
-        surf = np.repeat(np.arange(index.size), size)
-        shift = (self.start[index] - start[:-1]).repeat(size)
-        h = np.arange(start[-1]) + shift  # the old half-edge of each new one
-        coeffs = self.coeffs[:, h]
-        return SurfaceBatch(
-            edge=self.edge[:, h], neighbor=self.neighbor[h] - shift,
-            corner_vertex=self.corner_vertex[h], coeffs=coeffs, start=start,
-            surf=surf, dims=tuple(self.dims[i] for i in index.tolist()),
-            coeff_max=int(np.abs(coeffs).max(initial=0)))
 
     def rebased(self, basis) -> "SurfaceBatch":
         """The batch with each chart row c of surface s, padded to D,
@@ -704,8 +693,7 @@ class SurfaceBatch:
         for i in range(d):
             for j in range(d):
                 coeffs[j] += self.coeffs[i] * b[:, i, j]
-        return replace(self, coeffs=coeffs,
-                       coeff_max=int(np.abs(coeffs).max(initial=0)))
+        return replace(self, coeffs=coeffs)
 
     def delaunay(self) -> "SurfaceBatch":
         """The same surfaces retriangulated toward Delaunay, as a new batch.
@@ -904,8 +892,7 @@ class _Retriangulation:
 
     def batch(self) -> SurfaceBatch:
         return replace(self.source, edge=self.edge, neighbor=self.nbr,
-                       corner_vertex=self.vert, coeffs=self.rows,
-                       coeff_max=int(np.abs(self.rows).max(initial=0)))
+                       corner_vertex=self.vert, coeffs=self.rows)
 
 
 def _put(a, idx, values) -> None:
@@ -996,8 +983,7 @@ def _gather(edges, tables, kind) -> SurfaceBatch:
         neighbor=cols[0] + start[surf], corner_vertex=cols[1], coeffs=cols[2:],
         start=start, surf=surf,
         dims=((dims[0],) * n if len(set(dims)) == 1
-              else tuple(dims[k] for k in kind.tolist())),
-        coeff_max=int(np.abs(stacked[:, 2:]).max(initial=0)))
+              else tuple(dims[k] for k in kind.tolist())))
 
 
 def symmetric_polygon_batch(sides) -> tuple[SurfaceBatch, np.ndarray]:

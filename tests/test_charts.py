@@ -109,3 +109,19 @@ class TestChartTable:
             warnings.simplefilter("always")
             chart.area(z)
         assert any("overflow" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("method", ["polygon_vertices", "admissible",
+                                        "area", "build", "build_batch"])
+    @pytest.mark.parametrize("chart, z", [
+        (get_chart("torus"), [1, 0.5 + 1j, -0.5 + 1j]),
+        (get_chart("torus"), [1]),
+        (get_chart("h2-octagon"), [1, 1 + 1j, 1j]),
+        (get_chart("h2-octagon"), [1, 1 + 1j, 1j, -1 + 1j, -1]),
+        (ChartModel("hexagon", 3, 1.0), [1, 1j]),
+    ], ids=["torus-3", "torus-1", "octagon-3", "octagon-5", "custom-2"])
+    def test_wrong_number_of_sides_named(self, method, chart, z):
+        # three sides on the torus built a 4-triangle surface with no
+        # vertex of positive order, and build_batch marked the row built
+        arg = np.asarray([z], dtype=complex) if method == "build_batch" else z
+        with pytest.raises(ValueError, match=f"dim {chart.dim}"):
+            getattr(chart, method)(arg)

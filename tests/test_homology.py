@@ -35,6 +35,26 @@ class TestLinearSubspace:
     def test_numpy_ambient_dim_accepted(self):
         assert LinearSubspace(np.int64(3)).dim == 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0, np.nan), complex(1, np.inf)],
+                             ids=repr)
+    def test_non_finite_basis_named(self, bad):
+        # a nan died in the SVD (LinAlgError: SVD did not converge), and an
+        # inf was reported as dependent columns
+        basis = np.eye(4, 2, dtype=complex)
+        basis[2, 1] = bad
+        with pytest.raises(ValueError, match="basis .*not finite"):
+            LinearSubspace(4, basis)
+
+    def test_basis_without_columns_named(self):
+        # a (4, 0) basis made a subspace of dim 0, whose scan estimated 0
+        with pytest.raises(ValueError, match="basis has no columns"):
+            LinearSubspace(4, np.zeros((4, 0)))
+
+    def test_dependent_basis_named(self):
+        with pytest.raises(ValueError, match="basis columns are not independent"):
+            LinearSubspace(2, np.array([[1.0, 2.0], [1.0, 2.0]]))
+
 
 class TestIndependenceRank:
     def test_full_space_two_units(self):

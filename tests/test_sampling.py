@@ -909,15 +909,13 @@ class TestClosedFormGates:
             sampling._sample_params(rng, 16384, chart.dim, chart.half_width))
 
 
-def _certificate_alone(X, cap, W):
-    """``sampling._certified_length`` of the batch of one surface ``X``,
-    one edge at a time: the length of its shortest edge for cap 1, of the
-    shortest edge not parallel to that one for cap 2, rounded up by
-    ``GUESS_SLACK``, where the classes of the edges have rank cap on W;
-    inf for cap 3 and up, or when they do not."""
-    if cap > 2:
-        return math.inf
-    edges = X.edge.T.tolist()
+def _certificate_edges(X, s, cap):
+    """The half-edges of surface ``s`` of the batch ``X`` that
+    ``sampling._certified_length`` picks, found one edge at a time: its
+    shortest edge, and for cap 2 the shortest edge not parallel to that
+    one; and the length of the last one, not rounded."""
+    a, b = int(X.start[s]), int(X.start[s + 1])
+    edges = X.edge[:, a:b].T.tolist()
     lengths = [float(np.hypot(x, y)) for x, y in edges]
     shortest = min(lengths)
     picked = [lengths.index(shortest)]
@@ -926,9 +924,20 @@ def _certificate_alone(X, cap, W):
         rest = [m if abs(sx * y - sy * x) > WEDGE_EPS * m * shortest
                 else math.inf for (x, y), m in zip(edges, lengths)]
         picked.append(rest.index(min(rest)))
+    return [a + h for h in picked], lengths[picked[-1]]
+
+
+def _certificate_alone(X, cap, W, s=0):
+    """``sampling._certified_length`` of surface ``s`` of the batch ``X``
+    alone: the length of its ``_certificate_edges`` rounded up by
+    ``GUESS_SLACK``, where their classes have rank cap on W; inf for cap 3
+    and up, or when they do not."""
+    if cap > 2:
+        return math.inf
+    picked, length = _certificate_edges(X, s, cap)
     if independence_rank(X.coeffs[:, picked].T, W) < cap:
         return math.inf
-    return lengths[picked[-1]] * (1 + sampling.GUESS_SLACK)
+    return length * (1 + sampling.GUESS_SLACK)
 
 
 class TestBatchedScan:
@@ -1238,8 +1247,7 @@ def _count(model, W, sides, cells):
     radii = np.full((len(cells), k_max), np.inf)
     for row, e in enumerate(cells):
         radii[row, :len(e)] = sorted(e)
-    l_max = float(radii[np.isfinite(radii)].max())
-    counts, _, nodes = sampling._count_cone_batch(model, W, sides, radii, l_max,
+    counts, _, nodes = sampling._count_cone_batch(model, W, sides, radii,
                                                   DEFAULT_BUDGET)
     return counts.tolist(), nodes
 
@@ -1247,8 +1255,8 @@ def _count(model, W, sides, cells):
 def _without_certificate(monkeypatch):
     """Every surface without a certificate, so searched to the largest
     radius: the reference the certificates must not change."""
-    monkeypatch.setattr(sampling, "_threshold_guess",
-                        lambda surfaces, cap: (np.full(len(surfaces), np.inf), None))
+    monkeypatch.setattr(sampling, "_certified_length",
+                        lambda surfaces, subspace, cap: np.full(len(surfaces), np.inf))
 
 
 class TestCertificate:
@@ -1295,22 +1303,20 @@ class TestCertificate:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_golden_certificates(self, case):
-        """Every certificate of the golden cone batches has rank cap, and
-        its length bounds R_(cap - 1) of the search to the largest radius
-        (inf there means beyond it)."""
+        """Every certificate of the golden cone batches is the one its
+        surface gets alone, has rank cap, and bounds R_(cap - 1) of the
+        search to the largest radius (inf there means beyond it)."""
         model, W, cells, sides = _cone_batch(case)
         surfaces, _ = sampling._cone_surfaces(model, sides)
         k_max = max(map(len, cells))
         cap = min(k_max, W.dim)
         l_max = max(c[-1] for c in cells)
-        guess, edges = sampling._threshold_guess(surfaces, cap)
-        assert edges.shape == (len(surfaces), cap)
-        ex, ey = surfaces.edge[:, edges]
-        assert np.array_equal(np.hypot(ex, ey)[:, -1], guess)
-        classes = np.moveaxis(surfaces.coeffs[:, edges], 0, -1)
-        assert (independence_rank(classes, W) == cap).all()
         certified = sampling._certified_length(surfaces, W, cap)
-        assert np.array_equal(certified, guess * (1 + sampling.GUESS_SLACK))
+        each = range(len(surfaces))
+        assert certified.tolist() == [_certificate_alone(surfaces, cap, W, s)
+                                      for s in each]
+        assert np.isfinite(certified).all()
+        guess = np.array([_certificate_edges(surfaces, s, cap)[1] for s in each])
         R = sampling._rank_thresholds(unfold_surfaces(surfaces, l_max), W,
                                       k_max)[:, cap - 1]
         # the two half-edges of an edge may differ in their last bits, and
@@ -1329,7 +1335,8 @@ class TestCertificate:
         surfaces, _ = sampling._cone_surfaces(model, sides)
         k_max = max(map(len, cells))
         cap = min(k_max, W.dim)
-        guess = sampling._threshold_guess(surfaces, cap)[0]
+        guess = np.array([_certificate_edges(surfaces, s, cap)[1]
+                          for s in range(len(surfaces))])
         l_max = max(c[-1] for c in cells)
         R = sampling._rank_thresholds(unfold_surfaces(surfaces, l_max), W,
                                       k_max)[:, cap - 1]
@@ -1412,18 +1419,31 @@ class TestCertificate:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_failed_check_searches_to_l_max(self, case, monkeypatch):
         """Certificate edges whose classes fall short of rank cap (here the
-        shortest edge twice) certify nothing: each batch is still one
-        ``unfold_surfaces`` call, every surface in it searched to l_max,
-        and the scan is the scan without certificates, nodes and all."""
+        rank check's every rank lowered by one) certify nothing: each batch
+        is still one ``unfold_surfaces`` call, every surface in it searched
+        to l_max, and the scan is the scan without certificates, nodes and
+        all."""
         chart, rows, samples, _ = self.CASES[case]
         cells = [None, (0.35,), (0.35, 0.6), (0.6, 1.0)]
         W = None if rows is None else real_subspace(rows)
         with monkeypatch.context() as m:
             _without_certificate(m)
             want = scan_chart(chart, W, cells, samples, 1, chunk_size=256)
-        guess = sampling._threshold_guess
-        monkeypatch.setattr(sampling, "_threshold_guess", lambda surfaces, cap: (
-            guess(surfaces, cap)[0], guess(surfaces, cap)[1][:, [0, 0]]))
+        certify, rank = sampling._certified_length, sampling.independence_rank
+        checks = []
+
+        def failing_certify(*args):
+            # only the certificate's rank check falls short, not the
+            # greedy rank pass
+            with monkeypatch.context() as m:
+                m.setattr(sampling, "independence_rank",
+                          lambda classes, W: rank(classes, W) - 1)
+                certified = certify(*args)
+            checks.append(len(certified))
+            assert np.isinf(certified).all()
+            return certified
+
+        monkeypatch.setattr(sampling, "_certified_length", failing_certify)
         batches, reaches = [], []
         count, unfold = sampling._count_cone_batch, sampling.unfold_surfaces
 
@@ -1439,7 +1459,8 @@ class TestCertificate:
         monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
         got = scan_chart(chart, W, cells, samples, 1, chunk_size=256)
         assert got == want
-        assert len(reaches) == len(batches) > 1
+        assert len(reaches) == len(batches) == len(checks) > 1
+        assert sum(checks) == sum(map(len, reaches))
         assert (np.concatenate(reaches) == 1.0).all()
 
 
@@ -1459,11 +1480,10 @@ class TestCountConeBatch:
         radii = np.full((len(cells), 2), np.inf)
         for row, e in enumerate(cells):
             radii[row, :len(e)] = e
-        l_max = float(radii[np.isfinite(radii)].max())
 
         def count(part):
             counts, failures, nodes = sampling._count_cone_batch(
-                chart, W, part, radii, l_max, DEFAULT_BUDGET)
+                chart, W, part, radii, DEFAULT_BUDGET)
             return counts.tolist() + [failures, nodes]
 
         whole = count(sides)

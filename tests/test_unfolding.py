@@ -831,20 +831,6 @@ class TestBatchedUnfolding:
         for L in lengths:
             assert_equals_scalar(X, L)
 
-    def test_take_is_the_batch_of_those_surfaces(self):
-        surfaces = [square_torus(), regular_octagon(), no_coordinates(
-            octagon_surface()), torus(0.3 + 0j, 0.1 + 3.3j), subspace_octagon(2)]
-        batch = SurfaceBatch.of(surfaces)
-        for index in ([4, 0, 3], [1], [2, 2], [], list(range(5))):
-            got = batch.take(index)
-            want = SurfaceBatch.of([surfaces[i] for i in index])
-            for name in ("edge", "neighbor", "corner_vertex", "start", "surf"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            d = want.coeffs.shape[0]
-            assert np.array_equal(got.coeffs[:d], want.coeffs)
-            assert not got.coeffs[d:].any()
-            assert got.dims == want.dims and got.coeff_max == want.coeff_max
-
     def test_tables_arrays_are_shared(self):
         X = square_torus()
         Y = torus(1.0 + 0.1j, 0.2 + 1j)
