@@ -49,7 +49,10 @@ class ChartModel:
     and checks only their number of sides: ``polygon_vertices`` (so
     ``area`` and ``admissible``), ``build`` and ``build_batch`` take
     ``dim`` sides per polygon and raise a ``ValueError`` that names
-    ``dim`` otherwise.  ``scan_chart`` masks only the samples with
+    ``dim`` otherwise.  The single-polygon methods take one row ``z`` of
+    shape (dim,), and ``build_batch`` a stack ``sides`` of shape
+    (batch, dim); a ``ValueError`` names the argument and that shape
+    otherwise.  ``scan_chart`` masks only the samples with
     0 < area <= 1, rescaled to unit area, one batch simplicity mask and
     area test per chunk; it passes ``build_batch`` only the rows that
     passed, gathered into batches of cone samples, and builds a row that
@@ -88,12 +91,18 @@ class ChartModel:
             raise ValueError(f"chart {self.name!r}: half_width must be finite "
                              f"and positive, got {self.half_width}")
 
-    def _sides(self, z):
-        """``z`` if its last axis holds ``dim`` sides, else a ValueError."""
-        if np.ndim(z) == 0 or np.shape(z)[-1] != self.dim:
+    def _sides(self, z, arg: str = "z", ndim: int = 1):
+        """``z`` if it has ``ndim`` axes, the last of ``dim`` sides, else a
+        ValueError that names ``arg``."""
+        shape = np.shape(z)
+        if len(shape) != ndim:
+            want = f"({self.dim},)" if ndim == 1 else f"(batch, {self.dim})"
+            raise ValueError(f"chart {self.name!r}: {arg} must have shape "
+                             f"{want}, got shape {shape}")
+        if shape[-1] != self.dim:
             raise ValueError(f"chart {self.name!r} has dim {self.dim}: each "
                              f"polygon needs {self.dim} sides, got shape "
-                             f"{np.shape(z)}")
+                             f"{shape}")
         return z
 
     def polygon_vertices(self, z) -> np.ndarray:
@@ -116,7 +125,7 @@ class ChartModel:
         """The surfaces of the rows of ``sides`` (batch, dim), whose polygons
         are known to be simple and positively oriented, and which rows
         built (see :func:`~flatscale.surface.symmetric_polygon_batch`)."""
-        return symmetric_polygon_batch(self._sides(sides))
+        return symmetric_polygon_batch(self._sides(sides, "sides", 2))
 
     @property
     def box_volume(self) -> float:

@@ -474,8 +474,8 @@ def scan_chart(
     ``threads`` must be integers, not bools, of at least 1
     (``samples`` at least 1000), and ``seed`` an integer, not a bool, in
     [0, 2**128), the Philox key range; ``subspace`` None or a
-    ``LinearSubspace`` of the chart's dimension; a ``ValueError`` names
-    the argument otherwise.
+    ``LinearSubspace`` of the chart's dimension whose basis maps the box
+    to finite points; a ``ValueError`` names the argument otherwise.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
@@ -487,6 +487,14 @@ def scan_chart(
                          f"got {type(subspace).__name__}")
     elif subspace.ambient_dim != chart.dim:
         raise ValueError("subspace ambient dimension does not match chart")
+    elif subspace.basis is not None:
+        # |Re|, |Im| of an embedded coordinate stay below this, and so do
+        # the partial sums of embed's complex matmul
+        with np.errstate(over="ignore"):
+            reach = 2 * chart.half_width * np.abs(subspace.basis).sum(axis=1).max()
+        if not math.isfinite(reach):
+            raise ValueError(f"subspace: the box of half-width {chart.half_width} "
+                             "overflows in the basis; scale the basis down")
     for arg, value in (("samples", samples), ("chunk_size", chunk_size),
                        ("budget", budget), ("threads", threads)):
         integer(value, arg)

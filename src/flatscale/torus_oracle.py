@@ -28,30 +28,43 @@ quadrant, the points with i < (n-1)/2 and j <= (n-1)/2, each of weight 4,
 and for odd n the centre once, of weight 1 (_quadrant): a quarter of the
 points, for the same sum up to rounding.
 
-The pairs are evaluated in blocks with array operations: a block is a run
-of consecutive pairs with at most BLOCK_POINTS quadrant points, or one
-pair (25 blocks for the 720 pairs at the default grid).  The (p, q, r, s)
-rows of the pairs are one read-only table per pq_max (_pair_table), and
-each block's gates, w-squares and z-domains come from it by array
-arithmetic (_pair_bounds).  The quadrant points of a block's pairs are
-flattened together, and each point carries its pair's gates and w-squares
-(an absent square is (alpha, beta) = (0, inf), which every point passes);
-_point_areas gives their areas.  Points whose disc lies inside every
-w-square with area <= 1 take pi r^2 directly.  For the rest the w-squares
-intersect to one rectangle per point, and a disc that misses its rectangle
-is dropped: the clip polygon lies inside the rectangle, so its area is
-exactly 0 (at eps = 0.3 this drops all but 592 of the 62,252 such points
-of the 720 pairs).  Of the points left, those where eps^2 |z|^2 > 1 are
-clipped by the half plane row by row (_clip_rows, the module's only
-polygon clipper), and every row is padded to five vertices by repeating a
-vertex (a zero-length edge adds exactly 0).  One call to
-circle_polygon_area per block then gives all their areas: each edge adds
-an arc, a chord and an arc, split at its entry and exit parameters on the
-circle clamped to the edge.  np.add.reduceat sums each pair's weighted
-areas as one segment, pairwise, so a pair's volume does not depend on the
-block it lands in (_pair_volume is the block of one), and the oracle adds
-the pair volumes in primitive_pairs order.  Memory stays at one block's
-points, at most max(BLOCK_POINTS, one quadrant of grid_resolution^2).
+The box |Re|, |Im| < h, Lebesgue measure and the area Im(conj(u) v) are
+kept by sigma(u, v) = (conj(u), -conj(v)) and rho(u, v) = (v, -u).  Up to
+the sign of the class, sigma maps the locus of the class (p, q) onto that
+of (-p, q), and rho maps it onto that of (-q, p), so a pair's volume
+V(p, q) = V(-p, q) = V(q, p) depends only on {|p|, |q|}.  Each orbit of
+primitive_pairs under the group they generate meets 0 <= p <= q once, so
+the oracle integrates only those representatives and weights each volume
+by the size of its orbit: 2 for (0, 1) and (1, 1), 4 for every other one
+(181 representatives for the 720 pairs at the default pq_max).  The
+discretisation keeps the symmetry too: every pair's volume equals its
+representative's to a few ulps, and multiplying by 2 or 4 is exact.
+
+The representatives are evaluated in blocks with array operations: a
+block is a run of consecutive representatives with at most BLOCK_POINTS
+quadrant points, or one representative (7 blocks at the default grid).
+Their (p, q, r, s) rows and orbit sizes are one read-only table per
+pq_max (_orbit_table), and each block's gates, w-squares and z-domains
+come from it by array arithmetic (_pair_bounds).  The quadrant points of a
+block's pairs are flattened together, and each point carries its pair's
+gates and w-squares (an absent square is (alpha, beta) = (0, inf), which
+every point passes); _point_areas gives their areas.  Points whose disc
+lies inside every w-square with area <= 1 take pi r^2 directly.  For the
+rest the w-squares intersect to one rectangle per point, and a disc that
+misses its rectangle is dropped: the clip polygon lies inside the
+rectangle, so its area is exactly 0 (at eps = 0.3 this drops all but 177
+of the 15,592 such points of the 181 representatives).  Of the points
+left, those where eps^2 |z|^2 > 1 are clipped by the half plane row by
+row (_clip_rows, the module's only polygon clipper), and every row is
+padded to five vertices by repeating a vertex (a zero-length edge adds
+exactly 0).  One call to circle_polygon_area per block then gives all
+their areas: each edge adds an arc, a chord and an arc, split at its
+entry and exit parameters on the circle clamped to the edge.
+np.add.reduceat sums each pair's weighted areas as one segment, pairwise,
+so a pair's volume does not depend on the block it lands in (_pair_volume
+is the block of one), and the oracle adds orbit size times volume in
+representative order.  Memory stays at one block's points, at most
+max(BLOCK_POINTS, one quadrant of grid_resolution^2).
 
 For eps at or above the Hermite bound (4/3)^(1/4), every unit-area lattice
 has a vector no longer than eps, so the k = 1 measure is the whole cone
@@ -182,13 +195,16 @@ def _clip_rows(poly, nx, ny):
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_table(pq_max: int) -> np.ndarray:
-    """Read-only (p, q, r, s) rows of primitive_pairs(pq_max), with (r, s)
-    the bezout_complement of (p, q)."""
-    table = np.array([(p, q, *bezout_complement(p, q))
-                      for p, q in primitive_pairs(pq_max)])
-    table.flags.writeable = False
-    return table
+def _orbit_table(pq_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (p, q, r, s) rows of the orbit representatives 0 <= p <= q
+    of primitive_pairs(pq_max), in its order, with (r, s) the
+    bezout_complement of (p, q), and their orbit sizes (module docstring)."""
+    reps = [(p, q) for p, q in primitive_pairs(pq_max) if 0 <= p <= q]
+    table = np.array([(p, q, *bezout_complement(p, q)) for p, q in reps])
+    weights = np.array([2.0 if p in (0, q) else 4.0 for p, q in reps])
+    for v in (table, weights):
+        v.flags.writeable = False
+    return table, weights
 
 
 def _pair_bounds(pairs: np.ndarray, e2: float, half_width: float) -> np.ndarray:
@@ -355,10 +371,12 @@ def torus_exact_oracle(
     """Cone-set measure on the torus chart by deterministic integration.
 
     eps is one radius (a number or a 0-d array) or a sequence of radii.
-    Supports k = 1 for eps < 1 (disjoint primitive-pair sum, see module
-    docstring) and eps >= Hermite bound 1.0747 (saturated: the full cone
-    volume, cone_volume_quadrature(half_width); grid_resolution and pq_max
-    are then unused).  For k = 2 the locus is empty whenever
+    Supports k = 1 for eps < 1 (the disjoint sum over primitive_pairs
+    (pq_max), one representative pair integrated per symmetry orbit of the
+    box and weighted by the orbit size, see module docstring) and eps >=
+    Hermite bound 1.0747 (saturated: the full cone volume,
+    cone_volume_quadrature(half_width); grid_resolution and pq_max are then
+    unused).  For k = 2 the locus is empty whenever
     eps1 * eps2 < 1.
     Radii and half_width are real numbers, grid_resolution and pq_max
     integers, by the rule of ``flatscale.checks`` (no bool, no string).
@@ -382,13 +400,14 @@ def torus_exact_oracle(
                 "radii in [1, 1.0747) are outside the oracle's disjointness "
                 "and saturation regimes")
         _settle_heap()
-        pairs = _pair_table(pq_max)
+        pairs, weights = _orbit_table(pq_max)
         grids = np.where(np.abs(pairs[:, :2]).max(axis=1) <= 4, grid_resolution,
                          max(24, grid_resolution // 2)).tolist()
         total = 0.0
         for block in _blocks(grids):
-            for volume in _block_volumes(pairs[block], e, half_width, grids[block]):
-                total += volume  # in primitive_pairs order
+            volumes = _block_volumes(pairs[block], e, half_width, grids[block])
+            for weight, volume in zip(weights[block], volumes):
+                total += weight * volume  # in representative order
         return float(total)
     if len(eps) == 2:
         if eps[0] * eps[1] < 1.0:

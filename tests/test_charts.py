@@ -125,3 +125,19 @@ class TestChartTable:
         arg = np.asarray([z], dtype=complex) if method == "build_batch" else z
         with pytest.raises(ValueError, match=f"dim {chart.dim}"):
             getattr(chart, method)(arg)
+
+    @pytest.mark.parametrize("method, arg, want", [
+        ("build_batch", np.array([1, 1j]), r"sides must have shape \(batch, 2\)"),
+        ("build_batch", np.array(1 + 1j), r"sides must have shape \(batch, 2\)"),
+        ("build_batch", np.ones((1, 1, 2)), r"sides must have shape \(batch, 2\)"),
+        ("admissible", np.array([[1, 1j], [1, 1j]]), r"z must have shape \(2,\)"),
+        ("admissible", np.array([[1, 1j]]), r"z must have shape \(2,\)"),
+        ("area", np.array([[1, 1j], [1, 1j]]), r"z must have shape \(2,\)"),
+        ("build", np.array([[1, 1j]]), r"z must have shape \(2,\)"),
+        ("polygon_vertices", 1j, r"z must have shape \(2,\)"),
+    ])
+    def test_wrong_rank_named(self, method, arg, want):
+        # one row to build_batch raised IndexError in the polygon builder,
+        # and a stack to admissible numpy's "truth value ... is ambiguous"
+        with pytest.raises(ValueError, match=want):
+            getattr(get_chart("torus"), method)(arg)

@@ -450,6 +450,15 @@ class TestChartInput:
                                              "LinearSubspace"):
             scan_chart("h2-octagon", subspace, [0.3], 2000, 1)
 
+    def test_basis_that_overflows_the_box_rejected(self):
+        # a corner of the box overflowed in LinearSubspace.embed: the scan
+        # leaked "overflow encountered in matmul" and kept 0 of 0 samples
+        huge = LinearSubspace(2, np.array([[1e308], [1e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="subspace"):
+                scan_chart("torus", huge, [0.3], 2000, 1)
+
     @pytest.mark.parametrize("chunk_size", [-5, 0])
     def test_bad_chunk_size_rejected(self, chunk_size):
         with pytest.raises(ValueError, match="chunk_size must be at least 1"):

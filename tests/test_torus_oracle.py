@@ -15,7 +15,7 @@ from flatscale.torus_oracle import (
     _block_volumes,
     _clip_rows,
     _pair_bounds,
-    _pair_table,
+    _orbit_table,
     _pair_volume,
     _point_areas,
     _quadrant,
@@ -291,10 +291,35 @@ def quadrant_points(n):
     return (n // 2) * ((n + 1) // 2) + n % 2
 
 
-def _default_grids(pq_max=DEFAULT_PQ_MAX, grid_resolution=48):
-    """The z-grid of each of primitive_pairs(pq_max) in the oracle."""
+def representatives(pq_max=DEFAULT_PQ_MAX):
+    """The pairs the oracle integrates: (p, q) of primitive_pairs(pq_max)
+    with 0 <= p <= q, one per orbit of the box's symmetries."""
+    return [(p, q) for p, q in primitive_pairs(pq_max) if 0 <= p <= q]
+
+
+def representative(p, q):
+    """The representative of the orbit of (p, q): V(p, q) = V(-p, q) =
+    V(q, p), so the volume depends only on {|p|, |q|}."""
+    return min(abs(p), abs(q)), max(abs(p), abs(q))
+
+
+def pair_rows(pairs):
+    """(p, q, r, s) rows of pairs, (r, s) their bezout_complement."""
+    return np.array([(p, q, *bezout_complement(p, q)) for p, q in pairs])
+
+
+def _default_grids(pairs, grid_resolution=48):
+    """The z-grid of each of pairs in the oracle."""
     return [grid_resolution if max(abs(p), abs(q)) <= 4
-            else max(24, grid_resolution // 2) for p, q in primitive_pairs(pq_max)]
+            else max(24, grid_resolution // 2) for p, q in pairs]
+
+
+def all_pair_volumes(pairs, eps, half_width, grid_resolution=48):
+    """Volumes of pairs, in the oracle's blocks, on the oracle's grids."""
+    grids = _default_grids(pairs, grid_resolution)
+    rows = pair_rows(pairs)
+    return np.concatenate([_block_volumes(rows[b], eps, half_width, grids[b])
+                           for b in torus_oracle._blocks(grids)])
 
 
 class TestVectorisedPairVolume:
@@ -339,27 +364,31 @@ class TestVectorisedPairVolume:
         monkeypatch.setattr(torus_oracle, "_block_volumes", counting_blocks)
         calls.clear()
         torus_exact_oracle([0.3])
-        # runs of consecutive pairs, as many as fit in BLOCK_POINTS = 4608
-        # quadrant points: the 24^2 quadrants of the 48^2 grids of
-        # max(|p|, |q|) <= 4 fit 8 to a block, the 12^2 ones of the 24^2
-        # grids 32
+        # runs of consecutive representatives, as many as fit in
+        # BLOCK_POINTS = 4608 quadrant points: the 24^2 quadrants of the
+        # 48^2 grids of max(|p|, |q|) <= 4 fit 8 to a block, the 12^2 ones
+        # of the 24^2 grids 32 (the 720 pairs took 25 blocks)
         n_blocks, points = 1, 0
-        for n in _default_grids():
+        for n in _default_grids(representatives()):
             if points and points + quadrant_points(n) > BLOCK_POINTS:
                 n_blocks, points = n_blocks + 1, 0
             points += quadrant_points(n)
-        assert len(per_block) == n_blocks == 25
+        assert len(per_block) == n_blocks == 7
         assert set(per_block) == {0, 1}
         assert min(calls) > 0
-        # the skip leaves 592 of the 62,252 slow rows at eps = 0.3
-        assert sum(calls) < 750
+        # the skip leaves 177 of the 15,592 slow rows of the 181
+        # representatives at eps = 0.3 (592 of the 62,252 of the 720 pairs,
+        # checked as sum(calls) < 750)
+        assert sum(calls) < 200
 
     @pytest.mark.parametrize("grid_resolution, pq_max", [(200, 2), (60, 6)])
     def test_blocks_within_the_cap(self, grid_resolution, pq_max, monkeypatch):
-        """The oracle's blocks are runs of consecutive pairs, in order, each
-        of one pair or of at most BLOCK_POINTS quadrant points, and each as
-        long as the cap allows: the points held at once, and so the peak
-        memory, stay within max(BLOCK_POINTS, one pair's quadrant)."""
+        """The oracle's blocks are runs of consecutive representatives, in
+        order, each of one pair or of at most BLOCK_POINTS quadrant points,
+        and each as long as the cap allows: the points held at once, and so
+        the peak memory, stay within max(BLOCK_POINTS, one pair's quadrant).
+        (The blocks ran over all of primitive_pairs(pq_max) before the
+        oracle integrated one pair per orbit.)"""
         blocks = torus_oracle._block_volumes
         seen = []
 
@@ -369,8 +398,8 @@ class TestVectorisedPairVolume:
 
         monkeypatch.setattr(torus_oracle, "_block_volumes", spy)
         torus_exact_oracle([0.3], grid_resolution=grid_resolution, pq_max=pq_max)
-        grids = _default_grids(pq_max, grid_resolution)
-        assert [p for pairs, _ in seen for p in pairs] == primitive_pairs(pq_max)
+        grids = _default_grids(representatives(pq_max), grid_resolution)
+        assert [p for pairs, _ in seen for p in pairs] == representatives(pq_max)
         assert [n for _, g in seen for n in g] == grids
         points = [sum(map(quadrant_points, g)) for _, g in seen]
         for (pairs, _), total in zip(seen, points):
@@ -385,22 +414,43 @@ class TestVectorisedPairVolume:
 
     @pytest.mark.parametrize("eps", [0.15, 0.3])
     def test_blocks_equal_pairs(self, eps):
-        """Every pair's volume is bit for bit the same in any block, and the
-        oracle adds them in primitive_pairs order."""
-        pairs, grids = _pair_table(DEFAULT_PQ_MAX), _default_grids()
+        """Every representative's volume is bit for bit the same in any
+        block, the oracle adds orbit size times volume in representative
+        order, and that sum agrees with the sum over all 720 pairs."""
+        (pairs, weights), grids = _orbit_table(DEFAULT_PQ_MAX), _default_grids(
+            representatives())
         single = [_pair_volume(p, q, eps, 2.0, n)
                   for (p, q, _, _), n in zip(pairs.tolist(), grids)]
         blocks = np.concatenate([
             _block_volumes(pairs[b], eps, 2.0, grids[b])
             for b in torus_oracle._blocks(grids)])
-        assert len(single) == 720
+        assert len(single) == 181
         np.testing.assert_array_equal(blocks, single)
         np.testing.assert_array_equal(_block_volumes(pairs[5:18], eps, 2.0, grids[5:18]),
                                       single[5:18])
         total = 0.0
-        for volume in single:
-            total += volume
+        for weight, volume in zip(weights, single):
+            total += weight * volume
         assert torus_exact_oracle([eps]) == total
+        every = 0.0
+        for volume in all_pair_volumes(primitive_pairs(DEFAULT_PQ_MAX), eps, 2.0):
+            every += volume  # every pair, in primitive_pairs order
+        assert total == pytest.approx(every, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("half_width", [2.0, 3.7])
+    @pytest.mark.parametrize("eps", [0.15, 0.3])
+    @pytest.mark.parametrize("pq_max, grid_resolution", [(24, 48), (6, 25)])
+    def test_pairs_equal_their_representative(self, pq_max, grid_resolution,
+                                              eps, half_width):
+        """The discretised volume keeps the box's symmetries: every pair's
+        volume is its representative's to 1e-14 relative (at most 3.4e-16
+        at these settings), though their z-grids are laid out from other (r, s)."""
+        pairs = primitive_pairs(pq_max)
+        volume = dict(zip(pairs, all_pair_volumes(pairs, eps, half_width,
+                                                  grid_resolution)))
+        assert min(volume.values()) > 0.0
+        for (p, q), v in volume.items():
+            assert v == pytest.approx(volume[representative(p, q)], rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("eps", [0.05, 0.3, 0.95])
     def test_skipped_rows_are_rounding_noise(self, eps, monkeypatch):
@@ -454,17 +504,47 @@ def scalar_pair_bounds(p, q, e2, half_width):
     return [gate, *squares, min(lim, gate)]
 
 
+def orbit(p, q):
+    """The orbit of (p, q) in primitive_pairs under (p, q) -> (-p, q) and
+    (p, q) -> (-q, p), each class taken up to sign as q > 0 or (1, 0)."""
+    def canonical(p, q):
+        return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
+
+    seen, todo = set(), [canonical(p, q)]
+    while todo:
+        p, q = todo.pop()
+        if (p, q) not in seen:
+            seen.add((p, q))
+            todo += [canonical(-p, q), canonical(-q, p)]
+    return seen
+
+
 class TestPairTable:
     def test_rows_are_the_pairs_and_complements(self):
-        table = _pair_table(DEFAULT_PQ_MAX)
-        assert table is _pair_table(DEFAULT_PQ_MAX)
-        assert not table.flags.writeable
-        assert [(p, q) for p, q, _, _ in table.tolist()] == primitive_pairs(DEFAULT_PQ_MAX)
+        table, weights = _orbit_table(DEFAULT_PQ_MAX)
+        assert _orbit_table(DEFAULT_PQ_MAX)[0] is table
+        assert not table.flags.writeable and not weights.flags.writeable
+        assert [(p, q) for p, q, _, _ in table.tolist()] == representatives()
         assert all(bezout_complement(p, q) == (r, s) for p, q, r, s in table.tolist())
+        assert len(table) == 181 and weights.sum() == 720
+
+    @pytest.mark.parametrize("pq_max", range(1, 31))
+    def test_orbits_cover_the_pairs_once(self, pq_max):
+        """Each pair of primitive_pairs(pq_max) lies in the orbit of exactly
+        one representative, and each weight is its orbit's size."""
+        pairs = primitive_pairs(pq_max)
+        table, weights = _orbit_table(pq_max)
+        reps = [(p, q) for p, q, _, _ in table.tolist()]
+        orbits = [orbit(*pq) for pq in reps]
+        assert [len(o) for o in orbits] == weights.tolist()
+        assert sorted(pq for o in orbits for pq in o) == sorted(pairs)
+        for pq in pairs:
+            assert representative(*pq) in orbit(*pq)
+        assert weights.sum() == len(pairs)
 
     @pytest.mark.parametrize("eps", [0.05, 0.3, 0.95])
     def test_bounds_match_the_scalar_loop(self, eps):
-        table = _pair_table(DEFAULT_PQ_MAX)
+        table = pair_rows(primitive_pairs(DEFAULT_PQ_MAX))
         want = [scalar_pair_bounds(p, q, eps * eps, 2.0) for p, q, _, _ in table.tolist()]
         got = _pair_bounds(table, eps * eps, 2.0)
         assert got.shape == (6, len(table))
