@@ -124,7 +124,6 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -536,6 +535,8 @@ def scan_chart(
     if workers == 1:
         results = list(map(_scan_chunks, tasks))
     else:
+        # imported here: it loads multiprocessing, which one worker never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunks, tasks))
     gates = np.zeros(3, np.int64)

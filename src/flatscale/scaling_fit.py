@@ -40,7 +40,11 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
     sequence of triples, raises ``DegenerateFitError``.  With ``strict``
     the preconditions are enforced too: at least ``MIN_POINTS`` distinct
     radii per axis and every relative standard error below
-    ``MAX_REL_STDERR``.
+    ``MAX_REL_STDERR``.  Rows with fewer than two distinct products
+    eps_1 * ... * eps_k (one radius, or one radius vector repeated) fix no
+    slope and raise ``DegenerateFitError`` in either mode; the per-axis
+    split of a grid whose radii move together (a diagonal grid) is the
+    minimum-norm one.
     """
     try:
         results = list(results)
@@ -80,6 +84,12 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
     if zeros:
         raise DegenerateFitError(
             f"zero estimates at radii {zeros}; cannot fit in log space")
+    # log(eps_1 * ... * eps_k), the joint fit's regressor
+    log_product = [sum(math.log(e) for e in eps) for eps, _, _ in rows]
+    if len(set(log_product)) < 2:
+        raise DegenerateFitError(
+            f"radii {sorted({eps for eps, _, _ in rows})} have fewer than two "
+            f"distinct products eps_1 * ... * eps_k; no slope can be fitted")
     if strict:
         for axis in range(k):
             vals = {eps[axis] for eps, _, _ in rows}
@@ -111,9 +121,7 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
                for s, e in zip(slopes, errs))
 
     # joint fit against the product of radii
-    Xj = np.column_stack(
-        [np.ones(len(rows)),
-         [sum(math.log(e) for e in eps) for eps, _, _ in rows]])
+    Xj = np.column_stack([np.ones(len(rows)), log_product])
     betaj, covj = _wls(Xj, y, w)
     joint = float(betaj[1])
     jerr = float(math.sqrt(max(covj[1, 1], 0.0)))

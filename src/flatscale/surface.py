@@ -435,18 +435,34 @@ def ear_clip(vertices) -> list[tuple[int, int, int]]:
     return [tuple(t) for t in tris[0].tolist()]
 
 
-MASK_BLOCK = 512  # rows per block of the pairwise edge test
+MASK_BLOCK = 2048  # edge pair tests per block (1024 rows of a 4-gon)
 
 
 @functools.lru_cache(maxsize=64)
 def _mask_indices(m: int):
-    """Next and previous corner of each corner of an m-gon, and the index
-    arrays (i, j), i < j, of its non-adjacent edge pairs."""
+    """Next and previous corner of each corner of an m-gon, and its
+    non-adjacent edge pairs (i, j), i < j, as index arrays in stages.
+
+    For even m the half turn (i, j) -> (i + m/2, j + m/2) groups the edge
+    pairs in orbits of one or two.  The first stage holds the lesser pair
+    of each orbit of two; the second holds the rest: the other pair of each
+    such orbit and the pairs of opposite edges, which the half turn fixes.
+    A centrally symmetric polygon meets the two pairs of an orbit alike, up
+    to rounding, and its opposite edges are parallel, so the first stage
+    rejects nearly every row that fails.  For odd m, and for m = 4, whose
+    orbits are all of one pair, there is one stage; for m = 3 none (an
+    empty stage is left out)."""
     k = np.arange(m)
     i, j = np.triu_indices(m, 2)
     keep = ~((i == 0) & (j == m - 1))  # adjacent around the wrap
-    out = ((k + 1) % m, (k - 1) % m, i[keep], j[keep])
-    for a in out:
+    i, j = i[keep], j[keep]
+    first = np.zeros(i.size, bool)
+    if m % 2 == 0:
+        ti, tj = (i + m // 2) % m, (j + m // 2) % m
+        first = i * m + j < np.minimum(ti, tj) * m + np.maximum(ti, tj)
+    stages = tuple((i[s], j[s]) for s in (first, ~first) if s.any())
+    out = ((k + 1) % m, (k - 1) % m, stages)
+    for a in (*out[:2], *(a for stage in stages for a in stage)):
         a.setflags(write=False)
     return out
 
@@ -458,57 +474,77 @@ def polygon_simple_mask(verts: np.ndarray) -> np.ndarray:
     improper contacts between non-adjacent edges, and reversal at a joint.
     Collinear non-adjacent edges pass when they are disjoint.  Tolerances
     are ``TOL_SIMPLE`` relative to each row's scale (squared for crosses).
-    All non-adjacent edge pairs are tested at once, MASK_BLOCK rows at a
-    time, so the temporaries stay O(MASK_BLOCK * m^2) for any batch.
+    The per-corner tests run on every row; the non-adjacent edge pairs are
+    tested in the stages of ``_mask_indices``, each on the rows that passed
+    everything before it, so a second stage sees only the rows that pass
+    the first.  A stage tests its pairs on MASK_BLOCK // pairs rows at a
+    time (one row at least), so the temporaries stay O(MASK_BLOCK) for any
+    batch of polygons with at most MASK_BLOCK pairs.  The rows
+    are held corners first, (m, batch), so every reduction over corners or
+    pairs runs along whole rows.  Every test is elementwise, so each row's
+    answer is the one all tests on all rows give.
     """
     verts = np.atleast_2d(np.asarray(verts, dtype=complex))
     batch, m = verts.shape
-    nxt, prv, pi, pj = _mask_indices(m)
-    e = verts[:, nxt] - verts
-    scale = np.abs(verts).max(axis=1) + np.abs(e).max(axis=1)
+    nxt, prv, stages = _mask_indices(m)
+    v = verts.T.copy()
+    e = v.take(nxt, 0) - v
+    scale = np.abs(v).max(axis=0) + np.abs(e).max(axis=0)
     ok = scale > 0
     safe = np.where(ok, scale, 1.0)
     eps = TOL_SIMPLE * safe * safe
-    ok &= (np.abs(e) > (TOL_SIMPLE * safe)[:, None]).all(axis=1)
-
-    for lo in range(0, batch, MASK_BLOCK):
-        rows = slice(lo, lo + MASK_BLOCK)
-        v, eb, tol = verts[rows], e[rows], eps[rows, None]
-        p1, ei = v[:, pi], eb[:, pi]
-        q1, ej = v[:, pj], eb[:, pj]
-        d1 = _cross(ei, q1 - p1)
-        d2 = _cross(ei, q1 + ej - p1)
-        d3 = _cross(ej, p1 - q1)
-        d4 = _cross(ej, p1 + ei - q1)
-        sep_i = (np.maximum(d1, d2) < -tol) | (np.minimum(d1, d2) > tol)
-        sep_j = (np.maximum(d3, d4) < -tol) | (np.minimum(d3, d4) > tol)
-        sep = sep_i | sep_j
-        if not sep.all():
-            _separate_collinear(sep, tol, p1, ei, q1, ej, d1, d2, d3, d4)
-        ok[rows] &= sep.all(axis=1)
-    prev = e[:, prv]
+    ok &= (np.abs(e) > TOL_SIMPLE * safe).all(axis=0)
+    prev = e.take(prv, 0)
     dot = prev.real * e.real + prev.imag * e.imag
-    folded = (np.abs(_cross(prev, e)) <= eps[:, None]) & (dot < 0)
-    ok &= ~folded.any(axis=1)
+    folded = (np.abs(_cross(prev, e)) <= eps) & (dot < 0)
+    ok &= ~folded.any(axis=0)
+
+    live = ok.nonzero()[0]
+    for pi, pj in stages:
+        step = max(1, MASK_BLOCK // pi.size)
+        live = np.concatenate([
+            rows[_pairs_apart(v, e, eps, rows, pi, pj)]
+            for rows in np.split(live, range(step, live.size, step))])
+    ok = np.zeros(batch, bool)
+    ok[live] = True
     return ok
 
 
+def _pairs_apart(v, e, eps, rows, pi, pj) -> np.ndarray:
+    """Whether each of ``rows`` keeps every edge pair (pi, pj) apart, for
+    vertices ``v`` and edges ``e`` held corners first."""
+    v, e, tol = v.take(rows, 1), e.take(rows, 1), eps.take(rows)
+    p1, ei = v.take(pi, 0), e.take(pi, 0)
+    q1, ej = v.take(pj, 0), e.take(pj, 0)
+    d1 = _cross(ei, q1 - p1)
+    d2 = _cross(ei, q1 + ej - p1)
+    d3 = _cross(ej, p1 - q1)
+    d4 = _cross(ej, p1 + ei - q1)
+    sep_i = (np.maximum(d1, d2) < -tol) | (np.minimum(d1, d2) > tol)
+    sep_j = (np.maximum(d3, d4) < -tol) | (np.minimum(d3, d4) > tol)
+    sep = sep_i | sep_j
+    if not sep.all():
+        _separate_collinear(sep, tol, p1, ei, q1, ej, d1, d2, d3, d4)
+    return sep.all(axis=0)
+
+
 def _separate_collinear(sep, tol, p1, ei, q1, ej, d1, d2, d3, d4) -> None:
-    """Mark in ``sep`` the collinear pairs (all four crosses within tol),
-    which fail both cross tests, whose projections onto e_i are disjoint."""
+    """Mark in ``sep`` (pairs, rows) the collinear pairs (all four crosses
+    within tol), which fail both cross tests, whose projections onto e_i
+    are disjoint."""
     near = ~sep & (np.abs(d1) <= tol)
     if not near.any():
         return
-    r, c = np.nonzero(near)
-    t = tol[r, 0]
-    coll = ((np.abs(d2[r, c]) <= t) & (np.abs(d3[r, c]) <= t)
-            & (np.abs(d4[r, c]) <= t))
-    r, c, t = r[coll], c[coll], t[coll]
-    u, off = ei[r, c], q1[r, c] - p1[r, c]
+    c, r = np.nonzero(near)
+    t = tol[r]
+    coll = ((np.abs(d2[c, r]) <= t) & (np.abs(d3[c, r]) <= t)
+            & (np.abs(d4[c, r]) <= t))
+    c, r, t = c[coll], r[coll], t[coll]
+    u, off = ei[c, r], q1[c, r] - p1[c, r]
     a = _dot(u, off)
-    b = _dot(u, off + ej[r, c])
+    b = _dot(u, off + ej[c, r])
     apart = (np.maximum(a, b) < -t) | (np.minimum(a, b) > _dot(u, u) + t)
-    sep[r[apart], c[apart]] = True
+    sep[c[apart], r[apart]] = True
 
 
 def symmetric_vertices(sides) -> np.ndarray:
@@ -958,25 +994,26 @@ class _RowGuard:
 def _gather(edges, tables, kind) -> SurfaceBatch:
     """The batch of the surfaces whose edge vectors are ``edges`` (H,),
     surfaces in order, where surface s has the tables ``tables[kind[s]]``.
-    The tables are stacked once, as rows (neighbor, corner vertex, padded
-    chart row), and gathered onto the half-edges of their surfaces."""
+    The tables are stacked once, as columns (neighbor, corner vertex, padded
+    chart row) of a (2 + D, rows) array, and gathered onto the half-edges
+    of their surfaces in one take, which leaves every row C-contiguous."""
     n = len(kind)
     size = np.asarray([t.neighbor.size for t in tables], np.int64)
     n_he = size[kind]
     start = np.concatenate([[0], np.cumsum(n_he)])
-    first = np.cumsum(size) - size  # where each table's rows begin
+    first = np.cumsum(size) - size  # where each table's columns begin
     d = max((t.dim or 0 for t in tables), default=0)
-    stacked = np.zeros((int(size.sum()), 2 + d), np.int64)
+    stacked = np.zeros((2 + d, int(size.sum())), np.int64)
     for t, a in zip(tables, first.tolist()):
-        rows = stacked[a:a + t.neighbor.size]
-        rows[:, 0] = t.neighbor
-        rows[:, 1] = t.corner_vertex
+        cols = stacked[:, a:a + t.neighbor.size]
+        cols[0] = t.neighbor
+        cols[1] = t.corner_vertex
         if t.dim:
-            rows[:, 2:2 + t.dim] = t.coeffs
+            cols[2:2 + t.dim] = t.coeffs.T
     surf = np.repeat(np.arange(n), n_he)
     # where each global half-edge sits in the stacked tables
     src = (first[kind] - start[:-1]).repeat(n_he) + np.arange(start[-1])
-    cols = np.ascontiguousarray(stacked[src].T)
+    cols = stacked.take(src, 1)
     dims = [t.dim for t in tables]
     return SurfaceBatch(
         edge=np.stack([edges.real, edges.imag]),

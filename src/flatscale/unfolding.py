@@ -226,6 +226,17 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
     search order (root corner, holonomy (2, n), end vertex, class (D, n))
     and the nodes expanded per surface.
 
+    The set-up filters first.  Every corner emits its outgoing edge when
+    that is within reach, but a corner starts a chain only when the far
+    edge of its triangle comes within the bound (a test on the two edge
+    vectors alone), so the wedge boundaries, the clip to the kept arc and
+    the wedge-width test are computed only on the corners that pass it.
+    A node never leaves its root's surface, so the per-half-edge tables
+    that the levels read are filled only on the half-edges of surfaces
+    with a root; the rest of each table is left unwritten.  Each
+    predicate is elementwise, so the roots are those that testing every
+    corner gives.
+
     Node vectors are stored component first, so every step works on
     contiguous rows, and a level's children are laid out (node, child)
     along the last axis, which keeps them in parent order.  A level costs
@@ -233,10 +244,10 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
     so the loop makes few: the int node state is one array of D + 2 rows
     (the class of the entry edge's second corner, the entry half-edge, the
     root corner), taken once per level, and the nodes are counted per
-    surface lazily.  Until the batch total passes ``budget`` no surface can, so one ``bincount`` at
-    the end counts them; from then on every level is counted and checked,
-    so the budget error comes at the level, and names the surface, that
-    counting every level gives.
+    surface lazily.  Until the batch total passes ``budget`` no surface
+    can, so one ``bincount`` at the end counts them; from then on every
+    level is counted and checked, so the budget error comes at the level,
+    and names the surface, that counting every level gives.
     """
     edge, nbr, coeffs, vert = b.edge, b.neighbor, b.coeffs, b.corner_vertex
     h = np.arange(nbr.size)
@@ -246,14 +257,17 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
     # The outgoing edge at each corner is itself a geodesic to the next
     # cone point; it is the closed low boundary of the corner's wedge.
     ea = edge
-    eb = -edge[:, prv]
+    eb = -edge.take(prv, 1)
     la2 = _norm2(ea)
     L2 = L2.take(b.surf)  # each corner's squared bound
     own = (la2 <= L2).nonzero()[0]
     emits = [(own, ea[:, own], vert[nxt[own]], coeffs[:, own])]
 
-    # Continue through the far edge with both boundaries open.
-    lo = ea / np.sqrt(la2)
+    # Continue through the far edge with both boundaries open, from the
+    # corners whose far edge lies within reach; only those get a wedge.
+    near = (~(_seg_dist2(ea, eb) > L2)).nonzero()[0]
+    ea, eb = ea.take(near, 1), eb.take(near, 1)
+    lo = ea / np.sqrt(la2.take(near))
     hi = eb / np.hypot(eb[0], eb[1])
     ok = ~(lo[0] * hi[1] - lo[1] * hi[0] <= WEDGE_EPS)
     # A corner wedge spans less than pi, so it meets the kept arc
@@ -264,8 +278,8 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
     ok &= ~(lo_below & hi_below)
     lo[:, lo_below] = [[_BELOW_POS.real], [_BELOW_POS.imag]]
     hi[:, hi_below & ~lo_below] = [[_BELOW_NEG.real], [_BELOW_NEG.imag]]
-    ok &= ~(_seg_dist2(ea, eb) > L2)
-    root = ok.nonzero()[0]
+    keep = ok.nonzero()[0]
+    root = near.take(keep)
 
     # Node state.  f: the positions of corners e (pa) and e+1 (pb) of the
     # entry edge, then the wedge as lo.x, hi.y, lo.y, hi.x, so that one
@@ -275,19 +289,29 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
     # that one take carries all of them to the next level.
     dim = coeffs.shape[0]
     he_row, root_row = dim, dim + 1
-    f = np.concatenate([eb[:, root], ea[:, root], lo[:1, root], hi[1:, root],
-                        lo[1:, root], hi[:1, root], L2[None, root]])
+    f = np.concatenate([eb, ea, lo[:1], hi[1:], lo[1:], hi[:1],
+                        L2.take(near)[None]]).take(keep, 1)
     q = np.concatenate([coeffs[:, root], nbr[nxt[root]][None], root[None]])
-    del eb, la2, lo, hi, ok, root, L2
     # Per entry half-edge: the edge vector and class of edge e+1, the end
-    # vertex of an apex emit, and the entries of the two children.  The
-    # level loop gathers with take, which costs much less per call than
-    # fancy indexing on small arrays; the tables are made by take too, so
-    # they are C-contiguous and a take along axis 1 does not copy them.
-    apex_edge = edge.take(nxt, 1)
-    apex_class = coeffs.take(nxt, 1)
-    apex_vert = vert[prv]
-    kids = np.stack([nbr[nxt], nbr[prv]], axis=1)
+    # vertex of an apex emit, and the entries of the two children, written
+    # on the half-edges of rooted surfaces only.  The level loop gathers
+    # with take, which costs much less per call than fancy indexing on small
+    # arrays; the tables are C-contiguous, so a take along axis 1 does not
+    # copy them.
+    rooted = np.zeros(len(b), bool)
+    rooted[b.surf.take(root)] = True
+    he = rooted.take(b.surf).nonzero()[0]
+    he_nxt, he_prv = nxt.take(he), prv.take(he)
+    apex_edge = np.empty(edge.shape)
+    apex_edge[:, he] = edge.take(he_nxt, 1)
+    apex_class = np.empty(coeffs.shape, np.int64)
+    apex_class[:, he] = coeffs.take(he_nxt, 1)
+    apex_vert = np.empty(vert.shape, vert.dtype)
+    apex_vert[he] = vert.take(he_prv)
+    kids = np.empty((nbr.size, 2), nbr.dtype)
+    kids[he, 0] = nbr.take(he_nxt)
+    kids[he, 1] = nbr.take(he_prv)
+    del ea, eb, la2, lo, hi, ok, keep, near, root, L2, rooted
 
     n_surf = len(b)
     nodes = np.zeros(n_surf, np.int64)

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +95,18 @@ class TestDeterminism:
         for x, y in zip(a.estimates, b.estimates):
             assert x.value == y.value
             assert x.accepted == y.accepted
+
+    def test_process_pool_imported_only_for_workers(self):
+        """Importing the scan loads no process pool: one worker never uses
+        it, and ``multiprocessing`` is a large share of the import."""
+        src = str(Path(sampling.__file__).resolve().parents[1])
+        code = ("import sys, flatscale.sampling\n"
+                "print(sorted(m for m in ('concurrent.futures.process', "
+                "'multiprocessing') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == ["[]"]
 
     def test_different_seeds_differ(self):
         a = scan_chart("torus", None, [(0.3,)], N_FAST, 1).estimates[0]

@@ -127,3 +127,27 @@ class TestScalarRadii:
         got = fit_scaling_exponent([(np.array(e), est, se) for e, est, se in rows])
         assert got == want
         assert got.slopes[0] == pytest.approx(2.0, abs=1e-9)
+
+
+class TestOneProduct:
+    """Rows with one product eps_1 * ... * eps_k fix no slope, strict or not."""
+
+    @pytest.mark.parametrize("rows", [
+        [(0.1, 0.01, 0.001)],                         # one point
+        [(0.1, 0.01, 0.001), (0.1, 0.012, 0.001)],    # one radius twice
+        [((0.1, 0.2), 0.01, 1e-4), ((0.1, 0.2), 0.02, 1e-4)],
+        [((0.1, 0.2), 0.01, 1e-4), ((0.2, 0.1), 0.02, 1e-4)],
+    ], ids=["one-point", "one-radius", "one-vector", "swapped-vector"])
+    def test_raises_naming_the_radii(self, rows):
+        # the first two gave slopes 1.683 +- 0.037 and 1.643 +- 0.023
+        for strict in (False, True):
+            with pytest.raises(DegenerateFitError, match=r"radii \[\(0\.1.*products"):
+                fit_scaling_exponent(rows, strict=strict)
+
+    def test_diagonal_grid_splits_evenly(self):
+        """Two products on a diagonal grid: the per-axis split is the
+        minimum-norm one, half the joint slope on each axis."""
+        rows = [((e, e), e ** 4, 1e-3 * e ** 4) for e in (0.1, 0.2)]
+        fit = fit_scaling_exponent(rows, strict=False)
+        assert fit.joint_slope == pytest.approx(2.0, abs=1e-9)
+        assert fit.slopes == pytest.approx((2.0, 2.0), abs=1e-9)

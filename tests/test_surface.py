@@ -11,9 +11,11 @@ from flatscale import sampling
 from flatscale.charts import get_chart
 from flatscale.surface import (
     MASK_BLOCK,
+    TOL_SIMPLE,
     StratumSignature,
     SurfaceError,
     TranslationSurface,
+    _mask_indices,
     _surface_tables,
     ear_clip,
     ear_clip_batch,
@@ -613,9 +615,13 @@ def _brute_force_simple(vs):
     return True
 
 
+SPREAD = 512  # rows between the special polygons of ``_mask_batch``
+
+
 def _mask_batch(m, rows, rng):
     """Random polygons (star-shaped, centrally symmetric, arbitrary) with
-    touching, folded and degenerate ones at the block boundaries."""
+    touching, folded and degenerate ones spread over the batch, about
+    ``SPREAD`` rows apart."""
     out = []
     for r in range(rows):
         kind = r % 3
@@ -637,7 +643,7 @@ def _mask_batch(m, rows, rng):
     folded[2] = 0.5 * (convex[0] + convex[1])    # edge 1 runs back along edge 0
     degenerate = list(convex)
     degenerate[1] = convex[0]                    # zero-length edge
-    block = MASK_BLOCK
+    block = SPREAD
     placed = {0: touching, 1: folded, 2: convex, block - 1: pinched,
               block: folded, block + 1: degenerate, 2 * block - 1: touching,
               3 * block: pinched, rows - 1: degenerate}
@@ -650,7 +656,7 @@ def _mask_batch(m, rows, rng):
 
 
 def _near_rows(rows):
-    return [pos for pos in (2 * MASK_BLOCK + 5, rows - 2) if 2 < pos < rows - 1]
+    return [pos for pos in (2 * SPREAD + 5, rows - 2) if 2 < pos < rows - 1]
 
 
 def _near_touching(convex):
@@ -667,7 +673,7 @@ class TestSimpleMask:
     @pytest.mark.parametrize("m", [4, 6, 8, 10])
     def test_blocks_match_rows_and_brute_force(self, m):
         rng = np.random.default_rng(m)
-        rows = 3 * MASK_BLOCK + 7
+        rows = 3 * SPREAD + 7
         verts = _mask_batch(m, rows, rng)
         by_row = np.array([polygon_simple_mask(v[None, :])[0] for v in verts])
         brute = np.array([_brute_force_simple([complex(x) for x in v])
@@ -677,15 +683,15 @@ class TestSimpleMask:
         brute[near] = False
         assert (by_row == brute).all()
         assert 0 < brute.sum() < rows
-        for size in (1, MASK_BLOCK - 1, MASK_BLOCK, MASK_BLOCK + 1, rows):
+        for size in (1, SPREAD - 1, SPREAD, SPREAD + 1, rows):
             batch = polygon_simple_mask(verts[:size])
             assert batch.dtype == bool and batch.shape == (size,)
             assert (batch == by_row[:size]).all()
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_special_polygons(self, m):
-        verts = _mask_batch(m, MASK_BLOCK + 2, np.random.default_rng(0))
-        special = verts[[0, 1, 2, MASK_BLOCK - 1, MASK_BLOCK + 1]]
+        verts = _mask_batch(m, SPREAD + 2, np.random.default_rng(0))
+        special = verts[[0, 1, 2, SPREAD - 1, SPREAD + 1]]
         want = [False, False, True, False, False]
         assert polygon_simple_mask(special).tolist() == want
         assert [_brute_force_simple(list(v)) for v in special] == want
@@ -707,13 +713,159 @@ class TestSimpleMask:
     def test_collinear_rows_in_a_batch(self):
         u_shape = np.asarray([0, 1, 1 + 1j, 2 + 1j, 2, 3, 3 + 2j, 2j])
         overlap = np.asarray([0, 2, 2 + 1j, 1 + 1j, 1, 3, 3 + 2j, 2j])
-        verts = _mask_batch(8, 2 * MASK_BLOCK + 3, np.random.default_rng(1))
+        verts = _mask_batch(8, 2 * SPREAD + 3, np.random.default_rng(1))
         want = polygon_simple_mask(verts)
-        for pos, poly, simple in ((5, u_shape, True), (MASK_BLOCK, overlap, False),
-                                  (MASK_BLOCK + 1, 7.5 * u_shape - 3j, True)):
+        for pos, poly, simple in ((5, u_shape, True), (SPREAD, overlap, False),
+                                  (SPREAD + 1, 7.5 * u_shape - 3j, True)):
             verts[pos] = poly
             want[pos] = simple
         assert polygon_simple_mask(verts).tolist() == want.tolist()
+
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_stages_partition_the_pairs(self, m):
+        """The stages hold every non-adjacent pair once; for even m > 4 the
+        first holds one pair of each two-pair orbit of the half turn."""
+        nxt, prv, stages = _mask_indices(m)
+        assert nxt.tolist() == [(k + 1) % m for k in range(m)]
+        assert prv.tolist() == [(k - 1) % m for k in range(m)]
+        staged = [list(zip(pi.tolist(), pj.tolist())) for pi, pj in stages]
+        pairs = _edge_pairs(m)
+        assert sorted(sum(staged, [])) == pairs and all(staged)
+        assert not any(a.flags.writeable for a in (nxt, prv, *sum(stages, ())))
+        assert len(stages) == (0 if m == 3 else 2 if m % 2 == 0 and m > 4 else 1)
+        if len(stages) == 2:
+            def turn(i, j):
+                return tuple(sorted(((i + m // 2) % m, (j + m // 2) % m)))
+            first = set(staged[0])
+            assert {min(p, turn(*p)) for p in pairs if turn(*p) != p} == first
+            assert all(turn(*p) not in first for p in first)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 8, 10])
+    def test_staged_mask_equals_all_pairs(self, m):
+        """Bit for bit the mask that tests every pair on every row, on
+        batches whose rows cross the block boundary of every stage."""
+        stages = _mask_indices(m)[2]
+        steps = [MASK_BLOCK // pi.size for pi, _ in stages]
+        rows = 3 * max(steps, default=1) + 7
+        verts = _random_polygons(m, rows, np.random.default_rng(100 + m))
+        want, apart, corners_ok = _all_pairs_mask(verts)
+        # the rows each stage tests: those that passed everything before it
+        col = {p: c for c, p in enumerate(_edge_pairs(m))}
+        live = corners_ok
+        for (pi, pj), step in zip(stages, steps):
+            assert live.sum() > step
+            live = live & apart[:, [col[p] for p in zip(pi.tolist(), pj.tolist())]].all(axis=1)
+        assert (live == want).all() and 0 < want.sum() < rows
+        for size in sorted({1, rows, *(k * step + d for step in steps
+                                       for k in (1, 2) for d in (-1, 0, 1))}):
+            got = polygon_simple_mask(verts[:size])
+            assert got.dtype == bool and got.shape == (size,)
+            assert got.tolist() == want[:size].tolist()
+
+    def test_more_pairs_than_a_block(self):
+        """A polygon with more edge pairs in a stage than MASK_BLOCK is
+        tested one row at a time."""
+        m = 160
+        assert _mask_indices(m)[2][0][0].size > MASK_BLOCK
+        regular = np.exp(2j * np.pi * np.arange(m) / m)
+        verts = np.stack([regular, regular, regular * (1 + 0.5j)])
+        verts[1, 5] = verts[1, 90]  # passes a vertex twice
+        want = _all_pairs_mask(verts)[0]
+        assert want.tolist() == [True, False, True]
+        assert polygon_simple_mask(verts).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("kind", ["touching", "crossing", "overlap"])
+    def test_only_a_second_stage_pair_meets(self, kind):
+        """Non-symmetric 8-gons that pass every first-stage pair and fail a
+        second-stage pair are rejected, wherever they sit in a batch."""
+        convex = np.asarray([complex(round(8 * np.cos(np.pi * (2 * k + 1) / 8)),
+                                     round(8 * np.sin(np.pi * (2 * k + 1) / 8)))
+                             for k in range(8)])
+        poly = convex.copy()
+        if kind == "overlap":  # edge 0, [0, 2], lies inside edge 4, [-1, 3]
+            poly = np.asarray([0, 2, 2 + 1j, 3 + 1j, 3, -1, -1 + 2j, 2j])
+        else:  # vertex 4 on, or beyond, the middle of edge 6
+            poly[4] = 0.5 * (convex[6] + convex[7]) * (1.0 if kind == "touching" else 1.25)
+        first, second = _mask_indices(8)[2]
+        col = {p: c for c, p in enumerate(_edge_pairs(8))}
+        _, apart, corners_ok = _all_pairs_mask(poly)
+        assert corners_ok[0]
+        assert apart[0, [col[p] for p in zip(*map(np.ndarray.tolist, first))]].all()
+        assert not apart[0, [col[p] for p in zip(*map(np.ndarray.tolist, second))]].all()
+        assert not polygon_simple_mask(poly)[0]
+        # a batch of simple rows with the polygon in many second-stage blocks
+        rng = np.random.default_rng(7)
+        ang = np.sort(rng.uniform(0, 2 * np.pi, (3 * MASK_BLOCK // first[0].size, 8)), axis=1)
+        verts = rng.uniform(0.5, 2, ang.shape) * np.exp(1j * ang)
+        at = np.arange(0, len(verts), 97)
+        verts[at] = poly
+        got = polygon_simple_mask(verts)
+        assert not got[at].any() and got.sum() > len(verts) // 2
+        assert got.tolist() == _all_pairs_mask(verts)[0].tolist()
+
+
+def _edge_pairs(m):
+    """The non-adjacent edge pairs (i, j), i < j, of an m-gon, in order."""
+    return [(i, j) for i in range(m) for j in range(i + 2, m)
+            if (i, j) != (0, m - 1)]
+
+
+def _all_pairs_mask(verts):
+    """The strict simplicity test with every non-adjacent edge pair on every
+    row at once.  Returns the mask, whether each pair of ``_edge_pairs`` is
+    apart (rows, pairs), and whether each row passes the per-corner tests
+    (no short edge, no fold)."""
+    verts = np.atleast_2d(np.asarray(verts, dtype=complex))
+    m = verts.shape[1]
+
+    def cross(a, b):
+        return a.real * b.imag - a.imag * b.real
+
+    def dot(a, b):
+        return a.real * b.real + a.imag * b.imag
+
+    e = np.roll(verts, -1, axis=1) - verts
+    scale = np.abs(verts).max(axis=1) + np.abs(e).max(axis=1)
+    safe = np.where(scale > 0, scale, 1.0)
+    tol = (TOL_SIMPLE * safe * safe)[:, None]
+    prev = np.roll(e, 1, axis=1)
+    folded = (np.abs(cross(prev, e)) <= tol) & (dot(prev, e) < 0)
+    corners_ok = ((scale > 0) & (np.abs(e) > (TOL_SIMPLE * safe)[:, None]).all(axis=1)
+                  & ~folded.any(axis=1))
+    pi, pj = np.asarray(_edge_pairs(m), int).reshape(-1, 2).T
+    p1, ei, q1, ej = verts[:, pi], e[:, pi], verts[:, pj], e[:, pj]
+    d1, d2 = cross(ei, q1 - p1), cross(ei, q1 + ej - p1)
+    d3, d4 = cross(ej, p1 - q1), cross(ej, p1 + ei - q1)
+    apart = ((np.maximum(d1, d2) < -tol) | (np.minimum(d1, d2) > tol)
+             | (np.maximum(d3, d4) < -tol) | (np.minimum(d3, d4) > tol))
+    collinear = ~apart & (np.abs(d1) <= tol) & (np.abs(d2) <= tol) & (
+        np.abs(d3) <= tol) & (np.abs(d4) <= tol)
+    off = q1 - p1
+    a, b = dot(ei, off), dot(ei, off + ej)
+    apart |= collinear & ((np.maximum(a, b) < -tol)
+                          | (np.minimum(a, b) > dot(ei, ei) + tol))
+    return corners_ok & apart.all(axis=1), apart, corners_ok
+
+
+def _random_polygons(m, rows, rng):
+    """Star-shaped (simple), centrally symmetric for even m, and arbitrary
+    m-gons in turn, with a collinear pair, a short edge or a fold in some
+    rows."""
+    ang = np.sort(rng.uniform(0, 2 * np.pi, (rows, m)), axis=1)
+    verts = rng.uniform(0.5, 2, (rows, m)) * np.exp(1j * ang)
+    anywhere = rng.uniform(-2, 2, (rows, m)) + 1j * rng.uniform(-2, 2, (rows, m))
+    verts[2::3] = anywhere[2::3]
+    if m % 2 == 0:
+        z = anywhere[1::3, :m // 2]
+        verts[1::3] = np.cumsum(np.concatenate([0 * z[:, :1], z, -z[:, :-1]], axis=1), axis=1)
+    if m >= 4:  # edges 0 and 2 on one line: apart, overlapping, touching
+        verts[5::41, :4] = [0, 1, 3, 4]
+        verts[6::41, :4] = [0, 3, 1, 4]
+        verts[7::41, :4] = [0, 1, 2, 1]
+    verts[8::53, 1] = verts[8::53, 0]                        # zero-length edge
+    verts[9::53, 2] = 0.5 * (verts[9::53, 0] + verts[9::53, 1])  # fold at 1
+    return verts
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,

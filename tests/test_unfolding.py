@@ -13,6 +13,7 @@ from flatscale.families import (
     PlumbingParams,
 )
 from flatscale.homology import TAU_PARALLEL
+from flatscale.sampling import _FLOAT_TINY
 from flatscale.surface import SurfaceBatch, SurfaceError, TranslationSurface
 from flatscale.unfolding import (
     DEFAULT_BUDGET,
@@ -23,6 +24,7 @@ from flatscale.unfolding import (
     unfold_surfaces,
 )
 
+from scalar_unfolding import _seg_dist2 as scalar_seg_dist2
 from scalar_unfolding import scalar_unfold
 from test_surface import octagon_surface, square_torus, torus
 
@@ -838,6 +840,98 @@ class TestBatchedUnfolding:
         a = X._tables
         assert a.dim == 2 and SurfaceBatch.of([X, Y]).coeff_max == 1
         assert not a.neighbor.flags.writeable
+
+    def test_gathered_rows_are_the_tables(self):
+        """A batch lays each surface's tables on its own half-edges, chart
+        rows zero padded, in C-contiguous arrays."""
+        surfaces = [square_torus(), no_coordinates(octagon_surface()),
+                    regular_octagon(), torus(0.3 + 0j, 0.1 + 3.3j), square_torus()]
+        b = SurfaceBatch.of(surfaces)
+        for name in ("edge", "neighbor", "corner_vertex", "coeffs", "start", "surf"):
+            assert getattr(b, name).flags.c_contiguous
+        assert b.dims == (2, None, 4, 2, 2) and b.coeffs.shape[0] == 4
+        for s, X in enumerate(surfaces):
+            lo, hi = b.start[s], b.start[s + 1]
+            t, dim = X._tables, X._tables.dim or 0
+            assert (b.neighbor[lo:hi] - lo).tolist() == t.neighbor.tolist()
+            assert b.corner_vertex[lo:hi].tolist() == t.corner_vertex.tolist()
+            assert b.coeffs[:dim, lo:hi].T.tolist() == (
+                t.coeffs.tolist() if dim else [[]] * (hi - lo))
+            assert not b.coeffs[dim:, lo:hi].any() and (b.surf[lo:hi] == s).all()
+            edges = X._edges.reshape(-1)
+            assert b.edge[:, lo:hi].tobytes() == np.stack(
+                [edges.real, edges.imag]).tobytes()
+
+
+
+def far_edge_reach(X):
+    """The least distance from a corner to the far edge of its triangle: a
+    corner starts a chain only when its bound reaches that far edge."""
+    E = X._edges.tolist()
+    return min(math.sqrt(scalar_seg_dist2(tri[c], -tri[(c + 2) % 3]))
+               for tri in E for c in range(3))
+
+
+def shortest_edge(X):
+    return float(np.abs(X._edges).min())
+
+
+def unit_area(X):
+    return X.rescaled(1.0 / math.sqrt(X.area()))
+
+
+class TestFarEdgeFilter:
+    """Only corners whose far edge lies within their surface's bound start a
+    chain, and only the surfaces with such a corner get the per-half-edge
+    tables: the batch still equals the scalar search surface by surface."""
+
+    def test_below_every_far_edge(self):
+        surfaces = [square_torus(), torus(0.3 + 0j, 0.1 + 3.3j), regular_octagon(),
+                    subspace_octagon(4), no_coordinates(octagon_surface())]
+        reach = [0.99 * far_edge_reach(X) for X in surfaces]
+        assert all(r < shortest_edge(X) for r, X in zip(reach, surfaces))
+        batch = unfold_surfaces(surfaces, reach)
+        assert batch.offsets.tolist() == [0] * (len(surfaces) + 1)
+        assert batch.nodes.tolist() == [0] * len(surfaces)
+        for X, r in zip(surfaces, reach):
+            assert scalar_unfold(X, r) == ([], 0)
+
+    def test_mixed_rooted_and_unrooted(self):
+        """Tori at reaches below their shortest edge (some reach a far edge,
+        some none), unit-area octagons at the scan's largest radius 1, and
+        surfaces at the least reach the scan uses, ``_FLOAT_TINY``, with
+        unrooted surfaces first, last and between rooted ones."""
+        rng = np.random.default_rng(28)
+        tori = []
+        for _ in range(12):
+            u, v = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
+            if abs((u.conjugate() * v).imag) > 1e-3:
+                X = unit_area(torus(u, v) if (u.conjugate() * v).imag > 0
+                              else torus(v, u))
+                tori.append((X, 0.9 * shortest_edge(X)))
+        octagons = [(unit_area(X), 1.0) for X in (
+            regular_octagon(), subspace_octagon(4), subspace_octagon(11),
+            star_octagon(0.3, [0.5, 0.9, 0.4, 0.7], [0.8, 0.5, 1.0, 0.6]))]
+        tiny = [(square_torus(), _FLOAT_TINY), (unit_area(subspace_octagon(5)),
+                                                _FLOAT_TINY)]
+        cases = ([tiny[0]] + tori[:6] + [octagons[0], tiny[1], octagons[1]]
+                 + tori[6:] + octagons[2:] + [tiny[0]])
+        surfaces, reach = zip(*cases)
+        batch = unfold_surfaces(surfaces, np.array(reach))
+        rooted = batch.nodes > 0
+        assert not rooted[0] and not rooted[-1]
+        torus_rooted = [n > 0 for n, (X, _) in zip(batch.nodes, cases)
+                        if any(X is Y for Y, _ in tori)]
+        assert any(torus_rooted) and not all(torus_rooted)
+        inner = rooted[1:-1]
+        assert (~inner[1:-1] & inner[:-2] & inner[2:]).any()
+        for s, (X, r) in enumerate(cases):
+            want, nodes = scalar_unfold(X, r)
+            got = batch.connections(s)
+            assert fields(got) == fields(want)
+            assert [bits(sc.holonomy) for sc in got] == [
+                bits(sc.holonomy) for sc in want]
+            assert batch.nodes[s] == nodes
 
 
 bounds = st.floats(0.3, 3.0)
