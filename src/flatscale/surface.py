@@ -369,46 +369,69 @@ def ear_clip_batch(verts) -> tuple[np.ndarray, np.ndarray]:
     Returns ``tris`` (batch, m - 2, 3), the triangles as triples of vertex
     indices in the order they are clipped, and ``ok`` (batch,), False for
     a row in which some step finds no ear (its triples are meaningless).
-    Each step tests every remaining corner b of every row at once, with
-    neighbours a and c: b is an ear when its turn cross(b - a, c - b)
-    exceeds eps and no other remaining vertex p has cross(b - a, p - a),
-    cross(c - b, p - b) and cross(a - c, p - c) all >= -eps, where eps =
-    1e-12 * max |v|^2 per row.  The first ear of a row is clipped, so every
-    row gets the triangles a corner-by-corner scan of that row would give,
-    from the same float predicates.
+    A remaining corner b with neighbours a and c is an ear when its turn
+    cross(b - a, c - b) exceeds eps and no other remaining vertex p has
+    cross(b - a, p - a), cross(c - b, p - b) and cross(a - c, p - c) all
+    >= -eps, where eps = 1e-12 * max |v|^2 per row.  Each step clips the
+    first ear of every row, so every row gets the triangles a
+    corner-by-corner scan of that row would give, from the same float
+    predicates.
+
+    The coordinates are held corners first, as real (m, batch) copies, so
+    every test runs along whole rows.  A step tests corner 0 of every row,
+    and the other corners only on the rows where corner 0 is not an ear
+    (on a convex polygon, a reduced torus say, it nearly always is); a row
+    with no ear clips corner 0.  The clipped corner leaves each row by one
+    gather.
     """
     verts = np.atleast_2d(np.asarray(verts, dtype=complex))
     batch, m = verts.shape
     if m < 3:
         raise SurfaceError("polygon needs at least 3 vertices")
-    scale = np.abs(verts).max(axis=1)
-    eps = (1e-12 * scale * scale)[:, None]
-    tol = -eps[:, :, None]
-    x, y = verts.real, verts.imag
-    idx = np.broadcast_to(np.arange(m), (batch, m))
-    rows = np.arange(batch)
+    v = verts.T.copy()
+    scale = np.abs(v).max(axis=0)
+    eps = 1e-12 * scale * scale
+    x, y = v.real.copy(), v.imag.copy()
+    idx = np.broadcast_to(np.arange(m)[:, None], (m, batch))
     tris = np.empty((batch, m - 2, 3), dtype=np.intp)
     ok = np.ones(batch, dtype=bool)
     for r in range(m, 3, -1):
-        prv, nxt, other = _ear_indices(r)
-        ax, ay, cx, cy = x.take(prv, 1), y.take(prv, 1), x.take(nxt, 1), y.take(nxt, 1)
-        ux, uy, vx, vy, wx, wy = x - ax, y - ay, cx - x, cy - y, ax - cx, ay - cy
-        ear = ux * vy - uy * vx > eps
-        px, py = x.take(other, 1), y.take(other, 1)  # (batch, r, r - 3)
-        inside = (ux[..., None] * (py - ay[..., None])
-                  - uy[..., None] * (px - ax[..., None]) >= tol)
-        inside &= (vx[..., None] * (py - y[..., None])
-                   - vy[..., None] * (px - x[..., None]) >= tol)
-        inside &= (wx[..., None] * (py - cy[..., None])
-                   - wy[..., None] * (px - cx[..., None]) >= tol)
-        ear &= ~inside.any(axis=2)
-        k = ear.argmax(axis=1)
-        ok &= ear[rows, k]
-        tris[:, m - r] = idx[rows[:, None], np.stack([prv[k], k, nxt[k]], axis=1)]
-        keep = np.arange(r) != k[:, None]
-        idx, x, y = (a[keep].reshape(batch, r - 1) for a in (idx, x, y))
-    tris[:, -1] = idx
+        prv, nxt, _ = _ear_indices(r)
+        k = np.zeros(batch, dtype=np.intp)
+        rest = (~_ears(x, y, eps, r, slice(0, 1))[0]).nonzero()[0]
+        if rest.size:
+            ear = _ears(x.take(rest, 1), y.take(rest, 1), eps.take(rest), r,
+                        slice(1, r))
+            first = ear.argmax(axis=0)
+            hit = ear[first, np.arange(rest.size)]
+            k[rest] = np.where(hit, first + 1, 0)
+            ok[rest] &= hit
+        at = np.stack([prv.take(k), k, nxt.take(k)])
+        tris[:, m - r] = np.take_along_axis(idx, at, 0).T
+        j = np.arange(r - 1)[:, None]
+        keep = j + (j >= k)
+        x, y, idx = (np.take_along_axis(a, keep, 0) for a in (x, y, idx))
+    tris[:, -1] = idx.T
     return tris, ok
+
+
+def _ears(x, y, eps, r, corners: slice) -> np.ndarray:
+    """Whether each of the ``corners`` of each r-gon of ``x``, ``y`` (r, n),
+    held corners first, is an ear with tolerance ``eps`` (n,): (c, n)."""
+    prv, nxt, other = (a[corners] for a in _ear_indices(r))
+    bx, by = x[corners], y[corners]
+    ax, ay, cx, cy = x.take(prv, 0), y.take(prv, 0), x.take(nxt, 0), y.take(nxt, 0)
+    ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - bx, cy - by, ax - cx, ay - cy
+    ear = ux * vy - uy * vx > eps
+    px, py = x.take(other, 0), y.take(other, 0)  # (c, r - 3, n)
+    tol = -eps
+    inside = (ux[:, None] * (py - ay[:, None])
+              - uy[:, None] * (px - ax[:, None]) >= tol)
+    inside &= (vx[:, None] * (py - by[:, None])
+               - vy[:, None] * (px - bx[:, None]) >= tol)
+    inside &= (wx[:, None] * (py - cy[:, None])
+               - wy[:, None] * (px - cx[:, None]) >= tol)
+    return ear & ~inside.any(axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -570,6 +593,10 @@ def symmetric_vertices(sides) -> np.ndarray:
     return verts
 
 
+# (u, v) -> (v, -u) on the rows (ux, uy, vx, vy), or on those of B
+_SWAP, _FLIP = np.array([2, 3, 0, 1]), np.array([1, 1, -1, -1])
+
+
 def reduce_lattice_bases(sides) -> tuple[np.ndarray, np.ndarray]:
     """Lagrange-Gauss reduce each positively oriented lattice basis (u, v)
     of ``sides`` (batch, 2).
@@ -586,38 +613,56 @@ def reduce_lattice_bases(sides) -> tuple[np.ndarray, np.ndarray]:
     (u, v) to (v, -u), which keeps det = +1; each basis takes its own
     steps, all in one vectorised loop over the bases not yet reduced.  A
     reduced basis with Re(conj(u) v) < 0 is last turned to (v, -u) too,
-    which makes it positive.  Raises ``ValueError`` before a step whose
-    multiplier or new entries of B could reach 2**62 (a nan or infinite
-    multiplier too), so B never leaves int64.
+    which makes it positive.
+
+    The loop holds ux, uy, vx, vy and the four entries of B as the rows
+    of a real and an int64 array (4, bases), so a step is a few whole-row
+    operations and a swap is a gather of rows.  Its v - m u may differ
+    from the complex product m u in the sign of a zero, which changes
+    neither m nor the swap test, so B is that of a loop in complex
+    arithmetic; the sides are then computed from B, those of the turned
+    rows once more.  Raises ``ValueError`` unless ``sides`` has shape
+    (batch, 2), and before a step whose multiplier or new entries of B
+    could reach 2**62 (a nan or infinite multiplier too), so B never
+    leaves int64.
     """
     sides = np.asarray(sides, dtype=complex)
+    if sides.ndim != 2 or sides.shape[1] != 2:
+        raise ValueError(f"sides must have shape (batch, 2), got {sides.shape}")
     u, v = sides[:, 0], sides[:, 1]
     if not (np.isfinite(sides).all() and (_cross(u, v) > 0).all()):
         raise ValueError("lattice bases must be finite and positively oriented")
-    basis = np.empty((len(sides), 2, 2), dtype=np.int64)
-    rows = np.zeros_like(basis)
-    rows[:, 0, 0] = rows[:, 1, 1] = 1
-    live = np.arange(len(sides))
+    n = len(sides)
+    w = np.stack([u.real, u.imag, v.real, v.imag])  # ux, uy, vx, vy
+    rows = np.zeros((4, n), dtype=np.int64)  # B00, B01, B10, B11
+    rows[0] = rows[3] = 1
+    out = np.empty((n, 4), dtype=np.int64)
+    live = np.arange(n)
     while live.size:
-        norm = _dot(u, u)
+        ux, uy, vx, vy = w
+        norm = ux * ux + uy * uy
         # |r1 - m r0| <= |r1| + |m| |r0|, held below 2**62 with room for rounding
         with np.errstate(all="ignore"):
-            m = np.rint(_dot(u, v) / norm)
-            reach = np.abs(rows[:, 1]) + np.abs(m)[:, None] * np.abs(rows[:, 0])
+            m = np.rint((ux * vx + uy * vy) / norm)
+            reach = np.abs(rows[2:]) + np.abs(m) * np.abs(rows[:2])
         if not (reach < INT64_LIMIT / 2).all():
             raise ValueError("lattice basis reduction would leave int64: a "
                              "basis is too close to degenerate")
-        v = v - m * u
-        rows[:, 1] -= m.astype(np.int64)[:, None] * rows[:, 0]
-        swap = _dot(v, v) < norm
-        basis[live[~swap]] = rows[~swap]
-        live, u, v, rows = live[swap], v[swap], -u[swap], rows[swap][:, ::-1]
-        rows[:, 1] *= -1
+        w[2:] -= m * w[:2]
+        rows[2:] -= m.astype(np.int64) * rows[:2]
+        swap = w[2] * w[2] + w[3] * w[3] < norm
+        done = (~swap).nonzero()[0]
+        out[live.take(done)] = rows.take(done, 1).T
+        keep = swap.nonzero()[0]
+        live = live.take(keep)
+        w, rows = (a.take(keep, 1)[_SWAP] * _FLIP[:, None] for a in (w, rows))
+    basis = out.reshape(n, 2, 2)
     reduced = basis[:, :, 0] * sides[:, :1] + basis[:, :, 1] * sides[:, 1:]
-    turn = _dot(reduced[:, 0], reduced[:, 1]) < 0
-    if turn.any():
-        basis[turn] = basis[turn, ::-1] * [[1], [-1]]
-        reduced = basis[:, :, 0] * sides[:, :1] + basis[:, :, 1] * sides[:, 1:]
+    turn = (_dot(reduced[:, 0], reduced[:, 1]) < 0).nonzero()[0]
+    if turn.size:
+        out[turn] = out.take(turn, 0)[:, _SWAP] * _FLIP
+        b, z = basis.take(turn, 0), sides.take(turn, 0)
+        reduced[turn] = b[:, :, 0] * z[:, :1] + b[:, :, 1] * z[:, 1:]
     return reduced, basis
 
 

@@ -370,7 +370,88 @@ DIGEST_NODES = {
 }
 
 
+# SHA-256 of every array of the SurfaceBatch that _cone_surfaces builds from
+# chunk 0 of seed 1 (its dtype, shape and bytes; the dims tuple as its
+# repr), recorded before the ear clip and the lattice reduction were
+# rewritten on real corners-first arrays: a rewrite of a build kernel must
+# leave the built surfaces bit-identical, not only the scan results.
+BUILD_DIGESTS = {
+    "torus": {
+        "edge":
+            "e506b3dfe46c7518af4958f373855d738082eb035377512b1e4d50b536067bbf",
+        "neighbor":
+            "9bc6a06d02e55f46a9f2f827c569d08c93c0ce6a819e5f5415c13dfdeaad4aa2",
+        "corner_vertex":
+            "75dc96f68cedf736c945a8e495ceb398e2b58417d94f0ef7584b55f650bd3b1c",
+        "coeffs":
+            "4864938bbcabc5676e36d2d6c39d453b17df8779e72b030e4af89a680e385e11",
+        "start":
+            "71ade000cffa830e8655100268116bbdf7f63e1b1a3bc3ddcf20314105085fd9",
+        "surf":
+            "8502d77e5b3a75b78af227385afe8d513ddccb589524661038aeb4dd387e1f46",
+        "dims":
+            "bcc62502728970f075b555e499fecec310a5cb569505c6d311a52494e6e9eefe",
+    },
+    "octagon": {
+        "edge":
+            "82e085aad63e7a621d1d0ac48890427de02bdccdcffa66129f8d24e5fe836fe6",
+        "neighbor":
+            "382e792376567b97b91345688be118e949232df9c28badb7b9216242061652a4",
+        "corner_vertex":
+            "bbbf2905aa4ee314b8a3412ebe69d9d15f084e0fd51d08133c3fe025e6a44250",
+        "coeffs":
+            "8720c44e0505dc7c91de4fef4ceb9877f52c0a3a79223b12ea741759489cbb89",
+        "start":
+            "67dd50e9b8ca88b8a18fcd77106942d33ab1a13c5b4ca1c6f202da20ca35e758",
+        "surf":
+            "34b167024b154b9856efcf12948308db6114eb2f8e4a07e08147a28c0b1c84e8",
+        "dims":
+            "981f10321f126b9cfadf8304428f03a882f72d04462f36ce28b92d93e51ccc8a",
+    },
+    "octagon-subspace": {
+        "edge":
+            "1ad91ddc4f80c51a0ab4fce84462e7e07cc4da1a3da1d2f6b6ddfdd884340206",
+        "neighbor":
+            "28ffa9c6f282cc04c5176b46a64a3204ec08562e0a132538513123539ac428ec",
+        "corner_vertex":
+            "f1bbe89d81c05d92ef8ebae0e9346b42a755a637e925f70f76e9985aef730c98",
+        "coeffs":
+            "fe1b4d513b1518f726bc99a05d43a64344d70fecaa4d07f41492df202c4342fe",
+        "start":
+            "02f23a0059b1be66bc7f532c925bd6f683c6e66ea507bd4dac3a66025af3b9fb",
+        "surf":
+            "34adf2781fc7b2c35c5e5c922f36c7f231e54da4e01c9c7991dff3404f25fa27",
+        "dims":
+            "70e6ead0411a001cba27717cd8eedad1938043c89ed1ec0c14adb65be0d1be66",
+    },
+}
+
+
+def _build_digests(case):
+    """The digests of the surfaces built from chunk 0 of seed 1 of a
+    golden case, and the chunk's build failures."""
+    chart, rows, _, _ = GOLDEN_CASES[case]
+    chart = get_chart(chart)
+    W = LinearSubspace(chart.dim) if rows is None else real_subspace(rows)
+    sides = sampling._process_chunk(chart, W, 1, 0, sampling.DEFAULT_CHUNK)[0]
+    batch, failures = sampling._cone_surfaces(chart, sides)
+    out = {}
+    for field in ("edge", "neighbor", "corner_vertex", "coeffs", "start", "surf"):
+        a = np.ascontiguousarray(getattr(batch, field))
+        h = hashlib.sha256(f"{a.dtype.str} {a.shape} ".encode())
+        h.update(a.tobytes())
+        out[field] = h.hexdigest()
+    out["dims"] = hashlib.sha256(repr(batch.dims).encode()).hexdigest()
+    return out, failures
+
+
 class TestGoldenCounts:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_build_digests(self, case):
+        digests, failures = _build_digests(case)
+        assert failures == 0
+        assert digests == BUILD_DIGESTS[case]
+
     @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
     def test_accepted_counts(self, case, seed):
         _assert_golden_scan(case, seed, threads=1)

@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +31,7 @@ from flatscale.surface import (
 from flatscale.unfolding import enumerate_saddle_connections
 
 from scalar_ear_clip import scalar_ear_clip
+from scalar_lattice_reduction import scalar_reduce_lattice_basis
 
 
 def square_torus():
@@ -1014,6 +1017,56 @@ class TestEarClipBatch:
     def test_decagons(self, verts):
         assert_ear_clip_batch_is_scalar(verts)
 
+    @staticmethod
+    def _kinds(m):
+        """m-gons whose first ear is corner 0 (a regular m-gon), a later
+        corner (corner 0 pushed in past the chord of its neighbours, so it
+        turns right) and none (all vertices on a line)."""
+        regular = np.exp(2j * np.pi * np.arange(m) / m)
+        dart = regular.copy()
+        dart[0] = -0.2
+        return {"corner 0": regular, "later": dart,
+                "none": np.arange(m, dtype=complex)}
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 8, 10])
+    def test_mixed_batches(self, m):
+        """Rows clipped at corner 0, rows whose first ear comes later and
+        rows without an ear, each kind first, last and between the others:
+        each row is clipped as the scalar ear clip clips it alone."""
+        kinds = self._kinds(m)
+        first = {k: scalar_ear_clip(v.tolist())[0][1]
+                 for k, v in kinds.items() if k != "none"}
+        assert first["corner 0"] == 0 and first["later"] != 0
+        if m == 4:  # corner 0 turns left, but vertex 2 lies in its triangle
+            kinds["later, vertex inside"] = np.roll(kinds["later"], 2)
+            assert scalar_ear_clip(kinds["later, vertex inside"].tolist())[0][1] != 0
+        names = list(kinds)
+        for order in itertools.permutations(names):
+            rows = [kinds[k] for k in order for _ in range(2)]
+            rows.insert(len(rows) // 2, kinds[order[0]])
+            failures = assert_ear_clip_batch_is_scalar(np.array(rows))
+            assert failures == sum(k == "none" for k in order) * 2 + (order[0] == "none")
+
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_empty_batch(self, m):
+        tris, ok = ear_clip_batch(np.zeros((0, m), complex))
+        assert tris.shape == (0, m - 2, 3) and ok.shape == (0,)
+        assert assert_ear_clip_batch_is_scalar(np.zeros((0, m), complex)) == 0
+
+    def test_triangles(self):
+        """A triangle is its own triangulation, with no test, degenerate or
+        not, in any batch."""
+        verts = np.array([[0, 1, 1j], [0, 1, 2], [0, 0, 0], [1j, 0, 1]])
+        tris, ok = ear_clip_batch(verts)
+        assert ok.all() and tris.tolist() == [[[0, 1, 2]]] * 4
+        assert assert_ear_clip_batch_is_scalar(verts) == 0
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_batch_of_one(self, m):
+        for verts in self._kinds(m).values():
+            assert_ear_clip_batch_is_scalar(verts[None])
+            assert_ear_clip_batch_is_scalar(np.roll(verts, 3)[None])
+
     def test_failures_are_seen(self):
         verts = [[0, 1, 2, 3], [0, 1, 1 + 1j, 1j]]
         assert assert_ear_clip_batch_is_scalar(verts) == 1
@@ -1050,6 +1103,41 @@ def _exact_products(basis, sides):
                             float(sum(c * y for c, (_, y) in zip(bi, parts))))
                     for bi in b])
     return np.asarray(out, dtype=complex)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64).tolist()
+
+
+def assert_reduction_is_scalar(sides):
+    """reduce_lattice_bases gives every basis the B and the reduced sides,
+    bit for bit, of the scalar reduction.  A batch raises when the scalar
+    reduction raises on one of its bases; each basis alone raises with the
+    scalar message exactly when the scalar reduction raises on it.
+    Returns the number of bases that raise."""
+    sides = np.asarray(sides, dtype=complex)
+    want = []
+    for row in sides:
+        try:
+            want.append(scalar_reduce_lattice_basis(*row.tolist()))
+        except ValueError as err:
+            want.append(err)
+    failures = sum(isinstance(w, ValueError) for w in want)
+    if not failures:
+        reduced, basis = reduce_lattice_bases(sides)
+        assert basis.tolist() == [B for _, B in want]
+        assert _bits(reduced) == [_bits(r) for r, _ in want]
+        return 0
+    with pytest.raises(ValueError):
+        reduce_lattice_bases(sides)
+    for row, w in zip(sides, want):
+        if isinstance(w, ValueError):
+            with pytest.raises(ValueError, match=re.escape(str(w))):
+                reduce_lattice_bases(row[None])
+        else:
+            reduced, basis = reduce_lattice_bases(row[None])
+            assert basis.tolist() == [w[1]] and _bits(reduced) == [_bits(w[0])]
+    return failures
 
 
 class TestLatticeReduction:
@@ -1110,6 +1198,7 @@ class TestLatticeReduction:
     def test_bad_bases_rejected(self, sides):
         with pytest.raises(ValueError, match="finite and positively oriented"):
             reduce_lattice_bases(sides)
+        assert assert_reduction_is_scalar(sides) == 1
 
     @pytest.mark.parametrize("sides", [
         [[1e-20 + 0j, 1 + 1j]],             # multiplier 1e20
@@ -1120,3 +1209,38 @@ class TestLatticeReduction:
     def test_steps_beyond_int64_rejected(self, sides):
         with pytest.raises(ValueError, match="would leave int64"):
             reduce_lattice_bases(np.array(sides))
+        assert assert_reduction_is_scalar(sides) == 1
+
+    @pytest.mark.parametrize("sides", [
+        [[1 + 0j, 0.3 + 1j, 5j]],           # a third column
+        [1 + 0j, 0.3 + 1j],                 # one basis, not a batch of one
+        np.zeros((2, 2, 2), complex),       # a stack of batches
+    ], ids=["three-columns", "one-row", "stacked"])
+    def test_shape_checked(self, sides):
+        with pytest.raises(ValueError, match=r"sides must have shape \(batch, 2\)"):
+            reduce_lattice_bases(np.array(sides))
+
+    def test_empty_batch(self):
+        reduced, basis = reduce_lattice_bases(np.zeros((0, 2), complex))
+        assert reduced.shape == (0, 2) and basis.shape == (0, 2, 2)
+        assert basis.dtype == np.int64
+
+    @PROPERTY
+    @given(_unit_area_bases())
+    @example(np.array([[1 + 0j, -0.5 + 0.75 ** 0.5 * 1j],  # hexagonal
+                       [1 + 0j, 0.5 + 0.75 ** 0.5 * 1j],
+                       [1 + 0j, -0.3 + 1j], [2j, -3 - 1j], [1j, -1 + 0j]]))
+    def test_scalar_reference(self, sides):
+        """The batch is the complex scalar loop, bit for bit."""
+        assert assert_reduction_is_scalar(sides) == 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_scan_chunk_rows_are_scalar(self, seed):
+        """The unit-area cone rows of a torus scan chunk."""
+        chart = get_chart("torus")
+        rng = sampling._chunk_generator(seed, 0)
+        x = sampling._sample_params(rng, 16384, chart.dim, chart.half_width)
+        _, unit, admissible = sampling._unit_area_check(x)
+        sides = unit[admissible]
+        assert len(sides) > 3000
+        assert assert_reduction_is_scalar(sides) == 0
