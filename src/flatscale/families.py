@@ -489,14 +489,9 @@ class HorizontalCylinderFamily(SyntheticFamily):
             "torus_b": PeriodDecomposition(level=0, pert=1j),
         }
 
-    def cross_vector(self, edge_index: int, params: PlumbingParams) -> complex:
-        th = params.t_h[edge_index]
-        log_t = self.sector.log_horizontal(edge_index, th)
-        return self.twists[edge_index] + cylinder_cross_period(self.r, th, log_t)
-
     def surface(self, params: PlumbingParams) -> TranslationSurface:
-        chi_a = self.cross_vector(0, params)
-        chi_b = self.cross_vector(1, params)
+        chi_a = self.period("cross_a", params)
+        chi_b = self.period("cross_b", params)
         w = self.w
         a = self.slit_base
         b = a + w

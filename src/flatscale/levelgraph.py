@@ -173,11 +173,8 @@ def validate_graph(g: EnhancedLevelGraph,
             if e.kind == "horizontal":
                 total += -1 * mult
             else:
-                up = g.upper_vertex(e)
-                if e.src == e.dst:
-                    errors.append(f"vertical self-loop at vertex {i}")
-                    continue
-                total += (e.b - 1) if i == up else (-e.b - 1)
+                # vertical edges join distinct levels here (checked above)
+                total += (e.b - 1) if i == g.upper_vertex(e) else (-e.b - 1)
         if total != 2 * v.genus - 2:
             errors.append(
                 f"vertex {i}: orders sum to {total}, expected 2g-2 = "

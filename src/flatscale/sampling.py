@@ -35,8 +35,8 @@ counts: positive area, area <= 1, admissible (the cone).
 The back end runs once per batch of cone samples.  Each worker scans one
 contiguous range of chunks (one range, in this process, for
 ``threads=1``) and gathers the cone samples of its chunks until at least
-``chunk_size`` of them wait, then passes them through the back end in one
-batch; the rest goes through once more at the end.  On a torus chart
+``DEFAULT_CHUNK`` of them wait, then passes them through the back end in
+one batch; the rest goes through once more at the end.  On a torus chart
 (``chart.dim == 2``, custom charts too) each cone sample's basis (u, v) is
 first Lagrange-Gauss reduced, in one vectorised ``reduce_lattice_bases``
 call: any basis of the lattice gives the same torus, and the reduced one
@@ -98,10 +98,10 @@ R_i <= eps is the one the search to l_max gives.  Without a certificate
 reach stays inf.  A surface with no radius below g_s passes every test
 of R_0, ..., R_(cap - 1) and needs no connection: its reach is the least
 normal float, whose square underflows to 0, so it expands no node unless
-a triangle is degenerate.  ``ScanResult.unfolding_nodes``, like the node
-budget, counts the nodes these searches expand.  The argument takes the
-ranks of ``independence_rank`` as the exact ranks of these integer
-classes, as the greedy pass below does.  Each surface's retriangulation,
+a triangle is degenerate.  ``ScanResult.unfolding_nodes``, like
+``DEFAULT_BUDGET``, counts the nodes these searches expand.  The argument
+takes the ranks of ``independence_rank`` as the exact ranks of these
+integer classes, as the greedy pass below does.  Each surface's retriangulation,
 certificate, connections, ranks and nodes do not depend on which batch
 holds it, so the counts and the nodes do not depend on the worker count.
 
@@ -124,12 +124,13 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .charts import ChartModel, get_chart, square_box_volume
-from .checks import integer, real
+from .checks import integer, radii
 from .homology import LinearSubspace, independence_rank
 from .surface import (
     SurfaceBatch,
@@ -372,18 +373,18 @@ def _cone_surfaces(chart: ChartModel,
 
 def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
                       cone_sides: np.ndarray, radii: np.ndarray,
-                      budget: int) -> tuple[np.ndarray, int, int]:
+                      budget: int) -> np.ndarray:
     """The back end of a batch of cone samples, from any chunks: build the
     surfaces (``_cone_surfaces``), certify, unfold each surface to the
     largest radius below its certificate, rank, and test every radius
     cell.
 
     ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
-    Returns the accepted count of each cell, the build failures and the
-    chain nodes.  The batch takes one ``unfold_surfaces`` call, and the
-    thresholds R_i, i < cap, are clipped to the certificates.  Each
-    sample's connections, ranks and nodes are its own, so the results of
-    two batches add up to those of their concatenation.
+    Returns one int64 tally: the build failures, the chain nodes, then the
+    accepted count of each cell.  The batch takes one ``unfold_surfaces``
+    call, and the thresholds R_i, i < cap, are clipped to the
+    certificates.  Each sample's connections, ranks and nodes are its own,
+    so the tallies of two batches add up to that of their concatenation.
     """
     surfaces, failures = _cone_surfaces(chart, cone_sides)
     k_max = radii.shape[1]
@@ -402,41 +403,35 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
     # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
     # every i < k; radii past k are inf and pass.
     accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)
-    return accepts.sum(axis=0), failures, int(batch.nodes.sum())
+    return np.concatenate([[failures, batch.nodes.sum()], accepts.sum(axis=0)])
 
 
-def _scan_chunks(args) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """One worker's scan of a contiguous range of chunks.
+def _scan_chunks(args) -> np.ndarray:
+    """One worker's scan of a contiguous range of chunks of ``chunk``
+    samples each.
 
     The front end runs once per chunk.  Its cone samples wait until at
-    least ``chunk_size`` of them have gathered, then go through the back
-    end in one batch; the rest goes through once more at the end.  With
-    no radius cell (``radii`` has no rows) nothing is unfolded.  Returns
-    the summed gate counts, the accepted count of each radius cell, the
-    build failures and the chain nodes.
+    least ``chunk`` of them have gathered, then go through the back end in
+    one batch; the rest goes through once more at the end.  With no radius
+    cell (``radii`` has no rows) nothing is unfolded.  Returns one int64
+    tally: the 3 gate counts, the build failures, the chain nodes, then
+    the accepted count of each radius cell.
     """
-    (chart, subspace, seed, chunks, chunk_size, samples,
-     radii, budget) = args
-    gates = np.zeros(3, np.int64)
-    counts = np.zeros(len(radii), np.int64)
-    failures = nodes = 0
+    chart, subspace, seed, chunks, chunk, samples, radii, budget = args
+    tally = np.zeros(5 + len(radii), np.int64)
     pending, waiting = [], 0
     for c in chunks:
-        size = min(chunk_size, samples - c * chunk_size)
-        cone_sides, chunk_gates = _process_chunk(chart, subspace, seed, c, size)
-        gates += chunk_gates
+        size = min(chunk, samples - c * chunk)
+        cone_sides, gates = _process_chunk(chart, subspace, seed, c, size)
+        tally[:3] += gates
         if len(radii):
             pending.append(cone_sides)
             waiting += len(cone_sides)
-        if waiting and (waiting >= chunk_size or c == chunks[-1]):
-            batch = np.concatenate(pending)
+        if waiting and (waiting >= chunk or c == chunks[-1]):
+            tally[3:] += _count_cone_batch(chart, subspace, np.concatenate(pending),
+                                           radii, budget)
             pending, waiting = [], 0
-            cts, failed, n = _count_cone_batch(chart, subspace, batch, radii,
-                                               budget)
-            counts += cts
-            failures += failed
-            nodes += n
-    return gates, counts, failures, nodes
+    return tally
 
 
 def scan_chart(
@@ -446,38 +441,40 @@ def scan_chart(
     samples: int,
     seed: int,
     threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
-    budget: int = DEFAULT_BUDGET,
 ) -> ScanResult:
     """Estimate the cone-set measure for every radius vector in ``eps_cells``.
 
     Cells share one sample stream and one enumeration per sample (as far
     as the largest radius, or the sample's own rank thresholds, need; the
     cone samples in batches), so a grid scan costs one pass.  A cell of
-    None estimates the plain cone volume (admissible, area <= 1).  Admissibility is one batch simplicity mask and
-    positive-area test per chunk, on its samples with 0 < area <= 1
-    rescaled to unit area; the cone samples are then built from those
-    checked sides and unfolded, in batches of at least ``chunk_size`` (but
-    the last of each worker).  The parameters are the first side vectors
-    of the polygon.  Each sampled coordinate (each coordinate of the
-    subspace, when one is given) is drawn uniformly from the square
-    |Re| < h, |Im| < h with h = ``chart.half_width``, and the estimates
-    scale by that box's volume; any ``ChartModel`` works.  ``threads`` is
-    the number of worker processes (1 runs in this process), each scanning
-    one contiguous range of chunks; results do not depend on it.  A
-    ``RuntimeWarning`` says when under 1 % of the samples with
-    0 < area <= 1 are admissible, or none has such an area.  A cell is one
-    radius (a number or a 0-d array) or a sequence of at least one; radii
-    must be finite and positive real numbers, not bools, strings or
-    complex numbers.  ``samples``, ``chunk_size``, ``budget`` and
-    ``threads`` must be integers, not bools, of at least 1
-    (``samples`` at least 1000), and ``seed`` an integer, not a bool, in
-    [0, 2**128), the Philox key range; ``subspace`` None or a
+    None estimates the plain cone volume (admissible, area <= 1).
+    Admissibility is one batch simplicity mask and positive-area test per
+    chunk, on its samples with 0 < area <= 1 rescaled to unit area; the
+    cone samples are then built from those checked sides and unfolded in
+    batches.  The parameters are the first side vectors of the polygon.
+    Each sampled coordinate (each coordinate of the subspace, when one is
+    given) is drawn uniformly from the square |Re| < h, |Im| < h with
+    h = ``chart.half_width``, and the estimates scale by that box's
+    volume; any ``ChartModel`` works.  ``threads`` is the number of worker
+    processes (1 runs in this process), each scanning one contiguous range
+    of chunks; results do not depend on it.  A ``RuntimeWarning`` says when
+    under 1 % of the samples with 0 < area <= 1 are admissible, or none has
+    such an area.
+
+    ``chart`` is a chart name or a ``ChartModel``, and ``eps_cells`` a
+    sequence of cells, not a string.  A cell is None, one radius (a number
+    or a 0-d array) or a sequence of at least one (``checks.radii``); radii
+    must be finite and positive real numbers, not bools, strings or complex
+    numbers.  ``samples`` and ``threads`` must be integers, not bools, of
+    at least 1 (``samples`` at least 1000), and ``seed`` an integer, not a
+    bool, in [0, 2**128), the Philox key range; ``subspace`` None or a
     ``LinearSubspace`` of the chart's dimension whose basis maps the box
     to finite points; a ``ValueError`` names the argument otherwise.
     """
     if isinstance(chart, str):
         chart = get_chart(chart)
+    elif not isinstance(chart, ChartModel):
+        raise ValueError(f"chart must be a chart name or a ChartModel, got {chart!r}")
     name = chart.name
     if subspace is None:
         subspace = LinearSubspace(chart.dim)
@@ -494,8 +491,7 @@ def scan_chart(
         if not math.isfinite(reach):
             raise ValueError(f"subspace: the box of half-width {chart.half_width} "
                              "overflows in the basis; scale the basis down")
-    for arg, value in (("samples", samples), ("chunk_size", chunk_size),
-                       ("budget", budget), ("threads", threads)):
+    for arg, value in (("samples", samples), ("threads", threads)):
         integer(value, arg)
     # a Philox key: None would draw OS entropy, which no rerun repeats
     if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
@@ -503,34 +499,28 @@ def scan_chart(
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
-    for arg, value in (("chunk_size", chunk_size), ("budget", budget),
-                       ("threads", threads)):
-        if value < 1:
-            raise ValueError(f"{arg} must be at least 1, got {value}")
-    norm_cells = []
-    for c in eps_cells:
-        if c is None:
-            norm_cells.append(None)
-        else:
-            e = tuple(sorted(real(v, f"radius cell {c!r}")
-                             for v in ([c] if np.ndim(c) == 0 else c)))
-            if not e:
-                raise ValueError(f"radius cell {c!r} is empty")
-            if not all(math.isfinite(v) and v > 0 for v in e):
-                raise ValueError(f"radii must be finite and positive, got {e}")
-            norm_cells.append(e)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if (isinstance(eps_cells, str) or not isinstance(eps_cells, Iterable)
+            or getattr(eps_cells, "ndim", None) == 0):
+        raise ValueError(f"eps_cells must be a sequence of radius cells, "
+                         f"got {eps_cells!r}")
+    norm_cells = [None if c is None else tuple(sorted(radii(c, f"radius cell {c!r}")))
+                  for c in eps_cells]
     eps_cells = [c for c in norm_cells if c is not None]
     k_max = max((len(e) for e in eps_cells), default=0)
-    radii = np.full((len(eps_cells), k_max), np.inf)
+    cell_radii = np.full((len(eps_cells), k_max), np.inf)
     for row, e in enumerate(eps_cells):
-        radii[row, :len(e)] = e
+        cell_radii[row, :len(e)] = e
 
-    # each worker scans one contiguous range of chunks
-    n_chunks = (samples + chunk_size - 1) // chunk_size
+    # Read here, so that the workers get this process's values under any
+    # start method.  Each worker scans one contiguous range of chunks.
+    chunk, budget = DEFAULT_CHUNK, DEFAULT_BUDGET
+    n_chunks = -(-samples // chunk)
     workers = max(1, min(threads, n_chunks))
     tasks = [(chart, subspace, seed,
               range(w * n_chunks // workers, (w + 1) * n_chunks // workers),
-              chunk_size, samples, radii, budget)
+              chunk, samples, cell_radii, budget)
              for w in range(workers)]
     if workers == 1:
         results = list(map(_scan_chunks, tasks))
@@ -539,17 +529,8 @@ def scan_chart(
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunks, tasks))
-    gates = np.zeros(3, np.int64)
-    eps_counts = np.zeros(len(eps_cells), np.int64)
-    n_failed = 0
-    n_nodes = 0
-    for g, cts, failed, nodes in results:
-        gates += g
-        eps_counts += cts
-        n_failed += failed
-        n_nodes += nodes
-    positive, small, n_adm = gates.tolist()
-    eps_counts = iter(eps_counts.tolist())
+    positive, small, n_adm, n_failed, n_nodes, *eps_counts = sum(results).tolist()
+    eps_counts = iter(eps_counts)
     counts = [n_adm if c is None else next(eps_counts) for c in norm_cells]
 
     # intrinsic box volume: one box per sampled coordinate

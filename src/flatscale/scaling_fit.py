@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import real
+from .checks import NotRealError, radii, real
 
 MIN_POINTS = 4  # a strict fit needs this many distinct radii per axis
 MAX_REL_STDERR = 0.20  # and every relative standard error below this
@@ -35,7 +35,7 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
     ``results`` is a sequence of (eps_vector, estimate, stderr); a scalar
     eps (a 0-d array too) is one radius.  Every row needs real numbers (no
     bool and no string, the rule of ``flatscale.checks``): the same number
-    k of finite positive radii, a finite positive estimate and a finite
+    k >= 1 of finite positive radii, a finite positive estimate and a finite
     stderr >= 0; any other row, and a ``results`` that is not a
     sequence of triples, raises ``DegenerateFitError``.  With ``strict``
     the preconditions are enforced too: at least ``MIN_POINTS`` distinct
@@ -59,12 +59,12 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
             raise DegenerateFitError(
                 f"row {row!r} is not an (eps, estimate, stderr) triple") from None
         try:
-            eps = tuple(real(e, "radius")
-                        for e in ([eps] if np.ndim(eps) == 0 else eps))
-            rows.append((eps, real(est, "estimate"), real(se, "stderr")))
-        except (TypeError, ValueError) as err:
-            raise DegenerateFitError(
-                f"row ({eps!r}, {est!r}, {se!r}) is not numeric: {err}") from None
+            rows.append((radii(eps, "eps"), real(est, "estimate"),
+                         real(se, "stderr")))
+        except NotRealError as err:
+            raise DegenerateFitError(f"row {row!r} is not numeric: {err}") from None
+        except ValueError as err:
+            raise DegenerateFitError(f"row {row!r}: {err}") from None
     if not rows:
         raise DegenerateFitError("no data")
     k = len(rows[0][0])
@@ -72,8 +72,6 @@ def fit_scaling_exponent(results, strict: bool = True) -> FitResult:
         if len(eps) != k:
             raise DegenerateFitError(
                 f"radii {eps} have {len(eps)} entries, the first row {k}")
-        if not all(math.isfinite(e) and e > 0 for e in eps):
-            raise DegenerateFitError(f"radii {eps} must be finite and positive")
         if not math.isfinite(est):
             raise DegenerateFitError(
                 f"estimate {est} at radii {eps} is not finite")

@@ -88,7 +88,7 @@ import math
 
 import numpy as np
 
-from .checks import integer, real
+from .checks import integer, radii, real
 
 DEFAULT_Z_GRID = 48
 DEFAULT_PQ_MAX = 24
@@ -380,13 +380,12 @@ def torus_exact_oracle(
     eps1 * eps2 < 1.
     Radii and half_width are real numbers, grid_resolution and pq_max
     integers, by the rule of ``flatscale.checks`` (no bool, no string).
-    Raises ValueError, naming the argument, on a radius that is not a
-    finite positive real number, a grid_resolution or pq_max that is not an
-    integer >= 1, or a half_width that is not a finite positive real number.
+    Raises ValueError, naming the argument, on an empty eps, a radius that
+    is not a finite positive real number, a grid_resolution or pq_max that
+    is not an integer >= 1, or a half_width that is not a finite positive
+    real number.
     """
-    eps = [real(e, "eps") for e in ([eps] if np.ndim(eps) == 0 else eps)]
-    if not all(math.isfinite(e) and e > 0.0 for e in eps):
-        raise ValueError(f"eps: every radius must be finite and positive, got {eps}")
+    eps = radii(eps, "eps")
     for name, value in (("grid_resolution", grid_resolution), ("pq_max", pq_max)):
         if integer(value, name) < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

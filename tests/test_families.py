@@ -28,7 +28,7 @@ from flatscale.families import (
 from flatscale.plumbing import annulus_integrand
 from flatscale.quadrature import log_segment_integral
 from flatscale.sectors import SectorBranchError
-from flatscale.surface import StratumSignature
+from flatscale.surface import StratumSignature, SurfaceError
 
 from test_unfolding import both_orientations
 
@@ -102,6 +102,13 @@ class TestHorizontalCylinderFamily:
             got = fam.period("cross_a", PlumbingParams(t_h={0: t, 1: t}))
             want = fam.twists[0] + 0.5 * fam.r * math.log(t)
             assert got == pytest.approx(want, rel=HOLONOMY_RTOL)
+
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_degenerate_cross_vector_rejected(self, t):
+        # |t| >= 1: Im of the cross vector (r/2) log t is <= 0, so the
+        # cylinder over w would have no positive height
+        with pytest.raises(SurfaceError, match="cylinder cross vector degenerate"):
+            self.family.surface(PlumbingParams(t_h={0: 0.01, 1: t}))
 
     def test_missing_horizontal_parameter_named(self):
         with pytest.raises(ValueError, match=r"t_h\[1\]"):

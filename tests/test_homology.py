@@ -51,6 +51,11 @@ class TestLinearSubspace:
         with pytest.raises(ValueError, match="basis has no columns"):
             LinearSubspace(4, np.zeros((4, 0)))
 
+    def test_one_dimensional_basis_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"basis shape \(2,\) does not "
+                                                    "match ambient dim 2"):
+            LinearSubspace(2, np.array([1.0, 0.0]))
+
     def test_dependent_basis_named(self):
         with pytest.raises(ValueError, match="basis columns are not independent"):
             LinearSubspace(2, np.array([[1.0, 2.0], [1.0, 2.0]]))

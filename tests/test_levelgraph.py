@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -59,6 +60,18 @@ def horizontal_graph():
     )
 
 
+class TestGraphEdge:
+    @pytest.mark.parametrize("kwargs, fault", [
+        (dict(kind="diagonal"), "unknown edge kind 'diagonal'"),
+        (dict(kind="vertical"), "vertical edges need a positive enhancement"),
+        (dict(kind="vertical", b=0), "vertical edges need a positive enhancement"),
+        (dict(kind="horizontal", b=1), "horizontal edges carry no enhancement"),
+    ], ids=["kind", "no-b", "b0", "horizontal-b"])
+    def test_bad_edge_rejected(self, kwargs, fault):
+        with pytest.raises(GraphError, match=fault):
+            GraphEdge(0, 1, **kwargs)
+
+
 class TestValidation:
     def test_h22_valid(self):
         report = validate_graph(h22_graph(), StratumSignature((2, 2)))
@@ -75,6 +88,10 @@ class TestValidation:
         report = validate_graph(h31_graph(b=1), StratumSignature((3, 1)))
         assert not report.ok
         assert any("orders sum" in e for e in report.errors)
+
+    def test_three_level_valid(self):
+        # vertex 0 touches two of the three edges: the third is skipped
+        assert validate_graph(three_level_graph()).ok
 
     def test_horizontal_h22(self):
         g = horizontal_graph()
@@ -100,6 +117,35 @@ class TestValidation:
         assert any("surjective" in e for e in report.errors)
 
 
+    @pytest.mark.parametrize("graph, fault", [
+        (EnhancedLevelGraph(((2, 0), (1, -1)),
+                            (GraphEdge(0, 5, "vertical", b=1),), ()),
+         r"edge .* references a missing vertex"),
+        (EnhancedLevelGraph(((1, 0), (1, 0)),
+                            (GraphEdge(0, 1, "vertical", b=1),), ()),
+         "vertical edge .* joins equal levels 0"),
+        # a vertical self-loop joins equal levels too
+        (EnhancedLevelGraph(((1, 0),), (GraphEdge(0, 0, "vertical", b=1),), ()),
+         "vertical edge .* joins equal levels 0"),
+        (EnhancedLevelGraph(((2, 0), (1, -1)),
+                            (GraphEdge(0, 1, "vertical", b=1),),
+                            (HalfEdge(0, 2), HalfEdge(7, 2))),
+         r"half-edge .* references a missing vertex"),
+        (EnhancedLevelGraph(((1, 0), (1, 0)), (), ()),
+         "graph is not connected"),
+    ], ids=["edge-vertex", "equal-levels", "self-loop", "half-edge-vertex",
+            "disconnected"])
+    def test_fault_reported(self, graph, fault):
+        report = validate_graph(graph)
+        assert not report.ok
+        assert any(re.fullmatch(fault, e) for e in report.errors), report.errors
+
+    def test_orders_must_match_stratum(self):
+        report = validate_graph(h22_graph(), StratumSignature((3, 1)))
+        assert report.errors == ("half-edge orders [2, 2] do not match "
+                                 "stratum [1, 3]",)
+
+
 class TestExponents:
     def test_h31_a_is_two(self):
         assert compute_a(h31_graph()) == {-1: 2}
@@ -118,6 +164,11 @@ class TestExponents:
 
     def test_three_level_a(self):
         assert compute_a(three_level_graph()) == {-1: 1, -2: 1}
+
+    def test_level_without_crossing_edge_rejected(self):
+        g = EnhancedLevelGraph(((1, 0), (1, -1)), (), ())
+        with pytest.raises(GraphError, match="no vertical edge crosses level -1"):
+            compute_a(g)
 
 
 class TestPlumbingT:
@@ -142,6 +193,10 @@ class TestPlumbingT:
             exp = sum(a[k] // e.b for k in
                       range(g.bottom_level(e), g.top_level(e)))
             assert abs(T) <= eps ** exp + 1e-15
+
+    def test_horizontal_edge_rejected(self):
+        with pytest.raises(GraphError, match="apply to vertical edges"):
+            plumbing_T(horizontal_graph(), 0, {})
 
     def test_non_integral_exponent_rejected(self):
         g = EnhancedLevelGraph(

@@ -15,6 +15,11 @@ from flatscale.sectors import Arc, MultiSector, SectorBranchError
 
 
 class TestAnnulusPeriod:
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_non_positive_b_rejected(self, b):
+        with pytest.raises(ValueError, match="b must be a positive integer"):
+            annulus_period(b, 0, 0.01, 0.5, log_T=cmath.log(0.01))
+
     def test_b1_no_residue(self):
         T, p = 0.01, 0.5
         got = annulus_period(1, 0, T, p, log_T=cmath.log(T))
@@ -92,6 +97,25 @@ class TestDifferentialMatching:
 
 
 class TestSectors:
+    @pytest.mark.parametrize("width", [0.0, -0.1, 2 * math.pi, 7.0])
+    def test_arc_width_rejected(self, width):
+        with pytest.raises(ValueError, match=r"arc width must lie in \(0, 2\*pi\)"):
+            Arc(0.0, width)
+
+    def test_log_of_zero_rejected(self):
+        with pytest.raises(ValueError, match="log of zero"):
+            Arc(0.0, 1.0).log(0)
+        assert not Arc(0.0, 1.0).contains(0)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.3])
+    def test_sector_radius_rejected(self, eps):
+        with pytest.raises(ValueError, match="sector radius must be positive"):
+            MultiSector(eps)
+
+    def test_wide_horizontal_arc_rejected(self):
+        with pytest.raises(ValueError, match="horizontal arcs have width pi/4"):
+            MultiSector(0.3, horizontal_arcs={0: Arc(0.0, math.pi / 2)})
+
     def test_arc_log_continuous(self):
         arc = Arc(0.1, math.pi / 4)
         zs = [cmath.exp(1j * (0.1 + s * math.pi / 4)) for s in

@@ -45,6 +45,15 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 SUBSPACE_BASIS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 
 
+@pytest.fixture
+def chunk_size(monkeypatch):
+    """Sets ``sampling.DEFAULT_CHUNK``, the samples of a chunk and the least
+    batch of cone samples, which ``scan_chart`` passes to its workers."""
+    def set_chunk_size(size):
+        monkeypatch.setattr(sampling, "DEFAULT_CHUNK", size)
+    return set_chunk_size
+
+
 class TestEstimatorBasics:
     def test_matches_oracle_moderate_eps(self):
         est = scan_chart("torus", None, [(0.3,)], 150_000, SEED).estimates[0]
@@ -107,6 +116,29 @@ class TestDeterminism:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.split() == ["[]"]
+
+    def test_spawned_workers_get_the_chunk(self, chunk_size, monkeypatch):
+        """The scan passes ``DEFAULT_CHUNK`` to its workers, so a worker
+        started by ``spawn``, which imports the module afresh, scans the
+        chunks this process set."""
+        import concurrent.futures
+        import multiprocessing
+
+        pool = concurrent.futures.ProcessPoolExecutor
+        started = []
+
+        def spawning_pool(max_workers):
+            started.append(max_workers)
+            return pool(max_workers=max_workers,
+                        mp_context=multiprocessing.get_context("spawn"))
+
+        chunk_size(8192)
+        cells = [None, (0.3,), (0.45,), (0.3, 0.45)]
+        want = scan_chart("torus", None, cells, 40_000, SEED)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            spawning_pool)
+        assert scan_chart("torus", None, cells, 40_000, SEED, threads=2) == want
+        assert started == [2]
 
     def test_different_seeds_differ(self):
         a = scan_chart("torus", None, [(0.3,)], N_FAST, 1).estimates[0]
@@ -474,14 +506,14 @@ class TestGoldenCounts:
 
 
 class TestChartInput:
-    def test_custom_chart_matches_builtin(self):
+    def test_custom_chart_matches_builtin(self, chunk_size):
+        chunk_size(8192)
         builtin = get_chart("torus", 1.0)
         custom = ChartModel("my-torus", 2, builtin.half_width)
         cells = [None, (0.2,), (0.45,)]
-        want = scan_chart(builtin, None, cells, 20_000, SEED, chunk_size=8192)
+        want = scan_chart(builtin, None, cells, 20_000, SEED)
         for threads in (1, 2):
-            got = scan_chart(custom, None, cells, 20_000, SEED, threads=threads,
-                             chunk_size=8192)
+            got = scan_chart(custom, None, cells, 20_000, SEED, threads=threads)
             assert got.chart == "my-torus"
             assert got.estimates == want.estimates
 
@@ -556,11 +588,20 @@ class TestChartInput:
             with pytest.raises(ValueError, match="subspace"):
                 scan_chart("torus", huge, [0.3], 2000, 1)
 
-    @pytest.mark.parametrize("chunk_size", [-5, 0])
-    def test_bad_chunk_size_rejected(self, chunk_size):
-        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
-            scan_chart("torus", None, [None, (0.3,)], 2000, 1,
-                       chunk_size=chunk_size)
+    @pytest.mark.parametrize("chart, eps_cells, name", [
+        (5, [0.3], "chart"), ("torus", 0.3, "eps_cells"),
+        ("torus", "0.3", "eps_cells"), ("torus", np.array(0.3), "eps_cells"),
+        ("torus", None, "eps_cells"),
+    ], ids=repr)
+    def test_bad_chart_or_cells_named(self, chart, eps_cells, name, monkeypatch):
+        # chart=5 raised a bare AttributeError, eps_cells=0.3 a bare
+        # TypeError, and "0.3" was iterated: "radius cell '0' holds '0'"
+        def no_chunks(args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(sampling, "_process_chunk", no_chunks)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            scan_chart(chart, None, eps_cells, 1000, 1)
 
     def test_empty_radius_cell_rejected(self):
         # an empty cell once raised a bare IndexError from the largest radius
@@ -569,29 +610,19 @@ class TestChartInput:
         with pytest.raises(ValueError, match=r"radius cell \[\] is empty"):
             scan_chart("h2-octagon", None, [[]], 1000, 1)
 
-    @pytest.mark.parametrize("budget", [-5, 0])
-    def test_bad_budget_rejected(self, budget, monkeypatch):
-        # a budget below 1 once sampled and built a whole chunk first
-        def no_chunks(args):
-            raise AssertionError("a chunk ran")
-
-        monkeypatch.setattr(sampling, "_process_chunk", no_chunks)
-        with pytest.raises(ValueError, match="budget must be at least 1"):
-            scan_chart("torus", None, [(0.3,)], 1000, 1, budget=budget)
-
     @pytest.mark.parametrize("kwargs, name", [
         (dict(samples=2000.0), "samples"),
         (dict(samples="2000"), "samples"),
         (dict(samples=999), "samples"),
-        (dict(chunk_size=1000.0), "chunk_size"),
-        (dict(budget=10.5), "budget"),
+        (dict(samples=np.float64(2000.0)), "samples"),
+        (dict(threads="2"), "threads"),
         (dict(threads=0), "threads"),
         (dict(threads=-2), "threads"),
         (dict(threads=1.5), "threads"),
     ])
     def test_bad_count_argument_named(self, kwargs, name, monkeypatch):
-        # a float samples or chunk_size once raised a bare TypeError, and
-        # threads=0, threads=1.5 and budget=10.5 were accepted
+        # a float samples once raised a bare TypeError, and threads=0 and
+        # threads=1.5 were accepted
         def no_chunks(args):
             raise AssertionError("a chunk ran")
 
@@ -600,12 +631,10 @@ class TestChartInput:
         with pytest.raises(ValueError, match=name):
             scan_chart("torus", None, [(0.3,)], **args)
 
-    @pytest.mark.parametrize("name", ["samples", "chunk_size", "budget",
-                                      "threads"])
+    @pytest.mark.parametrize("name", ["samples", "threads"])
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_count_rejected(self, name, flag, monkeypatch):
-        # bool is Integral: budget=True once scanned until it raised
-        # "exceeded budget of True nodes"
+        # bool is Integral, but True is no count
         def no_chunks(args):
             raise AssertionError("a chunk ran")
 
@@ -633,10 +662,10 @@ class TestChartInput:
         assert scan_chart("torus", None, [0.3], 1000, np.int32(7)) == scan_chart(
             "torus", None, [0.3], 1000, 7)
 
-    def test_numpy_integer_counts_accepted(self):
-        want = scan_chart("torus", None, [0.3], 2000, 1, chunk_size=700)
-        got = scan_chart("torus", None, [0.3], np.int64(2000), 1, threads=np.int32(1),
-                         chunk_size=np.int64(700), budget=np.int64(10**6))
+    def test_numpy_integer_counts_accepted(self, chunk_size):
+        chunk_size(700)
+        want = scan_chart("torus", None, [0.3], 2000, 1)
+        got = scan_chart("torus", None, [0.3], np.int64(2000), 1, threads=np.int32(1))
         assert got == want
 
     @pytest.mark.parametrize("dim, half_width, name", [
@@ -660,12 +689,13 @@ class TestChartInput:
         with pytest.raises(ValueError, match="at least 2 side parameters"):
             ChartModel("x", dim, 2.0)
 
-    def test_worker_error_propagates(self):
+    def test_worker_error_propagates(self, chunk_size, monkeypatch):
         # with the cell (0.45,) alone no torus expands a node: each is
         # searched to 0.45 below its shortest edge, or not at all
+        chunk_size(500)
+        monkeypatch.setattr(sampling, "DEFAULT_BUDGET", 1)
         with pytest.raises(UnfoldingBudgetError):
-            scan_chart("torus", None, [(0.45,), (1.0,)], 2000, SEED, threads=2,
-                       chunk_size=500, budget=1)
+            scan_chart("torus", None, [(0.45,), (1.0,)], 2000, SEED, threads=2)
 
 
 class FlakyTorus(ChartModel):
@@ -699,11 +729,13 @@ class LenientBuild(ChartModel):
 
 
 class TestBuildFailures:
-    def test_failures_counted_for_any_worker_count(self, monkeypatch):
+    def test_failures_counted_for_any_worker_count(self, chunk_size,
+                                                   monkeypatch):
+        chunk_size(8192)
         half_width = get_chart("torus").half_width
         cells = [None, (0.3,), (0.45,)]
         results = [scan_chart(FlakyTorus("flaky", 2, half_width), None, cells,
-                              20_000, SEED, threads=threads, chunk_size=8192)
+                              20_000, SEED, threads=threads)
                    for threads in (1, 2)]
         assert results[0] == results[1]
 
@@ -717,7 +749,7 @@ class TestBuildFailures:
 
         monkeypatch.setattr(ChartModel, "build_batch", noting_build_batch)
         plain = scan_chart(ChartModel("flaky", 2, half_width), None, cells,
-                           20_000, SEED, chunk_size=8192)
+                           20_000, SEED)
         got = results[0]
         assert plain.build_failures == 0
         assert 0 < got.build_failures == sum(refused) < len(refused)
@@ -744,7 +776,8 @@ class TestLayerHooks:
         ("h2-octagon", [None, (0.6,), (0.6, 1.0)]),
     ])
     def test_one_build_per_cone_sample_one_mask_per_chunk(self, chart, cells,
-                                                         monkeypatch):
+                                                         chunk_size, monkeypatch):
+        chunk_size(8192)
         batches = []
         builds = []
         masks = []
@@ -766,7 +799,7 @@ class TestLayerHooks:
         monkeypatch.setattr(ChartModel, "build_batch", batch_hook)
         monkeypatch.setattr(ChartModel, "build", build_hook)
         monkeypatch.setattr(sampling, "polygon_simple_mask", mask_hook)
-        res = scan_chart(chart, None, cells, 20_000, SEED, chunk_size=8192)
+        res = scan_chart(chart, None, cells, 20_000, SEED)
         # every cone sample is built once; the three chunks hold fewer than
         # 8192 cone samples, so they make one batch.  Only a row that the
         # batch rejects is built alone (none here)
@@ -1048,14 +1081,15 @@ def _certificate_alone(X, cap, W, s=0):
 
 class TestBatchedScan:
     """Each worker gathers the cone samples of its chunks and unfolds them
-    in batches of at least ``chunk_size`` (but its last one); a surface's
+    in batches of at least ``DEFAULT_CHUNK`` (but its last one); a surface's
     connections, ranks and nodes do not depend on its batch."""
 
     @pytest.mark.parametrize("chart, cells", [
         ("torus", [None, (0.3,), (0.45,)]),
         ("h2-octagon", [None, (0.6,), (0.6, 1.0)]),
     ])
-    def test_unfolding_nodes(self, chart, cells, monkeypatch):
+    def test_unfolding_nodes(self, chart, cells, chunk_size, monkeypatch):
+        chunk_size(8192)
         rows, calls = [], []
         build_batch, unfold = ChartModel.build_batch, sampling.unfold_surfaces
 
@@ -1069,13 +1103,13 @@ class TestBatchedScan:
 
         monkeypatch.setattr(ChartModel, "build_batch", noting_build_batch)
         monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
-        res = scan_chart(chart, None, cells, 20_000, SEED, chunk_size=8192)
+        res = scan_chart(chart, None, cells, 20_000, SEED)
         monkeypatch.undo()
         # three chunks, with fewer than 8192 cone samples: one batch
         assert len(calls) == 1
         assert sum(calls) == len(rows) == res.estimates[0].accepted
-        two = scan_chart(chart, None, cells, 20_000, SEED, threads=2,
-                         chunk_size=8192)
+        chunk_size(8192)
+        two = scan_chart(chart, None, cells, 20_000, SEED, threads=2)
         assert two == res
         # each surface alone, searched to the largest radius below its
         # certificate: the tori (built on their reduced bases) as built,
@@ -1249,14 +1283,14 @@ class TestReducedTori:
 
     @pytest.mark.parametrize("rows", [None, np.array([[1.0, 0.0], [0.5, 1.0]])],
                              ids=["full", "sheared"])
-    def test_scan_equals_raw_scan(self, rows, monkeypatch):
+    def test_scan_equals_raw_scan(self, rows, chunk_size, monkeypatch):
         """The whole scan on reduced tori counts what it counts on the raw
         bases, in every subspace, for any worker count."""
+        chunk_size(8192)
         W = None if rows is None else real_subspace(rows)
         cells = [None, (0.15,), (0.3,), (0.45,), (0.3, 0.45), (0.45, 0.45)]
-        got = scan_chart("torus", W, cells, 20_000, 3, chunk_size=8192)
-        two = scan_chart("torus", W, cells, 20_000, 3, threads=2,
-                         chunk_size=8192)
+        got = scan_chart("torus", W, cells, 20_000, 3)
+        two = scan_chart("torus", W, cells, 20_000, 3, threads=2)
         assert two == got
         calls = []
 
@@ -1267,7 +1301,7 @@ class TestReducedTori:
             return sides, basis
 
         monkeypatch.setattr(sampling, "reduce_lattice_bases", unreduced)
-        want = scan_chart("torus", W, cells, 20_000, 3, chunk_size=8192)
+        want = scan_chart("torus", W, cells, 20_000, 3)
         assert calls and sum(calls) == want.admissible == got.admissible
         assert got.estimates == want.estimates
         assert any(e.accepted for e in got.estimates[1:])
@@ -1275,20 +1309,20 @@ class TestReducedTori:
         # saves less on it; on the built surfaces alone it saves over 5x
         assert 0 < got.unfolding_nodes < want.unfolding_nodes
         monkeypatch.setattr(SurfaceBatch, "delaunay", lambda batch: batch)
-        raw = scan_chart("torus", W, cells, 20_000, 3, chunk_size=8192)
+        raw = scan_chart("torus", W, cells, 20_000, 3)
         monkeypatch.setattr(sampling, "reduce_lattice_bases", reduce_lattice_bases)
-        built = scan_chart("torus", W, cells, 20_000, 3, chunk_size=8192)
+        built = scan_chart("torus", W, cells, 20_000, 3)
         assert raw.estimates == built.estimates == got.estimates
         assert 0 < 5 * built.unfolding_nodes < raw.unfolding_nodes
 
     @pytest.mark.parametrize("rows", [[[1.0], [1.0]], [[1.0], [-2.0]]])
-    def test_chunks_without_connections(self, rows):
+    def test_chunks_without_connections(self, rows, chunk_size):
         # a real line of C^2 holds only degenerate tori, so no chunk has a
         # cone sample, a surface or a connection
+        chunk_size(500)
         with pytest.warns(RuntimeWarning, match="admissibility rejection"):
             res = scan_chart("torus", real_subspace(np.array(rows)),
-                             [None, (0.3,), (0.3, 0.45)], 2000, 1,
-                             chunk_size=500)
+                             [None, (0.3,), (0.3, 0.45)], 2000, 1)
         assert [e.accepted for e in res.estimates] == [0, 0, 0]
         assert res.unfolding_nodes == 0
 
@@ -1353,9 +1387,9 @@ def _count(model, W, sides, cells):
     radii = np.full((len(cells), k_max), np.inf)
     for row, e in enumerate(cells):
         radii[row, :len(e)] = sorted(e)
-    counts, _, nodes = sampling._count_cone_batch(model, W, sides, radii,
-                                                  DEFAULT_BUDGET)
-    return counts.tolist(), nodes
+    _, nodes, *counts = sampling._count_cone_batch(model, W, sides, radii,
+                                                   DEFAULT_BUDGET).tolist()
+    return counts, nodes
 
 
 def _without_certificate(monkeypatch):
@@ -1523,18 +1557,20 @@ class TestCertificate:
             assert nodes == full
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_failed_check_searches_to_l_max(self, case, monkeypatch):
+    def test_failed_check_searches_to_l_max(self, case, chunk_size,
+                                            monkeypatch):
         """Certificate edges whose classes fall short of rank cap (here the
         rank check's every rank lowered by one) certify nothing: each batch
         is still one ``unfold_surfaces`` call, every surface in it searched
         to l_max, and the scan is the scan without certificates, nodes and
         all."""
+        chunk_size(256)
         chart, rows, samples, _ = self.CASES[case]
         cells = [None, (0.35,), (0.35, 0.6), (0.6, 1.0)]
         W = None if rows is None else real_subspace(rows)
         with monkeypatch.context() as m:
             _without_certificate(m)
-            want = scan_chart(chart, W, cells, samples, 1, chunk_size=256)
+            want = scan_chart(chart, W, cells, samples, 1)
         certify, rank = sampling._certified_length, sampling.independence_rank
         checks = []
 
@@ -1563,7 +1599,7 @@ class TestCertificate:
 
         monkeypatch.setattr(sampling, "_count_cone_batch", noting_count)
         monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
-        got = scan_chart(chart, W, cells, samples, 1, chunk_size=256)
+        got = scan_chart(chart, W, cells, samples, 1)
         assert got == want
         assert len(reaches) == len(batches) == len(checks) > 1
         assert sum(checks) == sum(map(len, reaches))
@@ -1588,12 +1624,11 @@ class TestCountConeBatch:
             radii[row, :len(e)] = e
 
         def count(part):
-            counts, failures, nodes = sampling._count_cone_batch(
-                chart, W, part, radii, DEFAULT_BUDGET)
-            return counts.tolist() + [failures, nodes]
+            return sampling._count_cone_batch(chart, W, part, radii,
+                                              DEFAULT_BUDGET).tolist()
 
         whole = count(sides)
-        assert whole[0] > 0 and whole[-1] > 0
+        assert whole[1] > 0 and whole[2] > 0
         rng = np.random.default_rng(8)
         for pieces in (2, 3, 7):
             cuts = np.sort(rng.integers(1, len(sides), size=pieces - 1))

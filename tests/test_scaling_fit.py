@@ -86,8 +86,17 @@ class TestMalformedRows:
 
     @pytest.mark.parametrize("eps", [0.0, -0.4, math.nan, math.inf])
     def test_bad_eps(self, eps):
-        with pytest.raises(DegenerateFitError, match="finite and positive"):
+        with pytest.raises(DegenerateFitError, match="finite and positive") as err:
             fit_scaling_exponent(with_row(((eps,), 0.16, 1e-4)), strict=False)
+        assert "not numeric" not in str(err.value)
+
+    def test_empty_eps(self):
+        with pytest.raises(DegenerateFitError, match=r"row \(\(\), .*eps is empty"):
+            fit_scaling_exponent(with_row(((), 0.16, 1e-4)), strict=False)
+
+    def test_no_rows(self):
+        with pytest.raises(DegenerateFitError, match="no data"):
+            fit_scaling_exponent([])
 
     @pytest.mark.parametrize("est", [math.nan, math.inf])
     def test_nonfinite_estimate(self, est):

@@ -69,6 +69,10 @@ class TestStratumSignature:
         with pytest.raises(SurfaceError):
             StratumSignature((1,))
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(SurfaceError, match="zero orders must be nonnegative"):
+            StratumSignature((-1, 3))
+
 
 class TestValidation:
     def test_square_torus_valid(self):
@@ -126,6 +130,44 @@ class TestValidation:
         data["gluings"] = [[list(k), list(v)] for k, v in gl.items()]
         with pytest.raises(SurfaceError, match=fault):
             TranslationSurface.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("triangles", [[[1, 1j]], [1, 1j, -1 - 1j], [],
+                                           [[1, "x", 1j]]], ids=repr)
+    def test_triangles_not_t_by_3_rejected(self, triangles):
+        with pytest.raises(SurfaceError, match="each triangle needs exactly 3 edges"):
+            TranslationSurface(triangles, {})
+
+    def test_mirrored_torus_has_no_positive_area(self):
+        """The mirror image of the square torus keeps its gluing but turns
+        every triangle clockwise."""
+        X = square_torus()
+        tri = [[X.edge(t, e).conjugate() for e in range(3)]
+               for t in range(X.n_triangles)]
+        report = TranslationSurface(tri, X.gluings).validate(StratumSignature((0,)))
+        assert report.errors == ("triangle 0 is not positively oriented",
+                                 "triangle 1 is not positively oriented",
+                                 "total area is not positive")
+
+    def test_cone_angle_off_two_pi_reported(self):
+        """A torus with two marked points, one short edge of one triangle
+        turned by 9e-10 / |edge| (its next edge takes up the difference):
+        every triangle still closes and every glued pair is opposite within
+        1e-9 of the scale, but the angle moves by 1e-6 between the two
+        vertices, past ``TOL_ANGLE``."""
+        X = surface_from_symmetric_polygon([1 + 0j, 1e-3 + 1e-3j, 1j])
+        sig = StratumSignature((0, 0))
+        assert X.validate(sig).ok
+        tri = [[X.edge(t, e) for e in range(3)] for t in range(X.n_triangles)]
+        t, e = next((t, e) for t in range(len(tri)) for e in range(3)
+                    if abs(tri[t][e]) < 0.01)
+        turn = 9e-10j * tri[t][e] / abs(tri[t][e])
+        tri[t][e] += turn
+        tri[t][(e + 1) % 3] -= turn
+        report = TranslationSurface(tri, X.gluings).validate(sig)
+        assert len(report.errors) == 2
+        assert all(re.fullmatch(r"vertex [01] has cone angle [\d.]+, not a "
+                                r"positive multiple of 2\*pi", err)
+                   for err in report.errors)
 
     def test_wrong_stratum_detected(self):
         X = square_torus()

@@ -631,6 +631,7 @@ class TestOracleArguments:
         (dict(eps=[0.2], grid_resolution=True), "grid_resolution"),
         (dict(eps=[0.2], pq_max=True), "pq_max"),
         (dict(eps=[0.2], pq_max=np.True_), "pq_max"),
+        (dict(eps=[]), "eps is empty"),
     ])
     def test_bad_argument_named(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
@@ -715,6 +716,10 @@ class TestOracle:
         assert torus_exact_oracle([0.9, 0.9]) == 0.0
         with pytest.raises(ValueError):
             torus_exact_oracle([2.0, 2.0])
+
+    def test_three_radii_rejected(self):
+        with pytest.raises(ValueError, match=r"oracle supports k in \{1, 2\}"):
+            torus_exact_oracle([0.2, 0.3, 0.4])
 
     def test_grid_convergence(self):
         a = torus_exact_oracle([0.2], grid_resolution=32)

@@ -133,6 +133,11 @@ class TestSquareTorus:
         X = square_torus()
         assert enumerate_saddle_connections(X, 0.9) == []
 
+    def test_length_is_the_holonomy_modulus(self):
+        assert SaddleConnection(3 - 4j, 0, 0).length == 5.0
+        for sc in enumerate_saddle_connections(square_torus(), 2.5):
+            assert sc.length == abs(sc.holonomy)
+
 
 class TestRandomTori:
     def test_lattice_oracle_equivalence(self):
