@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import integer
+from .surface import INT64_LIMIT
 
 TAU_PARALLEL = 1e-12
 TAU_RANK = 1e-10
@@ -89,16 +93,62 @@ def independence_rank(classes, subspace: LinearSubspace):
 
     ``classes`` holds one class per row, (r, n), and the rank is an int;
     or it is a stack of such matrices, (..., r, n), and the ranks are an
-    array of shape (...), one per matrix, from one stacked SVD.  The rank
-    counts the singular values above ``TAU_RANK`` times the largest (none
-    when the largest is 0).  A one-row matrix of finite entries has one
-    singular value, its norm, which passes that test exactly when the row
-    is nonzero, so such stacks take no SVD.
+    array of shape (...), one per matrix.  On the full space (``basis``
+    None) a stack of two or three int64 rows is ranked exactly, from its
+    minors in int64 (``_exact_ranks``), when every minor fits: c^r r! <
+    2**63, c the largest |entry|.  Any other matrix takes one stacked SVD,
+    and its rank counts the singular values above ``TAU_RANK`` times the
+    largest (none when the largest is 0).  A one-row matrix of finite
+    entries has one singular value, its norm, which passes that test
+    exactly when the row is nonzero, so such stacks take no SVD.
     """
-    g = subspace.restrict_classes(classes)
+    c = np.asarray(classes)
+    if (subspace.basis is None and c.dtype == np.int64 and c.ndim >= 2
+            and 2 <= c.shape[-2] <= 3 and c.shape[-1] == subspace.ambient_dim):
+        r = c.shape[-2]
+        big = max(int(c.max(initial=0)), -int(c.min(initial=0)))
+        if big ** r * math.factorial(r) < INT64_LIMIT:
+            rank = _exact_ranks(c)
+            return int(rank) if c.ndim == 2 else rank
+    g = subspace.restrict_classes(c)
     if g.shape[-2] == 1 and np.isfinite(g).all():
         rank = (g != 0).any(axis=-1)[..., 0]
         return int(rank) if g.ndim == 2 else rank.astype(np.int64)
     sv = np.linalg.svd(g, compute_uv=False)
     rank = np.sum(sv > TAU_RANK * sv[..., :1], axis=-1)
     return int(rank) if g.ndim == 2 else rank
+
+
+@functools.lru_cache(maxsize=None)
+def _column_sets(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """The columns of every k-subset i < j (< l) of range(n), one index
+    array per position."""
+    sets = np.array(list(itertools.combinations(range(n), k)), np.intp)
+    return tuple(sets.reshape(-1, k).T)
+
+
+def _exact_ranks(c: np.ndarray) -> np.ndarray:
+    """The ranks of a stack (..., r, n) of int64 matrices of r = 2 or 3
+    rows: the order of their largest nonzero minor.  The caller checks
+    that c^r r! < 2**63, which bounds every minor and every partial sum."""
+    n = c.shape[-1]
+    i, j = _column_sets(n, 2)
+
+    def minors(a, b):  # a_i b_j - a_j b_i, one per column pair
+        return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+    one = (c != 0).any(axis=(-2, -1))
+    a, b = c[..., 0, :], c[..., 1, :]
+    two = minors(a, b).any(axis=-1)
+    three = False
+    if c.shape[-2] == 3:
+        x = c[..., 2, :]
+        two |= minors(a, x).any(axis=-1) | minors(b, x).any(axis=-1)
+        # expanded along x: x_i m_jl - x_j m_il + x_l m_ij, m the minors of
+        # a and b
+        i, j, l = _column_sets(n, 3)
+        three = (x[..., i] * (a[..., j] * b[..., l] - a[..., l] * b[..., j])
+                 - x[..., j] * (a[..., i] * b[..., l] - a[..., l] * b[..., i])
+                 + x[..., l] * (a[..., i] * b[..., j] - a[..., j] * b[..., i])
+                 ).any(axis=-1)
+    return np.where(three, 3, np.where(two, 2, np.where(one, 1, 0)))

@@ -57,62 +57,88 @@ which raises; it is counted in ``ScanResult.build_failures``, stays in the
 plain cone count and is accepted by no radius cell.
 
 So the back end runs, per batch: reduce (tori), build, rebase (tori),
-retriangulate (all but the tori), certify, unfold, rank, test the cells.
-``SurfaceBatch.delaunay`` retriangulates the built surfaces toward
-Delaunay in a few vectorised rounds of cylinder twists and edge flips.
-The ear clip leaves long thin triangles, and a Delaunay surface unfolds
-to the same connections with about half the chain nodes and far fewer
-narrow levels.  A reduced torus is Delaunay as built
-(``reduce_lattice_bases``), so the tori skip it.
+retriangulate (all but the tori), the edge pass, unfold the surfaces that
+are not Delaunay, rank, test the cells.  ``SurfaceBatch.delaunay``
+retriangulates the built surfaces toward Delaunay in a few vectorised
+rounds of cylinder twists and edge flips.  The ear clip leaves long thin
+triangles, and a Delaunay surface needs no unfolding at all (below).  A
+reduced torus is Delaunay as built (``reduce_lattice_bases``), so the tori
+skip the retriangulation, which would rewrite their glued half-edges.
 
 The cells need R_0, ..., R_(cap - 1) only, cap = min(k_max, dim W), and
 of each only whether it is at most a radius of the cell grid (every
-radius of every cell), so each surface is unfolded only as far as the
-grid below its own R_(cap - 1) needs.  Every edge of a surface is a saddle
-connection, and on a (near-)Delaunay surface the shortest connection is
-an edge, so ``_certified_length`` picks cap edges of surface s: the
-shortest edge for cap 1, and for cap 2 also the shortest edge not
-parallel to it (none for cap >= 3).  One stacked ``independence_rank``
-call checks that their classes, restricted to W, have rank cap.  A
-surface that passes has a certificate: R_(cap - 1) <= g_s, the length of
-its longer certificate edge rounded up by ``GUESS_SLACK``.  The rounding
-covers the last bits in which the two half-edges of an edge may differ
-(the search reports the one in the kept half plane), and it puts every
-radius at or above g_s clearly above both edges, so a search to that
-radius finds them.  Other surfaces have g_s = inf.
+radius of every cell).  Every edge of a surface is a saddle connection,
+so the greedy pass below, run over the edges of surface s sorted by
+length (``_edge_thresholds``), gives thresholds E_i >= R_i on any
+triangulation.  On a Delaunay triangulation E_i = R_i, because every
+connection that the greedy pass over the connections picks is an edge.
+Let gamma, from cone point A to cone point B, be picked at length l.
+Were there a cone point p other than A and B in the closed disk with
+diameter gamma, developed from gamma, choose one such that the triangle
+ApB holds no cone point inside.  Cut at the cone points on them, Ap and
+pB are connections strictly shorter than l, as |Ap|^2 + |pB|^2 <= l^2,
+and their classes sum to gamma's.  So gamma's class, restricted to W,
+would lie in the span of strictly shorter connections, and the pass would
+not pick gamma.  Hence gamma's closed diametral disk holds no other cone
+point, and then gamma is an edge of every Delaunay triangulation
+(Delaunay triangulations of flat surfaces: Masur & Smillie, Ann. of Math.
+1991; the empty-disk property: Bobenko & Springborn, Discrete Comput.
+Geom. 2007).  Restriction to W is linear, so this holds for any W.  The
+edges no longer than L therefore span on W what the connections no longer
+than L span, for every L, and an edge's length is the ``hypot`` of its
+half-edge in the kept half plane, the float the search reports for it, so
+E_i = R_i bit for bit.  The argument takes the ranks of
+``independence_rank`` as the exact ranks of these integer classes; on the
+full space they are (minors in int64, for up to three rows).
 
-Let rho_s be the largest radius of the grid strictly below g_s (l_max,
-the largest radius, when g_s = inf; 0 when there is none).  The batch is
-unfolded in one ``unfold_surfaces`` call, surface s to its reach
-min(l_max, rho_s (1 + 2 GUESS_SLACK)), and ranked.  The search to the
-reach finds every connection no longer than rho_s (1 + GUESS_SLACK), the
-slack covering the rounding of its pruning tests, and the canonical order
-is intrinsic, so those are, one by one and in order, the first
-connections of the search to l_max, and a threshold at or below rho_s is
-that of the search to l_max.  Then every R_i, i < cap, is clipped to
-min(R_i, g_s).  An exact R_i is at most R_(cap - 1) <= g_s and stays;
-any R_i above rho_s becomes a value in (rho_s, g_s], where its value in
-the search to l_max lies too and no radius does, so each cell test
-R_i <= eps is the one the search to l_max gives.  Without a certificate
-(g_s = inf) the surface is searched to l_max, and an R_i it does not
-reach stays inf.  A surface with no radius below g_s passes every test
-of R_0, ..., R_(cap - 1) and needs no connection: its reach is the least
-normal float, whose square underflows to 0, so it expands no node unless
-a triangle is degenerate.  ``ScanResult.unfolding_nodes``, like
-``DEFAULT_BUDGET``, counts the nodes these searches expand.  The argument
-takes the ranks of ``independence_rank`` as the exact ranks of these
-integer classes, as the greedy pass below does.  Each surface's retriangulation,
-certificate, connections, ranks and nodes do not depend on which batch
-holds it, so the counts and the nodes do not depend on the worker count.
+``SurfaceBatch.is_delaunay`` tells the Delaunay surfaces: no edge with
+cot(alpha) + cot(beta) < -1e-9, the rule by which the retriangulation
+flips, so an edge within that tolerance of the rule counts as Delaunay;
+``tests/test_sampling.py`` checks E against the search on every Delaunay
+surface of its golden cone batches.  A Delaunay surface whose edges reach
+rank cap on W (``_edge_pass``) takes E as its thresholds and is not
+searched; when every surface of a batch does, nothing is unfolded.
 
-Each surface's connections come sorted
-by length, and its prefix ranks give R_i, the length at which the rank
-first reaches i + 1 (inf if it never does).  They come from a greedy pass
-that keeps the rows found independent so far and ranks them with the next
-class not seen before on the surface, stopping at rank k_max.  It runs
-for all surfaces of the batch in rounds: each round ranks [independent
-rows + next new class] of every unfinished surface, one stacked
-``independence_rank`` call per matrix height.  Cell (eps_1 <= ... <= eps_k) accepts the surface iff
+The other surfaces are unfolded, each only as far as the grid below
+g_s = E_(cap - 1) (1 + ``GUESS_SLACK``) needs: R_(cap - 1) <= E_(cap - 1)
+on any triangulation.  The rounding puts every radius at or above g_s
+clearly above the edge at E_(cap - 1), so a search to that radius finds
+it whatever the rounding of its pruning tests.  Let rho_s be the largest
+radius of the grid strictly below g_s (l_max, the largest radius, when
+g_s = inf, that is when the edges fall short of rank cap; 0 when there is
+none).  The batch is unfolded in one ``unfold_surfaces`` call, surface s
+to its reach rho_s (1 + 2 GUESS_SLACK), the Delaunay surfaces to the
+least normal float, and ranked.  The search to the reach finds every
+connection no longer than rho_s (1 + GUESS_SLACK), the slack covering the
+rounding of its pruning tests, even at l_max, where a search to l_max
+itself may miss a connection of length l_max in its last bit (it compares
+squares), while the edge thresholds compare lengths exactly.  The
+canonical order is intrinsic, so those are, one by one and in order, the
+first connections of the search to l_max (1 + 2 GUESS_SLACK), and a
+threshold at or below rho_s is that of that search; "the search to l_max"
+below means it.  Then every R_i, i < cap, is clipped to min(R_i, g_s).
+An exact R_i is at most R_(cap - 1) <= g_s and stays; any R_i above rho_s
+becomes a value in (rho_s, g_s], where its value in the search to l_max
+lies too and no radius does, so each cell test R_i <= eps is the one the
+search to l_max gives.  With g_s = inf the surface is searched to l_max,
+and an R_i it does not reach stays inf.  A surface with no radius below
+g_s passes every test of R_0, ..., R_(cap - 1) and needs no connection:
+its reach is the least normal float, whose square underflows to 0, so it
+expands no node unless a triangle is degenerate.
+``ScanResult.unfolding_nodes``, like ``DEFAULT_BUDGET``, counts the nodes
+these searches expand.  Each surface's retriangulation, edge thresholds,
+connections, ranks and nodes do not depend on which batch holds it, so the
+counts and the nodes do not depend on the worker count.
+
+Each surface's connections come sorted by length, and its prefix ranks
+give R_i, the length at which the rank first reaches i + 1 (inf if it
+never does).  They come from a greedy pass (``_greedy_thresholds``) that
+keeps the rows found independent so far and ranks them with the next
+candidate (the next class not seen before on the surface, or the next
+edge), stopping at rank cap.  It runs for all surfaces of the batch in
+rounds: each round ranks [independent rows + next candidate] of every
+unfinished surface, one stacked ``independence_rank`` call per matrix
+height.  Cell (eps_1 <= ... <= eps_k) accepts the surface iff
 R_i <= eps_(i+1) for every i < k: the connections no longer than
 eps_(i+1) are a prefix of the sorted list, and they reach rank i + 1 iff
 that prefix contains the one at R_i.  One broadcast comparison of the
@@ -141,13 +167,13 @@ from .surface import (
     shoelace_area,
     symmetric_vertices,
 )
-from .unfolding import DEFAULT_BUDGET, WEDGE_EPS, unfold_surfaces
+from .unfolding import DEFAULT_BUDGET, kept_orientation, unfold_surfaces
 # enumerate_saddle_connections is not called here; it stays bound because
 # perfbench/layers.py reads sampling's binding when it installs its wrappers.
 from .unfolding import enumerate_saddle_connections  # noqa: F401
 
 DEFAULT_CHUNK = 16384
-GUESS_SLACK = 1e-9  # relative room around a certificate and a search's reach
+GUESS_SLACK = 1e-9  # relative room above E_(cap - 1) and around a search's reach
 _FLOAT_TINY = 2.0 ** -1022  # the least normal float
 
 
@@ -178,7 +204,7 @@ class ScanResult:
     admissible: int  # of those, the ones the mask passes: the cone
     admissible_fraction: float  # admissible / area_at_most_one, or 0.0
     build_failures: int  # cone samples whose build raised SurfaceError
-    unfolding_nodes: int  # chain nodes the unfoldings expanded, all batches
+    unfolding_nodes: int  # chain nodes expanded, all batches: non-Delaunay surfaces only
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -250,25 +276,71 @@ def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
     """R[s, i]: the length at which the prefix rank of surface s's
     connections (sorted by length) first reaches i + 1, or inf.
 
-    The greedy pass behind it keeps, per surface, the rows found
-    independent so far and ranks them with the next class not seen before
-    on that surface (a repeated class cannot raise the rank), stopping at
-    rank min(k_max, dim W).  It runs for all surfaces at once in rounds:
-    a round ranks [independent rows + next new class] of every unfinished
-    surface, one stacked ``independence_rank`` call per matrix height.
-    These are the matrices a surface-by-surface pass ranks, in its order.
+    The candidates of each surface are its connections in order, each
+    class only at its first connection on the surface (a repeated class
+    cannot raise the rank); ``_greedy_thresholds`` ranks them.
     """
     n = len(batch.offsets) - 1
-    thresholds = np.full((n, k_max), np.inf)
-    cap = min(k_max, subspace.dim)
     surf = np.repeat(np.arange(n), np.diff(batch.offsets))
-    classes = batch.classes
     # the first connection of each class on its surface, in order
-    cand = np.sort(distinct_rows(np.column_stack([surf, classes]))[0])
+    cand = np.sort(distinct_rows(np.column_stack([surf, batch.classes]))[0])
     ptr = np.searchsorted(surf[cand], np.arange(n))
     end = np.searchsorted(surf[cand], np.arange(n), side="right")
-    rows = np.zeros((n, cap, classes.shape[1]), dtype=complex)
+    return _greedy_thresholds(batch.classes, batch.length, cand, ptr, end,
+                              subspace, k_max)
+
+
+def _edge_thresholds(surfaces: SurfaceBatch, subspace: LinearSubspace,
+                     k_max: int) -> np.ndarray:
+    """E[s, i]: the length at which the prefix rank of surface s's edges,
+    sorted by length, first reaches i + 1, or inf.
+
+    Every edge is a saddle connection, and its length is the ``hypot`` of
+    its half-edge in the kept half plane (``kept_orientation``), the one
+    the search reports: the two half-edges of an edge may differ in their
+    last bits.  The surfaces must have one size, as a chart's do, so that
+    the edges lie in a (surfaces, edges) layout, sorted per row by a
+    stable ``argsort``; their classes then go through the greedy pass of
+    ``_greedy_thresholds``, repeated classes included.
+    """
+    n = len(surfaces)
+    per = int(surfaces.start[1]) // 2 if n else 0  # edges per surface
+    if (np.diff(surfaces.start) != 2 * per).any():
+        raise ValueError("the edge pass needs surfaces of one size")
+    nbr = surfaces.neighbor
+    first = (np.arange(nbr.size) < nbr).nonzero()[0]  # one half-edge per edge
+    x, y = surfaces.edge
+    m = np.hypot(x, y)
+    h = np.where(kept_orientation(x.take(first), y.take(first), m.take(first)),
+                 first, nbr.take(first)).reshape(n, per)
+    h = np.take_along_axis(h, np.argsort(m.take(h), axis=1, kind="stable"), 1)
+    h = h.reshape(-1)
+    ptr = np.arange(n) * per
+    return _greedy_thresholds(surfaces.coeffs.take(h, 1).T, m.take(h),
+                              np.arange(h.size), ptr, ptr + per, subspace, k_max)
+
+
+def _greedy_thresholds(classes, length, cand, ptr, end,
+                       subspace: LinearSubspace, k_max: int) -> np.ndarray:
+    """T[s, i]: the length at which the rank of surface s's candidates
+    ``cand[ptr[s]:end[s]]`` (rows of ``classes`` and ``length``, in
+    order) first reaches i + 1, or inf.
+
+    The greedy pass keeps, per surface, the rows found independent so far
+    and ranks them with its next candidate, stopping at rank min(k_max,
+    dim W).  It runs for all surfaces at once in rounds: a round ranks
+    [independent rows + next candidate] of every unfinished surface, one
+    stacked ``independence_rank`` call per matrix height.  These are the
+    matrices a surface-by-surface pass ranks, in its order.  The rows keep
+    the dtype of ``classes``, so int64 classes on the full space are
+    ranked exactly.
+    """
+    n = len(ptr)
+    thresholds = np.full((n, k_max), np.inf)
+    cap = min(k_max, subspace.dim)
+    rows = np.zeros((n, cap, classes.shape[1]), dtype=classes.dtype)
     found = np.zeros(n, dtype=np.int64)
+    ptr = ptr.copy()
     while True:
         live = np.flatnonzero((found < cap) & (ptr < end))
         if not live.size:
@@ -281,41 +353,19 @@ def _rank_thresholds(batch, subspace: LinearSubspace, k_max: int) -> np.ndarray:
             grew = independence_rank(mats, subspace) > height
             s, c = s[grew], c[grew]
             rows[s, height] = classes[c]
-            thresholds[s, height] = batch.length[c]
+            thresholds[s, height] = length[c]
             found[s] += 1
         ptr[live] += 1
 
 
-def _certified_length(surfaces: SurfaceBatch, subspace: LinearSubspace,
-                      cap: int) -> np.ndarray:
-    """g_s per surface, with R_(cap - 1) <= g_s: the length of the longer
-    of its certificate edges (the shortest edge; for cap 2 also the
-    shortest edge not parallel to it, directions within ``WEDGE_EPS``
-    counting as one), rounded up by ``GUESS_SLACK``, where their classes
-    restricted to W have rank cap (one stacked ``independence_rank``
-    call); inf where they do not, and for cap >= 3."""
-    n = len(surfaces)
-    if cap > 2 or not n:
-        return np.full(n, np.inf)
-    ex, ey = surfaces.edge
-    length = np.hypot(ex, ey)
-    first, surf, each = surfaces.start[:-1], surfaces.surf, np.arange(n)
-
-    def shortest(lengths):
-        least = np.minimum.reduceat(lengths, first)
-        at = np.flatnonzero(lengths == least.take(surf))
-        return least, at.take(np.searchsorted(surf.take(at), each))
-
-    guess, at = shortest(length)
-    edges = at[:, None]
-    if cap == 2:
-        sx, sy = ex.take(at).take(surf), ey.take(at).take(surf)
-        parallel = abs(sx * ey - sy * ex) <= WEDGE_EPS * length * guess.take(surf)
-        guess, at2 = shortest(np.where(parallel, np.inf, length))
-        edges = np.column_stack([at, at2])
-    classes = np.moveaxis(surfaces.coeffs.take(edges, axis=1), 0, -1)
-    certified = independence_rank(classes, subspace) == cap
-    return np.where(certified, guess * (1 + GUESS_SLACK), np.inf)
+def _edge_pass(surfaces: SurfaceBatch, subspace: LinearSubspace,
+               k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edge thresholds E (``_edge_thresholds``) and which surfaces they
+    are exact on: the Delaunay ones (``SurfaceBatch.is_delaunay``) whose
+    edges reach rank min(k_max, dim W) on W."""
+    edges = _edge_thresholds(surfaces, subspace, k_max)
+    cap = min(k_max, subspace.dim)
+    return edges, surfaces.is_delaunay() & np.isfinite(edges[:, cap - 1])
 
 
 def _rebuild_rejected(chart: ChartModel, sides: np.ndarray) -> int:
@@ -375,35 +425,42 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
                       cone_sides: np.ndarray, radii: np.ndarray,
                       budget: int) -> np.ndarray:
     """The back end of a batch of cone samples, from any chunks: build the
-    surfaces (``_cone_surfaces``), certify, unfold each surface to the
-    largest radius below its certificate, rank, and test every radius
+    surfaces (``_cone_surfaces``), run the edge pass (``_edge_pass``),
+    unfold each surface that it leaves inexact to the largest radius below
+    g_s = E_(cap - 1) (1 + ``GUESS_SLACK``), rank, and test every radius
     cell.
 
     ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
     Returns one int64 tally: the build failures, the chain nodes, then the
     accepted count of each cell.  The batch takes one ``unfold_surfaces``
-    call, and the thresholds R_i, i < cap, are clipped to the
-    certificates.  Each sample's connections, ranks and nodes are its own,
-    so the tallies of two batches add up to that of their concatenation.
+    call, or none when the edge thresholds are exact on every surface, and
+    the searched thresholds R_i, i < cap, are clipped to g_s.  Each
+    sample's thresholds and nodes are its own, so the tallies of two
+    batches add up to that of their concatenation.
     """
     surfaces, failures = _cone_surfaces(chart, cone_sides)
     k_max = radii.shape[1]
     cap = min(k_max, subspace.dim)
-    certified = _certified_length(surfaces, subspace, cap)
-    # rho: the largest radius below the certificate (the largest radius,
-    # grid[-1], without one), or 0 when there is none and no connection
-    # is needed
-    grid = np.concatenate([[0.0], np.unique(radii[np.isfinite(radii)])])
-    rho = grid.take(np.searchsorted(grid, certified) - 1)
-    reach = np.maximum(np.minimum(grid[-1], rho * (1 + 2 * GUESS_SLACK)),
-                       _FLOAT_TINY)
-    batch = unfold_surfaces(surfaces, reach, budget=budget)
-    thresholds = _rank_thresholds(batch, subspace, k_max)
-    thresholds[:, :cap] = np.minimum(thresholds[:, :cap], certified[:, None])
+    thresholds, exact = _edge_pass(surfaces, subspace, k_max)
+    nodes = 0
+    if not exact.all():
+        # g: E_(cap - 1) rounded up; rho: the largest radius below it (the
+        # largest radius, grid[-1], when g is inf), or 0 when there is none
+        # and no connection is needed
+        g = thresholds[:, cap - 1] * (1 + GUESS_SLACK)
+        grid = np.concatenate([[0.0], np.unique(radii[np.isfinite(radii)])])
+        rho = grid.take(np.searchsorted(grid, g) - 1)
+        reach = rho * (1 + 2 * GUESS_SLACK)
+        reach[exact] = 0.0
+        batch = unfold_surfaces(surfaces, np.maximum(reach, _FLOAT_TINY),
+                                budget=budget)
+        nodes = batch.nodes.sum()
+        found = _rank_thresholds(batch, subspace, k_max)[~exact, :cap]
+        thresholds[~exact, :cap] = np.minimum(found, g[~exact, None])
     # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
     # every i < k; radii past k are inf and pass.
     accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)
-    return np.concatenate([[failures, batch.nodes.sum()], accepts.sum(axis=0)])
+    return np.concatenate([[failures, nodes], accepts.sum(axis=0)])
 
 
 def _scan_chunks(args) -> np.ndarray:
@@ -444,9 +501,10 @@ def scan_chart(
 ) -> ScanResult:
     """Estimate the cone-set measure for every radius vector in ``eps_cells``.
 
-    Cells share one sample stream and one enumeration per sample (as far
-    as the largest radius, or the sample's own rank thresholds, need; the
-    cone samples in batches), so a grid scan costs one pass.  A cell of
+    Cells share one sample stream and one edge pass per sample, with an
+    enumeration only where the surface is not Delaunay (as far as the
+    largest radius, or the sample's own edge thresholds, need; the cone
+    samples in batches), so a grid scan costs one pass.  A cell of
     None estimates the plain cone volume (admissible, area <= 1).
     Admissibility is one batch simplicity mask and positive-area test per
     chunk, on its samples with 0 < area <= 1 rescaled to unit area; the

@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+from .checks import real
+
 TWO_PI = 2.0 * math.pi
 TOL_CONTAINS = 1e-12  # angle slack of Arc.contains
 TOL_LOG = 1e-9  # angle slack of Arc.log
@@ -68,8 +70,10 @@ class MultiSector:
     """Sector data for one chart near the boundary.
 
     vertical_arcs maps level -> arc constraining arg t_level (width
-    pi/(4 a_level)); horizontal_arcs maps horizontal edge index -> arc of
-    width pi/4 constraining the node parameter.
+    pi/(4 a_level), so at most pi/4); horizontal_arcs maps horizontal edge
+    index -> arc of width pi/4 constraining the node parameter.  ``eps`` is
+    a finite positive real number (``checks.real``); a ``ValueError`` says
+    so otherwise, and for an arc wider than pi/4.
     """
 
     eps: float
@@ -77,11 +81,14 @@ class MultiSector:
     horizontal_arcs: dict[int, Arc] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("sector radius must be positive")
-        for arc in self.horizontal_arcs.values():
-            if arc.width > math.pi / 4 + 1e-12:
-                raise ValueError("horizontal arcs have width pi/4")
+        eps = real(self.eps, "eps")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError("sector radius must be positive and finite")
+        for arcs, kind in ((self.horizontal_arcs, "horizontal arcs have"),
+                           (self.vertical_arcs, "vertical arcs have at most")):
+            for arc in arcs.values():
+                if arc.width > math.pi / 4 + 1e-12:
+                    raise ValueError(f"{kind} width pi/4")
 
     @classmethod
     def standard(cls, a: dict[int, int], horizontal_edges=(),

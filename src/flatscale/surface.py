@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import integer
+
 TWO_PI = 2.0 * math.pi
 
 # Relative tolerances for the metric validation checks.
@@ -25,6 +27,7 @@ TOL_ANGLE = 1e-7
 TOL_SIMPLE = 1e-12  # of the polygon simplicity test
 INT64_LIMIT = 2**63  # |c| of every chart coefficient and class stays below it
 DELAUNAY_ROUNDS = 8  # twist-and-flip rounds SurfaceBatch.delaunay runs at most
+DELAUNAY_TOL = 1e-9  # an edge is flipped when cot(alpha) + cot(beta) < -DELAUNAY_TOL
 
 
 class SurfaceError(ValueError):
@@ -41,12 +44,14 @@ def _dot(a: complex, b: complex) -> float:
 
 @dataclass(frozen=True)
 class StratumSignature:
-    """Multiset of zero orders; order 0 marks a regular marked point."""
+    """Multiset of zero orders; order 0 marks a regular marked point.  Each
+    order is an integer, not a bool (``checks.integer``); a ``ValueError``
+    names ``zero_orders`` otherwise."""
 
     zero_orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(m) for m in self.zero_orders)
+        orders = tuple(integer(m, "zero_orders") for m in self.zero_orders)
         object.__setattr__(self, "zero_orders", orders)
         if any(m < 0 for m in orders):
             raise SurfaceError("zero orders must be nonnegative")
@@ -826,6 +831,19 @@ class SurfaceBatch:
                 work.score(changed)
         return work.batch()
 
+    def is_delaunay(self) -> np.ndarray:
+        """Which surfaces are Delaunay, (n,) bool: those with no edge that
+        :meth:`delaunay` would flip, cot(alpha) + cot(beta) < -1e-9, the
+        cots taken as there (``_minus_cots``), each half-edge's in its own
+        triangle.  An edge whose cot sum is not a number (a degenerate
+        triangle) makes its surface not Delaunay."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cot = _minus_cots(self.edge)
+            settled = cot + cot.take(self.neighbor) <= DELAUNAY_TOL
+        out = np.ones(len(self), bool)
+        out[self.surf[~settled]] = False
+        return out
+
 
 class _Retriangulation:
     """The working state of :meth:`SurfaceBatch.delaunay`: copies of the
@@ -844,8 +862,7 @@ class _Retriangulation:
         self.nxt[2::3] -= 3
         self.prv[::3] += 3
         n_tri = self.nbr.size // 3
-        self.cot = np.empty(self.nbr.size)
-        self.cand = np.zeros(self.nbr.size, bool)
+        self.cot = self.cand = None  # set by score_all
         self.twisted = np.zeros(n_tri, bool)
         self.best, self.least = np.empty(n_tri), np.empty(n_tri, np.int64)
         self.guard = _RowGuard(batch)
@@ -854,12 +871,8 @@ class _Retriangulation:
 
     def score_all(self) -> None:
         """Score every half-edge, and the candidacy of every edge."""
-        n_tri = self.nbr.size // 3
-        x, y = self.edge.reshape(2, n_tri, 3)
-        cot3 = self.cot.reshape(n_tri, 3)
-        for k in range(3):  # a column at a time: no takes
-            cot3[:, k] = _cot((x[:, k - 2], y[:, k - 2]), (x[:, k - 1], y[:, k - 1]))
-        self.cand = self.cot + self.cot.take(self.nbr) > 1e-9  # both halves
+        self.cot = _minus_cots(self.edge)
+        self.cand = self.cot + self.cot.take(self.nbr) > DELAUNAY_TOL  # both halves
 
     def score(self, h) -> None:
         """Score again the half-edges ``h``, whole triangles, and the
@@ -867,7 +880,7 @@ class _Retriangulation:
         edge, cot = self.edge, self.cot
         cot[h] = _cot(edge.take(self.nxt.take(h), 1), edge.take(self.prv.take(h), 1))
         g = self.nbr.take(h)
-        self.cand[h] = self.cand[g] = cot.take(h) + cot.take(g) > 1e-9
+        self.cand[h] = self.cand[g] = cot.take(h) + cot.take(g) > DELAUNAY_TOL
 
     def candidates(self):
         """The earlier half-edge of each candidate edge, in order."""
@@ -981,6 +994,18 @@ def _put(a, idx, values) -> None:
     two-dimensional fancy assignment takes about twice as long."""
     for row, v in zip(a, values):
         row[idx] = v
+
+
+def _minus_cots(edge) -> np.ndarray:
+    """Minus the cot of the angle opposite each half-edge, (H,), from the
+    edge vectors (2, H) of whole triangles, a triangle column at a time
+    (no takes)."""
+    n_tri = edge.shape[1] // 3
+    x, y = edge.reshape(2, n_tri, 3)
+    cot = np.empty((n_tri, 3))
+    for k in range(3):
+        cot[:, k] = _cot((x[:, k - 2], y[:, k - 2]), (x[:, k - 1], y[:, k - 1]))
+    return cot.reshape(-1)
 
 
 def _cot(b, c):

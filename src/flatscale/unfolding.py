@@ -373,14 +373,22 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
     return found, nodes
 
 
+def kept_orientation(x, y, length) -> np.ndarray:
+    """Which of the holonomies (x, y), of nonzero ``length`` = hypot(x, y),
+    are the canonical ones of their +- pairs: in the upper half plane, or
+    within ``PAIR_EPS`` of the real axis and pointing right.  The search
+    keeps a connection found from each end by this test."""
+    tol = PAIR_EPS * length
+    return ~((y < -tol) | ((np.abs(y) <= tol) & (x < 0)))
+
+
 def _canonical(b: SurfaceBatch, found, nodes) -> UnfoldedBatch:
     """Orientation filter and stable canonical sort, per surface."""
     order = np.argsort(found[0], kind="stable")  # per corner, search order
     root, hol, end, cls = (col[order] for col in found)
     m = np.hypot(hol[:, 0], hol[:, 1])
     idx = np.flatnonzero(m != 0.0)
-    x, y, tol = hol[idx, 0], hol[idx, 1], PAIR_EPS * m[idx]
-    idx = idx[~((y < -tol) | ((np.abs(y) <= tol) & (x < 0)))]
+    idx = idx[kept_orientation(hol[idx, 0], hol[idx, 1], m[idx])]
 
     # Stable sort on (length, angle, start zero, end zero) per surface.  The
     # angle is math.atan2 (numpy's may differ in the last bit), needed only

@@ -6,6 +6,8 @@ route for the connections, and the empty-disc property of a Delaunay
 triangulation ties the systole to its shortest edge.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from flatscale.surface import (
 )
 from flatscale.unfolding import unfold_surfaces
 
+import scalar_delaunay
 from scalar_delaunay import FLOOR, scalar_delaunay_batch, scores
 from test_sampling import GOLDEN_CASES
 from test_surface import octagon_surface, square_torus, torus
@@ -217,6 +220,51 @@ class TestInvariants:
             if full:
                 assert R0[s] == shortest
         assert converged > 0.75 * len(got)
+
+
+def is_delaunay_alone(batch, part):
+    """One surface: no edge with cot(alpha) + cot(beta) < -1e-9 by the
+    scalar cots, and every cot sum a number."""
+    nbr = (batch.neighbor[part] - part.start).tolist()
+    cot, _ = scores(batch.edge[0, part].tolist(), batch.edge[1, part].tolist(), nbr)
+    return all(cot[h] + cot[g] <= scalar_delaunay.TOL for h, g in enumerate(nbr))
+
+
+class TestIsDelaunay:
+    def test_golden_cone_batches(self, golden):
+        """The predicate is the scalar one on every surface, before and after
+        the retriangulation; the reduced tori are all Delaunay, most
+        retriangulated octagons are, and few ear-clip octagons."""
+        case, batch, got = golden
+        for b in (batch, got):
+            want = [is_delaunay_alone(b, part) for part in surface_slices(b)]
+            assert b.is_delaunay().tolist() == want
+        before, after = batch.is_delaunay().mean(), got.is_delaunay().mean()
+        if case == "torus":
+            assert before == after == 1
+        else:
+            assert before < 0.5 and 0.75 < after < 1
+
+    def test_no_candidate_left_is_delaunay(self):
+        """A surface is Delaunay exactly when a round of the
+        retriangulation finds no candidate on it."""
+        batch = cone_batch("octagon", 1)
+        for part in surface_slices(batch):
+            ex, ey = batch.edge[0, part].tolist(), batch.edge[1, part].tolist()
+            nbr = (batch.neighbor[part] - part.start).tolist()
+            assert (candidate_count(ex, ey, nbr) == 0) == is_delaunay_alone(batch, part)
+
+    def test_hand_made_surfaces(self):
+        """Fat and square tori are Delaunay (the square's diagonal has cot
+        sum 0), a long thin torus is not, nor a surface with a degenerate
+        triangle, whose cot sums are not numbers."""
+        thin = torus(1 + 0j, 5.2 + 0.3j)
+        batch = SurfaceBatch.of([square_torus(), torus(1 + 0j, 0.4 + 0.9j), thin,
+                                 regular_octagon()])
+        assert batch.is_delaunay().tolist() == [True, True, False, True]
+        flat = dataclasses.replace(batch, edge=np.zeros_like(batch.edge))
+        assert not flat.is_delaunay().any()
+        assert SurfaceBatch.of([]).is_delaunay().shape == (0,)
 
 
 def two_cylinder_torus(xa, ha, xb, hb):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,92 @@ class TestIndependenceRank:
                 alone = [independence_rank(r, W) for r in rows]
             assert got.shape == (300,) and got.tolist() == want
             assert alone == want and all(type(r) is int for r in alone)
+
+
+def _svd_ranks(rows, W):
+    """The ranks of the SVD route: singular values above TAU_RANK times
+    the largest."""
+    sv = np.linalg.svd(W.restrict_classes(rows), compute_uv=False)
+    return (sv > TAU_RANK * sv[..., :1]).sum(axis=-1)
+
+
+class TestExactRanks:
+    """On the full space, stacks of two or three int64 rows are ranked from
+    their minors in int64, with no SVD, while every minor fits."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_equal_to_svd_ranks(self, n, r, monkeypatch):
+        rng = np.random.default_rng(10 * n + r)
+        rows = rng.integers(-3, 4, size=(4000, r, n))
+        rows[::5, 1] = 2 * rows[::5, 0]  # repeated, up to a factor
+        rows[1::5, r - 1] = rows[1::5, 0]  # repeated
+        rows[2::5, r - 1] = 0  # a zero row
+        rows[3::7] = 0  # all zero
+        rows[4::9, r - 1] = rows[4::9, 0] - rows[4::9, 1]  # a sum
+        W = LinearSubspace(n)
+        want = _svd_ranks(rows, W)
+        assert set(want.tolist()) == set(range(min(r, n) + 1))
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", None)
+            got = independence_rank(rows, W)
+            alone = [independence_rank(x, W) for x in rows[:200]]
+        assert got.dtype == np.int64 and got.shape == (4000,)
+        assert got.tolist() == want.tolist()
+        assert alone == want[:200].tolist() and all(type(x) is int for x in alone)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_overflow_guard(self, r, monkeypatch):
+        """c^r r! < 2**63: exact at the largest such c, the SVD from the
+        next c on; an exact rank where the SVD's tolerance fails."""
+        c = int((2**63 / math.factorial(r)) ** (1 / r))
+        while c ** r * math.factorial(r) >= 2**63:
+            c -= 1
+        while (c + 1) ** r * math.factorial(r) < 2**63:
+            c += 1
+        assert c ** r * math.factorial(r) < 2**63 <= (c + 1) ** r * math.factorial(r)
+        W = LinearSubspace(4)
+        # det [[c, c - 1], [c - 1, c - 2]] = -1: rank 2, with a condition
+        # number near c^2, where the SVD's TAU_RANK sees rank 1
+        top = np.array([[c, c - 1, 0, 0], [c - 1, c - 2, 0, 0],
+                        [0, 0, 1, 0]][:r], np.int64)
+        stack = np.stack([top, -top, np.zeros_like(top)])
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", None)
+            assert independence_rank(stack, W).tolist() == [r, r, 0]
+        if r == 2:
+            assert _svd_ranks(top, W) == 1
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for big in (c + 1, -(c + 1), 2**62, -2**63):
+            stack[0, 0, 0] = big
+            independence_rank(stack, W)
+        assert len(calls) == 4
+
+    def test_other_stacks_take_the_svd(self, monkeypatch):
+        """Four rows, float rows and a subspace with a basis go to the SVD."""
+        rng = np.random.default_rng(2)
+        rows = rng.integers(-2, 3, size=(50, 4, 4))
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        independence_rank(rows, LinearSubspace(4))
+        independence_rank(rows[:, :2].astype(float), LinearSubspace(4))
+        W = LinearSubspace(4, np.eye(4)[:, :3].astype(complex))
+        assert (independence_rank(rows[:, :2], W)
+                == _svd_ranks(rows[:, :2], W)).all()
+        assert len(calls) == 4
 
 
 class TestNonParallelImpliesIndependent:

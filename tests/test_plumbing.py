@@ -107,14 +107,28 @@ class TestSectors:
             Arc(0.0, 1.0).log(0)
         assert not Arc(0.0, 1.0).contains(0)
 
-    @pytest.mark.parametrize("eps", [0.0, -0.3])
+    @pytest.mark.parametrize("eps", [0.0, -0.3, math.nan, math.inf])
     def test_sector_radius_rejected(self, eps):
         with pytest.raises(ValueError, match="sector radius must be positive"):
+            MultiSector(eps)
+
+    @pytest.mark.parametrize("eps", ["0.3", True, 0.3j, None])
+    def test_sector_radius_not_real_named(self, eps):
+        with pytest.raises(ValueError, match="eps holds .*, not a real number"):
             MultiSector(eps)
 
     def test_wide_horizontal_arc_rejected(self):
         with pytest.raises(ValueError, match="horizontal arcs have width pi/4"):
             MultiSector(0.3, horizontal_arcs={0: Arc(0.0, math.pi / 2)})
+
+    @pytest.mark.parametrize("width", [math.pi / 4 + 1e-9, 1.0, 3.0])
+    def test_wide_vertical_arc_rejected(self, width):
+        """pi/(4 a_level) is at most pi/4, the width at a_level = 1."""
+        with pytest.raises(ValueError, match="vertical arcs have at most width pi/4"):
+            MultiSector(0.3, vertical_arcs={-1: Arc(0.0, width)})
+        # the widest allowed, and the standard arcs of every a_level
+        MultiSector(0.3, vertical_arcs={-1: Arc(0.0, math.pi / 4)})
+        MultiSector.standard({-1: 1, -2: 3}, horizontal_edges=(0,))
 
     def test_arc_log_continuous(self):
         arc = Arc(0.1, math.pi / 4)

@@ -11,11 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flatscale import sampling
+from flatscale import sampling, surface
 from flatscale.charts import ChartModel, get_chart
-from flatscale.homology import LinearSubspace, independence_rank, real_subspace
+from flatscale.homology import (
+    TAU_RANK,
+    LinearSubspace,
+    independence_rank,
+    real_subspace,
+)
 from flatscale.sampling import scan_chart
 from flatscale.surface import (
+    DELAUNAY_TOL,
     SurfaceBatch,
     SurfaceError,
     polygon_simple_mask,
@@ -28,13 +34,14 @@ from flatscale.surface import (
 from flatscale.torus_oracle import cone_volume_quadrature, torus_exact_oracle
 from flatscale.unfolding import (
     DEFAULT_BUDGET,
-    WEDGE_EPS,
+    PAIR_EPS,
     UnfoldedBatch,
     UnfoldingBudgetError,
     unfold_surfaces,
 )
 
 from all_rows_area_check import all_rows_unit_area_check
+from scalar_delaunay import scores
 from scalar_ear_clip import scalar_ear_clip
 from scalar_prefix_ranks import prefix_ranks, reference_thresholds
 
@@ -321,23 +328,23 @@ GOLDEN_GATES = {
 }
 
 
-# Chain nodes the unfolding expanded in the same scans, each surface
-# searched only as far as the radii below its certificate need (see
-# sampling._count_cone_batch), the octagons retriangulated by
-# SurfaceBatch.delaunay.  The tori's certificates (cap 2: the two shortest
-# non-parallel edges) lie above the largest radius, so they are searched
-# to it.  Searched to the largest radius: 2932, 3166, 37011, 34968, 104105
-# and 104054 in this order; to each surface's own R_(cap - 1), with a second
-# search where the edges' guess fell short: 2932, 3166, 9153, 8504, 80308
-# and 80787; before the retriangulation, on the ear-clip surfaces: 2966,
-# 3219, 71241, 67394, 430442 and 435183.
+# Chain nodes the unfolding expanded in the same scans: only the surfaces
+# that the retriangulation leaves non-Delaunay are searched, each only as
+# far as the radii below E_(cap - 1) need (see sampling._count_cone_batch);
+# the reduced tori are all Delaunay.  With every surface searched to the
+# radii below a one- or two-edge certificate: 2932, 3166, 4112, 3837, 63662
+# and 63429 in this order; searched to the largest radius: 2932, 3166,
+# 37011, 34968, 104105 and 104054; to each surface's own R_(cap - 1), with
+# a second search where the edges' guess fell short: 2932, 3166, 9153,
+# 8504, 80308 and 80787; before the retriangulation, on the ear-clip
+# surfaces: 2966, 3219, 71241, 67394, 430442 and 435183.
 GOLDEN_NODES = {
-    ("torus", 1): 2932,
-    ("torus", 2): 3166,
-    ("octagon", 1): 4112,
-    ("octagon", 2): 3837,
-    ("octagon-subspace", 1): 63662,
-    ("octagon-subspace", 2): 63429,
+    ("torus", 1): 0,
+    ("torus", 2): 0,
+    ("octagon", 1): 241,
+    ("octagon", 2): 209,
+    ("octagon-subspace", 1): 30617,
+    ("octagon-subspace", 2): 31350,
 }
 
 
@@ -364,11 +371,13 @@ def _assert_golden_scan(case, seed, threads):
 # its nodes lazily: every count, gate and float of the result must stay
 # bit-identical, for any worker count.  The node count is hashed as the
 # ear-clip surfaces gave it (PARENT_NODES); the nodes the scan expands now
-# are pinned in DIGEST_NODES (the cell (0.3, 0.6, 0.9) needs rank 3, so
-# only the rank-2 subspace scans search less than the largest radius:
-# 522073 and 533372 there before, and 445568 and 455401 to each surface's
-# own R_(cap - 1) before the search stopped at the radius below its
-# certificate).
+# are pinned in DIGEST_NODES.  Only the non-Delaunay surfaces are searched
+# now; with every surface searched to the radius below a one- or two-edge
+# certificate they were 68033, 68330, 90261, 90311, 368215 and 377978 (the
+# cell (0.3, 0.6, 0.9) needs rank 3, which had no certificate, so only the
+# rank-2 subspace scans searched less than the largest radius: 522073 and
+# 533372 there before, and 445568 and 455401 to each surface's own
+# R_(cap - 1)).
 DIGEST_CELLS = [None, (0.15,), (0.3,), (0.45,), (0.2, 0.7), (0.4, 0.4),
                 (0.3, 0.6, 0.9)]
 DIGEST_CASES = {
@@ -393,12 +402,12 @@ PARENT_NODES = {  # recorded on the ear-clip surfaces, before SurfaceBatch.delau
     ("octagon-subspace", 12): 2400658,
 }
 DIGEST_NODES = {
-    ("torus", 11): 68033,
-    ("torus", 12): 68330,
-    ("octagon", 11): 90261,
-    ("octagon", 12): 90311,
-    ("octagon-subspace", 11): 368215,
-    ("octagon-subspace", 12): 377978,
+    ("torus", 11): 0,
+    ("torus", 12): 0,
+    ("octagon", 11): 1419,
+    ("octagon", 12): 1136,
+    ("octagon-subspace", 11): 171046,
+    ("octagon-subspace", 12): 182294,
 }
 
 
@@ -492,6 +501,24 @@ class TestGoldenCounts:
     @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
     def test_any_worker_count(self, case, seed, threads):
         _assert_golden_scan(case, seed, threads)
+
+    @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
+    def test_counts_without_retriangulation(self, case, seed, monkeypatch):
+        """With no retriangulation round most octagons are not Delaunay, so
+        searched below their edge thresholds: the counts and gates are the
+        goldens, with more nodes."""
+        monkeypatch.setattr(surface, "DELAUNAY_ROUNDS", 0)
+        chart, rows, samples, cells = GOLDEN_CASES[case]
+        W = None if rows is None else real_subspace(rows)
+        res = scan_chart(chart, W, cells, samples, seed)
+        assert [e.accepted for e in res.estimates] == GOLDEN_COUNTS[case, seed]
+        gates = (res.positive_area, res.area_at_most_one, res.admissible)
+        assert gates == GOLDEN_GATES[case, seed]
+        # the tori skip the retriangulation
+        if case == "torus":
+            assert res.unfolding_nodes == 0
+        else:
+            assert res.unfolding_nodes > 5 * GOLDEN_NODES[case, seed]
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("case, seed", sorted(REPR_DIGESTS))
@@ -690,10 +717,13 @@ class TestChartInput:
             ChartModel("x", dim, 2.0)
 
     def test_worker_error_propagates(self, chunk_size, monkeypatch):
-        # with the cell (0.45,) alone no torus expands a node: each is
-        # searched to 0.45 below its shortest edge, or not at all
+        # every torus is Delaunay, so taken as not Delaunay here to be
+        # searched; with the cell (0.45,) alone none would expand a node:
+        # each is searched to 0.45 below its shortest edge, or not at all
         chunk_size(500)
         monkeypatch.setattr(sampling, "DEFAULT_BUDGET", 1)
+        monkeypatch.setattr(SurfaceBatch, "is_delaunay",
+                            lambda batch: np.zeros(len(batch), bool))
         with pytest.raises(UnfoldingBudgetError):
             scan_chart("torus", None, [(0.45,), (1.0,)], 2000, SEED, threads=2)
 
@@ -1048,35 +1078,54 @@ class TestClosedFormGates:
             sampling._sample_params(rng, 16384, chart.dim, chart.half_width))
 
 
-def _certificate_edges(X, s, cap):
-    """The half-edges of surface ``s`` of the batch ``X`` that
-    ``sampling._certified_length`` picks, found one edge at a time: its
-    shortest edge, and for cap 2 the shortest edge not parallel to that
-    one; and the length of the last one, not rounded."""
+def _edge_thresholds_alone(X, W, k_max, s=0):
+    """``sampling._edge_thresholds`` of surface ``s`` of the batch ``X``
+    alone, one edge at a time: each edge's half-edge in the kept half plane
+    (holonomy above the real axis, or within ``PAIR_EPS`` of it and
+    pointing right), its length the ``hypot`` of that, the edges sorted by
+    length stably, and E_i the length at which the SVD prefix rank of their
+    classes on W (the scalar reference) first reaches i + 1, or inf."""
     a, b = int(X.start[s]), int(X.start[s + 1])
-    edges = X.edge[:, a:b].T.tolist()
-    lengths = [float(np.hypot(x, y)) for x, y in edges]
-    shortest = min(lengths)
-    picked = [lengths.index(shortest)]
-    if cap == 2:
-        sx, sy = edges[picked[0]]
-        rest = [m if abs(sx * y - sy * x) > WEDGE_EPS * m * shortest
-                else math.inf for (x, y), m in zip(edges, lengths)]
-        picked.append(rest.index(min(rest)))
-    return [a + h for h in picked], lengths[picked[-1]]
+    ex, ey = X.edge[0].tolist(), X.edge[1].tolist()
+    edges = []
+    for h in range(a, b):
+        g = int(X.neighbor[h])
+        if h > g:
+            continue
+        x, y = ex[h], ey[h]
+        tol = PAIR_EPS * float(np.hypot(x, y))
+        if y < -tol or (abs(y) <= tol and x < 0):
+            h = g
+        edges.append((float(np.hypot(ex[h], ey[h])), h))
+    edges.sort(key=lambda e: e[0])
+    lengths = [m for m, _ in edges]
+    classes = X.coeffs[:, [h for _, h in edges]].T.astype(complex)
+    ranks = prefix_ranks(classes, W, k_max)
+    return [lengths[ranks.index(i + 1)] if i + 1 in ranks else math.inf
+            for i in range(k_max)]
 
 
-def _certificate_alone(X, cap, W, s=0):
-    """``sampling._certified_length`` of surface ``s`` of the batch ``X``
-    alone: the length of its ``_certificate_edges`` rounded up by
-    ``GUESS_SLACK``, where their classes have rank cap on W; inf for cap 3
-    and up, or when they do not."""
-    if cap > 2:
-        return math.inf
-    picked, length = _certificate_edges(X, s, cap)
-    if independence_rank(X.coeffs[:, picked].T, W) < cap:
-        return math.inf
-    return length * (1 + sampling.GUESS_SLACK)
+def _is_delaunay_alone(X, s=0):
+    """``SurfaceBatch.is_delaunay`` of surface ``s`` alone, from the scalar
+    cots of ``tests/scalar_delaunay.py``: no edge with cot(alpha) +
+    cot(beta) < -1e-9, and no cot sum that is not a number."""
+    a, b = int(X.start[s]), int(X.start[s + 1])
+    nbr = (X.neighbor[a:b] - a).tolist()
+    cot, _ = scores(X.edge[0, a:b].tolist(), X.edge[1, a:b].tolist(), nbr)
+    return all(cot[h] + cot[g] <= DELAUNAY_TOL for h, g in enumerate(nbr))
+
+
+def _reach_alone(X, W, k_max, grid, s=0):
+    """The reach surface ``s`` of ``X`` gets in a scan with radii ``grid``
+    (sorted): 0 when it is Delaunay with edges of rank cap on W, otherwise
+    the largest radius below E_(cap - 1) rounded up by ``GUESS_SLACK``
+    (0 for none), itself rounded up by twice the slack."""
+    cap = min(k_max, W.dim)
+    E = _edge_thresholds_alone(X, W, k_max, s)[cap - 1]
+    if _is_delaunay_alone(X, s) and math.isfinite(E):
+        return 0.0
+    rho = max((r for r in grid if r < E * (1 + sampling.GUESS_SLACK)), default=0.0)
+    return rho * (1 + 2 * sampling.GUESS_SLACK)
 
 
 class TestBatchedScan:
@@ -1089,49 +1138,55 @@ class TestBatchedScan:
         ("h2-octagon", [None, (0.6,), (0.6, 1.0)]),
     ])
     def test_unfolding_nodes(self, chart, cells, chunk_size, monkeypatch):
+        def one_round():  # leaves some octagons not Delaunay
+            monkeypatch.setattr(surface, "DELAUNAY_ROUNDS", 1)
+
+        one_round()
         chunk_size(8192)
-        rows, calls = [], []
+        rows, calls, unfolded = [], [], []
         build_batch, unfold = ChartModel.build_batch, sampling.unfold_surfaces
 
         def noting_build_batch(self, sides):
+            calls.append(len(sides))
             rows.extend(sides.tolist())
             return build_batch(self, sides)
 
         def noting_unfold(surfaces, *args, **kwargs):
-            calls.append(len(surfaces))
+            unfolded.append(len(surfaces))
             return unfold(surfaces, *args, **kwargs)
 
         monkeypatch.setattr(ChartModel, "build_batch", noting_build_batch)
         monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
         res = scan_chart(chart, None, cells, 20_000, SEED)
         monkeypatch.undo()
-        # three chunks, with fewer than 8192 cone samples: one batch
+        # three chunks, with fewer than 8192 cone samples: one batch, with
+        # one search where some surface is not Delaunay (no torus)
         assert len(calls) == 1
         assert sum(calls) == len(rows) == res.estimates[0].accepted
+        assert unfolded == ([] if chart == "torus" else calls)
+        one_round()
         chunk_size(8192)
         two = scan_chart(chart, None, cells, 20_000, SEED, threads=2)
         assert two == res
-        # each surface alone, searched to the largest radius below its
-        # certificate: the tori (built on their reduced bases) as built,
-        # the octagons retriangulated
+        # each surface alone: none searched where it is Delaunay, the rest
+        # to the largest radius below E_(cap - 1); the tori (built on their
+        # reduced bases) as built, the octagons retriangulated
         radii = [c for c in cells if c is not None]
         grid = sorted({r for c in radii for r in c})
         model = get_chart(chart)
         W = LinearSubspace(model.dim)
-        cap = min(max(map(len, radii)), model.dim)
-        alone = cut = 0
+        k_max = max(map(len, radii))
+        alone = searched = 0
         for z in rows:
             X = SurfaceBatch.of([model.build(z)])
             if chart != "torus":
                 X = X.delaunay()
-            certified = _certificate_alone(X, cap, W)
-            rho = max((r for r in grid if r < certified), default=0.0)
-            cut += rho < grid[-1]
-            reach = max(min(grid[-1], rho * (1 + 2 * sampling.GUESS_SLACK)),
-                        sampling._FLOAT_TINY)
-            alone += int(unfold_surfaces(X, reach).nodes[0])
-        assert res.unfolding_nodes == alone > 0
-        assert cut > 0
+            reach = _reach_alone(X, W, k_max, grid)
+            searched += reach > 0
+            alone += int(unfold_surfaces(X, max(reach, sampling._FLOAT_TINY)).nodes[0])
+        assert res.unfolding_nodes == alone
+        # the reduced tori are all Delaunay, a few octagons are not
+        assert (searched > 0) == (alone > 0) == (chart != "torus")
 
     def test_no_radius_cell_unfolds_nothing(self):
         res = scan_chart("torus", None, [None], 5000, SEED)
@@ -1305,10 +1360,12 @@ class TestReducedTori:
         assert calls and sum(calls) == want.admissible == got.admissible
         assert got.estimates == want.estimates
         assert any(e.accepted for e in got.estimates[1:])
-        # the retriangulation flips thin raw tori too, so the reduction
-        # saves less on it; on the built surfaces alone it saves over 5x
-        assert 0 < got.unfolding_nodes < want.unfolding_nodes
-        monkeypatch.setattr(SurfaceBatch, "delaunay", lambda batch: batch)
+        # a reduced torus is Delaunay, so read off its edges; the long thin
+        # raw tori are not, and are searched
+        assert got.unfolding_nodes == 0 < want.unfolding_nodes
+        # searched too, the reduced tori expand over 5x fewer nodes
+        monkeypatch.setattr(SurfaceBatch, "is_delaunay",
+                            lambda batch: np.zeros(len(batch), bool))
         raw = scan_chart("torus", W, cells, 20_000, 3)
         monkeypatch.setattr(sampling, "reduce_lattice_bases", reduce_lattice_bases)
         built = scan_chart("torus", W, cells, 20_000, 3)
@@ -1393,17 +1450,27 @@ def _count(model, W, sides, cells):
 
 
 def _without_certificate(monkeypatch):
-    """Every surface without a certificate, so searched to the largest
-    radius: the reference the certificates must not change."""
-    monkeypatch.setattr(sampling, "_certified_length",
-                        lambda surfaces, subspace, cap: np.full(len(surfaces), np.inf))
+    """No surface Delaunay and no edge threshold, so every surface searched
+    to the largest radius: the reference the edge pass must not change."""
+    monkeypatch.setattr(sampling, "_edge_pass", lambda surfaces, subspace, k_max: (
+        np.full((len(surfaces), k_max), np.inf), np.zeros(len(surfaces), bool)))
+
+
+def _edge_bound(surfaces, W, k_max):
+    """g_s = E_(cap - 1) (1 + GUESS_SLACK) of every surface, the bound
+    below which a surface that is not Delaunay is searched, and which
+    surfaces are Delaunay with edges of rank cap (not searched)."""
+    E, exact = sampling._edge_pass(surfaces, W, k_max)
+    cap = min(k_max, W.dim)
+    return E[:, cap - 1] * (1 + sampling.GUESS_SLACK), exact
 
 
 class TestCertificate:
-    """Each surface is searched only to the largest radius below its
-    certificate, the length of cap of its edges, where their classes have
-    rank cap on W; the counts are those of the search to the largest
-    radius."""
+    """The edge pass: the greedy pass over each surface's edges gives
+    thresholds E_i >= R_i, equal on a Delaunay surface, which is then not
+    searched; any other surface is searched only to the largest radius
+    below g_s = E_(cap - 1) (1 + GUESS_SLACK).  The counts are those of the
+    search to the largest radius."""
 
     CASES = {  # chart, subspace rows, samples, cells: rank 1 and rank 2
         "torus": ("torus", None, 20_000, [None, (0.15,), (0.3,), (0.45,)]),
@@ -1443,47 +1510,82 @@ class TestCertificate:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_golden_certificates(self, case):
-        """Every certificate of the golden cone batches is the one its
-        surface gets alone, has rank cap, and bounds R_(cap - 1) of the
-        search to the largest radius (inf there means beyond it)."""
+        """The theorem, as an independent route.  On the golden cone
+        batches, with the rank-3 cell (0.3, 0.6, 0.9) added: every edge
+        threshold is the one its surface gets alone, edge by edge with SVD
+        ranks; the search's thresholds to the largest radius are at most
+        the edge thresholds on every surface; and on every Delaunay
+        surface they are equal, bit for bit, at or below the largest
+        radius (and the search finds none beyond it)."""
         model, W, cells, sides = _cone_batch(case)
+        cells = cells + [(0.3, 0.6, 0.9)]
         surfaces, _ = sampling._cone_surfaces(model, sides)
-        k_max = max(map(len, cells))
+        k_max = 3
         cap = min(k_max, W.dim)
         l_max = max(c[-1] for c in cells)
-        certified = sampling._certified_length(surfaces, W, cap)
+        E, exact = sampling._edge_pass(surfaces, W, k_max)
         each = range(len(surfaces))
-        assert certified.tolist() == [_certificate_alone(surfaces, cap, W, s)
-                                      for s in each]
-        assert np.isfinite(certified).all()
-        guess = np.array([_certificate_edges(surfaces, s, cap)[1] for s in each])
-        R = sampling._rank_thresholds(unfold_surfaces(surfaces, l_max), W,
-                                      k_max)[:, cap - 1]
-        # the two half-edges of an edge may differ in their last bits, and
-        # the search reports the one in the kept half plane
-        assert ((R <= certified) | (np.isinf(R) & (guess > l_max))).all()
-        finite = np.isfinite(R)
-        assert (R[finite] <= guess[finite] * (1 + 1e-15)).all()
-        assert (guess <= l_max).any()
+        assert E.tolist() == [_edge_thresholds_alone(surfaces, W, k_max, s)
+                              for s in each]
+        delaunay = np.array([_is_delaunay_alone(surfaces, s) for s in each])
+        assert np.array_equal(surfaces.is_delaunay(), delaunay)
+        # the edges span W: every Delaunay surface takes its edge thresholds
+        assert np.isfinite(E[:, :cap]).all() and np.isinf(E[:, cap:]).all()
+        assert np.array_equal(exact, delaunay)
+        R = sampling._rank_thresholds(unfold_surfaces(surfaces, l_max), W, k_max)
+        assert ((R <= E) | (np.isinf(R) & (E > l_max))).all()
+        within = E[exact] <= l_max
+        assert np.array_equal(R[exact][within], E[exact][within])
+        assert np.isinf(R[exact][~within]).all()
+        # thresholds on both sides of l_max, and both kinds of surface
+        # where the charts have them
+        assert within.any() and not within.all()
+        assert exact.any()
+        if case == "torus":
+            assert exact.all()
+        else:
+            assert 0 < (~exact).sum() < 0.25 * len(surfaces)
+            assert (R[~exact] < E[~exact]).any()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_edge_stacks_ranked_as_by_svd(self, case, monkeypatch):
+        """Every stack the edge pass ranks on the golden cone batches, with
+        the rank-3 cell's k_max of 3, gets the SVD's ranks: exact minors on
+        the full space, the SVD itself on the subspace."""
+        model, W, _, sides = _cone_batch(case)
+        surfaces, _ = sampling._cone_surfaces(model, sides)
+        stacks, rank = [], sampling.independence_rank
+
+        def noting_rank(classes, sub):
+            got = rank(classes, sub)
+            stacks.append((classes, got))
+            return got
+
+        monkeypatch.setattr(sampling, "independence_rank", noting_rank)
+        sampling._edge_pass(surfaces, W, 3)
+        heights = set()
+        for classes, got in stacks:
+            assert classes.dtype == np.int64
+            sv = np.linalg.svd(W.restrict_classes(classes), compute_uv=False)
+            want = (sv > TAU_RANK * sv[..., :1]).sum(axis=-1)
+            assert np.array_equal(got, want)
+            heights.add(classes.shape[-2])
+        assert heights == set(range(1, min(3, W.dim) + 1))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_radius_at_a_certificate_edge(self, case, monkeypatch):
-        """Radii equal to certificate lengths, rounded up or not, and one
-        float either side of them; among them lengths at which the search
-        reports the edge a few ulps longer (from its other half-edge)."""
+        """Radii equal to edge thresholds E_(cap - 1), rounded up or not,
+        and one float either side of them, of Delaunay surfaces and of
+        others."""
         model, W, cells, sides = _cone_batch(case)
         surfaces, _ = sampling._cone_surfaces(model, sides)
         k_max = max(map(len, cells))
         cap = min(k_max, W.dim)
-        guess = np.array([_certificate_edges(surfaces, s, cap)[1]
-                          for s in range(len(surfaces))])
-        l_max = max(c[-1] for c in cells)
-        R = sampling._rank_thresholds(unfold_surfaces(surfaces, l_max), W,
-                                      k_max)[:, cap - 1]
-        longer = guess[(R > guess) & (R <= guess * (1 + 1e-15))][:3]
-        guess = np.sort(guess)
+        E, exact = sampling._edge_pass(surfaces, W, k_max)
+        guess = np.sort(E[:, cap - 1])
         chosen = np.concatenate([
-            guess[[len(guess) // 50, len(guess) // 10, len(guess) // 3]], longer])
+            guess[[len(guess) // 50, len(guess) // 10, len(guess) // 3]],
+            E[~exact, cap - 1][:3]])
         radii = [r for g in chosen.tolist() for r in (
             g, math.nextafter(g, 0), math.nextafter(g, math.inf),
             g * (1 + sampling.GUESS_SLACK))]
@@ -1494,8 +1596,8 @@ class TestCertificate:
         # each length alone: no radius just below it to widen the search
         for g in chosen.tolist():
             self.assert_equals_search_to_l_max(case, [(g,) * cap], monkeypatch)
-        # R_(cap - 1) at a certificate edge's length: the counts there and
-        # one float below differ
+        # R_(cap - 1) at an edge's length: the counts there and one float
+        # below differ
         counts = _count(model, W, sides, full)[0]
         assert any(counts[i] != counts[i + 1] for i in range(0, len(full), 4))
 
@@ -1508,14 +1610,14 @@ class TestCertificate:
         k_max = max(map(len, cells))
         R = sampling._rank_thresholds(unfold_surfaces(surfaces, 1.0), W, k_max)
         finite = np.unique(R[np.isfinite(R)])
-        certified = sampling._certified_length(surfaces, W, min(k_max, W.dim))
-        certified = np.sort(certified[certified <= 1.0])
+        bound = np.sort(_edge_bound(surfaces, W, k_max)[0])
+        bound = bound[bound <= 1.0]
         slack = sampling.GUESS_SLACK
         radii = [r * (1 + d * slack) for r in finite[::max(1, finite.size // 4)]
                  for d in (-1, 0, 1, 2, 3)]
-        # the largest radius below a certificate and one within twice the
-        # slack above it, at or above the certificate
-        radii += [c * (1 + d * slack) for c in certified[::max(1, certified.size // 4)]
+        # the largest radius below a bound g_s and one within twice the
+        # slack above it, at or above g_s
+        radii += [c * (1 + d * slack) for c in bound[::max(1, bound.size // 4)]
                   for d in (-2, -0.5, 0, 0.5)]
         radii.sort()
         ones = [(r,) for r in radii]
@@ -1526,20 +1628,20 @@ class TestCertificate:
     def test_radii_below_every_certificate(self, case, monkeypatch):
         model, W, cells, sides = _cone_batch(case)
         surfaces, _ = sampling._cone_surfaces(model, sides)
-        cap = min(max(map(len, cells)), W.dim)
-        least = sampling._certified_length(surfaces, W, cap).min()
+        least = _edge_bound(surfaces, W, max(map(len, cells)))[0].min()
         radii = [least / 2, least * 0.9, math.nextafter(least, 0)]
         self.assert_equals_search_to_l_max(
             case, [(r,) for r in radii] + [(radii[0], radii[-1])], monkeypatch)
 
     @pytest.mark.parametrize("case", ["torus", "octagon"])
     def test_radii_above_every_certificate(self, case, monkeypatch):
-        """With no radius below its certificate a surface is searched to
-        the least normal float: no node, the counts of the full search."""
+        """With no radius below its bound g_s a surface is searched to the
+        least normal float: no node, the counts of the full search."""
         model, W, cells, sides = _cone_batch(case)
         surfaces, _ = sampling._cone_surfaces(model, sides)
-        cap = min(max(map(len, cells)), W.dim)
-        most = sampling._certified_length(surfaces, W, cap).max()
+        k_max = max(map(len, cells))
+        cap = min(k_max, W.dim)
+        most = _edge_bound(surfaces, W, k_max)[0].max()
         radii = [math.nextafter(most, math.inf), most * 1.1]
         cells = [(r,) * cap for r in radii]
         nodes, full = self.assert_equals_search_to_l_max(case, cells,
@@ -1548,22 +1650,25 @@ class TestCertificate:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rank_three_cell(self, case, monkeypatch):
-        """A rank-3 cell (cap 3 but on the rank-2 charts) has no
-        certificate on the octagon: every surface is searched to l_max."""
+        """A rank-3 cell (cap 3 on the octagon, cap 2 on the rank-2
+        charts) is certified too: the edges reach rank 3, and each surface
+        that is not Delaunay is searched below its E_2, far less than to
+        l_max."""
         cells = [(0.35,), (0.6, 0.6), (0.3, 0.6, 0.9), (0.6, 0.9, 0.9)]
         nodes, full = self.assert_equals_search_to_l_max(case, cells,
                                                          monkeypatch)
+        assert nodes < full
         if case == "octagon":
-            assert nodes == full
+            assert 10 * nodes < full
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_failed_check_searches_to_l_max(self, case, chunk_size,
                                             monkeypatch):
-        """Certificate edges whose classes fall short of rank cap (here the
-        rank check's every rank lowered by one) certify nothing: each batch
-        is still one ``unfold_surfaces`` call, every surface in it searched
-        to l_max, and the scan is the scan without certificates, nodes and
-        all."""
+        """Edges whose classes fall short of rank cap (here the edge pass's
+        every rank lowered by one) make no surface exact and bound no
+        search: each batch is still one ``unfold_surfaces`` call, every
+        surface in it searched to l_max, and the scan is the scan without
+        the edge pass, nodes and all."""
         chunk_size(256)
         chart, rows, samples, _ = self.CASES[case]
         cells = [None, (0.35,), (0.35, 0.6), (0.6, 1.0)]
@@ -1571,21 +1676,20 @@ class TestCertificate:
         with monkeypatch.context() as m:
             _without_certificate(m)
             want = scan_chart(chart, W, cells, samples, 1)
-        certify, rank = sampling._certified_length, sampling.independence_rank
+        edge_pass, rank = sampling._edge_pass, sampling.independence_rank
         checks = []
 
-        def failing_certify(*args):
-            # only the certificate's rank check falls short, not the
-            # greedy rank pass
+        def failing_edge_pass(*args):
+            # only the edge pass's ranks fall short, not the search's
             with monkeypatch.context() as m:
                 m.setattr(sampling, "independence_rank",
                           lambda classes, W: rank(classes, W) - 1)
-                certified = certify(*args)
-            checks.append(len(certified))
-            assert np.isinf(certified).all()
-            return certified
+                E, exact = edge_pass(*args)
+            checks.append(len(E))
+            assert np.isinf(E).all() and not exact.any()
+            return E, exact
 
-        monkeypatch.setattr(sampling, "_certified_length", failing_certify)
+        monkeypatch.setattr(sampling, "_edge_pass", failing_edge_pass)
         batches, reaches = [], []
         count, unfold = sampling._count_cone_batch, sampling.unfold_surfaces
 
@@ -1603,7 +1707,27 @@ class TestCertificate:
         assert got == want
         assert len(reaches) == len(batches) == len(checks) > 1
         assert sum(checks) == sum(map(len, reaches))
-        assert (np.concatenate(reaches) == 1.0).all()
+        assert (np.concatenate(reaches) == 1.0 * (1 + 2 * sampling.GUESS_SLACK)).all()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_all_delaunay_batch_unfolds_nothing(self, case, monkeypatch):
+        """A batch whose surfaces are all Delaunay, with edges of rank cap,
+        takes no ``unfold_surfaces`` call; its counts are the search's."""
+        model, W, cells, sides = _cone_batch(case)
+        surfaces, _ = sampling._cone_surfaces(model, sides)
+        exact = sampling._edge_pass(surfaces, W, max(map(len, cells)))[1]
+        # the cone samples of the Delaunay surfaces (every row builds)
+        sides = sides[exact]
+        unfold, calls = sampling.unfold_surfaces, []
+        monkeypatch.setattr(sampling, "unfold_surfaces",
+                            lambda *a, **k: calls.append(1) or unfold(*a, **k))
+        got, nodes = _count(model, W, sides, cells)
+        assert not calls and nodes == 0
+        monkeypatch.setattr(sampling, "unfold_surfaces", unfold)
+        with monkeypatch.context() as m:
+            _without_certificate(m)
+            want, full = _count(model, W, sides, cells)
+        assert got == want and full > 0
 
 
 class TestCountConeBatch:
@@ -1614,7 +1738,8 @@ class TestCountConeBatch:
         ("torus", [0], [(0.15,), (0.3,), (0.45,), (0.3, 0.45)]),
         ("h2-octagon", [0, 1], [(0.35,), (0.6,), (1.0,), (0.6, 1.0), (0.35, 0.6)]),
     ])
-    def test_any_split_sums_to_the_batch(self, name, chunks, cells):
+    def test_any_split_sums_to_the_batch(self, name, chunks, cells,
+                                         monkeypatch):
         chart = get_chart(name)
         W = LinearSubspace(chart.dim)
         sides = np.concatenate([sampling._process_chunk(chart, W, 11, c, 8192)[0]
@@ -1627,13 +1752,21 @@ class TestCountConeBatch:
             return sampling._count_cone_batch(chart, W, part, radii,
                                               DEFAULT_BUDGET).tolist()
 
-        whole = count(sides)
-        assert whole[1] > 0 and whole[2] > 0
-        rng = np.random.default_rng(8)
-        for pieces in (2, 3, 7):
-            cuts = np.sort(rng.integers(1, len(sides), size=pieces - 1))
-            parts = [count(p) for p in np.split(sides, cuts)]
-            assert np.sum(parts, axis=0).tolist() == whole
-        # one sample at a time, as a scan of one-sample batches would
-        alone = [count(sides[i:i + 1]) for i in range(0, len(sides), 37)]
-        assert np.sum(alone, axis=0).tolist() == count(sides[::37])
+        # one retriangulation round leaves octagons that are not Delaunay,
+        # so searched; the tori are Delaunay and never searched
+        for rounds in (surface.DELAUNAY_ROUNDS, 1):
+            monkeypatch.setattr(surface, "DELAUNAY_ROUNDS", rounds)
+            whole = count(sides)
+            assert whole[2] > 0
+            if name == "torus":
+                assert whole[1] == 0
+            elif rounds == 1:
+                assert whole[1] > 0
+            rng = np.random.default_rng(8)
+            for pieces in (2, 3, 7):
+                cuts = np.sort(rng.integers(1, len(sides), size=pieces - 1))
+                parts = [count(p) for p in np.split(sides, cuts)]
+                assert np.sum(parts, axis=0).tolist() == whole
+            # one sample at a time, as a scan of one-sample batches would
+            alone = [count(sides[i:i + 1]) for i in range(0, len(sides), 37)]
+            assert np.sum(alone, axis=0).tolist() == count(sides[::37])

@@ -73,6 +73,17 @@ class TestStratumSignature:
         with pytest.raises(SurfaceError, match="zero orders must be nonnegative"):
             StratumSignature((-1, 3))
 
+    @pytest.mark.parametrize("orders", [(True, True), (2, False), (2.0,),
+                                        ("2",), (np.True_, 1)])
+    def test_order_not_an_integer_named(self, orders):
+        with pytest.raises(ValueError, match="zero_orders must be an integer"):
+            StratumSignature(orders)
+
+    def test_numpy_orders_accepted(self):
+        sig = StratumSignature((np.int64(3), np.int8(1)))
+        assert sig.zero_orders == (3, 1)
+        assert all(type(m) is int for m in sig.zero_orders)
+
 
 class TestValidation:
     def test_square_torus_valid(self):
