@@ -59,11 +59,12 @@ plain cone count and is accepted by no radius cell.
 So the back end runs, per batch: reduce (tori), build, rebase (tori),
 retriangulate (all but the tori), the edge pass, unfold the surfaces that
 are not Delaunay, rank, test the cells.  ``SurfaceBatch.delaunay``
-retriangulates the built surfaces toward Delaunay in a few vectorised
-rounds of cylinder twists and edge flips.  The ear clip leaves long thin
-triangles, and a Delaunay surface needs no unfolding at all (below).  A
-reduced torus is Delaunay as built (``reduce_lattice_bases``), so the tori
-skip the retriangulation, which would rewrite their glued half-edges.
+retriangulates the built surfaces toward Delaunay in vectorised rounds
+of cylinder twists and edge flips, until a round changes nothing.  The ear
+clip leaves long thin triangles, and a Delaunay surface needs no unfolding
+at all (below).  A reduced torus is Delaunay as built
+(``reduce_lattice_bases``), so the tori skip the retriangulation, which
+would rewrite their glued half-edges.
 
 The cells need R_0, ..., R_(cap - 1) only, cap = min(k_max, dim W), and
 of each only whether it is at most a radius of the cell grid (every
@@ -99,32 +100,16 @@ surface of its golden cone batches.  A Delaunay surface whose edges reach
 rank cap on W (``_edge_pass``) takes E as its thresholds and is not
 searched; when every surface of a batch does, nothing is unfolded.
 
-The other surfaces are unfolded, each only as far as the grid below
-g_s = E_(cap - 1) (1 + ``GUESS_SLACK``) needs: R_(cap - 1) <= E_(cap - 1)
-on any triangulation.  The rounding puts every radius at or above g_s
-clearly above the edge at E_(cap - 1), so a search to that radius finds
-it whatever the rounding of its pruning tests.  Let rho_s be the largest
-radius of the grid strictly below g_s (l_max, the largest radius, when
-g_s = inf, that is when the edges fall short of rank cap; 0 when there is
-none).  The batch is unfolded in one ``unfold_surfaces`` call, surface s
-to its reach rho_s (1 + 2 GUESS_SLACK), the Delaunay surfaces to the
-least normal float, and ranked.  The search to the reach finds every
-connection no longer than rho_s (1 + GUESS_SLACK), the slack covering the
-rounding of its pruning tests, even at l_max, where a search to l_max
-itself may miss a connection of length l_max in its last bit (it compares
-squares), while the edge thresholds compare lengths exactly.  The
-canonical order is intrinsic, so those are, one by one and in order, the
-first connections of the search to l_max (1 + 2 GUESS_SLACK), and a
-threshold at or below rho_s is that of that search; "the search to l_max"
-below means it.  Then every R_i, i < cap, is clipped to min(R_i, g_s).
-An exact R_i is at most R_(cap - 1) <= g_s and stays; any R_i above rho_s
-becomes a value in (rho_s, g_s], where its value in the search to l_max
-lies too and no radius does, so each cell test R_i <= eps is the one the
-search to l_max gives.  With g_s = inf the surface is searched to l_max,
-and an R_i it does not reach stays inf.  A surface with no radius below
-g_s passes every test of R_0, ..., R_(cap - 1) and needs no connection:
-its reach is the least normal float, whose square underflows to 0, so it
-expands no node unless a triangle is degenerate.
+The other surfaces, the rare ones the retriangulation leaves with a
+candidate edge and any whose edges fall short of rank cap, are unfolded
+in one ``unfold_surfaces`` call to l_max (1 + 2 ``GUESS_SLACK``), l_max
+the largest radius, and take the thresholds of their connections.  The
+slack covers the rounding of the search's pruning tests, which compare
+squares, so every connection no longer than l_max (1 + GUESS_SLACK) is
+found and any R_i up to there is exact; any other R_i is inf or a found
+length above l_max, and fails every cell, as the true R_i does.  The
+exact surfaces are searched to the least normal float, whose square
+underflows to 0, so they expand no node unless a triangle is degenerate.
 ``ScanResult.unfolding_nodes``, like ``DEFAULT_BUDGET``, counts the nodes
 these searches expand.  Each surface's retriangulation, edge thresholds,
 connections, ranks and nodes do not depend on which batch holds it, so the
@@ -173,7 +158,7 @@ from .unfolding import DEFAULT_BUDGET, kept_orientation, unfold_surfaces
 from .unfolding import enumerate_saddle_connections  # noqa: F401
 
 DEFAULT_CHUNK = 16384
-GUESS_SLACK = 1e-9  # relative room above E_(cap - 1) and around a search's reach
+GUESS_SLACK = 1e-9  # relative room above l_max in the reach of the scan's search
 _FLOAT_TINY = 2.0 ** -1022  # the least normal float
 
 
@@ -426,37 +411,27 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
                       budget: int) -> np.ndarray:
     """The back end of a batch of cone samples, from any chunks: build the
     surfaces (``_cone_surfaces``), run the edge pass (``_edge_pass``),
-    unfold each surface that it leaves inexact to the largest radius below
-    g_s = E_(cap - 1) (1 + ``GUESS_SLACK``), rank, and test every radius
+    unfold each surface that it leaves inexact to l_max (1 + 2
+    ``GUESS_SLACK``), l_max the largest radius, rank, and test every radius
     cell.
 
     ``radii`` (cells, k_max) holds each cell's radii, padded with inf.
     Returns one int64 tally: the build failures, the chain nodes, then the
     accepted count of each cell.  The batch takes one ``unfold_surfaces``
-    call, or none when the edge thresholds are exact on every surface, and
-    the searched thresholds R_i, i < cap, are clipped to g_s.  Each
-    sample's thresholds and nodes are its own, so the tallies of two
+    call, or none when the edge thresholds are exact on every surface.
+    Each sample's thresholds and nodes are its own, so the tallies of two
     batches add up to that of their concatenation.
     """
     surfaces, failures = _cone_surfaces(chart, cone_sides)
     k_max = radii.shape[1]
-    cap = min(k_max, subspace.dim)
     thresholds, exact = _edge_pass(surfaces, subspace, k_max)
     nodes = 0
     if not exact.all():
-        # g: E_(cap - 1) rounded up; rho: the largest radius below it (the
-        # largest radius, grid[-1], when g is inf), or 0 when there is none
-        # and no connection is needed
-        g = thresholds[:, cap - 1] * (1 + GUESS_SLACK)
-        grid = np.concatenate([[0.0], np.unique(radii[np.isfinite(radii)])])
-        rho = grid.take(np.searchsorted(grid, g) - 1)
-        reach = rho * (1 + 2 * GUESS_SLACK)
-        reach[exact] = 0.0
-        batch = unfold_surfaces(surfaces, np.maximum(reach, _FLOAT_TINY),
-                                budget=budget)
+        l_max = radii[np.isfinite(radii)].max()
+        reach = np.where(exact, _FLOAT_TINY, l_max * (1 + 2 * GUESS_SLACK))
+        batch = unfold_surfaces(surfaces, reach, budget=budget)
         nodes = batch.nodes.sum()
-        found = _rank_thresholds(batch, subspace, k_max)[~exact, :cap]
-        thresholds[~exact, :cap] = np.minimum(found, g[~exact, None])
+        thresholds[~exact] = _rank_thresholds(batch, subspace, k_max)[~exact]
     # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
     # every i < k; radii past k are inf and pass.
     accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)
@@ -502,10 +477,10 @@ def scan_chart(
     """Estimate the cone-set measure for every radius vector in ``eps_cells``.
 
     Cells share one sample stream and one edge pass per sample, with an
-    enumeration only where the surface is not Delaunay (as far as the
-    largest radius, or the sample's own edge thresholds, need; the cone
-    samples in batches), so a grid scan costs one pass.  A cell of
-    None estimates the plain cone volume (admissible, area <= 1).
+    enumeration to the largest radius only where the retriangulated
+    surface is not Delaunay (the cone samples in batches), so a grid scan
+    costs one pass.  A cell of None estimates the plain cone volume
+    (admissible, area <= 1).
     Admissibility is one batch simplicity mask and positive-area test per
     chunk, on its samples with 0 < area <= 1 rescaled to unit area; the
     cone samples are then built from those checked sides and unfolded in

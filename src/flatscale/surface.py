@@ -26,7 +26,7 @@ TOL_GLUING = 1e-9
 TOL_ANGLE = 1e-7
 TOL_SIMPLE = 1e-12  # of the polygon simplicity test
 INT64_LIMIT = 2**63  # |c| of every chart coefficient and class stays below it
-DELAUNAY_ROUNDS = 8  # twist-and-flip rounds SurfaceBatch.delaunay runs at most
+DELAUNAY_ROUNDS = 64  # a bound on the twist-and-flip rounds of SurfaceBatch.delaunay
 DELAUNAY_TOL = 1e-9  # an edge is flipped when cot(alpha) + cot(beta) < -DELAUNAY_TOL
 
 
@@ -722,10 +722,10 @@ class SurfaceBatch:
 
     :meth:`delaunay` retriangulates every surface toward Delaunay: rounds
     that twist two-triangle cylinders by whole multiples of their core and
-    flip edges whose opposite angles sum past pi, all surfaces at once, at
-    most ``DELAUNAY_ROUNDS`` of them.  The surfaces, their vertices and
-    their classes stay the same, so the unfolding finds the same
-    connections, with fewer chain nodes; the cap costs speed only.
+    flip edges whose opposite angles sum past pi, all surfaces at once,
+    until a round changes nothing (``DELAUNAY_ROUNDS`` bounds them).  The
+    surfaces, their vertices and their classes stay the same, so the
+    unfolding finds the same connections, with fewer chain nodes.
     """
 
     edge: np.ndarray
@@ -809,13 +809,17 @@ class SurfaceBatch:
            g; t keeps (c + d, e, b) and u (-(c + d), c, d), each edge with
            its corner vertex and row.
 
-        A surface stops when a round changes nothing, and all of them after
-        ``DELAUNAY_ROUNDS``: any triangulation unfolds correctly, so the
-        cap costs speed only, and every class is the row of a chain of
-        edges, so the unfolding finds the same connections.  A twist or
-        flip whose new rows would pass max(2**31, the largest |c| its
-        surface came with) is skipped, as is a twist whose k is not finite
-        or reaches 2**62, so coeff_max stays within max(2**31, coeff_max).
+        The rounds run until one changes nothing.  ``DELAUNAY_ROUNDS`` only
+        bounds them: the cone samples of the full octagon chart converge
+        within it, and it leaves about one in a few hundred of a subspace's
+        (a thin cylinder of more than two triangles is sheared one flip a
+        round).  A surface left with a candidate is still a triangulation
+        of the same surface, which unfolds correctly, and every class is
+        the row of a chain of edges, so the unfolding finds the same
+        connections.  A twist or flip whose new rows would pass max(2**31,
+        the largest |c| its surface came with) is skipped, as is a twist
+        whose k is not finite or reaches 2**62, so coeff_max stays within
+        max(2**31, coeff_max).
         """
         work = _Retriangulation(self)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

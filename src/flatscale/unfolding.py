@@ -28,8 +28,8 @@ corner vertices, chart rows) as they are.  The frontier of every corner of
 every surface lives in flat arrays too: root corner, entry half-edge, the two
 developed corner positions, the int64 class of the second (an apex's class
 is that plus the row of the edge from it to the apex), the wedge, and the
-squared length bound of the node's surface, since each surface may have
-its own bound; it moves with the node state, so it costs no gather.  A
+length bound of the node's surface, since each surface may have its own
+bound; it moves with the node state, so it costs no gather.  A
 step expands a whole level and lays out each node's children in parent
 order, the child through edge e+1 before the child through edge e+2, so
 each corner's nodes come out in breadth-first order.  The float arithmetic is
@@ -184,8 +184,8 @@ def unfold_surfaces(surfaces, length_bound,
             f"class coefficients up to {cmax} times budget + 2 = {rows} "
             f"reach {cmax * rows}, beyond int64 (2**63); lower the budget")
     with np.errstate(divide="ignore", invalid="ignore"):
-        L2 = np.broadcast_to(bound * bound, (len(surfaces),))
-        found, nodes = _search(surfaces, L2, budget)
+        bound = np.broadcast_to(bound, (len(surfaces),))
+        found, nodes = _search(surfaces, bound, budget)
         return _canonical(surfaces, found, nodes)
 
 
@@ -220,22 +220,19 @@ def _twice(a):
     return out
 
 
-def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
-    """The level-synchronous search, surface s to the squared bound L2[s],
-    in the kept half plane.  Returns the emitted connections in per-corner
+def _search(b: SurfaceBatch, bound: np.ndarray, budget: int):
+    """The level-synchronous search, surface s to the length bound[s], in
+    the kept half plane.  Returns the emitted connections in per-corner
     search order (root corner, holonomy (2, n), end vertex, class (D, n))
     and the nodes expanded per surface.
 
-    The set-up filters first.  Every corner emits its outgoing edge when
-    that is within reach, but a corner starts a chain only when the far
-    edge of its triangle comes within the bound (a test on the two edge
-    vectors alone), so the wedge boundaries, the clip to the kept arc and
-    the wedge-width test are computed only on the corners that pass it.
-    A node never leaves its root's surface, so the per-half-edge tables
-    that the levels read are filled only on the half-edges of surfaces
-    with a root; the rest of each table is left unwritten.  Each
-    predicate is elementwise, so the roots are those that testing every
-    corner gives.
+    A connection is emitted when its ``hypot``, the length the batch
+    reports, is at most the bound; the pruning tests compare squared
+    distances with the squared bound.  Every corner emits its outgoing
+    edge when that is within reach, but a corner starts a chain only when
+    the far edge of its triangle comes within the bound (a test on the two
+    edge vectors alone), so the wedge boundaries, the clip to the kept arc
+    and the wedge-width test are computed only on the corners that pass it.
 
     Node vectors are stored component first, so every step works on
     contiguous rows, and a level's children are laid out (node, child)
@@ -243,11 +240,8 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
     some fixed numpy calls whatever its width, and most levels are narrow,
     so the loop makes few: the int node state is one array of D + 2 rows
     (the class of the entry edge's second corner, the entry half-edge, the
-    root corner), taken once per level, and the nodes are counted per
-    surface lazily.  Until the batch total passes ``budget`` no surface
-    can, so one ``bincount`` at the end counts them; from then on every
-    level is counted and checked, so the budget error comes at the level,
-    and names the surface, that counting every level gives.
+    root corner), taken once per level.  Each level's nodes are counted
+    per surface and checked against ``budget``.
     """
     edge, nbr, coeffs, vert = b.edge, b.neighbor, b.coeffs, b.corner_vertex
     h = np.arange(nbr.size)
@@ -259,8 +253,9 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
     ea = edge
     eb = -edge.take(prv, 1)
     la2 = _norm2(ea)
-    L2 = L2.take(b.surf)  # each corner's squared bound
-    own = (la2 <= L2).nonzero()[0]
+    bound = bound.take(b.surf)  # each corner's bound
+    L2 = bound * bound
+    own = (np.hypot(ea[0], ea[1]) <= bound).nonzero()[0]
     emits = [(own, ea[:, own], vert[nxt[own]], coeffs[:, own])]
 
     # Continue through the far edge with both boundaries open, from the
@@ -283,50 +278,34 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
 
     # Node state.  f: the positions of corners e (pa) and e+1 (pb) of the
     # entry edge, then the wedge as lo.x, hi.y, lo.y, hi.x, so that one
-    # product gives both boundary crosses, then the squared bound of the
-    # node's surface, which the take that moves f moves too.  q, int64:
-    # the class of pb, then the entry half-edge and the root corner, so
-    # that one take carries all of them to the next level.
+    # product gives both boundary crosses, then the bound of the node's
+    # surface, which the take that moves f moves too.  q, int64: the class
+    # of pb, then the entry half-edge and the root corner, so that one take
+    # carries all of them to the next level.
     dim = coeffs.shape[0]
     he_row, root_row = dim, dim + 1
     f = np.concatenate([eb, ea, lo[:1], hi[1:], lo[1:], hi[:1],
-                        L2.take(near)[None]]).take(keep, 1)
+                        bound.take(near)[None]]).take(keep, 1)
     q = np.concatenate([coeffs[:, root], nbr[nxt[root]][None], root[None]])
     # Per entry half-edge: the edge vector and class of edge e+1, the end
-    # vertex of an apex emit, and the entries of the two children, written
-    # on the half-edges of rooted surfaces only.  The level loop gathers
-    # with take, which costs much less per call than fancy indexing on small
-    # arrays; the tables are C-contiguous, so a take along axis 1 does not
-    # copy them.
-    rooted = np.zeros(len(b), bool)
-    rooted[b.surf.take(root)] = True
-    he = rooted.take(b.surf).nonzero()[0]
-    he_nxt, he_prv = nxt.take(he), prv.take(he)
-    apex_edge = np.empty(edge.shape)
-    apex_edge[:, he] = edge.take(he_nxt, 1)
-    apex_class = np.empty(coeffs.shape, np.int64)
-    apex_class[:, he] = coeffs.take(he_nxt, 1)
-    apex_vert = np.empty(vert.shape, vert.dtype)
-    apex_vert[he] = vert.take(he_prv)
-    kids = np.empty((nbr.size, 2), nbr.dtype)
-    kids[he, 0] = nbr.take(he_nxt)
-    kids[he, 1] = nbr.take(he_prv)
-    del ea, eb, la2, lo, hi, ok, keep, near, root, L2, rooted
+    # vertex of an apex emit, and the entries of the two children.  The
+    # level loop gathers with take, which costs much less per call than
+    # fancy indexing on small arrays; the tables are C-contiguous, so a take
+    # along axis 1 does not copy them.
+    apex_edge = edge.take(nxt, 1)
+    apex_class = coeffs.take(nxt, 1)
+    apex_vert = vert.take(prv)
+    kids = np.stack([nbr.take(nxt), nbr.take(prv)], axis=1)
+    del ea, eb, la2, lo, hi, ok, keep, near, root, L2, bound
 
-    n_surf = len(b)
-    nodes = np.zeros(n_surf, np.int64)
-    uncounted, total = [], 0
+    nodes = np.zeros(len(b), np.int64)
     while n := q.shape[1]:
         he, root = q[he_row], q[root_row]
-        uncounted.append(b.surf.take(root))
-        total += n
-        if total > budget:
-            nodes += np.bincount(np.concatenate(uncounted), minlength=n_surf)
-            uncounted = []
-            if nodes.max() > budget:
-                raise UnfoldingBudgetError(
-                    f"unfolding exceeded budget of {budget} nodes "
-                    f"(surface {int(nodes.argmax())} of the batch)")
+        nodes += np.bincount(b.surf.take(root), minlength=len(b))
+        if nodes.max() > budget:
+            raise UnfoldingBudgetError(
+                f"unfolding exceeded budget of {budget} nodes "
+                f"(surface {int(nodes.argmax())} of the batch)")
 
         apex = f[2:4] + apex_edge.take(he, 1)
         capex = q[:dim] + apex_class.take(he, 1)
@@ -335,7 +314,7 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
         cross = f[4:6] * apex[::-1] - f[6:8] * apex  # (cl, ch)
         inside = cross > WEDGE_EPS * rm
         interior = inside[0] & inside[1]
-        hit = (interior & (r2 <= f[8])).nonzero()[0]
+        hit = (interior & (np.hypot(apex[0], apex[1]) <= f[8])).nonzero()[0]
         if hit.size:
             emits.append((root.take(hit), apex.take(hit, 1),
                           apex_vert.take(he.take(hit)), capex.take(hit, 1)))
@@ -354,7 +333,7 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
         np.copyto(g[4:8:2, :, 1], ap, where=interior)
         keep = inside.T.copy()
         keep[:, 1] |= ~inside[0]
-        keep &= _seg_dist2(g[2:4], g[0:2]) <= g[8]
+        keep &= _seg_dist2(g[2:4], g[0:2]) <= (f[8] * f[8])[:, None]
         wedge = g[4:8:2] * g[5:8:2]
         keep &= wedge[0] - wedge[1] > WEDGE_EPS
         sel = keep.reshape(2 * n).nonzero()[0]
@@ -364,8 +343,6 @@ def _search(b: SurfaceBatch, L2: np.ndarray, budget: int):
         gq[he_row] = kids.take(he, 0)
         f = g.reshape(9, 2 * n).take(sel, 1)
         q = gq.reshape(root_row + 1, 2 * n).take(sel, 1)
-    if uncounted:
-        nodes += np.bincount(np.concatenate(uncounted), minlength=n_surf)
 
     root, hol, end, cls = zip(*emits)
     cat = np.concatenate

@@ -96,7 +96,7 @@ def scalar_unfold(surface, length_bound, keep_orientations=False, budget=None):
             ca = cls[t0][c0]
             chain0 = ((t0, c0),)
             la2 = ea.real * ea.real + ea.imag * ea.imag
-            if la2 <= L2:
+            if abs(ea) <= length_bound:
                 emit(corner, ea, v0, vert[t0][(c0 + 1) % 3], chain0, ca)
             nx = nbr[t0][(c0 + 1) % 3]
             if nx is None:
@@ -136,7 +136,7 @@ def scalar_unfold(surface, length_bound, keep_orientations=False, budget=None):
                 thr = eps * rm
                 newchain = chain + ((t, e),)
                 interior = cl > thr and ch > thr
-                if interior and r2 <= L2:
+                if interior and abs(apex) <= length_bound:
                     emit(corner, apex, v0, vert[t][e2i], newchain, capex)
                 if interior:
                     ap = complex(apex.real / rm, apex.imag / rm)

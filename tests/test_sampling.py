@@ -329,22 +329,25 @@ GOLDEN_GATES = {
 
 
 # Chain nodes the unfolding expanded in the same scans: only the surfaces
-# that the retriangulation leaves non-Delaunay are searched, each only as
-# far as the radii below E_(cap - 1) need (see sampling._count_cone_batch);
-# the reduced tori are all Delaunay.  With every surface searched to the
-# radii below a one- or two-edge certificate: 2932, 3166, 4112, 3837, 63662
-# and 63429 in this order; searched to the largest radius: 2932, 3166,
-# 37011, 34968, 104105 and 104054; to each surface's own R_(cap - 1), with
-# a second search where the edges' guess fell short: 2932, 3166, 9153,
-# 8504, 80308 and 80787; before the retriangulation, on the ear-clip
-# surfaces: 2966, 3219, 71241, 67394, 430442 and 435183.
+# that the retriangulation leaves non-Delaunay are searched, to the largest
+# radius (see sampling._count_cone_batch); the reduced tori, and the
+# golden octagons of the full chart, are all Delaunay.  Before, with at
+# most 8 retriangulation rounds: searching those surfaces only as far as
+# the radii below E_(cap - 1) need, 0, 0, 241, 209, 30617 and 31350 in
+# this order; every surface searched to the radii below a one- or two-edge
+# certificate, 2932, 3166, 4112, 3837, 63662 and 63429; searched to the
+# largest radius, 2932, 3166, 37011, 34968, 104105 and 104054; to each
+# surface's own R_(cap - 1), with a second search where the edges' guess
+# fell short, 2932, 3166, 9153, 8504, 80308 and 80787.  Before the
+# retriangulation, on the ear-clip surfaces: 2966, 3219, 71241, 67394,
+# 430442 and 435183.
 GOLDEN_NODES = {
     ("torus", 1): 0,
     ("torus", 2): 0,
-    ("octagon", 1): 241,
-    ("octagon", 2): 209,
-    ("octagon-subspace", 1): 30617,
-    ("octagon-subspace", 2): 31350,
+    ("octagon", 1): 0,
+    ("octagon", 2): 0,
+    ("octagon-subspace", 1): 108,
+    ("octagon-subspace", 2): 1010,
 }
 
 
@@ -372,12 +375,14 @@ def _assert_golden_scan(case, seed, threads):
 # bit-identical, for any worker count.  The node count is hashed as the
 # ear-clip surfaces gave it (PARENT_NODES); the nodes the scan expands now
 # are pinned in DIGEST_NODES.  Only the non-Delaunay surfaces are searched
-# now; with every surface searched to the radius below a one- or two-edge
-# certificate they were 68033, 68330, 90261, 90311, 368215 and 377978 (the
-# cell (0.3, 0.6, 0.9) needs rank 3, which had no certificate, so only the
-# rank-2 subspace scans searched less than the largest radius: 522073 and
-# 533372 there before, and 445568 and 455401 to each surface's own
-# R_(cap - 1)).
+# now, to the largest radius.  With at most 8 retriangulation rounds and
+# each of them searched below its E_(cap - 1), they were 0, 0, 1419, 1136,
+# 171046 and 182294; with every surface searched to the radius below a
+# one- or two-edge certificate, 68033, 68330, 90261, 90311, 368215 and
+# 377978 (the cell (0.3, 0.6, 0.9) needs rank 3, which had no
+# certificate, so only the rank-2 subspace scans searched less than the
+# largest radius: 522073 and 533372 there before, and 445568 and 455401 to
+# each surface's own R_(cap - 1)).
 DIGEST_CELLS = [None, (0.15,), (0.3,), (0.45,), (0.2, 0.7), (0.4, 0.4),
                 (0.3, 0.6, 0.9)]
 DIGEST_CASES = {
@@ -404,10 +409,10 @@ PARENT_NODES = {  # recorded on the ear-clip surfaces, before SurfaceBatch.delau
 DIGEST_NODES = {
     ("torus", 11): 0,
     ("torus", 12): 0,
-    ("octagon", 11): 1419,
-    ("octagon", 12): 1136,
-    ("octagon-subspace", 11): 171046,
-    ("octagon-subspace", 12): 182294,
+    ("octagon", 11): 0,
+    ("octagon", 12): 0,
+    ("octagon-subspace", 11): 2274,
+    ("octagon-subspace", 12): 5352,
 }
 
 
@@ -415,7 +420,10 @@ DIGEST_NODES = {
 # chunk 0 of seed 1 (its dtype, shape and bytes; the dims tuple as its
 # repr), recorded before the ear clip and the lattice reduction were
 # rewritten on real corners-first arrays: a rewrite of a build kernel must
-# leave the built surfaces bit-identical, not only the scan results.
+# leave the built surfaces bit-identical, not only the scan results.  The
+# octagon entries were recorded again when SurfaceBatch.delaunay's cap
+# went from 8 rounds to DELAUNAY_ROUNDS; EIGHT_ROUND_DIGESTS are the
+# entries before, which the builds at a cap of 8 still give.
 BUILD_DIGESTS = {
     "torus": {
         "edge":
@@ -433,6 +441,42 @@ BUILD_DIGESTS = {
         "dims":
             "bcc62502728970f075b555e499fecec310a5cb569505c6d311a52494e6e9eefe",
     },
+    "octagon": {
+        "edge":
+            "eccb5d4bbd49ccb998ebfa9630a4c03c019627a8e24b92c97354e66ff9a017cd",
+        "neighbor":
+            "d42b135001b2a905961255db34cd0f9de602004fe145fba61de380cd00f1c9d6",
+        "corner_vertex":
+            "bbbf2905aa4ee314b8a3412ebe69d9d15f084e0fd51d08133c3fe025e6a44250",
+        "coeffs":
+            "2dcddacb50670cd9dcf263645e534619ba8c92cd889598ccea4c6a8d7809b00d",
+        "start":
+            "67dd50e9b8ca88b8a18fcd77106942d33ab1a13c5b4ca1c6f202da20ca35e758",
+        "surf":
+            "34b167024b154b9856efcf12948308db6114eb2f8e4a07e08147a28c0b1c84e8",
+        "dims":
+            "981f10321f126b9cfadf8304428f03a882f72d04462f36ce28b92d93e51ccc8a",
+    },
+    "octagon-subspace": {
+        "edge":
+            "79d7884c7d76d8e0181bc605fa81bad6d52847e78e95deae68fc81feb7914dc8",
+        "neighbor":
+            "b0543b7b943aa8807006643dd504ca3dae5fb656f43ab10b771a39eda75e0992",
+        "corner_vertex":
+            "f1bbe89d81c05d92ef8ebae0e9346b42a755a637e925f70f76e9985aef730c98",
+        "coeffs":
+            "04c243a38bd57468f8614c7752e2dff7bc42c6e0fdb3afaa857ef79b0e3de84a",
+        "start":
+            "02f23a0059b1be66bc7f532c925bd6f683c6e66ea507bd4dac3a66025af3b9fb",
+        "surf":
+            "34adf2781fc7b2c35c5e5c922f36c7f231e54da4e01c9c7991dff3404f25fa27",
+        "dims":
+            "70e6ead0411a001cba27717cd8eedad1938043c89ed1ec0c14adb65be0d1be66",
+    },
+}
+
+
+EIGHT_ROUND_DIGESTS = {
     "octagon": {
         "edge":
             "82e085aad63e7a621d1d0ac48890427de02bdccdcffa66129f8d24e5fe836fe6",
@@ -493,6 +537,16 @@ class TestGoldenCounts:
         assert failures == 0
         assert digests == BUILD_DIGESTS[case]
 
+    @pytest.mark.parametrize("case", sorted(EIGHT_ROUND_DIGESTS))
+    def test_build_digests_at_eight_rounds(self, case, monkeypatch):
+        """At the former cap of 8 rounds the octagons are built as before
+        the cap was raised: only the cap moved, no kernel."""
+        monkeypatch.setattr(surface, "DELAUNAY_ROUNDS", 8)
+        digests, failures = _build_digests(case)
+        assert failures == 0
+        assert digests == EIGHT_ROUND_DIGESTS[case]
+        assert digests != BUILD_DIGESTS[case]
+
     @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
     def test_accepted_counts(self, case, seed):
         _assert_golden_scan(case, seed, threads=1)
@@ -505,7 +559,7 @@ class TestGoldenCounts:
     @pytest.mark.parametrize("case, seed", sorted(GOLDEN_COUNTS))
     def test_counts_without_retriangulation(self, case, seed, monkeypatch):
         """With no retriangulation round most octagons are not Delaunay, so
-        searched below their edge thresholds: the counts and gates are the
+        searched to the largest radius: the counts and gates are the
         goldens, with more nodes."""
         monkeypatch.setattr(surface, "DELAUNAY_ROUNDS", 0)
         chart, rows, samples, cells = GOLDEN_CASES[case]
@@ -1115,17 +1169,15 @@ def _is_delaunay_alone(X, s=0):
     return all(cot[h] + cot[g] <= DELAUNAY_TOL for h, g in enumerate(nbr))
 
 
-def _reach_alone(X, W, k_max, grid, s=0):
-    """The reach surface ``s`` of ``X`` gets in a scan with radii ``grid``
-    (sorted): 0 when it is Delaunay with edges of rank cap on W, otherwise
-    the largest radius below E_(cap - 1) rounded up by ``GUESS_SLACK``
-    (0 for none), itself rounded up by twice the slack."""
+def _reach_alone(X, W, k_max, l_max, s=0):
+    """The reach surface ``s`` of ``X`` gets in a scan whose largest radius
+    is ``l_max``: 0 when it is Delaunay with edges of rank cap on W,
+    otherwise l_max rounded up by twice ``GUESS_SLACK``."""
     cap = min(k_max, W.dim)
     E = _edge_thresholds_alone(X, W, k_max, s)[cap - 1]
     if _is_delaunay_alone(X, s) and math.isfinite(E):
         return 0.0
-    rho = max((r for r in grid if r < E * (1 + sampling.GUESS_SLACK)), default=0.0)
-    return rho * (1 + 2 * sampling.GUESS_SLACK)
+    return l_max * (1 + 2 * sampling.GUESS_SLACK)
 
 
 class TestBatchedScan:
@@ -1169,10 +1221,10 @@ class TestBatchedScan:
         two = scan_chart(chart, None, cells, 20_000, SEED, threads=2)
         assert two == res
         # each surface alone: none searched where it is Delaunay, the rest
-        # to the largest radius below E_(cap - 1); the tori (built on their
-        # reduced bases) as built, the octagons retriangulated
+        # to the largest radius; the tori (built on their reduced bases) as
+        # built, the octagons retriangulated
         radii = [c for c in cells if c is not None]
-        grid = sorted({r for c in radii for r in c})
+        l_max = max(r for c in radii for r in c)
         model = get_chart(chart)
         W = LinearSubspace(model.dim)
         k_max = max(map(len, radii))
@@ -1181,7 +1233,7 @@ class TestBatchedScan:
             X = SurfaceBatch.of([model.build(z)])
             if chart != "torus":
                 X = X.delaunay()
-            reach = _reach_alone(X, W, k_max, grid)
+            reach = _reach_alone(X, W, k_max, l_max)
             searched += reach > 0
             alone += int(unfold_surfaces(X, max(reach, sampling._FLOAT_TINY)).nodes[0])
         assert res.unfolding_nodes == alone
@@ -1456,30 +1508,28 @@ def _without_certificate(monkeypatch):
         np.full((len(surfaces), k_max), np.inf), np.zeros(len(surfaces), bool)))
 
 
-def _edge_bound(surfaces, W, k_max):
-    """g_s = E_(cap - 1) (1 + GUESS_SLACK) of every surface, the bound
-    below which a surface that is not Delaunay is searched, and which
-    surfaces are Delaunay with edges of rank cap (not searched)."""
-    E, exact = sampling._edge_pass(surfaces, W, k_max)
+def _last_edges(surfaces, W, k_max):
+    """E_(cap - 1) of every surface: the length of the edge at which its
+    edges, sorted by length, reach rank cap on W."""
     cap = min(k_max, W.dim)
-    return E[:, cap - 1] * (1 + sampling.GUESS_SLACK), exact
+    return sampling._edge_pass(surfaces, W, k_max)[0][:, cap - 1]
 
 
 class TestCertificate:
     """The edge pass: the greedy pass over each surface's edges gives
     thresholds E_i >= R_i, equal on a Delaunay surface, which is then not
-    searched; any other surface is searched only to the largest radius
-    below g_s = E_(cap - 1) (1 + GUESS_SLACK).  The counts are those of the
-    search to the largest radius."""
+    searched; any other surface is searched to the largest radius.  The
+    counts are those of the search of every surface to the largest
+    radius."""
 
     CASES = {  # chart, subspace rows, samples, cells: rank 1 and rank 2
         "torus": ("torus", None, 20_000, [None, (0.15,), (0.3,), (0.45,)]),
         "octagon": GOLDEN_CASES["octagon"],
         "octagon-subspace": GOLDEN_CASES["octagon-subspace"],
     }
-    # the nodes of the searches to the largest radius: GOLDEN_NODES as
-    # recorded before the search stopped at each surface's own reach
-    FULL_NODES = {"octagon": 37011, "octagon-subspace": 104105}
+    # the nodes of the searches of every surface to the largest radius
+    # (37011 and 104105 at the former cap of 8 retriangulation rounds)
+    FULL_NODES = {"octagon": 36810, "octagon-subspace": 89289}
 
     def assert_equals_search_to_l_max(self, case, cells, monkeypatch):
         """The batch's counts for ``cells`` are those of the batch searched
@@ -1509,43 +1559,51 @@ class TestCertificate:
             assert want.unfolding_nodes == self.FULL_NODES[case]
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_golden_certificates(self, case):
+    def test_golden_certificates(self, case, monkeypatch):
         """The theorem, as an independent route.  On the golden cone
         batches, with the rank-3 cell (0.3, 0.6, 0.9) added: every edge
         threshold is the one its surface gets alone, edge by edge with SVD
         ranks; the search's thresholds to the largest radius are at most
         the edge thresholds on every surface; and on every Delaunay
         surface they are equal, bit for bit, at or below the largest
-        radius (and the search finds none beyond it)."""
+        radius (and the search finds none beyond it).  The octagons are
+        retriangulated in full and in one round, which leaves most of them
+        not Delaunay; the reduced tori skip the retriangulation."""
         model, W, cells, sides = _cone_batch(case)
         cells = cells + [(0.3, 0.6, 0.9)]
-        surfaces, _ = sampling._cone_surfaces(model, sides)
         k_max = 3
         cap = min(k_max, W.dim)
         l_max = max(c[-1] for c in cells)
-        E, exact = sampling._edge_pass(surfaces, W, k_max)
-        each = range(len(surfaces))
-        assert E.tolist() == [_edge_thresholds_alone(surfaces, W, k_max, s)
-                              for s in each]
-        delaunay = np.array([_is_delaunay_alone(surfaces, s) for s in each])
-        assert np.array_equal(surfaces.is_delaunay(), delaunay)
-        # the edges span W: every Delaunay surface takes its edge thresholds
-        assert np.isfinite(E[:, :cap]).all() and np.isinf(E[:, cap:]).all()
-        assert np.array_equal(exact, delaunay)
-        R = sampling._rank_thresholds(unfold_surfaces(surfaces, l_max), W, k_max)
-        assert ((R <= E) | (np.isinf(R) & (E > l_max))).all()
-        within = E[exact] <= l_max
-        assert np.array_equal(R[exact][within], E[exact][within])
-        assert np.isinf(R[exact][~within]).all()
-        # thresholds on both sides of l_max, and both kinds of surface
-        # where the charts have them
-        assert within.any() and not within.all()
-        assert exact.any()
-        if case == "torus":
-            assert exact.all()
-        else:
-            assert 0 < (~exact).sum() < 0.25 * len(surfaces)
-            assert (R[~exact] < E[~exact]).any()
+        # the tori skip the retriangulation, so a round cap changes nothing
+        for rounds in ((surface.DELAUNAY_ROUNDS,) if case == "torus"
+                       else (surface.DELAUNAY_ROUNDS, 1)):
+            monkeypatch.setattr(surface, "DELAUNAY_ROUNDS", rounds)
+            surfaces, _ = sampling._cone_surfaces(model, sides)
+            E, exact = sampling._edge_pass(surfaces, W, k_max)
+            each = range(len(surfaces))
+            assert E.tolist() == [_edge_thresholds_alone(surfaces, W, k_max, s)
+                                  for s in each]
+            delaunay = np.array([_is_delaunay_alone(surfaces, s) for s in each])
+            assert np.array_equal(surfaces.is_delaunay(), delaunay)
+            # the edges span W: every Delaunay surface takes its edge thresholds
+            assert np.isfinite(E[:, :cap]).all() and np.isinf(E[:, cap:]).all()
+            assert np.array_equal(exact, delaunay)
+            R = sampling._rank_thresholds(unfold_surfaces(surfaces, l_max), W, k_max)
+            assert ((R <= E) | (np.isinf(R) & (E > l_max))).all()
+            within = E[exact] <= l_max
+            assert np.array_equal(R[exact][within], E[exact][within])
+            assert np.isinf(R[exact][~within]).all()
+            # thresholds on both sides of l_max, and both kinds of surface
+            # after one round
+            assert within.any() and not within.all()
+            assert exact.any()
+            if case == "torus":
+                assert exact.all()
+            elif rounds == 1:
+                assert (~exact).any()
+                assert (R[~exact] < E[~exact]).any()
+            else:
+                assert (~exact).sum() < 0.01 * len(surfaces)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_edge_stacks_ranked_as_by_svd(self, case, monkeypatch):
@@ -1576,49 +1634,55 @@ class TestCertificate:
     def test_radius_at_a_certificate_edge(self, case, monkeypatch):
         """Radii equal to edge thresholds E_(cap - 1), rounded up or not,
         and one float either side of them, of Delaunay surfaces and of
-        others."""
+        others: the octagons are retriangulated in full and in one round,
+        which leaves most of them not Delaunay, so searched."""
         model, W, cells, sides = _cone_batch(case)
-        surfaces, _ = sampling._cone_surfaces(model, sides)
         k_max = max(map(len, cells))
         cap = min(k_max, W.dim)
-        E, exact = sampling._edge_pass(surfaces, W, k_max)
-        guess = np.sort(E[:, cap - 1])
-        chosen = np.concatenate([
-            guess[[len(guess) // 50, len(guess) // 10, len(guess) // 3]],
-            E[~exact, cap - 1][:3]])
-        radii = [r for g in chosen.tolist() for r in (
-            g, math.nextafter(g, 0), math.nextafter(g, math.inf),
-            g * (1 + sampling.GUESS_SLACK))]
-        full = [(r,) * cap for r in radii]
-        pairs = [(r, q) for r in radii for q in radii if r <= q]
-        self.assert_equals_search_to_l_max(
-            case, [(r,) for r in radii] + full + pairs[::3], monkeypatch)
-        # each length alone: no radius just below it to widen the search
-        for g in chosen.tolist():
-            self.assert_equals_search_to_l_max(case, [(g,) * cap], monkeypatch)
-        # R_(cap - 1) at an edge's length: the counts there and one float
-        # below differ
-        counts = _count(model, W, sides, full)[0]
-        assert any(counts[i] != counts[i + 1] for i in range(0, len(full), 4))
+        # the tori skip the retriangulation, so a round cap changes nothing
+        for rounds in ((surface.DELAUNAY_ROUNDS,) if case == "torus"
+                       else (surface.DELAUNAY_ROUNDS, 1)):
+            monkeypatch.setattr(surface, "DELAUNAY_ROUNDS", rounds)
+            surfaces, _ = sampling._cone_surfaces(model, sides)
+            E, exact = sampling._edge_pass(surfaces, W, k_max)
+            if rounds == 1:
+                assert (~exact).any()
+            guess = np.sort(E[:, cap - 1])
+            chosen = np.concatenate([
+                guess[[len(guess) // 50, len(guess) // 10, len(guess) // 3]],
+                E[~exact, cap - 1][:3]])
+            radii = [r for g in chosen.tolist() for r in (
+                g, math.nextafter(g, 0), math.nextafter(g, math.inf),
+                g * (1 + sampling.GUESS_SLACK))]
+            full = [(r,) * cap for r in radii]
+            pairs = [(r, q) for r in radii for q in radii if r <= q]
+            self.assert_equals_search_to_l_max(
+                case, [(r,) for r in radii] + full + pairs[::3], monkeypatch)
+            # each length alone: no radius just below it to widen the search
+            for g in chosen.tolist():
+                self.assert_equals_search_to_l_max(case, [(g,) * cap], monkeypatch)
+            # R_(cap - 1) at an edge's length: the counts there and one
+            # float below differ
+            counts = _count(model, W, sides, full)[0]
+            assert any(counts[i] != counts[i + 1] for i in range(0, len(full), 4))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_radii_within_twice_the_slack(self, case, monkeypatch):
         """Radii at the thresholds of the search to the largest radius and
-        within a few ``GUESS_SLACK`` of them and of each other."""
+        at the edge thresholds E_(cap - 1), and within a few
+        ``GUESS_SLACK`` of them and of each other."""
         model, W, cells, sides = _cone_batch(case)
         surfaces, _ = sampling._cone_surfaces(model, sides)
         k_max = max(map(len, cells))
         R = sampling._rank_thresholds(unfold_surfaces(surfaces, 1.0), W, k_max)
         finite = np.unique(R[np.isfinite(R)])
-        bound = np.sort(_edge_bound(surfaces, W, k_max)[0])
-        bound = bound[bound <= 1.0]
+        edges = np.sort(_last_edges(surfaces, W, k_max))
+        edges = edges[edges <= 1.0]
         slack = sampling.GUESS_SLACK
         radii = [r * (1 + d * slack) for r in finite[::max(1, finite.size // 4)]
                  for d in (-1, 0, 1, 2, 3)]
-        # the largest radius below a bound g_s and one within twice the
-        # slack above it, at or above g_s
-        radii += [c * (1 + d * slack) for c in bound[::max(1, bound.size // 4)]
-                  for d in (-2, -0.5, 0, 0.5)]
+        radii += [c * (1 + d * slack) for c in edges[::max(1, edges.size // 4)]
+                  for d in (-1, 0.5, 1, 1.5)]
         radii.sort()
         ones = [(r,) for r in radii]
         pairs = [(r, q) for r, q in zip(radii, radii[1:])]
@@ -1628,20 +1692,21 @@ class TestCertificate:
     def test_radii_below_every_certificate(self, case, monkeypatch):
         model, W, cells, sides = _cone_batch(case)
         surfaces, _ = sampling._cone_surfaces(model, sides)
-        least = _edge_bound(surfaces, W, max(map(len, cells)))[0].min()
+        least = _last_edges(surfaces, W, max(map(len, cells))).min()
         radii = [least / 2, least * 0.9, math.nextafter(least, 0)]
         self.assert_equals_search_to_l_max(
             case, [(r,) for r in radii] + [(radii[0], radii[-1])], monkeypatch)
 
     @pytest.mark.parametrize("case", ["torus", "octagon"])
     def test_radii_above_every_certificate(self, case, monkeypatch):
-        """With no radius below its bound g_s a surface is searched to the
-        least normal float: no node, the counts of the full search."""
+        """Radii above every edge threshold E_(cap - 1): every golden torus
+        and octagon is Delaunay, so none is searched, and the counts are
+        those of the full search."""
         model, W, cells, sides = _cone_batch(case)
         surfaces, _ = sampling._cone_surfaces(model, sides)
         k_max = max(map(len, cells))
         cap = min(k_max, W.dim)
-        most = _edge_bound(surfaces, W, k_max)[0].max()
+        most = _last_edges(surfaces, W, k_max).max()
         radii = [math.nextafter(most, math.inf), most * 1.1]
         cells = [(r,) * cap for r in radii]
         nodes, full = self.assert_equals_search_to_l_max(case, cells,
@@ -1651,9 +1716,9 @@ class TestCertificate:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rank_three_cell(self, case, monkeypatch):
         """A rank-3 cell (cap 3 on the octagon, cap 2 on the rank-2
-        charts) is certified too: the edges reach rank 3, and each surface
-        that is not Delaunay is searched below its E_2, far less than to
-        l_max."""
+        charts) is certified too: the edges reach rank 3, so only the
+        surfaces that are not Delaunay are searched, far fewer nodes than
+        every surface to l_max."""
         cells = [(0.35,), (0.6, 0.6), (0.3, 0.6, 0.9), (0.6, 0.9, 0.9)]
         nodes, full = self.assert_equals_search_to_l_max(case, cells,
                                                          monkeypatch)
@@ -1728,6 +1793,34 @@ class TestCertificate:
             _without_certificate(m)
             want, full = _count(model, W, sides, cells)
         assert got == want and full > 0
+
+
+class TestSearchBound:
+    """``unfold_surfaces`` emits a connection when its reported length, a
+    ``hypot``, is at most the bound, so a connection is found at a bound
+    of its own length."""
+
+    def test_own_length_as_bound(self):
+        """The octagon-subspace golden cone batch (seed 1), searched to 1,
+        then again once per rank j with surface s's bound the length of
+        its j-th connection: each search finds exactly the connections of
+        the first no longer than their surface's bound."""
+        model, W, _, sides = _cone_batch("octagon-subspace")
+        surfaces, _ = sampling._cone_surfaces(model, sides)
+        want = unfold_surfaces(surfaces, 1.0)
+        first, count = want.offsets[:-1], np.diff(want.offsets)
+        surf = np.repeat(np.arange(len(surfaces)), count)
+        assert count.sum() > 5000
+        for j in range(count.max()):
+            has = count > j
+            bound = np.ones(len(surfaces))
+            bound[has] = want.length[first[has] + j]
+            got = unfold_surfaces(surfaces, bound)
+            keep = want.length <= bound[surf]
+            assert np.array_equal(got.holonomy, want.holonomy[keep])
+            assert np.array_equal(got.length, want.length[keep])
+            assert np.array_equal(np.diff(got.offsets),
+                                  np.bincount(surf[keep], minlength=len(surfaces)))
 
 
 class TestCountConeBatch:

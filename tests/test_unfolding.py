@@ -838,6 +838,18 @@ class TestBatchedUnfolding:
         for L in lengths:
             assert_equals_scalar(X, L)
 
+    @pytest.mark.parametrize("X", [regular_octagon(), subspace_octagon(5),
+                                   torus(1 + 0j, 0.4 + 0.9j)])
+    def test_own_lengths_equal_scalar_search(self, X):
+        """At a bound equal to a connection's reported length the batch and
+        the scalar search both emit it: the emit test compares that length,
+        not its square, with the bound."""
+        lengths = np.unique(unfold_surfaces([X], 3.0 * math.sqrt(X.area())).length)
+        assert lengths.size > 3
+        for L in lengths[::max(1, lengths.size // 12)].tolist():
+            assert_equals_scalar(X, L)
+            assert L in unfold_surfaces([X], L).length
+
     def test_tables_arrays_are_shared(self):
         X = square_torus()
         Y = torus(1.0 + 0.1j, 0.2 + 1j)
