@@ -101,15 +101,14 @@ rank cap on W (``_edge_pass``) takes E as its thresholds and is not
 searched; when every surface of a batch does, nothing is unfolded.
 
 The other surfaces, the rare ones the retriangulation leaves with a
-candidate edge and any whose edges fall short of rank cap, are unfolded
-in one ``unfold_surfaces`` call to l_max (1 + 2 ``GUESS_SLACK``), l_max
-the largest radius, and take the thresholds of their connections.  The
-slack covers the rounding of the search's pruning tests, which compare
+candidate edge and any whose edges fall short of rank cap, are taken out
+of the batch (``SurfaceBatch.take``) and unfolded in one
+``unfold_surfaces`` call to l_max (1 + 2 ``GUESS_SLACK``), l_max the
+largest radius, and take the thresholds of their connections.  The slack
+covers the rounding of the search's pruning tests, which compare
 squares, so every connection no longer than l_max (1 + GUESS_SLACK) is
 found and any R_i up to there is exact; any other R_i is inf or a found
-length above l_max, and fails every cell, as the true R_i does.  The
-exact surfaces are searched to the least normal float, whose square
-underflows to 0, so they expand no node unless a triangle is degenerate.
+length above l_max, and fails every cell, as the true R_i does.
 ``ScanResult.unfolding_nodes``, like ``DEFAULT_BUDGET``, counts the nodes
 these searches expand.  Each surface's retriangulation, edge thresholds,
 connections, ranks and nodes do not depend on which batch holds it, so the
@@ -426,12 +425,12 @@ def _count_cone_batch(chart: ChartModel, subspace: LinearSubspace,
     k_max = radii.shape[1]
     thresholds, exact = _edge_pass(surfaces, subspace, k_max)
     nodes = 0
-    if not exact.all():
-        l_max = radii[np.isfinite(radii)].max()
-        reach = np.where(exact, _FLOAT_TINY, l_max * (1 + 2 * GUESS_SLACK))
-        batch = unfold_surfaces(surfaces, reach, budget=budget)
+    inexact = (~exact).nonzero()[0]
+    if inexact.size:
+        reach = radii[np.isfinite(radii)].max() * (1 + 2 * GUESS_SLACK)
+        batch = unfold_surfaces(surfaces.take(inexact), reach, budget=budget)
         nodes = batch.nodes.sum()
-        thresholds[~exact] = _rank_thresholds(batch, subspace, k_max)[~exact]
+        thresholds[inexact] = _rank_thresholds(batch, subspace, k_max)
     # Cell (eps_1 <= ... <= eps_k) accepts iff R[:, i] <= eps_(i+1) for
     # every i < k; radii past k are inf and pass.
     accepts = (thresholds[:, None, :] <= radii[None, :, :]).all(axis=2)

@@ -715,10 +715,10 @@ class SurfaceBatch:
     dims           per surface, its row length, or None without rows
 
     The property :attr:`coeff_max`, the largest |c| in ``coeffs``, is read
-    off them, not stored.  A surface built on other coordinates w = B z of
-    the chart's z (a torus on its reduced basis) has rows in w;
-    :meth:`rebased` rewrites them in z, so the unfolding's classes come
-    out in chart coordinates.
+    off them, not stored.  :meth:`take` selects surfaces as :meth:`of` would
+    batch them.  A surface built on other coordinates w = B z of the chart's
+    z (a torus on its reduced basis) has rows in w; :meth:`rebased` rewrites
+    them in z, so the unfolding's classes come out in chart coordinates.
 
     :meth:`delaunay` retriangulates every surface toward Delaunay: rounds
     that twist two-triangle cylinders by whole multiples of their core and
@@ -753,6 +753,19 @@ class SurfaceBatch:
                                + [X._edges.reshape(-1) for X in surfaces])
         return _gather(edges, [X._tables for X in surfaces],
                        np.arange(len(surfaces)))
+
+    def take(self, rows) -> "SurfaceBatch":
+        """The batch of the surfaces ``rows``, in that order, as :meth:`of`
+        makes it: chart rows are padded to the longest among them."""
+        rows = np.asarray(rows, np.int64)
+        first = self.start[:-1].take(rows)
+        start, surf, src = _gather_index(np.diff(self.start).take(rows), first)
+        dims = tuple(self.dims[r] for r in rows.tolist())
+        d = max((k or 0 for k in dims), default=0)
+        return SurfaceBatch(
+            edge=self.edge.take(src, 1), corner_vertex=self.corner_vertex.take(src),
+            neighbor=self.neighbor.take(src) + (start[:-1] - first).take(surf),
+            coeffs=self.coeffs[:d].take(src, 1), start=start, surf=surf, dims=dims)
 
     def rebased(self, basis) -> "SurfaceBatch":
         """The batch with each chart row c of surface s, padded to D,
@@ -1071,10 +1084,7 @@ def _gather(edges, tables, kind) -> SurfaceBatch:
     The tables are stacked once, as columns (neighbor, corner vertex, padded
     chart row) of a (2 + D, rows) array, and gathered onto the half-edges
     of their surfaces in one take, which leaves every row C-contiguous."""
-    n = len(kind)
     size = np.asarray([t.neighbor.size for t in tables], np.int64)
-    n_he = size[kind]
-    start = np.concatenate([[0], np.cumsum(n_he)])
     first = np.cumsum(size) - size  # where each table's columns begin
     d = max((t.dim or 0 for t in tables), default=0)
     stacked = np.zeros((2 + d, int(size.sum())), np.int64)
@@ -1084,17 +1094,24 @@ def _gather(edges, tables, kind) -> SurfaceBatch:
         cols[1] = t.corner_vertex
         if t.dim:
             cols[2:2 + t.dim] = t.coeffs.T
-    surf = np.repeat(np.arange(n), n_he)
-    # where each global half-edge sits in the stacked tables
-    src = (first[kind] - start[:-1]).repeat(n_he) + np.arange(start[-1])
+    start, surf, src = _gather_index(size[kind], first[kind])
     cols = stacked.take(src, 1)
     dims = [t.dim for t in tables]
     return SurfaceBatch(
         edge=np.stack([edges.real, edges.imag]),
         neighbor=cols[0] + start[surf], corner_vertex=cols[1], coeffs=cols[2:],
         start=start, surf=surf,
-        dims=((dims[0],) * n if len(set(dims)) == 1
+        dims=((dims[0],) * len(kind) if len(set(dims)) == 1
               else tuple(dims[k] for k in kind.tolist())))
+
+
+def _gather_index(size, first):
+    """The ``start`` and ``surf`` of surfaces of ``size`` half-edges, and the
+    column that each half-edge comes from: surface s's from ``first[s]`` on."""
+    start = np.concatenate([[0], np.cumsum(size)])
+    surf = np.repeat(np.arange(len(size)), size)
+    src = (first - start[:-1]).repeat(size) + np.arange(start[-1])
+    return start, surf, src
 
 
 def symmetric_polygon_batch(sides) -> tuple[SurfaceBatch, np.ndarray]:

@@ -25,15 +25,13 @@ scalar reference, ``tests/scalar_unfolding.py``.
 level of chain depth per step.  It reads the flat half-edge arrays of a
 :class:`~flatscale.surface.SurfaceBatch` (edge vectors, global neighbours,
 corner vertices, chart rows) as they are.  The frontier of every corner of
-every surface lives in flat arrays too: root corner, entry half-edge, the two
-developed corner positions, the int64 class of the second (an apex's class
-is that plus the row of the edge from it to the apex), the wedge, and the
-length bound of the node's surface, since each surface may have its own
-bound; it moves with the node state, so it costs no gather.  A
-step expands a whole level and lays out each node's children in parent
+every surface lives in flat arrays too: root corner, entry half-edge, the
+two developed corner positions, the int64 class of the second (an apex's
+class is that plus the row of the edge from it to the apex) and the wedge.
+A step expands a whole level and lays out each node's children in parent
 order, the child through edge e+1 before the child through edge e+2, so
-each corner's nodes come out in breadth-first order.  The float arithmetic is
-that of a scalar search, done in the same order, so every surface gets
+each corner's nodes come out in breadth-first order.  The float arithmetic
+is that of a scalar search, done in the same order, so every surface gets
 exactly the connections it gets alone.
 
 The canonical order, per surface: the connections in search order, each
@@ -51,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import integer
+from .checks import integer, real
 from .surface import INT64_LIMIT, SurfaceBatch, TranslationSurface
 
 WEDGE_EPS = 1e-9  # relative angular tolerance for boundary coincidence
@@ -148,33 +146,21 @@ def unfold_surfaces(surfaces, length_bound,
     """:func:`enumerate_saddle_connections` of every surface in one search.
 
     ``surfaces`` is a :class:`~flatscale.surface.SurfaceBatch`, or a
-    sequence of :class:`TranslationSurface`, which is made into one.
-    ``length_bound`` is one bound for every surface, or an (n,) array with
-    one bound per surface.  Each surface gets exactly the connections, in
-    the order, and the nodes that it gets alone with its own bound as the
-    scalar bound.  Raises :class:`UnfoldingBudgetError` when some surface
+    sequence of :class:`TranslationSurface`, which is made into one.  Each
+    surface gets exactly the connections, in the order, and the nodes that
+    it gets alone.  Raises :class:`UnfoldingBudgetError` when some surface
     expands more than ``budget`` chain nodes, and ``ValueError`` when a
     class coefficient times ``budget + 2`` (the most rows a developed class
-    sums) could leave int64, when ``length_bound`` has another shape or a
-    bound that is not finite and positive (nan would find nothing and inf
-    would run into the budget), or when ``budget`` is not an integer (a
-    bool is none) or is negative.
+    sums) could leave int64, when ``length_bound`` is not a real number
+    (``flatscale.checks``) or is not finite and positive (nan would find
+    nothing and inf would run into the budget), or when ``budget`` is not
+    an integer (a bool is none) or is negative.
     """
     if not isinstance(surfaces, SurfaceBatch):
         surfaces = SurfaceBatch.of(surfaces)
-    try:
-        bound = np.asarray(length_bound)
-        real = (bound.dtype.kind in "iuf"
-                and bound.shape in ((), (len(surfaces),)))
-    except ValueError:  # a ragged sequence
-        real = False
-    if not real:
-        raise ValueError(f"length_bound must be a real number or one per "
-                         f"surface ({len(surfaces)}), got {length_bound!r}")
-    bound = bound.astype(float)
-    if not (np.isfinite(bound) & (bound > 0)).all():
-        raise ValueError(f"length_bound must be finite and positive, "
-                         f"got {length_bound!r}")
+    bound = real(length_bound, "length_bound")
+    if not (math.isfinite(bound) and bound > 0):
+        raise ValueError(f"length_bound must be finite and positive, got {bound}")
     if integer(budget, "budget") < 0:
         raise ValueError(f"budget must not be negative, got {budget!r}")
     cmax = surfaces.coeff_max
@@ -184,7 +170,6 @@ def unfold_surfaces(surfaces, length_bound,
             f"class coefficients up to {cmax} times budget + 2 = {rows} "
             f"reach {cmax * rows}, beyond int64 (2**63); lower the budget")
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.broadcast_to(bound, (len(surfaces),))
         found, nodes = _search(surfaces, bound, budget)
         return _canonical(surfaces, found, nodes)
 
@@ -220,9 +205,9 @@ def _twice(a):
     return out
 
 
-def _search(b: SurfaceBatch, bound: np.ndarray, budget: int):
-    """The level-synchronous search, surface s to the length bound[s], in
-    the kept half plane.  Returns the emitted connections in per-corner
+def _search(b: SurfaceBatch, bound: float, budget: int):
+    """The level-synchronous search, every surface to the length ``bound``,
+    in the kept half plane.  Returns the emitted connections in per-corner
     search order (root corner, holonomy (2, n), end vertex, class (D, n))
     and the nodes expanded per surface.
 
@@ -253,7 +238,6 @@ def _search(b: SurfaceBatch, bound: np.ndarray, budget: int):
     ea = edge
     eb = -edge.take(prv, 1)
     la2 = _norm2(ea)
-    bound = bound.take(b.surf)  # each corner's bound
     L2 = bound * bound
     own = (np.hypot(ea[0], ea[1]) <= bound).nonzero()[0]
     emits = [(own, ea[:, own], vert[nxt[own]], coeffs[:, own])]
@@ -278,14 +262,12 @@ def _search(b: SurfaceBatch, bound: np.ndarray, budget: int):
 
     # Node state.  f: the positions of corners e (pa) and e+1 (pb) of the
     # entry edge, then the wedge as lo.x, hi.y, lo.y, hi.x, so that one
-    # product gives both boundary crosses, then the bound of the node's
-    # surface, which the take that moves f moves too.  q, int64: the class
-    # of pb, then the entry half-edge and the root corner, so that one take
-    # carries all of them to the next level.
+    # product gives both boundary crosses.  q, int64: the class of pb, then
+    # the entry half-edge and the root corner, so that one take carries all
+    # of them to the next level.
     dim = coeffs.shape[0]
     he_row, root_row = dim, dim + 1
-    f = np.concatenate([eb, ea, lo[:1], hi[1:], lo[1:], hi[:1],
-                        bound.take(near)[None]]).take(keep, 1)
+    f = np.concatenate([eb, ea, lo[:1], hi[1:], lo[1:], hi[:1]]).take(keep, 1)
     q = np.concatenate([coeffs[:, root], nbr[nxt[root]][None], root[None]])
     # Per entry half-edge: the edge vector and class of edge e+1, the end
     # vertex of an apex emit, and the entries of the two children.  The
@@ -296,7 +278,7 @@ def _search(b: SurfaceBatch, bound: np.ndarray, budget: int):
     apex_class = coeffs.take(nxt, 1)
     apex_vert = vert.take(prv)
     kids = np.stack([nbr.take(nxt), nbr.take(prv)], axis=1)
-    del ea, eb, la2, lo, hi, ok, keep, near, root, L2, bound
+    del ea, eb, la2, lo, hi, ok, keep, near, root
 
     nodes = np.zeros(len(b), np.int64)
     while n := q.shape[1]:
@@ -314,7 +296,7 @@ def _search(b: SurfaceBatch, bound: np.ndarray, budget: int):
         cross = f[4:6] * apex[::-1] - f[6:8] * apex  # (cl, ch)
         inside = cross > WEDGE_EPS * rm
         interior = inside[0] & inside[1]
-        hit = (interior & (np.hypot(apex[0], apex[1]) <= f[8])).nonzero()[0]
+        hit = (interior & (np.hypot(apex[0], apex[1]) <= bound)).nonzero()[0]
         if hit.size:
             emits.append((root.take(hit), apex.take(hit, 1),
                           apex_vert.take(he.take(hit)), capex.take(hit, 1)))
@@ -333,7 +315,7 @@ def _search(b: SurfaceBatch, bound: np.ndarray, budget: int):
         np.copyto(g[4:8:2, :, 1], ap, where=interior)
         keep = inside.T.copy()
         keep[:, 1] |= ~inside[0]
-        keep &= _seg_dist2(g[2:4], g[0:2]) <= (f[8] * f[8])[:, None]
+        keep &= _seg_dist2(g[2:4], g[0:2]) <= L2
         wedge = g[4:8:2] * g[5:8:2]
         keep &= wedge[0] - wedge[1] > WEDGE_EPS
         sel = keep.reshape(2 * n).nonzero()[0]
@@ -341,7 +323,7 @@ def _search(b: SurfaceBatch, bound: np.ndarray, budget: int):
         gq = _twice(q)
         gq[:dim, :, 1] = capex
         gq[he_row] = kids.take(he, 0)
-        f = g.reshape(9, 2 * n).take(sel, 1)
+        f = g.reshape(8, 2 * n).take(sel, 1)
         q = gq.reshape(root_row + 1, 2 * n).take(sel, 1)
 
     root, hol, end, cls = zip(*emits)

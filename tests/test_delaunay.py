@@ -28,6 +28,7 @@ from scalar_delaunay import FLOOR, scalar_delaunay_batch, scores
 from test_sampling import GOLDEN_CASES
 from test_surface import octagon_surface, square_torus, torus
 from test_unfolding import (
+    assert_batch_is_concatenation,
     no_coordinates,
     regular_octagon,
     subspace_octagon,
@@ -87,6 +88,16 @@ def assert_matches_scalar(batch, got, rounds=DELAUNAY_ROUNDS):
         assert got.coeffs[:, a:b].T.tolist() == rows
 
 
+def mixed_surfaces():
+    """Tori, octagons, a surface without rows and one with several cone
+    points."""
+    return [
+        torus(0.3 + 0j, 2.9 + 0.4j), regular_octagon(), subspace_octagon(4),
+        no_coordinates(octagon_surface()), square_torus(),
+        HorizontalCylinderFamily().surface(PlumbingParams(t_h={0: 0.01, 1: 0.02})),
+        octagon_surface([1, 3 + 0.2j, -2.5 + 1j, 0.1 + 1.2j])]
+
+
 class TestScalarReference:
     def test_golden_cone_batches(self, golden):
         case, batch, got = golden
@@ -118,12 +129,7 @@ class TestScalarReference:
     def test_mixed_batch_equals_batches_of_one(self):
         """Each surface is retriangulated on its own: tori, octagons, a
         surface without rows and one with several cone points."""
-        surfaces = [
-            torus(0.3 + 0j, 2.9 + 0.4j), regular_octagon(), subspace_octagon(4),
-            no_coordinates(octagon_surface()), square_torus(),
-            HorizontalCylinderFamily().surface(
-                PlumbingParams(t_h={0: 0.01, 1: 0.02})),
-            octagon_surface([1, 3 + 0.2j, -2.5 + 1j, 0.1 + 1.2j])]
+        surfaces = mixed_surfaces()
         batch = SurfaceBatch.of(surfaces)
         got = batch.delaunay()
         assert_matches_scalar(batch, got)
@@ -141,6 +147,50 @@ class TestScalarReference:
         got = SurfaceBatch.of([]).delaunay()
         assert len(got) == 0 and got.edge.shape == (2, 0)
         assert got.coeff_max == 0
+
+
+def assert_same_batch(got, want):
+    """Every array of ``got`` is ``want``'s bit for bit, C-contiguous, and
+    the dims are equal."""
+    for name in ("edge", "neighbor", "corner_vertex", "coeffs", "start", "surf"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+        assert a.flags.c_contiguous, name
+    assert got.dims == want.dims
+
+
+class TestTake:
+    """``SurfaceBatch.take`` is the batch that ``SurfaceBatch.of`` makes of
+    the chosen surfaces, before and after the retriangulation."""
+
+    # all in order; out of order with a repeat; none; only tori (rows of 2,
+    # not 4); only a surface without rows; surfaces with and without rows
+    SELECTIONS = [[0, 1, 2, 3, 4, 5, 6], [6, 3, 0, 4, 0, 2], [], [0, 4],
+                  [3], [3, 0, 5]]
+
+    @pytest.mark.parametrize("rows", SELECTIONS, ids=repr)
+    def test_equals_batch_of_the_surfaces(self, rows):
+        surfaces = mixed_surfaces()
+        chosen = [surfaces[r] for r in rows]
+        got = SurfaceBatch.of(surfaces).take(rows)
+        assert_same_batch(got, SurfaceBatch.of(chosen))
+        assert_batch_is_concatenation(
+            unfold_surfaces(got, 1.5), [unfold_surfaces([X], 1.5) for X in chosen])
+
+    @pytest.mark.parametrize("rows", SELECTIONS, ids=repr)
+    def test_after_the_retriangulation(self, rows):
+        """Each surface retriangulated in the batch is the surface
+        retriangulated alone, and so is any selection of them."""
+        surfaces = mixed_surfaces()
+        got = SurfaceBatch.of(surfaces).delaunay().take(rows)
+        chosen = [SurfaceBatch.of([surfaces[r]]).delaunay() for r in rows]
+        for i, one in enumerate(chosen):
+            assert_same_batch(got.take([i]), one)
+        assert_same_batch(
+            got, SurfaceBatch.of([surfaces[r] for r in rows]).delaunay())
+        assert_batch_is_concatenation(
+            unfold_surfaces(got, 1.5), [unfold_surfaces(X, 1.5) for X in chosen])
 
 
 class TestInvariants:

@@ -1211,11 +1211,9 @@ class TestBatchedScan:
         monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
         res = scan_chart(chart, None, cells, 20_000, SEED)
         monkeypatch.undo()
-        # three chunks, with fewer than 8192 cone samples: one batch, with
-        # one search where some surface is not Delaunay (no torus)
+        # three chunks, with fewer than 8192 cone samples: one batch
         assert len(calls) == 1
         assert sum(calls) == len(rows) == res.estimates[0].accepted
-        assert unfolded == ([] if chart == "torus" else calls)
         one_round()
         chunk_size(8192)
         two = scan_chart(chart, None, cells, 20_000, SEED, threads=2)
@@ -1234,10 +1232,13 @@ class TestBatchedScan:
             if chart != "torus":
                 X = X.delaunay()
             reach = _reach_alone(X, W, k_max, l_max)
-            searched += reach > 0
-            alone += int(unfold_surfaces(X, max(reach, sampling._FLOAT_TINY)).nodes[0])
+            if reach:
+                searched += 1
+                alone += int(unfold_surfaces(X, reach).nodes[0])
         assert res.unfolding_nodes == alone
-        # the reduced tori are all Delaunay, a few octagons are not
+        # one search of the surfaces that are not Delaunay, where there are
+        # some: the reduced tori are all Delaunay, a few octagons are not
+        assert unfolded == ([searched] if searched else [])
         assert (searched > 0) == (alone > 0) == (chart != "torus")
 
     def test_no_radius_cell_unfolds_nothing(self):
@@ -1755,7 +1756,7 @@ class TestCertificate:
             return E, exact
 
         monkeypatch.setattr(sampling, "_edge_pass", failing_edge_pass)
-        batches, reaches = [], []
+        batches, searched, reaches = [], [], set()
         count, unfold = sampling._count_cone_batch, sampling.unfold_surfaces
 
         def noting_count(*args):
@@ -1763,16 +1764,49 @@ class TestCertificate:
             return count(*args)
 
         def noting_unfold(surfaces, reach, **kwargs):
-            reaches.append(np.broadcast_to(reach, (len(surfaces),)).copy())
+            searched.append(len(surfaces))
+            reaches.add(reach)
             return unfold(surfaces, reach, **kwargs)
 
         monkeypatch.setattr(sampling, "_count_cone_batch", noting_count)
         monkeypatch.setattr(sampling, "unfold_surfaces", noting_unfold)
         got = scan_chart(chart, W, cells, samples, 1)
         assert got == want
-        assert len(reaches) == len(batches) == len(checks) > 1
-        assert sum(checks) == sum(map(len, reaches))
-        assert (np.concatenate(reaches) == 1.0 * (1 + 2 * sampling.GUESS_SLACK)).all()
+        assert len(searched) == len(batches) == len(checks) > 1
+        assert searched == checks
+        assert reaches == {1.0 * (1 + 2 * sampling.GUESS_SLACK)}
+
+    @pytest.mark.parametrize("rounds", [surface.DELAUNAY_ROUNDS, 1])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_unfolds_only_the_inexact_surfaces(self, seed, rounds, monkeypatch):
+        """On the octagon-subspace golden cone batches, at the default round
+        cap and at one round, the batch's one ``unfold_surfaces`` call gets
+        exactly the surfaces that the edge pass leaves inexact, in order,
+        each with the arrays it has in the batch."""
+        default = rounds == surface.DELAUNAY_ROUNDS
+        monkeypatch.setattr(surface, "DELAUNAY_ROUNDS", rounds)
+        model, W, cells, sides = _cone_batch("octagon-subspace", seed)
+        surfaces, _ = sampling._cone_surfaces(model, sides)
+        exact = sampling._edge_pass(surfaces, W, max(map(len, cells)))[1]
+        inexact = (~exact).nonzero()[0].tolist()
+        assert 0 < len(inexact) < len(surfaces)
+        unfold, calls = sampling.unfold_surfaces, []
+        monkeypatch.setattr(sampling, "unfold_surfaces",
+                            lambda b, *a, **k: calls.append(b) or unfold(b, *a, **k))
+        _, nodes = _count(model, W, sides, cells)
+        if default:
+            assert nodes == GOLDEN_NODES["octagon-subspace", seed]
+        (got,) = calls
+        assert len(got) == len(inexact)
+        assert got.dims == tuple(surfaces.dims[s] for s in inexact)
+        for i, s in enumerate(inexact):
+            lo, hi = int(got.start[i]), int(got.start[i + 1])
+            a, b = int(surfaces.start[s]), int(surfaces.start[s + 1])
+            assert got.edge[:, lo:hi].tobytes() == surfaces.edge[:, a:b].tobytes()
+            assert np.array_equal(got.neighbor[lo:hi] - lo, surfaces.neighbor[a:b] - a)
+            assert np.array_equal(got.corner_vertex[lo:hi], surfaces.corner_vertex[a:b])
+            assert np.array_equal(got.coeffs[:, lo:hi], surfaces.coeffs[:, a:b])
+            assert (got.surf[lo:hi] == i).all()
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_all_delaunay_batch_unfolds_nothing(self, case, monkeypatch):
@@ -1802,25 +1836,22 @@ class TestSearchBound:
 
     def test_own_length_as_bound(self):
         """The octagon-subspace golden cone batch (seed 1), searched to 1,
-        then again once per rank j with surface s's bound the length of
-        its j-th connection: each search finds exactly the connections of
-        the first no longer than their surface's bound."""
+        then each surface alone once per length of its connections, with
+        that length as the bound: each search finds exactly the surface's
+        connections no longer than it."""
         model, W, _, sides = _cone_batch("octagon-subspace")
         surfaces, _ = sampling._cone_surfaces(model, sides)
         want = unfold_surfaces(surfaces, 1.0)
-        first, count = want.offsets[:-1], np.diff(want.offsets)
-        surf = np.repeat(np.arange(len(surfaces)), count)
-        assert count.sum() > 5000
-        for j in range(count.max()):
-            has = count > j
-            bound = np.ones(len(surfaces))
-            bound[has] = want.length[first[has] + j]
-            got = unfold_surfaces(surfaces, bound)
-            keep = want.length <= bound[surf]
-            assert np.array_equal(got.holonomy, want.holonomy[keep])
-            assert np.array_equal(got.length, want.length[keep])
-            assert np.array_equal(np.diff(got.offsets),
-                                  np.bincount(surf[keep], minlength=len(surfaces)))
+        assert want.offsets[-1] > 5000
+        for s in range(len(surfaces)):
+            X = surfaces.take([s])
+            rows = slice(want.offsets[s], want.offsets[s + 1])
+            holonomy, length = want.holonomy[rows], want.length[rows]
+            for bound in np.unique(length).tolist():
+                got = unfold_surfaces(X, bound)
+                keep = length <= bound
+                assert np.array_equal(got.holonomy, holonomy[keep])
+                assert np.array_equal(got.length, length[keep])
 
 
 class TestCountConeBatch:

@@ -13,7 +13,6 @@ from flatscale.families import (
     PlumbingParams,
 )
 from flatscale.homology import TAU_PARALLEL
-from flatscale.sampling import _FLOAT_TINY
 from flatscale.surface import SurfaceBatch, SurfaceError, TranslationSurface
 from flatscale.unfolding import (
     DEFAULT_BUDGET,
@@ -35,6 +34,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 # subspace octagon of small area can need over 10**6 nodes at L = 2, and
 # the low budget keeps such an example short on both sides.
 DRAWN_BUDGET = 50_000
+# the error of a length bound that is not one real number; a repr may span lines
+NOT_REAL = r"(?s)length_bound holds .* not a real number"
 
 
 def primitive_vectors_of_lattice(m, L):
@@ -219,10 +220,20 @@ class TestOctagon:
 
 class TestBudget:
     @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -float("inf"),
-                                       0.0, -1.0, np.nan], ids=repr)
+                                       0.0, -0.0, -1.0, np.nan], ids=repr)
     def test_bound_not_finite_and_positive(self, bound):
         # nan once returned no connection, inf ran until the budget
         with pytest.raises(ValueError, match="length_bound must be finite and positive"):
+            enumerate_saddle_connections(square_torus(), bound)
+        with pytest.raises(ValueError, match="length_bound"):
+            unfold_surfaces([square_torus(), octagon_surface()], bound)
+
+    @pytest.mark.parametrize("bound", ["1.5", True, np.True_, 1.5j, None, [1.5],
+                                       np.ones(1)], ids=repr)
+    def test_bound_not_a_real_number(self, bound):
+        """One real number bounds the whole batch (``flatscale.checks``); a
+        sequence is refused, even of one bound for one surface."""
+        with pytest.raises(ValueError, match=NOT_REAL):
             enumerate_saddle_connections(square_torus(), bound)
         with pytest.raises(ValueError, match="length_bound"):
             unfold_surfaces([square_torus(), octagon_surface()], bound)
@@ -619,14 +630,12 @@ def assert_batch_is_concatenation(batch, singles):
 
 
 def assert_batch_equals_batches_of_one(surfaces, bound):
-    """The batch of ``surfaces`` to ``bound`` (one, or one per surface)
-    equals their batches of one, or raises the budget error exactly when
-    one of them does, at ``DRAWN_BUDGET``."""
+    """The batch of ``surfaces`` to ``bound`` equals their batches of one,
+    or raises the budget error exactly when one of them does, at
+    ``DRAWN_BUDGET``."""
     budget = DRAWN_BUDGET
-    each = np.broadcast_to(bound, (len(surfaces),)).tolist()
     try:
-        singles = [unfold_surfaces([X], b, budget=budget)
-                   for X, b in zip(surfaces, each)]
+        singles = [unfold_surfaces([X], bound, budget=budget) for X in surfaces]
     except UnfoldingBudgetError:
         with pytest.raises(UnfoldingBudgetError):
             unfold_surfaces(surfaces, bound, budget=budget)
@@ -898,132 +907,81 @@ def unit_area(X):
 
 
 class TestFarEdgeFilter:
-    """Only corners whose far edge lies within their surface's bound start a
-    chain, and only the surfaces with such a corner get the per-half-edge
-    tables: the batch still equals the scalar search surface by surface."""
+    """Only corners whose far edge lies within the bound start a chain, and
+    only the surfaces with such a corner get the per-half-edge tables: the
+    batch still equals the scalar search surface by surface."""
 
     def test_below_every_far_edge(self):
-        surfaces = [square_torus(), torus(0.3 + 0j, 0.1 + 3.3j), regular_octagon(),
-                    subspace_octagon(4), no_coordinates(octagon_surface())]
-        reach = [0.99 * far_edge_reach(X) for X in surfaces]
-        assert all(r < shortest_edge(X) for r, X in zip(reach, surfaces))
-        batch = unfold_surfaces(surfaces, reach)
+        """Each surface scaled so that every far edge lies beyond 1."""
+        surfaces = [X.rescaled(1 / (0.99 * far_edge_reach(X))) for X in (
+            square_torus(), torus(0.3 + 0j, 0.1 + 3.3j), regular_octagon(),
+            subspace_octagon(4), no_coordinates(octagon_surface()))]
+        assert all(1.0 < far_edge_reach(X) <= shortest_edge(X) for X in surfaces)
+        batch = unfold_surfaces(surfaces, 1.0)
         assert batch.offsets.tolist() == [0] * (len(surfaces) + 1)
         assert batch.nodes.tolist() == [0] * len(surfaces)
-        for X, r in zip(surfaces, reach):
-            assert scalar_unfold(X, r) == ([], 0)
+        for X in surfaces:
+            assert scalar_unfold(X, 1.0) == ([], 0)
 
     def test_mixed_rooted_and_unrooted(self):
-        """Tori at reaches below their shortest edge (some reach a far edge,
-        some none), unit-area octagons at the scan's largest radius 1, and
-        surfaces at the least reach the scan uses, ``_FLOAT_TINY``, with
+        """At the bound 1, the scan's largest radius: tori scaled so that
+        their shortest edge lies beyond it (some reach a far edge, some
+        none), unit-area octagons, and surfaces scaled far beyond it, with
         unrooted surfaces first, last and between rooted ones."""
         rng = np.random.default_rng(28)
         tori = []
         for _ in range(12):
             u, v = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
             if abs((u.conjugate() * v).imag) > 1e-3:
-                X = unit_area(torus(u, v) if (u.conjugate() * v).imag > 0
-                              else torus(v, u))
-                tori.append((X, 0.9 * shortest_edge(X)))
-        octagons = [(unit_area(X), 1.0) for X in (
+                X = torus(u, v) if (u.conjugate() * v).imag > 0 else torus(v, u)
+                tori.append(X.rescaled(1 / (0.9 * shortest_edge(X))))
+        octagons = [unit_area(X) for X in (
             regular_octagon(), subspace_octagon(4), subspace_octagon(11),
             star_octagon(0.3, [0.5, 0.9, 0.4, 0.7], [0.8, 0.5, 1.0, 0.6]))]
-        tiny = [(square_torus(), _FLOAT_TINY), (unit_area(subspace_octagon(5)),
-                                                _FLOAT_TINY)]
-        cases = ([tiny[0]] + tori[:6] + [octagons[0], tiny[1], octagons[1]]
-                 + tori[6:] + octagons[2:] + [tiny[0]])
-        surfaces, reach = zip(*cases)
-        batch = unfold_surfaces(surfaces, np.array(reach))
+        far = [square_torus().rescaled(2.0**40),
+               unit_area(subspace_octagon(5)).rescaled(2.0**40)]
+        surfaces = ([far[0]] + tori[:6] + [octagons[0], far[1], octagons[1]]
+                    + tori[6:] + octagons[2:] + [far[0]])
+        batch = unfold_surfaces(surfaces, 1.0)
         rooted = batch.nodes > 0
         assert not rooted[0] and not rooted[-1]
-        torus_rooted = [n > 0 for n, (X, _) in zip(batch.nodes, cases)
-                        if any(X is Y for Y, _ in tori)]
+        torus_rooted = [n > 0 for n, X in zip(batch.nodes, surfaces)
+                        if any(X is Y for Y in tori)]
         assert any(torus_rooted) and not all(torus_rooted)
         inner = rooted[1:-1]
         assert (~inner[1:-1] & inner[:-2] & inner[2:]).any()
-        for s, (X, r) in enumerate(cases):
-            want, nodes = scalar_unfold(X, r)
+        for s, X in enumerate(surfaces):
+            want, nodes = scalar_unfold(X, 1.0)
             got = batch.connections(s)
             assert fields(got) == fields(want)
             assert [bits(sc.holonomy) for sc in got] == [
                 bits(sc.holonomy) for sc in want]
             assert batch.nodes[s] == nodes
-
-
-bounds = st.floats(0.3, 3.0)
 
 
 class TestPerSurfaceBound:
-    """``length_bound`` may be one bound per surface: each surface gets
-    what it gets alone with its own bound as the scalar bound."""
-
-    @PROPERTY
-    @given(data=st.data())
-    def test_mixed_batch_equals_batches_of_one(self, data):
-        surfaces = data.draw(st.lists(surfaces_for_batch, min_size=1,
-                                      max_size=8))
-        L = data.draw(st.lists(bounds, min_size=len(surfaces),
-                               max_size=len(surfaces)))
-        assert_batch_equals_batches_of_one(surfaces, np.array(L))
-
-    @PROPERTY
-    @given(surfaces=st.lists(surfaces_for_batch, min_size=1, max_size=4),
-           L=st.lists(bounds, min_size=4, max_size=4))
-    @example(surfaces=[subspace_octagon(686)], L=[3.0] * 4)
-    def test_equals_scalar_search(self, surfaces, L):
-        """Bit for bit the connections and nodes of the scalar search of
-        each surface to its own bound; at ``DRAWN_BUDGET`` the batch raises
-        the budget error exactly when one of the scalar searches does."""
-        L = L[:len(surfaces)]
-        try:
-            batch = unfold_surfaces(surfaces, L, budget=DRAWN_BUDGET)
-        except UnfoldingBudgetError:
-            with pytest.raises(UnfoldingBudgetError):
-                for X, b in zip(surfaces, L):
-                    scalar_unfold(X, b, budget=DRAWN_BUDGET)
-            return
-        for s, (X, b) in enumerate(zip(surfaces, L)):
-            want, nodes = scalar_unfold(X, b, budget=DRAWN_BUDGET)
-            got = batch.connections(s)
-            assert fields(got) == fields(want)
-            assert [bits(sc.holonomy) for sc in got] == [
-                bits(sc.holonomy) for sc in want]
-            assert batch.nodes[s] == nodes
-
-    def test_fixed_mixed_batch(self):
-        surfaces = [square_torus(), regular_octagon(), subspace_octagon(4),
-                    no_coordinates(octagon_surface()), torus(0.3 + 0j, 0.1 + 3.3j)]
-        L = [1.5, 1.2, 2.0, 3.0, 0.31]
-        batch = unfold_surfaces(surfaces, L)
-        assert_batch_is_concatenation(batch, [
-            unfold_surfaces([X], b) for X, b in zip(surfaces, L)])
-        assert all(batch.length[batch.offsets[s]:batch.offsets[s + 1]].max(
-            initial=0) <= b for s, b in enumerate(L))
-        assert (np.diff(batch.offsets) > 0).all()
-        # a bound equal for all surfaces is the scalar bound
-        same = unfold_surfaces(surfaces, np.full(len(surfaces), 1.5))
-        assert_batch_is_concatenation(same, [
-            unfold_surfaces([X], 1.5) for X in surfaces])
+    """``length_bound`` is one bound for the whole batch: a bound per
+    surface, or any other sequence, is refused with a ``ValueError`` that
+    names it, whatever its entries."""
 
     @pytest.mark.parametrize("bound", [
         [1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], [[1.0], [2.0]], np.ones((2, 2)),
-        [1.0, [2.0]], ["1", "2"], "1.5", True, [True, True], [1.0, 1j],
+        [1.0, [2.0]], ["1", "2"], [True, True], [1.0, 1j],
     ], ids=repr)
     def test_bad_shape_or_type(self, bound):
-        with pytest.raises(ValueError, match=r"length_bound must be a real "
-                                             r"number or one per surface \(2\)"):
+        with pytest.raises(ValueError, match=NOT_REAL):
             unfold_surfaces([square_torus(), octagon_surface()], bound)
 
     @pytest.mark.parametrize("bound", [
         [1.0, math.nan], [math.inf, 1.0], [1.0, -math.inf], [0.0, 1.0],
         [1.0, -2.0], np.array([1.0, -0.0])], ids=repr)
     def test_entry_not_finite_and_positive(self, bound):
-        with pytest.raises(ValueError, match="length_bound must be finite and positive"):
+        with pytest.raises(ValueError, match=NOT_REAL):
             unfold_surfaces([square_torus(), octagon_surface()], bound)
 
     def test_empty_batch(self):
-        batch = unfold_surfaces([], np.zeros(0))
+        batch = unfold_surfaces([], 1.0)
         assert batch.offsets.tolist() == [0] and batch.nodes.size == 0
-        with pytest.raises(ValueError, match="one per surface"):
-            unfold_surfaces([], [1.0])
+        for bound in (np.zeros(0), [1.0]):
+            with pytest.raises(ValueError, match="length_bound"):
+                unfold_surfaces([], bound)
